@@ -22,21 +22,20 @@ compute it:
 A third route for full-gl pairs, ``strip_matrix_factorization``, peels the
 etas off the representing matrix by iterated refinement and closes the
 oracle triangle.
+
+``InducedModule`` carries the induced representations wedge(g_1) (x) V0.
+It straightens with the same memoized kernel as wedge(g_1) (liesuper's
+StraighteningKernel, keying Ybar_S (x) e_t by S | t << d_minus) and acts
+by the same ``word_action``.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 
 from .coeff import DualExtension, Scalar
 from .errors import MembershipViolation, NonTermination, SpanViolation, StructuralError
-from .liesuper import (
-    CheckReport,
-    ExteriorVector,
-    wedge_ad_action,
-    word_action,
-)
+from .liesuper import CheckReport, ExteriorVector, StraighteningKernel, word_action
 from .smat import SuperMatrix, dual_probe, gl_split, smat_inv
 
 MAX_WORD_TOKENS = 10_000
@@ -718,95 +717,26 @@ def defining_module(pair) -> EvenModuleData:
 class InducedModule:
     """Carrier wedge(g_1) (x) V0 with basis Ybar_S (x) e_t.
 
-    Even tokens act by wedge-Ad (x) V0; odd generators act by straightening
-    where even elements reaching the inducing line act through the V0
-    matrices (x.(y (x) v) = ad(x)(y) (x) v + y (x) x.v).
+    Even tokens act by wedge-Ad (x) V0; odd generators act through the
+    straightening kernel of liesuper, where even elements reaching the
+    inducing line act through the V0 matrices
+    (x.(y (x) v) = ad(x)(y) (x) v + y (x) x.v).  Inside, Ybar_S (x) e_t is
+    keyed by S | t << d_minus; the public vectors are dicts
+    (mask, t) -> coefficient.
     """
 
     def __init__(self, pair, v0: EvenModuleData):
         self.pair = pair
         self.v0 = v0
-        self._odd_memo = {}
-        self._even_memo = {}
-        self._memo_lock = threading.Lock()
+        self._kernel = StraighteningKernel(pair.lie, v0.lie_mats)
 
     @property
     def dim(self):
         return (1 << self.pair.d_minus) * self.v0.dim
 
-    def _dict_add(self, acc, key, raw):
-        f = self.pair.field
-        prev = acc.get(key)
-        raw = f.add(prev, raw) if prev is not None else raw
-        if raw == f.from_int(0):
-            acc.pop(key, None)
-        else:
-            acc[key] = raw
-
-    def odd_act(self, j, mask, t):
-        key = (j, mask, t)
-        hit = self._odd_memo.get(key)
-        if hit is not None:
-            return hit
-        f = self.pair.field
-        lie = self.pair.lie
-        if mask == 0:
-            res = {(1 << j, t): f.from_int(1)}
-        else:
-            i0 = (mask & -mask).bit_length() - 1
-            rest = mask & (mask - 1)
-            if j < i0:
-                res = {(mask | (1 << j), t): f.from_int(1)}
-            elif j == i0:
-                res = self.even_act_vec(lie.q2[j], rest, t)
-            else:
-                res = {}
-                for k2, c in self.even_act_vec(lie.oo[j][i0], rest, t).items():
-                    self._dict_add(res, k2, c)
-                for (m1, t1), c in self.odd_act(j, rest, t).items():
-                    for k2, c2 in self.odd_act(i0, m1, t1).items():
-                        self._dict_add(res, k2, f.neg(f.mul(c, c2)))
-        with self._memo_lock:
-            self._odd_memo[key] = res
-        return res
-
-    def even_act_basis(self, a, mask, t):
-        key = (a, mask, t)
-        hit = self._even_memo.get(key)
-        if hit is not None:
-            return hit
-        f = self.pair.field
-        lie = self.pair.lie
-        res = {}
-        if mask == 0:
-            for r in range(self.v0.dim):
-                c = self.v0.lie_mats[a][r][t]
-                if c != f.from_int(0):
-                    self._dict_add(res, (0, r), c)
-        else:
-            i0 = (mask & -mask).bit_length() - 1
-            rest = mask & (mask - 1)
-            for m, wm in enumerate(lie.eo[a][i0]):
-                if wm == f.from_int(0):
-                    continue
-                for k2, c2 in self.odd_act(m, rest, t).items():
-                    self._dict_add(res, k2, f.mul(wm, c2))
-            for (m1, t1), c in self.even_act_basis(a, rest, t).items():
-                for k2, c2 in self.odd_act(i0, m1, t1).items():
-                    self._dict_add(res, k2, f.mul(c, c2))
-        with self._memo_lock:
-            self._even_memo[key] = res
-        return res
-
-    def even_act_vec(self, coords, mask, t):
-        f = self.pair.field
-        res = {}
-        for a, c in enumerate(coords):
-            if c == f.from_int(0):
-                continue
-            for k2, c2 in self.even_act_basis(a, mask, t).items():
-                self._dict_add(res, k2, f.mul(c, c2))
-        return res
+    def odd_act(self, j, key):
+        """Y_j . (Ybar_S (x) e_t) for key = S | t << d_minus; raw values."""
+        return self._kernel.odd(j, key)
 
     # -- A-linear word action ------------------------------------------------
     def vacuum_with(self, t, algebra):
@@ -814,50 +744,11 @@ class InducedModule:
 
     def apply_word(self, word: GroupWord, vec):
         """vec: dict (mask, t) -> coefficient; returns the transformed dict."""
-        pair = self.pair
-        f = pair.field
-        algebra = word.algebra
-        for tok in reversed(word.tokens):
-            out = {}
-            if tok.kind == "even":
-                ad = pair.ad_action_matrix(tok.matrix)
-                v0m = self.v0.group_action(tok.matrix)
-                lie = pair.lie
-                for (mask, t), c in vec.items():
-                    inner = ExteriorVector(lie, algebra, {mask: algebra.one()})
-                    wedged = wedge_ad_action(lie, ad, inner)
-                    for m2, cw in wedged.coeffs.items():
-                        for r in range(self.v0.dim):
-                            a0 = v0m[r][t]
-                            if a0.is_zero():
-                                continue
-                            add = c * cw * a0
-                            if add.is_zero():
-                                continue
-                            key = (m2, r)
-                            prev = out.get(key)
-                            s = add if prev is None else prev + add
-                            if s.is_zero():
-                                out.pop(key, None)
-                            else:
-                                out[key] = s
-            else:
-                out = dict(vec)
-                for (mask, t), c in vec.items():
-                    csig = c.even_part() - c.odd_part()
-                    for (m2, r), raw in self.odd_act(tok.index, mask, t).items():
-                        add = tok.eta * csig.scale(Scalar(f, raw))
-                        if add.is_zero():
-                            continue
-                        key = (m2, r)
-                        prev = out.get(key)
-                        s = add if prev is None else prev + add
-                        if s.is_zero():
-                            out.pop(key, None)
-                        else:
-                            out[key] = s
-            vec = out
-        return vec
+        dm = self.pair.d_minus
+        v = ExteriorVector(self.pair.lie, word.algebra,
+                           {mask | t << dm: c for (mask, t), c in vec.items()})
+        v = word_action(word, v, self.odd_act, self.v0.group_action)
+        return {(key & ((1 << dm) - 1), key >> dm): c for key, c in v.coeffs.items()}
 
     def apply_normal_form(self, nf: NormalForm, vec):
         return self.apply_word(nf.to_word(), vec)

@@ -9,15 +9,16 @@ and 3 this refines (and replaces) the usual 1/2 [z,z] square.
 The module also hosts the exterior module wedge(g_1) with its straightening
 action: the induced module from the trivial even representation, in the PBW
 basis of ordered monomials.  All straightening happens over the base field
-in one memoized kernel; coefficient algebras enter only through the A-linear
+in one memoized kernel, StraighteningKernel, which serves wedge(g_1) and
+every induced module wedge(g_1) (x) V0 alike: it keys Ybar_S (x) e_t by the
+int S | t << d_minus, so on wedge(g_1) (V0 the trivial line) the keys are
+the masks S.  Coefficient algebras enter only through the A-linear
 extension with the sign rule
 
     (eta (x) Y).(c (x) w) = (-1)^{|Y||c|} eta c (x) Y.w .
 """
 
 from __future__ import annotations
-
-import threading
 
 from .coeff import GrassmannAlgebra, Scalar
 from .errors import ClosureViolation, StructuralError
@@ -95,9 +96,7 @@ class LieSuperalgebraData:
             [tuple(tuple(r) for r in m) for m in rho_odd] if rho_odd is not None else None
         )
         self._validate_shapes()
-        self._odd_memo = {}
-        self._even_memo = {}
-        self._memo_lock = threading.Lock()
+        self._kernel = StraighteningKernel(self, [((field.from_int(0),),)] * d_plus)
 
     def _validate_shapes(self):
         dp, dm = self.d_plus, self.d_minus
@@ -121,41 +120,27 @@ class LieSuperalgebraData:
             raise StructuralError("rho needs a block shape")
 
     # -- brackets over k ----------------------------------------------------
-    def bracket_ee(self, u, v):
+    def _bilinear(self, table, u, v, n):
+        """sum_{a,b} u_a v_b table[a][b], a vector of length n."""
         f = self.field
-        out = _vzero(f, self.d_plus)
+        out = _vzero(f, n)
         for a, ua in enumerate(u):
             if ua == f.from_int(0):
                 continue
             for b, vb in enumerate(v):
                 if vb == f.from_int(0):
                     continue
-                out = _vadd(f, out, _vscale(f, f.mul(ua, vb), self.ee[a][b]))
+                out = _vadd(f, out, _vscale(f, f.mul(ua, vb), table[a][b]))
         return out
+
+    def bracket_ee(self, u, v):
+        return self._bilinear(self.ee, u, v, self.d_plus)
 
     def bracket_eo(self, u, w):
-        f = self.field
-        out = _vzero(f, self.d_minus)
-        for a, ua in enumerate(u):
-            if ua == f.from_int(0):
-                continue
-            for i, wi in enumerate(w):
-                if wi == f.from_int(0):
-                    continue
-                out = _vadd(f, out, _vscale(f, f.mul(ua, wi), self.eo[a][i]))
-        return out
+        return self._bilinear(self.eo, u, w, self.d_minus)
 
     def bracket_oo(self, w, z):
-        f = self.field
-        out = _vzero(f, self.d_plus)
-        for i, wi in enumerate(w):
-            if wi == f.from_int(0):
-                continue
-            for j, zj in enumerate(z):
-                if zj == f.from_int(0):
-                    continue
-                out = _vadd(f, out, _vscale(f, f.mul(wi, zj), self.oo[i][j]))
-        return out
+        return self._bilinear(self.oo, w, z, self.d_plus)
 
     def two_op(self, w):
         """(sum c_i Y_i)^<2> = sum c_i^2 Y_i^<2> + sum_{i<j} c_i c_j [Y_i,Y_j].
@@ -196,85 +181,108 @@ class LieSuperalgebraData:
                 m = m + self.rho_odd_matrix(i, algebra).scale(Scalar(self.field, c))
         return m
 
-    # -- straightening kernel over k ------------------------------------------
-    # The induced module V = U(g) (x)_{U(g0)} k.b with basis
-    # Ybar_S = Y_{i_1}..Y_{i_s}.b for ascending index sets S (bitmask).
-    # Dictionaries map basis masks to raw field values; zero entries dropped.
-
-    def _dict_add(self, acc, mask, raw):
-        f = self.field
-        prev = acc.get(mask)
-        raw = f.add(prev, raw) if prev is not None else raw
-        if raw == f.from_int(0):
-            acc.pop(mask, None)
-        else:
-            acc[mask] = raw
+    # -- straightening kernel over k (wedge(g_1): keys are the masks S) -------
 
     def odd_action(self, j, mask):
         """Y_j . Ybar_S, straightened into the PBW basis; memoized."""
-        key = (j, mask)
-        hit = self._odd_memo.get(key)
-        if hit is not None:
-            return hit
-        f = self.field
-        if mask == 0:
-            res = {1 << j: f.from_int(1)}
-        else:
-            i0 = (mask & -mask).bit_length() - 1
-            rest = mask & (mask - 1)
-            if j < i0:
-                res = {mask | (1 << j): f.from_int(1)}
-            elif j == i0:
-                # Y_j Y_j = Y_j^<2> inside U(g)
-                res = self.even_action_vec(self.q2[j], rest)
-            else:
-                # Y_j Y_{i0} = -Y_{i0} Y_j + [Y_j, Y_{i0}]
-                res = {}
-                for m, c in self.even_action_vec(self.oo[j][i0], rest).items():
-                    self._dict_add(res, m, c)
-                inner = self.odd_action(j, rest)
-                for m, c in inner.items():
-                    for m2, c2 in self.odd_action(i0, m).items():
-                        self._dict_add(res, m2, f.neg(f.mul(c, c2)))
-        with self._memo_lock:
-            self._odd_memo[key] = res
-        return res
+        return self._kernel.odd(j, mask)
 
     def even_action_basis(self, a, mask):
         """X_a . Ybar_S: the derivation action, with X_a killing b."""
-        key = (a, mask)
-        hit = self._even_memo.get(key)
-        if hit is not None:
-            return hit
-        f = self.field
-        if mask == 0:
-            res = {}
+        return self._kernel.even(a, mask)
+
+
+def _add_row(field, acc, c, row):
+    """acc += c * row for sparse dicts of raw field values; zeros dropped."""
+    zero = field.from_int(0)
+    for k, v in row.items():
+        v = field.mul(c, v)
+        prev = acc.get(k)
+        if prev is not None:
+            v = field.add(prev, v)
+        if v == zero:
+            acc.pop(k, None)
         else:
-            i0 = (mask & -mask).bit_length() - 1
-            rest = mask & (mask - 1)
-            res = {}
-            # [X_a, Y_{i0}] . Ybar_rest
-            for m, wm in enumerate(self.eo[a][i0]):
-                if wm == f.from_int(0):
-                    continue
-                for m2, c2 in self.odd_action(m, rest).items():
-                    self._dict_add(res, m2, f.mul(wm, c2))
-            # Y_{i0} . (X_a . Ybar_rest)
-            for m, c in self.even_action_basis(a, rest).items():
-                for m2, c2 in self.odd_action(i0, m).items():
-                    self._dict_add(res, m2, f.mul(c, c2))
-        with self._memo_lock:
-            self._even_memo[key] = res
+            acc[k] = v
+
+
+class StraighteningKernel:
+    """The PBW straightening action on V = U(g) (x)_{U(g0)} V0, memoized.
+
+    V has basis Ybar_S (x) e_t = Y_{i_1}..Y_{i_s} (x) e_t for ascending index
+    sets S, keyed by the int S | t << d_minus.  v0_mats[a] is the raw
+    k-matrix of X_a on V0 (X_a e_t = sum_r v0_mats[a][r][t] e_r).  With V0
+    the trivial line (each X_a the 1x1 zero matrix) V is wedge(g_1) and the
+    keys are the masks S.  Results are dicts key -> nonzero raw value, shared
+    with the memo: callers must not mutate them.
+    """
+
+    def __init__(self, lie, v0_mats):
+        self.lie = lie
+        self.v0_mats = v0_mats
+        self._odd_memo = {}
+        self._even_memo = {}
+
+    def odd(self, j, key):
+        """Y_j . (Ybar_S (x) e_t)."""
+        res = self._odd_memo.get((j, key))
+        if res is not None:
+            return res
+        lie = self.lie
+        f = lie.field
+        if not key & ((2 << j) - 1):
+            # every index of S exceeds j: Y_j just prepends
+            res = {key | (1 << j): f.from_int(1)}
+        else:
+            # the lowest set bit of key is i0 = min S, since t sits above S
+            i0 = (key & -key).bit_length() - 1
+            rest = key & (key - 1)
+            if j == i0:
+                # Y_j Y_j = Y_j^<2> inside U(g)
+                res = self._even_comb(lie.q2[j], rest)
+            else:
+                # Y_j Y_{i0} = -Y_{i0} Y_j + [Y_j, Y_{i0}]
+                res = self._even_comb(lie.oo[j][i0], rest)
+                for k, c in self.odd(j, rest).items():
+                    _add_row(f, res, f.neg(c), self.odd(i0, k))
+        self._odd_memo[(j, key)] = res
         return res
 
-    def even_action_vec(self, coords, mask):
-        f = self.field
+    def even(self, a, key):
+        """X_a . (Ybar_S (x) e_t) = [X_a, Ybar_S] (x) e_t + Ybar_S (x) X_a.e_t."""
+        res = self._even_memo.get((a, key))
+        if res is not None:
+            return res
+        lie = self.lie
+        f = lie.field
+        dm = lie.d_minus
+        res = {}
+        if not key & ((1 << dm) - 1):
+            # S empty: X_a reaches the inducing module
+            t = key >> dm
+            for r, row in enumerate(self.v0_mats[a]):
+                if row[t] != f.from_int(0):
+                    res[r << dm] = row[t]
+        else:
+            i0 = (key & -key).bit_length() - 1
+            rest = key & (key - 1)
+            # [X_a, Y_{i0}] . rest
+            for m, wm in enumerate(lie.eo[a][i0]):
+                if wm != f.from_int(0):
+                    _add_row(f, res, wm, self.odd(m, rest))
+            # Y_{i0} . (X_a . rest)
+            for k, c in self.even(a, rest).items():
+                _add_row(f, res, c, self.odd(i0, k))
+        self._even_memo[(a, key)] = res
+        return res
+
+    def _even_comb(self, coords, key):
+        """(sum_a coords[a] X_a) . key, as a fresh dict."""
+        f = self.lie.field
         res = {}
         for a, c in enumerate(coords):
-            if c == f.from_int(0):
-                continue
-            for m, c2 in self.even_action_basis(a, mask).items():
-                self._dict_add(res, m, f.mul(c, c2))
+            if c != f.from_int(0):
+                _add_row(f, res, c, self.even(a, key))
         return res
 
 
@@ -529,8 +537,20 @@ def _sign_twist(c):
     return c.even_part() - c.odd_part()
 
 
+def _add_to(acc, key, value):
+    """acc[key] += value for coefficient-algebra values; zeros dropped."""
+    prev = acc.get(key)
+    if prev is not None:
+        value = prev + value
+    if value.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = value
+
+
 class ExteriorVector:
-    """Element of A (x) wedge(g_1) in the basis Ybar_S, S a bitmask."""
+    """Element of A (x) wedge(g_1) in the basis Ybar_S, S a bitmask; for an
+    induced module, of A (x) wedge(g_1) (x) V0 keyed by S | t << d_minus."""
 
     __slots__ = ("lie", "algebra", "coeffs")
 
@@ -552,12 +572,7 @@ class ExteriorVector:
             raise StructuralError("exterior vectors over different modules")
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
+            _add_to(out, m, c)
         return ExteriorVector(self.lie, self.algebra, out)
 
     def __neg__(self):
@@ -597,28 +612,19 @@ class ExteriorVector:
         return " + ".join(parts)
 
 
-def straighten_action(lie, index, parity, v: ExteriorVector) -> ExteriorVector:
+def straighten_action(lie, index, parity, v: ExteriorVector, act=None) -> ExteriorVector:
     """Action of the basis element Y_index (parity 1) or X_index (parity 0)
-    on an exterior vector, extended A-linearly with the super sign rule."""
-    alg = v.algebra
+    on an exterior vector, extended A-linearly with the super sign rule.
+    act(index, key) replaces the lie's own table (an induced module's odd_act)."""
+    if act is None:
+        act = lie.odd_action if parity == 1 else lie.even_action_basis
     field = lie.field
     out = {}
-    for mask, c in v.coeffs.items():
-        if parity == 1:
-            kernel = lie.odd_action(index, mask)
-            csig = _sign_twist(c)
-        else:
-            kernel = lie.even_action_basis(index, mask)
-            csig = c
-        for m2, raw in kernel.items():
-            add = csig.scale(Scalar(field, raw))
-            prev = out.get(m2)
-            s = add if prev is None else prev + add
-            if s.is_zero():
-                out.pop(m2, None)
-            else:
-                out[m2] = s
-    return ExteriorVector(lie, alg, out)
+    for key, c in v.coeffs.items():
+        csig = _sign_twist(c) if parity == 1 else c
+        for k2, raw in act(index, key).items():
+            _add_to(out, k2, csig.scale(Scalar(field, raw)))
+    return ExteriorVector(lie, v.algebra, out)
 
 
 def apply_odd_generator(lie, i, eta, v: ExteriorVector) -> ExteriorVector:
@@ -634,67 +640,65 @@ def _scale_left(v: ExteriorVector, eta):
     return ExteriorVector(v.lie, v.algebra, {m: eta * c for m, c in v.coeffs.items()})
 
 
-def wedge_ad_action(lie, ad_matrix, v: ExteriorVector) -> ExteriorVector:
+def wedge_ad_action(lie, ad_matrix, v: ExteriorVector, v0_matrix=None) -> ExteriorVector:
     """wedge-Ad for an even group element: each Ybar_i wedge-factor of
     Ybar_S is replaced by sum_j a[j][i] Ybar_j and the product expanded.
 
     ad_matrix[j][i] are even coefficient-algebra elements with
-    Ad(g)(Y_i) = sum_j a[j][i] Y_j; the wedge expansion is exact.
+    Ad(g)(Y_i) = sum_j a[j][i] Y_j; the wedge expansion is exact.  On an
+    induced module, v0_matrix is g acting on V0 and moves the t of each
+    key S | t << d_minus: e_t -> sum_r v0_matrix[r][t] e_r.
     """
-    alg = v.algebra
+    dm = lie.d_minus
     out = {}
-    for mask, c in v.coeffs.items():
-        expanded = {0: alg.one()}
-        i = 0
-        rest = mask
-        while rest:
-            if rest & 1:
-                nxt = {}
-                for t, ct in expanded.items():
-                    for j in range(lie.d_minus):
-                        a = ad_matrix[j][i]
-                        if a.is_zero() or (t >> j) & 1:
-                            continue
-                        sign = -1 if (t >> (j + 1)).bit_count() % 2 else 1
-                        term = ct * a
-                        if sign < 0:
-                            term = -term
-                        key = t | (1 << j)
-                        prev = nxt.get(key)
-                        s = term if prev is None else prev + term
-                        if s.is_zero():
-                            nxt.pop(key, None)
-                        else:
-                            nxt[key] = s
-                expanded = nxt
-                if not expanded:
-                    break
-            rest >>= 1
-            i += 1
-        for t, ct in expanded.items():
-            add = c * ct
-            prev = out.get(t)
-            s = add if prev is None else prev + add
-            if s.is_zero():
-                out.pop(t, None)
-            else:
-                out[t] = s
-    return ExteriorVector(lie, alg, out)
+    for key, c in v.coeffs.items():
+        expanded = {0: v.algebra.one()}
+        for i in range(dm):
+            if not (key >> i) & 1:
+                continue
+            nxt = {}
+            for s, cs in expanded.items():
+                for j in range(dm):
+                    a = ad_matrix[j][i]
+                    if a.is_zero() or (s >> j) & 1:
+                        continue
+                    term = cs * a
+                    if (s >> (j + 1)).bit_count() % 2:
+                        term = -term
+                    _add_to(nxt, s | (1 << j), term)
+            expanded = nxt
+            if not expanded:
+                break
+        if v0_matrix is None:
+            for s, cs in expanded.items():
+                _add_to(out, s, c * cs)
+            continue
+        t = key >> dm
+        for s, cs in expanded.items():
+            ccs = c * cs
+            for r, row in enumerate(v0_matrix):
+                if not row[t].is_zero():
+                    _add_to(out, s | r << dm, ccs * row[t])
+    return ExteriorVector(lie, v.algebra, out)
 
 
-def word_action(word, v: ExteriorVector) -> ExteriorVector:
+def word_action(word, v: ExteriorVector, odd_act=None, v0_action=None) -> ExteriorVector:
     """Left action of a group word on the exterior module.
 
     Even tokens act by wedge-Ad through the word's pair (duck-typed: the pair
     supplies ad_action_matrix); odd-generator tokens act as 1 + eta.Y_i.
+    For an induced module wedge(g_1) (x) V0, odd_act(j, key) is its
+    straightening table and v0_action(g) the matrix of g on V0; the defaults
+    are wedge(g_1) itself.
     """
     pair = word.pair
     lie = pair.lie
     for tok in reversed(word.tokens):
         if tok.kind == "even":
             ad = pair.ad_action_matrix(tok.matrix)
-            v = wedge_ad_action(lie, ad, v)
+            v0m = v0_action(tok.matrix) if v0_action is not None else None
+            v = wedge_ad_action(lie, ad, v, v0m)
         else:
-            moved = straighten_action(lie, tok.index, 1, v)
+            moved = straighten_action(lie, tok.index, 1, v, odd_act)
             v = v + _scale_left(moved, tok.eta)
     return v

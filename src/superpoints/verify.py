@@ -13,7 +13,7 @@ import random
 
 from .coeff import GF2, GF3, QQ, GrassmannAlgebra, Scalar, SuperNumbers
 from .errors import NonTermination, SpanViolation
-from .liesuper import CheckReport, ExteriorVector, apply_odd_generator, gl_lie
+from .liesuper import CheckReport, ExteriorVector, _add_row, apply_odd_generator, gl_lie
 from .gp import (
     EvenTok,
     GroupWord,
@@ -273,42 +273,25 @@ def _table_combine(lie, tables, coeffs):
         if c == f.from_int(0):
             continue
         for m, row in tbl.items():
-            for m2, raw in row.items():
-                v = f.add(out[m].get(m2, f.from_int(0)), f.mul(c, raw))
-                if v == f.from_int(0):
-                    out[m].pop(m2, None)
-                else:
-                    out[m][m2] = v
+            _add_row(f, out[m], c, row)
     return out
 
 
 def _table_compose(lie, A, B):
-    f = lie.field
     out = {}
     for m, row in B.items():
         acc = {}
         for mid, c in row.items():
-            for m2, c2 in A[mid].items():
-                v = f.add(acc.get(m2, f.from_int(0)), f.mul(c, c2))
-                if v == f.from_int(0):
-                    acc.pop(m2, None)
-                else:
-                    acc[m2] = v
+            _add_row(lie.field, acc, c, A[mid])
         out[m] = acc
     return out
 
 
 def _table_sub(lie, A, B, sign):
-    f = lie.field
     out = {}
     for m in A:
         acc = dict(A[m])
-        for m2, c in B[m].items():
-            v = f.add(acc.get(m2, f.from_int(0)), f.mul(sign, c))
-            if v == f.from_int(0):
-                acc.pop(m2, None)
-            else:
-                acc[m2] = v
+        _add_row(lie.field, acc, sign, B[m])
         out[m] = acc
     return out
 

@@ -73,18 +73,23 @@ def a1n_masks_oracle(rank, n):
 
 # -- brute-force straightening in U(g) -----------------------------------------
 #
-# Words are tuples of symbols ('o', i) / ('e', a) acting on the vacuum.
-# Rewrite rules are applied to explicit linear combinations until every
-# word is an ascending odd monomial.
+# Words are tuples of symbols ('o', i) / ('e', a) acting on the vacuum (or on
+# e_t of an inducing module V0).  Rewrite rules are applied to explicit
+# linear combinations until every word is an ascending odd monomial.
 
 
-def straighten_oracle(lie, word):
+def straighten_oracle(lie, word, v0=None, t=0):
     """Straighten a word of basis symbols applied to the vacuum.
 
     Returns {mask: coefficient} over the PBW basis of the exterior module.
     Rules: kill trailing evens; push evens right by [X,Y] commutation;
     swap descending odd pairs via the odd-odd bracket; collapse repeats
     via the 2-operation.
+
+    With v0, a list of raw k-matrices (v0[a] is X_a on V0, acting on
+    columns), the word acts on e_t instead of the vacuum: a trailing X_a
+    maps e_t to sum_r v0[a][r][t] e_r rather than to zero, and the result
+    is keyed by (mask, t).
     """
     f = lie.field
 
@@ -96,45 +101,50 @@ def straighten_oracle(lie, word):
         else:
             acc[word_] = v
 
-    state = {tuple(word): f.from_int(1)}
+    state = {(tuple(word), t): f.from_int(1)}
     done = {}
     budget = 200_000
     while state:
         budget -= 1
         if budget < 0:
             raise RuntimeError("oracle rewrite budget exhausted")
-        w, c = next(iter(state.items()))
-        del state[w]
+        (w, tw), c = next(iter(state.items()))
+        del state[(w, tw)]
         # find rightmost even symbol
-        epos = max((t for t, s in enumerate(w) if s[0] == "e"), default=None)
+        epos = max((p for p, s in enumerate(w) if s[0] == "e"), default=None)
         if epos is not None:
             a = w[epos][1]
             if epos == len(w) - 1:
-                continue  # X . vacuum = 0
+                # X . vacuum = 0; X . e_t = sum_r v0[a][r][t] e_r
+                if v0 is not None:
+                    for r, row in enumerate(v0[a]):
+                        if row[tw] != f.from_int(0):
+                            _wadd(state, (w[:-1], r), f.mul(c, row[tw]))
+                continue
             nxt = w[epos + 1]
             rest = w[:epos], w[epos + 2:]
             if nxt[0] == "o":
                 i = nxt[1]
                 # X_a Y_i = Y_i X_a + [X_a, Y_i]
-                _wadd(state, rest[0] + (("o", i), ("e", a)) + rest[1], c)
+                _wadd(state, (rest[0] + (("o", i), ("e", a)) + rest[1], tw), c)
                 for m, cm in enumerate(lie.eo[a][i]):
                     if cm != f.from_int(0):
-                        _wadd(state, rest[0] + (("o", m),) + rest[1], f.mul(c, cm))
+                        _wadd(state, (rest[0] + (("o", m),) + rest[1], tw), f.mul(c, cm))
             else:
                 b = nxt[1]
                 # X_a X_b = X_b X_a + [X_a, X_b]
-                _wadd(state, rest[0] + (("e", b), ("e", a)) + rest[1], c)
+                _wadd(state, (rest[0] + (("e", b), ("e", a)) + rest[1], tw), c)
                 for m, cm in enumerate(lie.ee[a][b]):
                     if cm != f.from_int(0):
-                        _wadd(state, rest[0] + (("e", m),) + rest[1], f.mul(c, cm))
+                        _wadd(state, (rest[0] + (("e", m),) + rest[1], tw), f.mul(c, cm))
             continue
         # pure odd word: find first descent or repeat
-        pos = next((t for t in range(len(w) - 1) if w[t][1] >= w[t + 1][1]), None)
+        pos = next((p for p in range(len(w) - 1) if w[p][1] >= w[p + 1][1]), None)
         if pos is None:
             mask = 0
             for s in w:
                 mask |= 1 << s[1]
-            _wadd(done, mask, c)
+            _wadd(done, mask if v0 is None else (mask, tw), c)
             continue
         i, j = w[pos][1], w[pos + 1][1]
         pre, post = w[:pos], w[pos + 2:]
@@ -142,23 +152,24 @@ def straighten_oracle(lie, word):
             # Y_i Y_i = Y_i^<2>
             for m, cm in enumerate(lie.q2[i]):
                 if cm != f.from_int(0):
-                    _wadd(state, pre + (("e", m),) + post, f.mul(c, cm))
+                    _wadd(state, (pre + (("e", m),) + post, tw), f.mul(c, cm))
         else:
             # Y_i Y_j = -Y_j Y_i + [Y_i, Y_j]
-            _wadd(state, pre + (("o", j), ("o", i)) + post, f.neg(c))
+            _wadd(state, (pre + (("o", j), ("o", i)) + post, tw), f.neg(c))
             for m, cm in enumerate(lie.oo[i][j]):
                 if cm != f.from_int(0):
-                    _wadd(state, pre + (("e", m),) + post, f.mul(c, cm))
+                    _wadd(state, (pre + (("e", m),) + post, tw), f.mul(c, cm))
     return done
 
 
-def odd_monomial_action_oracle(lie, gen_index, mask):
-    """Y_gen acting on the PBW basis vector Ybar_mask, via the word oracle."""
+def odd_monomial_action_oracle(lie, gen_index, mask, v0=None, t=0):
+    """Y_gen acting on the PBW basis vector Ybar_mask (x) e_t (e_t only
+    with v0), via the word oracle."""
     word = [("o", gen_index)]
     for i in range(lie.d_minus):
         if mask >> i & 1:
             word.append(("o", i))
-    return straighten_oracle(lie, word)
+    return straighten_oracle(lie, word, v0, t)
 
 
 def even_monomial_action_oracle(lie, basis_index, mask):

@@ -44,6 +44,8 @@ from superpoints.verify import (
     uniqueness_suite,
 )
 
+from .oracles import odd_monomial_action_oracle
+
 
 @pytest.fixture(scope="module")
 def pair11():
@@ -436,6 +438,27 @@ def test_induced_trivial_coincides_with_word_action(pair11):
 def test_induced_dimension(pair11):
     IM = InducedModule(pair11, defining_module(pair11))
     assert IM.dim == 2 ** pair11.d_minus * 2
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+def test_induced_odd_action_matches_oracle(field):
+    """Y_j on Ybar_S (x) e_t of the induced defining module, read off as the
+    x1-coefficient of (1 + x1 Y_j).(Ybar_S (x) e_t), equals the free-algebra
+    rewriter with X_a acting on e_t by its V0 matrix."""
+    A = GrassmannAlgebra(field, 1)
+    x1 = A.generator(1)
+    for p, q in ((1, 1), (2, 1)):
+        pair = gl_pair(p, q, field)
+        v0 = defining_module(pair)
+        IM = InducedModule(pair, v0)
+        for j in range(pair.d_minus):
+            w = GroupWord(pair, A, [OddTok(j, x1)])
+            for mask in range(1 << pair.d_minus):
+                for t in range(v0.dim):
+                    got = IM.apply_word(w, {(mask, t): A.one()})
+                    x1_part = {k: c.terms[0b1].raw for k, c in got.items() if 0b1 in c.terms}
+                    want = odd_monomial_action_oracle(pair.lie, j, mask, v0.lie_mats, t)
+                    assert x1_part == want, (p, q, j, mask, t)
 
 
 def test_defining_module_d_compatibility(pair11):

@@ -12,11 +12,16 @@ from superpoints import (
     ClosureViolation,
     ExteriorVector,
     GrassmannAlgebra,
+    GroupWord,
+    InducedModule,
     LieSuperalgebraData,
+    OddTok,
     apply_odd_generator,
     check_axioms,
+    defining_module,
     from_matrices,
     gl_lie,
+    gl_pair,
     word_action,
 )
 from superpoints.liesuper import straighten_action
@@ -133,6 +138,17 @@ def test_straightening_matches_oracle(field):
             1, 1,
             [kmat(field, [[1, 0], [0, 0]]), kmat(field, [[0, 0], [0, 1]])],
             [kmat(field, [[0, 1], [1, 0]])], field))
+    # memo isolation: an induced module over the same lie fills its own
+    # straightening tables first, and none of them may leak into wedge(g_1)
+    pair = gl_pair(2, 1, field)
+    module = InducedModule(pair, defining_module(pair))
+    A = GrassmannAlgebra(field, 1)
+    for j in range(pair.d_minus):
+        w = GroupWord(pair, A, [OddTok(j, A.generator(1))])
+        for mask in range(1 << pair.d_minus):
+            for t in range(module.v0.dim):
+                module.apply_word(w, {(mask, t): A.one()})
+    fixtures.append(pair.lie)
     for lie in fixtures:
         for j in range(lie.d_minus):
             for mask in range(1 << lie.d_minus):
