@@ -5,7 +5,8 @@ the data every other module relies on: a parity split, an augmentation onto
 the base field, and a nilpotency bound N with (ker eps)^(N+1) = 0.
 
 * ``GrassmannAlgebra(field, rank)`` -- the exterior algebra on ``rank`` odd
-  generators x{1}..x{rank}, stored sparsely as bitmask -> scalar.
+  generators x{1}..x{rank}, stored sparsely as bitmask -> nonzero raw
+  base-field value.
 * ``SuperNumbers(field)`` -- one odd generator with square zero; structurally
   a rank-1 Grassmann algebra, kept as its own variant because it is the
   prototypical augmented central extension (odd part squares to zero).
@@ -18,6 +19,7 @@ first-class citizens).  No floating point appears anywhere.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -28,7 +30,12 @@ from .errors import NotInvertible, StructuralError
 
 
 class Field:
-    """A supported exact base field; instances act on raw values."""
+    """A supported exact base field; instances act on raw values.
+
+    Raw values are plain numbers (``Fraction`` over Q, ``int`` in [0, p)
+    over F_p), and 0 is the only falsy one: ``if c:`` is the zero test.
+    ``Scalar`` wraps a raw value with its field at the public boundary.
+    """
 
     name: str
 
@@ -101,12 +108,17 @@ class RationalField(Field):
         return hash("Q")
 
 
+# Largest prime field supported: p < 2**31 keeps the primality check (trial
+# division up to sqrt(p)) to milliseconds and every product below 2**62.
+MAX_PRIME = 2**31
+
+
 class PrimeField(Field):
-    """F_p for prime p; raw values are ints in [0, p)."""
+    """F_p for prime p < MAX_PRIME; raw values are ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-            raise StructuralError(f"{p} is not prime")
+        if not 2 <= p < MAX_PRIME or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            raise StructuralError(f"{p} is not a prime below 2**31")
         self.p = p
         self.name = f"F{p}"
 
@@ -162,6 +174,9 @@ def field_by_name(name: str) -> Field:
         return QQ
     m = re.fullmatch(r"F(\d+)", name)
     if m:
+        # reject by digit count first: int() of a huge literal is itself an error
+        if len(m.group(1)) > len(str(MAX_PRIME)):
+            raise StructuralError(f"{name[:12]}... is not a prime field below 2**31")
         return PrimeField(int(m.group(1)))
     raise StructuralError(f"unknown field {name!r}")
 
@@ -177,17 +192,8 @@ class Scalar:
 
     @classmethod
     def of(cls, field: Field, value) -> "Scalar":
-        if isinstance(value, Scalar):
-            if value.field != field:
-                raise StructuralError("ring tag mismatch")
-            return value
-        if isinstance(value, int):
-            return cls(field, field.from_int(value))
-        if isinstance(value, Fraction) and field == QQ:
-            return cls(field, value)
-        if isinstance(value, str):
-            return cls(field, field.parse(value))
-        raise StructuralError(f"cannot coerce {value!r} into {field}")
+        raw = _raw(field, value)  # checks the ring tag of a Scalar
+        return value if isinstance(value, Scalar) else cls(field, raw)
 
     def _check(self, other: "Scalar"):
         if not isinstance(other, Scalar) or other.field != self.field:
@@ -212,14 +218,11 @@ class Scalar:
         return Scalar(self.field, self.field.inv(self.raw))
 
     def is_zero(self) -> bool:
-        return self.raw == self.field.from_int(0)
-
-    def is_one(self) -> bool:
-        return self.raw == self.field.from_int(1)
+        return self.raw == 0
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.raw == self.field.from_int(other)
+            return self == Scalar.of(self.field, other)
         return (
             isinstance(other, Scalar)
             and other.field == self.field
@@ -231,6 +234,21 @@ class Scalar:
 
     def __repr__(self):
         return self.field.format(self.raw)
+
+
+def _raw(field: Field, value):
+    """The raw value of a Scalar, int, Fraction (over Q) or literal in field."""
+    if isinstance(value, Scalar):
+        if value.field != field:
+            raise StructuralError("ring tag mismatch")
+        return value.raw
+    if isinstance(value, int):
+        return field.from_int(value)
+    if isinstance(value, Fraction) and field == QQ:
+        return value
+    if isinstance(value, str):
+        return field.parse(value)
+    raise StructuralError(f"cannot coerce {value!r} into {field}")
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +283,14 @@ class CoefficientAlgebra:
         raise NotImplementedError
 
     def one(self):
-        return self.from_scalar(Scalar.of(self.field, 1))
+        return self.from_scalar(1)
 
     def from_scalar(self, s):
+        """Embed a Scalar or a base-field value (int, Fraction, literal)."""
         raise NotImplementedError
 
     def from_int(self, n: int):
-        return self.from_scalar(Scalar.of(self.field, n))
-
-    def scalar(self, value) -> Scalar:
-        return Scalar.of(self.field, value)
+        return self.from_scalar(n)
 
     def odd_generators(self):
         """The odd generators of this algebra, as elements."""
@@ -337,14 +353,14 @@ class GrassmannAlgebra(CoefficientAlgebra):
         return GrassmannElement(self, {})
 
     def from_scalar(self, s):
-        s = Scalar.of(self.field, s)
-        return GrassmannElement(self, {} if s.is_zero() else {0: s})
+        s = _raw(self.field, s)
+        return GrassmannElement(self, {0: s} if s else {})
 
     def generator(self, i: int):
         """x{i} for 1 <= i <= rank."""
         if not (1 <= i <= self.rank):
             raise StructuralError(f"generator index {i} out of range")
-        return GrassmannElement(self, {1 << (i - 1): self.scalar(1)})
+        return GrassmannElement(self, {1 << (i - 1): self.field.from_int(1)})
 
     def odd_generators(self):
         return [self.generator(i) for i in range(1, self.rank + 1)]
@@ -357,8 +373,8 @@ class GrassmannAlgebra(CoefficientAlgebra):
             if mask & (1 << (i - 1)):
                 return self.zero()  # repeated generator squares to zero
             mask |= 1 << (i - 1)
-        c = Scalar.of(self.field, coeff)
-        return GrassmannElement(self, {} if c.is_zero() else {mask: c})
+        c = _raw(self.field, coeff)
+        return GrassmannElement(self, {mask: c} if c else {})
 
     def basis_masks(self):
         return range(1 << self.rank)
@@ -390,7 +406,7 @@ class GrassmannElement:
 
     def __init__(self, algebra: GrassmannAlgebra, terms: dict):
         self.algebra = algebra
-        self.terms = terms  # mask -> nonzero Scalar; owned, never aliased out
+        self.terms = terms  # mask -> nonzero raw value; owned, never aliased out
 
     # -- ring structure -------------------------------------------------
     def _check(self, other):
@@ -399,21 +415,23 @@ class GrassmannElement:
 
     def __add__(self, other):
         self._check(other)
+        add = self.algebra.field.add
         terms = dict(self.terms)
         for m, c in other.terms.items():
             s = terms.get(m)
             if s is None:
                 terms[m] = c
             else:
-                s = s + c
-                if s.is_zero():
-                    del terms[m]
-                else:
+                s = add(s, c)
+                if s:
                     terms[m] = s
+                else:
+                    del terms[m]
         return GrassmannElement(self.algebra, terms)
 
     def __neg__(self):
-        return GrassmannElement(self.algebra, {m: -c for m, c in self.terms.items()})
+        neg = self.algebra.field.neg
+        return GrassmannElement(self.algebra, {m: neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -430,24 +448,24 @@ class GrassmannElement:
                 if m1 & m2:
                     continue
                 m = m1 | m2
-                raw = field.mul(c1.raw, c2.raw)
+                raw = field.mul(c1, c2)
                 if _merge_sign(m1, m2) < 0:
                     raw = field.neg(raw)
                 prev = acc.get(m)
                 raw = field.add(prev, raw) if prev is not None else raw
-                if raw == field.from_int(0):
-                    acc.pop(m, None)
-                else:
+                if raw:
                     acc[m] = raw
-        return GrassmannElement(
-            self.algebra, {m: Scalar(field, r) for m, r in acc.items()}
-        )
+                else:
+                    acc.pop(m, None)
+        return GrassmannElement(self.algebra, acc)
 
     def scale(self, s):
-        s = Scalar.of(self.algebra.field, s)
-        if s.is_zero():
+        """Multiply by a Scalar or a base-field value."""
+        field = self.algebra.field
+        s = _raw(field, s)
+        if not s:
             return self.algebra.zero()
-        return GrassmannElement(self.algebra, {m: c * s for m, c in self.terms.items()})
+        return GrassmannElement(self.algebra, {m: field.mul(c, s) for m, c in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -474,6 +492,15 @@ class GrassmannElement:
             {m: c for m, c in self.terms.items() if m.bit_count() % 2 == 1},
         )
 
+    def twist(self):
+        """even part - odd part: the sign (-1)^{|c|} from moving an odd
+        symbol past c, applied term by term."""
+        neg = self.algebra.field.neg
+        return GrassmannElement(
+            self.algebra,
+            {m: neg(c) if m.bit_count() & 1 else c for m, c in self.terms.items()},
+        )
+
     def parity(self):
         """0 or 1 for nonzero homogeneous elements, None otherwise (0 for zero)."""
         ps = {m.bit_count() % 2 for m in self.terms}
@@ -492,8 +519,8 @@ class GrassmannElement:
     # -- augmentation and friends -----------------------------------------
     def augment(self) -> Scalar:
         """eps_A: kill every generator; the constant term."""
-        c = self.terms.get(0)
-        return c if c is not None else Scalar.of(self.algebra.field, 0)
+        field = self.algebra.field
+        return Scalar(field, self.terms.get(0, field.from_int(0)))
 
     body = augment
 
@@ -529,7 +556,7 @@ class GrassmannElement:
             return "0"
         parts = []
         for m in sorted(self.terms):
-            c = self.algebra.field.format(self.terms[m].raw)
+            c = self.algebra.field.format(self.terms[m])
             if m == 0:
                 parts.append(c)
             else:
@@ -640,6 +667,10 @@ class DualElement:
     def odd_part(self):
         return DualElement(self.algebra, self.a.odd_part(), self.b.odd_part())
 
+    def twist(self):
+        """even part - odd part (eps is even)."""
+        return DualElement(self.algebra, self.a.twist(), self.b.twist())
+
     def parity(self):
         ps = set()
         for comp in (self.a, self.b):
@@ -749,16 +780,15 @@ def parse_element(algebra: CoefficientAlgebra, text: str):
                 coeff = algebra.field.parse(f)
         if coeff is None:
             coeff = algebra.field.from_int(1)
-        scalar = Scalar(algebra.field, coeff)
         if has_eps:
             if not isinstance(algebra, DualExtension):
                 raise StructuralError("eps term over a non-dual algebra")
-            base = algebra.inner.monomial(mask_indices or [], scalar)
+            base = algebra.inner.monomial(mask_indices or [], coeff)
             term = algebra.times_eps(base)
         elif isinstance(algebra, DualExtension):
-            base = algebra.inner.monomial(mask_indices or [], scalar)
+            base = algebra.inner.monomial(mask_indices or [], coeff)
             term = algebra.include(base)
         else:
-            term = algebra.monomial(mask_indices or [], scalar)
+            term = algebra.monomial(mask_indices or [], coeff)
         result = result + term
     return result

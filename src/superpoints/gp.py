@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 
-from .coeff import DualExtension, Scalar
+from .coeff import DualExtension
 from .errors import MembershipViolation, NonTermination, SpanViolation, StructuralError
 from .liesuper import CheckReport, ExteriorVector, StraighteningKernel, word_action
 from .smat import SuperMatrix, dual_probe, gl_split, smat_inv
@@ -528,15 +528,14 @@ def psi_on_morphism(morphism: PairMorphism, nf: NormalForm) -> NormalForm:
     if nf.pair is not morphism.source:
         raise StructuralError("normal form is not over the morphism source")
     tgt = morphism.target
-    f = tgt.field
     toks = []
     for i, eta in enumerate(nf.etas):
         if eta.is_zero():
             continue
         for j in range(tgt.d_minus):
             c = morphism.omega_odd[j][i]
-            if c != f.from_int(0):
-                coeff = eta.scale(Scalar(f, c))
+            if c:
+                coeff = eta.scale(c)
                 if not coeff.is_zero():
                     toks.append(OddTok(j, coeff))
     toks.append(EvenTok(morphism.omega_plus(nf.g_plus)))
@@ -597,7 +596,6 @@ def roundtrip_phi_psi(pair, algebra, samples=32, seed=0) -> CheckReport:
 
     # (iii) even-odd: dual-number probe recovers [X_a, Y_i]
     dual = DualExtension(algebra)
-    f = pair.field
     for a in range(pair.d_plus):
         _, probe = dual_probe(pair.lie.rho_even[a], pair.shape, algebra)
         for i in range(pair.d_minus):
@@ -611,8 +609,8 @@ def roundtrip_phi_psi(pair, algebra, samples=32, seed=0) -> CheckReport:
             for j in range(pair.d_minus):
                 c = pair.lie.eo[a][i][j]
                 want = dual.include(eta) if j == i else dual.zero()
-                if c != f.from_int(0):
-                    want = want + dual.times_eps(eta.scale(Scalar(f, c)))
+                if c:
+                    want = want + dual.times_eps(eta.scale(c))
                 if nf.etas[j] != want:
                     rep.fail(f"dual probe missed [X{a+1},Y{i+1}] at Y{j+1}")
     return rep
@@ -672,8 +670,8 @@ class EvenModuleData:
             n = self.dim
             for r in range(n):
                 for c in range(n):
-                    want = dual.from_scalar(Scalar.of(f, 1 if r == c else 0)) + \
-                        dual.times_eps(A.from_scalar(Scalar(f, self.lie_mats[a][r][c])))
+                    want = dual.from_scalar(1 if r == c else 0) + \
+                        dual.times_eps(A.from_scalar(self.lie_mats[a][r][c]))
                     if img[r][c] != want:
                         rep.fail(f"module action does not differentiate on X{a+1}")
         for s in range(samples):
@@ -696,8 +694,6 @@ def sum_mul(algebra, a, b, r, c, n):
 
 
 def trivial_module(pair) -> EvenModuleData:
-    one = pair.field.from_int(1)
-
     def act(g):
         return [[g.algebra.one()]]
 

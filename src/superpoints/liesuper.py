@@ -20,7 +20,7 @@ extension with the sign rule
 
 from __future__ import annotations
 
-from .coeff import GrassmannAlgebra, Scalar
+from .coeff import GrassmannAlgebra
 from .errors import ClosureViolation, StructuralError
 from .smat import SuperMatrix, constant_matrix, gl_2op, gl_bracket, k_solve_matrix
 
@@ -125,10 +125,10 @@ class LieSuperalgebraData:
         f = self.field
         out = _vzero(f, n)
         for a, ua in enumerate(u):
-            if ua == f.from_int(0):
+            if not ua:
                 continue
             for b, vb in enumerate(v):
-                if vb == f.from_int(0):
+                if not vb:
                     continue
                 out = _vadd(f, out, _vscale(f, f.mul(ua, vb), table[a][b]))
         return out
@@ -151,11 +151,11 @@ class LieSuperalgebraData:
         f = self.field
         out = _vzero(f, self.d_plus)
         for i, wi in enumerate(w):
-            if wi == f.from_int(0):
+            if not wi:
                 continue
             out = _vadd(f, out, _vscale(f, f.mul(wi, wi), self.q2[i]))
             for j in range(i + 1, self.d_minus):
-                if w[j] == f.from_int(0):
+                if not w[j]:
                     continue
                 out = _vadd(f, out, _vscale(f, f.mul(wi, w[j]), self.oo[i][j]))
         return out
@@ -170,15 +170,15 @@ class LieSuperalgebraData:
     def rho_even_comb(self, coords, algebra) -> SuperMatrix:
         m = SuperMatrix.zero(self.shape, algebra)
         for a, c in enumerate(coords):
-            if c != self.field.from_int(0):
-                m = m + self.rho_even_matrix(a, algebra).scale(Scalar(self.field, c))
+            if c:
+                m = m + self.rho_even_matrix(a, algebra).scale(c)
         return m
 
     def rho_odd_comb(self, coords, algebra) -> SuperMatrix:
         m = SuperMatrix.zero(self.shape, algebra)
         for i, c in enumerate(coords):
-            if c != self.field.from_int(0):
-                m = m + self.rho_odd_matrix(i, algebra).scale(Scalar(self.field, c))
+            if c:
+                m = m + self.rho_odd_matrix(i, algebra).scale(c)
         return m
 
     # -- straightening kernel over k (wedge(g_1): keys are the masks S) -------
@@ -194,16 +194,15 @@ class LieSuperalgebraData:
 
 def _add_row(field, acc, c, row):
     """acc += c * row for sparse dicts of raw field values; zeros dropped."""
-    zero = field.from_int(0)
     for k, v in row.items():
         v = field.mul(c, v)
         prev = acc.get(k)
         if prev is not None:
             v = field.add(prev, v)
-        if v == zero:
-            acc.pop(k, None)
-        else:
+        if v:
             acc[k] = v
+        else:
+            acc.pop(k, None)
 
 
 class StraighteningKernel:
@@ -261,14 +260,14 @@ class StraighteningKernel:
             # S empty: X_a reaches the inducing module
             t = key >> dm
             for r, row in enumerate(self.v0_mats[a]):
-                if row[t] != f.from_int(0):
+                if row[t]:
                     res[r << dm] = row[t]
         else:
             i0 = (key & -key).bit_length() - 1
             rest = key & (key - 1)
             # [X_a, Y_{i0}] . rest
             for m, wm in enumerate(lie.eo[a][i0]):
-                if wm != f.from_int(0):
+                if wm:
                     _add_row(f, res, wm, self.odd(m, rest))
             # Y_{i0} . (X_a . rest)
             for k, c in self.even(a, rest).items():
@@ -281,7 +280,7 @@ class StraighteningKernel:
         f = self.lie.field
         res = {}
         for a, c in enumerate(coords):
-            if c != f.from_int(0):
+            if c:
                 _add_row(f, res, c, self.even(a, key))
         return res
 
@@ -319,10 +318,6 @@ def _bracket(lie, x, y):
     return (0, lie.bracket_oo(vx, vy))
 
 
-def _is_zero_vec(field, v):
-    return all(c == field.from_int(0) for c in v)
-
-
 def check_axioms(lie: LieSuperalgebraData) -> CheckReport:
     """Verify axioms (a)-(f); with rho present, also the homomorphism laws."""
     rep = CheckReport()
@@ -333,7 +328,7 @@ def check_axioms(lie: LieSuperalgebraData) -> CheckReport:
 
     # (a) alternating even brackets; [z,[z,z]] = 0 for odd z incl. polarized
     for p, v, name in evens:
-        if not _is_zero_vec(f, lie.bracket_ee(v, v)):
+        if any(lie.bracket_ee(v, v)):
             rep.fail(f"(a) [{name},{name}] != 0")
     odd_probes = [(v, n) for _, v, n in odds]
     for i in range(len(odds)):
@@ -347,7 +342,7 @@ def check_axioms(lie: LieSuperalgebraData) -> CheckReport:
         zz = lie.bracket_oo(v, v)
         res = lie.bracket_eo(zz, v)  # [[z,z], z] has parity odd; compare via (b)
         # [z,[z,z]] = -(-1)^{1*0}[[z,z],z] = -[[z,z],z]
-        if not _is_zero_vec(f, res):
+        if any(res):
             rep.fail(f"(a) [{name},[{name},{name}]] != 0")
 
     # (b) graded antisymmetry on homogeneous basis pairs
@@ -360,7 +355,7 @@ def check_axioms(lie: LieSuperalgebraData) -> CheckReport:
             sign = -1 if (px * py) % 2 else 1
             combined = _vadd(f, b1, b2) if sign > 0 else _vadd(
                 f, b1, tuple(f.neg(c) for c in b2))
-            if not _is_zero_vec(f, combined):
+            if any(combined):
                 rep.fail(f"(b) antisymmetry fails on ({nx},{ny})")
 
     # (c) graded Jacobi on homogeneous basis triples
@@ -380,7 +375,7 @@ def check_axioms(lie: LieSuperalgebraData) -> CheckReport:
                 for s, (pt, vt) in zip((s1, s2, s3), (t1, t2, t3)):
                     v = vt if s > 0 else tuple(f.neg(c) for c in vt)
                     total = v if total is None else _vadd(f, total, v)
-                if not _is_zero_vec(f, total):
+                if any(total):
                     rep.fail(f"(c) Jacobi fails on ({nx},{ny},{nz})")
 
     # (d) is true of the encoding (two_op applies constants quadratically)
@@ -396,7 +391,7 @@ def check_axioms(lie: LieSuperalgebraData) -> CheckReport:
             rhs = lie.two_op(_vadd(f, zi, zj))
             rhs = _vadd(f, rhs, tuple(f.neg(c) for c in lie.two_op(zi)))
             rhs = _vadd(f, rhs, tuple(f.neg(c) for c in lie.two_op(zj)))
-            if not _is_zero_vec(f, _vadd(f, lhs, tuple(f.neg(c) for c in rhs))):
+            if any(_vadd(f, lhs, tuple(f.neg(c) for c in rhs))):
                 rep.fail(f"(e) polarization fails on ({odds[i][2]},{odds[j][2]})")
 
     # (f) [z^<2>, x] = [z, [z, x]] for odd z (basis and pairwise-polarized)
@@ -413,7 +408,7 @@ def check_axioms(lie: LieSuperalgebraData) -> CheckReport:
             inner = _bracket(lie, (1, zv), (px, vx))
             rhs = _bracket(lie, (1, zv), inner)
             diff = _vadd(f, lhs[1], tuple(f.neg(c) for c in rhs[1]))
-            if not _is_zero_vec(f, diff):
+            if any(diff):
                 rep.fail(f"(f) [z^<2>,x]=[z,[z,x]] fails on (z={zn}, x={nx})")
 
     if lie.rho_even is not None:
@@ -473,13 +468,13 @@ def from_matrices(p, q, even_mats, odd_mats, field) -> LieSuperalgebraData:
             raise StructuralError("an odd generator is not odd-homogeneous")
 
     def vec(m):
-        return [e.augment() for row in m.rows for e in row]
+        return [v for row in m.body_rows() for v in row]
 
     def vec_elems(m):
         return [e for row in m.rows for e in row]
 
-    solve_even = k_solve_matrix(field, [[s.raw for s in vec(m)] for m in evens], len(evens)) if evens else None
-    solve_odd = k_solve_matrix(field, [[s.raw for s in vec(m)] for m in odds], len(odds)) if odds else None
+    solve_even = k_solve_matrix(field, [vec(m) for m in evens], len(evens)) if evens else None
+    solve_odd = k_solve_matrix(field, [vec(m) for m in odds], len(odds)) if odds else None
 
     def coords_even(m, what):
         if not evens:
@@ -530,11 +525,6 @@ def gl_lie(p, q, field) -> LieSuperalgebraData:
 
 # ---------------------------------------------------------------------------
 # the exterior module over a coefficient algebra
-
-
-def _sign_twist(c):
-    """even(c) - odd(c): the factor from moving one odd symbol past c."""
-    return c.even_part() - c.odd_part()
 
 
 def _add_to(acc, key, value):
@@ -618,12 +608,11 @@ def straighten_action(lie, index, parity, v: ExteriorVector, act=None) -> Exteri
     act(index, key) replaces the lie's own table (an induced module's odd_act)."""
     if act is None:
         act = lie.odd_action if parity == 1 else lie.even_action_basis
-    field = lie.field
     out = {}
     for key, c in v.coeffs.items():
-        csig = _sign_twist(c) if parity == 1 else c
+        csig = c.twist() if parity == 1 else c
         for k2, raw in act(index, key).items():
-            _add_to(out, k2, csig.scale(Scalar(field, raw)))
+            _add_to(out, k2, csig.scale(raw))
     return ExteriorVector(lie, v.algebra, out)
 
 

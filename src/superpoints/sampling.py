@@ -9,20 +9,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import DualExtension, GrassmannAlgebra, Scalar
+from .coeff import DualExtension, GrassmannAlgebra
 
 
 def rand_scalar(field, rng, nonzero=False):
+    """A random raw value of field (a small Fraction over Q)."""
     p = field.characteristic
     if p == 0:
         while True:
             raw = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
-            if not nonzero or raw != 0:
-                return Scalar(field, raw)
+            if not nonzero or raw:
+                return raw
     while True:
         raw = rng.randrange(p)
-        if not nonzero or raw != 0:
-            return Scalar(field, raw)
+        if not nonzero or raw:
+            return raw
 
 
 def rand_unit_scalar(field, rng):
@@ -100,6 +101,6 @@ def rand_even_unit(algebra, rng, max_terms=2):
 
 def rand_k_vector(field, rng, n, nonzero=False):
     while True:
-        v = [rand_scalar(field, rng).raw for _ in range(n)]
-        if not nonzero or any(x != field.from_int(0) for x in v):
+        v = [rand_scalar(field, rng) for _ in range(n)]
+        if not nonzero or any(v):
             return v

@@ -44,6 +44,18 @@ def _check_schema(obj, where):
         raise SchemaError(f"{where}: schema version must be {SCHEMA_VERSION}")
 
 
+def _list(v, where):
+    if not isinstance(v, list):
+        raise SchemaError(f"{where}: expected a list")
+    return v
+
+
+def _shape(v, where):
+    if not isinstance(v, list) or len(v) != 2 or not all(isinstance(c, int) and c >= 0 for c in v):
+        raise SchemaError(f"{where}: shape must be [p, q]")
+    return tuple(v)
+
+
 # -- fields and coefficient algebras -----------------------------------------
 
 
@@ -123,36 +135,33 @@ def load_lie(obj, where="lie") -> LieSuperalgebraData:
     kind = obj["kind"]
     if kind == "matrices":
         _require_keys(obj, ["schema", "field", "kind", "shape", "even", "odd"], (), where)
-        shape = obj["shape"]
-        if (not isinstance(shape, list) or len(shape) != 2
-                or not all(isinstance(v, int) and v >= 0 for v in shape)):
-            raise SchemaError(f"{where}: shape must be [p, q]")
+        shape = _shape(obj["shape"], where)
         even = [load_scalar_matrix(field, m, f"{where}.even[{i}]")
-                for i, m in enumerate(obj["even"])]
+                for i, m in enumerate(_list(obj["even"], f"{where}.even"))]
         odd = [load_scalar_matrix(field, m, f"{where}.odd[{i}]")
-               for i, m in enumerate(obj["odd"])]
+               for i, m in enumerate(_list(obj["odd"], f"{where}.odd"))]
         return from_matrices(shape[0], shape[1], even, odd, field)
     if kind == "constants":
         _require_keys(obj, ["schema", "field", "kind", "d_plus", "d_minus",
                             "ee", "eo", "oo", "q2"], ["rho", "shape"], where)
+        if not all(isinstance(obj[k], int) and obj[k] >= 0 for k in ("d_plus", "d_minus")):
+            raise SchemaError(f"{where}: d_plus and d_minus must be non-negative integers")
 
-        def vec(v, w):
-            if not isinstance(v, list):
-                raise SchemaError(f"{w}: expected a list")
-            return [field.parse(str(c)) for c in v]
+        def table(key):
+            """A square table of k-vectors: each of its rows is a matrix."""
+            return [load_scalar_matrix(field, row, f"{where}.{key}")
+                    for row in _list(obj[key], f"{where}.{key}")]
 
-        ee = [[vec(v, f"{where}.ee") for v in row] for row in obj["ee"]]
-        eo = [[vec(v, f"{where}.eo") for v in row] for row in obj["eo"]]
-        oo = [[vec(v, f"{where}.oo") for v in row] for row in obj["oo"]]
-        q2 = [vec(v, f"{where}.q2") for v in obj["q2"]]
-        shape = tuple(obj["shape"]) if "shape" in obj else None
+        ee, eo, oo = table("ee"), table("eo"), table("oo")
+        q2 = load_scalar_matrix(field, obj["q2"], f"{where}.q2")
+        shape = _shape(obj["shape"], where) if "shape" in obj else None
         rho_even = rho_odd = None
         if "rho" in obj:
             _require_keys(obj["rho"], ["even", "odd"], (), f"{where}.rho")
             rho_even = [load_scalar_matrix(field, m, f"{where}.rho.even")
-                        for m in obj["rho"]["even"]]
+                        for m in _list(obj["rho"]["even"], f"{where}.rho.even")]
             rho_odd = [load_scalar_matrix(field, m, f"{where}.rho.odd")
-                       for m in obj["rho"]["odd"]]
+                       for m in _list(obj["rho"]["odd"], f"{where}.rho.odd")]
         try:
             return LieSuperalgebraData(field, obj["d_plus"], obj["d_minus"],
                                        ee, eo, oo, q2, shape=shape,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .coeff import DualExtension, GrassmannAlgebra, Scalar
+from .coeff import DualExtension, GrassmannAlgebra
 from .errors import SpanViolation, StructuralError
 from .liesuper import CheckReport, LieSuperalgebraData, check_axioms, from_matrices, gl_lie
 from .smat import (

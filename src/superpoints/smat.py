@@ -5,12 +5,12 @@ THE SIGN CONVENTION: the product implements that superalgebra, i.e.
 
     (a (x) E)(b (x) F) = (-1)^{|E||b|} ab (x) EF,
 
-entrywise (M.N)_{ik} = sum_j (-1)^{(|i|+|j|)|n_{jk}|} m_{ij} n_{jk} on
-homogeneous coefficient parts.  For matrices whose entries all carry even
-coefficients this is the naive row-column product; when odd coefficients at
-odd positions meet, the twist is what makes the one-parameter subgroup
-identities hold exactly.  See the test suite: those identities are the
-arbiter of the convention.
+entrywise (M.N)_{ik} = sum_j m_{ij} n_{jk}, with n_{jk} replaced by its
+twist() (even part minus odd part) where |i|+|j| is odd.  For matrices
+whose entries all carry even coefficients this is the naive row-column
+product; when odd coefficients at odd positions meet, the twist is what
+makes the one-parameter subgroup identities hold exactly.  See the test
+suite: those identities are the arbiter of the convention.
 
 Row/column parity: |i| = 0 for i < p, |i| = 1 otherwise.  A matrix is
 *even-homogeneous* when entry (i,j) is homogeneous of parity |i|+|j| (the
@@ -20,7 +20,7 @@ are flipped.
 
 from __future__ import annotations
 
-from .coeff import CoefficientAlgebra, DualExtension, Scalar
+from .coeff import CoefficientAlgebra, DualElement, DualExtension, GrassmannElement
 from .errors import MembershipViolation, NotInvertible, StructuralError
 
 
@@ -55,14 +55,6 @@ class SuperMatrix:
         m = cls.zero(shape, algebra).mutable()
         m[i][j] = coeff if coeff is not None else algebra.one()
         return cls(shape, algebra, m)
-
-    @classmethod
-    def from_scalar_rows(cls, shape, algebra, scalar_rows):
-        return cls(
-            shape,
-            algebra,
-            [[algebra.from_scalar(Scalar.of(algebra.field, s)) for s in row] for row in scalar_rows],
-        )
 
     def mutable(self):
         return [list(r) for r in self.rows]
@@ -103,13 +95,14 @@ class SuperMatrix:
         return self + (-other)
 
     def scale(self, c):
-        """Multiply every entry by a coefficient element or scalar (even use only)."""
-        if isinstance(c, Scalar):
+        """Multiply every entry by a coefficient element or a base-field value
+        (even use only)."""
+        if isinstance(c, (GrassmannElement, DualElement)):
             return SuperMatrix(
-                self.shape, self.algebra, [[e.scale(c) for e in row] for row in self.rows]
+                self.shape, self.algebra, [[c * e for e in row] for row in self.rows]
             )
         return SuperMatrix(
-            self.shape, self.algebra, [[c * e for e in row] for row in self.rows]
+            self.shape, self.algebra, [[e.scale(c) for e in row] for row in self.rows]
         )
 
     def __eq__(self, other):
@@ -131,27 +124,18 @@ class SuperMatrix:
         n = self.size
         p = self.shape[0]
         alg = self.algebra
-        # pre-split the right factor's entries by coefficient parity
-        even = [[other.rows[j][k].even_part() for k in range(n)] for j in range(n)]
-        odd = [[other.rows[j][k].odd_part() for k in range(n)] for j in range(n)]
+        twisted = [[e.twist() for e in row] for row in other.rows]
         out = []
         for i in range(n):
-            pi = 0 if i < p else 1
+            # right-factor row j, twisted where |i| + |j| is odd
+            right = [other.rows[j] if (i < p) == (j < p) else twisted[j] for j in range(n)]
             row = []
             for k in range(n):
                 acc = alg.zero()
                 for j in range(n):
-                    m = self.rows[i][j]
-                    if m.is_zero():
-                        continue
-                    e, o = even[j][k], odd[j][k]
-                    if not e.is_zero():
+                    m, e = self.rows[i][j], right[j][k]
+                    if not (m.is_zero() or e.is_zero()):
                         acc = acc + m * e
-                    if not o.is_zero():
-                        t = m * o
-                        if (pi + (0 if j < p else 1)) % 2 == 1:
-                            t = -t
-                        acc = acc + t
                 row.append(acc)
             out.append(row)
         return SuperMatrix(self.shape, alg, out)
@@ -192,9 +176,9 @@ class SuperMatrix:
 
     # -- functorial coefficient maps -----------------------------------------
     def body_rows(self):
-        """Entrywise augmentation: the matrix over k (off-diagonal blocks die
-        for even-homogeneous input since odd elements augment to zero)."""
-        return [[e.augment() for e in row] for row in self.rows]
+        """Entrywise augmentation: the matrix of raw values over k (off-diagonal
+        blocks die for even-homogeneous input since odd elements augment to zero)."""
+        return [[e.augment().raw for e in row] for row in self.rows]
 
     def body_lift(self):
         return SuperMatrix(
@@ -242,28 +226,10 @@ def k_solve_matrix(field, columns, n_unknowns):
     n = len(columns[0]) if columns else 0
     if len(columns) != m:
         raise StructuralError("column count mismatch")
-    # Gauss-Jordan over k on [C | I_n] transposed bookkeeping: we eliminate on
-    # rows of C, tracking the row operations applied to the identity.
-    rows = [[columns[j][i] for j in range(m)] for i in range(n)]
-    ops = [[field.from_int(1) if r == c else field.from_int(0) for c in range(n)] for r in range(n)]
-    pivots = []
-    r = 0
-    for col in range(m):
-        piv = next((i for i in range(r, n) if rows[i][col] != field.from_int(0)), None)
-        if piv is None:
-            raise StructuralError("columns are k-linearly dependent")
-        rows[r], rows[piv] = rows[piv], rows[r]
-        ops[r], ops[piv] = ops[piv], ops[r]
-        inv = field.inv(rows[r][col])
-        rows[r] = [field.mul(inv, v) for v in rows[r]]
-        ops[r] = [field.mul(inv, v) for v in ops[r]]
-        for i in range(n):
-            if i != r and rows[i][col] != field.from_int(0):
-                f = rows[i][col]
-                rows[i] = [field.add(a, field.neg(field.mul(f, b))) for a, b in zip(rows[i], rows[r])]
-                ops[i] = [field.add(a, field.neg(field.mul(f, b))) for a, b in zip(ops[i], ops[r])]
-        pivots.append(col)
-        r += 1
+    # more columns than rows are dependent (and n = 0 leaves no rows to count them)
+    ops = k_matrix_inverse(field, list(zip(*columns))) if m <= n else None
+    if ops is None:
+        raise StructuralError("columns are k-linearly dependent")
 
     def solve(vector, algebra):
         """vector: length-n list of algebra elements; returns coords or None."""
@@ -272,16 +238,16 @@ def k_solve_matrix(field, columns, n_unknowns):
             acc = algebra.zero()
             for i in range(n):
                 c = ops[t][i]
-                if c != field.from_int(0):
-                    acc = acc + vector[i].scale(Scalar(field, c))
+                if c:
+                    acc = acc + vector[i].scale(c)
             coords.append(acc)
         # exact residual check against the original columns
         for i in range(n):
             acc = algebra.zero()
             for j in range(m):
                 c = columns[j][i]
-                if c != field.from_int(0):
-                    acc = acc + coords[j].scale(Scalar(field, c))
+                if c:
+                    acc = acc + coords[j].scale(c)
             if not (acc - vector[i]).is_zero():
                 return None
         return coords
@@ -290,12 +256,17 @@ def k_solve_matrix(field, columns, n_unknowns):
 
 
 def k_matrix_inverse(field, rows):
-    """Exact inverse of a square matrix of raw field values, or None."""
+    """Gauss-Jordan over k on an n x m matrix of raw values, m <= n.
+
+    Returns the n x n row operations R with R.rows = [I_m; 0] (for square
+    input, the inverse), or None when the columns are k-linearly dependent.
+    """
     n = len(rows)
+    m = len(rows[0]) if rows else 0
     a = [list(r) for r in rows]
     inv = [[field.from_int(1) if i == j else field.from_int(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != field.from_int(0)), None)
+    for col in range(m):
+        piv = next((i for i in range(col, n) if a[i][col]), None)
         if piv is None:
             return None
         a[col], a[piv] = a[piv], a[col]
@@ -304,7 +275,7 @@ def k_matrix_inverse(field, rows):
         a[col] = [field.mul(f, v) for v in a[col]]
         inv[col] = [field.mul(f, v) for v in inv[col]]
         for i in range(n):
-            if i != col and a[i][col] != field.from_int(0):
+            if i != col and a[i][col]:
                 g = a[i][col]
                 a[i] = [field.add(x, field.neg(field.mul(g, y))) for x, y in zip(a[i], a[col])]
                 inv[i] = [field.add(x, field.neg(field.mul(g, y))) for x, y in zip(inv[i], inv[col])]
@@ -316,16 +287,15 @@ def k_matrix_inverse(field, rows):
 
 
 def is_invertible(m: SuperMatrix) -> bool:
-    return k_matrix_inverse(m.algebra.field, [[s.raw for s in row] for row in m.body_rows()]) is not None
+    return k_matrix_inverse(m.algebra.field, m.body_rows()) is not None
 
 
 def smat_inv(m: SuperMatrix) -> SuperMatrix:
     """Body-lift + Neumann series; exact, terminates by the nilpotency bound."""
-    field = m.algebra.field
-    binv_raw = k_matrix_inverse(field, [[s.raw for s in row] for row in m.body_rows()])
+    binv_raw = k_matrix_inverse(m.algebra.field, m.body_rows())
     if binv_raw is None:
         raise NotInvertible("body matrix is singular over k")
-    binv = SuperMatrix.from_scalar_rows(m.shape, m.algebra, [[Scalar(field, v) for v in row] for row in binv_raw])
+    binv = constant_matrix(m.shape, m.algebra, binv_raw)
     soul = m - m.body_lift()
     t = binv * soul
     acc = SuperMatrix.identity(m.shape, m.algebra)
@@ -463,7 +433,7 @@ def _sample_block_diag(desc, algebra, rng):
                 if (i < p) == (j < p):
                     rows[i][j] = _rand_even(algebra, rng) if i != j else _rand_even_unit(algebra, rng)
         m = SuperMatrix(desc.shape, algebra, rows)
-        if k_matrix_inverse(field, [[s.raw for s in row] for row in m.body_rows()]) is not None:
+        if k_matrix_inverse(field, m.body_rows()) is not None:
             return m
 
 
@@ -586,11 +556,8 @@ BUILTIN_GROUPS = {
 
 def constant_matrix(shape, algebra, scalar_rows):
     """Lift a matrix of raw k-values into a matrix over the algebra."""
-    field = algebra.field
     return SuperMatrix(
-        shape,
-        algebra,
-        [[algebra.from_scalar(Scalar(field, v)) for v in row] for row in scalar_rows],
+        shape, algebra, [[algebra.from_scalar(v) for v in row] for row in scalar_rows]
     )
 
 
@@ -603,17 +570,13 @@ def dual_probe(candidate_rows, shape, algebra, odd_direction=None):
     """
     dual = DualExtension(algebra)
     n = shape[0] + shape[1]
-    field = algebra.field
-    rows = [
-        [dual.from_scalar(Scalar.of(field, 1)) if i == j else dual.zero() for j in range(n)]
-        for i in range(n)
-    ]
+    rows = [[dual.one() if i == j else dual.zero() for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             v = candidate_rows[i][j]
-            if v == field.from_int(0):
+            if not v:
                 continue
-            inner = algebra.from_scalar(Scalar(field, v))
+            inner = algebra.from_scalar(v)
             if odd_direction is not None:
                 inner = odd_direction * inner
             rows[i][j] = rows[i][j] + dual.times_eps(inner)

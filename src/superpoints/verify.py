@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .coeff import GF2, GF3, QQ, GrassmannAlgebra, Scalar, SuperNumbers
+from .coeff import GF2, GF3, QQ, GrassmannAlgebra, SuperNumbers
 from .errors import NonTermination, SpanViolation
 from .liesuper import CheckReport, ExteriorVector, _add_row, apply_odd_generator, gl_lie
 from .gp import (
@@ -60,8 +60,8 @@ def cached_gl_pair(p, q, field):
 def _kmat(shape, algebra, units, coeffs):
     m = SuperMatrix.zero(shape, algebra)
     for rows, c in zip(units, coeffs):
-        if c != algebra.field.from_int(0):
-            m = m + constant_matrix(shape, algebra, rows).scale(Scalar(algebra.field, c))
+        if c:
+            m = m + constant_matrix(shape, algebra, rows).scale(c)
     return m
 
 
@@ -158,10 +158,9 @@ def _tang_instance(ident, shape, rank, field, rng):
         one_yp = I + Yp.scale(etap)
         if comm(one_y, one_yp) != I + gl_bracket(Y, Yp).scale(etap * eta):
             return False
-        two = Scalar.of(field, 2)
         c2 = comm(I + Y.scale(etap), I + Y.scale(etapp))
         return (
-            c2 == I + gl_2op(Y).scale((etapp * etap).scale(two))
+            c2 == I + gl_2op(Y).scale((etapp * etap).scale(2))
             and c2 == I + gl_bracket(Y, Y).scale(etapp * etap)
         )
     raise ValueError(ident)
@@ -270,7 +269,7 @@ def _table_combine(lie, tables, coeffs):
     f = lie.field
     out = {m: {} for m in range(1 << lie.d_minus)}
     for tbl, c in zip(tables, coeffs):
-        if c == f.from_int(0):
+        if not c:
             continue
         for m, row in tbl.items():
             _add_row(f, out[m], c, row)
@@ -441,7 +440,7 @@ def uniqueness_suite(seed=1, count=200, field=QQ, rank=3) -> CheckReport:
             etas[which] = etas[which] + A.generator(1 + (t % A.rank))
             other = NormalForm(pair, A, etas, nf.g_plus)
         else:
-            two = pair.identity_matrix(A).scale(Scalar.of(field, 2))
+            two = pair.identity_matrix(A).scale(2)
             if not is_invertible(two):
                 continue  # char 2: scaling by 2 is not a perturbation
             other = NormalForm(pair, A, nf.etas, nf.g_plus * two)

@@ -2,8 +2,9 @@
 
 These deliberately share no code with the production kernels: the
 straightening oracle rewrites words in the free algebra symbol by symbol,
-the sign oracle counts transpositions on explicit index lists, and the
-subalgebra oracle enumerates spanning monomials.
+the sign oracle counts transpositions on explicit index lists, the
+subalgebra oracle enumerates spanning monomials, and the regular
+representation turns supermatrices into plain k-matrices.
 """
 
 from __future__ import annotations
@@ -178,3 +179,51 @@ def even_monomial_action_oracle(lie, basis_index, mask):
         if mask >> i & 1:
             word.append(("o", i))
     return straighten_oracle(lie, word)
+
+
+# -- supermatrices as k-matrices on A (x) k^{p|q} -------------------------------
+#
+# The action (a (x) E)(b (x) v) = (-1)^{|E||b|} ab (x) Ev of A (x) End(k^{p|q})
+# on the free module A (x) k^{p|q} is an algebra map, so under it the twisted
+# supermatrix product becomes the plain matrix product, and it is faithful.
+
+
+def supermatrix_rep_oracle(field, rank, p, entries):
+    """The 2^rank (p+q) square k-matrix of a supermatrix over Lambda_rank.
+
+    entries[i][j] is the (i, j) entry as a plain {mask: value} dict of raw
+    field values.  Basis vector x^b (x) e_j has index b * (p+q) + j.
+    """
+    n = len(entries)
+    size = (1 << rank) * n
+    zero = field.from_int(0)
+    out = [[zero] * size for _ in range(size)]
+    for i in range(n):
+        for j in range(n):
+            pos_parity = (i >= p) + (j >= p)
+            for a, c in entries[i][j].items():
+                idx_a = [t for t in range(rank) if a >> t & 1]
+                for b in range(1 << rank):
+                    idx_b = [t for t in range(rank) if b >> t & 1]
+                    sign = merge_sign_oracle(idx_a, idx_b)
+                    if sign == 0:
+                        continue
+                    if pos_parity * len(idx_b) % 2:
+                        sign = -sign
+                    r, col = (a | b) * n + i, b * n + j
+                    v = c if sign > 0 else field.neg(c)
+                    out[r][col] = field.add(out[r][col], v)
+    return out
+
+
+def k_matmul_oracle(field, x, y):
+    """Plain product of two square matrices of raw field values."""
+    zero = field.from_int(0)
+    out = []
+    for row in x:
+        acc = [zero] * len(y[0])
+        for t, c in enumerate(row):
+            if c != zero:
+                acc = [field.add(u, field.mul(c, w)) for u, w in zip(acc, y[t])]
+        out.append(acc)
+    return out

@@ -58,6 +58,26 @@ def test_check_liesuper_unknown_key(tmp_path, capsys):
     assert code == 2 and "unknown keys" in err
 
 
+_BAD_EO = [[["zz", "0"], ["0", "-1"]], [["0", "0"], ["0", "1"]]]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("field", "F" + "9" * 400),
+    ("field", "F" + "9" * 5000),
+    ("ee", 5),
+    ("shape", 5),
+    ("eo", _BAD_EO),
+], ids=["F400digits", "F5000digits", "ee-int", "shape-int", "bad-literal"])
+def test_check_liesuper_malformed_constants_exit_2(tmp_path, capsys, key, value):
+    with open(fx("tampered_lie.json")) as fh:
+        doc = json.load(fh)
+    doc[key] = value
+    p = tmp_path / "malformed.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(["check-liesuper", str(p)], capsys)
+    assert code == 2 and "schema error" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # check-shcp
 

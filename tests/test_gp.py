@@ -456,7 +456,7 @@ def test_induced_odd_action_matches_oracle(field):
             for mask in range(1 << pair.d_minus):
                 for t in range(v0.dim):
                     got = IM.apply_word(w, {(mask, t): A.one()})
-                    x1_part = {k: c.terms[0b1].raw for k, c in got.items() if 0b1 in c.terms}
+                    x1_part = {k: c.terms[0b1] for k, c in got.items() if 0b1 in c.terms}
                     want = odd_monomial_action_oracle(pair.lie, j, mask, v0.lie_mats, t)
                     assert x1_part == want, (p, q, j, mask, t)
 

@@ -33,6 +33,8 @@ from superpoints.smat import constant_matrix
 from superpoints.sampling import rand_element, rand_odd
 from superpoints.verify import suite_tang_group
 
+from .oracles import k_matmul_oracle, supermatrix_rep_oracle
+
 
 def unit(shape, algebra, i, j):
     return SuperMatrix.unit(shape, algebra, i, j)
@@ -95,6 +97,30 @@ def test_twisted_associativity_pins_convention():
                               [[rand_element(A, rng) for _ in range(3)] for _ in range(3)])
                   for _ in range(3)]
             assert (ms[0] * ms[1]) * ms[2] == ms[0] * (ms[1] * ms[2])
+
+
+def _rep(m):
+    """The supermatrix as a k-matrix on A (x) k^{p|q}, via the oracle."""
+    entries = [[dict(e.terms) for e in row] for row in m.rows]
+    return supermatrix_rep_oracle(m.algebra.field, m.algebra.rank, m.shape[0], entries)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1)])
+def test_twisted_product_matches_regular_representation(field, shape):
+    """rep(X Y) = rep(X) rep(Y) on entries of mixed parity, and
+    rep(g^-1) rep(g) = I on GL(p|q) samples."""
+    rng = random.Random(11)
+    A = GrassmannAlgebra(field, 3)
+    n = shape[0] + shape[1]
+    for _ in range(4):
+        X, Y = (SuperMatrix(shape, A, [[rand_element(A, rng, max_terms=4) for _ in range(n)]
+                                       for _ in range(n)]) for _ in range(2))
+        assert _rep(X * Y) == k_matmul_oracle(field, _rep(X), _rep(Y))
+    ident = _rep(SuperMatrix.identity(shape, A))
+    for _ in range(3):
+        g = gl_full(*shape).sample(A, rng)
+        assert k_matmul_oracle(field, _rep(smat_inv(g)), _rep(g)) == ident
 
 
 def test_shape_mismatch_raises():
