@@ -15,7 +15,8 @@ compute it:
   division in the representation.
 * ``reorder_symbolic`` -- a rewriting engine using only the one-parameter
   relations: push even tokens right through Ad, remove inversions and
-  repeats by the swap/merge relations, push the even corrections right.
+  repeats by the swap/merge relations, slide the even corrections right by
+  the bracket table.
   Terminates because the ideal generated by the word's odd coefficients is
   nilpotent; the pass guard trips only on a sign bug.
 
@@ -213,6 +214,17 @@ def _expand_conjugate(pair, ad_matrix, index, eta):
     return out
 
 
+def slide_ad_matrix(lie, z, c):
+    """Ad(1 + c.rho(Z)) for Z = sum_a z_a X_a and an even c with c^2 = 0,
+    read off the bracket table (slide relation, tang-group identity (f)):
+    Ad(1 + cZ)(Y_k) = Y_k + c[Z, Y_k], so a[j][k] = delta_jk + c sum_a z_a eo[a][k][j]."""
+    f, dm, algebra = lie.field, lie.d_minus, c.algebra
+    one, zero = f.from_int(1), f.from_int(0)
+    cols = [lie.bracket_eo(z, [one if b == k else zero for b in range(dm)]) for k in range(dm)]
+    return [[(algebra.one() if j == k else algebra.zero()) + c.scale(cols[k][j])
+             for k in range(dm)] for j in range(dm)]
+
+
 def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
     """Independent rewriting route to the same normal form.
 
@@ -220,10 +232,12 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
     the leftmost violation at each step: even tokens are pushed right
     through Ad, adjacent out-of-order odd pairs are swapped by the
     commutation relation, repeated indices merged by the square relation;
-    the even correction factors these emit are pushed right immediately,
-    conjugating the tail.  Every coefficient these pushes create gains
-    ideal-degree, so the process sweeps to a fixpoint; the pass guard
-    (nilpotency bound + 1) trips only on a sign bug.
+    the even correction factors 1 + c.Z these emit (c^2 = 0) are pushed
+    right immediately, sliding through the tail by the bracket table
+    (Ad(1 + cZ)(Y) = Y + c[Z, Y]) with no inversion or odd solve.  Every
+    coefficient these pushes create gains ideal-degree, so the process
+    sweeps to a fixpoint; the pass guard (nilpotency bound + 1) trips only
+    on a sign bug.
     """
     pair, algebra = word.pair, word.algebra
     guard = algebra.nilpotency_bound + 1
@@ -251,16 +265,18 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
             e_acc = t.matrix * e_acc
             note(f"pushed even token right through {len(new_odds)} odd factor(s) [conjugation relation]")
 
-    def emit_right(c_matrix, position):
-        """Push an even correction from `position` through the tail into E."""
+    def emit_right(z, c, position):
+        """Push the even correction 1 + c.rho(Z) from `position` through the
+        tail into E; its Ad comes from the bracket table, not conjugation."""
         nonlocal e_acc, odds
-        ad = pair.ad_action_matrix(c_matrix)
+        ad = slide_ad_matrix(pair.lie, z, c)
         new_tail = []
         for (i, eta) in odds[position:]:
             new_tail.extend((tok.index, tok.eta)
                             for tok in _expand_conjugate(pair, ad, i, eta))
         odds[position:] = new_tail
-        e_acc = c_matrix * e_acc
+        corr = pair.identity_matrix(algebra) + pair.lie.rho_even_comb(z, algebra).scale(c)
+        e_acc = corr * e_acc
 
     while True:
         passes += 1
@@ -298,9 +314,7 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
                 odds[s:s + 2] = [(i, merged)] if not merged.is_zero() else []
                 note(f"merged repeated Y{i + 1} factors [square relation]")
                 if not c.is_zero():
-                    corr = pair.identity_matrix(algebra) + \
-                        pair.lie.rho_even_comb(pair.lie.q2[i], algebra).scale(c)
-                    emit_right(corr, s)
+                    emit_right(pair.lie.q2[i], c, s)
                     note(f"emitted square correction (1 + {c!r}.Y{i + 1}^<2>), pushed right [slide relation]")
             else:
                 # (1+eta Y_i)(1+eta2 Y_j) =
@@ -309,9 +323,7 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
                 odds[s], odds[s + 1] = odds[s + 1], odds[s]
                 note(f"swapped Y{i + 1} past Y{j + 1} [swap relation]")
                 if not c.is_zero():
-                    corr = pair.identity_matrix(algebra) + \
-                        pair.lie.rho_even_comb(pair.lie.oo[i][j], algebra).scale(c)
-                    emit_right(corr, s)
+                    emit_right(pair.lie.oo[i][j], c, s)
                     note(f"emitted bracket correction (1 + {c!r}.[Y{i + 1},Y{j + 1}]), pushed right [slide relation]")
             s = max(0, s - 1)
         if not dirty:

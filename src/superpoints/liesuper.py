@@ -588,17 +588,26 @@ class ExteriorVector:
         return not self.coeffs
 
     def parity_pattern_ok(self):
-        """Coefficient parity must match |S| for points of (A (x) wedge(g_1))_0."""
-        return all(c.parity() == m.bit_count() % 2 for m, c in self.coeffs.items())
+        """Coefficient parity must match |S| for points of (A (x) wedge(g_1))_0;
+        the t of an induced key S | t << d_minus does not count."""
+        mask = (1 << self.lie.d_minus) - 1
+        return all(c.parity() == (key & mask).bit_count() % 2
+                   for key, c in self.coeffs.items())
 
     def __repr__(self):
+        """Terms (c)*Y1,3 for Ybar_S; an induced key with t > 0 adds *e{t+1}
+        (e1, the t = 0 line, is left implicit)."""
         if not self.coeffs:
             return "0"
+        dm = self.lie.d_minus
         parts = []
-        for m in sorted(self.coeffs):
-            mono = "b" if m == 0 else "Y" + ",".join(
-                str(i + 1) for i in range(self.lie.d_minus) if m >> i & 1)
-            parts.append(f"({self.coeffs[m]})*{mono}")
+        for key in sorted(self.coeffs):
+            s, t = key & ((1 << dm) - 1), key >> dm
+            mono = "b" if s == 0 else "Y" + ",".join(
+                str(i + 1) for i in range(dm) if s >> i & 1)
+            if t:
+                mono += f"*e{t + 1}"
+            parts.append(f"({self.coeffs[key]})*{mono}")
         return " + ".join(parts)
 
 

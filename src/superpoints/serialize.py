@@ -98,9 +98,12 @@ def dump_coeff(algebra) -> dict:
 # -- matrices ------------------------------------------------------------------
 
 
-def load_scalar_matrix(field, rows, where="matrix"):
+def load_scalar_matrix(field, rows, where="matrix", n=None):
+    """A matrix of base-field values; n, when given, is its required size n x n."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise SchemaError(f"{where}: expected a list of rows")
+    if n is not None and (len(rows) != n or any(len(r) != n for r in rows)):
+        raise SchemaError(f"{where}: expected {n}x{n} entries")
     try:
         return [[field.parse(str(v)) for v in row] for row in rows]
     except (StructuralError, ValueError) as e:
@@ -136,9 +139,10 @@ def load_lie(obj, where="lie") -> LieSuperalgebraData:
     if kind == "matrices":
         _require_keys(obj, ["schema", "field", "kind", "shape", "even", "odd"], (), where)
         shape = _shape(obj["shape"], where)
-        even = [load_scalar_matrix(field, m, f"{where}.even[{i}]")
+        n = shape[0] + shape[1]
+        even = [load_scalar_matrix(field, m, f"{where}.even[{i}]", n)
                 for i, m in enumerate(_list(obj["even"], f"{where}.even"))]
-        odd = [load_scalar_matrix(field, m, f"{where}.odd[{i}]")
+        odd = [load_scalar_matrix(field, m, f"{where}.odd[{i}]", n)
                for i, m in enumerate(_list(obj["odd"], f"{where}.odd"))]
         return from_matrices(shape[0], shape[1], even, odd, field)
     if kind == "constants":
@@ -203,7 +207,7 @@ def load_word(obj, pair, algebra, where="word") -> GroupWord:
     _require_keys(obj, ["schema", "tokens"], (), where)
     _check_schema(obj, where)
     toks = []
-    for t, entry in enumerate(obj["tokens"]):
+    for t, entry in enumerate(_list(obj["tokens"], f"{where}.tokens")):
         loc = f"{where}.tokens[{t}]"
         if not isinstance(entry, dict) or len(entry) != 1:
             raise SchemaError(f"{loc}: token must be a one-key object")

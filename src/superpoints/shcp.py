@@ -61,23 +61,29 @@ class HarishChandraPair:
         The solver is exact over k applied to algebra entries; a nonzero
         residual raises SpanViolation.  Coordinates must come out even.
         """
+        conj = smat_inv(g_plus) * self.lie.rho_odd_matrix(i, g_plus.algebra) * g_plus
+        return self._odd_coords(conj, i)
+
+    def ad_action_matrix(self, g_plus: SuperMatrix):
+        """a[j][i] with Ad(g)(Y_i) = sum_j a[j][i] Y_j (note: Ad(g), not
+        Ad(g^-1)); column i solves g rho(Y_i) g^-1, with g inverted once."""
         algebra = g_plus.algebra
-        conj = smat_inv(g_plus) * self.lie.rho_odd_matrix(i, algebra) * g_plus
-        coords = self._odd_solver([e for row in conj.rows for e in row], algebra)
+        ginv = smat_inv(g_plus)
+        cols = [self._odd_coords(g_plus * self.lie.rho_odd_matrix(i, algebra) * ginv, i)
+                for i in range(self.d_minus)]
+        return [[cols[i][j] for i in range(self.d_minus)] for j in range(self.d_minus)]
+
+    def _odd_coords(self, conj: SuperMatrix, i: int):
+        """Odd-basis coordinates of a conjugate of rho(Y_i): SpanViolation
+        on a nonzero residual of the exact solver or an odd coordinate."""
+        coords = self._odd_solver([e for row in conj.rows for e in row], conj.algebra)
         if coords is None:
             raise SpanViolation(
-                f"Ad(g^-1)(Y{i + 1}) left the odd span of the pair")
+                f"the conjugate of Y{i + 1} left the odd span of the pair")
         for c in coords:
             if not (c.is_even() or c.is_zero()):
                 raise SpanViolation(f"Ad coordinate of Y{i + 1} is not even")
         return coords
-
-    def ad_action_matrix(self, g_plus: SuperMatrix):
-        """a[j][i] with Ad(g)(Y_i) = sum_j a[j][i] Y_j (note: Ad(g), not
-        Ad(g^-1)); columns are ad_coords of the inverse element."""
-        ginv = smat_inv(g_plus)
-        cols = [self.ad_coords(ginv, i) for i in range(self.d_minus)]
-        return [[cols[i][j] for i in range(self.d_minus)] for j in range(self.d_minus)]
 
     # -- word representation -------------------------------------------------
     def identity_matrix(self, algebra):

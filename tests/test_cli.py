@@ -78,6 +78,20 @@ def test_check_liesuper_malformed_constants_exit_2(tmp_path, capsys, key, value)
     assert code == 2 and "schema error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key,index", [("even", 0), ("odd", 1)])
+def test_check_liesuper_generator_size_mismatch_exit_2(tmp_path, capsys, key, index):
+    """A generator that is not (p+q)x(p+q) is a schema error, caught before
+    the matrices reach from_matrices."""
+    with open(fx("gl11_lie.json")) as fh:
+        doc = json.load(fh)
+    doc[key][index] = [["1"]]
+    p = tmp_path / "small_generator.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(["check-liesuper", str(p)], capsys)
+    assert code == 2 and "schema error" in err and "2x2" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # check-shcp
 
@@ -141,6 +155,15 @@ def test_normal_form_identity_word(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["etas"] == ["0", "0"]
     assert doc["g_plus"] == [["1", "0"], ["0", "1"]]
+
+
+def test_normal_form_tokens_not_a_list_exit_2(tmp_path, capsys):
+    p = tmp_path / "tokens5.json"
+    p.write_text(json.dumps({"schema": 1, "tokens": 5}))
+    code, _, err = run(["normal-form", "--pair", fx("gl11_pair.json"),
+                        "--coeff", fx("coeff_l2.json"), "--word", str(p)], capsys)
+    assert code == 2 and "schema error" in err and "tokens" in err
+    assert "Traceback" not in err
 
 
 def test_normal_form_swap_word_oracles_agree(capsys):

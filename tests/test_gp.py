@@ -33,6 +33,7 @@ from superpoints import (
     strip_matrix_factorization,
     trivial_module,
 )
+from superpoints.gp import slide_ad_matrix
 from superpoints.sampling import rand_odd
 from superpoints.verify import (
     basis_independence,
@@ -509,3 +510,25 @@ def test_nf_semidirect_split(pair11):
         assert gp_mul(nf_bar, nf_ker) == nf
         assert all(e.is_zero() for e in nf_bar.etas)
         assert nf_ker.g_plus.body_lift() == pair11.identity_matrix(A)
+
+
+@pytest.mark.parametrize("pair", [
+    gl_pair(1, 1, QQ), gl_pair(2, 1, QQ), gl_pair(1, 1, GF3), gl_pair(2, 1, GF3),
+    char2_pair(GF2),
+], ids=["gl11-Q", "gl21-Q", "gl11-F3", "gl21-F3", "char2-F2"])
+def test_slide_ad_matrix_is_conjugation(pair):
+    """The bracket-table Ad of a rewriting correction 1 + c.rho(Z), c = eta2 eta,
+    equals the Ad matrix built by conjugation, for every Z = Y_i^<2> and [Y_i, Y_j]."""
+    rng = random.Random(41)
+    lie = pair.lie
+    A = GrassmannAlgebra(pair.field, 4)
+    I = pair.identity_matrix(A)
+    dm = pair.d_minus
+    zs = [lie.q2[i] for i in range(dm)] + [lie.oo[i][j] for i in range(dm) for j in range(dm)]
+    for z in zs:
+        for _ in range(2):
+            c = A.zero()
+            while c.is_zero():
+                c = rand_odd(A, rng) * rand_odd(A, rng)
+            assert slide_ad_matrix(lie, z, c) == \
+                pair.ad_action_matrix(I + lie.rho_even_comb(z, A).scale(c))

@@ -225,3 +225,22 @@ def test_word_action_even_tokens_fix_vacuum():
     w = GroupWord(pair, A, [EvenTok(g)])
     v = word_action(w, ExteriorVector.vacuum(pair.lie, A))
     assert v == ExteriorVector.vacuum(pair.lie, A)
+
+
+def test_exterior_vector_induced_keys_parity_and_repr():
+    """On induced keys S | t << d_minus only S counts for parity, and the
+    repr shows the V0 index t instead of reading it as odd indices."""
+    rng = random.Random(19)
+    pair = gl_pair(1, 1, QQ)
+    A = GrassmannAlgebra(QQ, 3)
+    dm = pair.d_minus
+    module = InducedModule(pair, defining_module(pair))
+    word = GroupWord(pair, A, [OddTok(0, rand_odd(A, rng)), OddTok(1, rand_odd(A, rng))])
+    out = module.apply_word(word, module.vacuum_with(1, A))
+    assert all(t == 1 for (_, t) in out) and (0, 1) in out
+    v = ExteriorVector(pair.lie, A, {m | t << dm: c for (m, t), c in out.items()})
+    assert v.parity_pattern_ok()
+    text = repr(v)
+    assert text.count("*e2") == len(out) and ")*b*e2" in text and ")*Y1,2*e2" in text
+    odd_on_even_mask = ExteriorVector(pair.lie, A, {1 << dm: rand_odd(A, rng)})
+    assert not odd_on_even_mask.parity_pattern_ok()

@@ -16,12 +16,17 @@ from superpoints import (
     from_matrices,
     gl_block_diag,
     gl_fixture,
+    gl_full,
     gl_pair,
+    gl_split,
     phi_of_group,
+    smat_inv,
     validate_pair,
 )
 from superpoints.sampling import rand_even_unit, rand_odd
 from superpoints.shcp import ad_unstable_pair
+
+from .oracles import k_matmul_oracle, supermatrix_rep_oracle
 
 
 def diag(algebra, a, d):
@@ -129,6 +134,59 @@ def test_ad_is_group_action():
                 for t in range(pair.d_minus):
                     acc = acc + mh[t][j] * mg[i][t]
                 assert acc == mgh[i][j]
+
+
+def _ad_sides(pair, g, a, i):
+    """rep(g) rep(Y_i) and rep(sum_j a[j][i] Y_j) rep(g) on A (x) k^{p|q},
+    built by the oracle from raw entries: no inversion, no SuperMatrix product."""
+    f, rank, p = pair.field, g.algebra.rank, pair.shape[0]
+    n = sum(pair.shape)
+    comb = [[{} for _ in range(n)] for _ in range(n)]
+    for j in range(pair.d_minus):
+        for r in range(n):
+            for s in range(n):
+                k = pair.lie.rho_odd[j][r][s]
+                if not k:
+                    continue
+                for mask, v in a[j][i].terms.items():
+                    comb[r][s][mask] = f.add(comb[r][s].get(mask, f.from_int(0)), f.mul(v, k))
+    y = [[{0: k} if k else {} for k in row] for row in pair.lie.rho_odd[i]]
+    rep_g = supermatrix_rep_oracle(f, rank, p, [[dict(e.terms) for e in row] for row in g.rows])
+    return (k_matmul_oracle(f, rep_g, supermatrix_rep_oracle(f, rank, p, y)),
+            k_matmul_oracle(f, supermatrix_rep_oracle(f, rank, p, comb), rep_g))
+
+
+@pytest.mark.parametrize("pair", [
+    gl_pair(1, 1, QQ), gl_pair(2, 1, QQ), gl_pair(1, 1, GF2), gl_pair(2, 1, GF2),
+    gl_pair(1, 1, GF3), gl_pair(2, 1, GF3), char2_pair(GF2),
+], ids=["gl11-Q", "gl21-Q", "gl11-F2", "gl21-F2", "gl11-F3", "gl21-F3", "char2-F2"])
+def test_ad_action_matrix_single_inversion(pair):
+    """Column i of ad_action_matrix(g) is ad_coords(g^-1, i), and it satisfies
+    g Y_i = (sum_j a[j][i] Y_j) g in the regular representation.  Points come
+    from gl_full, from its even factors and from the even group; a full
+    sample whose odd part moves Y_i out of the odd span must be rejected by
+    both definitions."""
+    rng = random.Random(31)
+    A = GrassmannAlgebra(pair.field, 3)
+    full = gl_full(*pair.shape)
+    rejected = 0
+    for _ in range(3):
+        g = full.sample(A, rng)
+        for point in (g, gl_split(g)[0], pair.even_group.sample(A, rng)):
+            try:
+                a = pair.ad_action_matrix(point)
+            except SpanViolation:
+                assert point is g
+                rejected += 1
+                with pytest.raises(SpanViolation):
+                    for i in range(pair.d_minus):
+                        pair.ad_coords(smat_inv(point), i)
+                continue
+            for i in range(pair.d_minus):
+                assert [a[j][i] for j in range(pair.d_minus)] == pair.ad_coords(smat_inv(point), i)
+                lhs, rhs = _ad_sides(pair, point, a, i)
+                assert lhs == rhs
+    assert rejected
 
 
 def test_relation_b_with_ad_coords():
