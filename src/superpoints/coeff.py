@@ -410,7 +410,8 @@ class GrassmannElement:
 
     # -- ring structure -------------------------------------------------
     def _check(self, other):
-        if not isinstance(other, GrassmannElement) or other.algebra != self.algebra:
+        if not isinstance(other, GrassmannElement) or (
+                other.algebra is not self.algebra and other.algebra != self.algebra):
             raise StructuralError("rank/ring mismatch")
 
     def __add__(self, other):
@@ -622,7 +623,8 @@ class DualElement:
         self.b = b
 
     def _check(self, other):
-        if not isinstance(other, DualElement) or other.algebra != self.algebra:
+        if not isinstance(other, DualElement) or (
+                other.algebra is not self.algebra and other.algebra != self.algebra):
             raise StructuralError("rank/ring mismatch")
 
     def __add__(self, other):

@@ -11,8 +11,9 @@ compute it:
 
 * ``normal_form`` -- module extraction: act on the vacuum of the exterior
   module ``wedge(g_1)``; the single-index coefficients of the image *are* the
-  etas (semi-faithfulness), and the even factor is recovered by matrix
-  division in the representation.
+  etas (semi-faithfulness), and the even factor is recovered by dividing
+  out the odd product in the representation, factor by factor with
+  (1 + eta Y)^-1 = (1 - eta Y) (no matrix inversion).
 * ``reorder_symbolic`` -- a rewriting engine using only the one-parameter
   relations: push even tokens right through Ad, remove inversions and
   repeats by the swap/merge relations, slide the even corrections right by
@@ -178,17 +179,18 @@ def normal_form(word: GroupWord) -> NormalForm:
 
     (1) act on the vacuum; (2) read each eta off the single-index
     coefficient (exact by semi-faithfulness; the even factor fixes the
-    vacuum); (3) divide out the odd product in the representation;
+    vacuum); (3) divide out the odd product in the representation, with no
+    inversion: (1 + eta Y)^-1 = (1 - eta Y) since eta^2 = 0, so
+    g+ = (1 - eta_d Y_d)...(1 - eta_1 Y_1) . rho(word);
     (4) the quotient must be an even-group point.
     """
     pair, algebra = word.pair, word.algebra
     v = word_action(word, ExteriorVector.vacuum(pair.lie, algebra))
     etas = [v.coefficient(1 << i) for i in range(pair.d_minus)]
-    m = pair.identity_matrix(algebra)
+    g_plus = word.rho_matrix()
     for i, e in enumerate(etas):
         if not e.is_zero():
-            m = m * pair.odd_generator_matrix(i, e)
-    g_plus = smat_inv(m) * word.rho_matrix()
+            g_plus = pair.odd_generator_matrix(i, -e) * g_plus
     if not g_plus.is_even_homogeneous() or not pair.even_group.member(g_plus):
         raise MembershipViolation(
             "extracted even factor is not an even-group point "

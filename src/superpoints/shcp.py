@@ -6,13 +6,22 @@ superalgebra carrying representation matrices.  Validity is what the
 normal-form machinery depends on: the even basis must be tangent to G+,
 conjugation by sampled G+ points must stabilize the odd span exactly, and
 the differential of that conjugation must be the stored bracket.
+
+``ad_action_matrix`` keeps a small memo per pair, because the group law and
+the induced-module action ask for the Ad matrix of the same few even points
+again and again.  The key is the exact value of the point: its shape, its
+algebra and every entry's sorted ``(mask, value)`` terms (a dual-number
+entry by both of its parts).  The memo holds at most ``AD_MEMO_SIZE``
+points and drops the oldest first; a point whose conjugates leave the odd
+span is never stored, so it raises ``SpanViolation`` on every request.
+Each call returns a fresh list-of-lists copy of the stored matrix.
 """
 
 from __future__ import annotations
 
 import random
 
-from .coeff import DualExtension, GrassmannAlgebra
+from .coeff import DualElement, DualExtension, GrassmannAlgebra
 from .errors import SpanViolation, StructuralError
 from .liesuper import CheckReport, LieSuperalgebraData, check_axioms, from_matrices, gl_lie
 from .smat import (
@@ -24,6 +33,15 @@ from .smat import (
     k_solve_matrix,
     smat_inv,
 )
+
+AD_MEMO_SIZE = 32
+
+
+def _value_key(e):
+    """The exact value of a coefficient element as a hashable key."""
+    if isinstance(e, DualElement):
+        return (_value_key(e.a), _value_key(e.b))
+    return tuple(sorted(e.terms.items()))
 
 
 class HarishChandraPair:
@@ -45,6 +63,7 @@ class HarishChandraPair:
             self._odd_solver = k_solve_matrix(self.field, cols, lie.d_minus)
         else:
             self._odd_solver = None
+        self._ad_memo = {}  # point key -> Ad matrix (tuple rows), oldest first
 
     @property
     def d_minus(self):
@@ -66,12 +85,22 @@ class HarishChandraPair:
 
     def ad_action_matrix(self, g_plus: SuperMatrix):
         """a[j][i] with Ad(g)(Y_i) = sum_j a[j][i] Y_j (note: Ad(g), not
-        Ad(g^-1)); column i solves g rho(Y_i) g^-1, with g inverted once."""
-        algebra = g_plus.algebra
-        ginv = smat_inv(g_plus)
-        cols = [self._odd_coords(g_plus * self.lie.rho_odd_matrix(i, algebra) * ginv, i)
-                for i in range(self.d_minus)]
-        return [[cols[i][j] for i in range(self.d_minus)] for j in range(self.d_minus)]
+        Ad(g^-1)); column i solves g rho(Y_i) g^-1, with g inverted once.
+        Memoized by the exact value of g (see the module docstring)."""
+        key = (g_plus.shape, g_plus.algebra,
+               tuple(_value_key(e) for row in g_plus.rows for e in row))
+        a = self._ad_memo.get(key)
+        if a is None:
+            algebra = g_plus.algebra
+            ginv = smat_inv(g_plus)
+            cols = [self._odd_coords(g_plus * self.lie.rho_odd_matrix(i, algebra) * ginv, i)
+                    for i in range(self.d_minus)]
+            a = tuple(tuple(cols[i][j] for i in range(self.d_minus))
+                      for j in range(self.d_minus))
+            if len(self._ad_memo) >= AD_MEMO_SIZE:
+                del self._ad_memo[next(iter(self._ad_memo))]
+            self._ad_memo[key] = a
+        return [list(row) for row in a]
 
     def _odd_coords(self, conj: SuperMatrix, i: int):
         """Odd-basis coordinates of a conjugate of rho(Y_i): SpanViolation
@@ -125,17 +154,20 @@ def validate_pair(pair: HarishChandraPair, samples: int = 64, seed: int = 0,
         rep.note("Lie(G+) = g0 assumed (containment checked, no dim oracle)")
 
     # (2) Ad-stability on samples, and (3) compatibility with the 2-operation
+    # (g inverted once per sample: coordinates as ad_coords(g, i) computes them)
     for s in range(samples):
         g = G.sample(A, rng)
+        ginv = smat_inv(g)
         try:
-            coord_rows = [pair.ad_coords(g, i) for i in range(pair.d_minus)]
+            coord_rows = [pair._odd_coords(ginv * pair.lie.rho_odd_matrix(i, A) * g, i)
+                          for i in range(pair.d_minus)]
         except SpanViolation as e:
             rep.fail(f"Ad-stability: sample {s}: {e}")
             continue
         for i, coords in enumerate(coord_rows):
             # Ad(g^-1) respects the 2-operation through the constants:
             # (sum c_j Y_j)^<2> must match the conjugate of Y_i^<2>.
-            lhs = smat_inv(g) * pair.lie.rho_even_comb(pair.lie.q2[i], A) * g
+            lhs = ginv * pair.lie.rho_even_comb(pair.lie.q2[i], A) * g
             rhs = SuperMatrix.zero(pair.shape, A)
             for j, cj in enumerate(coords):
                 if cj.is_zero():
@@ -153,9 +185,10 @@ def validate_pair(pair: HarishChandraPair, samples: int = 64, seed: int = 0,
     dual = DualExtension(A)
     for a in range(pair.d_plus):
         _, probe = dual_probe(pair.lie.rho_even[a], pair.shape, A)
+        probe_inv = smat_inv(probe)
         for i in range(pair.d_minus):
             y = pair.lie.rho_odd_matrix(i, dual)
-            conj = probe * y * smat_inv(probe)
+            conj = probe * y * probe_inv
             expect = y + pair.lie.rho_odd_comb(pair.lie.eo[a][i], dual).scale(dual.eps())
             if conj != expect:
                 rep.fail(f"d(Ad) != bracket on (X{a + 1}, Y{i + 1})")

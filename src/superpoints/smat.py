@@ -71,7 +71,7 @@ class SuperMatrix:
         if (
             not isinstance(other, SuperMatrix)
             or other.shape != self.shape
-            or other.algebra != self.algebra
+            or (other.algebra is not self.algebra and other.algebra != self.algebra)
         ):
             raise StructuralError("shape or coefficient algebra mismatch")
 
@@ -160,11 +160,21 @@ class SuperMatrix:
     def odd_component(self):
         return self - self.even_component()
 
+    def _parity_pattern(self, shift):
+        """Whether every term of entry (i,j) has parity |i|+|j|+shift (mod 2);
+        a dual-number entry is read on both of its parts."""
+        p = self.shape[0]
+        for i, row in enumerate(self.rows):
+            for j, e in enumerate(row):
+                if not _terms_have_parity(e, ((i < p) != (j < p)) ^ shift):
+                    return False
+        return True
+
     def is_even_homogeneous(self):
-        return self.odd_component().is_zero()
+        return self._parity_pattern(0)
 
     def is_odd_homogeneous(self):
-        return self.even_component().is_zero()
+        return self._parity_pattern(1)
 
     def homogeneity(self):
         """0, 1 or None, mirroring the entry-parity pattern."""
@@ -210,6 +220,12 @@ class SuperMatrix:
 
     def __repr__(self):
         return "[" + "; ".join(", ".join(r) for r in self.to_strings()) + "]"
+
+
+def _terms_have_parity(e, parity):
+    if isinstance(e, DualElement):
+        return _terms_have_parity(e.a, parity) and _terms_have_parity(e.b, parity)
+    return all(m.bit_count() & 1 == parity for m in e.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Pair validity, conjugation coordinates, and the forgetful direction."""
 
+import os
 import random
 
 import pytest
@@ -11,6 +12,9 @@ from superpoints import (
     GrassmannAlgebra,
     HarishChandraPair,
     SpanViolation,
+    EvenTok,
+    GroupWord,
+    OddTok,
     SuperMatrix,
     char2_pair,
     from_matrices,
@@ -19,18 +23,34 @@ from superpoints import (
     gl_full,
     gl_pair,
     gl_split,
+    normal_form,
     phi_of_group,
+    serialize,
     smat_inv,
     validate_pair,
 )
+from superpoints import gp, shcp, smat
 from superpoints.sampling import rand_even_unit, rand_odd
-from superpoints.shcp import ad_unstable_pair
+from superpoints.shcp import AD_MEMO_SIZE, ad_unstable_pair
+from superpoints.smat import dual_probe
 
 from .oracles import k_matmul_oracle, supermatrix_rep_oracle
 
 
 def diag(algebra, a, d):
     return SuperMatrix((1, 1), algebra, [[a, algebra.zero()], [algebra.zero(), d]])
+
+
+def count_inversions(monkeypatch, *modules):
+    """Route every call of smat_inv made through the given modules' names
+    into a list, and return the list."""
+    calls = []
+    for mod in modules:
+        def counted(m, _real=mod.smat_inv):
+            calls.append(m)
+            return _real(m)
+        monkeypatch.setattr(mod, "smat_inv", counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +87,19 @@ def test_ad_unstable_pair_fails():
 def test_char2_pair_validates(field):
     rep = validate_pair(char2_pair(field), samples=24)
     assert rep.ok, rep.summary()
+
+
+def test_validate_pair_inverts_each_sample_and_probe_once(monkeypatch):
+    """On the committed gl(1|1) fixture pair: one inversion per sampled
+    point and one per dual-number probe (at the 2 x d_minus per sample and
+    d_minus per probe of old, 260 for these settings)."""
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "gl11_pair.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        pair = serialize.load_pair(serialize.loads(fh.read(), "gl11_pair.json"))
+    calls = count_inversions(monkeypatch, shcp)
+    rep = validate_pair(pair, samples=64)
+    assert rep.ok, rep.summary()
+    assert len(calls) == 64 + pair.d_plus
 
 
 def test_zero_odd_pair_validates_trivially():
@@ -187,6 +220,100 @@ def test_ad_action_matrix_single_inversion(pair):
                 lhs, rhs = _ad_sides(pair, point, a, i)
                 assert lhs == rhs
     assert rejected
+
+
+# ---------------------------------------------------------------------------
+# the Ad memo
+
+
+def _reference_ad(pair, g):
+    """ad_action_matrix(g) computed without the memo, column by column."""
+    cols = [pair.ad_coords(smat_inv(g), i) for i in range(pair.d_minus)]
+    return [[cols[i][j] for i in range(pair.d_minus)] for j in range(pair.d_minus)]
+
+
+def test_ad_memo_equal_points_share_one_computation(monkeypatch):
+    """An equal but distinct point is a memo hit: same matrix, no inversion.
+    Dual-number probes share their constant part, so they are told apart
+    only by the eps part of the key."""
+    rng = random.Random(41)
+    pair = gl_pair(2, 1, QQ)
+    A = GrassmannAlgebra(QQ, 3)
+    calls = count_inversions(monkeypatch, shcp)
+    for _ in range(4):
+        g = pair.even_group.sample(A, rng)
+        twin = g.map_entries(lambda e: e + A.zero())
+        assert twin == g and twin.rows[0][0] is not g.rows[0][0]
+        before = len(calls)
+        a = pair.ad_action_matrix(g)
+        assert len(calls) == before + 1
+        assert pair.ad_action_matrix(twin) == a
+        assert len(calls) == before + 1
+        assert a == _reference_ad(pair, g)
+    for a in range(pair.d_plus):
+        _, probe = dual_probe(pair.lie.rho_even[a], pair.shape, A)
+        assert pair.ad_action_matrix(probe) == _reference_ad(pair, probe)
+
+
+def test_ad_memo_returns_copies():
+    rng = random.Random(42)
+    pair = gl_pair(1, 1, QQ)
+    A = GrassmannAlgebra(QQ, 2)
+    g = pair.even_group.sample(A, rng)
+    a = pair.ad_action_matrix(g)
+    want = [list(row) for row in a]
+    assert type(a) is list and all(type(row) is list for row in a)
+    a[0][0] = A.zero()
+    a[1].append(A.one())
+    a.pop()
+    assert pair.ad_action_matrix(g) == want
+
+
+def test_ad_memo_does_not_store_failures(monkeypatch):
+    """diag(2, 1, 1) scales E13 and not E32, so E13 + E32 leaves its line:
+    every request recomputes and raises."""
+    pair = ad_unstable_pair(QQ)
+    A = GrassmannAlgebra(QQ, 2)
+    z, one = A.zero(), A.one()
+    g = SuperMatrix((2, 1), A, [[A.from_scalar(2), z, z], [z, one, z], [z, z, one]])
+    calls = count_inversions(monkeypatch, shcp)
+    for k in range(3):
+        with pytest.raises(SpanViolation):
+            pair.ad_action_matrix(g)
+        assert len(calls) == k + 1
+
+
+def test_ad_memo_is_bounded(monkeypatch):
+    """After 100 distinct points the memo holds at most AD_MEMO_SIZE of
+    them: the newest is still a hit, the oldest was dropped."""
+    pair = gl_pair(1, 1, QQ)
+    A = GrassmannAlgebra(QQ, 2)
+    points = [diag(A, A.from_scalar(k), A.one()) for k in range(1, 101)]
+    for g in points:
+        pair.ad_action_matrix(g)
+    assert len(pair._ad_memo) <= AD_MEMO_SIZE
+    calls = count_inversions(monkeypatch, shcp)
+    pair.ad_action_matrix(points[-1])
+    assert not calls
+    pair.ad_action_matrix(points[0])
+    assert len(calls) == 1
+
+
+def test_normal_form_of_odd_word_inverts_nothing(monkeypatch):
+    """The odd product is divided out factor by factor, (1 + eta Y)^-1 =
+    (1 - eta Y); only even tokens (through their Ad matrix) invert."""
+    rng = random.Random(43)
+    pair = gl_pair(2, 1, GF3)
+    A = GrassmannAlgebra(GF3, 4)
+    calls = count_inversions(monkeypatch, gp, shcp, smat)
+    for length in range(1, 7):
+        toks = [OddTok(rng.randrange(pair.d_minus), rand_odd(A, rng)) for _ in range(length)]
+        nf = normal_form(GroupWord(pair, A, toks))
+        assert nf.rho_matrix() == GroupWord(pair, A, toks).rho_matrix()
+    assert not calls
+    g = pair.even_group.sample(A, rng)
+    normal_form(GroupWord(pair, A, [OddTok(0, rand_odd(A, rng)), EvenTok(g)]))
+    assert len(calls) == 1
 
 
 def test_relation_b_with_ad_coords():

@@ -142,6 +142,40 @@ def test_homogeneous_split_unique():
     assert m.odd_component().is_odd_homogeneous()
 
 
+@pytest.mark.parametrize("dual", [False, True], ids=["lambda3", "dual-lambda3"])
+def test_homogeneity_scan_matches_components(dual):
+    """is_even_homogeneous / is_odd_homogeneous scan the entry masks; they
+    must agree with the components on even-, odd- and mixed-pattern
+    matrices, and over the dual extension a wrong parity in the eps part
+    alone must count."""
+    rng = random.Random(12)
+    inner = GrassmannAlgebra(QQ, 3)
+    A = DualExtension(inner) if dual else inner
+    seen = set()
+    for shape in [(1, 1), (2, 1)]:
+        n, p = sum(shape), shape[0]
+        for kind in ("even", "odd", "mixed"):
+            for _ in range(8):
+                rows = [[rand_element(A, rng, parity=None if kind == "mixed"
+                                      else ((i < p) != (j < p)) ^ (kind == "odd"))
+                         for j in range(n)] for i in range(n)]
+                if dual and kind != "mixed" and rng.random() < 0.5:
+                    # flip the parity of the eps part of one entry only
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    want = ((i < p) != (j < p)) ^ (kind == "odd")
+                    rows[i][j] = A.include(rows[i][j].a) + A.times_eps(
+                        inner.one() if want else inner.generator(1))
+                m = SuperMatrix(shape, A, rows)
+                even, odd = m.is_even_homogeneous(), m.is_odd_homogeneous()
+                assert even == m.odd_component().is_zero()
+                assert odd == m.even_component().is_zero()
+                seen.add((kind, even, odd))
+    assert ("even", True, False) in seen and ("odd", False, True) in seen
+    assert ("mixed", False, False) in seen
+    if dual:
+        assert ("even", False, False) in seen and ("odd", False, False) in seen
+
+
 # ---------------------------------------------------------------------------
 # invertibility and the global splitting
 
