@@ -88,7 +88,10 @@ def _resolve_coeff(args):
     if args.coeff:
         return load_coeff(loads(_read(args.coeff), args.coeff))
     if args.field:
-        return GrassmannAlgebra(field_by_name(args.field), args.grassmann_rank)
+        try:
+            return GrassmannAlgebra(field_by_name(args.field), args.grassmann_rank)
+        except StructuralError as e:
+            raise SchemaError(f"--grassmann-rank: {e}") from None
     raise SchemaError("supply --coeff FILE or --field/--grassmann-rank")
 
 

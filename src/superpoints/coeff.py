@@ -710,13 +710,6 @@ class DualElement:
             self.algebra.inner.from_scalar(self.b.reduce_bar()),
         )
 
-    def eps_coefficient(self):
-        """The inner element b in x = a + b*eps."""
-        return self.b
-
-    def constant_coefficient(self):
-        return self.a
-
     def invert(self):
         return self.algebra.invert(self)
 

@@ -25,6 +25,26 @@ A third route for full-gl pairs, ``strip_matrix_factorization``, peels the
 etas off the representing matrix by iterated refinement and closes the
 oracle triangle.
 
+The group law on normal forms is compiled once per pair (``GroupLaw``, built
+by the first product and kept on the pair).  Psi(P) is a functor on
+supercommutative algebras, so with P(xi) = prod^< (1 + xi_i Y_i) the product
+P(xi) . (1 + sum_j r_j Y_j) = P(sigma) . c is one universal formula.  For a
+*run*, r_j = zeta w_j with one odd zeta and even w_j, any two r's multiply
+to 0, so only terms linear in r survive, and the r_j part is the normal form
+of (1 + x1 Y_1)...(1 + x_d Y_d)(1 + x_{d+1} Y_j) over Lambda_{d+1}(k)
+(``law_words``, one word per j).  The law keeps sigma, c and Ad(c) (by
+``ad_action_matrix``) as polynomials in x_1..x_d; every coefficient algebra
+over k gets them by substituting x -> (xi, r_j).  ``gp_mul`` conjugates
+P(zeta) past g, g P(zeta) g^-1 = prod_i (1 + zeta_i Ad(g)Y_i), and folds these
+runs into P(xi) one at a time; each fold leaves an even correction c, the
+later runs are carried past it by Ad(c), and the even factor is c...c . g h.
+``gp_inv`` folds the descending runs (1 - xi_i Ad(g^-1)Y_i) from P(0), with g
+inverted once.  Lambda_{d+1} has rank at most 16, so the law, and with it
+``gp_mul`` and ``gp_inv``, needs d_minus <= 15 (``MAX_LAW_D_MINUS``); a
+larger pair raises StructuralError.  The ``generic-point`` suite of
+``verify`` checks the module and rewriting routes against each other on
+every law word.
+
 ``InducedModule`` carries the induced representations wedge(g_1) (x) V0.
 It straightens with the same memoized kernel as wedge(g_1) (liesuper's
 StraighteningKernel, keying Ybar_S (x) e_t by S | t << d_minus) and acts
@@ -35,7 +55,7 @@ from __future__ import annotations
 
 import random
 
-from .coeff import DualExtension
+from .coeff import DualExtension, GrassmannAlgebra
 from .errors import MembershipViolation, NonTermination, SpanViolation, StructuralError
 from .liesuper import CheckReport, ExteriorVector, StraighteningKernel, word_action
 from .smat import SuperMatrix, dual_probe, gl_split, smat_inv
@@ -391,19 +411,167 @@ def strip_matrix_factorization(pair, m: SuperMatrix) -> NormalForm:
 
 
 # ---------------------------------------------------------------------------
-# group structure on normal forms
+# group structure on normal forms: the compiled odd-times-odd law
+
+MAX_LAW_D_MINUS = 15
+
+
+def law_words(pair):
+    """The generic-point words of the pair's group law, one per j < d:
+    (1 + x1 Y_1)...(1 + x_d Y_d)(1 + x_{d+1} Y_j) over Lambda_{d+1}(k).
+    StructuralError when d = d_minus exceeds MAX_LAW_D_MINUS (the rank of
+    Lambda_{d+1} is capped at 16)."""
+    d = pair.d_minus
+    if d > MAX_LAW_D_MINUS:
+        raise StructuralError(
+            f"the group law is compiled over Lambda_(d_minus + 1): "
+            f"d_minus = {d} exceeds {MAX_LAW_D_MINUS}")
+    B = GrassmannAlgebra(pair.field, d + 1)
+    head = [OddTok(i, B.generator(i + 1)) for i in range(d)]
+    return [GroupWord(pair, B, head + [OddTok(j, B.generator(d + 1))]) for j in range(d)]
+
+
+def _tails(entries, top):
+    """[(key, tail)] for the (key, element) pairs whose element has terms
+    with the generator bit `top` (x_{d+1}): element = (x_{d+1}-free part) +
+    sum raw x^mask x_{d+1}, and tail = ((mask, raw), ...)."""
+    out = []
+    for key, e in entries:
+        tail = tuple((m ^ top, c) for m, c in e.terms.items() if m & top)
+        if tail:
+            out.append((key, tail))
+    return out
+
+
+def _cells(rows):
+    return (((a, b), e) for a, row in enumerate(rows) for b, e in enumerate(row))
+
+
+class GroupLaw:
+    """P(xi) . (1 + sum_j r_j Y_j) = P(sigma) . c, with Ad(c), as polynomials
+    in the etas xi over the pair's field (P(xi) = prod^< (1 + xi_i Y_i)).
+
+    Exact for any odd r_j with r_j r_k = 0 (a run: r_j = zeta w_j with one odd
+    zeta and even w_j): the universal law over Lambda_{2d} then keeps only
+    its terms linear in the second block, and its x_{d+j} part is the law of
+    ``law_words(pair)[j]``.  So sigma_i = xi_i + sum_j S_ji(xi) r_j,
+    c = 1 + sum_j C_j(xi) r_j and Ad(c) = 1 + sum_j D_j(xi) r_j, each
+    polynomial stored as (mask, raw) pairs over x_1..x_d.
+    """
+
+    def __init__(self, pair):
+        self.field = pair.field
+        self.shape = pair.shape
+        top = 1 << pair.d_minus
+        self.sigma, self.c, self.ad = [], [], []
+        for word in law_words(pair):
+            nf = normal_form(word)
+            self.sigma.append(_tails(enumerate(nf.etas), top))
+            self.c.append(_tails(_cells(nf.g_plus.rows), top))
+            self.ad.append(_tails(_cells(pair.ad_action_matrix(nf.g_plus)), top))
+
+    def _step(self, algebra, xi, r, with_ad):
+        """sigma, c and Ad(c) - 1 (a dict (k, l) -> entry, or None) at (xi, r)."""
+        mono = {0: algebra.one()}
+        values = {}
+
+        def monomial(m):
+            x = mono.get(m)
+            if x is None:
+                low = m & -m
+                x = mono[m] = xi[low.bit_length() - 1] * monomial(m ^ low)
+            return x
+
+        def at(poly, rj):
+            v = values.get(poly)
+            if v is None:
+                v = algebra.zero()
+                for m, raw in poly:
+                    x = monomial(m)
+                    if not x.is_zero():
+                        v = v + x.scale(raw)
+                values[poly] = v
+            return v * rj  # x^mask x_{d+1} -> xi^mask r_j
+
+        sigma = list(xi)
+        rows = SuperMatrix.identity(self.shape, algebra).mutable()
+        n = {} if with_ad else None
+        for j, rj in enumerate(r):
+            if rj.is_zero():
+                continue
+            for i, p in self.sigma[j]:
+                sigma[i] = sigma[i] + at(p, rj)
+            for (a, b), p in self.c[j]:
+                rows[a][b] = rows[a][b] + at(p, rj)
+            if with_ad:
+                for kl, p in self.ad[j]:
+                    n[kl] = n[kl] + at(p, rj) if kl in n else at(p, rj)
+        return sigma, SuperMatrix(self.shape, algebra, rows), n
+
+    def fold(self, algebra, xi, runs):
+        """P(xi) . R_1 ... R_m = P(sigma) . E for runs R = 1 + zeta sum_j w_j Y_j
+        given as (zeta, w): each run folds into the odd product and leaves c;
+        the later runs are carried past c by Ad(c), and E = c_m ... c_1.
+        Returns (sigma, E), with E None when no run moved anything."""
+        if algebra.field != self.field:
+            raise StructuralError("coefficient field differs from the pair's field")
+        e = None
+        runs = list(runs)
+        for k, (zeta, w) in enumerate(runs):
+            r = [zeta * a for a in w]
+            if all(x.is_zero() for x in r):
+                continue
+            last = k == len(runs) - 1
+            xi, c, n = self._step(algebra, xi, r, not last)
+            e = c if e is None else c * e
+            if not last and n:
+                runs[k + 1:] = [(z, [x + _row_dot(n, kk, v) for kk, x in enumerate(v)])
+                                for z, v in runs[k + 1:]]
+        return xi, e
+
+
+def _row_dot(n, k, v):
+    """Row k of the sparse matrix n applied to the vector v."""
+    acc = v[0].algebra.zero()
+    for l, x in enumerate(v):
+        a = n.get((k, l))
+        if a is not None and not x.is_zero():
+            acc = acc + a * x
+    return acc
+
+
+def group_law(pair) -> GroupLaw:
+    """The pair's compiled law, built on first use and kept on the pair."""
+    if pair.group_law is None:
+        pair.group_law = GroupLaw(pair)
+    return pair.group_law
 
 
 def gp_mul(nf1: NormalForm, nf2: NormalForm) -> NormalForm:
+    """(P(xi) g)(P(zeta) h) = P(xi) . prod_i (1 + zeta_i Ad(g)Y_i) . g h: the
+    runs fold into P(xi) through the pair's law, and E g h is the even factor."""
     if nf1.pair is not nf2.pair or nf1.algebra != nf2.algebra:
         raise StructuralError("normal forms over different groups")
-    word = GroupWord(nf1.pair, nf1.algebra,
-                     list(nf1.to_word().tokens) + list(nf2.to_word().tokens))
-    return normal_form(word)
+    pair, algebra = nf1.pair, nf1.algebra
+    runs = [(i, z) for i, z in enumerate(nf2.etas) if not z.is_zero()]
+    if runs:
+        ad = pair.ad_action_matrix(nf1.g_plus)
+        runs = [(z, [row[i] for row in ad]) for i, z in runs]
+    etas, e = group_law(pair).fold(algebra, nf1.etas, runs)
+    g = nf1.g_plus * nf2.g_plus
+    return NormalForm(pair, algebra, etas, g if e is None else e * g)
 
 
 def gp_inv(nf: NormalForm) -> NormalForm:
-    return normal_form(nf.to_word().inverse())
+    """(P(xi) g)^-1 = (1 - xi_d Ad(g^-1)Y_d)...(1 - xi_1 Ad(g^-1)Y_1) . g^-1:
+    g is inverted once, Ad(g^-1)Y_i is read off g^-1 rho(Y_i) g, and the
+    descending runs fold through the pair's law from P(0)."""
+    pair, algebra = nf.pair, nf.algebra
+    g, ginv = nf.g_plus, smat_inv(nf.g_plus)
+    runs = [(-x, pair._odd_coords(ginv * pair.lie.rho_odd_matrix(i, algebra) * g, i))
+            for i, x in reversed(list(enumerate(nf.etas))) if not x.is_zero()]
+    etas, e = group_law(pair).fold(algebra, [algebra.zero()] * pair.d_minus, runs)
+    return NormalForm(pair, algebra, etas, ginv if e is None else e * ginv)
 
 
 def gp_commutator(nf1: NormalForm, nf2: NormalForm) -> NormalForm:
@@ -416,10 +584,8 @@ def right_factorization(nf: NormalForm):
     ascending left form to the descending right form, so the two orientations
     transport into each other).  Returns (g_plus_r, etas_r); exactness is
     g == that product in the representation."""
-    inv = normal_form(nf.to_word().inverse())
-    g_plus_r = smat_inv(inv.g_plus)
-    etas_r = tuple(-e for e in inv.etas)
-    return g_plus_r, etas_r
+    inv = gp_inv(nf)
+    return smat_inv(inv.g_plus), tuple(-e for e in inv.etas)
 
 
 def expand_right_factorization(pair, algebra, g_plus_r, etas_r) -> SuperMatrix:
@@ -451,8 +617,6 @@ class PairMorphism:
 
     def check(self, samples=16, seed=0, algebra=None) -> CheckReport:
         """Sampled morphism conditions: Lie map, differential, equivariance."""
-        from .coeff import GrassmannAlgebra
-
         rep = CheckReport()
         src, tgt = self.source, self.target
         f = src.field
@@ -672,8 +836,6 @@ class EvenModuleData:
         self.group_action = group_action
 
     def check(self, pair, samples=8, seed=0, algebra=None) -> CheckReport:
-        from .coeff import GrassmannAlgebra
-
         rep = CheckReport()
         f = pair.field
         A = algebra or GrassmannAlgebra(f, 3)

@@ -50,8 +50,13 @@ def _list(v, where):
     return v
 
 
+def _is_int(v):
+    """An int that is not a bool: JSON true and false load as bool, an int subclass."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _shape(v, where):
-    if not isinstance(v, list) or len(v) != 2 or not all(isinstance(c, int) and c >= 0 for c in v):
+    if not isinstance(v, list) or len(v) != 2 or not all(_is_int(c) and c >= 0 for c in v):
         raise SchemaError(f"{where}: shape must be [p, q]")
     return tuple(v)
 
@@ -73,9 +78,13 @@ def load_coeff(obj, where="coeff") -> CoefficientAlgebra:
     t = obj["type"]
     if t == "grassmann":
         _require_keys(obj, ["type", "field", "rank"], (), where)
-        if not isinstance(obj["rank"], int):
+        if not _is_int(obj["rank"]):
             raise SchemaError(f"{where}: rank must be an integer")
-        return GrassmannAlgebra(load_field(obj["field"], where), obj["rank"])
+        field = load_field(obj["field"], where)
+        try:
+            return GrassmannAlgebra(field, obj["rank"])
+        except StructuralError as e:
+            raise SchemaError(f"{where}: {e}") from None
     if t == "super_numbers":
         _require_keys(obj, ["type", "field"], (), where)
         return SuperNumbers(load_field(obj["field"], where))
@@ -148,7 +157,7 @@ def load_lie(obj, where="lie") -> LieSuperalgebraData:
     if kind == "constants":
         _require_keys(obj, ["schema", "field", "kind", "d_plus", "d_minus",
                             "ee", "eo", "oo", "q2"], ["rho", "shape"], where)
-        if not all(isinstance(obj[k], int) and obj[k] >= 0 for k in ("d_plus", "d_minus")):
+        if not all(_is_int(obj[k]) and obj[k] >= 0 for k in ("d_plus", "d_minus")):
             raise SchemaError(f"{where}: d_plus and d_minus must be non-negative integers")
 
         def table(key):
@@ -184,8 +193,8 @@ def load_group(obj, where="even_group"):
     if name not in BUILTIN_GROUPS:
         raise SchemaError(f"{where}: unknown group {name!r}; "
                           f"builtins: {sorted(BUILTIN_GROUPS)}")
-    if not isinstance(obj["p"], int) or not isinstance(obj["q"], int):
-        raise SchemaError(f"{where}: p and q must be integers")
+    if not all(_is_int(obj[k]) and obj[k] >= 0 for k in ("p", "q")):
+        raise SchemaError(f"{where}: p and q must be non-negative integers")
     return BUILTIN_GROUPS[name](obj["p"], obj["q"])
 
 
@@ -214,7 +223,7 @@ def load_word(obj, pair, algebra, where="word") -> GroupWord:
         if "odd" in entry:
             spec = entry["odd"]
             if not (isinstance(spec, list) and len(spec) == 2
-                    and isinstance(spec[0], int)):
+                    and _is_int(spec[0])):
                 raise SchemaError(f"{loc}: odd token is [index, eta-string]")
             try:
                 eta = parse_element(algebra, str(spec[1]))

@@ -64,6 +64,7 @@ class HarishChandraPair:
         else:
             self._odd_solver = None
         self._ad_memo = {}  # point key -> Ad matrix (tuple rows), oldest first
+        self.group_law = None  # gp.GroupLaw, compiled by the first product
 
     @property
     def d_minus(self):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from .coeff import CoefficientAlgebra, DualElement, DualExtension, GrassmannElement
 from .errors import MembershipViolation, NotInvertible, StructuralError
+from .sampling import rand_element, rand_even_unit, rand_odd
 
 
 class SuperMatrix:
@@ -420,24 +421,6 @@ class GroupDescriptor:
         return f"GroupDescriptor({self.name}, shape={self.shape})"
 
 
-def _rand_even_unit(algebra, rng):
-    from .sampling import rand_even_unit
-
-    return rand_even_unit(algebra, rng)
-
-
-def _rand_even(algebra, rng):
-    from .sampling import rand_element
-
-    return rand_element(algebra, rng, parity=0)
-
-
-def _rand_odd(algebra, rng):
-    from .sampling import rand_element
-
-    return rand_element(algebra, rng, parity=1)
-
-
 def _sample_block_diag(desc, algebra, rng):
     p, q = desc.shape
     n = p + q
@@ -447,7 +430,8 @@ def _sample_block_diag(desc, algebra, rng):
         for i in range(n):
             for j in range(n):
                 if (i < p) == (j < p):
-                    rows[i][j] = _rand_even(algebra, rng) if i != j else _rand_even_unit(algebra, rng)
+                    rows[i][j] = (rand_element(algebra, rng, parity=0) if i != j
+                                  else rand_even_unit(algebra, rng))
         m = SuperMatrix(desc.shape, algebra, rows)
         if k_matrix_inverse(field, m.body_rows()) is not None:
             return m
@@ -460,7 +444,7 @@ def _sample_full(desc, algebra, rng):
     for i in range(n):
         for j in range(n):
             if (i < p) != (j < p):
-                base[i][j] = _rand_odd(algebra, rng)
+                base[i][j] = rand_odd(algebra, rng)
     return SuperMatrix(desc.shape, algebra, base)
 
 
@@ -468,13 +452,13 @@ def _sample_torus(desc, algebra, rng):
     n = desc.shape[0] + desc.shape[1]
     rows = [[algebra.zero()] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = _rand_even_unit(algebra, rng)
+        rows[i][i] = rand_even_unit(algebra, rng)
     return SuperMatrix(desc.shape, algebra, rows)
 
 
 def _sample_scalar_torus(desc, algebra, rng):
     n = desc.shape[0] + desc.shape[1]
-    u = _rand_even_unit(algebra, rng)
+    u = rand_even_unit(algebra, rng)
     rows = [[algebra.zero()] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = u

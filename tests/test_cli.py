@@ -166,6 +166,44 @@ def test_normal_form_tokens_not_a_list_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _edited(name, edit):
+    with open(fx(name)) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("part,doc", [
+    ("coeff", {"type": "grassmann", "field": "Q", "rank": True}),
+    ("coeff", {"type": "grassmann", "field": "Q", "rank": -1}),
+    ("coeff", {"type": "grassmann", "field": "Q", "rank": 17}),
+    ("pair", _edited("gl11_pair.json", lambda d: d["even_group"].update(p=True))),
+    ("pair", _edited("gl11_pair.json", lambda d: d["even_group"].update(q=-1))),
+    ("pair", _edited("gl11_pair.json", lambda d: d["lie"].update(shape=[1, True]))),
+    ("word", {"schema": 1, "tokens": [{"odd": [True, "1 * x{1}"]}]}),
+], ids=["rank-true", "rank-neg", "rank-17", "group-p-true", "group-q-neg",
+        "shape-true", "odd-index-true"])
+def test_normal_form_bad_integer_exit_2(tmp_path, capsys, part, doc):
+    """A bool where an int is read, or an int out of range, is a schema error
+    (the identity word keeps every other part valid at any rank)."""
+    (tmp_path / "id.json").write_text(json.dumps({"schema": 1, "tokens": []}))
+    paths = {"pair": fx("gl11_pair.json"), "coeff": fx("coeff_l2.json"),
+             "word": str(tmp_path / "id.json")}
+    paths[part] = str(tmp_path / "bad.json")
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    code, _, err = run(["normal-form", "--pair", paths["pair"], "--coeff", paths["coeff"],
+                        "--word", paths["word"]], capsys)
+    assert code == 2 and "schema error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rank", ["-1", "17"])
+def test_normal_form_grassmann_rank_out_of_range_exit_2(capsys, rank):
+    code, _, err = run(["normal-form", "--pair", fx("gl11_pair.json"), "--field", "Q",
+                        "--grassmann-rank", rank, "--word", fx("swap_word.json")], capsys)
+    assert code == 2 and "schema error" in err and "0..16" in err
+    assert "Traceback" not in err
+
+
 def test_normal_form_swap_word_oracles_agree(capsys):
     code, out, _ = run(["normal-form", "--pair", fx("gl11_pair.json"),
                         "--coeff", fx("coeff_l2.json"),

@@ -8,6 +8,7 @@ from superpoints import (
     GF2,
     GF3,
     QQ,
+    DualExtension,
     EvenTok,
     GroupWord,
     GrassmannAlgebra,
@@ -17,8 +18,10 @@ from superpoints import (
     OddTok,
     PairMorphism,
     Scalar,
+    SpanViolation,
     StructuralError,
     SuperMatrix,
+    SuperNumbers,
     char2_pair,
     defining_module,
     gl_pair,
@@ -33,9 +36,12 @@ from superpoints import (
     strip_matrix_factorization,
     trivial_module,
 )
-from superpoints.gp import slide_ad_matrix
+from superpoints import gp, shcp, smat
+from superpoints.gp import group_law, slide_ad_matrix
 from superpoints.sampling import rand_odd
+from superpoints.shcp import ad_unstable_pair
 from superpoints.verify import (
+    SUITES,
     basis_independence,
     cached_gl_pair,
     generation_suite,
@@ -46,6 +52,7 @@ from superpoints.verify import (
 )
 
 from .oracles import odd_monomial_action_oracle
+from .test_shcp import count_inversions
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +173,94 @@ def test_char2_fixture_two_routes():
 
 def test_group_axioms(pair11):
     rep = uniqueness_suite(seed=2, count=40)
+    assert rep.ok, rep.summary()
+
+
+def _concat_mul(a, b):
+    """The product by word concatenation: the reference for the compiled law."""
+    return normal_form(GroupWord(a.pair, a.algebra, a.to_word().tokens + b.to_word().tokens))
+
+
+def _concat_inv(a):
+    return normal_form(a.to_word().inverse())
+
+
+_LAW_CASES = {
+    "gl11-Q": lambda: (gl_pair(1, 1, QQ), GrassmannAlgebra(QQ, 4)),
+    "gl11-F2": lambda: (gl_pair(1, 1, GF2), GrassmannAlgebra(GF2, 4)),
+    "gl11-F3": lambda: (gl_pair(1, 1, GF3), GrassmannAlgebra(GF3, 4)),
+    "gl21-Q": lambda: (gl_pair(2, 1, QQ), GrassmannAlgebra(QQ, 4)),
+    "gl21-F2": lambda: (gl_pair(2, 1, GF2), GrassmannAlgebra(GF2, 4)),
+    "gl21-F3": lambda: (gl_pair(2, 1, GF3), GrassmannAlgebra(GF3, 4)),
+    "char2-F2": lambda: (char2_pair(GF2), GrassmannAlgebra(GF2, 4)),
+    "gl11-k[eta]": lambda: (gl_pair(1, 1, QQ), SuperNumbers(QQ)),
+    "gl21-dual-L3": lambda: (gl_pair(2, 1, QQ), DualExtension(GrassmannAlgebra(QQ, 3))),
+}
+
+
+@pytest.mark.parametrize("case", list(_LAW_CASES))
+def test_group_law_matches_word_concatenation(case):
+    """gp_mul and gp_inv through the compiled law equal the normal form of the
+    concatenated (inverted) word, on the identity, an even-only form and
+    random forms."""
+    pair, A = _LAW_CASES[case]()
+    rng = random.Random(47)
+    even = NormalForm(pair, A, [A.zero()] * pair.d_minus, pair.even_group.sample(A, rng))
+    nfs = [NormalForm.identity(pair, A), even] + \
+        [normal_form(random_word(pair, A, rng, 5)) for _ in range(7)]
+    for a in nfs:
+        assert gp_inv(a) == _concat_inv(a)
+        for b in nfs:
+            assert gp_mul(a, b) == _concat_mul(a, b)
+
+
+def test_gp_inv_inverts_once(monkeypatch):
+    """gp_inv inverts g_plus and reads Ad(g^-1) off g^-1 rho(Y_i) g: one
+    smat_inv in all, none of them undoing another."""
+    pair = gl_pair(2, 1, GF3)
+    A = GrassmannAlgebra(GF3, 4)
+    rng = random.Random(48)
+    nfs = [normal_form(random_word(pair, A, rng, 6)) for _ in range(5)]
+    want = [_concat_inv(nf) for nf in nfs]
+    group_law(pair)  # compiling the law takes Ad matrices, which invert
+    calls = count_inversions(monkeypatch, gp, shcp, smat)
+    for k, nf in enumerate(nfs):
+        assert gp_inv(nf) == want[k]
+        assert len(calls) == k + 1
+
+
+def test_group_law_on_ad_unstable_pair_raises_span_violation():
+    """diag(2, 1, 1) moves E13 + E32 off its line: a product or inverse that
+    carries an odd factor past it raises SpanViolation, as word
+    concatenation does (the Ad matrix is read before the law is compiled)."""
+    pair = ad_unstable_pair(QQ)
+    A = GrassmannAlgebra(QQ, 3)
+    z, one = A.zero(), A.one()
+    g = SuperMatrix((2, 1), A, [[A.from_scalar(2), z, z], [z, one, z], [z, z, one]])
+    a = NormalForm(pair, A, [z], g)
+    b = NormalForm(pair, A, [A.generator(1)], pair.identity_matrix(A))
+    for fn in (_concat_mul, gp_mul):
+        with pytest.raises(SpanViolation):
+            fn(a, b)
+    for fn in (_concat_inv, gp_inv):
+        with pytest.raises(SpanViolation):
+            fn(NormalForm(pair, A, [A.generator(1)], g))
+
+
+def test_group_law_rejects_d_minus_above_15():
+    """gl(4|2) has d_minus = 16: Lambda_17 is past the rank cap, so the law
+    refuses before any work, and there is no other product."""
+    pair = gl_pair(4, 2, GF3)
+    A = GrassmannAlgebra(GF3, 2)
+    ident = NormalForm.identity(pair, A)
+    with pytest.raises(StructuralError, match="d_minus = 16 exceeds 15"):
+        gp_mul(ident, ident)
+    with pytest.raises(StructuralError, match="d_minus = 16 exceeds 15"):
+        gp_inv(ident)
+
+
+def test_generic_point_suite():
+    rep = SUITES["generic-point"]()
     assert rep.ok, rep.summary()
 
 
