@@ -57,7 +57,8 @@ import random
 
 from .coeff import DualExtension, GrassmannAlgebra
 from .errors import MembershipViolation, NonTermination, SpanViolation, StructuralError
-from .liesuper import CheckReport, ExteriorVector, StraighteningKernel, word_action
+from .liesuper import (CheckReport, ExteriorVector, StraighteningKernel, _unit, _vcomb,
+                       word_action)
 from .smat import SuperMatrix, dual_probe, gl_split, smat_inv
 
 MAX_WORD_TOKENS = 10_000
@@ -173,11 +174,17 @@ class NormalForm:
         return all(e.is_zero() for e in self.etas) and \
             self.g_plus == self.pair.identity_matrix(self.algebra)
 
-    def to_word(self) -> GroupWord:
+    @property
+    def tokens(self):
+        """The factors (1 + eta_i Y_i) with eta_i != 0, then g_plus unless it
+        is 1: the tokens of the word this normal form spells."""
         toks = [OddTok(i, e) for i, e in enumerate(self.etas) if not e.is_zero()]
         if self.g_plus != self.pair.identity_matrix(self.algebra):
             toks.append(EvenTok(self.g_plus))
-        return GroupWord(self.pair, self.algebra, toks)
+        return tuple(toks)
+
+    def to_word(self) -> GroupWord:
+        return GroupWord(self.pair, self.algebra, self.tokens)
 
     def rho_matrix(self) -> SuperMatrix:
         m = self.pair.identity_matrix(self.algebra)
@@ -207,10 +214,7 @@ def normal_form(word: GroupWord) -> NormalForm:
     pair, algebra = word.pair, word.algebra
     v = word_action(word, ExteriorVector.vacuum(pair.lie, algebra))
     etas = [v.coefficient(1 << i) for i in range(pair.d_minus)]
-    g_plus = word.rho_matrix()
-    for i, e in enumerate(etas):
-        if not e.is_zero():
-            g_plus = pair.odd_generator_matrix(i, -e) * g_plus
+    g_plus = _divide_odd_product(pair, etas, word.rho_matrix())
     if not g_plus.is_even_homogeneous() or not pair.even_group.member(g_plus):
         raise MembershipViolation(
             "extracted even factor is not an even-group point "
@@ -218,21 +222,30 @@ def normal_form(word: GroupWord) -> NormalForm:
     return NormalForm(pair, algebra, etas, g_plus)
 
 
+def _divide_odd_product(pair, etas, m):
+    """(1 - eta_d Y_d)...(1 - eta_1 Y_1) . m, the odd product
+    (1 + eta_1 Y_1)...(1 + eta_d Y_d) divided out of m on the left."""
+    for i, e in enumerate(etas):
+        if not e.is_zero():
+            m = pair.odd_generator_matrix(i, -e) * m
+    return m
+
+
 # ---------------------------------------------------------------------------
 # route 2: symbolic rewriting
 
 
-def _expand_conjugate(pair, ad_matrix, index, eta):
-    """(1 + eta Ad(g)(Y_index)) as a list of odd tokens (they commute: all
-    coefficients share the odd factor eta)."""
+def _conjugate_odds(odds, ad_matrix):
+    """Each odd factor (i, eta) of the list expanded through Ad: the factors
+    (j, eta a[j][i]) of (1 + eta Ad(Y_i)), which commute (all coefficients
+    share the odd factor eta)."""
     out = []
-    for j in range(pair.d_minus):
-        a = ad_matrix[j][index]
-        if a.is_zero():
-            continue
-        coeff = eta * a
-        if not coeff.is_zero():
-            out.append(OddTok(j, coeff))
+    for i, eta in odds:
+        for j, row in enumerate(ad_matrix):
+            if not row[i].is_zero():
+                coeff = eta * row[i]
+                if not coeff.is_zero():
+                    out.append((j, coeff))
     return out
 
 
@@ -240,9 +253,8 @@ def slide_ad_matrix(lie, z, c):
     """Ad(1 + c.rho(Z)) for Z = sum_a z_a X_a and an even c with c^2 = 0,
     read off the bracket table (slide relation, tang-group identity (f)):
     Ad(1 + cZ)(Y_k) = Y_k + c[Z, Y_k], so a[j][k] = delta_jk + c sum_a z_a eo[a][k][j]."""
-    f, dm, algebra = lie.field, lie.d_minus, c.algebra
-    one, zero = f.from_int(1), f.from_int(0)
-    cols = [lie.bracket_eo(z, [one if b == k else zero for b in range(dm)]) for k in range(dm)]
+    dm, algebra = lie.d_minus, c.algebra
+    cols = [lie.bracket_eo(z, _unit(lie.field, dm, k)) for k in range(dm)]
     return [[(algebra.one() if j == k else algebra.zero()) + c.scale(cols[k][j])
              for k in range(dm)] for j in range(dm)]
 
@@ -278,25 +290,15 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
         if t.kind == "odd":
             odds.insert(0, (t.index, t.eta))
         else:
-            ad = pair.ad_action_matrix(t.matrix)
-            new_odds = []
-            for (i, eta) in odds:
-                new_odds.extend((tok.index, tok.eta)
-                                for tok in _expand_conjugate(pair, ad, i, eta))
-            odds = new_odds
+            odds = _conjugate_odds(odds, pair.ad_action_matrix(t.matrix))
             e_acc = t.matrix * e_acc
-            note(f"pushed even token right through {len(new_odds)} odd factor(s) [conjugation relation]")
+            note(f"pushed even token right through {len(odds)} odd factor(s) [conjugation relation]")
 
     def emit_right(z, c, position):
         """Push the even correction 1 + c.rho(Z) from `position` through the
         tail into E; its Ad comes from the bracket table, not conjugation."""
-        nonlocal e_acc, odds
-        ad = slide_ad_matrix(pair.lie, z, c)
-        new_tail = []
-        for (i, eta) in odds[position:]:
-            new_tail.extend((tok.index, tok.eta)
-                            for tok in _expand_conjugate(pair, ad, i, eta))
-        odds[position:] = new_tail
+        nonlocal e_acc
+        odds[position:] = _conjugate_odds(odds[position:], slide_ad_matrix(pair.lie, z, c))
         corr = pair.identity_matrix(algebra) + pair.lie.rho_even_comb(z, algebra).scale(c)
         e_acc = corr * e_acc
 
@@ -373,8 +375,9 @@ def strip_matrix_factorization(pair, m: SuperMatrix) -> NormalForm:
     Requires the pair's odd basis to span all odd-homogeneous matrices
     (true for the gl(p|q) pairs), so the odd discrepancy of the current
     guess always lies in the span.  Each round divides out the guessed odd
-    product; the leftover odd part has strictly higher ideal-degree, so the
-    loop closes within the nilpotency bound.
+    product, factor by factor with (1 + eta Y)^-1 = (1 - eta Y), as
+    normal_form does; the leftover odd part has strictly higher
+    ideal-degree, so the loop closes within the nilpotency bound.
     """
     algebra = m.algebra
     p_blk = pair.shape[0]
@@ -382,11 +385,7 @@ def strip_matrix_factorization(pair, m: SuperMatrix) -> NormalForm:
     etas = [algebra.zero()] * pair.d_minus
     n = algebra.nilpotency_bound
     for _ in range(n + 2):
-        p_guess = pair.identity_matrix(algebra)
-        for i, e in enumerate(etas):
-            if not e.is_zero():
-                p_guess = p_guess * pair.odd_generator_matrix(i, e)
-        r = smat_inv(p_guess) * m
+        r = _divide_odd_product(pair, etas, m)
         rows = r.mutable()
         z = algebra.zero()
         off = [[z] * size for _ in range(size)]
@@ -564,12 +563,13 @@ def gp_mul(nf1: NormalForm, nf2: NormalForm) -> NormalForm:
 
 def gp_inv(nf: NormalForm) -> NormalForm:
     """(P(xi) g)^-1 = (1 - xi_d Ad(g^-1)Y_d)...(1 - xi_1 Ad(g^-1)Y_1) . g^-1:
-    g is inverted once, Ad(g^-1)Y_i is read off g^-1 rho(Y_i) g, and the
-    descending runs fold through the pair's law from P(0)."""
+    g is inverted once, Ad(g^-1)Y_i is read off g^-1 rho(Y_i) g for the i
+    with xi_i != 0 only, and the descending runs fold through the pair's
+    law from P(0)."""
     pair, algebra = nf.pair, nf.algebra
     g, ginv = nf.g_plus, smat_inv(nf.g_plus)
-    runs = [(-x, pair._odd_coords(ginv * pair.lie.rho_odd_matrix(i, algebra) * g, i))
-            for i, x in reversed(list(enumerate(nf.etas))) if not x.is_zero()]
+    live = [i for i in reversed(range(pair.d_minus)) if not nf.etas[i].is_zero()]
+    runs = [(-nf.etas[i], col) for i, col in zip(live, pair.conj_coords(ginv, g, live))]
     etas, e = group_law(pair).fold(algebra, [algebra.zero()] * pair.d_minus, runs)
     return NormalForm(pair, algebra, etas, ginv if e is None else e * ginv)
 
@@ -616,83 +616,65 @@ class PairMorphism:
         self.omega_plus = omega_plus
 
     def check(self, samples=16, seed=0, algebra=None) -> CheckReport:
-        """Sampled morphism conditions: Lie map, differential, equivariance."""
+        """Sampled morphism conditions: Lie map, differential, equivariance.
+        Each sampled g and its image are inverted once."""
         rep = CheckReport()
         src, tgt = self.source, self.target
         f = src.field
         A = algebra or GrassmannAlgebra(f, 3)
         rng = random.Random(seed)
+        we, wo = self.omega_even, self.omega_odd
 
-        def map_even(coords):
-            out = [f.from_int(0)] * tgt.d_plus
-            for a, c in enumerate(coords):
-                for b in range(tgt.d_plus):
-                    out[b] = f.add(out[b], f.mul(self.omega_even[b][a], c))
-            return tuple(out)
+        def omega(table, coords):
+            """omega on a coordinate vector; table[b][a] is coordinate b of
+            the image of basis vector a."""
+            return _vcomb(f, len(table), zip(coords, zip(*table)))
 
-        def map_odd(coords):
-            out = [f.from_int(0)] * tgt.d_minus
-            for i, c in enumerate(coords):
-                for j in range(tgt.d_minus):
-                    out[j] = f.add(out[j], f.mul(self.omega_odd[j][i], c))
-            return tuple(out)
+        xs = [_unit(f, src.d_plus, a) for a in range(src.d_plus)]
+        ys = [_unit(f, src.d_minus, i) for i in range(src.d_minus)]
 
         # Lie superalgebra morphism on basis brackets and squares
-        for a in range(src.d_plus):
-            for b in range(src.d_plus):
-                unit_a = [f.from_int(1) if t == a else f.from_int(0) for t in range(src.d_plus)]
-                unit_b = [f.from_int(1) if t == b else f.from_int(0) for t in range(src.d_plus)]
-                lhs = map_even(src.lie.bracket_ee(unit_a, unit_b))
-                rhs = tgt.lie.bracket_ee(map_even(unit_a), map_even(unit_b))
-                if lhs != rhs:
+        for a, x in enumerate(xs):
+            for b, xb in enumerate(xs):
+                if omega(we, src.lie.bracket_ee(x, xb)) != \
+                        tgt.lie.bracket_ee(omega(we, x), omega(we, xb)):
                     rep.fail(f"omega[X{a+1},X{b+1}] mismatch")
-            for i in range(src.d_minus):
-                unit_a = [f.from_int(1) if t == a else f.from_int(0) for t in range(src.d_plus)]
-                unit_i = [f.from_int(1) if t == i else f.from_int(0) for t in range(src.d_minus)]
-                lhs = map_odd(src.lie.bracket_eo(unit_a, unit_i))
-                rhs = tgt.lie.bracket_eo(map_even(unit_a), map_odd(unit_i))
-                if lhs != rhs:
+            for i, y in enumerate(ys):
+                if omega(wo, src.lie.bracket_eo(x, y)) != \
+                        tgt.lie.bracket_eo(omega(we, x), omega(wo, y)):
                     rep.fail(f"omega[X{a+1},Y{i+1}] mismatch")
-        for i in range(src.d_minus):
-            unit_i = [f.from_int(1) if t == i else f.from_int(0) for t in range(src.d_minus)]
-            if map_even(src.lie.two_op(unit_i)) != tgt.lie.two_op(map_odd(unit_i)):
+        for i, y in enumerate(ys):
+            if omega(we, src.lie.two_op(y)) != tgt.lie.two_op(omega(wo, y)):
                 rep.fail(f"omega(Y{i+1}^<2>) mismatch")
-            for j in range(src.d_minus):
-                unit_j = [f.from_int(1) if t == j else f.from_int(0) for t in range(src.d_minus)]
-                lhs = map_even(src.lie.bracket_oo(unit_i, unit_j))
-                rhs = tgt.lie.bracket_oo(map_odd(unit_i), map_odd(unit_j))
-                if lhs != rhs:
+            for j, yj in enumerate(ys):
+                if omega(we, src.lie.bracket_oo(y, yj)) != \
+                        tgt.lie.bracket_oo(omega(wo, y), omega(wo, yj)):
                     rep.fail(f"omega[Y{i+1},Y{j+1}] mismatch")
 
         # d(Omega_+) = omega on g_0: dual-number probes
-        for a in range(src.d_plus):
-            dual, probe = dual_probe(src.lie.rho_even[a], src.shape, A)
-            tdual = DualExtension(A)
-            unit_a = [f.from_int(1) if t == a else f.from_int(0) for t in range(src.d_plus)]
+        tdual = DualExtension(A)
+        for a, x in enumerate(xs):
+            _, probe = dual_probe(src.lie.rho_even[a], src.shape, A)
             expect = tgt.identity_matrix(tdual) + \
-                tgt.lie.rho_even_comb(map_even(unit_a), tdual).scale(tdual.eps())
+                tgt.lie.rho_even_comb(omega(we, x), tdual).scale(tdual.eps())
             if self.omega_plus(probe) != expect:
                 rep.fail(f"d(Omega_+) != omega on X{a+1}")
 
-        # equivariance on samples
+        # equivariance on samples: rho(omega(Ad(g^-1)Y_i)) = Ad(img^-1) rho(omega(Y_i))
+        images = [tgt.lie.rho_odd_comb(omega(wo, y), A) for y in ys]
         for s in range(samples):
             g = src.even_group.sample(A, rng)
             img = self.omega_plus(g)
             if not tgt.even_group.member(img):
                 rep.fail(f"sample {s}: Omega_+(g) not a point of {tgt.even_group.name}")
                 continue
-            for i in range(src.d_minus):
-                unit_i = [f.from_int(1) if t == i else f.from_int(0)
-                          for t in range(src.d_minus)]
-                src_coords = src.ad_coords(g, i)
+            img_inv = smat_inv(img)
+            for i, coords in enumerate(src.conj_coords(smat_inv(g), g)):
                 lhs = SuperMatrix.zero(tgt.shape, A)
-                for j, c in enumerate(src_coords):
+                for c, image in zip(coords, images):
                     if not c.is_zero():
-                        lhs = lhs + tgt.lie.rho_odd_comb(map_odd(
-                            [f.from_int(1) if t == j else f.from_int(0)
-                             for t in range(src.d_minus)]), A).scale(c)
-                rhs = smat_inv(img) * tgt.lie.rho_odd_comb(map_odd(unit_i), A) * img
-                if lhs != rhs:
+                        lhs = lhs + image.scale(c)
+                if lhs != img_inv * images[i] * img:
                     rep.fail(f"sample {s}: Ad-equivariance fails on Y{i+1}")
         return rep
 
@@ -914,8 +896,10 @@ class InducedModule:
     def vacuum_with(self, t, algebra):
         return {(0, t): algebra.one()}
 
-    def apply_word(self, word: GroupWord, vec):
-        """vec: dict (mask, t) -> coefficient; returns the transformed dict."""
+    def apply_word(self, word, vec):
+        """vec: dict (mask, t) -> coefficient; returns the transformed dict.
+        word is a GroupWord or a NormalForm (anything with pair, algebra and
+        tokens)."""
         dm = self.pair.d_minus
         v = ExteriorVector(self.pair.lie, word.algebra,
                            {mask | t << dm: c for (mask, t), c in vec.items()})
@@ -923,4 +907,6 @@ class InducedModule:
         return {(key & ((1 << dm) - 1), key >> dm): c for key, c in v.coeffs.items()}
 
     def apply_normal_form(self, nf: NormalForm, vec):
-        return self.apply_word(nf.to_word(), vec)
+        """Act by the normal form's own tokens: it was validated when made,
+        so no GroupWord is rebuilt and no membership is checked again."""
+        return self.apply_word(nf, vec)

@@ -22,19 +22,22 @@ from __future__ import annotations
 
 from .coeff import GrassmannAlgebra
 from .errors import ClosureViolation, StructuralError
-from .smat import SuperMatrix, constant_matrix, gl_2op, gl_bracket, k_solve_matrix
+from .smat import (SuperMatrix, constant_matrix, gl_2op, gl_bracket, k_solve_matrix,
+                   matrix_units)
 
 
-def _vzero(field, n):
-    return tuple(field.from_int(0) for _ in range(n))
+def _vcomb(field, n, terms):
+    """sum c.v over the (c, v) in terms: a k-vector of length n (raw values)."""
+    out = [field.from_int(0)] * n
+    for c, v in terms:
+        for k, x in enumerate(v):
+            out[k] = field.add(out[k], field.mul(c, x))
+    return tuple(out)
 
 
-def _vadd(field, u, v):
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
-def _vscale(field, c, u):
-    return tuple(field.mul(c, a) for a in u)
+def _unit(field, n, k):
+    """The k-th basis vector of k^n (raw values)."""
+    return tuple(field.from_int(int(t == k)) for t in range(n))
 
 
 class CheckReport:
@@ -116,22 +119,24 @@ class LieSuperalgebraData:
             raise StructuralError("2-operation table shape")
         if (self.rho_even is None) != (self.rho_odd is None):
             raise StructuralError("rho must supply both parities")
-        if self.rho_even is not None and self.shape is None:
+        if self.rho_even is None:
+            return
+        if self.shape is None:
             raise StructuralError("rho needs a block shape")
+        n = self.shape[0] + self.shape[1]
+        for parity, mats, d in (("even", self.rho_even, dp), ("odd", self.rho_odd, dm)):
+            if len(mats) != d:
+                raise StructuralError(f"rho.{parity} has {len(mats)} matrices, not {d}")
+            if any(len(m) != n or any(len(r) != n for r in m) for m in mats):
+                raise StructuralError(f"rho.{parity} matrices must be {n}x{n}")
 
     # -- brackets over k ----------------------------------------------------
     def _bilinear(self, table, u, v, n):
         """sum_{a,b} u_a v_b table[a][b], a vector of length n."""
         f = self.field
-        out = _vzero(f, n)
-        for a, ua in enumerate(u):
-            if not ua:
-                continue
-            for b, vb in enumerate(v):
-                if not vb:
-                    continue
-                out = _vadd(f, out, _vscale(f, f.mul(ua, vb), table[a][b]))
-        return out
+        return _vcomb(f, n, ((f.mul(ua, vb), table[a][b])
+                             for a, ua in enumerate(u) if ua
+                             for b, vb in enumerate(v) if vb))
 
     def bracket_ee(self, u, v):
         return self._bilinear(self.ee, u, v, self.d_plus)
@@ -149,16 +154,14 @@ class LieSuperalgebraData:
         quadratic by construction, with polarization the odd-odd bracket.
         """
         f = self.field
-        out = _vzero(f, self.d_plus)
+        terms = []
         for i, wi in enumerate(w):
             if not wi:
                 continue
-            out = _vadd(f, out, _vscale(f, f.mul(wi, wi), self.q2[i]))
-            for j in range(i + 1, self.d_minus):
-                if not w[j]:
-                    continue
-                out = _vadd(f, out, _vscale(f, f.mul(wi, w[j]), self.oo[i][j]))
-        return out
+            terms.append((f.mul(wi, wi), self.q2[i]))
+            terms += [(f.mul(wi, w[j]), self.oo[i][j])
+                      for j in range(i + 1, self.d_minus) if w[j]]
+        return _vcomb(f, self.d_plus, terms)
 
     # -- representation lifts ------------------------------------------------
     def rho_even_matrix(self, a, algebra) -> SuperMatrix:
@@ -291,16 +294,8 @@ class StraighteningKernel:
 
 def _basis_elements(lie):
     f = lie.field
-    out = []
-    for a in range(lie.d_plus):
-        v = [f.from_int(0)] * lie.d_plus
-        v[a] = f.from_int(1)
-        out.append((0, tuple(v), f"X{a + 1}"))
-    for i in range(lie.d_minus):
-        v = [f.from_int(0)] * lie.d_minus
-        v[i] = f.from_int(1)
-        out.append((1, tuple(v), f"Y{i + 1}"))
-    return out
+    return ([(0, _unit(f, lie.d_plus, a), f"X{a + 1}") for a in range(lie.d_plus)]
+            + [(1, _unit(f, lie.d_minus, i), f"Y{i + 1}") for i in range(lie.d_minus)])
 
 
 def _bracket(lie, x, y):
@@ -314,7 +309,7 @@ def _bracket(lie, x, y):
         return (1, lie.bracket_eo(vx, vy))
     if px == 1 and py == 0:
         # [w, u] = -[u, w] for |w||u| = 0
-        return (1, tuple(f.neg(c) for c in lie.bracket_eo(vy, vx)))
+        return (1, _vcomb(f, lie.d_minus, [(f.from_int(-1), lie.bracket_eo(vy, vx))]))
     return (0, lie.bracket_oo(vx, vy))
 
 
@@ -322,9 +317,20 @@ def check_axioms(lie: LieSuperalgebraData) -> CheckReport:
     """Verify axioms (a)-(f); with rho present, also the homomorphism laws."""
     rep = CheckReport()
     f = lie.field
+    one, minus = f.from_int(1), f.from_int(-1)
     basis = _basis_elements(lie)
     evens = [b for b in basis if b[0] == 0]
     odds = [b for b in basis if b[0] == 1]
+
+    def total(*terms):
+        """sum c.v over (c, v) pairs of vectors of one length."""
+        return _vcomb(f, len(terms[0][1]), terms)
+
+    def odd_sum(*idx):
+        return total(*((one, odds[i][1]) for i in idx))
+
+    def sign(pa, pb):
+        return minus if pa * pb else one
 
     # (a) alternating even brackets; [z,[z,z]] = 0 for odd z incl. polarized
     for p, v, name in evens:
@@ -333,10 +339,9 @@ def check_axioms(lie: LieSuperalgebraData) -> CheckReport:
     odd_probes = [(v, n) for _, v, n in odds]
     for i in range(len(odds)):
         for j in range(i + 1, len(odds)):
-            v = _vadd(f, odds[i][1], odds[j][1])
-            odd_probes.append((v, f"{odds[i][2]}+{odds[j][2]}"))
+            odd_probes.append((odd_sum(i, j), f"{odds[i][2]}+{odds[j][2]}"))
             for l in range(j + 1, len(odds)):
-                odd_probes.append((_vadd(f, v, odds[l][1]),
+                odd_probes.append((odd_sum(i, j, l),
                                    f"{odds[i][2]}+{odds[j][2]}+{odds[l][2]}"))
     for v, name in odd_probes:
         zz = lie.bracket_oo(v, v)
@@ -352,10 +357,7 @@ def check_axioms(lie: LieSuperalgebraData) -> CheckReport:
             py, vy, ny = y
             pb, b1 = _bracket(lie, (px, vx), (py, vy))
             pb2, b2 = _bracket(lie, (py, vy), (px, vx))
-            sign = -1 if (px * py) % 2 else 1
-            combined = _vadd(f, b1, b2) if sign > 0 else _vadd(
-                f, b1, tuple(f.neg(c) for c in b2))
-            if any(combined):
+            if any(total((one, b1), (sign(px, py), b2))):
                 rep.fail(f"(b) antisymmetry fails on ({nx},{ny})")
 
     # (c) graded Jacobi on homogeneous basis triples
@@ -368,14 +370,8 @@ def check_axioms(lie: LieSuperalgebraData) -> CheckReport:
                 t1 = _bracket(lie, (px, vx), _bracket(lie, (py, vy), (pz, vz)))
                 t2 = _bracket(lie, (py, vy), _bracket(lie, (pz, vz), (px, vx)))
                 t3 = _bracket(lie, (pz, vz), _bracket(lie, (px, vx), (py, vy)))
-                s1 = -1 if (px * pz) % 2 else 1
-                s2 = -1 if (py * px) % 2 else 1
-                s3 = -1 if (pz * py) % 2 else 1
-                total = None
-                for s, (pt, vt) in zip((s1, s2, s3), (t1, t2, t3)):
-                    v = vt if s > 0 else tuple(f.neg(c) for c in vt)
-                    total = v if total is None else _vadd(f, total, v)
-                if any(total):
+                if any(total((sign(px, pz), t1[1]), (sign(py, px), t2[1]),
+                             (sign(pz, py), t3[1]))):
                     rep.fail(f"(c) Jacobi fails on ({nx},{ny},{nz})")
 
     # (d) is true of the encoding (two_op applies constants quadratically)
@@ -387,19 +383,15 @@ def check_axioms(lie: LieSuperalgebraData) -> CheckReport:
             if i == j:
                 continue
             zi, zj = odds[i][1], odds[j][1]
-            lhs = lie.bracket_oo(zi, zj)
-            rhs = lie.two_op(_vadd(f, zi, zj))
-            rhs = _vadd(f, rhs, tuple(f.neg(c) for c in lie.two_op(zi)))
-            rhs = _vadd(f, rhs, tuple(f.neg(c) for c in lie.two_op(zj)))
-            if any(_vadd(f, lhs, tuple(f.neg(c) for c in rhs))):
+            if any(total((one, lie.bracket_oo(zi, zj)), (minus, lie.two_op(odd_sum(i, j))),
+                         (one, lie.two_op(zi)), (one, lie.two_op(zj)))):
                 rep.fail(f"(e) polarization fails on ({odds[i][2]},{odds[j][2]})")
 
     # (f) [z^<2>, x] = [z, [z, x]] for odd z (basis and pairwise-polarized)
     f_probes = [(v, n) for _, v, n in odds]
     for i in range(len(odds)):
         for j in range(i + 1, len(odds)):
-            f_probes.append((_vadd(f, odds[i][1], odds[j][1]),
-                             f"{odds[i][2]}+{odds[j][2]}"))
+            f_probes.append((odd_sum(i, j), f"{odds[i][2]}+{odds[j][2]}"))
     for zv, zn in f_probes:
         z2 = lie.two_op(zv)
         for x in basis:
@@ -407,8 +399,7 @@ def check_axioms(lie: LieSuperalgebraData) -> CheckReport:
             lhs = _bracket(lie, (0, z2), (px, vx))
             inner = _bracket(lie, (1, zv), (px, vx))
             rhs = _bracket(lie, (1, zv), inner)
-            diff = _vadd(f, lhs[1], tuple(f.neg(c) for c in rhs[1]))
-            if any(diff):
+            if any(total((one, lhs[1]), (minus, rhs[1]))):
                 rep.fail(f"(f) [z^<2>,x]=[z,[z,x]] fails on (z={zn}, x={nx})")
 
     if lie.rho_even is not None:
@@ -470,56 +461,38 @@ def from_matrices(p, q, even_mats, odd_mats, field) -> LieSuperalgebraData:
     def vec(m):
         return [v for row in m.body_rows() for v in row]
 
-    def vec_elems(m):
-        return [e for row in m.rows for e in row]
+    solvers = [k_solve_matrix(field, [vec(m) for m in mats], len(mats)) if mats else None
+               for mats in (evens, odds)]
 
-    solve_even = k_solve_matrix(field, [vec(m) for m in evens], len(evens)) if evens else None
-    solve_odd = k_solve_matrix(field, [vec(m) for m in odds], len(odds)) if odds else None
-
-    def coords_even(m, what):
-        if not evens:
+    def coords(m, what, parity):
+        """k-coordinates of m in the even (parity 0) or odd (parity 1) span."""
+        span = ("even", "odd")[parity]
+        if solvers[parity] is None:
             if m.is_zero():
                 return ()
-            raise ClosureViolation(f"{what} is nonzero with empty even span")
-        sol = solve_even(vec_elems(m), k0)
+            raise ClosureViolation(f"{what} is nonzero with empty {span} span")
+        sol = solvers[parity]([e for row in m.rows for e in row], k0)
         if sol is None:
-            raise ClosureViolation(f"{what} left the even span")
-        return tuple(e.augment().raw for e in sol)
-
-    def coords_odd(m, what):
-        if not odds:
-            if m.is_zero():
-                return ()
-            raise ClosureViolation(f"{what} is nonzero with empty odd span")
-        sol = solve_odd(vec_elems(m), k0)
-        if sol is None:
-            raise ClosureViolation(f"{what} left the odd span")
+            raise ClosureViolation(f"{what} left the {span} span")
         return tuple(e.augment().raw for e in sol)
 
     dp, dm = len(evens), len(odds)
-    ee = [[coords_even(gl_bracket(evens[a], evens[b]), f"[X{a + 1},X{b + 1}]")
+    ee = [[coords(gl_bracket(evens[a], evens[b]), f"[X{a + 1},X{b + 1}]", 0)
            for b in range(dp)] for a in range(dp)]
-    eo = [[coords_odd(gl_bracket(evens[a], odds[i]), f"[X{a + 1},Y{i + 1}]")
+    eo = [[coords(gl_bracket(evens[a], odds[i]), f"[X{a + 1},Y{i + 1}]", 1)
            for i in range(dm)] for a in range(dp)]
-    oo = [[coords_even(gl_bracket(odds[i], odds[j]), f"[Y{i + 1},Y{j + 1}]")
+    oo = [[coords(gl_bracket(odds[i], odds[j]), f"[Y{i + 1},Y{j + 1}]", 0)
            for j in range(dm)] for i in range(dm)]
-    q2 = [coords_even(gl_2op(odds[i]), f"Y{i + 1}^<2>") for i in range(dm)]
+    q2 = [coords(gl_2op(odds[i]), f"Y{i + 1}^<2>", 0) for i in range(dm)]
     return LieSuperalgebraData(field, dp, dm, ee, eo, oo, q2,
                                shape=shape, rho_even=list(even_mats), rho_odd=list(odd_mats))
 
 
 def gl_lie(p, q, field) -> LieSuperalgebraData:
     """gl(p|q) on the matrix-unit basis: evens E_ij (|i|=|j|) then odds."""
-    n = p + q
-    evens, odds = [], []
-    for i in range(n):
-        for j in range(n):
-            rows = [[field.from_int(0)] * n for _ in range(n)]
-            rows[i][j] = field.from_int(1)
-            if (i < p) == (j < p):
-                evens.append(rows)
-            else:
-                odds.append(rows)
+    units = matrix_units((p, q), field)
+    evens = [rows for rows, parity in units if not parity]
+    odds = [rows for rows, parity in units if parity]
     return from_matrices(p, q, evens, odds, field)
 
 

@@ -31,6 +31,7 @@ from .smat import (
     gl_block_diag,
     gl_full,
     k_solve_matrix,
+    matrix_units,
     smat_inv,
 )
 
@@ -75,14 +76,32 @@ class HarishChandraPair:
         return self.lie.d_plus
 
     # -- conjugation ------------------------------------------------------
-    def ad_coords(self, g_plus: SuperMatrix, i: int):
-        """Coordinates (c_j)_j with rho(g)^-1 rho(Y_i) rho(g) = sum c_j rho(Y_j).
+    def conj_coords(self, left: SuperMatrix, right: SuperMatrix, indices=None):
+        """For each i in indices (all by default), the odd-basis coordinates
+        (c_j)_j with left rho(Y_i) right = sum c_j rho(Y_j).
 
-        The solver is exact over k applied to algebra entries; a nonzero
-        residual raises SpanViolation.  Coordinates must come out even.
+        With right = left^-1 this is column i of Ad(left); the caller passes
+        both points, so nothing is inverted here.  The solver is exact over
+        k applied to algebra entries; a nonzero residual or an odd
+        coordinate raises SpanViolation.
         """
-        conj = smat_inv(g_plus) * self.lie.rho_odd_matrix(i, g_plus.algebra) * g_plus
-        return self._odd_coords(conj, i)
+        algebra = left.algebra
+        out = []
+        for i in range(self.d_minus) if indices is None else indices:
+            conj = left * self.lie.rho_odd_matrix(i, algebra) * right
+            coords = self._odd_solver([e for row in conj.rows for e in row], algebra)
+            if coords is None:
+                raise SpanViolation(
+                    f"the conjugate of Y{i + 1} left the odd span of the pair")
+            if not all(c.is_even() or c.is_zero() for c in coords):
+                raise SpanViolation(f"Ad coordinate of Y{i + 1} is not even")
+            out.append(coords)
+        return out
+
+    def ad_coords(self, g_plus: SuperMatrix, i: int):
+        """Coordinates (c_j)_j with rho(g)^-1 rho(Y_i) rho(g) = sum c_j rho(Y_j):
+        column i of Ad(g^-1), the single-column entry point of conj_coords."""
+        return self.conj_coords(smat_inv(g_plus), g_plus, [i])[0]
 
     def ad_action_matrix(self, g_plus: SuperMatrix):
         """a[j][i] with Ad(g)(Y_i) = sum_j a[j][i] Y_j (note: Ad(g), not
@@ -92,28 +111,11 @@ class HarishChandraPair:
                tuple(_value_key(e) for row in g_plus.rows for e in row))
         a = self._ad_memo.get(key)
         if a is None:
-            algebra = g_plus.algebra
-            ginv = smat_inv(g_plus)
-            cols = [self._odd_coords(g_plus * self.lie.rho_odd_matrix(i, algebra) * ginv, i)
-                    for i in range(self.d_minus)]
-            a = tuple(tuple(cols[i][j] for i in range(self.d_minus))
-                      for j in range(self.d_minus))
+            a = tuple(zip(*self.conj_coords(g_plus, smat_inv(g_plus))))
             if len(self._ad_memo) >= AD_MEMO_SIZE:
                 del self._ad_memo[next(iter(self._ad_memo))]
             self._ad_memo[key] = a
         return [list(row) for row in a]
-
-    def _odd_coords(self, conj: SuperMatrix, i: int):
-        """Odd-basis coordinates of a conjugate of rho(Y_i): SpanViolation
-        on a nonzero residual of the exact solver or an odd coordinate."""
-        coords = self._odd_solver([e for row in conj.rows for e in row], conj.algebra)
-        if coords is None:
-            raise SpanViolation(
-                f"the conjugate of Y{i + 1} left the odd span of the pair")
-        for c in coords:
-            if not (c.is_even() or c.is_zero()):
-                raise SpanViolation(f"Ad coordinate of Y{i + 1} is not even")
-        return coords
 
     # -- word representation -------------------------------------------------
     def identity_matrix(self, algebra):
@@ -155,13 +157,12 @@ def validate_pair(pair: HarishChandraPair, samples: int = 64, seed: int = 0,
         rep.note("Lie(G+) = g0 assumed (containment checked, no dim oracle)")
 
     # (2) Ad-stability on samples, and (3) compatibility with the 2-operation
-    # (g inverted once per sample: coordinates as ad_coords(g, i) computes them)
+    # (g inverted once per sample)
     for s in range(samples):
         g = G.sample(A, rng)
         ginv = smat_inv(g)
         try:
-            coord_rows = [pair._odd_coords(ginv * pair.lie.rho_odd_matrix(i, A) * g, i)
-                          for i in range(pair.d_minus)]
+            coord_rows = pair.conj_coords(ginv, g)
         except SpanViolation as e:
             rep.fail(f"Ad-stability: sample {s}: {e}")
             continue
@@ -251,13 +252,9 @@ def gl_pair(p, q, field) -> HarishChandraPair:
 
 
 def gl_fixture(p, q, field) -> LinearSupergroupFixture:
-    n = p + q
-    evens, odds = [], []
-    for i in range(n):
-        for j in range(n):
-            rows = [[field.from_int(0)] * n for _ in range(n)]
-            rows[i][j] = field.from_int(1)
-            (evens if (i < p) == (j < p) else odds).append(rows)
+    units = matrix_units((p, q), field)
+    evens = [rows for rows, parity in units if not parity]
+    odds = [rows for rows, parity in units if parity]
     return LinearSupergroupFixture(
         f"GL({p}|{q})", (p, q), field, gl_full(p, q), gl_block_diag(p, q), evens, odds)
 

@@ -383,18 +383,18 @@ def gl_2op(m: SuperMatrix) -> SuperMatrix:
 
 class GroupDescriptor:
     """A computationally linear classical group: a membership predicate over
-    any coefficient algebra, a tangent basis, and a test sampler.
+    any coefficient algebra, a test sampler, and optionally the dimension
+    of its tangent space.
 
     membership(identity) must hold; closure under product/inverse is checked
     by the test-suite on samples, never assumed.
     """
 
-    def __init__(self, name, shape, member, sample, lie_basis, tangent_dim=None):
+    def __init__(self, name, shape, member, sample, tangent_dim=None):
         self.name = name
         self.shape = shape
         self._member = member
         self._sample = sample
-        self._lie_basis = lie_basis
         self.tangent_dim = tangent_dim
 
     def member(self, m: SuperMatrix) -> bool:
@@ -412,10 +412,6 @@ class GroupDescriptor:
         g = self._sample(self, algebra, rng)
         self.require_member(g, "sampler output")
         return g
-
-    def lie_basis(self, field):
-        """k-matrices spanning the declared tangent space at the identity."""
-        return self._lie_basis(self, field)
 
     def __repr__(self):
         return f"GroupDescriptor({self.name}, shape={self.shape})"
@@ -465,49 +461,28 @@ def _sample_scalar_torus(desc, algebra, rng):
     return SuperMatrix(desc.shape, algebra, rows)
 
 
-def _units(shape, field, positions):
-    mats = []
-    n = shape[0] + shape[1]
-    for (i, j) in positions:
-        rows = [[field.from_int(0)] * n for _ in range(n)]
-        rows[i][j] = field.from_int(1)
-        mats.append(rows)
-    return mats
-
-
 def gl_block_diag(p, q):
     """GL_p x GL_q: block-diagonal even-group descriptor (the even part of
     the general linear supergroup, as a classical group)."""
-    shape = (p, q)
 
     def member(m):
         return m.is_even_homogeneous() and m.diagonal_blocks_only() and is_invertible(m)
 
-    def lie_basis(desc, field):
-        n = p + q
-        return _units(shape, field, [(i, j) for i in range(n) for j in range(n) if (i < p) == (j < p)])
-
-    return GroupDescriptor(f"GL{p}xGL{q}", shape, member, _sample_block_diag, lie_basis, tangent_dim=p * p + q * q)
+    return GroupDescriptor(f"GL{p}xGL{q}", (p, q), member, _sample_block_diag,
+                           tangent_dim=p * p + q * q)
 
 
 def gl_full(p, q):
     """The point groups of the full supergroup GL(p|q): even-homogeneous
     invertible matrices (diagonal blocks even, off-diagonal odd)."""
-    shape = (p, q)
 
     def member(m):
         return m.is_even_homogeneous() and is_invertible(m)
 
-    def lie_basis(desc, field):
-        n = p + q
-        return _units(shape, field, [(i, j) for i in range(n) for j in range(n)])
-
-    return GroupDescriptor(f"GL({p}|{q})", shape, member, _sample_full, lie_basis, tangent_dim=(p + q) ** 2)
+    return GroupDescriptor(f"GL({p}|{q})", (p, q), member, _sample_full, tangent_dim=(p + q) ** 2)
 
 
 def diagonal_torus(p, q):
-    shape = (p, q)
-
     def member(m):
         n = p + q
         return (
@@ -516,15 +491,11 @@ def diagonal_torus(p, q):
             and is_invertible(m)
         )
 
-    def lie_basis(desc, field):
-        return _units(shape, field, [(i, i) for i in range(p + q)])
-
-    return GroupDescriptor(f"T({p}|{q})", shape, member, _sample_torus, lie_basis, tangent_dim=p + q)
+    return GroupDescriptor(f"T({p}|{q})", (p, q), member, _sample_torus, tangent_dim=p + q)
 
 
 def scalar_torus(p, q):
     """Invertible scalar multiples of the identity; Lie algebra k.I."""
-    shape = (p, q)
 
     def member(m):
         n = p + q
@@ -534,12 +505,7 @@ def scalar_torus(p, q):
             return False
         return all((m.rows[i][i] - m.rows[0][0]).is_zero() for i in range(n))
 
-    def lie_basis(desc, field):
-        n = p + q
-        rows = [[field.from_int(1) if i == j else field.from_int(0) for j in range(n)] for i in range(n)]
-        return [rows]
-
-    return GroupDescriptor(f"Z({p}|{q})", shape, member, _sample_scalar_torus, lie_basis, tangent_dim=1)
+    return GroupDescriptor(f"Z({p}|{q})", (p, q), member, _sample_scalar_torus, tangent_dim=1)
 
 
 BUILTIN_GROUPS = {
@@ -559,6 +525,21 @@ def constant_matrix(shape, algebra, scalar_rows):
     return SuperMatrix(
         shape, algebra, [[algebra.from_scalar(v) for v in row] for row in scalar_rows]
     )
+
+
+def matrix_units(shape, field):
+    """The matrix units E_ij of block shape (p, q) as raw k-matrices, in
+    row-major order, each paired with its parity |i| + |j| mod 2."""
+    p, q = shape
+    n = p + q
+    zero, one = field.from_int(0), field.from_int(1)
+    units = []
+    for i in range(n):
+        for j in range(n):
+            rows = [[zero] * n for _ in range(n)]
+            rows[i][j] = one
+            units.append((rows, int((i < p) != (j < p))))
+    return units
 
 
 def dual_probe(candidate_rows, shape, algebra, odd_direction=None):
@@ -587,20 +568,12 @@ def lie_points(group: GroupDescriptor, algebra, candidates=None, odd_element=Non
     """Dual-number membership test for candidate tangent directions.
 
     candidates: list of (rows, parity) with rows a raw k-matrix; defaults to
-    all matrix units.  Returns {index: bool}.  Odd candidates are probed with
-    coefficient eps*eta where eta is an odd element of the algebra (required
-    if any odd candidate is present).
+    matrix_units(group.shape, field).  Returns {index: bool}.  Odd
+    candidates are probed with coefficient eps*eta where eta is an odd
+    element of the algebra (required if any odd candidate is present).
     """
-    field = algebra.field
-    n = group.shape[0] + group.shape[1]
-    p = group.shape[0]
     if candidates is None:
-        candidates = []
-        for i in range(n):
-            for j in range(n):
-                rows = [[field.from_int(0)] * n for _ in range(n)]
-                rows[i][j] = field.from_int(1)
-                candidates.append((rows, ((0 if i < p else 1) + (0 if j < p else 1)) % 2))
+        candidates = matrix_units(group.shape, algebra.field)
     if odd_element is None:
         gens = algebra.odd_generators()
         odd_element = gens[0] if gens else None

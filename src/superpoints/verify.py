@@ -44,6 +44,7 @@ from .smat import (
     gl_split,
     is_invertible,
     is_odd_unipotent,
+    matrix_units,
     semidirect_split,
     smat_inv,
 )
@@ -64,17 +65,6 @@ def _kmat(shape, algebra, units, coeffs):
         if c:
             m = m + constant_matrix(shape, algebra, rows).scale(c)
     return m
-
-
-def _gl_unit_bases(p, q, field):
-    n = p + q
-    evens, odds = [], []
-    for i in range(n):
-        for j in range(n):
-            rows = [[field.from_int(0)] * n for _ in range(n)]
-            rows[i][j] = field.from_int(1)
-            (evens if (i < p) == (j < p) else odds).append(rows)
-    return evens, odds
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +93,9 @@ def _tang_instance(ident, shape, rank, field, rng):
     p, q = shape
     A = GrassmannAlgebra(field, rank)
     I = SuperMatrix.identity(shape, A)
-    evens, odds = _gl_unit_bases(p, q, field)
+    units = matrix_units(shape, field)
+    evens = [rows for rows, parity in units if not parity]
+    odds = [rows for rows, parity in units if parity]
     G0 = gl_block_diag(p, q)
     Gfull = gl_full(p, q)
 

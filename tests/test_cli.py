@@ -92,6 +92,32 @@ def test_check_liesuper_generator_size_mismatch_exit_2(tmp_path, capsys, key, in
     assert "Traceback" not in err
 
 
+def _rho_edit(part, edit):
+    def apply(rho):
+        rho[part] = edit(rho[part])
+    return apply
+
+
+@pytest.mark.parametrize("edit", [
+    _rho_edit("even", lambda mats: mats[:1]),
+    _rho_edit("odd", lambda mats: mats + mats[:1]),
+    _rho_edit("even", lambda mats: [[["1"]]] + mats[1:]),
+    _rho_edit("odd", lambda mats: mats[:1] + [[["0", "1", "0"], ["1", "0", "0"]]]),
+], ids=["even-count-short", "odd-count-long", "even-1x1", "odd-2x3"])
+def test_check_liesuper_rho_count_or_size_exit_2(tmp_path, capsys, edit):
+    """A constants fixture whose rho lists do not hold d_plus and d_minus
+    matrices of size (p+q)x(p+q) is a schema error, not a traceback or a
+    failed check."""
+    with open(fx("flipped_bracket_lie.json")) as fh:
+        doc = json.load(fh)
+    edit(doc["rho"])
+    p = tmp_path / "bad_rho.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(["check-liesuper", str(p)], capsys)
+    assert code == 2 and "schema error" in err and "rho" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # check-shcp
 

@@ -400,6 +400,28 @@ def test_stripping_equals_other_routes(pair11):
         assert strip_matrix_factorization(pair11, m) == normal_form(w)
 
 
+def test_stripping_inverts_once_per_refining_round(monkeypatch):
+    """Each round divides the guessed odd product out by (1 - eta Y)
+    factors, so the only inversion is of the diagonal part of a round that
+    still has an odd discrepancy: one per odd solve, none in the last round."""
+    pair = gl_pair(2, 1, QQ)
+    A = GrassmannAlgebra(QQ, 4)
+    rng = random.Random(49)
+    mats = [random_word(pair, A, rng, 8).rho_matrix() for _ in range(6)]
+    solves = []
+
+    def counted_solver(vector, algebra, _real=pair._odd_solver):
+        solves.append(1)
+        return _real(vector, algebra)
+
+    monkeypatch.setattr(pair, "_odd_solver", counted_solver)
+    calls = count_inversions(monkeypatch, gp, smat)
+    for m in mats:
+        del solves[:], calls[:]
+        assert strip_matrix_factorization(pair, m).rho_matrix() == m
+        assert len(solves) >= 1 and len(calls) == len(solves)
+
+
 def test_right_factorization_reexpands(pair11):
     from superpoints import right_factorization
     from superpoints.gp import expand_right_factorization
@@ -459,6 +481,21 @@ def corner_embedding():
 
 def test_corner_embedding_checks():
     assert corner_embedding().check(samples=6).ok
+
+
+def test_morphism_check_inverts_each_sample_and_image_once(monkeypatch):
+    """The identity morphism of gl(2|1) over Q: one inversion of each
+    sampled g and one of its image, 2 x 16 in all."""
+    pair = gl_pair(2, 1, QQ)
+    f = QQ
+    mor = PairMorphism(
+        pair, pair,
+        [[f.from_int(int(a == b)) for a in range(pair.d_plus)] for b in range(pair.d_plus)],
+        [[f.from_int(int(i == j)) for i in range(pair.d_minus)] for j in range(pair.d_minus)],
+        lambda g: g)
+    calls = count_inversions(monkeypatch, gp, shcp)
+    assert mor.check(samples=16).ok
+    assert len(calls) == 32
 
 
 def test_psi_on_morphism_identity_and_homomorphism():
@@ -572,6 +609,28 @@ def test_induced_action_respects_group_law(pair11):
         for t in range(IM.v0.dim):
             via = IM.apply_word(n1.to_word(), IM.apply_normal_form(n2, IM.vacuum_with(t, A)))
             assert via == IM.apply_normal_form(n12, IM.vacuum_with(t, A))
+
+
+@pytest.mark.parametrize("p,q,field", [(1, 1, QQ), (2, 1, QQ), (1, 1, GF3), (2, 1, GF3)])
+def test_apply_normal_form_acts_by_its_tokens(monkeypatch, p, q, field):
+    """apply_normal_form equals acting by nf.to_word(), and it does not
+    check the even factor's membership again."""
+    from superpoints.smat import GroupDescriptor
+
+    pair = gl_pair(p, q, field)
+    A = GrassmannAlgebra(field, 3)
+    IM = InducedModule(pair, defining_module(pair))
+    rng = random.Random(50)
+    nfs = [NormalForm.identity(pair, A)] + \
+        [normal_form(random_word(pair, A, rng, 5)) for _ in range(5)]
+    vacs = [IM.vacuum_with(t, A) for t in range(IM.v0.dim)]
+    want = [[IM.apply_word(nf.to_word(), v) for v in vacs] for nf in nfs]
+    checks = []
+    real = GroupDescriptor.require_member
+    monkeypatch.setattr(GroupDescriptor, "require_member",
+                        lambda self, m, context="": checks.append(context) or real(self, m, context))
+    assert [[IM.apply_normal_form(nf, v) for v in vacs] for nf in nfs] == want
+    assert checks == []
 
 
 def test_induced_faithful_on_samples(pair11):

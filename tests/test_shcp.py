@@ -169,6 +169,21 @@ def test_ad_is_group_action():
                 assert acc == mgh[i][j]
 
 
+def test_conj_coords_columns_match_ad_matrices():
+    """conj_coords(g, g^-1) are the columns of ad_action_matrix(g), and
+    conj_coords(g^-1, g, indices) the ad_coords(g, i) in the order asked."""
+    rng = random.Random(51)
+    pair = gl_pair(2, 1, GF3)
+    A = GrassmannAlgebra(GF3, 3)
+    for _ in range(4):
+        g = pair.even_group.sample(A, rng)
+        ginv = smat_inv(g)
+        a = pair.ad_action_matrix(g)
+        assert pair.conj_coords(g, ginv) == [[row[i] for row in a] for i in range(pair.d_minus)]
+        assert pair.conj_coords(ginv, g, [3, 1]) == [pair.ad_coords(g, 3), pair.ad_coords(g, 1)]
+        assert pair.conj_coords(ginv, g, []) == []
+
+
 def _ad_sides(pair, g, a, i):
     """rep(g) rep(Y_i) and rep(sum_j a[j][i] Y_j) rep(g) on A (x) k^{p|q},
     built by the oracle from raw entries: no inversion, no SuperMatrix product."""

@@ -29,7 +29,7 @@ from superpoints import (
     semidirect_split,
     smat_inv,
 )
-from superpoints.smat import constant_matrix
+from superpoints.smat import constant_matrix, matrix_units
 from superpoints.sampling import rand_element, rand_odd
 from superpoints.verify import suite_tang_group
 
@@ -251,9 +251,11 @@ def test_ad_differential_is_bracket():
     sh = (2, 1)
     f = QQ
     from superpoints.sampling import rand_k_vector
-    from superpoints.verify import _gl_unit_bases, _kmat
+    from superpoints.verify import _kmat
 
-    evens, odds = _gl_unit_bases(2, 1, f)
+    units = matrix_units(sh, f)
+    evens = [rows for rows, parity in units if not parity]
+    odds = [rows for rows, parity in units if parity]
     for _ in range(20):
         X = _kmat(sh, D, evens, rand_k_vector(f, rng, len(evens)))
         Y = _kmat(sh, D, odds, rand_k_vector(f, rng, len(odds)))
@@ -284,6 +286,15 @@ def test_descriptor_closure_on_samples():
             g, h = G.sample(A, rng), G.sample(A, rng)
             assert G.member(g * h)
             assert G.member(smat_inv(g))
+
+
+def test_matrix_units_row_major_with_parity():
+    units = matrix_units((2, 1), GF3)
+    assert len(units) == 9
+    for k, (rows, parity) in enumerate(units):
+        i, j = divmod(k, 3)
+        assert rows == [[int((r, c) == (i, j)) for c in range(3)] for r in range(3)]
+        assert parity == int((i < 2) != (j < 2))
 
 
 def test_lie_points_gl_full_accepts_all_units():
