@@ -6,6 +6,12 @@ Y -> Y^<2> into the even part whose polarization is the odd-odd bracket and
 which satisfies [z^<2>, x] = [z, [z, x]].  Over fields of characteristic 2
 and 3 this refines (and replaces) the usual 1/2 [z,z] square.
 
+from_matrices reads the constants off homogeneous k-matrices over the raw
+base field: k-scalars are even, so brackets and squares are plain matrix
+products, with no SuperMatrix and no coefficient algebra.  check_axioms
+recomputes them through gl_bracket/gl_2op on supermatrices, an independent
+cross-check.
+
 The module also hosts the exterior module wedge(g_1) with its straightening
 action: the induced module from the trivial even representation, in the PBW
 basis of ordered monomials.  All straightening happens over the base field
@@ -22,16 +28,18 @@ from __future__ import annotations
 
 from .coeff import GrassmannAlgebra
 from .errors import ClosureViolation, StructuralError
-from .smat import (SuperMatrix, constant_matrix, gl_2op, gl_bracket, k_solve_matrix,
-                   matrix_units)
+from .smat import (SuperMatrix, constant_matrix, gl_2op, gl_bracket, k_matmul,
+                   k_matrix_inverse, matrix_units)
 
 
 def _vcomb(field, n, terms):
-    """sum c.v over the (c, v) in terms: a k-vector of length n (raw values)."""
+    """sum c.v over the (c, v) in terms: a k-vector of length n (raw values);
+    zero entries of v are skipped."""
     out = [field.from_int(0)] * n
     for c, v in terms:
         for k, x in enumerate(v):
-            out[k] = field.add(out[k], field.mul(c, x))
+            if x:
+                out[k] = field.add(out[k], field.mul(c, x))
     return tuple(out)
 
 
@@ -220,7 +228,10 @@ class StraighteningKernel:
     """
 
     def __init__(self, lie, v0_mats):
-        self.lie = lie
+        # the tables, not lie: lie owns its wedge(g_1) kernel, and a reference
+        # back would leave every dropped lie for the cyclic garbage collector
+        self.field, self.d_minus = lie.field, lie.d_minus
+        self.eo, self.oo, self.q2 = lie.eo, lie.oo, lie.q2
         self.v0_mats = v0_mats
         self._odd_memo = {}
         self._even_memo = {}
@@ -230,8 +241,7 @@ class StraighteningKernel:
         res = self._odd_memo.get((j, key))
         if res is not None:
             return res
-        lie = self.lie
-        f = lie.field
+        f = self.field
         if not key & ((2 << j) - 1):
             # every index of S exceeds j: Y_j just prepends
             res = {key | (1 << j): f.from_int(1)}
@@ -241,10 +251,10 @@ class StraighteningKernel:
             rest = key & (key - 1)
             if j == i0:
                 # Y_j Y_j = Y_j^<2> inside U(g)
-                res = self._even_comb(lie.q2[j], rest)
+                res = self._even_comb(self.q2[j], rest)
             else:
                 # Y_j Y_{i0} = -Y_{i0} Y_j + [Y_j, Y_{i0}]
-                res = self._even_comb(lie.oo[j][i0], rest)
+                res = self._even_comb(self.oo[j][i0], rest)
                 for k, c in self.odd(j, rest).items():
                     _add_row(f, res, f.neg(c), self.odd(i0, k))
         self._odd_memo[(j, key)] = res
@@ -255,9 +265,8 @@ class StraighteningKernel:
         res = self._even_memo.get((a, key))
         if res is not None:
             return res
-        lie = self.lie
-        f = lie.field
-        dm = lie.d_minus
+        f = self.field
+        dm = self.d_minus
         res = {}
         if not key & ((1 << dm) - 1):
             # S empty: X_a reaches the inducing module
@@ -269,7 +278,7 @@ class StraighteningKernel:
             i0 = (key & -key).bit_length() - 1
             rest = key & (key - 1)
             # [X_a, Y_{i0}] . rest
-            for m, wm in enumerate(lie.eo[a][i0]):
+            for m, wm in enumerate(self.eo[a][i0]):
                 if wm:
                     _add_row(f, res, wm, self.odd(m, rest))
             # Y_{i0} . (X_a . rest)
@@ -280,7 +289,7 @@ class StraighteningKernel:
 
     def _even_comb(self, coords, key):
         """(sum_a coords[a] X_a) . key, as a fresh dict."""
-        f = self.lie.field
+        f = self.field
         res = {}
         for a, c in enumerate(coords):
             if c:
@@ -440,52 +449,72 @@ def _check_rho(lie, rep):
 # structure constants from matrices
 
 
-def from_matrices(p, q, even_mats, odd_mats, field) -> LieSuperalgebraData:
+def from_matrices(p, q, evens, odds, field) -> LieSuperalgebraData:
     """Extract structure constants from homogeneous k-matrices.
 
-    even_mats/odd_mats are raw k-matrix rows.  Brackets and odd squares are
-    computed in the twisted matrix algebra and solved exactly against the
-    span; a product that leaves the span raises ClosureViolation naming it.
+    evens/odds are raw k-matrix rows.  k-scalars are even, so the
+    bracket [A,B] = AB - (-1)^{|A||B|} BA and the square Y.Y of an odd Y are
+    plain products of raw k-matrices: no coefficient algebra is involved.
+    Each span is row-reduced once; a bracket or square is solved against it
+    and checked exactly against the generators, and one that leaves the span
+    raises ClosureViolation naming it.
     """
-    shape = (p, q)
-    k0 = GrassmannAlgebra(field, 0)
-    evens = [constant_matrix(shape, k0, m) for m in even_mats]
-    odds = [constant_matrix(shape, k0, m) for m in odd_mats]
-    for m in evens:
-        if not m.is_even_homogeneous():
-            raise StructuralError("an even generator is not even-homogeneous")
-    for m in odds:
-        if not m.is_odd_homogeneous():
-            raise StructuralError("an odd generator is not odd-homogeneous")
+    n = p + q
+    for parity, mats in ((0, evens), (1, odds)):
+        name = ("even", "odd")[parity]
+        for m in mats:
+            if len(m) != n or any(len(r) != n for r in m):
+                raise StructuralError("entry grid does not match block shape")
+            if any(v and ((i < p) != (j < p)) != parity
+                   for i, r in enumerate(m) for j, v in enumerate(r)):
+                raise StructuralError(f"an {name} generator is not {name}-homogeneous")
 
-    def vec(m):
-        return [v for row in m.body_rows() for v in row]
+    def flat(m):
+        return [v for row in m for v in row]
 
-    solvers = [k_solve_matrix(field, [vec(m) for m in mats], len(mats)) if mats else None
-               for mats in (evens, odds)]
+    def span(mats):
+        """The generators as flat k-vectors and the columns of a left inverse."""
+        if not mats:
+            return None
+        cols = [flat(m) for m in mats]
+        # more generators than entries are dependent (and n = 0 leaves no rows)
+        ops = k_matrix_inverse(field, list(zip(*cols))) if len(cols) <= n * n else None
+        if ops is None:
+            raise StructuralError("columns are k-linearly dependent")
+        return cols, list(zip(*ops[:len(cols)]))
 
-    def coords(m, what, parity):
-        """k-coordinates of m in the even (parity 0) or odd (parity 1) span."""
-        span = ("even", "odd")[parity]
-        if solvers[parity] is None:
-            if m.is_zero():
-                return ()
-            raise ClosureViolation(f"{what} is nonzero with empty {span} span")
-        sol = solvers[parity]([e for row in m.rows for e in row], k0)
-        if sol is None:
-            raise ClosureViolation(f"{what} left the {span} span")
-        return tuple(e.augment().raw for e in sol)
+    spans = [span(evens), span(odds)]
+    one, minus = field.from_int(1), field.from_int(-1)
 
-    dp, dm = len(evens), len(odds)
-    ee = [[coords(gl_bracket(evens[a], evens[b]), f"[X{a + 1},X{b + 1}]", 0)
-           for b in range(dp)] for a in range(dp)]
-    eo = [[coords(gl_bracket(evens[a], odds[i]), f"[X{a + 1},Y{i + 1}]", 1)
-           for i in range(dm)] for a in range(dp)]
-    oo = [[coords(gl_bracket(odds[i], odds[j]), f"[Y{i + 1},Y{j + 1}]", 0)
-           for j in range(dm)] for i in range(dm)]
-    q2 = [coords(gl_2op(odds[i]), f"Y{i + 1}^<2>", 0) for i in range(dm)]
-    return LieSuperalgebraData(field, dp, dm, ee, eo, oo, q2,
-                               shape=shape, rho_even=list(even_mats), rho_odd=list(odd_mats))
+    def coords(vec, what, parity):
+        """k-coordinates of the flat vector vec in the even (parity 0) or
+        odd (parity 1) span."""
+        name = ("even", "odd")[parity]
+        if spans[parity] is None:
+            if any(vec):
+                raise ClosureViolation(f"{what} is nonzero with empty {name} span")
+            return ()
+        cols, left = spans[parity]
+        c = _vcomb(field, len(cols), ((x, left[i]) for i, x in enumerate(vec) if x))
+        # exact residual check against the original columns
+        if any(_vcomb(field, len(vec), [(minus, vec)] + [(x, v) for x, v in zip(c, cols) if x])):
+            raise ClosureViolation(f"{what} left the {name} span")
+        return c
+
+    def bracket(a, b, sign):
+        """ab + sign.ba as a flat vector."""
+        return _vcomb(field, n * n, ((one, flat(k_matmul(field, a, b))),
+                                     (sign, flat(k_matmul(field, b, a)))))
+
+    ee = [[coords(bracket(x, x2, minus), f"[X{a + 1},X{b + 1}]", 0)
+           for b, x2 in enumerate(evens)] for a, x in enumerate(evens)]
+    eo = [[coords(bracket(x, y, minus), f"[X{a + 1},Y{i + 1}]", 1)
+           for i, y in enumerate(odds)] for a, x in enumerate(evens)]
+    oo = [[coords(bracket(y, y2, one), f"[Y{i + 1},Y{j + 1}]", 0)
+           for j, y2 in enumerate(odds)] for i, y in enumerate(odds)]
+    q2 = [coords(flat(k_matmul(field, y, y)), f"Y{i + 1}^<2>", 0) for i, y in enumerate(odds)]
+    return LieSuperalgebraData(field, len(evens), len(odds), ee, eo, oo, q2,
+                               shape=(p, q), rho_even=list(evens), rho_odd=list(odds))
 
 
 def gl_lie(p, q, field) -> LieSuperalgebraData:

@@ -299,6 +299,21 @@ def k_matrix_inverse(field, rows):
     return inv
 
 
+def k_matmul(field, a, b):
+    """The product of two matrices of raw k-values, skipping zero entries."""
+    zero = field.from_int(0)
+    out = []
+    for row in a:
+        acc = [zero] * len(b[0])
+        for x, brow in zip(row, b):
+            if x:
+                for k, y in enumerate(brow):
+                    if y:
+                        acc[k] = field.add(acc[k], field.mul(x, y))
+        out.append(acc)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # GL(p|q) operations
 

@@ -118,6 +118,18 @@ def test_check_liesuper_rho_count_or_size_exit_2(tmp_path, capsys, edit):
     assert "Traceback" not in err
 
 
+def test_check_liesuper_nonclosing_matrices_exit_1(tmp_path, capsys):
+    """Generators whose brackets leave their span are a mathematical
+    failure: exit 1 naming the bracket, not a traceback."""
+    doc = {"schema": 1, "field": "Q", "kind": "matrices", "shape": [1, 1],
+           "even": [[["1", "0"], ["0", "0"]]], "odd": [[["0", "1"], ["1", "0"]]]}
+    p = tmp_path / "nonclosing.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(["check-liesuper", str(p)], capsys)
+    assert code == 1 and "failure: [X1,Y1] left the odd span" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # check-shcp
 
@@ -250,16 +262,56 @@ def test_normal_form_field_shortcut_and_trace(capsys):
     assert "# swapped" in out or "# merged" in out
 
 
+_GOLDEN_ARGS = ["normal-form", "--pair", fx("gl11_pair.json"),
+                "--coeff", fx("coeff_l2.json"), "--word", fx("swap_word.json"),
+                "--golden", "swap_word_nf.json"]
+
+
 def test_normal_form_golden_roundtrip(tmp_path, capsys, monkeypatch):
+    """--update-golden writes (or overwrites) the file; a plain --golden run
+    then compares against it and passes."""
     monkeypatch.setenv("SUPERPOINTS_GOLDEN_DIR", str(tmp_path))
-    args = ["normal-form", "--pair", fx("gl11_pair.json"),
-            "--coeff", fx("coeff_l2.json"), "--word", fx("swap_word.json"),
-            "--golden", "swap_word_nf.json"]
-    code, out1, err = run(args, capsys)
-    assert code == 0 and "created" in err
-    code, out2, err = run(args, capsys)
+    path = tmp_path / "swap_word_nf.json"
+    path.write_text("stale\n")
+    code, _, err = run(_GOLDEN_ARGS, capsys)
+    assert code == 1 and "mismatch" in err
+    code, out1, err = run(_GOLDEN_ARGS + ["--update-golden"], capsys)
+    assert code == 0 and "written" in err and str(path) in err
+    assert path.read_text() == out1
+    code, out2, err = run(_GOLDEN_ARGS, capsys)
     assert code == 0 and err == ""
     assert out1 == out2  # byte-stable across runs
+
+
+def test_normal_form_missing_golden_exits_2_and_creates_nothing(tmp_path, capsys,
+                                                                monkeypatch):
+    directory = tmp_path / "golden"
+    monkeypatch.setenv("SUPERPOINTS_GOLDEN_DIR", str(directory))
+    code, _, err = run(_GOLDEN_ARGS, capsys)
+    assert code == 2 and str(directory / "swap_word_nf.json") in err
+    assert "Traceback" not in err
+    assert not directory.exists()
+
+
+@pytest.mark.parametrize("update", [False, True], ids=["compare", "update"])
+def test_normal_form_unusable_golden_path_exits_2(tmp_path, capsys, monkeypatch, update):
+    """A golden path that cannot be read (a directory) or written (its
+    directory is a file) is a usage error, not a traceback."""
+    if update:
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("")
+        monkeypatch.setenv("SUPERPOINTS_GOLDEN_DIR", str(blocker))
+    else:
+        (tmp_path / "swap_word_nf.json").mkdir()
+        monkeypatch.setenv("SUPERPOINTS_GOLDEN_DIR", str(tmp_path))
+    code, _, err = run(_GOLDEN_ARGS + ["--update-golden"] * update, capsys)
+    assert code == 2 and "schema error" in err and "swap_word_nf.json" in err
+    assert "Traceback" not in err
+
+
+def test_normal_form_update_golden_needs_golden(capsys):
+    code, _, err = run(_GOLDEN_ARGS[:-2] + ["--update-golden"], capsys)
+    assert code == 2 and "--golden" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Lie superalgebra tests: axioms, constant extraction, and the PBW
 straightening kernel cross-checked against the brute-force word rewriter."""
 
+import os
 import random
 
 import pytest
@@ -16,7 +17,10 @@ from superpoints import (
     InducedModule,
     LieSuperalgebraData,
     OddTok,
+    StructuralError,
+    SuperMatrix,
     apply_odd_generator,
+    char2_pair,
     check_axioms,
     defining_module,
     from_matrices,
@@ -26,9 +30,13 @@ from superpoints import (
 )
 from superpoints.liesuper import straighten_action
 from superpoints.sampling import rand_odd
+from superpoints.serialize import load_lie, loads
 from superpoints.verify import check_module_axioms
 
 from .oracles import even_monomial_action_oracle, odd_monomial_action_oracle
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def kmat(field, rows):
@@ -121,9 +129,62 @@ def test_from_matrices_single_odd_line_closes():
 
 def test_from_matrices_closure_violation():
     f = QQ
-    with pytest.raises(ClosureViolation):
+    with pytest.raises(ClosureViolation, match=r"\[X1,Y1\] left the odd span"):
         from_matrices(1, 1, [kmat(f, [[1, 0], [0, 0]])],
                       [kmat(f, [[0, 1], [1, 0]])], f)
+
+
+def test_gl_lie_makes_no_supermatrix_product(monkeypatch):
+    """The structure constants are computed over raw k: no SuperMatrix
+    product, so check_axioms' rho check (gl_bracket and gl_2op, which do
+    use it) is an independent cross-check of them."""
+    calls = []
+    real = SuperMatrix.__mul__
+
+    def counted(self, other):
+        calls.append(self)
+        return real(self, other)
+
+    monkeypatch.setattr(SuperMatrix, "__mul__", counted)
+    lie = gl_lie(2, 1, QQ)
+    assert calls == []
+    assert check_axioms(lie).ok
+    assert calls  # the rho check multiplies supermatrices
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+def test_from_matrices_constants_pass_the_rho_oracle(field):
+    """check_axioms, including the SuperMatrix-based rho check, passes on
+    every gl(p|q) with p + q <= 4 (empty spans included) and on the
+    characteristic-2 pair."""
+    for p, q in [(p, q) for p in range(5) for q in range(5 - p) if p + q]:
+        rep = check_axioms(gl_lie(p, q, field))
+        assert rep.ok, (p, q, rep.summary())
+    if field.characteristic == 2:
+        assert check_axioms(char2_pair(field).lie).ok
+
+
+E11, E22, E12 = [[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [0, 0]]
+
+
+@pytest.mark.parametrize("evens,odds,field,error,message", [
+    ([[[1, 1], [0, 0]]], [E12], QQ, StructuralError,
+     "an even generator is not even-homogeneous"),
+    ([E11], [[[1, 1], [0, 0]]], QQ, StructuralError,
+     "an odd generator is not odd-homogeneous"),
+    ([E11, [[2, 0], [0, 0]]], [E12], QQ, StructuralError, "linearly dependent"),
+    ([E11, E22], [E12, [[0, 3], [0, 0]]], QQ, StructuralError, "linearly dependent"),
+    # char 2: [Y1,Y1] = 2 Y1.Y1 vanishes, Y1^<2> = E11 + E22 does not
+    ([E11], [[[0, 1], [1, 0]]], GF2, ClosureViolation,
+     r"Y1\^<2> left the even span"),
+    ([], [[[0, 1], [1, 0]]], QQ, ClosureViolation,
+     r"\[Y1,Y1\] is nonzero with empty even span"),
+], ids=["even-inhomogeneous", "odd-inhomogeneous", "even-dependent", "odd-dependent",
+        "square-leaves-span", "empty-even-span"])
+def test_from_matrices_errors(evens, odds, field, error, message):
+    with pytest.raises(error, match=message):
+        from_matrices(1, 1, [kmat(field, m) for m in evens],
+                      [kmat(field, m) for m in odds], field)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +241,20 @@ def test_module_axioms(field):
         if lie.d_minus <= 3:
             rep = check_module_axioms(lie)
             assert rep.ok, rep.summary()
+
+
+@pytest.mark.parametrize("name,failures", [
+    ("tampered_lie.json", ["action[Y1,Y2] != graded commutator",
+                           "action[Y2,Y1] != graded commutator"]),
+    ("flipped_bracket_lie.json", []),
+    ("gl11_lie.json", []),
+])
+def test_module_axioms_on_fixtures(name, failures):
+    """The module-axiom check fails exactly where the tampered odd-odd
+    bracket disagrees with the straightening action."""
+    with open(os.path.join(FIXTURES, name)) as fh:
+        lie = load_lie(loads(fh.read()))
+    assert check_module_axioms(lie).failures == failures
 
 
 def test_exterior_dimension():
