@@ -8,8 +8,8 @@ disagreement or a tripped termination guard).
 Sampling is driven by seeded Mersenne-Twister generators (random.Random),
 so a failing run is reproducible from its seed.  Golden files are compared
 byte-exactly; the directory is taken from SUPERPOINTS_GOLDEN_DIR.  A missing
-golden file is a usage error (exit 2) and is not created; --update-golden
-writes or overwrites it and exits 0.
+golden file is a usage error (exit 2) and is not created; regenerate one by
+redirecting the stdout of the same normal-form run (without --trace) to it.
 """
 
 from __future__ import annotations
@@ -99,9 +99,6 @@ def _resolve_coeff(args):
 
 
 def cmd_normal_form(args):
-    if args.update_golden and not args.golden:
-        print("--update-golden needs --golden NAME", file=sys.stderr)
-        return EXIT_USAGE
     pair = load_pair(loads(_read(args.pair), args.pair))
     algebra = _resolve_coeff(args)
     word = load_word(loads(_read(args.word), args.word), pair, algebra)
@@ -124,24 +121,15 @@ def cmd_normal_form(args):
             print(f"# {line}")
     print(text)
     if args.golden:
-        return _compare_golden(args.golden, text + "\n", args.update_golden)
+        return _compare_golden(args.golden, text + "\n")
     return EXIT_PASS
 
 
-def _compare_golden(name, text, update):
-    directory = os.environ.get("SUPERPOINTS_GOLDEN_DIR", "golden")
-    path = os.path.join(directory, name)
-    if update:
-        try:
-            os.makedirs(directory, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise SchemaError(f"cannot write {path}: {e}") from None
-        print(f"golden file written: {path}", file=sys.stderr)
-        return EXIT_PASS
+def _compare_golden(name, text):
+    path = os.path.join(os.environ.get("SUPERPOINTS_GOLDEN_DIR", "golden"), name)
     if not os.path.exists(path):
-        print(f"golden file missing: {path} (write it with --update-golden)",
+        print(f"golden file missing: {path} (regenerate it with "
+              f"`superpoints normal-form ... > {path}`, without --trace)",
               file=sys.stderr)
         return EXIT_USAGE
     if _read(path) != text:
@@ -194,8 +182,6 @@ def build_parser():
     p.add_argument("--oracle", choices=["module", "rewrite", "both"],
                    default="module")
     p.add_argument("--golden", help="compare against a golden file by name")
-    p.add_argument("--update-golden", action="store_true",
-                   help="write (or overwrite) the --golden file instead of comparing")
     p.set_defaults(fn=cmd_normal_form)
 
     p = sub.add_parser("verify", help="run a named verification suite")

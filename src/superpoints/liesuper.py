@@ -29,7 +29,7 @@ from __future__ import annotations
 from .coeff import GrassmannAlgebra
 from .errors import ClosureViolation, StructuralError
 from .smat import (SuperMatrix, constant_matrix, gl_2op, gl_bracket, k_matmul,
-                   k_matrix_inverse, matrix_units)
+                   k_solve_matrix, matrix_units)
 
 
 def _vcomb(field, n, terms):
@@ -455,9 +455,9 @@ def from_matrices(p, q, evens, odds, field) -> LieSuperalgebraData:
     evens/odds are raw k-matrix rows.  k-scalars are even, so the
     bracket [A,B] = AB - (-1)^{|A||B|} BA and the square Y.Y of an odd Y are
     plain products of raw k-matrices: no coefficient algebra is involved.
-    Each span is row-reduced once; a bracket or square is solved against it
-    and checked exactly against the generators, and one that leaves the span
-    raises ClosureViolation naming it.
+    Each span is row-reduced once by smat.k_solve_matrix; a bracket or
+    square is solved against it and checked exactly against the generators,
+    and one that leaves the span raises ClosureViolation naming it.
     """
     n = p + q
     for parity, mats in ((0, evens), (1, odds)):
@@ -472,34 +472,22 @@ def from_matrices(p, q, evens, odds, field) -> LieSuperalgebraData:
     def flat(m):
         return [v for row in m for v in row]
 
-    def span(mats):
-        """The generators as flat k-vectors and the columns of a left inverse."""
-        if not mats:
-            return None
-        cols = [flat(m) for m in mats]
-        # more generators than entries are dependent (and n = 0 leaves no rows)
-        ops = k_matrix_inverse(field, list(zip(*cols))) if len(cols) <= n * n else None
-        if ops is None:
-            raise StructuralError("columns are k-linearly dependent")
-        return cols, list(zip(*ops[:len(cols)]))
-
-    spans = [span(evens), span(odds)]
+    solvers = [k_solve_matrix(field, [flat(m) for m in mats]) if mats else None
+               for mats in (evens, odds)]
     one, minus = field.from_int(1), field.from_int(-1)
 
     def coords(vec, what, parity):
         """k-coordinates of the flat vector vec in the even (parity 0) or
         odd (parity 1) span."""
         name = ("even", "odd")[parity]
-        if spans[parity] is None:
+        if solvers[parity] is None:
             if any(vec):
                 raise ClosureViolation(f"{what} is nonzero with empty {name} span")
             return ()
-        cols, left = spans[parity]
-        c = _vcomb(field, len(cols), ((x, left[i]) for i, x in enumerate(vec) if x))
-        # exact residual check against the original columns
-        if any(_vcomb(field, len(vec), [(minus, vec)] + [(x, v) for x, v in zip(c, cols) if x])):
+        c = solvers[parity](vec)
+        if c is None:
             raise ClosureViolation(f"{what} left the {name} span")
-        return c
+        return tuple(c)
 
     def bracket(a, b, sign):
         """ab + sign.ba as a flat vector."""

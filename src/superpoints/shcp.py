@@ -61,7 +61,7 @@ class HarishChandraPair:
         n = self.shape[0] + self.shape[1]
         if lie.d_minus:
             cols = [[m[i][j] for i in range(n) for j in range(n)] for m in lie.rho_odd]
-            self._odd_solver = k_solve_matrix(self.field, cols, lie.d_minus)
+            self._odd_solver = k_solve_matrix(self.field, cols)
         else:
             self._odd_solver = None
         self._ad_memo = {}  # point key -> Ad matrix (tuple rows), oldest first

@@ -233,40 +233,47 @@ def _terms_have_parity(e, parity):
 # exact linear algebra over the base field
 
 
-def k_solve_matrix(field, columns, n_unknowns):
-    """Row-reduce the n x m system 'columns' (list of length-n k-vectors, raw
-    values) and return a solver closure mapping any length-n vector of
-    coefficient-algebra elements to its exact coordinates, or None when the
-    residual is nonzero.  Requires the columns to be k-linearly independent.
+def k_solve_matrix(field, columns):
+    """Row-reduce the system whose columns are the m k-linearly independent
+    length-n k-vectors 'columns' (raw values) once, and return a solver
+    mapping a length-n vector to its exact coordinates, or None when the
+    residual is nonzero.  The vector holds elements of the coefficient
+    algebra passed to the solver, or raw k-values when none is passed.
     """
-    m = n_unknowns
+    m = len(columns)
     n = len(columns[0]) if columns else 0
-    if len(columns) != m:
-        raise StructuralError("column count mismatch")
+    rows = list(zip(*columns))
     # more columns than rows are dependent (and n = 0 leaves no rows to count them)
-    ops = k_matrix_inverse(field, list(zip(*columns))) if m <= n else None
+    ops = k_matrix_inverse(field, rows) if m <= n else None
     if ops is None:
         raise StructuralError("columns are k-linearly dependent")
+    # the left inverse and the columns as sparse (index, coefficient) rows
+    left = [[(i, c) for i, c in enumerate(row) if c] for row in ops[:m]]
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in rows]
 
-    def solve(vector, algebra):
-        """vector: length-n list of algebra elements; returns coords or None."""
-        coords = []
-        for t in range(m):
-            acc = algebra.zero()
-            for i in range(n):
-                c = ops[t][i]
-                if c:
-                    acc = acc + vector[i].scale(c)
-            coords.append(acc)
+    def raw_axpy(acc, c, x):
+        return field.add(acc, field.mul(c, x))
+
+    def element_axpy(acc, c, x):
+        return acc + x.scale(c)
+
+    def solve(vector, algebra=None):
+        if algebra is None:
+            zero, axpy = field.from_int(0), raw_axpy
+        else:
+            zero, axpy = algebra.zero(), element_axpy
+
+        def comb(terms, xs):
+            acc = zero
+            for k, c in terms:
+                if xs[k]:
+                    acc = axpy(acc, c, xs[k])
+            return acc
+
+        coords = [comb(row, vector) for row in left]
         # exact residual check against the original columns
-        for i in range(n):
-            acc = algebra.zero()
-            for j in range(m):
-                c = columns[j][i]
-                if c:
-                    acc = acc + coords[j].scale(c)
-            if not (acc - vector[i]).is_zero():
-                return None
+        if any(comb(row, coords) != x for row, x in zip(rows, vector)):
+            return None
         return coords
 
     return solve

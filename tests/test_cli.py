@@ -268,16 +268,15 @@ _GOLDEN_ARGS = ["normal-form", "--pair", fx("gl11_pair.json"),
 
 
 def test_normal_form_golden_roundtrip(tmp_path, capsys, monkeypatch):
-    """--update-golden writes (or overwrites) the file; a plain --golden run
-    then compares against it and passes."""
+    """A stale golden file fails the comparison; the run's stdout (without
+    --trace) is exactly the golden bytes, so writing it there makes the
+    next run pass."""
     monkeypatch.setenv("SUPERPOINTS_GOLDEN_DIR", str(tmp_path))
     path = tmp_path / "swap_word_nf.json"
     path.write_text("stale\n")
-    code, _, err = run(_GOLDEN_ARGS, capsys)
+    code, out1, err = run(_GOLDEN_ARGS, capsys)
     assert code == 1 and "mismatch" in err
-    code, out1, err = run(_GOLDEN_ARGS + ["--update-golden"], capsys)
-    assert code == 0 and "written" in err and str(path) in err
-    assert path.read_text() == out1
+    path.write_text(out1)
     code, out2, err = run(_GOLDEN_ARGS, capsys)
     assert code == 0 and err == ""
     assert out1 == out2  # byte-stable across runs
@@ -293,25 +292,14 @@ def test_normal_form_missing_golden_exits_2_and_creates_nothing(tmp_path, capsys
     assert not directory.exists()
 
 
-@pytest.mark.parametrize("update", [False, True], ids=["compare", "update"])
-def test_normal_form_unusable_golden_path_exits_2(tmp_path, capsys, monkeypatch, update):
-    """A golden path that cannot be read (a directory) or written (its
-    directory is a file) is a usage error, not a traceback."""
-    if update:
-        blocker = tmp_path / "not_a_dir"
-        blocker.write_text("")
-        monkeypatch.setenv("SUPERPOINTS_GOLDEN_DIR", str(blocker))
-    else:
-        (tmp_path / "swap_word_nf.json").mkdir()
-        monkeypatch.setenv("SUPERPOINTS_GOLDEN_DIR", str(tmp_path))
-    code, _, err = run(_GOLDEN_ARGS + ["--update-golden"] * update, capsys)
+def test_normal_form_unreadable_golden_path_exits_2(tmp_path, capsys, monkeypatch):
+    """A golden path that cannot be read (a directory) is a usage error,
+    not a traceback."""
+    (tmp_path / "swap_word_nf.json").mkdir()
+    monkeypatch.setenv("SUPERPOINTS_GOLDEN_DIR", str(tmp_path))
+    code, _, err = run(_GOLDEN_ARGS, capsys)
     assert code == 2 and "schema error" in err and "swap_word_nf.json" in err
     assert "Traceback" not in err
-
-
-def test_normal_form_update_golden_needs_golden(capsys):
-    code, _, err = run(_GOLDEN_ARGS[:-2] + ["--update-golden"], capsys)
-    assert code == 2 and "--golden" in err
 
 
 # ---------------------------------------------------------------------------
