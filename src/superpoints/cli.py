@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from .coeff import GrassmannAlgebra, field_by_name
+from .coeff import GrassmannAlgebra
 from .errors import (
     ClosureViolation,
     MembershipViolation,
@@ -34,6 +34,7 @@ from .liesuper import check_axioms
 from .serialize import (
     dump_normal_form,
     load_coeff,
+    load_field,
     load_lie,
     load_pair,
     load_word,
@@ -91,8 +92,9 @@ def _resolve_coeff(args):
     if args.coeff:
         return load_coeff(loads(_read(args.coeff), args.coeff))
     if args.field:
+        field = load_field(args.field, "--field")
         try:
-            return GrassmannAlgebra(field_by_name(args.field), args.grassmann_rank)
+            return GrassmannAlgebra(field, args.grassmann_rank)
         except StructuralError as e:
             raise SchemaError(f"--grassmann-rank: {e}") from None
     raise SchemaError("supply --coeff FILE or --field/--grassmann-rank")
@@ -174,7 +176,7 @@ def build_parser():
     p = sub.add_parser("normal-form", help="canonical factorization of a word")
     p.add_argument("--pair", required=True)
     p.add_argument("--coeff")
-    p.add_argument("--field", choices=["Q", "F2", "F3", "F5"])
+    p.add_argument("--field", help="Q or F<p>, p a prime below 2**31")
     p.add_argument("--grassmann-rank", type=int, default=3)
     p.add_argument("--word", required=True)
     p.add_argument("--trace", action="store_true",

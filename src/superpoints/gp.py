@@ -57,8 +57,8 @@ import random
 
 from .coeff import DualExtension, GrassmannAlgebra
 from .errors import MembershipViolation, NonTermination, SpanViolation, StructuralError
-from .liesuper import (CheckReport, ExteriorVector, StraighteningKernel, _unit, _vcomb,
-                       word_action)
+from .liesuper import (CheckReport, ExteriorVector, StraighteningKernel, _bracket, _unit,
+                       _vcomb, word_action)
 from .smat import SuperMatrix, dual_probe, gl_split, smat_inv
 
 MAX_WORD_TOKENS = 10_000
@@ -92,6 +92,9 @@ class GroupWord:
     """Validated token sequence over a pair and a coefficient algebra."""
 
     def __init__(self, pair, algebra, tokens):
+        if algebra.field != pair.field:
+            raise StructuralError(f"coefficient field {algebra.field} is not "
+                                  f"the pair's field {pair.field}")
         if len(tokens) > MAX_WORD_TOKENS:
             raise StructuralError("word exceeds the token bound")
         self.pair = pair
@@ -299,7 +302,7 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
         tail into E; its Ad comes from the bracket table, not conjugation."""
         nonlocal e_acc
         odds[position:] = _conjugate_odds(odds[position:], slide_ad_matrix(pair.lie, z, c))
-        corr = pair.identity_matrix(algebra) + pair.lie.rho_even_comb(z, algebra).scale(c)
+        corr = pair.identity_matrix(algebra) + pair.lie.rho_comb(0, z, algebra).scale(c)
         e_acc = corr * e_acc
 
     while True:
@@ -633,35 +636,29 @@ class PairMorphism:
         xs = [_unit(f, src.d_plus, a) for a in range(src.d_plus)]
         ys = [_unit(f, src.d_minus, i) for i in range(src.d_minus)]
 
-        # Lie superalgebra morphism on basis brackets and squares
-        for a, x in enumerate(xs):
-            for b, xb in enumerate(xs):
-                if omega(we, src.lie.bracket_ee(x, xb)) != \
-                        tgt.lie.bracket_ee(omega(we, x), omega(we, xb)):
-                    rep.fail(f"omega[X{a+1},X{b+1}] mismatch")
-            for i, y in enumerate(ys):
-                if omega(wo, src.lie.bracket_eo(x, y)) != \
-                        tgt.lie.bracket_eo(omega(we, x), omega(wo, y)):
-                    rep.fail(f"omega[X{a+1},Y{i+1}] mismatch")
-        for i, y in enumerate(ys):
-            if omega(we, src.lie.two_op(y)) != tgt.lie.two_op(omega(wo, y)):
-                rep.fail(f"omega(Y{i+1}^<2>) mismatch")
-            for j, yj in enumerate(ys):
-                if omega(we, src.lie.bracket_oo(y, yj)) != \
-                        tgt.lie.bracket_oo(omega(wo, y), omega(wo, yj)):
-                    rep.fail(f"omega[Y{i+1},Y{j+1}] mismatch")
+        def image(element):
+            """omega of the basis element (parity, index), as (parity, vector)."""
+            p, k = element
+            return p, omega((we, wo)[p], (xs, ys)[p][k])
+
+        # Lie superalgebra morphism on the defining relations
+        for name, x, y, _, (parity, coords) in src.lie.relations():
+            got = (tgt.lie.two_op(image(x)[1]) if y is None
+                   else _bracket(tgt.lie, image(x), image(y))[1])
+            if omega((we, wo)[parity], coords) != got:
+                rep.fail(f"omega{name} mismatch")
 
         # d(Omega_+) = omega on g_0: dual-number probes
         tdual = DualExtension(A)
         for a, x in enumerate(xs):
             _, probe = dual_probe(src.lie.rho_even[a], src.shape, A)
             expect = tgt.identity_matrix(tdual) + \
-                tgt.lie.rho_even_comb(omega(we, x), tdual).scale(tdual.eps())
+                tgt.lie.rho_comb(0, omega(we, x), tdual).scale(tdual.eps())
             if self.omega_plus(probe) != expect:
                 rep.fail(f"d(Omega_+) != omega on X{a+1}")
 
         # equivariance on samples: rho(omega(Ad(g^-1)Y_i)) = Ad(img^-1) rho(omega(Y_i))
-        images = [tgt.lie.rho_odd_comb(omega(wo, y), A) for y in ys]
+        images = [tgt.lie.rho_comb(1, omega(wo, y), A) for y in ys]
         for s in range(samples):
             g = src.even_group.sample(A, rng)
             img = self.omega_plus(g)
@@ -736,8 +733,8 @@ def roundtrip_phi_psi(pair, algebra, samples=32, seed=0) -> CheckReport:
             nfi = normal_form(GroupWord(pair, algebra, [OddTok(i, eta)]))
             nfj = normal_form(GroupWord(pair, algebra, [OddTok(j, etap)]))
             comm = gp_commutator(nfi, nfj)
-            expected_even = ident + pair.lie.rho_even_comb(
-                pair.lie.oo[i][j], algebra).scale(etap * eta)
+            expected_even = ident + pair.lie.rho_comb(
+                0, pair.lie.oo[i][j], algebra).scale(etap * eta)
             expected = NormalForm(pair, algebra,
                                   [algebra.zero()] * pair.d_minus, expected_even)
             if comm != expected:
@@ -747,7 +744,7 @@ def roundtrip_phi_psi(pair, algebra, samples=32, seed=0) -> CheckReport:
         w = GroupWord(pair, algebra, [OddTok(i, eta), OddTok(i, etap)])
         nf = normal_form(w)
         want_eta = eta + etap
-        want_even = ident + pair.lie.rho_even_comb(pair.lie.q2[i], algebra).scale(etap * eta)
+        want_even = ident + pair.lie.rho_comb(0, pair.lie.q2[i], algebra).scale(etap * eta)
         ok = nf.g_plus == want_even and all(
             nf.etas[t] == (want_eta if t == i else algebra.zero())
             for t in range(pair.d_minus))

@@ -10,7 +10,10 @@ from_matrices reads the constants off homogeneous k-matrices over the raw
 base field: k-scalars are even, so brackets and squares are plain matrix
 products, with no SuperMatrix and no coefficient algebra.  check_axioms
 recomputes them through gl_bracket/gl_2op on supermatrices, an independent
-cross-check.
+cross-check.  LieSuperalgebraData.relations() lists the defining relations
+(brackets and 2-operation on the basis) once; every homomorphism check
+reads that list: rho here, the wedge(g_1) action in
+verify.check_module_axioms, and omega in gp.PairMorphism.check.
 
 The module also hosts the exterior module wedge(g_1) with its straightening
 action: the induced module from the trivial even representation, in the PBW
@@ -46,6 +49,19 @@ def _vcomb(field, n, terms):
 def _unit(field, n, k):
     """The k-th basis vector of k^n (raw values)."""
     return tuple(field.from_int(int(t == k)) for t in range(n))
+
+
+def _flat(m):
+    """A square k-matrix as one k-vector, row by row."""
+    return [v for row in m for v in row]
+
+
+def lift_comb(shape, algebra, mats, coords) -> SuperMatrix:
+    """sum_i coords[i] mats[i] for raw k-matrices and raw k-values: summed
+    over k, then lifted into a SuperMatrix over the algebra once."""
+    n = shape[0] + shape[1]
+    v = _vcomb(algebra.field, n * n, ((c, _flat(m)) for c, m in zip(coords, mats) if c))
+    return constant_matrix(shape, algebra, [v[r * n:(r + 1) * n] for r in range(n)])
 
 
 class CheckReport:
@@ -172,25 +188,36 @@ class LieSuperalgebraData:
         return _vcomb(f, self.d_plus, terms)
 
     # -- representation lifts ------------------------------------------------
-    def rho_even_matrix(self, a, algebra) -> SuperMatrix:
-        return constant_matrix(self.shape, algebra, self.rho_even[a])
-
     def rho_odd_matrix(self, i, algebra) -> SuperMatrix:
         return constant_matrix(self.shape, algebra, self.rho_odd[i])
 
-    def rho_even_comb(self, coords, algebra) -> SuperMatrix:
-        m = SuperMatrix.zero(self.shape, algebra)
-        for a, c in enumerate(coords):
-            if c:
-                m = m + self.rho_even_matrix(a, algebra).scale(c)
-        return m
+    def rho_comb(self, parity, coords, algebra) -> SuperMatrix:
+        """rho of the element with k-coordinates coords in the even (parity
+        0) or odd (parity 1) basis, over the algebra."""
+        return lift_comb(self.shape, algebra, (self.rho_even, self.rho_odd)[parity], coords)
 
-    def rho_odd_comb(self, coords, algebra) -> SuperMatrix:
-        m = SuperMatrix.zero(self.shape, algebra)
-        for i, c in enumerate(coords):
-            if c:
-                m = m + self.rho_odd_matrix(i, algebra).scale(c)
-        return m
+    # -- the defining relations ---------------------------------------------
+    def relations(self):
+        """Each defining relation of g on the basis, once, as
+        (name, left, right, sign, (parity, coords)).
+
+        left and right are basis elements (parity, index), X_a = (0, a) and
+        Y_i = (1, i).  A bracket [x,y] = xy + sign.yx has the raw k-value
+        sign -1 when x is even and +1 for [Y_i,Y_j]; a square (Y_i^<2>) = YY
+        has right and sign None.  The right-hand side is the element with
+        k-coordinates coords in the basis of that parity.  Order: [X_a,X_b]
+        and [X_a,Y_i] for each a, then [Y_i,Y_j] and (Y_i^<2>) for each i.
+        """
+        minus, one = self.field.from_int(-1), self.field.from_int(1)
+        for a in range(self.d_plus):
+            for b in range(self.d_plus):
+                yield f"[X{a + 1},X{b + 1}]", (0, a), (0, b), minus, (0, self.ee[a][b])
+            for i in range(self.d_minus):
+                yield f"[X{a + 1},Y{i + 1}]", (0, a), (1, i), minus, (1, self.eo[a][i])
+        for i in range(self.d_minus):
+            for j in range(self.d_minus):
+                yield f"[Y{i + 1},Y{j + 1}]", (1, i), (1, j), one, (0, self.oo[i][j])
+            yield f"(Y{i + 1}^<2>)", (1, i), None, None, (0, self.q2[i])
 
     # -- straightening kernel over k (wedge(g_1): keys are the masks S) -------
 
@@ -418,31 +445,22 @@ def check_axioms(lie: LieSuperalgebraData) -> CheckReport:
 
 def _check_rho(lie, rep):
     """rho respects brackets and the 2-operation, with correct parities."""
-    f = lie.field
-    k0 = GrassmannAlgebra(f, 0)
-    re = [constant_matrix(lie.shape, k0, m) for m in lie.rho_even]
-    ro = [constant_matrix(lie.shape, k0, m) for m in lie.rho_odd]
-    for a, m in enumerate(re):
+    k0 = GrassmannAlgebra(lie.field, 0)
+    rho = [[constant_matrix(lie.shape, k0, m) for m in mats]
+           for mats in (lie.rho_even, lie.rho_odd)]
+    for a, m in enumerate(rho[0]):
         if not m.is_even_homogeneous():
             rep.fail(f"rho(X{a + 1}) is not even-homogeneous")
-    for i, m in enumerate(ro):
+    for i, m in enumerate(rho[1]):
         if not m.is_odd_homogeneous():
             rep.fail(f"rho(Y{i + 1}) is not odd-homogeneous")
     if not rep.ok:
         return
-    for a in range(lie.d_plus):
-        for b in range(lie.d_plus):
-            if gl_bracket(re[a], re[b]) != lie.rho_even_comb(lie.ee[a][b], k0):
-                rep.fail(f"rho[X{a + 1},X{b + 1}] mismatch")
-        for i in range(lie.d_minus):
-            if gl_bracket(re[a], ro[i]) != lie.rho_odd_comb(lie.eo[a][i], k0):
-                rep.fail(f"rho[X{a + 1},Y{i + 1}] mismatch")
-    for i in range(lie.d_minus):
-        for j in range(lie.d_minus):
-            if gl_bracket(ro[i], ro[j]) != lie.rho_even_comb(lie.oo[i][j], k0):
-                rep.fail(f"rho[Y{i + 1},Y{j + 1}] mismatch")
-        if gl_2op(ro[i]) != lie.rho_even_comb(lie.q2[i], k0):
-            rep.fail(f"rho(Y{i + 1}^<2>) mismatch")
+    for name, (px, x), right, _, (parity, coords) in lie.relations():
+        got = (gl_2op(rho[px][x]) if right is None
+               else gl_bracket(rho[px][x], rho[right[0]][right[1]]))
+        if got != lie.rho_comb(parity, coords, k0):
+            rep.fail(f"rho{name} mismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +487,7 @@ def from_matrices(p, q, evens, odds, field) -> LieSuperalgebraData:
                    for i, r in enumerate(m) for j, v in enumerate(r)):
                 raise StructuralError(f"an {name} generator is not {name}-homogeneous")
 
-    def flat(m):
-        return [v for row in m for v in row]
-
-    solvers = [k_solve_matrix(field, [flat(m) for m in mats]) if mats else None
+    solvers = [k_solve_matrix(field, [_flat(m) for m in mats]) if mats else None
                for mats in (evens, odds)]
     one, minus = field.from_int(1), field.from_int(-1)
 
@@ -491,8 +506,8 @@ def from_matrices(p, q, evens, odds, field) -> LieSuperalgebraData:
 
     def bracket(a, b, sign):
         """ab + sign.ba as a flat vector."""
-        return _vcomb(field, n * n, ((one, flat(k_matmul(field, a, b))),
-                                     (sign, flat(k_matmul(field, b, a)))))
+        return _vcomb(field, n * n, ((one, _flat(k_matmul(field, a, b))),
+                                     (sign, _flat(k_matmul(field, b, a)))))
 
     ee = [[coords(bracket(x, x2, minus), f"[X{a + 1},X{b + 1}]", 0)
            for b, x2 in enumerate(evens)] for a, x in enumerate(evens)]
@@ -500,7 +515,7 @@ def from_matrices(p, q, evens, odds, field) -> LieSuperalgebraData:
            for i, y in enumerate(odds)] for a, x in enumerate(evens)]
     oo = [[coords(bracket(y, y2, one), f"[Y{i + 1},Y{j + 1}]", 0)
            for j, y2 in enumerate(odds)] for i, y in enumerate(odds)]
-    q2 = [coords(flat(k_matmul(field, y, y)), f"Y{i + 1}^<2>", 0) for i, y in enumerate(odds)]
+    q2 = [coords(_flat(k_matmul(field, y, y)), f"Y{i + 1}^<2>", 0) for i, y in enumerate(odds)]
     return LieSuperalgebraData(field, len(evens), len(odds), ee, eo, oo, q2,
                                shape=(p, q), rho_even=list(evens), rho_odd=list(odds))
 

@@ -190,7 +190,7 @@ def load_lie(obj, where="lie") -> LieSuperalgebraData:
 def load_group(obj, where="even_group"):
     _require_keys(obj, ["name", "p", "q"], (), where)
     name = obj["name"]
-    if name not in BUILTIN_GROUPS:
+    if not isinstance(name, str) or name not in BUILTIN_GROUPS:
         raise SchemaError(f"{where}: unknown group {name!r}; "
                           f"builtins: {sorted(BUILTIN_GROUPS)}")
     if not all(_is_int(obj[k]) and obj[k] >= 0 for k in ("p", "q")):

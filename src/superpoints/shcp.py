@@ -169,16 +169,16 @@ def validate_pair(pair: HarishChandraPair, samples: int = 64, seed: int = 0,
         for i, coords in enumerate(coord_rows):
             # Ad(g^-1) respects the 2-operation through the constants:
             # (sum c_j Y_j)^<2> must match the conjugate of Y_i^<2>.
-            lhs = ginv * pair.lie.rho_even_comb(pair.lie.q2[i], A) * g
+            lhs = ginv * pair.lie.rho_comb(0, pair.lie.q2[i], A) * g
             rhs = SuperMatrix.zero(pair.shape, A)
             for j, cj in enumerate(coords):
                 if cj.is_zero():
                     continue
-                rhs = rhs + pair.lie.rho_even_comb(pair.lie.q2[j], A).scale(cj * cj)
+                rhs = rhs + pair.lie.rho_comb(0, pair.lie.q2[j], A).scale(cj * cj)
                 for l in range(j + 1, pair.d_minus):
                     if coords[l].is_zero():
                         continue
-                    rhs = rhs + pair.lie.rho_even_comb(pair.lie.oo[j][l], A).scale(cj * coords[l])
+                    rhs = rhs + pair.lie.rho_comb(0, pair.lie.oo[j][l], A).scale(cj * coords[l])
             if lhs != rhs:
                 rep.fail(f"sample {s}: Ad(g^-1) does not respect Y{i + 1}^<2>")
     rep.note("Ad compatibility with the 2-operation verified on samples")
@@ -191,7 +191,7 @@ def validate_pair(pair: HarishChandraPair, samples: int = 64, seed: int = 0,
         for i in range(pair.d_minus):
             y = pair.lie.rho_odd_matrix(i, dual)
             conj = probe * y * probe_inv
-            expect = y + pair.lie.rho_odd_comb(pair.lie.eo[a][i], dual).scale(dual.eps())
+            expect = y + pair.lie.rho_comb(1, pair.lie.eo[a][i], dual).scale(dual.eps())
             if conj != expect:
                 rep.fail(f"d(Ad) != bracket on (X{a + 1}, Y{i + 1})")
     return rep

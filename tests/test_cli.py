@@ -1,11 +1,16 @@
 """CLI contract: exit codes, fixture handling, golden files, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superpoints.cli import main
 
@@ -234,6 +239,34 @@ def test_normal_form_bad_integer_exit_2(tmp_path, capsys, part, doc):
     assert code == 2 and "schema error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", [["gl_full"], {"gl_full": 1}], ids=["list", "object"])
+def test_normal_form_unhashable_group_name_exit_2(tmp_path, capsys, name):
+    doc = _edited("gl11_pair.json", lambda d: d["even_group"].update(name=name))
+    (tmp_path / "pair.json").write_text(json.dumps(doc))
+    code, _, err = run(["normal-form", "--pair", str(tmp_path / "pair.json"),
+                        "--coeff", fx("coeff_l2.json"), "--word", fx("swap_word.json")],
+                       capsys)
+    assert code == 2 and "unknown group" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--field", "F3"], ["--field", "F7"]],
+                         ids=["F3", "F7"])
+def test_normal_form_field_differs_from_pair_exit_2(capsys, flags):
+    """A coefficient field other than the pair's (Q) is a schema error naming
+    both fields; any prime field a fixture accepts, the flag accepts too."""
+    code, _, err = run(["normal-form", "--pair", fx("gl11_pair.json"), *flags,
+                        "--word", fx("swap_word.json")], capsys)
+    assert code == 2 and f"coefficient field {flags[1]}" in err and "field Q" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["F4", "R", "F" + "9" * 20])
+def test_normal_form_bad_field_flag_exit_2(capsys, field):
+    code, _, err = run(["normal-form", "--pair", fx("gl11_pair.json"), "--field", field,
+                        "--word", fx("swap_word.json")], capsys)
+    assert code == 2 and "schema error: --field:" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("rank", ["-1", "17"])
 def test_normal_form_grassmann_rank_out_of_range_exit_2(capsys, rank):
     code, _, err = run(["normal-form", "--pair", fx("gl11_pair.json"), "--field", "Q",
@@ -393,6 +426,76 @@ def test_word_fixture_is_one_based():
     word = load_word({"schema": 1, "tokens": [{"odd": [2, "1 * x{1}"]}]},
                      pair, algebra)
     assert word.tokens[0].index == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzzed fixtures: one value changed or one key deleted, never a traceback
+
+
+def _draw_path(data, node):
+    """A path to a node below the root of a JSON document, drawn by walking
+    down and stopping at each node with even odds, so keys near the root
+    (the schema) are hit as often as the many matrix entries below them."""
+    path = ()
+    while isinstance(node, (dict, list)) and node and (
+            not path or data.draw(st.booleans())):
+        k = data.draw(st.sampled_from(list(node.keys()) if isinstance(node, dict)
+                                      else range(len(node))))
+        path, node = path + (k,), node[k]
+    return path
+
+
+def _mutated(doc, path, value, delete):
+    """A copy of doc with the node at path replaced by value, or deleted."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+_FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.just(0.5),
+    st.sampled_from(["", "x", "Q", "F7", "F4", "1/0", "2 mod 5", "1 * x{1}",
+                     "1 * x{3}", "gl_full", "matrices", "constants"]),
+    st.sampled_from([[], {}, [[]], [["1"]], [1, 1], {"schema": 1}]))
+
+
+@pytest.mark.parametrize("command,flags,names", [
+    (["check-liesuper"], [None], ["gl11_lie.json"]),
+    (["check-liesuper"], [None], ["tampered_lie.json"]),
+    (["check-liesuper"], [None], ["flipped_bracket_lie.json"]),
+    (["normal-form", "--oracle", "both"], ["--pair", "--coeff", "--word"],
+     ["gl11_pair.json", "coeff_l2.json", "swap_word.json"]),
+], ids=["gl11-lie", "tampered-lie", "flipped-lie", "normal-form"])
+@settings(max_examples=75, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_fuzzed_fixture_maps_to_an_exit_code(command, flags, names, data):
+    """flags[t] is the option naming fixture t (None: a positional path)."""
+    docs = []
+    for name in names:
+        with open(fx(name)) as fh:
+            docs.append(json.load(fh))
+    which = data.draw(st.integers(0, len(docs) - 1))
+    path = _draw_path(data, docs[which])
+    delete = data.draw(st.booleans())
+    value = None if delete else data.draw(_FUZZ_VALUES)
+    docs[which] = _mutated(docs[which], path, value, delete)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = list(command)
+        for t, (flag, doc) in enumerate(zip(flags, docs)):
+            fpath = os.path.join(tmp, f"{t}.json")
+            with open(fpath, "w") as fh:
+                json.dump(doc, fh)
+            argv += [fpath] if flag is None else [flag, fpath]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -108,8 +108,8 @@ def test_two_odd_generators_swap_instance(pair11, L2):
     assert nf.etas[0] == x2 and nf.etas[1] == x1
     assert nf.rho_matrix() == w.rho_matrix()
     # the even factor is the correction (1 + x2 x1 [Y2,Y1]) = 1 - x12 (E11+E22)
-    expected = pair11.identity_matrix(L2) + pair11.lie.rho_even_comb(
-        pair11.lie.oo[1][0], L2).scale(x2 * x1)
+    expected = pair11.identity_matrix(L2) + pair11.lie.rho_comb(
+        0, pair11.lie.oo[1][0], L2).scale(x2 * x1)
     assert nf.g_plus == expected
 
 
@@ -118,8 +118,8 @@ def test_repeated_index_square_relation(pair11, L2):
     w = GroupWord(pair11, L2, [OddTok(0, x1), OddTok(0, x2)])
     nf = normal_form(w)
     assert nf.etas[0] == x1 + x2 and nf.etas[1].is_zero()
-    want = pair11.identity_matrix(L2) + pair11.lie.rho_even_comb(
-        pair11.lie.q2[0], L2).scale(x2 * x1)
+    want = pair11.identity_matrix(L2) + pair11.lie.rho_comb(
+        0, pair11.lie.q2[0], L2).scale(x2 * x1)
     assert nf.g_plus == want
 
 
@@ -285,8 +285,8 @@ def test_commutator_recovers_bracket(pair11, L2):
     nf1 = normal_form(GroupWord(pair11, L2, [OddTok(0, x1)]))
     nf2 = normal_form(GroupWord(pair11, L2, [OddTok(1, x2)]))
     comm = gp_commutator(nf1, nf2)
-    expect = pair11.identity_matrix(L2) + pair11.lie.rho_even_comb(
-        pair11.lie.oo[0][1], L2).scale(x2 * x1)
+    expect = pair11.identity_matrix(L2) + pair11.lie.rho_comb(
+        0, pair11.lie.oo[0][1], L2).scale(x2 * x1)
     assert all(e.is_zero() for e in comm.etas)
     assert comm.g_plus == expect
 
@@ -314,7 +314,7 @@ def test_tang_group_identities_at_normal_form_level():
                                    for t, c in enumerate(coords) if not (eta * c).is_zero()]
             assert nf_of([OddTok(i, eta), EvenTok(g0)]) == nf_of(rhs)
             # (c): swap with the bracket correction
-            corr_c = I + pair.lie.rho_even_comb(pair.lie.oo[i][j], A).scale(etapp * etap)
+            corr_c = I + pair.lie.rho_comb(0, pair.lie.oo[i][j], A).scale(etapp * etap)
             assert nf_of([OddTok(i, etap), OddTok(j, etapp)]) == \
                 nf_of([EvenTok(corr_c), OddTok(j, etapp), OddTok(i, etap)])
             # (d): shared eta factors commute and merge
@@ -322,7 +322,7 @@ def test_tang_group_identities_at_normal_form_level():
                 assert nf_of([OddTok(i, eta), OddTok(j, eta)]) == \
                     nf_of([OddTok(j, eta), OddTok(i, eta)])
             # (e): repeated index with the square correction
-            corr_e = I + pair.lie.rho_even_comb(pair.lie.q2[i], A).scale(etapp * etap)
+            corr_e = I + pair.lie.rho_comb(0, pair.lie.q2[i], A).scale(etapp * etap)
             assert nf_of([OddTok(i, etap), OddTok(i, etapp)]) == \
                 nf_of([EvenTok(corr_e), OddTok(i, etap + etapp)])
             # (f): even correction factors slide with odd corrections;
@@ -333,7 +333,7 @@ def test_tang_group_identities_at_normal_form_level():
             a = etap * etapp
             f = pair.lie.field
             x_coords = rand_k_vector(f, rng, pair.d_plus)
-            even_f = I + pair.lie.rho_even_comb(x_coords, A).scale(a)
+            even_f = I + pair.lie.rho_comb(0, x_coords, A).scale(a)
             lhs = nf_of([OddTok(i, eta), EvenTok(even_f)])
             # [Y_i, X] = -[X, Y_i] expanded through the stored constants
             comb = [f.from_int(0)] * pair.d_minus
@@ -351,8 +351,8 @@ def test_tang_group_identities_at_normal_form_level():
             # (g): the commutator identity on normal forms
             nfi = nf_of([OddTok(i, eta)])
             nfj = nf_of([OddTok(j, etap)])
-            expect = nf_of([EvenTok(I + pair.lie.rho_even_comb(
-                pair.lie.oo[i][j], A).scale(etap * eta))])
+            expect = nf_of([EvenTok(I + pair.lie.rho_comb(
+                0, pair.lie.oo[i][j], A).scale(etap * eta))])
             assert gp_commutator(nfi, nfj) == expect
 
 
@@ -541,7 +541,7 @@ def test_module_transport_recovers_lie_action(pair11):
         w = GroupWord(pair11, dual, [EvenTok(probe)])
         got = w.rho_matrix()
         want = pair11.identity_matrix(dual) + \
-            pair11.lie.rho_even_matrix(a, dual).scale(dual.eps())
+            smat.constant_matrix(pair11.shape, dual, pair11.lie.rho_even[a]).scale(dual.eps())
         assert got == want
     for i in range(pair11.d_minus):
         eta = A.generator(1)
@@ -685,4 +685,4 @@ def test_slide_ad_matrix_is_conjugation(pair):
             while c.is_zero():
                 c = rand_odd(A, rng) * rand_odd(A, rng)
             assert slide_ad_matrix(lie, z, c) == \
-                pair.ad_action_matrix(I + lie.rho_even_comb(z, A).scale(c))
+                pair.ad_action_matrix(I + lie.rho_comb(0, z, A).scale(c))

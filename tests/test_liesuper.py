@@ -238,9 +238,8 @@ def test_straighten_spec_instances():
 @pytest.mark.parametrize("field", [QQ, GF2, GF3])
 def test_module_axioms(field):
     for lie in (gl_lie(1, 1, field), gl_lie(2, 1, field)):
-        if lie.d_minus <= 3:
-            rep = check_module_axioms(lie)
-            assert rep.ok, rep.summary()
+        rep = check_module_axioms(lie)
+        assert rep.ok, rep.summary()
 
 
 @pytest.mark.parametrize("name,failures", [
@@ -255,6 +254,30 @@ def test_module_axioms_on_fixtures(name, failures):
     with open(os.path.join(FIXTURES, name)) as fh:
         lie = load_lie(loads(fh.read()))
     assert check_module_axioms(lie).failures == failures
+
+
+def test_square_relation_is_read_by_every_check():
+    """Moving Y2^<2> of gl(1|1) off 0 breaks only the square relation, and
+    each homomorphism check names it: rho (to the central X1+X2, which keeps
+    the axioms checked before rho), the wedge(g_1) action (to X1) and omega
+    (the identity onto the central variant)."""
+    from superpoints import HarishChandraPair, PairMorphism, gl_block_diag
+
+    g = gl_lie(1, 1, QQ)
+    one, zero = QQ.from_int(1), QQ.from_int(0)
+
+    def with_q2(v):
+        return LieSuperalgebraData(QQ, 2, 2, g.ee, g.eo, g.oo, [g.q2[0], v], shape=g.shape,
+                                   rho_even=g.rho_even, rho_odd=g.rho_odd)
+
+    assert check_axioms(with_q2((one, one))).failures == ["rho(Y2^<2>) mismatch"]
+    assert check_module_axioms(with_q2((one, zero))).failures == [
+        "action(Y2^<2>) != action(Y2)^2"]
+    ident = [[one, zero], [zero, one]]
+    mor = PairMorphism(gl_pair(1, 1, QQ), HarishChandraPair(gl_block_diag(1, 1),
+                                                            with_q2((one, one))),
+                       ident, ident, lambda m: m)
+    assert mor.check(samples=2).failures == ["omega(Y2^<2>) mismatch"]
 
 
 def test_exterior_dimension():

@@ -251,14 +251,14 @@ def test_ad_differential_is_bracket():
     sh = (2, 1)
     f = QQ
     from superpoints.sampling import rand_k_vector
-    from superpoints.verify import _kmat
+    from superpoints.liesuper import lift_comb
 
     units = matrix_units(sh, f)
     evens = [rows for rows, parity in units if not parity]
     odds = [rows for rows, parity in units if parity]
     for _ in range(20):
-        X = _kmat(sh, D, evens, rand_k_vector(f, rng, len(evens)))
-        Y = _kmat(sh, D, odds, rand_k_vector(f, rng, len(odds)))
+        X = lift_comb(sh, D, evens, rand_k_vector(f, rng, len(evens)))
+        Y = lift_comb(sh, D, odds, rand_k_vector(f, rng, len(odds)))
         probe = SuperMatrix.identity(sh, D) + X.scale(D.eps())
         conj = probe * Y * smat_inv(probe)
         assert conj == Y + gl_bracket(X, Y).scale(D.eps())
