@@ -18,8 +18,9 @@ compute it:
   relations: push even tokens right through Ad, remove inversions and
   repeats by the swap/merge relations, slide the even corrections right by
   the bracket table.
-  Terminates because the ideal generated by the word's odd coefficients is
-  nilpotent; the pass guard trips only on a sign bug.
+  One sweep that steps back after each rewrite leaves the odd factors
+  sorted.  It ends because the ideal generated by the word's odd
+  coefficients is nilpotent; the rewrite budget trips only on a sign bug.
 
 A third route for full-gl pairs, ``strip_matrix_factorization``, peels the
 etas off the representing matrix by iterated refinement and closes the
@@ -271,15 +272,15 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
     commutation relation, repeated indices merged by the square relation;
     the even correction factors 1 + c.Z these emit (c^2 = 0) are pushed
     right immediately, sliding through the tail by the bracket table
-    (Ad(1 + cZ)(Y) = Y + c[Z, Y]) with no inversion or odd solve.  Every
-    coefficient these pushes create gains ideal-degree, so the process
-    sweeps to a fixpoint; the pass guard (nilpotency bound + 1) trips only
-    on a sign bug.
+    (Ad(1 + cZ)(Y) = Y + c[Z, Y]) with no inversion or odd solve.  A
+    rewrite at position s changes only the factors from s on and steps
+    back one place, so a single sweep leaves the list sorted.  Every
+    coefficient these pushes create gains ideal-degree, so the sweep ends;
+    the rewrite budget trips only on a sign bug.  stats["passes"] is
+    always 1; stats["rewrites"] counts the steps of the sweep.
     """
     pair, algebra = word.pair, word.algebra
-    guard = algebra.nilpotency_bound + 1
     rewrites = 0
-    passes = 0
     trace = stats.get("trace") if stats is not None else None
 
     def note(msg):
@@ -305,59 +306,38 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
         corr = pair.identity_matrix(algebra) + pair.lie.rho_comb(0, z, algebra).scale(c)
         e_acc = corr * e_acc
 
-    while True:
-        passes += 1
-        if passes > guard:
-            raise NonTermination(
-                f"reordering exceeded {guard} passes: sign bug suspected")
-        dirty = False
-        s = 0
-        while s < len(odds):
-            rewrites += 1
-            if rewrites > _REWRITE_BUDGET:
-                raise NonTermination("rewrite budget exhausted: sign bug suspected")
-            i, eta = odds[s]
-            if eta.is_zero():
-                del odds[s]
-                dirty = True
-                note(f"dropped (1 + 0.Y{i + 1})")
-                s = max(0, s - 1)
-                continue
-            if s + 1 >= len(odds):
-                break
-            j, eta2 = odds[s + 1]
-            if eta2.is_zero():
-                del odds[s + 1]
-                dirty = True
-                continue
-            if i < j:
-                s += 1
-                continue
-            dirty = True
-            if i == j:
-                # (1+eta Y)(1+eta2 Y) = (1 + eta2 eta Y^<2>)(1 + (eta+eta2) Y)
-                c = eta2 * eta
-                merged = eta + eta2
-                odds[s:s + 2] = [(i, merged)] if not merged.is_zero() else []
-                note(f"merged repeated Y{i + 1} factors [square relation]")
-                if not c.is_zero():
-                    emit_right(pair.lie.q2[i], c, s)
-                    note(f"emitted square correction (1 + {c!r}.Y{i + 1}^<2>), pushed right [slide relation]")
-            else:
-                # (1+eta Y_i)(1+eta2 Y_j) =
-                #   (1 + eta2 eta [Y_i,Y_j])(1+eta2 Y_j)(1+eta Y_i),   i > j
-                c = eta2 * eta
-                odds[s], odds[s + 1] = odds[s + 1], odds[s]
-                note(f"swapped Y{i + 1} past Y{j + 1} [swap relation]")
-                if not c.is_zero():
-                    emit_right(pair.lie.oo[i][j], c, s)
-                    note(f"emitted bracket correction (1 + {c!r}.[Y{i + 1},Y{j + 1}]), pushed right [slide relation]")
-            s = max(0, s - 1)
-        if not dirty:
-            break
+    # one sweep: odds[:s + 1] stays strictly ascending, since a rewrite at s
+    # changes only odds[s:] and steps back, so the sweep ends sorted
+    s = 0
+    while s + 1 < len(odds):
+        rewrites += 1
+        if rewrites > _REWRITE_BUDGET:
+            raise NonTermination("rewrite budget exhausted: sign bug suspected")
+        (i, eta), (j, eta2) = odds[s], odds[s + 1]
+        if i < j:
+            s += 1
+            continue
+        c = eta2 * eta
+        if i == j:
+            # (1+eta Y)(1+eta2 Y) = (1 + eta2 eta Y^<2>)(1 + (eta+eta2) Y)
+            merged = eta + eta2
+            odds[s:s + 2] = [(i, merged)] if not merged.is_zero() else []
+            note(f"merged repeated Y{i + 1} factors [square relation]")
+            if not c.is_zero():
+                emit_right(pair.lie.q2[i], c, s)
+                note(f"emitted square correction (1 + {c!r}.Y{i + 1}^<2>), pushed right [slide relation]")
+        else:
+            # (1+eta Y_i)(1+eta2 Y_j) =
+            #   (1 + eta2 eta [Y_i,Y_j])(1+eta2 Y_j)(1+eta Y_i),   i > j
+            odds[s], odds[s + 1] = odds[s + 1], odds[s]
+            note(f"swapped Y{i + 1} past Y{j + 1} [swap relation]")
+            if not c.is_zero():
+                emit_right(pair.lie.oo[i][j], c, s)
+                note(f"emitted bracket correction (1 + {c!r}.[Y{i + 1},Y{j + 1}]), pushed right [slide relation]")
+        s = max(0, s - 1)
 
     if stats is not None:
-        stats["passes"] = passes
+        stats["passes"] = 1
         stats["rewrites"] = rewrites
     etas = [algebra.zero()] * pair.d_minus
     for (i, eta) in odds:

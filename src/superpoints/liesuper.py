@@ -12,8 +12,10 @@ products, with no SuperMatrix and no coefficient algebra.  check_axioms
 recomputes them through gl_bracket/gl_2op on supermatrices, an independent
 cross-check.  LieSuperalgebraData.relations() lists the defining relations
 (brackets and 2-operation on the basis) once; every homomorphism check
-reads that list: rho here, the wedge(g_1) action in
-verify.check_module_axioms, and omega in gp.PairMorphism.check.
+reads that list: rho here, omega in gp.PairMorphism.check, and the one
+relation loop over action tables, broken_relations.  That loop checks the
+wedge(g_1) action in verify.check_module_axioms and the adjoint action
+here, which is graded Jacobi (c) and [z^<2>, x] = [z, [z, x]] (f).
 
 The module also hosts the exterior module wedge(g_1) with its straightening
 action: the induced module from the trivial even representation, in the PBW
@@ -219,6 +221,36 @@ class LieSuperalgebraData:
                 yield f"[Y{i + 1},Y{j + 1}]", (1, i), (1, j), one, (0, self.oo[i][j])
             yield f"(Y{i + 1}^<2>)", (1, i), None, None, (0, self.q2[i])
 
+    def broken_relations(self, tables, keys):
+        """The defining relations that a module's action tables break, each
+        once, as (name, left, right, key) with key the first basis key of
+        the module that it fails on.
+
+        tables[parity][index][key] is X_index (parity 0) or Y_index (parity
+        1) acting on the basis vector key, a sparse dict key -> nonzero raw
+        value.  The action respects [x,y] when that of [x,y] is
+        x.y + sign.y.x, and (Y^<2>) when that of Y^<2> is the squared action
+        of Y.
+        """
+        f = self.field
+        for name, (px, x), right, sign, (parity, coords) in self.relations():
+            tx = tables[px][x]
+            ty = tx if right is None else tables[right[0]][right[1]]
+            minus_rhs = [(f.neg(c), tables[parity][b]) for b, c in enumerate(coords) if c]
+            for m in keys:
+                # x.y + sign.y.x - (the right-hand side), acting on the key m
+                acc = {}
+                for mid, c in ty[m].items():
+                    _add_row(f, acc, c, tx[mid])
+                if right is not None:
+                    for mid, c in tx[m].items():
+                        _add_row(f, acc, f.mul(sign, c), ty[mid])
+                for c, table in minus_rhs:
+                    _add_row(f, acc, c, table[m])
+                if acc:
+                    yield name, (px, x), right, m
+                    break
+
     # -- straightening kernel over k (wedge(g_1): keys are the masks S) -------
 
     def odd_action(self, j, mask):
@@ -350,7 +382,8 @@ def _bracket(lie, x, y):
 
 
 def check_axioms(lie: LieSuperalgebraData) -> CheckReport:
-    """Verify axioms (a)-(f); with rho present, also the homomorphism laws."""
+    """Verify axioms (a)-(f); with rho present, also the homomorphism laws.
+    (c) and (f) are read off the relations that the adjoint action breaks."""
     rep = CheckReport()
     f = lie.field
     one, minus = f.from_int(1), f.from_int(-1)
@@ -396,47 +429,37 @@ def check_axioms(lie: LieSuperalgebraData) -> CheckReport:
             if any(total((one, b1), (sign(px, py), b2))):
                 rep.fail(f"(b) antisymmetry fails on ({nx},{ny})")
 
-    # (c) graded Jacobi on homogeneous basis triples
-    for x in basis:
-        for y in basis:
-            for z in basis:
-                px, vx, nx = x
-                py, vy, ny = y
-                pz, vz, nz = z
-                t1 = _bracket(lie, (px, vx), _bracket(lie, (py, vy), (pz, vz)))
-                t2 = _bracket(lie, (py, vy), _bracket(lie, (pz, vz), (px, vx)))
-                t3 = _bracket(lie, (pz, vz), _bracket(lie, (px, vx), (py, vy)))
-                if any(total((sign(px, pz), t1[1]), (sign(py, px), t2[1]),
-                             (sign(pz, py), t3[1]))):
-                    rep.fail(f"(c) Jacobi fails on ({nx},{ny},{nz})")
+    # (c) and (f): ad is a g-module.  Given (b) and the quadratic two_op of
+    # (d), ad respects every [x,y] exactly when graded Jacobi holds on the
+    # basis triples (x,y,z), and every (Y_i^<2>) and [Y_i,Y_j] exactly when
+    # [z^<2>,x] = [z,[z,x]] for every odd z.  The key of X_a is a, of Y_i
+    # d_plus + i; _bracket keeps the rule [Y,X] = -[X,Y].
+    def ad(p, v):
+        """The action table of a basis element on the basis keys."""
+        rows = [_bracket(lie, (p, v), (q, w)) for q, w, _ in basis]
+        return [{pb * lie.d_plus + t: c for t, c in enumerate(b) if c} for pb, b in rows]
+
+    def name(p, i):
+        return basis[p * lie.d_plus + i][2]
+
+    tables = ([ad(p, v) for p, v, _ in evens], [ad(p, v) for p, v, _ in odds])
+    for _, x, y, key in lie.broken_relations(tables, range(len(basis))):
+        if y is None:
+            rep.fail(f"(f) [z^<2>,x]=[z,[z,x]] fails on (z={name(*x)}, x={basis[key][2]})")
+        else:
+            rep.fail(f"(c) Jacobi fails on ({name(*x)},{name(*y)},{basis[key][2]})")
 
     # (d) is true of the encoding (two_op applies constants quadratically)
     rep.note("(d) quadraticity holds by construction of two_op")
 
-    # (e) polarization: [z1,z2] = (z1+z2)^<2> - z1^<2> - z2^<2> on basis pairs
+    # (e) polarization: [z1,z2] = (z1+z2)^<2> - z1^<2> - z2^<2> on basis pairs,
+    # the diagonal [z,z] = 2 z^<2> included
     for i in range(lie.d_minus):
         for j in range(lie.d_minus):
-            if i == j:
-                continue
             zi, zj = odds[i][1], odds[j][1]
             if any(total((one, lie.bracket_oo(zi, zj)), (minus, lie.two_op(odd_sum(i, j))),
                          (one, lie.two_op(zi)), (one, lie.two_op(zj)))):
                 rep.fail(f"(e) polarization fails on ({odds[i][2]},{odds[j][2]})")
-
-    # (f) [z^<2>, x] = [z, [z, x]] for odd z (basis and pairwise-polarized)
-    f_probes = [(v, n) for _, v, n in odds]
-    for i in range(len(odds)):
-        for j in range(i + 1, len(odds)):
-            f_probes.append((odd_sum(i, j), f"{odds[i][2]}+{odds[j][2]}"))
-    for zv, zn in f_probes:
-        z2 = lie.two_op(zv)
-        for x in basis:
-            px, vx, nx = x
-            lhs = _bracket(lie, (0, z2), (px, vx))
-            inner = _bracket(lie, (1, zv), (px, vx))
-            rhs = _bracket(lie, (1, zv), inner)
-            if any(total((one, lhs[1]), (minus, rhs[1]))):
-                rep.fail(f"(f) [z^<2>,x]=[z,[z,x]] fails on (z={zn}, x={nx})")
 
     if lie.rho_even is not None:
         _check_rho(lie, rep)
@@ -445,6 +468,7 @@ def check_axioms(lie: LieSuperalgebraData) -> CheckReport:
 
 def _check_rho(lie, rep):
     """rho respects brackets and the 2-operation, with correct parities."""
+    before = len(rep.failures)
     k0 = GrassmannAlgebra(lie.field, 0)
     rho = [[constant_matrix(lie.shape, k0, m) for m in mats]
            for mats in (lie.rho_even, lie.rho_odd)]
@@ -454,7 +478,7 @@ def _check_rho(lie, rep):
     for i, m in enumerate(rho[1]):
         if not m.is_odd_homogeneous():
             rep.fail(f"rho(Y{i + 1}) is not odd-homogeneous")
-    if not rep.ok:
+    if len(rep.failures) > before:
         return
     for name, (px, x), right, _, (parity, coords) in lie.relations():
         got = (gl_2op(rho[px][x]) if right is None

@@ -3,8 +3,10 @@
 These deliberately share no code with the production kernels: the
 straightening oracle rewrites words in the free algebra symbol by symbol,
 the sign oracle counts transpositions on explicit index lists, the
-subalgebra oracle enumerates spanning monomials, and the regular
-representation turns supermatrices into plain k-matrices.
+subalgebra oracle enumerates spanning monomials, the regular
+representation turns supermatrices into plain k-matrices, and the axiom
+oracle runs graded Jacobi and [z^<2>,x] = [z,[z,x]] as explicit loops over
+basis triples and probes.
 """
 
 from __future__ import annotations
@@ -227,3 +229,88 @@ def k_matmul_oracle(field, x, y):
                 acc = [field.add(u, field.mul(c, w)) for u, w in zip(acc, y[t])]
         out.append(acc)
     return out
+
+
+# -- axioms (c) and (f) by explicit loops ----------------------------------------
+#
+# Elements are (parity, coordinate list) pairs; brackets are read straight
+# off the structure-constant tables of a LieSuperalgebraData.
+
+
+def _bracket_oracle(lie, x, y):
+    """[x, y] of homogeneous elements, with [Y, X] = -[X, Y]."""
+    f = lie.field
+    (px, vx), (py, vy) = x, y
+    if px > py:
+        p, v = _bracket_oracle(lie, y, x)
+        return p, [f.neg(c) for c in v]
+    table, n = {(0, 0): (lie.ee, lie.d_plus), (0, 1): (lie.eo, lie.d_minus),
+                (1, 1): (lie.oo, lie.d_plus)}[px, py]
+    out = [f.from_int(0)] * n
+    for a, ca in enumerate(vx):
+        for b, cb in enumerate(vy):
+            if not (ca and cb):
+                continue
+            for k, t in enumerate(table[a][b]):
+                out[k] = f.add(out[k], f.mul(f.mul(ca, cb), t))
+    return (px + py) % 2, out
+
+
+def _square_oracle(lie, w):
+    """(sum w_i Y_i)^<2> = sum w_i^2 Y_i^<2> + sum_{i<j} w_i w_j [Y_i,Y_j]."""
+    f = lie.field
+    out = [f.from_int(0)] * lie.d_plus
+    for i, wi in enumerate(w):
+        terms = [(f.mul(wi, wi), lie.q2[i])]
+        terms += [(f.mul(wi, w[j]), lie.oo[i][j]) for j in range(i + 1, len(w))]
+        for c, v in terms:
+            out = [f.add(u, f.mul(c, t)) for u, t in zip(out, v)]
+    return out
+
+
+def jacobi_and_square_oracle(lie):
+    """(Jacobi fails, (f) fails): graded Jacobi
+    (-1)^{|x||z|}[x,[y,z]] + (-1)^{|y||x|}[y,[z,x]] + (-1)^{|z||y|}[z,[x,y]] = 0
+    on every basis triple, and [z^<2>,x] = [z,[z,x]] on every basis x for
+    odd z among the basis and the pairwise sums Y_i + Y_j."""
+    f = lie.field
+    zero, one, minus = f.from_int(0), f.from_int(1), f.from_int(-1)
+
+    def unit(n, k):
+        return [one if t == k else zero for t in range(n)]
+
+    basis = ([(0, unit(lie.d_plus, a)) for a in range(lie.d_plus)]
+             + [(1, unit(lie.d_minus, i)) for i in range(lie.d_minus)])
+
+    def br(x, y):
+        return _bracket_oracle(lie, x, y)
+
+    def sign(pa, pb):
+        return minus if pa * pb else one
+
+    def jacobi_fails():
+        for x in basis:
+            for y in basis:
+                for z in basis:
+                    terms = [(sign(x[0], z[0]), br(x, br(y, z))[1]),
+                             (sign(y[0], x[0]), br(y, br(z, x))[1]),
+                             (sign(z[0], y[0]), br(z, br(x, y))[1])]
+                    if any(f.add(f.add(f.mul(terms[0][0], u), f.mul(terms[1][0], v)),
+                                 f.mul(terms[2][0], w))
+                           for u, v, w in zip(terms[0][1], terms[1][1], terms[2][1])):
+                        return True
+        return False
+
+    def square_fails():
+        odds = [v for p, v in basis if p]
+        probes = odds + [[f.add(a, b) for a, b in zip(odds[i], odds[j])]
+                         for i in range(len(odds)) for j in range(i + 1, len(odds))]
+        for z in probes:
+            z2 = (0, _square_oracle(lie, z))
+            for x in basis:
+                lhs, rhs = br(z2, x)[1], br((1, z), br((1, z), x))[1]
+                if lhs != rhs:
+                    return True
+        return False
+
+    return jacobi_fails(), square_fails()

@@ -26,6 +26,7 @@ from superpoints import (
     from_matrices,
     gl_lie,
     gl_pair,
+    trivial_module,
     word_action,
 )
 from superpoints.liesuper import straighten_action
@@ -33,7 +34,8 @@ from superpoints.sampling import rand_odd
 from superpoints.serialize import load_lie, loads
 from superpoints.verify import check_module_axioms
 
-from .oracles import even_monomial_action_oracle, odd_monomial_action_oracle
+from .oracles import (even_monomial_action_oracle, jacobi_and_square_oracle,
+                      odd_monomial_action_oracle)
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -94,6 +96,71 @@ def test_tampered_jacobi_fails():
     rep = check_axioms(bad)
     assert not rep.ok
     assert any("(c) Jacobi" in m or "(a)" in m or "(f)" in m for m in rep.failures)
+
+
+def _tampered(rng, field, lie):
+    """lie without rho, one entry of ee, eo, oo or q2 moved by a nonzero value."""
+    tables = {"ee": [[list(v) for v in r] for r in lie.ee],
+              "eo": [[list(v) for v in r] for r in lie.eo],
+              "oo": [[list(v) for v in r] for r in lie.oo],
+              "q2": [list(v) for v in lie.q2]}
+    table = tables[rng.choice(sorted(tables))]
+    vec = table[rng.randrange(len(table))]
+    if isinstance(vec[0], list):
+        vec = vec[rng.randrange(len(vec))]
+    k = rng.randrange(len(vec))
+    vec[k] = field.add(vec[k], field.from_int(rng.randrange(1, max(field.characteristic, 3))))
+    return LieSuperalgebraData(field, lie.d_plus, lie.d_minus, tables["ee"], tables["eo"],
+                               tables["oo"], tables["q2"])
+
+
+def test_ad_relation_check_matches_the_jacobi_and_square_loops():
+    """Tables with one entry changed, on gl(1|1), gl(2|1) and the char-2
+    fixture over Q, F2 and F3: wherever (b) holds, check_axioms reports (c)
+    exactly when a basis triple breaks graded Jacobi, and (c) or (f)
+    exactly when Jacobi or [z^<2>,x] = [z,[z,x]] fails on the explicit
+    loops of the oracle."""
+    rng = random.Random(2026)
+    bases = [(f, gl_lie(p, q, f)) for f in (QQ, GF2, GF3) for p, q in ((1, 1), (2, 1))]
+    bases.append((GF2, char2_pair(GF2).lie))
+    seen = set()
+    for case in range(240):
+        field, lie = bases[case % len(bases)]
+        bad = _tampered(rng, field, lie)
+        rep = check_axioms(bad)
+        if any(m.startswith("(b)") for m in rep.failures):
+            continue
+        jacobi, square = jacobi_and_square_oracle(bad)
+        got_c = any(m.startswith("(c)") for m in rep.failures)
+        got_f = any(m.startswith("(f)") for m in rep.failures)
+        assert got_c == jacobi, (case, rep.summary())
+        assert (got_c or got_f) == (jacobi or square), (case, rep.summary())
+        seen.add((jacobi, square))
+    assert {(False, True), (True, True)} <= seen
+
+
+def test_polarization_checks_the_diagonal():
+    """(e) includes [Y_i,Y_i] = 2 Y_i^<2>: gl(1|1) with Y2^<2> moved to the
+    central X1+X2 breaks it outside characteristic 2, and nothing else."""
+    for field in (QQ, GF3, GF2):
+        g = gl_lie(1, 1, field)
+        one = field.from_int(1)
+        lie = LieSuperalgebraData(field, 2, 2, g.ee, g.eo, g.oo, [g.q2[0], (one, one)])
+        expected = [] if field.characteristic == 2 else ["(e) polarization fails on (Y2,Y2)"]
+        assert check_axioms(lie).failures == expected
+
+
+def test_rho_is_checked_after_axiom_failures():
+    """An axiom failure does not hide the rho check: gl(1|1) with [X2,Y1]
+    zeroed also names the rho relation it breaks."""
+    g = gl_lie(1, 1, QQ)
+    eo = [list(row) for row in g.eo]
+    eo[1][0] = (QQ.from_int(0), QQ.from_int(0))
+    bad = LieSuperalgebraData(QQ, 2, 2, g.ee, eo, g.oo, g.q2, shape=g.shape,
+                              rho_even=g.rho_even, rho_odd=g.rho_odd)
+    failures = check_axioms(bad).failures
+    assert "rho[X2,Y1] mismatch" in failures
+    assert any(m.startswith("(c)") for m in failures)
 
 
 def test_char2_nonzero_square_passes():
@@ -258,9 +325,9 @@ def test_module_axioms_on_fixtures(name, failures):
 
 def test_square_relation_is_read_by_every_check():
     """Moving Y2^<2> of gl(1|1) off 0 breaks only the square relation, and
-    each homomorphism check names it: rho (to the central X1+X2, which keeps
-    the axioms checked before rho), the wedge(g_1) action (to X1) and omega
-    (the identity onto the central variant)."""
+    each homomorphism check names it: rho (to the central X1+X2, which
+    breaks no axiom but the (e) diagonal [Y2,Y2] = 2 Y2^<2>), the wedge(g_1)
+    action (to X1) and omega (the identity onto the central variant)."""
     from superpoints import HarishChandraPair, PairMorphism, gl_block_diag
 
     g = gl_lie(1, 1, QQ)
@@ -270,7 +337,8 @@ def test_square_relation_is_read_by_every_check():
         return LieSuperalgebraData(QQ, 2, 2, g.ee, g.eo, g.oo, [g.q2[0], v], shape=g.shape,
                                    rho_even=g.rho_even, rho_odd=g.rho_odd)
 
-    assert check_axioms(with_q2((one, one))).failures == ["rho(Y2^<2>) mismatch"]
+    assert check_axioms(with_q2((one, one))).failures == [
+        "(e) polarization fails on (Y2,Y2)", "rho(Y2^<2>) mismatch"]
     assert check_module_axioms(with_q2((one, zero))).failures == [
         "action(Y2^<2>) != action(Y2)^2"]
     ident = [[one, zero], [zero, one]]
@@ -281,9 +349,16 @@ def test_square_relation_is_read_by_every_check():
 
 
 def test_exterior_dimension():
+    """wedge(g_1) of gl(2|1) has dimension 2^4: the actions stay on the keys
+    below 16, and the module induced from the trivial line has dim 16."""
     lie = gl_lie(2, 1, QQ)
     assert lie.d_minus == 4
-    assert len(set(range(1 << lie.d_minus))) == 2 ** lie.d_minus
+    keys = range(16)
+    assert all(k < 16 for m in keys for i in range(lie.d_minus) for k in lie.odd_action(i, m))
+    assert all(k < 16 for m in keys for a in range(lie.d_plus)
+               for k in lie.even_action_basis(a, m))
+    pair = gl_pair(2, 1, QQ)
+    assert InducedModule(pair, trivial_module(pair)).dim == 16
 
 
 def test_semi_faithful_extraction_random():
