@@ -13,7 +13,8 @@ compute it:
   module ``wedge(g_1)``; the single-index coefficients of the image *are* the
   etas (semi-faithfulness), and the even factor is recovered by dividing
   out the odd product in the representation, factor by factor with
-  (1 + eta Y)^-1 = (1 - eta Y) (no matrix inversion).
+  (1 + eta Y)^-1 = (1 - eta Y) (no matrix inversion).  Even tokens act on
+  the PBW keys through the straightening kernel too (``wedge_ad_action``).
 * ``reorder_symbolic`` -- a rewriting engine using only the one-parameter
   relations: push even tokens right through Ad, remove inversions and
   repeats by the swap/merge relations, slide the even corrections right by
@@ -22,9 +23,9 @@ compute it:
   sorted.  It ends because the ideal generated by the word's odd
   coefficients is nilpotent; the rewrite budget trips only on a sign bug.
 
-A third route for full-gl pairs, ``strip_matrix_factorization``, peels the
-etas off the representing matrix by iterated refinement and closes the
-oracle triangle.
+A third route, ``strip_matrix_factorization``, peels the etas off the
+representing matrix by iterated refinement (each round's odd discrepancy in
+the pair's odd span, true on the group's points) and closes the triangle.
 
 The group law on normal forms is compiled once per pair (``GroupLaw``, built
 by the first product and kept on the pair).  Psi(P) is a functor on
@@ -209,9 +210,9 @@ def normal_form(word: GroupWord) -> NormalForm:
     """Canonical factorization via the exterior module.
 
     (1) act on the vacuum; (2) read each eta off the single-index
-    coefficient (exact by semi-faithfulness; the even factor fixes the
-    vacuum); (3) divide out the odd product in the representation, with no
-    inversion: (1 + eta Y)^-1 = (1 - eta Y) since eta^2 = 0, so
+    coefficient (semi-faithfulness; the even factor fixes the vacuum); (3)
+    divide out the odd product in the representation, with no inversion:
+    (1 + eta Y)^-1 = (1 - eta Y) since eta^2 = 0, so
     g+ = (1 - eta_d Y_d)...(1 - eta_1 Y_1) . rho(word);
     (4) the quotient must be an even-group point.
     """
@@ -349,15 +350,15 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
 
 
 # ---------------------------------------------------------------------------
-# route 3: matrix stripping (full-gl pairs)
+# route 3: matrix stripping
 
 
 def strip_matrix_factorization(pair, m: SuperMatrix) -> NormalForm:
     """Factor a representing matrix directly, by iterated refinement.
 
-    Requires the pair's odd basis to span all odd-homogeneous matrices
-    (true for the gl(p|q) pairs), so the odd discrepancy of the current
-    guess always lies in the span.  Each round divides out the guessed odd
+    Requires each round's odd discrepancy to lie in the pair's odd span,
+    which holds when m represents a point of the reconstructed group;
+    SpanViolation otherwise.  Each round divides out the guessed odd
     product, factor by factor with (1 + eta Y)^-1 = (1 - eta Y), as
     normal_form does; the leftover odd part has strictly higher
     ideal-degree, so the loop closes within the nilpotency bound.
@@ -848,9 +849,9 @@ def defining_module(pair) -> EvenModuleData:
 class InducedModule:
     """Carrier wedge(g_1) (x) V0 with basis Ybar_S (x) e_t.
 
-    Even tokens act by wedge-Ad (x) V0; odd generators act through the
-    straightening kernel of liesuper, where even elements reaching the
-    inducing line act through the V0 matrices
+    Tokens act through the straightening kernel of liesuper (even points
+    by Ad(g) there and by group_action on V0), where even elements reaching
+    the inducing line act through the V0 matrices
     (x.(y (x) v) = ad(x)(y) (x) v + y (x) x.v).  Inside, Ybar_S (x) e_t is
     keyed by S | t << d_minus; the public vectors are dicts
     (mask, t) -> coefficient.

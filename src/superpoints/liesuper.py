@@ -23,8 +23,9 @@ basis of ordered monomials.  All straightening happens over the base field
 in one memoized kernel, StraighteningKernel, which serves wedge(g_1) and
 every induced module wedge(g_1) (x) V0 alike: it keys Ybar_S (x) e_t by the
 int S | t << d_minus, so on wedge(g_1) (V0 the trivial line) the keys are
-the masks S.  Coefficient algebras enter only through the A-linear
-extension with the sign rule
+the masks S.  An even group point acts through the same kernel, by the
+Ad(g)-image of each Y_i (wedge_ad_action).  Coefficient algebras enter only
+through the A-linear extension with the sign rule
 
     (eta (x) Y).(c (x) w) = (-1)^{|Y||c|} eta c (x) Y.w .
 """
@@ -640,15 +641,14 @@ class ExteriorVector:
         return " + ".join(parts)
 
 
-def straighten_action(lie, index, parity, v: ExteriorVector, act=None) -> ExteriorVector:
-    """Action of the basis element Y_index (parity 1) or X_index (parity 0)
-    on an exterior vector, extended A-linearly with the super sign rule.
-    act(index, key) replaces the lie's own table (an induced module's odd_act)."""
-    if act is None:
-        act = lie.odd_action if parity == 1 else lie.even_action_basis
+def straighten_action(lie, index, v: ExteriorVector, act=None) -> ExteriorVector:
+    """Action of the odd basis element Y_index on an exterior vector,
+    extended A-linearly with the super sign rule.  act(index, key) replaces
+    the lie's own table (an induced module's odd_act)."""
+    act = act or lie.odd_action
     out = {}
     for key, c in v.coeffs.items():
-        csig = c.twist() if parity == 1 else c
+        csig = c.twist()
         for k2, raw in act(index, key).items():
             _add_to(out, k2, csig.scale(raw))
     return ExteriorVector(lie, v.algebra, out)
@@ -658,74 +658,64 @@ def apply_odd_generator(lie, i, eta, v: ExteriorVector) -> ExteriorVector:
     """(1 + eta Y_i) acting on v: identity plus eta times the Y_i action."""
     if not (eta.is_odd() or eta.is_zero()):
         raise StructuralError("odd generator coefficient must be odd")
-    moved = straighten_action(lie, i, 1, v)
-    return v + _scale_left(moved, eta)
+    return v + straighten_action(lie, i, v).scale(eta)
 
 
-def _scale_left(v: ExteriorVector, eta):
-    """eta * v with eta already past the odd symbol (sign handled upstream)."""
-    return ExteriorVector(v.lie, v.algebra, {m: eta * c for m, c in v.coeffs.items()})
-
-
-def wedge_ad_action(lie, ad_matrix, v: ExteriorVector, v0_matrix=None) -> ExteriorVector:
-    """wedge-Ad for an even group element: each Ybar_i wedge-factor of
-    Ybar_S is replaced by sum_j a[j][i] Ybar_j and the product expanded.
+def wedge_ad_action(lie, ad_matrix, v: ExteriorVector, v0_matrix, act=None) -> ExteriorVector:
+    """An even group element g acting on U(g) (x)_{U(g_0)} V0.
 
     ad_matrix[j][i] are even coefficient-algebra elements with
-    Ad(g)(Y_i) = sum_j a[j][i] Y_j; the wedge expansion is exact.  On an
-    induced module, v0_matrix is g acting on V0 and moves the t of each
-    key S | t << d_minus: e_t -> sum_r v0_matrix[r][t] e_r.
+    Ad(g)(Y_i) = sum_j a[j][i] Y_j, and v0_matrix is g on V0:
+    g.e_t = sum_r v0_matrix[r][t] e_r (for wedge(g_1), V0 is the trivial
+    line and v0_matrix is [[1]]).  With i0 = min S and rest the key without
+    it, g.(Ybar_S (x) e_t) = (Ad(g)Y_{i0}).(g.rest), and each Y_j acts by
+    straighten_action with act, so the [Y_j,Y_k] and Y_j^<2> terms of the
+    product in U(g) act on what stands to their right.
     """
-    dm = lie.d_minus
+    dm, algebra = lie.d_minus, v.algebra
+    memo = {}
+
+    def image(key):
+        """g . key, memoized for this call."""
+        res = memo.get(key)
+        if res is None:
+            if key & ((1 << dm) - 1):
+                i0 = (key & -key).bit_length() - 1
+                rest = image(key & (key - 1))
+                acc = {}
+                for j in range(dm):
+                    a = ad_matrix[j][i0]
+                    if not a.is_zero():
+                        for k2, c in straighten_action(lie, j, rest, act).coeffs.items():
+                            _add_to(acc, k2, a * c)
+            else:
+                t = key >> dm
+                acc = {r << dm: row[t] for r, row in enumerate(v0_matrix)}
+            res = memo[key] = ExteriorVector(lie, algebra, acc)
+        return res
+
     out = {}
     for key, c in v.coeffs.items():
-        expanded = {0: v.algebra.one()}
-        for i in range(dm):
-            if not (key >> i) & 1:
-                continue
-            nxt = {}
-            for s, cs in expanded.items():
-                for j in range(dm):
-                    a = ad_matrix[j][i]
-                    if a.is_zero() or (s >> j) & 1:
-                        continue
-                    term = cs * a
-                    if (s >> (j + 1)).bit_count() % 2:
-                        term = -term
-                    _add_to(nxt, s | (1 << j), term)
-            expanded = nxt
-            if not expanded:
-                break
-        if v0_matrix is None:
-            for s, cs in expanded.items():
-                _add_to(out, s, c * cs)
-            continue
-        t = key >> dm
-        for s, cs in expanded.items():
-            ccs = c * cs
-            for r, row in enumerate(v0_matrix):
-                if not row[t].is_zero():
-                    _add_to(out, s | r << dm, ccs * row[t])
-    return ExteriorVector(lie, v.algebra, out)
+        for k2, c2 in image(key).coeffs.items():
+            _add_to(out, k2, c * c2)
+    return ExteriorVector(lie, algebra, out)
 
 
 def word_action(word, v: ExteriorVector, odd_act=None, v0_action=None) -> ExteriorVector:
-    """Left action of a group word on the exterior module.
+    """Left action of a group word on U(g) (x)_{U(g_0)} V0.
 
-    Even tokens act by wedge-Ad through the word's pair (duck-typed: the pair
-    supplies ad_action_matrix); odd-generator tokens act as 1 + eta.Y_i.
-    For an induced module wedge(g_1) (x) V0, odd_act(j, key) is its
-    straightening table and v0_action(g) the matrix of g on V0; the defaults
-    are wedge(g_1) itself.
+    Even tokens act by wedge_ad_action through the word's pair (duck-typed:
+    the pair supplies ad_action_matrix); odd-generator tokens act as
+    1 + eta.Y_i.  Both act through the straightening table odd_act(j, key)
+    of the module.  v0_action(g) is the matrix of g on V0; the defaults are
+    wedge(g_1) itself, V0 the trivial line.
     """
     pair = word.pair
     lie = pair.lie
     for tok in reversed(word.tokens):
         if tok.kind == "even":
-            ad = pair.ad_action_matrix(tok.matrix)
-            v0m = v0_action(tok.matrix) if v0_action is not None else None
-            v = wedge_ad_action(lie, ad, v, v0m)
+            v0m = v0_action(tok.matrix) if v0_action else [[v.algebra.one()]]
+            v = wedge_ad_action(lie, pair.ad_action_matrix(tok.matrix), v, v0m, odd_act)
         else:
-            moved = straighten_action(lie, tok.index, 1, v, odd_act)
-            v = v + _scale_left(moved, tok.eta)
+            v = v + straighten_action(lie, tok.index, v, odd_act).scale(tok.eta)
     return v

@@ -13,7 +13,8 @@ import random
 
 from .coeff import GF2, GF3, QQ, GrassmannAlgebra, SuperNumbers
 from .errors import NonTermination, SpanViolation
-from .liesuper import CheckReport, ExteriorVector, apply_odd_generator, gl_lie, lift_comb
+from .liesuper import (CheckReport, ExteriorVector, apply_odd_generator, gl_lie, lift_comb,
+                       straighten_action, wedge_ad_action)
 from .gp import (
     EvenTok,
     GroupWord,
@@ -259,15 +260,44 @@ def check_module_axioms(lie) -> CheckReport:
     return rep
 
 
+def check_ad_compatibility(pair, algebra, rng, samples=4) -> CheckReport:
+    """g.(Y_i.m) = (Ad(g)Y_i).(g.m) on wedge(g_1) for `samples` sampled even
+    points g, every basis key m and every i: the even action intertwines
+    each Y_i with its Ad(g)-image.  The failure names the number of broken
+    (sample, key, i) cases and the first one."""
+    rep = CheckReport()
+    lie, dm = pair.lie, pair.d_minus
+    trivial = [[algebra.one()]]
+    bad = []
+    for s in range(samples):
+        ad = pair.ad_action_matrix(pair.even_group.sample(algebra, rng))
+        for m in range(1 << dm):
+            vm = ExteriorVector(lie, algebra, {m: algebra.one()})
+            gm = wedge_ad_action(lie, ad, vm, trivial)
+            for i in range(dm):
+                lhs = wedge_ad_action(lie, ad, straighten_action(lie, i, vm), trivial)
+                rhs = ExteriorVector(lie, algebra)
+                for j in range(dm):
+                    rhs = rhs + straighten_action(lie, j, gm).scale(ad[j][i])
+                if lhs != rhs:
+                    bad.append(f"sample {s}, key {m}, Y{i + 1}")
+    if bad:
+        rep.fail(f"g.(Y_i.m) != (Ad(g)Y_i).(g.m) on {len(bad)} of "
+                 f"{samples * dm * (1 << dm)} cases, first {bad[0]}")
+    return rep
+
+
 def suite_pbw(seed=1, count=100, fields=(QQ,)) -> CheckReport:
     rep = CheckReport()
     rng = random.Random(seed)
     for field in fields:
-        fixtures = [gl_lie(1, 1, field), gl_lie(2, 1, field)]
+        pairs = [cached_gl_pair(1, 1, field), cached_gl_pair(2, 1, field)]
         if field.characteristic == 2:
-            fixtures.append(char2_pair(field).lie)
-        for lie in fixtures:
-            sub = check_module_axioms(lie)
+            pairs.append(char2_pair(field))
+        for pair in pairs:
+            sub = check_module_axioms(pair.lie)
+            sub.failures += check_ad_compatibility(
+                pair, GrassmannAlgebra(field, 2), random.Random(seed)).failures
             rep.failures += [f"{field}: {m}" for m in sub.failures]
         # eta extraction identity on random tuples over Lambda_4
         lie = gl_lie(1, 1, field)

@@ -383,7 +383,7 @@ def test_straighten_action_linear_extension_sign():
     A = GrassmannAlgebra(QQ, 2)
     x1, x2 = A.generator(1), A.generator(2)
     v = ExteriorVector(lie, A, {0b10: x2})  # x2 (x) Ybar_2
-    moved = straighten_action(lie, 0, 1, v)  # Y_1 acts
+    moved = straighten_action(lie, 0, v)  # Y_1 acts
     # Y1.Ybar_2 = Ybar_12; sign from moving Y1 past the odd x2 is -1
     assert moved == ExteriorVector(lie, A, {0b11: -x2})
 
