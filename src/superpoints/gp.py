@@ -13,8 +13,7 @@ compute it:
   module ``wedge(g_1)``; the single-index coefficients of the image *are* the
   etas (semi-faithfulness), and the even factor is recovered by dividing
   out the odd product in the representation, factor by factor with
-  (1 + eta Y)^-1 = (1 - eta Y) (no matrix inversion).  Even tokens act on
-  the PBW keys through the straightening kernel too (``wedge_ad_action``).
+  (1 + eta Y)^-1 = (1 - eta Y); even tokens act by ``wedge_ad_action``.
 * ``reorder_symbolic`` -- a rewriting engine using only the one-parameter
   relations: push even tokens right through Ad, remove inversions and
   repeats by the swap/merge relations, slide the even corrections right by
