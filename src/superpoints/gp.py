@@ -60,7 +60,7 @@ from .coeff import DualExtension, GrassmannAlgebra
 from .errors import MembershipViolation, NonTermination, SpanViolation, StructuralError
 from .liesuper import (CheckReport, ExteriorVector, StraighteningKernel, _bracket, _unit,
                        _vcomb, word_action)
-from .smat import SuperMatrix, dual_probe, gl_split, smat_inv
+from .smat import SuperMatrix, ck_product, dual_probe, gl_split, smat_inv
 
 MAX_WORD_TOKENS = 10_000
 _REWRITE_BUDGET = 1_000_000
@@ -120,11 +120,12 @@ class GroupWord:
         self.tokens = tuple(toks)
 
     def rho_matrix(self) -> SuperMatrix:
-        """The word evaluated in the representation."""
+        """The word evaluated in the representation: m (1 + eta rho(Y_i)) is
+        m + m . eta rho(Y_i), a ``ck_product``."""
+        nz = self.pair.lie.rho_odd_nz
         m = self.pair.identity_matrix(self.algebra)
         for t in self.tokens:
-            m = m * (t.matrix if t.kind == "even" else
-                     self.pair.odd_generator_matrix(t.index, t.eta))
+            m = m * t.matrix if t.kind == "even" else ck_product(m, t.eta, nz[t.index], None, m)
         return m
 
     def inverse(self) -> "GroupWord":
@@ -191,11 +192,14 @@ class NormalForm:
         return GroupWord(self.pair, self.algebra, self.tokens)
 
     def rho_matrix(self) -> SuperMatrix:
-        m = self.pair.identity_matrix(self.algebra)
-        for i, e in enumerate(self.etas):
-            if not e.is_zero():
-                m = m * self.pair.odd_generator_matrix(i, e)
-        return m * self.g_plus
+        """(1 + eta_1 Y_1)...(1 + eta_d Y_d) . g_plus, the factors applied to
+        g_plus from the right end on, each as m + eta rho(Y_i) . m."""
+        nz = self.pair.lie.rho_odd_nz
+        m = self.g_plus
+        for i in reversed(range(self.pair.d_minus)):
+            if not self.etas[i].is_zero():
+                m = ck_product(None, self.etas[i], nz[i], m, m)
+        return m
 
     def __repr__(self):
         return f"NormalForm(etas={list(self.etas)!r}, g_plus={self.g_plus!r})"
@@ -228,10 +232,12 @@ def normal_form(word: GroupWord) -> NormalForm:
 
 def _divide_odd_product(pair, etas, m):
     """(1 - eta_d Y_d)...(1 - eta_1 Y_1) . m, the odd product
-    (1 + eta_1 Y_1)...(1 + eta_d Y_d) divided out of m on the left."""
+    (1 + eta_1 Y_1)...(1 + eta_d Y_d) divided out of m on the left; each
+    factor is m - eta rho(Y_i) . m, a ``ck_product``."""
+    nz = pair.lie.rho_odd_nz
     for i, e in enumerate(etas):
         if not e.is_zero():
-            m = pair.odd_generator_matrix(i, -e) * m
+            m = ck_product(None, -e, nz[i], m, m)
     return m
 
 
@@ -300,11 +306,11 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
 
     def emit_right(z, c, position):
         """Push the even correction 1 + c.rho(Z) from `position` through the
-        tail into E; its Ad comes from the bracket table, not conjugation."""
+        tail into E; its Ad comes from the bracket table, not conjugation,
+        and E gains c.rho(Z).E over the nonzeros of rho(Z) (``ck_product``)."""
         nonlocal e_acc
         odds[position:] = _conjugate_odds(odds[position:], slide_ad_matrix(pair.lie, z, c))
-        corr = pair.identity_matrix(algebra) + pair.lie.rho_comb(0, z, algebra).scale(c)
-        e_acc = corr * e_acc
+        e_acc = ck_product(None, c, pair.lie.rho_nonzeros(0, z), e_acc, e_acc)
 
     # one sweep: odds[:s + 1] stays strictly ascending, since a rewrite at s
     # changes only odds[s:] and steps back, so the sweep ends sorted
@@ -572,10 +578,13 @@ def right_factorization(nf: NormalForm):
 
 
 def expand_right_factorization(pair, algebra, g_plus_r, etas_r) -> SuperMatrix:
+    """g_plus_r . (1 + eta_d Y_d)...(1 + eta_1 Y_1), each factor applied as
+    m + m . eta rho(Y_i) (``ck_product``)."""
+    nz = pair.lie.rho_odd_nz
     m = g_plus_r
     for i in reversed(range(pair.d_minus)):
         if not etas_r[i].is_zero():
-            m = m * pair.odd_generator_matrix(i, etas_r[i])
+            m = ck_product(m, etas_r[i], nz[i], None, m)
     return m
 
 

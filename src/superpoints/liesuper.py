@@ -35,7 +35,7 @@ from __future__ import annotations
 from .coeff import GrassmannAlgebra
 from .errors import ClosureViolation, StructuralError
 from .smat import (SuperMatrix, constant_matrix, gl_2op, gl_bracket, k_matmul,
-                   k_solve_matrix, matrix_units)
+                   k_nonzeros, k_solve_matrix, matrix_units)
 
 
 def _vcomb(field, n, terms):
@@ -59,12 +59,18 @@ def _flat(m):
     return [v for row in m for v in row]
 
 
+def _k_comb(field, n, mats, coords):
+    """sum_i coords[i] mats[i] for n x n raw k-matrices and raw k-values,
+    as a raw k-matrix."""
+    v = _vcomb(field, n * n, ((c, _flat(m)) for c, m in zip(coords, mats) if c))
+    return [v[r * n:(r + 1) * n] for r in range(n)]
+
+
 def lift_comb(shape, algebra, mats, coords) -> SuperMatrix:
     """sum_i coords[i] mats[i] for raw k-matrices and raw k-values: summed
     over k, then lifted into a SuperMatrix over the algebra once."""
-    n = shape[0] + shape[1]
-    v = _vcomb(algebra.field, n * n, ((c, _flat(m)) for c, m in zip(coords, mats) if c))
-    return constant_matrix(shape, algebra, [v[r * n:(r + 1) * n] for r in range(n)])
+    return constant_matrix(shape, algebra,
+                           _k_comb(algebra.field, shape[0] + shape[1], mats, coords))
 
 
 class CheckReport:
@@ -126,6 +132,11 @@ class LieSuperalgebraData:
             [tuple(tuple(r) for r in m) for m in rho_odd] if rho_odd is not None else None
         )
         self._validate_shapes()
+        # the nonzeros of each rho(Y_i), and rho_nonzeros' memo
+        self.rho_odd_nz = (
+            [k_nonzeros(m) for m in self.rho_odd] if rho_odd is not None else None
+        )
+        self._rho_nz = {}
         self._kernel = StraighteningKernel(self, [((field.from_int(0),),)] * d_plus)
 
     def _validate_shapes(self):
@@ -198,6 +209,17 @@ class LieSuperalgebraData:
         """rho of the element with k-coordinates coords in the even (parity
         0) or odd (parity 1) basis, over the algebra."""
         return lift_comb(self.shape, algebra, (self.rho_even, self.rho_odd)[parity], coords)
+
+    def rho_nonzeros(self, parity, coords):
+        """The nonzero entries (``k_nonzeros``) of rho of that element, summed
+        over k and never lifted; made once per (parity, coords)."""
+        key = (parity, tuple(coords))
+        nz = self._rho_nz.get(key)
+        if nz is None:
+            mats = (self.rho_even, self.rho_odd)[parity]
+            nz = self._rho_nz[key] = k_nonzeros(
+                _k_comb(self.field, self.shape[0] + self.shape[1], mats, coords))
+        return nz
 
     # -- the defining relations ---------------------------------------------
     def relations(self):

@@ -5,6 +5,16 @@ keys are rejected, so a typo fails loudly instead of silently defaulting.
 All scalars and coefficient-algebra elements travel as the textual exact
 format of the coeff module (golden files are byte-stable because element
 serialization is canonically ordered).
+
+Every block shape a fixture names, a lie ``shape`` or an even group's p and
+q, must have p + q <= MAX_BLOCK_SIZE, checked before any matrix is read or
+any group is built.  8 is the largest p + q at which a gl(p|q) or sl(p|q)
+with p, q >= 1 keeps d_minus = 2pq within gp.MAX_LAW_D_MINUS = 15, the cap
+of the compiled group law (gl(1|7)); past 8, 2pq >= 2(p + q - 1) >= 16.  The
+largest pair the tests use is gl(4|2) (p + q = 6), the fixtures use gl(1|1)
+and gl(2|1), and the planned catalogue stays within 8: osp(1|2) has
+p + q = 3, q(n) and p(n) have p + q = 2n with d_minus = n^2 (law up to
+n = 3), and sl(m|n) is bounded as gl(m|n) is.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from .smat import BUILTIN_GROUPS, SuperMatrix
 from .gp import EvenTok, GroupWord, NormalForm, OddTok
 
 SCHEMA_VERSION = 1
+MAX_BLOCK_SIZE = 8
 
 
 def _require_keys(obj, required, optional=(), where="fixture"):
@@ -55,9 +66,15 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _block_size(p, q, where):
+    if p + q > MAX_BLOCK_SIZE:
+        raise SchemaError(f"{where}: p + q = {p + q} exceeds {MAX_BLOCK_SIZE}")
+
+
 def _shape(v, where):
     if not isinstance(v, list) or len(v) != 2 or not all(_is_int(c) and c >= 0 for c in v):
         raise SchemaError(f"{where}: shape must be [p, q]")
+    _block_size(*v, where)
     return tuple(v)
 
 
@@ -159,6 +176,7 @@ def load_lie(obj, where="lie") -> LieSuperalgebraData:
                             "ee", "eo", "oo", "q2"], ["rho", "shape"], where)
         if not all(_is_int(obj[k]) and obj[k] >= 0 for k in ("d_plus", "d_minus")):
             raise SchemaError(f"{where}: d_plus and d_minus must be non-negative integers")
+        shape = _shape(obj["shape"], where) if "shape" in obj else None
 
         def table(key):
             """A square table of k-vectors: each of its rows is a matrix."""
@@ -167,7 +185,6 @@ def load_lie(obj, where="lie") -> LieSuperalgebraData:
 
         ee, eo, oo = table("ee"), table("eo"), table("oo")
         q2 = load_scalar_matrix(field, obj["q2"], f"{where}.q2")
-        shape = _shape(obj["shape"], where) if "shape" in obj else None
         rho_even = rho_odd = None
         if "rho" in obj:
             _require_keys(obj["rho"], ["even", "odd"], (), f"{where}.rho")
@@ -195,6 +212,7 @@ def load_group(obj, where="even_group"):
                           f"builtins: {sorted(BUILTIN_GROUPS)}")
     if not all(_is_int(obj[k]) and obj[k] >= 0 for k in ("p", "q")):
         raise SchemaError(f"{where}: p and q must be non-negative integers")
+    _block_size(obj["p"], obj["q"], where)
     return BUILTIN_GROUPS[name](obj["p"], obj["q"])
 
 

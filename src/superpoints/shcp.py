@@ -27,6 +27,7 @@ from .liesuper import CheckReport, LieSuperalgebraData, check_axioms, from_matri
 from .smat import (
     GroupDescriptor,
     SuperMatrix,
+    ck_product,
     dual_probe,
     gl_block_diag,
     gl_full,
@@ -81,14 +82,15 @@ class HarishChandraPair:
         (c_j)_j with left rho(Y_i) right = sum c_j rho(Y_j).
 
         With right = left^-1 this is column i of Ad(left); the caller passes
-        both points, so nothing is inverted here.  The solver is exact over
-        k applied to algebra entries; a nonzero residual or an odd
-        coordinate raises SpanViolation.
+        both points, so nothing is inverted here.  The sandwich is one
+        ``ck_product`` over the nonzeros of rho(Y_i), never lifted.  The
+        solver is exact over k applied to algebra entries; a nonzero
+        residual or an odd coordinate raises SpanViolation.
         """
         algebra = left.algebra
         out = []
         for i in range(self.d_minus) if indices is None else indices:
-            conj = left * self.lie.rho_odd_matrix(i, algebra) * right
+            conj = ck_product(left, None, self.lie.rho_odd_nz[i], right)
             coords = self._odd_solver([e for row in conj.rows for e in row], algebra)
             if coords is None:
                 raise SpanViolation(
@@ -120,11 +122,6 @@ class HarishChandraPair:
     # -- word representation -------------------------------------------------
     def identity_matrix(self, algebra):
         return SuperMatrix.identity(self.shape, algebra)
-
-    def odd_generator_matrix(self, i, eta):
-        """1 + eta rho(Y_i) over eta's algebra."""
-        algebra = eta.algebra
-        return self.identity_matrix(algebra) + self.lie.rho_odd_matrix(i, algebra).scale(eta)
 
     def __repr__(self):
         return f"HarishChandraPair({self.even_group.name}, d+={self.d_plus}, d-={self.d_minus})"

@@ -12,6 +12,10 @@ product; when odd coefficients at odd positions meet, the twist is what
 makes the one-parameter subgroup identities hold exactly.  See the test
 suite: those identities are the arbiter of the convention.
 
+Products with a factor c (x) K, a coefficient element times a raw k-matrix
+(the representation matrix of a Lie superalgebra element), follow the same
+rule but visit only the nonzeros of K: ``ck_product``.
+
 Row/column parity: |i| = 0 for i < p, |i| = 1 otherwise.  A matrix is
 *even-homogeneous* when entry (i,j) is homogeneous of parity |i|+|j| (the
 membership pattern of GL(p|q)(A) points), *odd-homogeneous* when parities
@@ -227,6 +231,67 @@ def _terms_have_parity(e, parity):
     if isinstance(e, DualElement):
         return _terms_have_parity(e.a, parity) and _terms_have_parity(e.b, parity)
     return all(m.bit_count() & 1 == parity for m in e.terms)
+
+
+# ---------------------------------------------------------------------------
+# products with a factor c (x) K
+
+
+def k_nonzeros(rows):
+    """The nonzero entries of a raw k-matrix as ((row, column, value), ...)."""
+    return tuple((a, b, v) for a, row in enumerate(rows) for b, v in enumerate(row) if v)
+
+
+def ck_product(left, c, nz, right, base=None):
+    """base + left . (c (x) K) . right, visiting only the nonzeros of K.
+
+    c is a homogeneous coefficient element (None: 1); K is a homogeneous raw
+    k-matrix of parity |K|, given by its nonzero entries nz (``k_nonzeros``);
+    left and right are supermatrices, or None for the identity, but not
+    both None; base is a supermatrix, or None for 0.  Raw k-values are even,
+    so the twisted product of this module gives, with |i| the parity of
+    row i and twist^0 the identity,
+
+        (m . cK)_ik    = sum_j m_ij . twist^{|i|+|j|}(c) . K_jk
+        (cK . m)_ik    = sum_j c . K_ij . twist^{|K|}(m_jk)
+        (L . K . R)_ik = sum_{a,b} L_ia . K_ab . twist^{|i|+|b|}(R_bk)
+
+    the three cases (right None, left None, c None) of
+    sum_{a,b} L_ia twist^{|i|+|a|}(c) K_ab twist^{|i|+|b|}(R_bk).  So
+    m (1 + cK) = ck_product(m, c, nz, None, m), and (1 + cK) m likewise.
+    """
+    ref = left if left is not None else right
+    shape, alg = ref.shape, ref.algebra
+    p, n = shape[0], shape[0] + shape[1]
+    out = base.mutable() if base is not None else [[alg.zero()] * n for _ in range(n)]
+    twisted = {}  # row b of right, twisted, made on first use
+    for a, b, v in nz:
+        if left is None:
+            terms = ((a, alg.from_scalar(v) if c is None else c.scale(v)),)
+        else:
+            col = [(i, row[a]) for i, row in enumerate(left.rows) if not row[a].is_zero()]
+            if c is None:
+                terms = [(i, e.scale(v)) for i, e in col]
+            else:
+                cv = (c.scale(v), c.twist().scale(v))
+                terms = [(i, e * cv[(i < p) != (a < p)]) for i, e in col]
+        for i, x in terms:
+            if x.is_zero():
+                continue
+            if right is None:
+                out[i][b] = out[i][b] + x
+                continue
+            if (i < p) == (b < p):
+                row = right.rows[b]
+            else:
+                row = twisted.get(b)
+                if row is None:
+                    row = twisted[b] = [e.twist() for e in right.rows[b]]
+            dst = out[i]
+            for k, e in enumerate(row):
+                if not e.is_zero():
+                    dst[k] = dst[k] + x * e
+    return SuperMatrix(shape, alg, out)
 
 
 # ---------------------------------------------------------------------------

@@ -219,14 +219,17 @@ def supermatrix_rep_oracle(field, rank, p, entries):
 
 
 def k_matmul_oracle(field, x, y):
-    """Plain product of two square matrices of raw field values."""
+    """Plain product of two square matrices of raw field values (zero
+    entries of either factor are skipped)."""
     zero = field.from_int(0)
     out = []
     for row in x:
         acc = [zero] * len(y[0])
         for t, c in enumerate(row):
             if c != zero:
-                acc = [field.add(u, field.mul(c, w)) for u, w in zip(acc, y[t])]
+                for k, w in enumerate(y[t]):
+                    if w != zero:
+                        acc[k] = field.add(acc[k], field.mul(c, w))
         out.append(acc)
     return out
 

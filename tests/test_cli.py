@@ -239,6 +239,22 @@ def test_normal_form_bad_integer_exit_2(tmp_path, capsys, part, doc):
     assert code == 2 and "schema error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,name,edit", [
+    ("check-shcp", "gl11_pair.json", lambda d: d["even_group"].update(p=400, q=400)),
+    ("check-liesuper", "gl11_lie.json", lambda d: d.update(shape=[400, 400])),
+    ("check-liesuper", "tampered_lie.json", lambda d: d.update(shape=[5, 4])),
+], ids=["group-400-400", "lie-shape-400-400", "constants-shape-5-4"])
+def test_block_size_above_cap_exit_2(tmp_path, capsys, command, name, edit):
+    """p + q above MAX_BLOCK_SIZE, in an even group or a lie shape, is a
+    schema error raised before any matrix is read or group is built."""
+    from superpoints.serialize import MAX_BLOCK_SIZE
+
+    (tmp_path / "big.json").write_text(json.dumps(_edited(name, edit)))
+    code, _, err = run([command, str(tmp_path / "big.json")], capsys)
+    assert code == 2 and "schema error" in err and f"exceeds {MAX_BLOCK_SIZE}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", [["gl_full"], {"gl_full": 1}], ids=["list", "object"])
 def test_normal_form_unhashable_group_name_exit_2(tmp_path, capsys, name):
     doc = _edited("gl11_pair.json", lambda d: d["even_group"].update(name=name))

@@ -52,6 +52,7 @@ from superpoints.verify import (
 )
 
 from .oracles import odd_monomial_action_oracle
+from .q2_pair import q2_pair
 from .test_shcp import count_inversions
 
 
@@ -422,18 +423,23 @@ def test_stripping_inverts_once_per_refining_round(monkeypatch):
         assert len(solves) >= 1 and len(calls) == len(solves)
 
 
-def test_right_factorization_reexpands(pair11):
+@pytest.mark.parametrize("make_pair", [lambda: gl_pair(1, 1, QQ), lambda: gl_pair(2, 1, QQ),
+                                       lambda: q2_pair(QQ)], ids=["gl11", "gl21", "q2"])
+def test_right_factorization_reexpands(make_pair):
+    """The descending right form re-expands to the word's matrix; q(2) has
+    two nonzeros in each rho(Y_i)."""
     from superpoints import right_factorization
     from superpoints.gp import expand_right_factorization
 
+    pair = make_pair()
     rng = random.Random(29)
     A = GrassmannAlgebra(QQ, 3)
     for _ in range(10):
-        w = random_word(pair11, A, rng, 6)
+        w = random_word(pair, A, rng, 6)
         nf = normal_form(w)
         g_plus_r, etas_r = right_factorization(nf)
-        assert pair11.even_group.member(g_plus_r)
-        assert expand_right_factorization(pair11, A, g_plus_r, etas_r) == w.rho_matrix()
+        assert pair.even_group.member(g_plus_r)
+        assert expand_right_factorization(pair, A, g_plus_r, etas_r) == w.rho_matrix()
 
 
 def test_word_token_bound():

@@ -22,6 +22,7 @@ from superpoints import (
     gl_block_diag,
     gl_bracket,
     gl_full,
+    gl_pair,
     gl_split,
     is_invertible,
     is_odd_unipotent,
@@ -29,11 +30,12 @@ from superpoints import (
     semidirect_split,
     smat_inv,
 )
-from superpoints.smat import constant_matrix, matrix_units
-from superpoints.sampling import rand_element, rand_odd
+from superpoints.smat import ck_product, constant_matrix, matrix_units
+from superpoints.sampling import rand_element, rand_k_vector, rand_odd
 from superpoints.verify import suite_tang_group
 
 from .oracles import k_matmul_oracle, supermatrix_rep_oracle
+from .q2_pair import q2_pair
 
 
 def unit(shape, algebra, i, j):
@@ -100,9 +102,19 @@ def test_twisted_associativity_pins_convention():
 
 
 def _rep(m):
-    """The supermatrix as a k-matrix on A (x) k^{p|q}, via the oracle."""
-    entries = [[dict(e.terms) for e in row] for row in m.rows]
-    return supermatrix_rep_oracle(m.algebra.field, m.algebra.rank, m.shape[0], entries)
+    """The supermatrix as a k-matrix on A (x) k^{p|q}, via the oracle.  An
+    entry a + b eps over Lambda_r[eps] is read in Lambda_{r+2} as
+    a + b x_{r+1} x_{r+2}: that product is even, central and squares to 0,
+    so the map is an injective map of superalgebras."""
+    alg = m.algebra
+    if isinstance(alg, DualExtension):
+        rank, top = alg.inner.rank + 2, 3 << alg.inner.rank
+        entries = [[{**e.a.terms, **{mask | top: v for mask, v in e.b.terms.items()}}
+                    for e in row] for row in m.rows]
+    else:
+        rank = alg.rank
+        entries = [[dict(e.terms) for e in row] for row in m.rows]
+    return supermatrix_rep_oracle(alg.field, rank, m.shape[0], entries)
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3])
@@ -121,6 +133,57 @@ def test_twisted_product_matches_regular_representation(field, shape):
     for _ in range(3):
         g = gl_full(*shape).sample(A, rng)
         assert k_matmul_oracle(field, _rep(smat_inv(g)), _rep(g)) == ident
+
+
+_CK_PAIRS = {"gl11": lambda f: gl_pair(1, 1, f), "gl21": lambda f: gl_pair(2, 1, f),
+             "q2": q2_pair}
+_CK_ALGEBRAS = {
+    "Q": lambda: GrassmannAlgebra(QQ, 4),
+    "F2": lambda: GrassmannAlgebra(GF2, 4),
+    "F3": lambda: GrassmannAlgebra(GF3, 4),
+    "dual": lambda: DualExtension(GrassmannAlgebra(QQ, 2)),
+}
+
+
+@pytest.mark.parametrize("coeffs", list(_CK_ALGEBRAS))
+@pytest.mark.parametrize("pair_name", list(_CK_PAIRS))
+def test_ck_product_matches_lifted_and_regular_products(pair_name, coeffs):
+    """Every form of ck_product, with odd c and K = rho(Y_i) and with even c
+    and K = rho(Z) for an even Z, equals the twisted product of the lifted
+    factors and, in the regular representation, the plain k-matrix product
+    (the second reference shares no code with SuperMatrix.__mul__)."""
+    A = _CK_ALGEBRAS[coeffs]()
+    pair = _CK_PAIRS[pair_name](A.field)
+    lie, sh = pair.lie, pair.shape
+    n = sh[0] + sh[1]
+    I = SuperMatrix.identity(sh, A)
+    rng = random.Random(17)
+
+    def rand_matrix():
+        return SuperMatrix(sh, A, [[rand_element(A, rng) for _ in range(n)]
+                                   for _ in range(n)])
+
+    def agree(got, *factors):
+        lifted, regular = factors[0], _rep(factors[0])
+        for f in factors[1:]:
+            lifted, regular = lifted * f, k_matmul_oracle(A.field, regular, _rep(f))
+        assert got == lifted
+        assert _rep(got) == regular
+
+    cases = [(rand_odd(A, rng), lie.rho_odd_nz[i], lie.rho_odd_matrix(i, A))
+             for i in range(pair.d_minus)]
+    for _ in range(2):
+        z = rand_k_vector(A.field, rng, pair.d_plus, nonzero=True)
+        cases.append((rand_element(A, rng, parity=0), lie.rho_nonzeros(0, z),
+                      lie.rho_comb(0, z, A)))
+    for c, nz, K in cases:
+        m, left, right = rand_matrix(), rand_matrix(), rand_matrix()
+        cK = K.scale(c)
+        agree(ck_product(m, c, nz, None, m), m, I + cK)
+        agree(ck_product(None, c, nz, m, m), I + cK, m)
+        agree(ck_product(m, c, nz, None), m, cK)
+        agree(ck_product(None, c, nz, m), cK, m)
+        agree(ck_product(left, None, nz, right), left, K, right)
 
 
 def test_shape_mismatch_raises():
