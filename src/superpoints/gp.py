@@ -310,7 +310,7 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
         and E gains c.rho(Z).E over the nonzeros of rho(Z) (``ck_product``)."""
         nonlocal e_acc
         odds[position:] = _conjugate_odds(odds[position:], slide_ad_matrix(pair.lie, z, c))
-        e_acc = ck_product(None, c, pair.lie.rho_nonzeros(0, z), e_acc, e_acc)
+        e_acc = ck_product(None, c, pair.lie.rho_even_nonzeros(z), e_acc, e_acc)
 
     # one sweep: odds[:s + 1] stays strictly ascending, since a rewrite at s
     # changes only odds[s:] and steps back, so the sweep ends sorted

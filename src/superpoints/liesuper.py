@@ -132,7 +132,7 @@ class LieSuperalgebraData:
             [tuple(tuple(r) for r in m) for m in rho_odd] if rho_odd is not None else None
         )
         self._validate_shapes()
-        # the nonzeros of each rho(Y_i), and rho_nonzeros' memo
+        # the nonzeros of each rho(Y_i), and rho_even_nonzeros' memo
         self.rho_odd_nz = (
             [k_nonzeros(m) for m in self.rho_odd] if rho_odd is not None else None
         )
@@ -210,15 +210,15 @@ class LieSuperalgebraData:
         0) or odd (parity 1) basis, over the algebra."""
         return lift_comb(self.shape, algebra, (self.rho_even, self.rho_odd)[parity], coords)
 
-    def rho_nonzeros(self, parity, coords):
-        """The nonzero entries (``k_nonzeros``) of rho of that element, summed
-        over k and never lifted; made once per (parity, coords)."""
-        key = (parity, tuple(coords))
+    def rho_even_nonzeros(self, coords):
+        """The nonzero entries (``k_nonzeros``) of rho of the even element
+        with k-coordinates coords, summed over k and never lifted; made once
+        per coords."""
+        key = tuple(coords)
         nz = self._rho_nz.get(key)
         if nz is None:
-            mats = (self.rho_even, self.rho_odd)[parity]
             nz = self._rho_nz[key] = k_nonzeros(
-                _k_comb(self.field, self.shape[0] + self.shape[1], mats, coords))
+                _k_comb(self.field, self.shape[0] + self.shape[1], self.rho_even, coords))
         return nz
 
     # -- the defining relations ---------------------------------------------

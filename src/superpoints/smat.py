@@ -245,10 +245,11 @@ def k_nonzeros(rows):
 def ck_product(left, c, nz, right, base=None):
     """base + left . (c (x) K) . right, visiting only the nonzeros of K.
 
-    c is a homogeneous coefficient element (None: 1); K is a homogeneous raw
-    k-matrix of parity |K|, given by its nonzero entries nz (``k_nonzeros``);
-    left and right are supermatrices, or None for the identity, but not
-    both None; base is a supermatrix, or None for 0.  Raw k-values are even,
+    c is a homogeneous coefficient element, or None for 1 when left is
+    given; K is a homogeneous raw k-matrix of parity |K|, given by its
+    nonzero entries nz (``k_nonzeros``); left and right are supermatrices,
+    or None for the identity, but not both None; base is a supermatrix, or
+    None for 0.  Raw k-values are even,
     so the twisted product of this module gives, with |i| the parity of
     row i and twist^0 the identity,
 
@@ -267,7 +268,7 @@ def ck_product(left, c, nz, right, base=None):
     twisted = {}  # row b of right, twisted, made on first use
     for a, b, v in nz:
         if left is None:
-            terms = ((a, alg.from_scalar(v) if c is None else c.scale(v)),)
+            terms = ((a, c.scale(v)),)
         else:
             col = [(i, row[a]) for i, row in enumerate(left.rows) if not row[a].is_zero()]
             if c is None:

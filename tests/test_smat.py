@@ -174,7 +174,7 @@ def test_ck_product_matches_lifted_and_regular_products(pair_name, coeffs):
              for i in range(pair.d_minus)]
     for _ in range(2):
         z = rand_k_vector(A.field, rng, pair.d_plus, nonzero=True)
-        cases.append((rand_element(A, rng, parity=0), lie.rho_nonzeros(0, z),
+        cases.append((rand_element(A, rng, parity=0), lie.rho_even_nonzeros(z),
                       lie.rho_comb(0, z, A)))
     for c, nz, K in cases:
         m, left, right = rand_matrix(), rand_matrix(), rand_matrix()
