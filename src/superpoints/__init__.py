@@ -52,9 +52,7 @@ from .gp import (
 )
 from .liesuper import (
     CheckReport,
-    ExteriorVector,
     LieSuperalgebraData,
-    apply_odd_generator,
     check_axioms,
     from_matrices,
     gl_lie,

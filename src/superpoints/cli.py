@@ -79,6 +79,8 @@ def cmd_check_liesuper(args):
 
 
 def cmd_check_shcp(args):
+    if args.samples < 1:  # a run that samples no point verifies nothing
+        raise SchemaError(f"--samples: must be at least 1, not {args.samples}")
     pair = load_pair(loads(_read(args.path), args.path))
     rep = validate_pair(pair, samples=args.samples, seed=args.seed)
     if args.json:

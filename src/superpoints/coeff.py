@@ -89,10 +89,20 @@ class RationalField(Field):
         return Fraction(n)
 
     def parse(self, text):
+        # bound the value's digits before Fraction builds it: an exponent
+        # (1e10000000) makes it compute a power of ten
+        digits = sum(ch.isdigit() for ch in text)
+        exp = re.search(r"[eE]([+-]?\d+)", text)
+        if digits > MAX_LITERAL_DIGITS or (
+                exp and digits + abs(int(exp.group(1))) > MAX_LITERAL_DIGITS):
+            raise StructuralError(f"rational literal {_shown(text)!r} has more "
+                                  f"than {MAX_LITERAL_DIGITS} digits")
         try:
             return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as e:
-            raise StructuralError(f"bad rational literal {text!r}: {e}") from None
+        except ZeroDivisionError:
+            raise StructuralError(f"rational literal {_shown(text)!r} divides by zero") from None
+        except ValueError:
+            raise StructuralError(f"bad rational literal {_shown(text)!r}") from None
 
     def format(self, a):
         return str(a)
@@ -111,6 +121,14 @@ class RationalField(Field):
 # Largest prime field supported: p < 2**31 keeps the primality check (trial
 # division up to sqrt(p)) to milliseconds and every product below 2**62.
 MAX_PRIME = 2**31
+# int() refuses a decimal string of more than 4300 digits (CPython's default
+# limit), so longer literals are rejected by digit count before it is called.
+MAX_LITERAL_DIGITS = 4300
+
+
+def _shown(text):
+    """text for an error message: its first 12 characters and ... if long."""
+    return text if len(text) <= 24 else text[:12] + "..."
 
 
 class PrimeField(Field):
@@ -142,9 +160,13 @@ class PrimeField(Field):
     def parse(self, text):
         m = re.fullmatch(r"\s*(-?\d+)\s*(?:mod\s*(\d+)\s*)?", text)
         if not m:
-            raise StructuralError(f"bad F{self.p} literal: {text!r}")
-        if m.group(2) and int(m.group(2)) != self.p:
-            raise StructuralError(f"literal {text!r} is not mod {self.p}")
+            raise StructuralError(f"bad F{self.p} literal: {_shown(text)!r}")
+        if len(m.group(1).lstrip("-")) > MAX_LITERAL_DIGITS:
+            raise StructuralError(f"F{self.p} literal {_shown(text)!r} has more "
+                                  f"than {MAX_LITERAL_DIGITS} digits")
+        if m.group(2) and (len(m.group(2)) > len(str(MAX_PRIME))
+                           or int(m.group(2)) != self.p):
+            raise StructuralError(f"literal {_shown(text)!r} is not mod {self.p}")
         return int(m.group(1)) % self.p
 
     def format(self, a):
@@ -766,9 +788,10 @@ def parse_element(algebra: CoefficientAlgebra, text: str):
                 if mask_indices is not None:
                     raise StructuralError("repeated generator factor")
                 inner = _TERM_GEN.fullmatch(f).group(1).strip()
-                mask_indices = (
-                    [int(t) for t in inner.split(",")] if inner else []
-                )
+                try:
+                    mask_indices = [int(t) for t in inner.split(",")] if inner else []
+                except ValueError:  # an empty or over-long index
+                    raise StructuralError(f"bad generator index in {_shown(f)!r}") from None
             else:
                 if coeff is not None:
                     raise StructuralError(f"two scalar factors in {chunk!r}")

@@ -9,10 +9,11 @@ one-parameter factors (1 + eta.Y_i).  The canonical (LEFT) normal form is
 with the product over the fixed odd-basis order.  Two independent routes
 compute it:
 
-* ``normal_form`` -- module extraction: act on the vacuum of the exterior
-  module ``wedge(g_1)``; the single-index coefficients of the image *are* the
-  etas (semi-faithfulness), and the even factor is recovered by dividing
-  out the odd product in the representation, factor by factor with
+* ``normal_form`` -- module extraction: act by ``word_action`` on the
+  vacuum ``{0: 1}`` of the exterior module ``wedge(g_1)``; the coefficients
+  at the single-index masks ``1 << i`` of the image *are* the etas
+  (semi-faithfulness), and the even factor is recovered by dividing out the
+  odd product in the representation, factor by factor with
   (1 + eta Y)^-1 = (1 - eta Y); even tokens act by ``wedge_ad_action``.
 * ``reorder_symbolic`` -- a rewriting engine using only the one-parameter
   relations: push even tokens right through Ad, remove inversions and
@@ -48,8 +49,9 @@ every law word.
 
 ``InducedModule`` carries the induced representations wedge(g_1) (x) V0.
 It straightens with the same memoized kernel as wedge(g_1) (liesuper's
-StraighteningKernel, keying Ybar_S (x) e_t by S | t << d_minus) and acts
-by the same ``word_action``.
+StraighteningKernel) and acts by the same ``word_action``.  Its vectors are
+plain dicts with the kernel's key: Ybar_S (x) e_t is S | t << d_minus, so
+``vacuum_with(t, A)`` is ``{t << d_minus: 1}``.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ import random
 
 from .coeff import DualExtension, GrassmannAlgebra
 from .errors import MembershipViolation, NonTermination, SpanViolation, StructuralError
-from .liesuper import (CheckReport, ExteriorVector, StraighteningKernel, _bracket, _unit,
-                       _vcomb, word_action)
+from .liesuper import (CheckReport, StraighteningKernel, _bracket, _unit, _vcomb,
+                       trivial_action, word_action)
 from .smat import SuperMatrix, ck_product, dual_probe, gl_split, smat_inv
 
 MAX_WORD_TOKENS = 10_000
@@ -220,8 +222,9 @@ def normal_form(word: GroupWord) -> NormalForm:
     (4) the quotient must be an even-group point.
     """
     pair, algebra = word.pair, word.algebra
-    v = word_action(word, ExteriorVector.vacuum(pair.lie, algebra))
-    etas = [v.coefficient(1 << i) for i in range(pair.d_minus)]
+    v = word_action(word, {0: algebra.one()}, pair.lie.odd_action, trivial_action)
+    zero = algebra.zero()
+    etas = [v.get(1 << i, zero) for i in range(pair.d_minus)]
     g_plus = _divide_odd_product(pair, etas, word.rho_matrix())
     if not g_plus.is_even_homogeneous() or not pair.even_group.member(g_plus):
         raise MembershipViolation(
@@ -577,7 +580,7 @@ def right_factorization(nf: NormalForm):
     return smat_inv(inv.g_plus), tuple(-e for e in inv.etas)
 
 
-def expand_right_factorization(pair, algebra, g_plus_r, etas_r) -> SuperMatrix:
+def expand_right_factorization(pair, g_plus_r, etas_r) -> SuperMatrix:
     """g_plus_r . (1 + eta_d Y_d)...(1 + eta_1 Y_1), each factor applied as
     m + m . eta rho(Y_i) (``ck_product``)."""
     nz = pair.lie.rho_odd_nz
@@ -838,10 +841,8 @@ def sum_mul(algebra, a, b, r, c, n):
 
 
 def trivial_module(pair) -> EvenModuleData:
-    def act(g):
-        return [[g.algebra.one()]]
-
-    return EvenModuleData(1, [[[pair.field.from_int(0)]] for _ in range(pair.d_plus)], act)
+    return EvenModuleData(1, [[[pair.field.from_int(0)]] for _ in range(pair.d_plus)],
+                          trivial_action)
 
 
 def defining_module(pair) -> EvenModuleData:
@@ -860,9 +861,9 @@ class InducedModule:
     Tokens act through the straightening kernel of liesuper (even points
     by Ad(g) there and by group_action on V0), where even elements reaching
     the inducing line act through the V0 matrices
-    (x.(y (x) v) = ad(x)(y) (x) v + y (x) x.v).  Inside, Ybar_S (x) e_t is
-    keyed by S | t << d_minus; the public vectors are dicts
-    (mask, t) -> coefficient.
+    (x.(y (x) v) = ad(x)(y) (x) v + y (x) x.v).  Its vectors are the
+    kernel's: dicts S | t << d_minus -> nonzero coefficient for
+    Ybar_S (x) e_t.
     """
 
     def __init__(self, pair, v0: EvenModuleData):
@@ -880,17 +881,14 @@ class InducedModule:
 
     # -- A-linear word action ------------------------------------------------
     def vacuum_with(self, t, algebra):
-        return {(0, t): algebra.one()}
+        """1 (x) e_t, keyed t << d_minus."""
+        return {t << self.pair.d_minus: algebra.one()}
 
     def apply_word(self, word, vec):
-        """vec: dict (mask, t) -> coefficient; returns the transformed dict.
-        word is a GroupWord or a NormalForm (anything with pair, algebra and
-        tokens)."""
-        dm = self.pair.d_minus
-        v = ExteriorVector(self.pair.lie, word.algebra,
-                           {mask | t << dm: c for (mask, t), c in vec.items()})
-        v = word_action(word, v, self.odd_act, self.v0.group_action)
-        return {(key & ((1 << dm) - 1), key >> dm): c for key, c in v.coeffs.items()}
+        """word acting on the vector vec (a dict S | t << d_minus ->
+        nonzero coefficient); word is a GroupWord or a NormalForm (anything
+        with pair and tokens)."""
+        return word_action(word, vec, self.odd_act, self.v0.group_action)
 
     def apply_normal_form(self, nf: NormalForm, vec):
         """Act by the normal form's own tokens: it was validated when made,

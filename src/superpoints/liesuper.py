@@ -28,6 +28,13 @@ Ad(g)-image of each Y_i (wedge_ad_action).  Coefficient algebras enter only
 through the A-linear extension with the sign rule
 
     (eta (x) Y).(c (x) w) = (-1)^{|Y||c|} eta c (x) Y.w .
+
+A vector over a coefficient algebra A is a plain dict, key -> nonzero
+coefficient, with the kernel's key.  straighten_action, wedge_ad_action and
+word_action take the module's straightening table (lie.odd_action, or an
+induced module's odd_act) and, for even points, its V0 action
+(trivial_action on wedge(g_1)) as arguments; an odd token 1 + eta.Y_i acts
+in word_action alone.
 """
 
 from __future__ import annotations
@@ -576,7 +583,8 @@ def gl_lie(p, q, field) -> LieSuperalgebraData:
 
 
 # ---------------------------------------------------------------------------
-# the exterior module over a coefficient algebra
+# module vectors over a coefficient algebra: dicts key -> nonzero
+# coefficient, Ybar_S (x) e_t keyed S | t << d_minus; _add_to drops zeros
 
 
 def _add_to(acc, key, value):
@@ -590,111 +598,53 @@ def _add_to(acc, key, value):
         acc[key] = value
 
 
-class ExteriorVector:
-    """Element of A (x) wedge(g_1) in the basis Ybar_S, S a bitmask; for an
-    induced module, of A (x) wedge(g_1) (x) V0 keyed by S | t << d_minus."""
-
-    __slots__ = ("lie", "algebra", "coeffs")
-
-    def __init__(self, lie, algebra, coeffs=None):
-        self.lie = lie
-        self.algebra = algebra
-        self.coeffs = {m: c for m, c in (coeffs or {}).items() if not c.is_zero()}
-
-    @classmethod
-    def vacuum(cls, lie, algebra):
-        """b, the basis vector of the trivial inducing line."""
-        return cls(lie, algebra, {0: algebra.one()})
-
-    def coefficient(self, mask):
-        return self.coeffs.get(mask, self.algebra.zero())
-
-    def __add__(self, other):
-        if other.lie is not self.lie or other.algebra != self.algebra:
-            raise StructuralError("exterior vectors over different modules")
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            _add_to(out, m, c)
-        return ExteriorVector(self.lie, self.algebra, out)
-
-    def __neg__(self):
-        return ExteriorVector(self.lie, self.algebra, {m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return ExteriorVector(self.lie, self.algebra, {m: c * e for m, e in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExteriorVector)
-            and other.lie is self.lie
-            and other.algebra == self.algebra
-            and other.coeffs == self.coeffs
-        )
-
-    __hash__ = None
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def parity_pattern_ok(self):
-        """Coefficient parity must match |S| for points of (A (x) wedge(g_1))_0;
-        the t of an induced key S | t << d_minus does not count."""
-        mask = (1 << self.lie.d_minus) - 1
-        return all(c.parity() == (key & mask).bit_count() % 2
-                   for key, c in self.coeffs.items())
-
-    def __repr__(self):
-        """Terms (c)*Y1,3 for Ybar_S; an induced key with t > 0 adds *e{t+1}
-        (e1, the t = 0 line, is left implicit)."""
-        if not self.coeffs:
-            return "0"
-        dm = self.lie.d_minus
-        parts = []
-        for key in sorted(self.coeffs):
-            s, t = key & ((1 << dm) - 1), key >> dm
-            mono = "b" if s == 0 else "Y" + ",".join(
-                str(i + 1) for i in range(dm) if s >> i & 1)
-            if t:
-                mono += f"*e{t + 1}"
-            parts.append(f"({self.coeffs[key]})*{mono}")
-        return " + ".join(parts)
+def _add_scaled(acc, a, v):
+    """acc += a.v for a coefficient a and a vector v; products that vanish
+    are skipped."""
+    for key, c in v.items():
+        c = a * c
+        if not c.is_zero():
+            _add_to(acc, key, c)
 
 
-def straighten_action(lie, index, v: ExteriorVector, act=None) -> ExteriorVector:
-    """Action of the odd basis element Y_index on an exterior vector,
-    extended A-linearly with the super sign rule.  act(index, key) replaces
-    the lie's own table (an induced module's odd_act)."""
-    act = act or lie.odd_action
+def parity_pattern_ok(v, d_minus):
+    """Whether each coefficient of v has the parity |S| of its key
+    S | t << d_minus, as on the points of (A (x) wedge(g_1))_0; t does not
+    count."""
+    mask = (1 << d_minus) - 1
+    return all(c.parity() == (key & mask).bit_count() % 2 for key, c in v.items())
+
+
+def trivial_action(g):
+    """An even point g on the trivial line V0 = k: the 1x1 matrix [[1]]."""
+    return [[g.algebra.one()]]
+
+
+def straighten_action(act, index, v):
+    """Y_index acting on the vector v through the straightening table
+    act(index, key) (lie.odd_action, or an induced module's odd_act),
+    extended A-linearly with the super sign rule."""
     out = {}
-    for key, c in v.coeffs.items():
+    for key, c in v.items():
         csig = c.twist()
         for k2, raw in act(index, key).items():
             _add_to(out, k2, csig.scale(raw))
-    return ExteriorVector(lie, v.algebra, out)
+    return out
 
 
-def apply_odd_generator(lie, i, eta, v: ExteriorVector) -> ExteriorVector:
-    """(1 + eta Y_i) acting on v: identity plus eta times the Y_i action."""
-    if not (eta.is_odd() or eta.is_zero()):
-        raise StructuralError("odd generator coefficient must be odd")
-    return v + straighten_action(lie, i, v).scale(eta)
-
-
-def wedge_ad_action(lie, ad_matrix, v: ExteriorVector, v0_matrix, act=None) -> ExteriorVector:
-    """An even group element g acting on U(g) (x)_{U(g_0)} V0.
+def wedge_ad_action(act, ad_matrix, v0_matrix, v):
+    """An even group element g acting on the vector v of
+    U(g) (x)_{U(g_0)} V0, whose straightening table is act(j, key).
 
     ad_matrix[j][i] are even coefficient-algebra elements with
     Ad(g)(Y_i) = sum_j a[j][i] Y_j, and v0_matrix is g on V0:
     g.e_t = sum_r v0_matrix[r][t] e_r (for wedge(g_1), V0 is the trivial
     line and v0_matrix is [[1]]).  With i0 = min S and rest the key without
     it, g.(Ybar_S (x) e_t) = (Ad(g)Y_{i0}).(g.rest), and each Y_j acts by
-    straighten_action with act, so the [Y_j,Y_k] and Y_j^<2> terms of the
-    product in U(g) act on what stands to their right.
+    straighten_action, so the [Y_j,Y_k] and Y_j^<2> terms of the product in
+    U(g) act on what stands to their right.
     """
-    dm, algebra = lie.d_minus, v.algebra
+    dm = len(ad_matrix)
     memo = {}
 
     def image(key):
@@ -704,40 +654,41 @@ def wedge_ad_action(lie, ad_matrix, v: ExteriorVector, v0_matrix, act=None) -> E
             if key & ((1 << dm) - 1):
                 i0 = (key & -key).bit_length() - 1
                 rest = image(key & (key - 1))
-                acc = {}
+                res = {}
                 for j in range(dm):
                     a = ad_matrix[j][i0]
                     if not a.is_zero():
-                        for k2, c in straighten_action(lie, j, rest, act).coeffs.items():
-                            _add_to(acc, k2, a * c)
+                        _add_scaled(res, a, straighten_action(act, j, rest))
             else:
                 t = key >> dm
-                acc = {r << dm: row[t] for r, row in enumerate(v0_matrix)}
-            res = memo[key] = ExteriorVector(lie, algebra, acc)
+                res = {r << dm: row[t] for r, row in enumerate(v0_matrix)
+                       if not row[t].is_zero()}
+            memo[key] = res
         return res
 
     out = {}
-    for key, c in v.coeffs.items():
-        for k2, c2 in image(key).coeffs.items():
-            _add_to(out, k2, c * c2)
-    return ExteriorVector(lie, algebra, out)
+    for key, c in v.items():
+        _add_scaled(out, c, image(key))
+    return out
 
 
-def word_action(word, v: ExteriorVector, odd_act=None, v0_action=None) -> ExteriorVector:
-    """Left action of a group word on U(g) (x)_{U(g_0)} V0.
+def word_action(word, v, odd_act, v0_action):
+    """Left action of a group word on the vector v of U(g) (x)_{U(g_0)} V0;
+    v itself is left as it is.
 
-    Even tokens act by wedge_ad_action through the word's pair (duck-typed:
-    the pair supplies ad_action_matrix); odd-generator tokens act as
-    1 + eta.Y_i.  Both act through the straightening table odd_act(j, key)
-    of the module.  v0_action(g) is the matrix of g on V0; the defaults are
-    wedge(g_1) itself, V0 the trivial line.
+    odd_act(j, key) is the module's straightening table (lie.odd_action on
+    wedge(g_1), InducedModule.odd_act on an induced module) and
+    v0_action(g) the matrix of an even point g on V0.  Even tokens act by
+    wedge_ad_action through the word's pair (duck-typed: the pair supplies
+    ad_action_matrix); an odd token acts as 1 + eta.Y_i.
     """
     pair = word.pair
-    lie = pair.lie
     for tok in reversed(word.tokens):
         if tok.kind == "even":
-            v0m = v0_action(tok.matrix) if v0_action else [[v.algebra.one()]]
-            v = wedge_ad_action(lie, pair.ad_action_matrix(tok.matrix), v, v0m, odd_act)
+            v = wedge_ad_action(odd_act, pair.ad_action_matrix(tok.matrix),
+                                v0_action(tok.matrix), v)
         else:
-            v = v + straighten_action(lie, tok.index, v, odd_act).scale(tok.eta)
+            out = dict(v)
+            _add_scaled(out, tok.eta, straighten_action(odd_act, tok.index, v))
+            v = out
     return v

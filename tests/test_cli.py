@@ -144,6 +144,14 @@ def test_check_shcp_pass(capsys):
     assert code == 0 and out.startswith("PASS")
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_check_shcp_samples_below_one_exit_2(capsys, samples):
+    """A run that samples no point verifies nothing: --samples must be at
+    least 1, and the error names the flag."""
+    code, out, err = run(["check-shcp", fx("gl11_pair.json"), "--samples", samples], capsys)
+    assert code == 2 and "--samples" in err and "PASS" not in out
+
+
 def test_check_shcp_zero_odd(tmp_path, capsys):
     with open(fx("gl11_pair.json")) as fh:
         doc = json.load(fh)
@@ -281,6 +289,29 @@ def test_normal_form_bad_field_flag_exit_2(capsys, field):
     code, _, err = run(["normal-form", "--pair", fx("gl11_pair.json"), "--field", field,
                         "--word", fx("swap_word.json")], capsys)
     assert code == 2 and "schema error: --field:" in err and "Traceback" not in err
+
+
+_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("field,eta", [
+    ("F3", _LONG + " * x{1}"),
+    ("F3", "1 mod " + _LONG + " * x{1}"),
+    ("Q", _LONG + " * x{1}"),
+    ("Q", "1e10000000 * x{1}"),
+    ("Q", "1 * x{" + _LONG + "}"),
+    ("F3", "1 * x{1,,2}"),
+], ids=["F3-value", "F3-modulus", "Q-value", "Q-exponent", "Q-index", "F3-empty-index"])
+def test_normal_form_overlong_literal_exit_2(tmp_path, capsys, field, eta):
+    """A literal of more than 4300 digits (an exponent counts: Fraction would
+    build the power), or a generator index int() cannot read, is a schema
+    error, and the message cuts the literal short."""
+    p = tmp_path / "word.json"
+    p.write_text(json.dumps({"schema": 1, "tokens": [{"odd": [1, eta]}]}))
+    code, _, err = run(["normal-form", "--pair", fx("gl11_pair.json"), "--field", field,
+                        "--grassmann-rank", "2", "--word", str(p)], capsys)
+    assert code == 2 and "schema error: word.tokens[0]" in err and "Traceback" not in err
+    assert "1" * 100 not in err
 
 
 @pytest.mark.parametrize("rank", ["-1", "17"])
@@ -485,9 +516,10 @@ _FUZZ_VALUES = st.one_of(
     (["check-liesuper"], [None], ["gl11_lie.json"]),
     (["check-liesuper"], [None], ["tampered_lie.json"]),
     (["check-liesuper"], [None], ["flipped_bracket_lie.json"]),
+    (["check-shcp"], [None], ["gl11_pair.json"]),
     (["normal-form", "--oracle", "both"], ["--pair", "--coeff", "--word"],
      ["gl11_pair.json", "coeff_l2.json", "swap_word.json"]),
-], ids=["gl11-lie", "tampered-lie", "flipped-lie", "normal-form"])
+], ids=["gl11-lie", "tampered-lie", "flipped-lie", "gl11-pair", "normal-form"])
 @settings(max_examples=75, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_fuzzed_fixture_maps_to_an_exit_code(command, flags, names, data):

@@ -439,7 +439,7 @@ def test_right_factorization_reexpands(make_pair):
         nf = normal_form(w)
         g_plus_r, etas_r = right_factorization(nf)
         assert pair.even_group.member(g_plus_r)
-        assert expand_right_factorization(pair, A, g_plus_r, etas_r) == w.rho_matrix()
+        assert expand_right_factorization(pair, g_plus_r, etas_r) == w.rho_matrix()
 
 
 def test_word_token_bound():
@@ -562,7 +562,8 @@ def test_module_transport_recovers_lie_action(pair11):
 
 
 def test_induced_trivial_coincides_with_word_action(pair11):
-    from superpoints import ExteriorVector, word_action
+    from superpoints import word_action
+    from superpoints.liesuper import trivial_action
 
     rng = random.Random(16)
     A = GrassmannAlgebra(QQ, 3)
@@ -570,8 +571,7 @@ def test_induced_trivial_coincides_with_word_action(pair11):
     for _ in range(8):
         w = random_word(pair11, A, rng, 5)
         vec = IM.apply_word(w, IM.vacuum_with(0, A))
-        v2 = word_action(w, ExteriorVector.vacuum(pair11.lie, A))
-        assert {m: c for (m, _), c in vec.items()} == v2.coeffs
+        assert vec == word_action(w, {0: A.one()}, pair11.lie.odd_action, trivial_action)
 
 
 def test_induced_dimension(pair11):
@@ -590,12 +590,14 @@ def test_induced_odd_action_matches_oracle(field):
         pair = gl_pair(p, q, field)
         v0 = defining_module(pair)
         IM = InducedModule(pair, v0)
-        for j in range(pair.d_minus):
+        dm = pair.d_minus
+        for j in range(dm):
             w = GroupWord(pair, A, [OddTok(j, x1)])
             for mask in range(1 << pair.d_minus):
                 for t in range(v0.dim):
-                    got = IM.apply_word(w, {(mask, t): A.one()})
-                    x1_part = {k: c.terms[0b1] for k, c in got.items() if 0b1 in c.terms}
+                    got = IM.apply_word(w, {mask | t << dm: A.one()})
+                    x1_part = {(k & ((1 << dm) - 1), k >> dm): c.terms[0b1]
+                               for k, c in got.items() if 0b1 in c.terms}
                     want = odd_monomial_action_oracle(pair.lie, j, mask, v0.lie_mats, t)
                     assert x1_part == want, (p, q, j, mask, t)
 

@@ -11,7 +11,7 @@ from superpoints import (
     GF3,
     QQ,
     ClosureViolation,
-    ExteriorVector,
+    EvenTok,
     GrassmannAlgebra,
     GroupWord,
     InducedModule,
@@ -19,7 +19,6 @@ from superpoints import (
     OddTok,
     StructuralError,
     SuperMatrix,
-    apply_odd_generator,
     char2_pair,
     check_axioms,
     defining_module,
@@ -29,7 +28,7 @@ from superpoints import (
     trivial_module,
     word_action,
 )
-from superpoints.liesuper import straighten_action
+from superpoints.liesuper import parity_pattern_ok, straighten_action, trivial_action
 from superpoints.sampling import rand_odd
 from superpoints.serialize import load_lie, loads
 from superpoints.verify import check_module_axioms
@@ -275,7 +274,7 @@ def test_straightening_matches_oracle(field):
         w = GroupWord(pair, A, [OddTok(j, A.generator(1))])
         for mask in range(1 << pair.d_minus):
             for t in range(module.v0.dim):
-                module.apply_word(w, {(mask, t): A.one()})
+                module.apply_word(w, {mask | t << pair.d_minus: A.one()})
     fixtures.append(pair.lie)
     for lie in fixtures:
         for j in range(lie.d_minus):
@@ -364,17 +363,16 @@ def test_exterior_dimension():
 def test_semi_faithful_extraction_random():
     """Single-index coefficients of prod(1+eta_i Y_i).b are the etas, exactly."""
     rng = random.Random(13)
-    lie = gl_lie(1, 1, QQ)
+    pair = gl_pair(1, 1, QQ)
     A = GrassmannAlgebra(QQ, 4)
     for _ in range(100):
-        etas = [rand_odd(A, rng) for _ in range(lie.d_minus)]
-        v = ExteriorVector.vacuum(lie, A)
-        for i in reversed(range(lie.d_minus)):
-            v = apply_odd_generator(lie, i, etas[i], v)
-        assert v.coefficient(0) == A.one()
-        for i in range(lie.d_minus):
-            assert v.coefficient(1 << i) == etas[i]
-        assert v.parity_pattern_ok()
+        etas = [rand_odd(A, rng) for _ in range(pair.d_minus)]
+        w = GroupWord(pair, A, [OddTok(i, e) for i, e in enumerate(etas)])
+        v = word_action(w, {0: A.one()}, pair.lie.odd_action, trivial_action)
+        assert v[0] == A.one()
+        for i in range(pair.d_minus):
+            assert v.get(1 << i, A.zero()) == etas[i]
+        assert parity_pattern_ok(v, pair.d_minus)
 
 
 def test_straighten_action_linear_extension_sign():
@@ -382,27 +380,23 @@ def test_straighten_action_linear_extension_sign():
     lie = gl_lie(1, 1, QQ)
     A = GrassmannAlgebra(QQ, 2)
     x1, x2 = A.generator(1), A.generator(2)
-    v = ExteriorVector(lie, A, {0b10: x2})  # x2 (x) Ybar_2
-    moved = straighten_action(lie, 0, v)  # Y_1 acts
+    moved = straighten_action(lie.odd_action, 0, {0b10: x2})  # Y_1 on x2 (x) Ybar_2
     # Y1.Ybar_2 = Ybar_12; sign from moving Y1 past the odd x2 is -1
-    assert moved == ExteriorVector(lie, A, {0b11: -x2})
+    assert moved == {0b11: -x2}
 
 
 def test_word_action_even_tokens_fix_vacuum():
-    from superpoints import EvenTok, GroupWord, gl_pair
-
     rng = random.Random(3)
     pair = gl_pair(1, 1, QQ)
     A = GrassmannAlgebra(QQ, 3)
     g = pair.even_group.sample(A, rng)
     w = GroupWord(pair, A, [EvenTok(g)])
-    v = word_action(w, ExteriorVector.vacuum(pair.lie, A))
-    assert v == ExteriorVector.vacuum(pair.lie, A)
+    v = word_action(w, {0: A.one()}, pair.lie.odd_action, trivial_action)
+    assert v == {0: A.one()}
 
 
-def test_exterior_vector_induced_keys_parity_and_repr():
-    """On induced keys S | t << d_minus only S counts for parity, and the
-    repr shows the V0 index t instead of reading it as odd indices."""
+def test_induced_keys_parity():
+    """On induced keys S | t << d_minus only S counts for parity."""
     rng = random.Random(19)
     pair = gl_pair(1, 1, QQ)
     A = GrassmannAlgebra(QQ, 3)
@@ -410,10 +404,33 @@ def test_exterior_vector_induced_keys_parity_and_repr():
     module = InducedModule(pair, defining_module(pair))
     word = GroupWord(pair, A, [OddTok(0, rand_odd(A, rng)), OddTok(1, rand_odd(A, rng))])
     out = module.apply_word(word, module.vacuum_with(1, A))
-    assert all(t == 1 for (_, t) in out) and (0, 1) in out
-    v = ExteriorVector(pair.lie, A, {m | t << dm: c for (m, t), c in out.items()})
-    assert v.parity_pattern_ok()
-    text = repr(v)
-    assert text.count("*e2") == len(out) and ")*b*e2" in text and ")*Y1,2*e2" in text
-    odd_on_even_mask = ExteriorVector(pair.lie, A, {1 << dm: rand_odd(A, rng)})
-    assert not odd_on_even_mask.parity_pattern_ok()
+    assert all(key >> dm == 1 for key in out) and 1 << dm in out
+    assert parity_pattern_ok(out, dm)
+    assert not parity_pattern_ok({1 << dm: rand_odd(A, rng)}, dm)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+def test_module_vectors_store_no_zero_coefficient(field):
+    """Sums and products that vanish leave no zero coefficient behind, on
+    wedge(g_1) and on the induced defining module (whose even points have
+    zero entries on V0)."""
+    pair = gl_pair(2, 1, field)
+    A = GrassmannAlgebra(field, 2)
+    x1, x2 = A.generator(1), A.generator(2)
+    g = pair.even_group.sample(A, random.Random(7))
+    module = InducedModule(pair, defining_module(pair))
+    words = [
+        [OddTok(0, x1), OddTok(0, x1)],  # x1 x1 = 0; in char 2 also x1 + x1 = 0
+        [OddTok(0, x1), OddTok(0, -x1)],  # the identity
+        [OddTok(0, x1), OddTok(1, x1)],
+        [OddTok(1, x1), EvenTok(g), OddTok(0, x1), OddTok(1, x2)],
+        [EvenTok(pair.identity_matrix(A))],
+    ]
+    for toks in words:
+        w = GroupWord(pair, A, toks)
+        vecs = [word_action(w, {0: A.one()}, pair.lie.odd_action, trivial_action)]
+        vecs += [module.apply_word(w, module.vacuum_with(t, A)) for t in range(module.v0.dim)]
+        for v in vecs:
+            assert not any(c.is_zero() for c in v.values()), toks
+    cancel = GroupWord(pair, A, words[1])
+    assert word_action(cancel, {0: A.one()}, pair.lie.odd_action, trivial_action) == {0: A.one()}
