@@ -105,6 +105,10 @@ class RationalField(Field):
             raise StructuralError(f"bad rational literal {_shown(text)!r}") from None
 
     def format(self, a):
+        # str() would refuse the value past MAX_LITERAL_DIGITS digits
+        if max(a.numerator.bit_length(), a.denominator.bit_length()) > _MAX_FORMAT_BITS:
+            raise StructuralError(f"a rational value has more than MAX_LITERAL_DIGITS = "
+                                  f"{MAX_LITERAL_DIGITS} digits")
         return str(a)
 
     @property
@@ -124,6 +128,9 @@ MAX_PRIME = 2**31
 # int() refuses a decimal string of more than 4300 digits (CPython's default
 # limit), so longer literals are rejected by digit count before it is called.
 MAX_LITERAL_DIGITS = 4300
+# values below 2**_MAX_FORMAT_BITS < 10**MAX_LITERAL_DIGITS have at most
+# MAX_LITERAL_DIGITS digits
+_MAX_FORMAT_BITS = int(MAX_LITERAL_DIGITS * math.log2(10))
 
 
 def _shown(text):

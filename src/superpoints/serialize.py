@@ -259,12 +259,17 @@ def load_word(obj, pair, algebra, where="word") -> GroupWord:
 
 
 def dump_normal_form(nf: NormalForm) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "orientation": nf.orientation,
-        "etas": [e.to_str() for e in nf.etas],
-        "g_plus": dump_matrix(nf.g_plus),
-    }
+    """The normal form as a fixture object; SchemaError when a value is too
+    large for the textual format."""
+    try:
+        return {
+            "schema": SCHEMA_VERSION,
+            "orientation": nf.orientation,
+            "etas": [e.to_str() for e in nf.etas],
+            "g_plus": dump_matrix(nf.g_plus),
+        }
+    except StructuralError as e:
+        raise SchemaError(f"normal form cannot be written: {e}") from None
 
 
 def loads(text, where="fixture"):

@@ -127,16 +127,14 @@ class HarishChandraPair:
         return f"HarishChandraPair({self.even_group.name}, d+={self.d_plus}, d-={self.d_minus})"
 
 
-def validate_pair(pair: HarishChandraPair, samples: int = 64, seed: int = 0,
-                  algebra=None, axioms: bool = True) -> CheckReport:
-    """Run the pair conditions over Grassmann coefficients with sampled group
-    elements; exact identities, so failures are never probabilistic in the
-    coefficients, only in element coverage.  All failure families are
+def validate_pair(pair: HarishChandraPair, samples: int = 64, seed: int = 0) -> CheckReport:
+    """Run the axioms of g and the pair conditions over Lambda_4 with sampled
+    group elements; exact identities, so failures are never probabilistic in
+    the coefficients, only in element coverage.  All failure families are
     collected in one report; nothing bails early."""
-    rep = check_axioms(pair.lie) if axioms else CheckReport()
+    rep = check_axioms(pair.lie)
     rng = random.Random(seed)
-    field = pair.field
-    A = algebra or GrassmannAlgebra(field, 4)
+    A = GrassmannAlgebra(pair.field, 4)
     G = pair.even_group
 
     # (1) Lie(G+) contains g0: dual-number membership of 1 + eps X_a
@@ -144,14 +142,10 @@ def validate_pair(pair: HarishChandraPair, samples: int = 64, seed: int = 0,
         _, probe = dual_probe(pair.lie.rho_even[a], pair.shape, A)
         if not G.member(probe):
             rep.fail(f"1 + eps X{a + 1} is not a point of {G.name}[eps]")
-    if G.tangent_dim is not None:
-        if pair.d_plus == G.tangent_dim:
-            rep.note(f"Lie(G+) = g0 certified (tangent dim {G.tangent_dim})")
-        else:
-            rep.fail(
-                f"dim g0 = {pair.d_plus} but {G.name} has tangent dim {G.tangent_dim}")
+    if pair.d_plus == G.tangent_dim:
+        rep.note(f"Lie(G+) = g0 certified (tangent dim {G.tangent_dim})")
     else:
-        rep.note("Lie(G+) = g0 assumed (containment checked, no dim oracle)")
+        rep.fail(f"dim g0 = {pair.d_plus} but {G.name} has tangent dim {G.tangent_dim}")
 
     # (2) Ad-stability on samples, and (3) compatibility with the 2-operation
     # (g inverted once per sample)
@@ -217,25 +211,23 @@ class LinearSupergroupFixture:
         return f"LinearSupergroupFixture({self.name})"
 
 
-def phi_of_group(fixture: LinearSupergroupFixture, probe_algebra=None,
-                 samples: int = 32, seed: int = 0):
+def phi_of_group(fixture: LinearSupergroupFixture, samples: int = 32):
     """Phi: G -> (G_0, Lie(G)).  Odd tangent directions are discovered by
-    dual-number probes 1 + eps.eta.Z against the full point-group membership;
-    the resulting pair is validated before being returned."""
+    dual-number probes 1 + eps.eta.Z over Lambda_2 (eta = x1) against the
+    full point-group membership; the resulting pair is validated (seed 0)
+    before being returned."""
     field = fixture.field
-    A = probe_algebra or GrassmannAlgebra(field, 2)
-    eta = A.odd_generators()[0] if A.odd_generators() else None
+    A = GrassmannAlgebra(field, 2)
+    eta = A.generator(1)
     accepted = []
     for rows in fixture.odd_candidates:
-        if eta is None:
-            break
         _, probe = dual_probe(rows, fixture.shape, A, odd_direction=eta)
         if fixture.full_group.member(probe):
             accepted.append(rows)
     lie = from_matrices(fixture.shape[0], fixture.shape[1],
                         fixture.even_basis, accepted, field)
     pair = HarishChandraPair(fixture.even_group, lie)
-    report = validate_pair(pair, samples=samples, seed=seed)
+    report = validate_pair(pair, samples=samples)
     return pair, report
 
 

@@ -19,7 +19,8 @@ rule but visit only the nonzeros of K: ``ck_product``.
 Row/column parity: |i| = 0 for i < p, |i| = 1 otherwise.  A matrix is
 *even-homogeneous* when entry (i,j) is homogeneous of parity |i|+|j| (the
 membership pattern of GL(p|q)(A) points), *odd-homogeneous* when parities
-are flipped.
+are flipped.  ``GroupDescriptor.member`` is the one membership test of a
+group point: the shape, this pattern, then the group's own predicate.
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ class SuperMatrix:
         return cls(shape, algebra, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     @classmethod
-    def unit(cls, shape, algebra, i, j, coeff=None):
-        """E_{ij} (0-based), optionally scaled by a coefficient element."""
+    def unit(cls, shape, algebra, i, j):
+        """E_{ij} (0-based)."""
         m = cls.zero(shape, algebra).mutable()
-        m[i][j] = coeff if coeff is not None else algebra.one()
+        m[i][j] = algebra.one()
         return cls(shape, algebra, m)
 
     def mutable(self):
@@ -471,14 +472,17 @@ def gl_2op(m: SuperMatrix) -> SuperMatrix:
 
 class GroupDescriptor:
     """A computationally linear classical group: a membership predicate over
-    any coefficient algebra, a test sampler, and optionally the dimension
-    of its tangent space.
+    any coefficient algebra, a test sampler, and the dimension of its
+    tangent space.
 
+    ``member`` is the one membership test of the package: the block shape,
+    the even entry-parity pattern of GL(p|q) points (``is_even_homogeneous``)
+    and then the group's own predicate, which may assume both.
     membership(identity) must hold; closure under product/inverse is checked
     by the test-suite on samples, never assumed.
     """
 
-    def __init__(self, name, shape, member, sample, tangent_dim=None):
+    def __init__(self, name, shape, member, sample, tangent_dim):
         self.name = name
         self.shape = shape
         self._member = member
@@ -486,9 +490,7 @@ class GroupDescriptor:
         self.tangent_dim = tangent_dim
 
     def member(self, m: SuperMatrix) -> bool:
-        if m.shape != self.shape:
-            return False
-        return self._member(m)
+        return m.shape == self.shape and m.is_even_homogeneous() and self._member(m)
 
     def require_member(self, m: SuperMatrix, context=""):
         if not self.member(m):
@@ -554,7 +556,7 @@ def gl_block_diag(p, q):
     the general linear supergroup, as a classical group)."""
 
     def member(m):
-        return m.is_even_homogeneous() and m.diagonal_blocks_only() and is_invertible(m)
+        return m.diagonal_blocks_only() and is_invertible(m)
 
     return GroupDescriptor(f"GL{p}xGL{q}", (p, q), member, _sample_block_diag,
                            tangent_dim=p * p + q * q)
@@ -563,21 +565,15 @@ def gl_block_diag(p, q):
 def gl_full(p, q):
     """The point groups of the full supergroup GL(p|q): even-homogeneous
     invertible matrices (diagonal blocks even, off-diagonal odd)."""
-
-    def member(m):
-        return m.is_even_homogeneous() and is_invertible(m)
-
-    return GroupDescriptor(f"GL({p}|{q})", (p, q), member, _sample_full, tangent_dim=(p + q) ** 2)
+    return GroupDescriptor(f"GL({p}|{q})", (p, q), is_invertible, _sample_full,
+                           tangent_dim=(p + q) ** 2)
 
 
 def diagonal_torus(p, q):
     def member(m):
         n = p + q
-        return (
-            m.is_even_homogeneous()
-            and all(m.rows[i][j].is_zero() for i in range(n) for j in range(n) if i != j)
-            and is_invertible(m)
-        )
+        return (all(m.rows[i][j].is_zero() for i in range(n) for j in range(n) if i != j)
+                and is_invertible(m))
 
     return GroupDescriptor(f"T({p}|{q})", (p, q), member, _sample_torus, tangent_dim=p + q)
 
@@ -587,7 +583,7 @@ def scalar_torus(p, q):
 
     def member(m):
         n = p + q
-        if not m.is_even_homogeneous() or not is_invertible(m):
+        if not is_invertible(m):
             return False
         if any(not m.rows[i][j].is_zero() for i in range(n) for j in range(n) if i != j):
             return False
@@ -652,27 +648,19 @@ def dual_probe(candidate_rows, shape, algebra, odd_direction=None):
     return dual, SuperMatrix(shape, dual, rows)
 
 
-def lie_points(group: GroupDescriptor, algebra, candidates=None, odd_element=None):
-    """Dual-number membership test for candidate tangent directions.
-
-    candidates: list of (rows, parity) with rows a raw k-matrix; defaults to
-    matrix_units(group.shape, field).  Returns {index: bool}.  Odd
-    candidates are probed with coefficient eps*eta where eta is an odd
-    element of the algebra (required if any odd candidate is present).
+def lie_points(group: GroupDescriptor, algebra):
+    """Dual-number membership test for the matrix units as tangent
+    directions: {index: bool} over matrix_units(group.shape, field).  Odd
+    units are probed with coefficient eps*eta, eta the first odd generator
+    of the algebra (required when the shape has odd units).
     """
-    if candidates is None:
-        candidates = matrix_units(group.shape, algebra.field)
-    if odd_element is None:
-        gens = algebra.odd_generators()
-        odd_element = gens[0] if gens else None
+    gens = algebra.odd_generators()
     results = {}
-    for idx, (rows, parity) in enumerate(candidates):
-        if parity == 1:
-            if odd_element is None:
-                raise StructuralError("odd probe needs an odd element in the algebra")
-            _, probe = dual_probe(rows, group.shape, algebra, odd_direction=odd_element)
-        else:
-            _, probe = dual_probe(rows, group.shape, algebra)
+    for idx, (rows, parity) in enumerate(matrix_units(group.shape, algebra.field)):
+        if parity and not gens:
+            raise StructuralError("odd probe needs an odd element in the algebra")
+        _, probe = dual_probe(rows, group.shape, algebra,
+                              odd_direction=gens[0] if parity else None)
         results[idx] = group.member(probe)
     return results
 

@@ -63,13 +63,13 @@ def cached_gl_pair(p, q, field):
 # suite: tang-group (the seven one-parameter identity families)
 
 
-def suite_tang_group(seed=1, count=200, fields=(QQ, GF2, GF3),
-                     shapes=((1, 1), (2, 1), (2, 2)), ranks=(3, 4)) -> CheckReport:
+def suite_tang_group(seed=1, count=200, fields=(QQ, GF2, GF3)) -> CheckReport:
     """Identities (a)-(g) as exact supermatrix identities, `count` random
-    instances per identity spread over the (shape, rank, field) grid."""
+    instances per identity spread over the (shape, rank, field) grid, with
+    shapes (1|1), (2|1), (2|2) and Grassmann ranks 3, 4."""
     rep = CheckReport()
     rng = random.Random(seed)
-    grid = [(s, r, f) for f in fields for s in shapes for r in ranks]
+    grid = [(s, r, f) for f in fields for s in ((1, 1), (2, 1), (2, 2)) for r in (3, 4)]
     for ident in "abcdefg":
         for t in range(count):
             shape, rank, field = grid[t % len(grid)]
@@ -155,12 +155,13 @@ def _tang_instance(ident, shape, rank, field, rng):
 # suite: gl-split (global strong splitting of GL(p|q))
 
 
-def suite_gl_split(seed=1, count=300, shape=(2, 2), rank=3, field=QQ) -> CheckReport:
+def suite_gl_split(seed=1) -> CheckReport:
+    """gl_split on 300 sampled GL(2|2) points over Lambda_3(Q)."""
     rep = CheckReport()
     rng = random.Random(seed)
-    A = GrassmannAlgebra(field, rank)
-    G = gl_full(*shape)
-    for t in range(count):
+    A = GrassmannAlgebra(QQ, 3)
+    G = gl_full(2, 2)
+    for t in range(300):
         m = G.sample(A, rng)
         ev, od = gl_split(m)
         if ev * od != m:
@@ -185,13 +186,15 @@ def nf_semidirect_split(nf: NormalForm):
     return nf_bar, nf_ker
 
 
-def suite_semidirect(seed=1, count=64) -> CheckReport:
+def suite_semidirect(seed=1) -> CheckReport:
+    """Semidirect splittings of 64 GL(1|1) points and 64 group points of the
+    gl(1|1) pair, over k[eta] and over Lambda_3(Q)."""
     rep = CheckReport()
     rng = random.Random(seed)
     for A, tag in ((SuperNumbers(QQ), "k[eta]"), (GrassmannAlgebra(QQ, 3), "Lambda3")):
         # the supergroup GL(1|1) on points
         G = gl_full(1, 1)
-        for t in range(count):
+        for t in range(64):
             g = G.sample(A, rng)
             g_bar, g_ker = semidirect_split(G, g)
             if g_bar * g_ker != g:
@@ -207,7 +210,7 @@ def suite_semidirect(seed=1, count=64) -> CheckReport:
                     rep.fail(f"{tag}: kernel factor {t} leaves A_1^(1)")
         # the reconstructed group of the gl(1|1) pair
         pair = cached_gl_pair(1, 1, QQ)
-        for t in range(count):
+        for t in range(64):
             toks = [OddTok(rng.randrange(pair.d_minus), rand_odd(A, rng)),
                     EvenTok(pair.even_group.sample(A, rng)),
                     OddTok(rng.randrange(pair.d_minus), rand_odd(A, rng))]
@@ -229,15 +232,17 @@ def suite_semidirect(seed=1, count=64) -> CheckReport:
 # suite: roundtrip (quasi-inverse functors on points)
 
 
-def suite_roundtrip(seed=1, count=200) -> CheckReport:
+def suite_roundtrip(seed=1) -> CheckReport:
+    """Both round trips on the gl(1|1) pair over Lambda_3(Q): Phi.Psi on 64
+    samples, Psi.Phi on 200 sampled GL(1|1) points."""
     rep = CheckReport()
     pair = cached_gl_pair(1, 1, QQ)
     A = GrassmannAlgebra(QQ, 3)
-    sub = roundtrip_phi_psi(pair, A, samples=min(count, 64), seed=seed)
+    sub = roundtrip_phi_psi(pair, A, samples=64, seed=seed)
     rep.failures += [f"phi.psi: {m}" for m in sub.failures]
-    sub = roundtrip_psi_phi(pair, A, samples=count, seed=seed + 1)
+    sub = roundtrip_psi_phi(pair, A, samples=200, seed=seed + 1)
     rep.failures += [f"psi.phi: {m}" for m in sub.failures]
-    rep.note(f"psi.phi checked on {count} sampled GL(1|1) points")
+    rep.note("psi.phi checked on 200 sampled GL(1|1) points")
     return rep
 
 
@@ -328,17 +333,17 @@ def random_word(pair, algebra, rng, max_len=12):
     return GroupWord(pair, algebra, toks)
 
 
-def oracle_triangle(seed=1, count=500, field=QQ, rank=4, max_len=12,
-                    stats=None) -> CheckReport:
-    """normal_form == reorder_symbolic == matrix stripping, word by word."""
+def oracle_triangle(seed=1, count=500, field=QQ, stats=None) -> CheckReport:
+    """normal_form == reorder_symbolic == matrix stripping, word by word, on
+    words of up to 12 tokens over Lambda_4."""
     rep = CheckReport()
     rng = random.Random(seed)
     pairs = [cached_gl_pair(1, 1, field), cached_gl_pair(2, 1, field)]
-    A = GrassmannAlgebra(field, rank)
+    A = GrassmannAlgebra(field, 4)
     max_passes = 0
     for t in range(count):
         pair = pairs[t % len(pairs)]
-        w = random_word(pair, A, rng, max_len)
+        w = random_word(pair, A, rng)
         st = {}
         try:
             a = normal_form(w)
@@ -363,13 +368,13 @@ def oracle_triangle(seed=1, count=500, field=QQ, rank=4, max_len=12,
     return rep
 
 
-def uniqueness_suite(seed=1, count=200, field=QQ, rank=3) -> CheckReport:
-    """Group axioms on normal forms plus distinguishability of perturbed
-    forms on the induced (defining) module."""
+def uniqueness_suite(seed=1, count=200, field=QQ) -> CheckReport:
+    """Group axioms on normal forms over Lambda_3 plus distinguishability of
+    perturbed forms on the induced (defining) module."""
     rep = CheckReport()
     rng = random.Random(seed)
     pair = cached_gl_pair(1, 1, field)
-    A = GrassmannAlgebra(field, rank)
+    A = GrassmannAlgebra(field, 3)
     ident = NormalForm.identity(pair, A)
     nfs = [normal_form(random_word(pair, A, rng, 5)) for _ in range(max(12, count // 16))]
     for t in range(count):
@@ -408,15 +413,16 @@ def uniqueness_suite(seed=1, count=200, field=QQ, rank=3) -> CheckReport:
     return rep
 
 
-def basis_independence(seed=1, count=40, fields=(QQ, GF3)) -> CheckReport:
+def basis_independence(seed=1, count=40) -> CheckReport:
     """The reconstructed group does not depend on the odd basis: the
     change-of-basis morphism {Y1 +- Y2} and order reversal transport
-    multiplication tables exactly (char != 2 for the +- combination)."""
+    multiplication tables exactly, over Q and F_3 (char != 2 for the +-
+    combination)."""
     rep = CheckReport()
     from .liesuper import from_matrices
     from .shcp import HarishChandraPair
 
-    for field in fields:
+    for field in (QQ, GF3):
         rng = random.Random(seed)
         pair1 = cached_gl_pair(1, 1, field)
         one, zero = field.from_int(1), field.from_int(0)
@@ -453,41 +459,25 @@ def basis_independence(seed=1, count=40, fields=(QQ, GF3)) -> CheckReport:
     return rep
 
 
-def generation_suite(seed=1, count=64, field=QQ, rank=3) -> CheckReport:
-    """Every sampled GL(p|q) point is reached by the word its stripping
-    produces (the generation statement on points)."""
-    rep = CheckReport()
-    rng = random.Random(seed)
-    for (p, q) in ((1, 1), (2, 1)):
-        pair = cached_gl_pair(p, q, field)
-        A = GrassmannAlgebra(field, rank)
-        G = gl_full(p, q)
-        for t in range(count):
-            m = G.sample(A, rng)
-            nf = strip_matrix_factorization(pair, m)
-            if normal_form(nf.to_word()) != nf or nf.rho_matrix() != m:
-                rep.fail(f"GL({p}|{q}) sample {t} is not generated")
-    return rep
-
-
-def suite_charfree(seed=1, tang_count=60, words=60, pbw_count=30) -> CheckReport:
-    """Criteria 1, 3, 4, 6 re-run over F2 and F3, including the nonzero
-    2-operation fixture in characteristic 2."""
+def suite_charfree(seed=1) -> CheckReport:
+    """Criteria 1, 3, 4, 6 re-run over F2 and F3 (60 tang-group instances
+    per identity, 60 triangle words, 48 uniqueness samples, 30 PBW tuples),
+    and 60 words of the nonzero 2-operation fixture in characteristic 2."""
     rep = CheckReport()
     for field in (GF2, GF3):
-        sub = suite_tang_group(seed, count=tang_count, fields=(field,))
+        sub = suite_tang_group(seed, count=60, fields=(field,))
         rep.failures += [f"{field}: {m}" for m in sub.failures]
-        sub = oracle_triangle(seed, count=words, field=field)
+        sub = oracle_triangle(seed, count=60, field=field)
         rep.failures += [f"{field}: {m}" for m in sub.failures]
-        sub = uniqueness_suite(seed, count=min(words, 48), field=field)
+        sub = uniqueness_suite(seed, count=48, field=field)
         rep.failures += [f"{field}: {m}" for m in sub.failures]
-        sub = suite_pbw(seed, count=pbw_count, fields=(field,))
+        sub = suite_pbw(seed, count=30, fields=(field,))
         rep.failures += [f"{field}: {m}" for m in sub.failures]
     # the char-2 fixture with Y^<2> = X1+X2 runs through both normal-form routes
     rng = random.Random(seed)
     pair = char2_pair(GF2)
     A = GrassmannAlgebra(GF2, 4)
-    for t in range(words):
+    for t in range(60):
         w = random_word(pair, A, rng, 8)
         if normal_form(w) != reorder_symbolic(w):
             rep.fail(f"char2 fixture: routes disagree on word {t}")

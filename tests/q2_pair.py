@@ -19,7 +19,7 @@ def _unit_sum(field, cells):
 
 
 def _member(m):
-    return (m.is_even_homogeneous() and m.diagonal_blocks_only() and is_invertible(m)
+    return (m.diagonal_blocks_only() and is_invertible(m)
             and all(m.rows[i][j] == m.rows[2 + i][2 + j] for i in range(2) for j in range(2)))
 
 

@@ -61,22 +61,20 @@ def report(name, ok, t0, extra=""):
 
 def test_criterion_1_tang_group_suite():
     t0 = time.time()
-    rep = suite_tang_group(seed=SEED, count=200, fields=(QQ, GF2, GF3),
-                           shapes=((1, 1), (2, 1), (2, 2)), ranks=(3, 4))
+    rep = suite_tang_group(seed=SEED)
     assert report("1 tang-group identities (a)-(g)", rep.ok, t0), rep.summary()
 
 
 def test_criterion_2_gl_splitting():
     t0 = time.time()
-    rep = suite_gl_split(seed=SEED, count=300, shape=(2, 2), rank=3)
+    rep = suite_gl_split(seed=SEED)
     assert report("2 GL(2|2) global splitting x300", rep.ok, t0), rep.summary()
 
 
 def test_criterion_3_oracle_triangle():
     t0 = time.time()
     st = {}
-    rep = oracle_triangle(seed=SEED, count=500, field=QQ, rank=4,
-                          max_len=12, stats=st)
+    rep = oracle_triangle(seed=SEED, stats=st)
     ok = rep.ok and st["max_passes"] <= st["bound"]
     assert report("3 oracle triangle x500 (Lambda_4)", ok, t0,
                   f"max passes {st['max_passes']}/{st['bound']}"), rep.summary()
@@ -85,7 +83,7 @@ def test_criterion_3_oracle_triangle():
 
 def test_criterion_4_uniqueness_group_axioms():
     t0 = time.time()
-    rep = uniqueness_suite(seed=SEED, count=200)
+    rep = uniqueness_suite(seed=SEED)
     assert report("4 uniqueness and group axioms x200", rep.ok, t0), rep.summary()
 
 
@@ -102,7 +100,7 @@ def test_criterion_5_roundtrips():
 
 def test_criterion_6_pbw_induced():
     t0 = time.time()
-    rep = suite_pbw(seed=SEED, count=100, fields=(QQ,))
+    rep = suite_pbw(seed=SEED)
     pair = cached_gl_pair(1, 1, QQ)
     module = InducedModule(pair, defining_module(pair))
     ok = rep.ok and module.dim == 2 ** pair.d_minus * 2
@@ -112,7 +110,7 @@ def test_criterion_6_pbw_induced():
 
 def test_criterion_7_semidirect_splittings():
     t0 = time.time()
-    rep = suite_semidirect(seed=SEED, count=64)
+    rep = suite_semidirect(seed=SEED)
     assert report("7 semidirect splittings over k[eta] and Lambda_3",
                   rep.ok, t0), rep.summary()
 
@@ -150,17 +148,16 @@ def test_criterion_9_characteristic_free():
     t0 = time.time()
     failures = []
     for field in (GF2, GF3):
-        rep = suite_tang_group(seed=SEED, count=200, fields=(field,))
+        rep = suite_tang_group(seed=SEED, fields=(field,))
         failures += [f"{field}/tang: {m}" for m in rep.failures]
         st = {}
-        rep = oracle_triangle(seed=SEED, count=500, field=field, rank=4,
-                              max_len=12, stats=st)
+        rep = oracle_triangle(seed=SEED, field=field, stats=st)
         failures += [f"{field}/triangle: {m}" for m in rep.failures]
         if st["max_passes"] > st["bound"]:
             failures.append(f"{field}: pass bound exceeded")
-        rep = uniqueness_suite(seed=SEED, count=200, field=field)
+        rep = uniqueness_suite(seed=SEED, field=field)
         failures += [f"{field}/uniqueness: {m}" for m in rep.failures]
-        rep = suite_pbw(seed=SEED, count=100, fields=(field,))
+        rep = suite_pbw(seed=SEED, fields=(field,))
         failures += [f"{field}/pbw: {m}" for m in rep.failures]
     # the nonzero 2-operation fixture (Y = E12+E21 over F2), both routes
     pair = char2_pair(GF2)
@@ -176,6 +173,6 @@ def test_criterion_9_characteristic_free():
 
 def test_criterion_10_basis_independence():
     t0 = time.time()
-    rep = basis_independence(seed=SEED, count=40, fields=(QQ, GF3))
+    rep = basis_independence(seed=SEED)
     assert report("10 basis independence ({Y1+-Y2}, reversal; Q and F3)",
                   rep.ok, t0), rep.summary()

@@ -314,6 +314,20 @@ def test_normal_form_overlong_literal_exit_2(tmp_path, capsys, field, eta):
     assert "1" * 100 not in err
 
 
+@pytest.mark.parametrize("oracle", ["module", "both"])
+def test_normal_form_oversized_result_exit_2(tmp_path, capsys, oracle):
+    """Every literal is legal, but the swap's bracket correction carries
+    10^8000: a result value past MAX_LITERAL_DIGITS is a schema error, from
+    either route and without a traceback."""
+    p = tmp_path / "word.json"
+    p.write_text(json.dumps({"schema": 1, "tokens": [{"odd": [2, "1e4000 * x{1}"]},
+                                                     {"odd": [1, "1e4000 * x{2}"]}]}))
+    code, out, err = run(["normal-form", "--pair", fx("gl11_pair.json"), "--field", "Q",
+                          "--grassmann-rank", "2", "--word", str(p), "--oracle", oracle],
+                         capsys)
+    assert code == 2 and "MAX_LITERAL_DIGITS" in err and out == ""
+
+
 @pytest.mark.parametrize("rank", ["-1", "17"])
 def test_normal_form_grassmann_rank_out_of_range_exit_2(capsys, rank):
     code, _, err = run(["normal-form", "--pair", fx("gl11_pair.json"), "--field", "Q",
@@ -519,7 +533,10 @@ _FUZZ_VALUES = st.one_of(
     (["check-shcp"], [None], ["gl11_pair.json"]),
     (["normal-form", "--oracle", "both"], ["--pair", "--coeff", "--word"],
      ["gl11_pair.json", "coeff_l2.json", "swap_word.json"]),
-], ids=["gl11-lie", "tampered-lie", "flipped-lie", "gl11-pair", "normal-form"])
+    (["normal-form", "--oracle", "both"], ["--pair", "--coeff", "--word"],
+     ["gl11_pair.json", "coeff_dual_l2.json", "swap_word.json"]),
+], ids=["gl11-lie", "tampered-lie", "flipped-lie", "gl11-pair", "normal-form",
+        "normal-form-dual"])
 @settings(max_examples=75, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_fuzzed_fixture_maps_to_an_exit_code(command, flags, names, data):

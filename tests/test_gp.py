@@ -44,7 +44,6 @@ from superpoints.verify import (
     SUITES,
     basis_independence,
     cached_gl_pair,
-    generation_suite,
     nf_semidirect_split,
     oracle_triangle,
     random_word,
@@ -388,7 +387,9 @@ def test_roundtrip_zero_odd_pair():
 
 
 def test_generation():
-    rep = generation_suite(seed=4, count=16)
+    """Every sampled GL(2|1) point is reached by the word its stripping
+    produces, and the module route normalizes that word back."""
+    rep = roundtrip_psi_phi(cached_gl_pair(2, 1, QQ), GrassmannAlgebra(QQ, 3), samples=16, seed=4)
     assert rep.ok, rep.summary()
 
 
@@ -429,7 +430,7 @@ def test_right_factorization_reexpands(make_pair):
     """The descending right form re-expands to the word's matrix; q(2) has
     two nonzeros in each rho(Y_i)."""
     from superpoints import right_factorization
-    from superpoints.gp import expand_right_factorization
+    from superpoints.gp import factor_product
 
     pair = make_pair()
     rng = random.Random(29)
@@ -439,7 +440,50 @@ def test_right_factorization_reexpands(make_pair):
         nf = normal_form(w)
         g_plus_r, etas_r = right_factorization(nf)
         assert pair.even_group.member(g_plus_r)
-        assert expand_right_factorization(pair, g_plus_r, etas_r) == w.rho_matrix()
+        descending = [OddTok(i, etas_r[i]) for i in reversed(range(pair.d_minus))
+                      if not etas_r[i].is_zero()]
+        assert factor_product(pair, A, [EvenTok(g_plus_r)] + descending) == w.rho_matrix()
+
+
+@pytest.mark.parametrize("make_pair", [lambda: gl_pair(2, 1, QQ), lambda: q2_pair(QQ)],
+                         ids=["gl21", "q2"])
+def test_factor_product_is_the_left_to_right_product(make_pair):
+    """GroupWord.rho_matrix, NormalForm.rho_matrix and the dividing-out step
+    evaluate their factors from the right; each equals the dense product,
+    left to right, of the even points and the lifted factors
+    I + rho(Y_i).eta."""
+    pair = make_pair()
+    A = GrassmannAlgebra(QQ, 3)
+    rng = random.Random(53)
+    ident = pair.identity_matrix(A)
+
+    def dense(tokens, m=ident):
+        out = ident
+        for t in tokens:
+            out = out * (t.matrix if t.kind == "even"
+                         else ident + pair.lie.rho_odd_matrix(t.index, A).scale(t.eta))
+        return out * m
+
+    def odd():
+        return OddTok(rng.randrange(pair.d_minus), rand_odd(A, rng))
+
+    def even():
+        return EvenTok(pair.even_group.sample(A, rng))
+
+    words = [[even(), odd(), odd()], [odd(), odd(), even()], [odd(), even(), odd(), even()],
+             [odd(), odd(), odd()], [even(), even()], []]
+    for toks in words:
+        w = GroupWord(pair, A, toks)
+        m = w.rho_matrix()
+        assert m == dense(w.tokens)
+        nf = normal_form(w)
+        assert nf.rho_matrix() == dense(nf.tokens) == m
+        divide = [OddTok(i, -nf.etas[i]) for i in reversed(range(pair.d_minus))
+                  if not nf.etas[i].is_zero()]
+        assert gp._divide_odd_product(pair, nf.etas, m) == dense(divide, m) == nf.g_plus
+    etas = [rand_odd(A, rng) for _ in range(pair.d_minus)]
+    nf = NormalForm(pair, A, etas, ident)
+    assert nf.rho_matrix() == dense([OddTok(i, e) for i, e in enumerate(etas)])
 
 
 def test_word_token_bound():

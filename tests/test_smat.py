@@ -30,7 +30,7 @@ from superpoints import (
     semidirect_split,
     smat_inv,
 )
-from superpoints.smat import ck_product, constant_matrix, matrix_units
+from superpoints.smat import BUILTIN_GROUPS, ck_product, constant_matrix, matrix_units
 from superpoints.sampling import rand_element, rand_k_vector, rand_odd
 from superpoints.verify import suite_tang_group
 
@@ -349,6 +349,18 @@ def test_descriptor_closure_on_samples():
             g, h = G.sample(A, rng), G.sample(A, rng)
             assert G.member(g * h)
             assert G.member(smat_inv(g))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS))
+def test_member_checks_the_even_parity_pattern(name):
+    """GroupDescriptor.member rejects an odd coefficient in a diagonal
+    block for every builtin group, with the group's own predicate left
+    to accept (1 + x1) times the identity, and accepts the identity."""
+    A = GrassmannAlgebra(QQ, 2)
+    G = BUILTIN_GROUPS[name](1, 1)
+    ident = SuperMatrix.identity(G.shape, A)
+    assert G.member(ident)
+    assert not G.member(ident.scale(A.one() + A.generator(1)))
 
 
 def test_matrix_units_row_major_with_parity():
