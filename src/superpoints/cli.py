@@ -121,7 +121,11 @@ def cmd_normal_form(args):
     payload = dump_normal_form(nf)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.trace:
-        for line in stats.get("trace", []):
+        try:
+            lines = [msg.format(*values) for msg, values in stats["trace"]]
+        except StructuralError as e:
+            raise SchemaError(f"trace cannot be written: {e}") from None
+        for line in lines:
             print(f"# {line}")
     print(text)
     if args.golden:

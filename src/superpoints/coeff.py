@@ -14,7 +14,10 @@ the base field, and a nilpotency bound N with (ker eps)^(N+1) = 0.
   eps^2 = 0 to an inner coefficient algebra; used for tangent-space probes.
 
 Base fields are the rationals and prime fields F_p (p = 2 and 3 included as
-first-class citizens).  No floating point appears anywhere.
+first-class citizens).  No floating point appears anywhere.  A raw value has
+one representation: over Q an ``int`` when it is integral and a ``Fraction``
+with denominator >= 2 otherwise, so integral work (the structure constants of
+gl(p|q) are 0 and +-1) runs on machine ints; over F_p an ``int`` in [0, p).
 """
 
 from __future__ import annotations
@@ -32,9 +35,12 @@ from .errors import NotInvertible, StructuralError
 class Field:
     """A supported exact base field; instances act on raw values.
 
-    Raw values are plain numbers (``Fraction`` over Q, ``int`` in [0, p)
-    over F_p), and 0 is the only falsy one: ``if c:`` is the zero test.
-    ``Scalar`` wraps a raw value with its field at the public boundary.
+    Raw values are plain numbers, one per field element: over Q an ``int``
+    when integral and a ``Fraction`` with denominator >= 2 otherwise, over
+    F_p an ``int`` in [0, p).  Every method returns the canonical form, and
+    ``int`` and ``Fraction`` compare and hash alike.  0 is the only falsy
+    value: ``if c:`` is the zero test.  ``Scalar`` wraps a raw value with
+    its field at the public boundary.
     """
 
     name: str
@@ -68,25 +74,33 @@ class Field:
         return self.name
 
 
+def _canonical(r):
+    """r as a canonical raw Q value: an int when integral, else a Fraction."""
+    return r if type(r) is int or r.denominator != 1 else r.numerator
+
+
 class RationalField(Field):
     name = "Q"
 
+    # add and mul inline _canonical: they are the hottest calls over Q
     def add(self, a, b):
-        return a + b
+        r = a + b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def neg(self, a):
         return -a
 
     def mul(self, a, b):
-        return a * b
+        r = a * b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def inv(self, a):
         if a == 0:
             raise NotInvertible("division by zero in Q")
-        return Fraction(1, 1) / a
+        return _canonical(Fraction(1, 1) / a)
 
     def from_int(self, n):
-        return Fraction(n)
+        return int(n)
 
     def parse(self, text):
         # bound the value's digits before Fraction builds it: an exponent
@@ -98,7 +112,7 @@ class RationalField(Field):
             raise StructuralError(f"rational literal {_shown(text)!r} has more "
                                   f"than {MAX_LITERAL_DIGITS} digits")
         try:
-            return Fraction(text.strip())
+            return _canonical(Fraction(text.strip()))
         except ZeroDivisionError:
             raise StructuralError(f"rational literal {_shown(text)!r} divides by zero") from None
         except ValueError:
@@ -274,7 +288,7 @@ def _raw(field: Field, value):
     if isinstance(value, int):
         return field.from_int(value)
     if isinstance(value, Fraction) and field == QQ:
-        return value
+        return _canonical(value)
     if isinstance(value, str):
         return field.parse(value)
     raise StructuralError(f"cannot coerce {value!r} into {field}")

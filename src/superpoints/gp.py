@@ -287,16 +287,18 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
     back one place, so a single sweep leaves the list sorted.  Every
     coefficient these pushes create gains ideal-degree, so the sweep ends;
     the rewrite budget trips only on a sign bug.  stats["passes"] is
-    always 1; stats["rewrites"] counts the steps of the sweep.
+    always 1; stats["rewrites"] counts the steps of the sweep; a list in
+    stats["trace"] receives one (format string, args) pair per rewrite.
     """
     pair, algebra = word.pair, word.algebra
     rewrites = 0
     trace = stats.get("trace") if stats is not None else None
 
     def note(msg, *args):
-        # formatted only when traced: repr of a value past MAX_LITERAL_DIGITS raises
+        # kept unformatted: repr of a value past MAX_LITERAL_DIGITS raises, and
+        # the caller decides how that is reported
         if trace is not None:
-            trace.append(msg.format(*args))
+            trace.append((msg, args))
 
     # consume the word right-to-left into (odds, E), E the even tokens' product
     odds: list = []

@@ -13,13 +13,14 @@ from .coeff import DualExtension, GrassmannAlgebra
 
 
 def rand_scalar(field, rng, nonzero=False):
-    """A random raw value of field (a small Fraction over Q)."""
+    """A random raw value of field: over Q a small rational n/d, canonical
+    (an int when d divides n), drawn as n in -4..4 then d from [1, 1, 2, 3]."""
     p = field.characteristic
     if p == 0:
         while True:
             raw = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
             if not nonzero or raw:
-                return raw
+                return raw if raw.denominator != 1 else raw.numerator
     while True:
         raw = rng.randrange(p)
         if not nonzero or raw:

@@ -314,17 +314,19 @@ def test_normal_form_overlong_literal_exit_2(tmp_path, capsys, field, eta):
     assert "1" * 100 not in err
 
 
-@pytest.mark.parametrize("oracle", ["module", "both"])
-def test_normal_form_oversized_result_exit_2(tmp_path, capsys, oracle):
+@pytest.mark.parametrize("oracle,trace", [("module", []), ("both", []),
+                                          ("rewrite", ["--trace"]), ("both", ["--trace"])],
+                         ids=["module", "both", "rewrite-trace", "both-trace"])
+def test_normal_form_oversized_result_exit_2(tmp_path, capsys, oracle, trace):
     """Every literal is legal, but the swap's bracket correction carries
     10^8000: a result value past MAX_LITERAL_DIGITS is a schema error, from
-    either route and without a traceback."""
+    either route, traced or not, and without a traceback."""
     p = tmp_path / "word.json"
     p.write_text(json.dumps({"schema": 1, "tokens": [{"odd": [2, "1e4000 * x{1}"]},
                                                      {"odd": [1, "1e4000 * x{2}"]}]}))
     code, out, err = run(["normal-form", "--pair", fx("gl11_pair.json"), "--field", "Q",
-                          "--grassmann-rank", "2", "--word", str(p), "--oracle", oracle],
-                         capsys)
+                          "--grassmann-rank", "2", "--word", str(p), "--oracle", oracle,
+                          *trace], capsys)
     assert code == 2 and "MAX_LITERAL_DIGITS" in err and out == ""
 
 
@@ -345,6 +347,22 @@ def test_normal_form_swap_word_oracles_agree(capsys):
     doc = json.loads(out)
     assert doc["etas"] == ["1 * x{2}", "1 * x{1}"]
     assert doc["g_plus"][0][0] == "1 + -1 * x{1,2}"
+
+
+def test_normal_form_integral_literal_is_its_integer(tmp_path, capsys):
+    """A literal 2/2 is the value 1: traced normal-form output is the same
+    bytes as for the literal 1."""
+    outs = []
+    for one in ("2/2", "1"):
+        p = tmp_path / "word.json"
+        p.write_text(json.dumps({"schema": 1, "tokens": [{"odd": [2, f"{one} * x{{1}}"]},
+                                                         {"odd": [1, "1 * x{2}"]}]}))
+        code, out, _ = run(["normal-form", "--pair", fx("gl11_pair.json"), "--field", "Q",
+                            "--grassmann-rank", "2", "--word", str(p), "--oracle", "both",
+                            "--trace"], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] and "# swapped" in outs[0]
 
 
 def test_normal_form_field_shortcut_and_trace(capsys):

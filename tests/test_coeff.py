@@ -1,6 +1,7 @@
 """Coefficient algebra tests: exactness, parity, augmentation, inversion."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,40 @@ def test_odd_squares_vanish(data):
     x = data.draw(grassmann_elements(L))
     odd = x.odd_part()
     assert (odd * odd).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# canonical raw values over Q
+
+
+def assert_canonical(raw, value):
+    """raw is value, held as an int exactly when value is integral."""
+    assert raw == value
+    assert type(raw) is (int if Fraction(value).denominator == 1 else Fraction)
+
+
+rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 6))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rationals, rationals)
+def test_q_raw_values_are_canonical(a, b):
+    """Every RationalField operation agrees with Fraction arithmetic and
+    returns an int for an integral value, a Fraction otherwise."""
+    x, y = Scalar.of(QQ, a).raw, Scalar.of(QQ, b).raw
+    assert_canonical(x, a)
+    assert_canonical(QQ.add(x, y), a + b)
+    assert_canonical(QQ.mul(x, y), a * b)
+    assert_canonical(QQ.neg(x), -a)
+    if a:
+        assert_canonical(QQ.inv(x), 1 / a)
+    assert_canonical(QQ.parse(QQ.format(x)), a)
+    assert_canonical(QQ.from_int(a.numerator), a.numerator)
+
+
+def test_q_integral_fraction_embeds_as_int():
+    (raw,) = GrassmannAlgebra(QQ, 1).from_scalar(Fraction(4, 2)).terms.values()
+    assert_canonical(raw, 2)
 
 
 # ---------------------------------------------------------------------------

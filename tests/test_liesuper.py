@@ -30,7 +30,7 @@ from superpoints import (
 )
 from superpoints.liesuper import parity_pattern_ok, straighten_action, trivial_action
 from superpoints.sampling import rand_odd
-from superpoints.serialize import load_lie, loads
+from superpoints.serialize import load_lie, load_pair, loads
 from superpoints.verify import check_module_axioms
 
 from .oracles import (even_monomial_action_oracle, jacobi_and_square_oracle,
@@ -53,6 +53,29 @@ def test_gl_axioms_pass(field):
     for (p, q) in [(1, 1), (2, 1)]:
         rep = check_axioms(gl_lie(p, q, field))
         assert rep.ok, rep.summary()
+
+
+def _fixture_pair_lie():
+    with open(os.path.join(FIXTURES, "gl11_pair.json")) as fh:
+        return load_pair(loads(fh.read())).lie
+
+
+@pytest.mark.parametrize("make_lie", [lambda: gl_lie(1, 1, QQ), lambda: gl_lie(2, 1, QQ),
+                                      _fixture_pair_lie],
+                         ids=["gl11", "gl21", "gl11_pair.json"])
+def test_gl_tables_over_q_are_ints(make_lie):
+    """The constants, rho and straightening tables of gl(p|q) over Q are
+    integral, so they run on machine ints: every raw value is an int."""
+    lie = make_lie()
+    values = [v for t in (lie.ee, lie.eo, lie.oo) for row in t for vec in row for v in vec]
+    values += [v for vec in lie.q2 for v in vec]
+    values += [v for m in lie.rho_even + lie.rho_odd for row in m for v in row]
+    for key in range(1 << lie.d_minus):
+        for j in range(lie.d_minus):
+            values += lie.odd_action(j, key).values()
+        for a in range(lie.d_plus):
+            values += lie.even_action_basis(a, key).values()
+    assert values and all(type(v) is int for v in values)
 
 
 def test_abelian_passes():

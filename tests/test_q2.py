@@ -23,9 +23,10 @@ from superpoints import (
     defining_module,
     normal_form,
     reorder_symbolic,
+    check_axioms,
     strip_matrix_factorization,
 )
-from superpoints.verify import check_ad_compatibility, random_word
+from superpoints.verify import check_ad_compatibility, check_module_axioms, random_word
 
 from .q2_pair import q2_pair
 
@@ -75,4 +76,16 @@ def test_q2_induced_word_acts_as_its_normal_form():
 @pytest.mark.parametrize("field", [QQ, GF2, GF3])
 def test_q2_even_action_intertwines_ad(field):
     rep = check_ad_compatibility(q2_pair(field), random.Random(0))
+    assert rep.ok, rep.failures
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+def test_q2_axioms_and_module_axioms(field):
+    """q(2) satisfies the superalgebra axioms, and its straightening tables
+    satisfy every defining relation: the relation check on a pair whose odd
+    brackets and squares are not those of gl(p|q)."""
+    lie = q2_pair(field).lie
+    rep = check_axioms(lie)
+    assert rep.ok, rep.failures
+    rep = check_module_axioms(lie)
     assert rep.ok, rep.failures
