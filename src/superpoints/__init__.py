@@ -44,11 +44,9 @@ from .gp import (
     normal_form,
     psi_on_morphism,
     reorder_symbolic,
-    right_factorization,
     roundtrip_phi_psi,
     roundtrip_psi_phi,
     strip_matrix_factorization,
-    trivial_module,
 )
 from .liesuper import (
     CheckReport,
@@ -67,6 +65,7 @@ from .shcp import (
     gl_fixture,
     gl_pair,
     phi_of_group,
+    q2_pair,
     validate_pair,
 )
 from .smat import (
@@ -81,7 +80,6 @@ from .smat import (
     gl_split,
     is_invertible,
     is_odd_unipotent,
-    lie_points,
     scalar_torus,
     semidirect_split,
     smat_inv,

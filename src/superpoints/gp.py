@@ -191,10 +191,6 @@ class NormalForm:
 
     __hash__ = None
 
-    def is_identity(self):
-        return all(e.is_zero() for e in self.etas) and \
-            self.g_plus == self.pair.identity_matrix(self.algebra)
-
     @property
     def tokens(self):
         """The factors (1 + eta_i Y_i) with eta_i != 0, then g_plus unless it
@@ -574,16 +570,6 @@ def gp_commutator(nf1: NormalForm, nf2: NormalForm) -> NormalForm:
     return gp_mul(gp_mul(nf1, nf2), gp_mul(gp_inv(nf1), gp_inv(nf2)))
 
 
-def right_factorization(nf: NormalForm):
-    """The companion RIGHT orientation: g = g_plus_r . prod^< (1 + eta_r Y),
-    the odd product taken in *descending* basis order (inversion carries the
-    ascending left form to the descending right form, so the two orientations
-    transport into each other).  Returns (g_plus_r, etas_r); exactness is
-    g == that product in the representation."""
-    inv = gp_inv(nf)
-    return smat_inv(inv.g_plus), tuple(-e for e in inv.etas)
-
-
 # ---------------------------------------------------------------------------
 # morphisms (the functor on arrows)
 
@@ -833,11 +819,6 @@ def sum_mul(algebra, a, b, r, c, n):
     for t in range(n):
         acc = acc + a[r][t] * b[t][c]
     return acc
-
-
-def trivial_module(pair) -> EvenModuleData:
-    return EvenModuleData(1, [[[pair.field.from_int(0)]] for _ in range(pair.d_plus)],
-                          trivial_action)
 
 
 def defining_module(pair) -> EvenModuleData:

@@ -85,15 +85,6 @@ def rand_square_zero_even(algebra, rng):
     raise TypeError(f"no sampler for {algebra!r}")
 
 
-def rand_invertible(algebra, rng, max_terms=2):
-    """Unit of the coefficient algebra: nonzero body plus a small soul."""
-    u = algebra.from_scalar(rand_unit_scalar(algebra.field, rng))
-    if isinstance(algebra, GrassmannAlgebra):
-        soul = _rand_grassmann(algebra, rng, None, max_terms, min_degree=1)
-        return u + soul
-    return u
-
-
 def rand_even_unit(algebra, rng, max_terms=2):
     """Unit lying in A_0: nonzero body plus an even soul."""
     u = algebra.from_scalar(rand_unit_scalar(algebra.field, rng))

@@ -262,37 +262,21 @@ def char2_pair(field) -> HarishChandraPair:
     return HarishChandraPair(gl_block_diag(1, 1), lie)
 
 
-def ad_unstable_pair(field) -> HarishChandraPair:
-    """Torus of GL(2|1) with the odd line spanned by E13 + E32: conjugation
-    by diag(a,b,d) scales the two units differently, so the span breaks.
-    Used as the validate_pair failure fixture."""
-    from .smat import diagonal_torus
+def q2_pair(field) -> HarishChandraPair:
+    """The queer pair (diag(g, g), q(2)) inside gl(2|2) (Kac, "Lie
+    superalgebras", 1977): evens E_ij + E_{2+i,2+j}, odds E_{i,2+j} + E_{2+i,j},
+    and the even group diag(g, g) with g in GL_2(A_0).  Unlike gl(p|q), G+
+    does not preserve a splitting of g_1 into abelian halves, so the product
+    (Ad g Y_a)(Ad g Y_b)(Ad g Y_c) in U(g) leaves [Y_j,Y_k] and Y_j^<2> terms
+    in g_0 that act on what stands to their right."""
+    zero, one = field.from_int(0), field.from_int(1)
 
-    one, zero = field.from_int(1), field.from_int(0)
-    evens = []
-    for i in range(3):
-        rows = [[zero] * 3 for _ in range(3)]
-        rows[i][i] = one
-        evens.append(rows)
-    odd = [[zero, zero, one], [zero, zero, zero], [zero, one, zero]]
-    lie_data = _span_free_lie(field, 3, evens, [odd])
-    return HarishChandraPair(diagonal_torus(2, 1), lie_data)
+    def unit_sum(a, b):
+        return [[one if (r, c) in (a, b) else zero for c in range(4)] for r in range(4)]
 
-
-def _span_free_lie(field, n, evens, odds):
-    """Structure data where brackets are *declared* only when they stay in
-    the span; the Ad-unstable fixture needs valid lie data whose failure
-    shows up in the pair conditions, not in check_axioms."""
-    zero = field.from_int(0)
-    dp, dm = len(evens), len(odds)
-    # diagonal torus evens commute; [X_a, Y] may leave the line, so store the
-    # exact eo brackets of the *symmetrized* basis: here we simply store the
-    # zero bracket, which is a valid abelian-superalgebra structure on paper
-    # but whose rho is then not a homomorphism -- acceptable for a fixture
-    # that must FAIL validation; rho checks are part of the failure report.
-    ee = [[[zero] * dp for _ in range(dp)] for _ in range(dp)]
-    eo = [[[zero] * dm for _ in range(dm)] for _ in range(dp)]
-    oo = [[[zero] * dp for _ in range(dm)] for _ in range(dm)]
-    q2 = [[zero] * dp for _ in range(dm)]
-    return LieSuperalgebraData(field, dp, dm, ee, eo, oo, q2,
-                               shape=(2, 1), rho_even=evens, rho_odd=odds)
+    idx = [(i, j) for i in range(2) for j in range(2)]
+    evens = [unit_sum((i, j), (2 + i, 2 + j)) for i, j in idx]
+    odds = [unit_sum((i, 2 + j), (2 + i, j)) for i, j in idx]
+    group = GroupDescriptor("diag(g,g) in GL2xGL2", (2, 2),
+                            lambda i, j: (i % 2, j % 2) if (i < 2) == (j < 2) else None)
+    return HarishChandraPair(group, from_matrices(2, 2, evens, odds, field))

@@ -20,7 +20,8 @@ Row/column parity: |i| = 0 for i < p, |i| = 1 otherwise.  A matrix is
 *even-homogeneous* when entry (i,j) is homogeneous of parity |i|+|j| (the
 membership pattern of GL(p|q)(A) points), *odd-homogeneous* when parities
 are flipped.  ``GroupDescriptor.member`` is the one membership test of a
-group point: the shape, this pattern, then the group's own predicate.
+group point: the shape, this pattern, then the group's cell pattern and
+invertibility.
 """
 
 from __future__ import annotations
@@ -163,9 +164,6 @@ class SuperMatrix:
             ],
         )
 
-    def odd_component(self):
-        return self - self.even_component()
-
     def _parity_pattern(self, shift):
         """Whether every term of entry (i,j) has parity |i|+|j|+shift (mod 2);
         a dual-number entry is read on both of its parts."""
@@ -201,11 +199,6 @@ class SuperMatrix:
             self.shape,
             self.algebra,
             [[self.algebra.from_scalar(s) for s in row] for row in self.body_rows()],
-        )
-
-    def map_entries(self, fn, algebra=None):
-        return SuperMatrix(
-            self.shape, algebra or self.algebra, [[fn(e) for e in row] for row in self.rows]
         )
 
     def entries_in_a1n(self, n: int) -> bool:
@@ -471,26 +464,44 @@ def gl_2op(m: SuperMatrix) -> SuperMatrix:
 
 
 class GroupDescriptor:
-    """A computationally linear classical group: a membership predicate over
-    any coefficient algebra, a test sampler, and the dimension of its
-    tangent space.
+    """A computationally linear classical group inside GL(p|q), given by a
+    cell pattern: cell(i, j) is None for an entry that is 0 on every point,
+    and otherwise a label; entries with the same label are equal.  Each
+    label is one free entry, so the tangent dimension is the number of
+    labels.
 
     ``member`` is the one membership test of the package: the block shape,
-    the even entry-parity pattern of GL(p|q) points (``is_even_homogeneous``)
-    and then the group's own predicate, which may assume both.
+    the even entry-parity pattern of GL(p|q) points (``is_even_homogeneous``),
+    the zero cells, the tied cells, then invertibility.
     membership(identity) must hold; closure under product/inverse is checked
     by the test-suite on samples, never assumed.
     """
 
-    def __init__(self, name, shape, member, sample, tangent_dim):
-        self.name = name
-        self.shape = shape
-        self._member = member
-        self._sample = sample
-        self.tangent_dim = tangent_dim
+    def __init__(self, name, shape, cell):
+        self.name, self.shape = name, shape
+        p, n = shape[0], shape[0] + shape[1]
+        first = {}  # label -> its first cell, row-major
+        self._zeros, self._ties = [], []  # cells; (cell, first cell of its label)
+        for i in range(n):
+            for j in range(n):
+                label = cell(i, j)
+                if label is None:
+                    self._zeros.append((i, j))
+                elif label in first:
+                    self._ties.append(((i, j), first[label]))
+                else:
+                    first[label] = (i, j)
+        self._even = [(i, j) for i, j in first.values() if (i < p) == (j < p)]
+        self._odd = [(i, j) for i, j in first.values() if (i < p) != (j < p)]
+        self.tangent_dim = len(first)
 
     def member(self, m: SuperMatrix) -> bool:
-        return m.shape == self.shape and m.is_even_homogeneous() and self._member(m)
+        if m.shape != self.shape or not m.is_even_homogeneous():
+            return False
+        rows = m.rows
+        return (all(rows[i][j].is_zero() for i, j in self._zeros)
+                and all(rows[i][j] == rows[a][b] for (i, j), (a, b) in self._ties)
+                and is_invertible(m))
 
     def require_member(self, m: SuperMatrix, context=""):
         if not self.member(m):
@@ -499,7 +510,24 @@ class GroupDescriptor:
             )
 
     def sample(self, algebra, rng) -> SuperMatrix:
-        g = self._sample(self, algebra, rng)
+        """Draw each even label at its first cell, row-major (a unit of A_0
+        on the diagonal, an even element elsewhere) and copy the ties, until
+        the body is invertible; then draw each odd label and copy its ties."""
+        n = self.shape[0] + self.shape[1]
+        while True:
+            rows = [[algebra.zero()] * n for _ in range(n)]
+            for i, j in self._even:
+                rows[i][j] = (rand_even_unit(algebra, rng) if i == j
+                              else rand_element(algebra, rng, parity=0))
+            for (i, j), (a, b) in self._ties:
+                rows[i][j] = rows[a][b]
+            if is_invertible(SuperMatrix(self.shape, algebra, rows)):
+                break
+        for i, j in self._odd:
+            rows[i][j] = rand_odd(algebra, rng)
+        for (i, j), (a, b) in self._ties:
+            rows[i][j] = rows[a][b]
+        g = SuperMatrix(self.shape, algebra, rows)
         self.require_member(g, "sampler output")
         return g
 
@@ -507,89 +535,26 @@ class GroupDescriptor:
         return f"GroupDescriptor({self.name}, shape={self.shape})"
 
 
-def _sample_block_diag(desc, algebra, rng):
-    p, q = desc.shape
-    n = p + q
-    field = algebra.field
-    while True:
-        rows = [[algebra.zero()] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if (i < p) == (j < p):
-                    rows[i][j] = (rand_element(algebra, rng, parity=0) if i != j
-                                  else rand_even_unit(algebra, rng))
-        m = SuperMatrix(desc.shape, algebra, rows)
-        if k_matrix_inverse(field, m.body_rows()) is not None:
-            return m
-
-
-def _sample_full(desc, algebra, rng):
-    p, q = desc.shape
-    n = p + q
-    base = _sample_block_diag(desc, algebra, rng).mutable()
-    for i in range(n):
-        for j in range(n):
-            if (i < p) != (j < p):
-                base[i][j] = rand_odd(algebra, rng)
-    return SuperMatrix(desc.shape, algebra, base)
-
-
-def _sample_torus(desc, algebra, rng):
-    n = desc.shape[0] + desc.shape[1]
-    rows = [[algebra.zero()] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = rand_even_unit(algebra, rng)
-    return SuperMatrix(desc.shape, algebra, rows)
-
-
-def _sample_scalar_torus(desc, algebra, rng):
-    n = desc.shape[0] + desc.shape[1]
-    u = rand_even_unit(algebra, rng)
-    rows = [[algebra.zero()] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = u
-    return SuperMatrix(desc.shape, algebra, rows)
-
-
 def gl_block_diag(p, q):
     """GL_p x GL_q: block-diagonal even-group descriptor (the even part of
     the general linear supergroup, as a classical group)."""
-
-    def member(m):
-        return m.diagonal_blocks_only() and is_invertible(m)
-
-    return GroupDescriptor(f"GL{p}xGL{q}", (p, q), member, _sample_block_diag,
-                           tangent_dim=p * p + q * q)
+    return GroupDescriptor(f"GL{p}xGL{q}", (p, q),
+                           lambda i, j: (i, j) if (i < p) == (j < p) else None)
 
 
 def gl_full(p, q):
     """The point groups of the full supergroup GL(p|q): even-homogeneous
     invertible matrices (diagonal blocks even, off-diagonal odd)."""
-    return GroupDescriptor(f"GL({p}|{q})", (p, q), is_invertible, _sample_full,
-                           tangent_dim=(p + q) ** 2)
+    return GroupDescriptor(f"GL({p}|{q})", (p, q), lambda i, j: (i, j))
 
 
 def diagonal_torus(p, q):
-    def member(m):
-        n = p + q
-        return (all(m.rows[i][j].is_zero() for i in range(n) for j in range(n) if i != j)
-                and is_invertible(m))
-
-    return GroupDescriptor(f"T({p}|{q})", (p, q), member, _sample_torus, tangent_dim=p + q)
+    return GroupDescriptor(f"T({p}|{q})", (p, q), lambda i, j: i if i == j else None)
 
 
 def scalar_torus(p, q):
     """Invertible scalar multiples of the identity; Lie algebra k.I."""
-
-    def member(m):
-        n = p + q
-        if not is_invertible(m):
-            return False
-        if any(not m.rows[i][j].is_zero() for i in range(n) for j in range(n) if i != j):
-            return False
-        return all((m.rows[i][i] - m.rows[0][0]).is_zero() for i in range(n))
-
-    return GroupDescriptor(f"Z({p}|{q})", (p, q), member, _sample_scalar_torus, tangent_dim=1)
+    return GroupDescriptor(f"Z({p}|{q})", (p, q), lambda i, j: 0 if i == j else None)
 
 
 BUILTIN_GROUPS = {
@@ -646,23 +611,6 @@ def dual_probe(candidate_rows, shape, algebra, odd_direction=None):
                 inner = odd_direction * inner
             rows[i][j] = rows[i][j] + dual.times_eps(inner)
     return dual, SuperMatrix(shape, dual, rows)
-
-
-def lie_points(group: GroupDescriptor, algebra):
-    """Dual-number membership test for the matrix units as tangent
-    directions: {index: bool} over matrix_units(group.shape, field).  Odd
-    units are probed with coefficient eps*eta, eta the first odd generator
-    of the algebra (required when the shape has odd units).
-    """
-    gens = algebra.odd_generators()
-    results = {}
-    for idx, (rows, parity) in enumerate(matrix_units(group.shape, algebra.field)):
-        if parity and not gens:
-            raise StructuralError("odd probe needs an odd element in the algebra")
-        _, probe = dual_probe(rows, group.shape, algebra,
-                              odd_direction=gens[0] if parity else None)
-        results[idx] = group.member(probe)
-    return results
 
 
 def matrix_bar(m: SuperMatrix) -> SuperMatrix:

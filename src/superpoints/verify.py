@@ -34,7 +34,7 @@ from .gp import (
     strip_matrix_factorization,
 )
 from .sampling import rand_k_vector, rand_odd, rand_square_zero_even
-from .shcp import char2_pair, gl_pair
+from .shcp import char2_pair, gl_pair, q2_pair
 from .smat import (
     SuperMatrix,
     gl_2op,
@@ -294,10 +294,15 @@ def check_ad_compatibility(pair, rng) -> CheckReport:
 
 
 def suite_pbw(seed=1, count=100, fields=(QQ,)) -> CheckReport:
+    """Module axioms and Ad compatibility on gl(1|1), gl(2|1), q(2) and,
+    in characteristic 2, the char-2 fixture; eta extraction on `count`
+    random tuples of gl(1|1) over Lambda_4.  q(2) is the only pair here on
+    which an even point does not act on a key as the exterior product of
+    the Ad(g)Y_i, so it is the one that sees that expansion fail."""
     rep = CheckReport()
     rng = random.Random(seed)
     for field in fields:
-        pairs = [cached_gl_pair(1, 1, field), cached_gl_pair(2, 1, field)]
+        pairs = [cached_gl_pair(1, 1, field), cached_gl_pair(2, 1, field), q2_pair(field)]
         if field.characteristic == 2:
             pairs.append(char2_pair(field))
         for pair in pairs:

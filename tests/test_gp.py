@@ -30,16 +30,16 @@ from superpoints import (
     gp_mul,
     normal_form,
     psi_on_morphism,
+    q2_pair,
     reorder_symbolic,
     roundtrip_phi_psi,
     roundtrip_psi_phi,
+    smat_inv,
     strip_matrix_factorization,
-    trivial_module,
 )
 from superpoints import gp, shcp, smat
 from superpoints.gp import group_law, slide_ad_matrix
 from superpoints.sampling import rand_odd
-from superpoints.shcp import ad_unstable_pair
 from superpoints.verify import (
     SUITES,
     basis_independence,
@@ -51,7 +51,7 @@ from superpoints.verify import (
 )
 
 from .oracles import odd_monomial_action_oracle
-from .q2_pair import q2_pair
+from .support import ad_unstable_pair, trivial_module
 from .test_shcp import count_inversions
 
 
@@ -427,9 +427,10 @@ def test_stripping_inverts_once_per_refining_round(monkeypatch):
 @pytest.mark.parametrize("make_pair", [lambda: gl_pair(1, 1, QQ), lambda: gl_pair(2, 1, QQ),
                                        lambda: q2_pair(QQ)], ids=["gl11", "gl21", "q2"])
 def test_right_factorization_reexpands(make_pair):
-    """The descending right form re-expands to the word's matrix; q(2) has
-    two nonzeros in each rho(Y_i)."""
-    from superpoints import right_factorization
+    """The companion RIGHT orientation g = g_plus_r . prod^> (1 + eta_r Y),
+    the odd product in descending basis order, read off the inverse's left
+    form, re-expands to the word's matrix; q(2) has two nonzeros in each
+    rho(Y_i)."""
     from superpoints.gp import factor_product
 
     pair = make_pair()
@@ -438,7 +439,8 @@ def test_right_factorization_reexpands(make_pair):
     for _ in range(10):
         w = random_word(pair, A, rng, 6)
         nf = normal_form(w)
-        g_plus_r, etas_r = right_factorization(nf)
+        inv = gp_inv(nf)
+        g_plus_r, etas_r = smat_inv(inv.g_plus), [-e for e in inv.etas]
         assert pair.even_group.member(g_plus_r)
         descending = [OddTok(i, etas_r[i]) for i in reversed(range(pair.d_minus))
                       if not etas_r[i].is_zero()]
@@ -552,7 +554,8 @@ def test_psi_on_morphism_identity_and_homomorphism():
     rng = random.Random(15)
     mor = corner_embedding()
     A = GrassmannAlgebra(QQ, 2)
-    assert psi_on_morphism(mor, NormalForm.identity(mor.source, A)).is_identity()
+    assert psi_on_morphism(mor, NormalForm.identity(mor.source, A)) == \
+        NormalForm.identity(mor.target, A)
     for _ in range(8):
         n1 = normal_form(random_word(mor.source, A, rng, 4))
         n2 = normal_form(random_word(mor.source, A, rng, 4))
@@ -570,7 +573,7 @@ def test_zero_morphism_collapses_odd_words():
                        lambda g: SuperMatrix.identity((2, 1), g.algebra))
     A = GrassmannAlgebra(QQ, 2)
     nf = normal_form(GroupWord(src, A, [OddTok(0, A.generator(1))]))
-    assert psi_on_morphism(mor, nf).is_identity()
+    assert psi_on_morphism(mor, nf) == NormalForm.identity(tgt, A)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +584,6 @@ def test_module_transport_recovers_lie_action(pair11):
     """A pair module integrates to a word action whose dual-number probes
     differentiate back to the given Lie action."""
     from superpoints import DualExtension, dual_probe
-    from superpoints.smat import smat_inv
 
     A = GrassmannAlgebra(QQ, 2)
     dual = DualExtension(A)

@@ -25,7 +25,6 @@ from superpoints import (
     from_matrices,
     gl_lie,
     gl_pair,
-    trivial_module,
     word_action,
 )
 from superpoints.liesuper import parity_pattern_ok, straighten_action, trivial_action
@@ -35,6 +34,7 @@ from superpoints.verify import check_module_axioms
 
 from .oracles import (even_monomial_action_oracle, jacobi_and_square_oracle,
                       odd_monomial_action_oracle)
+from .support import trivial_module
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")

@@ -24,11 +24,11 @@ from superpoints import (
     normal_form,
     reorder_symbolic,
     check_axioms,
+    q2_pair,
     strip_matrix_factorization,
 )
+from superpoints import verify
 from superpoints.verify import check_ad_compatibility, check_module_axioms, random_word
-
-from .q2_pair import q2_pair
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3])
@@ -89,3 +89,41 @@ def test_q2_axioms_and_module_axioms(field):
     assert rep.ok, rep.failures
     rep = check_module_axioms(lie)
     assert rep.ok, rep.failures
+
+
+def exterior_ad_action(act, ad_matrix, v0_matrix, v):
+    """g acting on each key Ybar_S (x) e_t as the exterior product of the
+    Ad(g)Y_i, i in S (the expansion that drops the [Y_j,Y_k] and Y_j^<2>
+    terms of the product in U(g)); exact on gl(p|q) only."""
+    dm = len(ad_matrix)
+    out = {}
+
+    def add(acc, key, x):
+        acc[key] = acc[key] + x if key in acc else x
+
+    for key, c in v.items():
+        expanded = {0: c}
+        for i in (i for i in range(dm) if key >> i & 1):
+            nxt = {}
+            for s, cs in expanded.items():
+                for j in range(dm):
+                    if not s >> j & 1:
+                        x = cs * ad_matrix[j][i]
+                        # Ybar_j moves left past the factors of s above j
+                        add(nxt, s | 1 << j, -x if (s >> (j + 1)).bit_count() % 2 else x)
+            expanded = nxt
+        for s, cs in expanded.items():
+            for r, row in enumerate(v0_matrix):
+                add(out, s | r << dm, cs * row[key >> dm])
+    return {k: x for k, x in out.items() if not x.is_zero()}
+
+
+def test_suite_pbw_sees_the_exterior_expansion(monkeypatch):
+    """With even points acting by the exterior product, the pbw suite
+    fails: q(2)'s Ad compatibility check breaks, the gl pairs' do not."""
+    monkeypatch.setattr(verify, "wedge_ad_action", exterior_ad_action)
+    rep = verify.suite_pbw(fields=(QQ,))
+    assert not rep.ok
+    assert all("g.(Y_i.m) != (Ad(g)Y_i).(g.m)" in m for m in rep.failures)
+    assert verify.check_ad_compatibility(verify.cached_gl_pair(2, 1, QQ),
+                                         random.Random(1)).ok

@@ -31,10 +31,11 @@ from superpoints import (
 )
 from superpoints import gp, shcp, smat
 from superpoints.sampling import rand_even_unit, rand_odd
-from superpoints.shcp import AD_MEMO_SIZE, ad_unstable_pair
+from superpoints.shcp import AD_MEMO_SIZE
 from superpoints.smat import dual_probe
 
 from .oracles import k_matmul_oracle, supermatrix_rep_oracle
+from .support import ad_unstable_pair
 
 
 def diag(algebra, a, d):
@@ -257,7 +258,7 @@ def test_ad_memo_equal_points_share_one_computation(monkeypatch):
     calls = count_inversions(monkeypatch, shcp)
     for _ in range(4):
         g = pair.even_group.sample(A, rng)
-        twin = g.map_entries(lambda e: e + A.zero())
+        twin = SuperMatrix(g.shape, A, [[e + A.zero() for e in row] for row in g.rows])
         assert twin == g and twin.rows[0][0] is not g.rows[0][0]
         before = len(calls)
         a = pair.ad_action_matrix(g)

@@ -26,16 +26,17 @@ from superpoints import (
     gl_split,
     is_invertible,
     is_odd_unipotent,
-    lie_points,
+    q2_pair,
+    scalar_torus,
     semidirect_split,
     smat_inv,
 )
-from superpoints.smat import BUILTIN_GROUPS, ck_product, constant_matrix, matrix_units
+from superpoints.smat import (BUILTIN_GROUPS, ck_product, constant_matrix, dual_probe,
+                              matrix_units)
 from superpoints.sampling import rand_element, rand_k_vector, rand_odd
 from superpoints.verify import suite_tang_group
 
 from .oracles import k_matmul_oracle, supermatrix_rep_oracle
-from .q2_pair import q2_pair
 
 
 def unit(shape, algebra, i, j):
@@ -200,9 +201,11 @@ def test_homogeneous_split_unique():
     rng = random.Random(2)
     A = GrassmannAlgebra(QQ, 3)
     m = SuperMatrix((2, 2), A, [[rand_element(A, rng) for _ in range(4)] for _ in range(4)])
-    assert m.even_component() + m.odd_component() == m
-    assert m.even_component().is_even_homogeneous()
-    assert m.odd_component().is_odd_homogeneous()
+    even = m.even_component()
+    odd = m - even
+    assert even + odd == m
+    assert even.is_even_homogeneous()
+    assert odd.is_odd_homogeneous()
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["lambda3", "dual-lambda3"])
@@ -230,7 +233,7 @@ def test_homogeneity_scan_matches_components(dual):
                         inner.one() if want else inner.generator(1))
                 m = SuperMatrix(shape, A, rows)
                 even, odd = m.is_even_homogeneous(), m.is_odd_homogeneous()
-                assert even == m.odd_component().is_zero()
+                assert even == (m - m.even_component()).is_zero()
                 assert odd == m.even_component().is_zero()
                 seen.add((kind, even, odd))
     assert ("even", True, False) in seen and ("odd", False, True) in seen
@@ -340,10 +343,14 @@ def test_tang_group_families_quick():
 # descriptors, tangent probes, semidirect splittings
 
 
+_GROUPS = {**{name: make(1, 1) for name, make in BUILTIN_GROUPS.items()},
+           "q2": q2_pair(QQ).even_group}
+
+
 def test_descriptor_closure_on_samples():
     rng = random.Random(8)
     A = GrassmannAlgebra(QQ, 3)
-    for G in (gl_block_diag(1, 1), gl_full(2, 1), diagonal_torus(1, 1)):
+    for G in (gl_block_diag(1, 1), gl_full(2, 1), diagonal_torus(1, 1), _GROUPS["q2"]):
         assert G.member(SuperMatrix.identity(G.shape, A))
         for _ in range(10):
             g, h = G.sample(A, rng), G.sample(A, rng)
@@ -351,16 +358,92 @@ def test_descriptor_closure_on_samples():
             assert G.member(smat_inv(g))
 
 
-@pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS))
+@pytest.mark.parametrize("name", sorted(_GROUPS))
 def test_member_checks_the_even_parity_pattern(name):
     """GroupDescriptor.member rejects an odd coefficient in a diagonal
-    block for every builtin group, with the group's own predicate left
-    to accept (1 + x1) times the identity, and accepts the identity."""
+    block for every builtin group and q(2)'s diag(g, g), with the cell
+    pattern left to accept (1 + x1) times the identity, and accepts the
+    identity."""
     A = GrassmannAlgebra(QQ, 2)
-    G = BUILTIN_GROUPS[name](1, 1)
+    G = _GROUPS[name]
     ident = SuperMatrix.identity(G.shape, A)
     assert G.member(ident)
     assert not G.member(ident.scale(A.one() + A.generator(1)))
+
+
+def test_member_checks_zero_and_tied_cells():
+    """An even-homogeneous invertible matrix is rejected for a nonzero
+    entry in a None cell, and for a tie broken in q(2)'s lower block."""
+    rng = random.Random(4)
+    A = GrassmannAlgebra(QQ, 3)
+    G = _GROUPS["q2"]
+    for _ in range(5):
+        g = G.sample(A, rng)
+        assert G.member(g)
+        rows = g.mutable()
+        rows[0][2] = A.generator(1)  # an odd entry in an off-diagonal block
+        assert not G.member(SuperMatrix(G.shape, A, rows))
+        rows = g.mutable()
+        rows[3][3] = rows[3][3] + A.monomial([1, 2], 1)  # g != g' in diag(g, g')
+        broken = SuperMatrix(G.shape, A, rows)
+        assert broken.is_even_homogeneous() and is_invertible(broken)
+        assert not G.member(broken)
+    rows = SuperMatrix.identity((2, 1), A).mutable()
+    rows[0][1] = A.from_int(1)  # an even entry off the torus' diagonal
+    off = SuperMatrix((2, 1), A, rows)
+    assert gl_block_diag(2, 1).member(off) and not diagonal_torus(2, 1).member(off)
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 2), (3, 2)])
+def test_tangent_dim_counts_the_labels(p, q):
+    assert gl_block_diag(p, q).tangent_dim == p * p + q * q
+    assert gl_full(p, q).tangent_dim == (p + q) ** 2
+    assert diagonal_torus(p, q).tangent_dim == p + q
+    assert scalar_torus(p, q).tangent_dim == 1
+    assert _GROUPS["q2"].tangent_dim == 4
+
+
+def test_builtin_samples_are_pinned():
+    """The draws of each builtin sampler and the RNG state it leaves, as
+    fixed literals: gl_block_diag(2, 1) redraws once at this seed (its
+    first body is singular).  Any change to the order or kind of draws
+    changes every seeded suite, so it shows here first."""
+    cases = [
+        (gl_block_diag(2, 1), QQ, 4,
+         [['-1/2 + -1/3 * x{2,3} + -2 * x{2,4}', '-3 * x{1,2}', '0'],
+          ['-2/3 * x{1,4}', '1 + -4 * x{2,3}', '0'],
+          ['0', '0', '1 + -3/2 * x{2,3} + -4 * x{3,4}']],
+         0.8455524831173317),
+        (gl_full(1, 1), QQ, 4,
+         [['1 + -1 * x{1,2} + -1/2 * x{1,3}', '2 * x{1} + 1/3 * x{3}'],
+          ['-4 * x{2} + -2 * x{3}', '-1 + -2 * x{2,3} + 3 * x{1,2,3,4}']],
+         0.8077992330240374),
+        (diagonal_torus(2, 1), GF3, 3,
+         [['1 mod 3 + 1 mod 3 * x{1,3}', '0', '0'],
+          ['0', '2 mod 3 + 2 mod 3 * x{2,3}', '0'],
+          ['0', '0', '2 mod 3 + 1 mod 3 * x{1,3} + 1 mod 3 * x{2,3}']],
+         0.6064717622868356),
+        (scalar_torus(2, 1), GF3, 3,
+         [['1 mod 3 + 1 mod 3 * x{1,3}', '0', '0'],
+          ['0', '1 mod 3 + 1 mod 3 * x{1,3}', '0'],
+          ['0', '0', '1 mod 3 + 1 mod 3 * x{1,3}']],
+         0.08674413114405155),
+    ]
+    for G, field, rank, strings, after in cases:
+        rng = random.Random(71)
+        assert G.sample(GrassmannAlgebra(field, rank), rng).to_strings() == strings
+        assert rng.random() == after
+
+
+def lie_points(group, algebra):
+    """{index: whether the dual-number probe along matrix unit index is a
+    point of group} over matrix_units(group.shape, field); odd units are
+    probed along the algebra's first generator."""
+    eta = algebra.generator(1)
+    units = matrix_units(group.shape, algebra.field)
+    return {idx: group.member(dual_probe(rows, group.shape, algebra,
+                                         odd_direction=eta if parity else None)[1])
+            for idx, (rows, parity) in enumerate(units)}
 
 
 def test_matrix_units_row_major_with_parity():
