@@ -12,12 +12,12 @@ from .coeff import (
     GF3,
     GF5,
     QQ,
-    DualExtension,
     GrassmannAlgebra,
     PrimeField,
     RationalField,
     Scalar,
     SuperNumbers,
+    dual_numbers,
     field_by_name,
     parse_element,
 )

@@ -1,17 +1,20 @@
-"""Exact scalar fields and coefficient superalgebras.
+"""Exact scalar fields and the coefficient superalgebras over them.
 
-Three coefficient-algebra variants are provided, all exact and all carrying
-the data every other module relies on: a parity split, an augmentation onto
-the base field, and a nilpotency bound N with (ker eps)^(N+1) = 0.
+Every coefficient algebra is a Grassmann algebra, exact and carrying the data
+every other module relies on: a parity split, an augmentation onto the base
+field, and a nilpotency bound N with (ker eps_A)^(N+1) = 0.
 
 * ``GrassmannAlgebra(field, rank)`` -- the exterior algebra on ``rank`` odd
   generators x{1}..x{rank}, stored sparsely as bitmask -> nonzero raw
   base-field value.
-* ``SuperNumbers(field)`` -- one odd generator with square zero; structurally
-  a rank-1 Grassmann algebra, kept as its own variant because it is the
+* ``SuperNumbers(field)`` -- one odd generator with square zero, the rank-1
+  Grassmann algebra, kept as its own subclass because it is the
   prototypical augmented central extension (odd part squares to zero).
-* ``DualExtension(inner)`` -- adjoins one *even* generator eps with
-  eps^2 = 0 to an inner coefficient algebra; used for tangent-space probes.
+
+Tangent probes need the dual numbers A[eps] with eps even and eps^2 = 0.
+For A = Lambda_r they are read inside Lambda_{r+2} with eps = x{r+1}x{r+2}
+(``dual_numbers``): that product is even, central and squares to zero, so
+a + b eps -> a + b x{r+1}x{r+2} is an injective map of superalgebras.
 
 Base fields are the rationals and prime fields F_p (p = 2 and 3 included as
 first-class citizens).  No floating point appears anywhere.  A raw value has
@@ -314,60 +317,7 @@ def _merge_sign(mask_a: int, mask_b: int) -> int:
     return -1 if exp & 1 else 1
 
 
-class CoefficientAlgebra:
-    """Common interface: parity split, augmentation, nilpotency bound."""
-
-    field: Field
-    nilpotency_bound: int
-    variant: str
-
-    # -- factories -----------------------------------------------------
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        return self.from_scalar(1)
-
-    def from_scalar(self, s):
-        """Embed a Scalar or a base-field value (int, Fraction, literal)."""
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        return self.from_scalar(n)
-
-    def odd_generators(self):
-        """The odd generators of this algebra, as elements."""
-        raise NotImplementedError
-
-    # -- shared derived operations --------------------------------------
-    def invert(self, x):
-        """Inverse of x when its body is a unit: geometric series on the soul.
-
-        x^-1 = body^-1 * sum_{s<=N} (-body^-1 * soul)^s, exact because
-        soul lies in ker(eps) and (ker eps)^(N+1) = 0.
-        """
-        if x.algebra is not self and x.algebra != self:
-            raise StructuralError("element not over this algebra")
-        body = x.augment()
-        if body.is_zero():
-            raise NotInvertible("body is not a unit")
-        binv = body.inv()
-        soul = x - self.from_scalar(body)
-        t = self.from_scalar(binv) * soul  # body^-1 * soul, nilpotent
-        acc = self.one()
-        pw = self.one()
-        for _ in range(self.nilpotency_bound):
-            pw = -(pw * t)
-            if pw.is_zero():
-                break
-            acc = acc + pw
-        return acc * self.from_scalar(binv)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-
-class GrassmannAlgebra(CoefficientAlgebra):
+class GrassmannAlgebra:
     """Lambda_n = k[x{1}..x{n}], sparse bitmask representation."""
 
     variant = "grassmann"
@@ -395,18 +345,29 @@ class GrassmannAlgebra(CoefficientAlgebra):
     def zero(self):
         return GrassmannElement(self, {})
 
+    def one(self):
+        return self.from_scalar(1)
+
     def from_scalar(self, s):
+        """Embed a Scalar or a base-field value (int, Fraction, literal)."""
         s = _raw(self.field, s)
         return GrassmannElement(self, {0: s} if s else {})
+
+    def from_int(self, n: int):
+        return self.from_scalar(n)
+
+    def include(self, x):
+        """x from a Grassmann algebra over the same field of rank at most
+        this one's, with its masks unchanged: x{i} stays x{i}."""
+        if x.algebra.field != self.field or x.algebra.rank > self.rank:
+            raise StructuralError(f"cannot include {x.algebra!r} in {self!r}")
+        return GrassmannElement(self, dict(x.terms))
 
     def generator(self, i: int):
         """x{i} for 1 <= i <= rank."""
         if not (1 <= i <= self.rank):
             raise StructuralError(f"generator index {i} out of range")
         return GrassmannElement(self, {1 << (i - 1): self.field.from_int(1)})
-
-    def odd_generators(self):
-        return [self.generator(i) for i in range(1, self.rank + 1)]
 
     def monomial(self, indices, coeff=1):
         mask = 0
@@ -434,9 +395,6 @@ class SuperNumbers(GrassmannAlgebra):
 
     def __init__(self, field: Field):
         super().__init__(field, 1)
-
-    def eta(self):
-        return self.generator(1)
 
     def __repr__(self):
         return f"{self.variant}({self.field})"
@@ -566,17 +524,28 @@ class GrassmannElement:
         field = self.algebra.field
         return Scalar(field, self.terms.get(0, field.from_int(0)))
 
-    body = augment
-
     def soul(self):
         return self - self.algebra.from_scalar(self.augment())
 
-    def reduce_bar(self) -> Scalar:
-        """Image in A-bar = A/(A_1); identified with k for these variants."""
-        return self.augment()
-
     def invert(self):
-        return self.algebra.invert(self)
+        """Inverse when the body is a unit: geometric series on the soul.
+
+        x^-1 = body^-1 * sum_{s<=N} (-body^-1 * soul)^s, exact because
+        soul lies in ker(eps_A) and (ker eps_A)^(N+1) = 0.
+        """
+        alg = self.algebra
+        body = self.augment()
+        if body.is_zero():
+            raise NotInvertible("body is not a unit")
+        binv = alg.from_scalar(body.inv())
+        t = binv * self.soul()  # body^-1 * soul, nilpotent
+        acc = pw = alg.one()
+        for _ in range(alg.nilpotency_bound):
+            pw = -(pw * t)
+            if pw.is_zero():
+                break
+            acc = acc + pw
+        return acc * binv
 
     def a1n_member(self, n: int) -> bool:
         """Membership in A_1^(n), the unital subalgebra generated by A_1^[n].
@@ -612,172 +581,11 @@ class GrassmannElement:
         return self.to_str()
 
 
-class DualExtension(CoefficientAlgebra):
-    """inner[eps] with eps even and eps^2 = 0; elements are pairs a + b*eps."""
-
-    variant = "dual"
-
-    def __init__(self, inner: CoefficientAlgebra):
-        self.inner = inner
-        self.field = inner.field
-        self.nilpotency_bound = inner.nilpotency_bound + 1
-
-    def __eq__(self, other):
-        return type(other) is DualExtension and other.inner == self.inner
-
-    def __hash__(self):
-        return hash(("dual", self.inner))
-
-    def __repr__(self):
-        return f"dual({self.inner!r})"
-
-    def zero(self):
-        return DualElement(self, self.inner.zero(), self.inner.zero())
-
-    def from_scalar(self, s):
-        return DualElement(self, self.inner.from_scalar(s), self.inner.zero())
-
-    def include(self, x):
-        """Embed an inner element as a constant (no eps part)."""
-        if x.algebra != self.inner:
-            raise StructuralError("element not over the inner algebra")
-        return DualElement(self, x, self.inner.zero())
-
-    def eps(self):
-        return DualElement(self, self.inner.zero(), self.inner.one())
-
-    def times_eps(self, x):
-        if x.algebra != self.inner:
-            raise StructuralError("element not over the inner algebra")
-        return DualElement(self, self.inner.zero(), x)
-
-    def odd_generators(self):
-        return [self.include(g) for g in self.inner.odd_generators()]
-
-
-class DualElement:
-    """a + b*eps over DualExtension(inner); eps is even and central."""
-
-    __slots__ = ("algebra", "a", "b")
-
-    def __init__(self, algebra: DualExtension, a, b):
-        self.algebra = algebra
-        self.a = a
-        self.b = b
-
-    def _check(self, other):
-        if not isinstance(other, DualElement) or (
-                other.algebra is not self.algebra and other.algebra != self.algebra):
-            raise StructuralError("rank/ring mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return DualElement(self.algebra, self.a + other.a, self.b + other.b)
-
-    def __neg__(self):
-        return DualElement(self.algebra, -self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        self._check(other)
-        return DualElement(
-            self.algebra,
-            self.a * other.a,
-            self.a * other.b + self.b * other.a,  # eps^2 = 0
-        )
-
-    def scale(self, s):
-        return DualElement(self.algebra, self.a.scale(s), self.b.scale(s))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DualElement)
-            and other.algebra == self.algebra
-            and other.a == self.a
-            and other.b == self.b
-        )
-
-    __hash__ = None
-
-    def is_zero(self):
-        return self.a.is_zero() and self.b.is_zero()
-
-    def even_part(self):
-        return DualElement(self.algebra, self.a.even_part(), self.b.even_part())
-
-    def odd_part(self):
-        return DualElement(self.algebra, self.a.odd_part(), self.b.odd_part())
-
-    def twist(self):
-        """even part - odd part (eps is even)."""
-        return DualElement(self.algebra, self.a.twist(), self.b.twist())
-
-    def parity(self):
-        ps = set()
-        for comp in (self.a, self.b):
-            p = comp.parity()
-            if p is None:
-                return None
-            if not comp.is_zero():
-                ps.add(p)
-        if not ps:
-            return 0
-        if len(ps) == 1:
-            return ps.pop()
-        return None
-
-    def is_even(self):
-        return self.parity() == 0
-
-    def is_odd(self):
-        return self.parity() == 1
-
-    def augment(self) -> Scalar:
-        return self.a.augment()
-
-    body = augment
-
-    def soul(self):
-        return self - self.algebra.from_scalar(self.augment())
-
-    def reduce_bar(self):
-        """Representative of the image in A-bar = A/(A_1): odd-generated
-        monomials die, eps survives (A-bar is the dual numbers over k)."""
-        return DualElement(
-            self.algebra,
-            self.algebra.inner.from_scalar(self.a.reduce_bar()),
-            self.algebra.inner.from_scalar(self.b.reduce_bar()),
-        )
-
-    def invert(self):
-        return self.algebra.invert(self)
-
-    def a1n_member(self, n: int) -> bool:
-        if n <= 0:
-            raise StructuralError("n must be positive")
-        if not self.a.a1n_member(n):
-            return False
-        # eps itself is not a product of odd elements: the eps part must have
-        # every monomial already a member, and no bare-constant eps term.
-        if not self.b.a1n_member(n):
-            return False
-        return self.b.augment().is_zero()
-
-    def to_str(self) -> str:
-        parts = []
-        if not self.a.is_zero():
-            parts.append(self.a.to_str())
-        if not self.b.is_zero():
-            for chunk in self.b.to_str().split(" + "):
-                parts.append(f"{chunk} * eps")
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return self.to_str()
+def dual_numbers(algebra: GrassmannAlgebra):
+    """(B, eps): the dual numbers over Lambda_r read inside B = Lambda_{r+2},
+    with eps = x{r+1}x{r+2}; ``B.include`` lifts the elements of Lambda_r."""
+    dual = GrassmannAlgebra(algebra.field, algebra.rank + 2)
+    return dual, dual.monomial([algebra.rank + 1, algebra.rank + 2])
 
 
 # ---------------------------------------------------------------------------
@@ -787,8 +595,8 @@ class DualElement:
 _TERM_GEN = re.compile(r"x\{([0-9,\s]*)\}")
 
 
-def parse_element(algebra: CoefficientAlgebra, text: str):
-    """Parse ``c * x{i,j} [* eps]`` term lists back into an element."""
+def parse_element(algebra: GrassmannAlgebra, text: str):
+    """Parse ``c * x{i,j}`` term lists back into an element."""
     text = text.strip()
     if text == "0":
         return algebra.zero()
@@ -797,15 +605,10 @@ def parse_element(algebra: CoefficientAlgebra, text: str):
         factors = [f.strip() for f in chunk.strip().split("*")]
         coeff = None
         mask_indices = None
-        has_eps = False
         for f in factors:
             if not f:
                 raise StructuralError(f"empty factor in term {chunk!r}")
-            if f == "eps":
-                if has_eps:
-                    raise StructuralError("repeated eps factor")
-                has_eps = True
-            elif _TERM_GEN.fullmatch(f):
+            if _TERM_GEN.fullmatch(f):
                 if mask_indices is not None:
                     raise StructuralError("repeated generator factor")
                 inner = _TERM_GEN.fullmatch(f).group(1).strip()
@@ -819,15 +622,5 @@ def parse_element(algebra: CoefficientAlgebra, text: str):
                 coeff = algebra.field.parse(f)
         if coeff is None:
             coeff = algebra.field.from_int(1)
-        if has_eps:
-            if not isinstance(algebra, DualExtension):
-                raise StructuralError("eps term over a non-dual algebra")
-            base = algebra.inner.monomial(mask_indices or [], coeff)
-            term = algebra.times_eps(base)
-        elif isinstance(algebra, DualExtension):
-            base = algebra.inner.monomial(mask_indices or [], coeff)
-            term = algebra.include(base)
-        else:
-            term = algebra.monomial(mask_indices or [], coeff)
-        result = result + term
+        result = result + algebra.monomial(mask_indices or [], coeff)
     return result

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import DualExtension, GrassmannAlgebra
-
 
 def rand_scalar(field, rng, nonzero=False):
     """A random raw value of field: over Q a small rational n/d, canonical
@@ -31,7 +29,8 @@ def rand_unit_scalar(field, rng):
     return rand_scalar(field, rng, nonzero=True)
 
 
-def _rand_grassmann(algebra, rng, parity, max_terms, min_degree=0):
+def rand_element(algebra, rng, parity=None, max_terms=2, min_degree=0):
+    """A small random element, optionally of fixed parity."""
     masks = [
         m
         for m in algebra.basis_masks()
@@ -47,42 +46,23 @@ def _rand_grassmann(algebra, rng, parity, max_terms, min_degree=0):
     return out
 
 
-def rand_element(algebra, rng, parity=None, max_terms=2, min_degree=0):
-    """A small random element, optionally of fixed parity."""
-    if isinstance(algebra, DualExtension):
-        a = rand_element(algebra.inner, rng, parity, max_terms, min_degree)
-        b = rand_element(algebra.inner, rng, parity, max_terms, min_degree)
-        return algebra.include(a) + algebra.times_eps(b)
-    if isinstance(algebra, GrassmannAlgebra):
-        return _rand_grassmann(algebra, rng, parity, max_terms, min_degree)
-    raise TypeError(f"no sampler for {algebra!r}")
-
-
 def rand_odd(algebra, rng, max_terms=2):
     return rand_element(algebra, rng, parity=1, max_terms=max_terms)
 
 
 def rand_even_soul(algebra, rng, max_terms=2):
     """Even element with zero body (degree >= 2 monomials only)."""
-    if isinstance(algebra, GrassmannAlgebra):
-        return _rand_grassmann(algebra, rng, 0, max_terms, min_degree=2)
-    if isinstance(algebra, DualExtension):
-        a = rand_even_soul(algebra.inner, rng, max_terms)
-        b = rand_element(algebra.inner, rng, parity=0, max_terms=max_terms)
-        return algebra.include(a) + algebra.times_eps(b)
-    raise TypeError(f"no sampler for {algebra!r}")
+    return rand_element(algebra, rng, 0, max_terms, min_degree=2)
 
 
 def rand_square_zero_even(algebra, rng):
     """Even c with c*c = 0 exactly: a scalar multiple of one soul monomial."""
-    if isinstance(algebra, GrassmannAlgebra):
-        masks = [m for m in algebra.basis_masks() if m.bit_count() % 2 == 0 and m.bit_count() >= 2]
-        if not masks:
-            return algebra.zero()
-        m = rng.choice(masks)
-        idx = [i + 1 for i in range(algebra.rank) if m >> i & 1]
-        return algebra.monomial(idx, rand_scalar(algebra.field, rng, nonzero=True))
-    raise TypeError(f"no sampler for {algebra!r}")
+    masks = [m for m in algebra.basis_masks() if m.bit_count() % 2 == 0 and m.bit_count() >= 2]
+    if not masks:
+        return algebra.zero()
+    m = rng.choice(masks)
+    idx = [i + 1 for i in range(algebra.rank) if m >> i & 1]
+    return algebra.monomial(idx, rand_scalar(algebra.field, rng, nonzero=True))
 
 
 def rand_even_unit(algebra, rng, max_terms=2):

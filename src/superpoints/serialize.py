@@ -4,7 +4,10 @@ Every fixture carries ``"schema": 1`` and is validated strictly: unknown
 keys are rejected, so a typo fails loudly instead of silently defaulting.
 All scalars and coefficient-algebra elements travel as the textual exact
 format of the coeff module (golden files are byte-stable because element
-serialization is canonically ordered).
+serialization is canonically ordered).  A coefficient algebra is
+``{"type": "grassmann", "field", "rank"}`` or ``{"type": "super_numbers",
+"field"}``; the dual numbers over Lambda_r are the grassmann algebra of
+rank r + 2, so they need no type of their own.
 
 Every block shape a fixture names, a lie ``shape`` or an even group's p and
 q, must have p + q <= MAX_BLOCK_SIZE, checked before any matrix is read or
@@ -21,14 +24,7 @@ from __future__ import annotations
 
 import json
 
-from .coeff import (
-    CoefficientAlgebra,
-    DualExtension,
-    GrassmannAlgebra,
-    SuperNumbers,
-    field_by_name,
-    parse_element,
-)
+from .coeff import GrassmannAlgebra, SuperNumbers, field_by_name, parse_element
 from .errors import SchemaError, StructuralError
 from .liesuper import LieSuperalgebraData, from_matrices
 from .shcp import HarishChandraPair
@@ -90,8 +86,9 @@ def load_field(tag, where="field"):
         raise SchemaError(f"{where}: {e}") from None
 
 
-def load_coeff(obj, where="coeff") -> CoefficientAlgebra:
-    _require_keys(obj, ["type"], ["field", "rank", "inner"], where)
+def load_coeff(obj, where="coeff") -> GrassmannAlgebra:
+    # any other key passes here; the check of the type names the unknown ones
+    _require_keys(obj, ["type"], obj if isinstance(obj, dict) else (), where)
     t = obj["type"]
     if t == "grassmann":
         _require_keys(obj, ["type", "field", "rank"], (), where)
@@ -105,20 +102,13 @@ def load_coeff(obj, where="coeff") -> CoefficientAlgebra:
     if t == "super_numbers":
         _require_keys(obj, ["type", "field"], (), where)
         return SuperNumbers(load_field(obj["field"], where))
-    if t == "dual":
-        _require_keys(obj, ["type", "inner"], (), where)
-        return DualExtension(load_coeff(obj["inner"], where + ".inner"))
     raise SchemaError(f"{where}: unknown coefficient algebra type {t!r}")
 
 
 def dump_coeff(algebra) -> dict:
     if isinstance(algebra, SuperNumbers):
         return {"type": "super_numbers", "field": algebra.field.name}
-    if isinstance(algebra, GrassmannAlgebra):
-        return {"type": "grassmann", "field": algebra.field.name, "rank": algebra.rank}
-    if isinstance(algebra, DualExtension):
-        return {"type": "dual", "inner": dump_coeff(algebra.inner)}
-    raise StructuralError(f"cannot serialize {algebra!r}")
+    return {"type": "grassmann", "field": algebra.field.name, "rank": algebra.rank}
 
 
 # -- matrices ------------------------------------------------------------------

@@ -5,23 +5,25 @@ A pair couples a computationally linear classical group G+ with a Lie
 superalgebra carrying representation matrices.  Validity is what the
 normal-form machinery depends on: the even basis must be tangent to G+,
 conjugation by sampled G+ points must stabilize the odd span exactly, and
-the differential of that conjugation must be the stored bracket.
+the differential of that conjugation must be the stored bracket.  Tangency
+and the differential are read off dual-number probes 1 + eps X, points over
+``coeff.dual_numbers(A)``: Lambda_{r+2} with eps = x{r+1}x{r+2}.
 
 ``ad_action_matrix`` keeps a small memo per pair, because the group law and
 the induced-module action ask for the Ad matrix of the same few even points
 again and again.  The key is the exact value of the point: its shape, its
-algebra and every entry's sorted ``(mask, value)`` terms (a dual-number
-entry by both of its parts).  The memo holds at most ``AD_MEMO_SIZE``
-points and drops the oldest first; a point whose conjugates leave the odd
-span is never stored, so it raises ``SpanViolation`` on every request.
-Each call returns a fresh list-of-lists copy of the stored matrix.
+algebra and every entry's sorted ``(mask, value)`` terms.  The memo holds at
+most ``AD_MEMO_SIZE`` points and drops the oldest first; a point whose
+conjugates leave the odd span is never stored, so it raises
+``SpanViolation`` on every request.  Each call returns a fresh list-of-lists
+copy of the stored matrix.
 """
 
 from __future__ import annotations
 
 import random
 
-from .coeff import DualElement, DualExtension, GrassmannAlgebra
+from .coeff import GrassmannAlgebra, dual_numbers
 from .errors import SpanViolation, StructuralError
 from .liesuper import CheckReport, LieSuperalgebraData, check_axioms, from_matrices, gl_lie
 from .smat import (
@@ -37,13 +39,6 @@ from .smat import (
 )
 
 AD_MEMO_SIZE = 32
-
-
-def _value_key(e):
-    """The exact value of a coefficient element as a hashable key."""
-    if isinstance(e, DualElement):
-        return (_value_key(e.a), _value_key(e.b))
-    return tuple(sorted(e.terms.items()))
 
 
 class HarishChandraPair:
@@ -110,7 +105,7 @@ class HarishChandraPair:
         Ad(g^-1)); column i solves g rho(Y_i) g^-1, with g inverted once.
         Memoized by the exact value of g (see the module docstring)."""
         key = (g_plus.shape, g_plus.algebra,
-               tuple(_value_key(e) for row in g_plus.rows for e in row))
+               tuple(tuple(sorted(e.terms.items())) for row in g_plus.rows for e in row))
         a = self._ad_memo.get(key)
         if a is None:
             a = tuple(zip(*self.conj_coords(g_plus, smat_inv(g_plus))))
@@ -129,17 +124,19 @@ class HarishChandraPair:
 
 def validate_pair(pair: HarishChandraPair, samples: int = 64, seed: int = 0) -> CheckReport:
     """Run the axioms of g and the pair conditions over Lambda_4 with sampled
-    group elements; exact identities, so failures are never probabilistic in
-    the coefficients, only in element coverage.  All failure families are
-    collected in one report; nothing bails early."""
+    group elements (the dual-number probes over Lambda_6); exact identities,
+    so failures are never probabilistic in the coefficients, only in element
+    coverage.  All failure families are collected in one report; nothing
+    bails early."""
     rep = check_axioms(pair.lie)
     rng = random.Random(seed)
     A = GrassmannAlgebra(pair.field, 4)
     G = pair.even_group
 
     # (1) Lie(G+) contains g0: dual-number membership of 1 + eps X_a
-    for a in range(pair.d_plus):
-        _, probe = dual_probe(pair.lie.rho_even[a], pair.shape, A)
+    dual, eps = dual_numbers(A)
+    probes = [dual_probe(x, pair.shape, eps) for x in pair.lie.rho_even]
+    for a, probe in enumerate(probes):
         if not G.member(probe):
             rep.fail(f"1 + eps X{a + 1} is not a point of {G.name}[eps]")
     if pair.d_plus == G.tangent_dim:
@@ -175,14 +172,12 @@ def validate_pair(pair: HarishChandraPair, samples: int = 64, seed: int = 0) -> 
     rep.note("Ad compatibility with the 2-operation verified on samples")
 
     # (4) the differential of Ad is the bracket: Ad(1+eps X)(Y) = Y + eps [X,Y]
-    dual = DualExtension(A)
-    for a in range(pair.d_plus):
-        _, probe = dual_probe(pair.lie.rho_even[a], pair.shape, A)
+    for a, probe in enumerate(probes):
         probe_inv = smat_inv(probe)
         for i in range(pair.d_minus):
             y = pair.lie.rho_odd_matrix(i, dual)
             conj = probe * y * probe_inv
-            expect = y + pair.lie.rho_comb(1, pair.lie.eo[a][i], dual).scale(dual.eps())
+            expect = y + pair.lie.rho_comb(1, pair.lie.eo[a][i], dual).scale(eps)
             if conj != expect:
                 rep.fail(f"d(Ad) != bracket on (X{a + 1}, Y{i + 1})")
     return rep
@@ -219,10 +214,10 @@ def phi_of_group(fixture: LinearSupergroupFixture, samples: int = 32):
     field = fixture.field
     A = GrassmannAlgebra(field, 2)
     eta = A.generator(1)
+    _, eps = dual_numbers(A)
     accepted = []
     for rows in fixture.odd_candidates:
-        _, probe = dual_probe(rows, fixture.shape, A, odd_direction=eta)
-        if fixture.full_group.member(probe):
+        if fixture.full_group.member(dual_probe(rows, fixture.shape, eps, eta)):
             accepted.append(rows)
     lie = from_matrices(fixture.shape[0], fixture.shape[1],
                         fixture.even_basis, accepted, field)

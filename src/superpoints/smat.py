@@ -26,7 +26,7 @@ invertibility.
 
 from __future__ import annotations
 
-from .coeff import CoefficientAlgebra, DualElement, DualExtension, GrassmannElement
+from .coeff import GrassmannAlgebra
 from .errors import MembershipViolation, NotInvertible, StructuralError
 from .sampling import rand_element, rand_even_unit, rand_odd
 
@@ -34,7 +34,7 @@ from .sampling import rand_element, rand_even_unit, rand_odd
 class SuperMatrix:
     __slots__ = ("shape", "algebra", "rows")
 
-    def __init__(self, shape, algebra: CoefficientAlgebra, rows):
+    def __init__(self, shape, algebra: GrassmannAlgebra, rows):
         p, q = shape
         n = p + q
         if len(rows) != n or any(len(r) != n for r in rows):
@@ -56,13 +56,6 @@ class SuperMatrix:
         z, o = algebra.zero(), algebra.one()
         return cls(shape, algebra, [[o if i == j else z for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def unit(cls, shape, algebra, i, j):
-        """E_{ij} (0-based)."""
-        m = cls.zero(shape, algebra).mutable()
-        m[i][j] = algebra.one()
-        return cls(shape, algebra, m)
-
     def mutable(self):
         return [list(r) for r in self.rows]
 
@@ -70,9 +63,6 @@ class SuperMatrix:
     @property
     def size(self):
         return self.shape[0] + self.shape[1]
-
-    def pos_parity(self, i):
-        return 0 if i < self.shape[0] else 1
 
     def _check(self, other):
         if (
@@ -102,14 +92,10 @@ class SuperMatrix:
         return self + (-other)
 
     def scale(self, c):
-        """Multiply every entry by a coefficient element or a base-field value
-        (even use only)."""
-        if isinstance(c, (GrassmannElement, DualElement)):
-            return SuperMatrix(
-                self.shape, self.algebra, [[c * e for e in row] for row in self.rows]
-            )
+        """Multiply every entry on the left by a coefficient element c (even
+        use only)."""
         return SuperMatrix(
-            self.shape, self.algebra, [[e.scale(c) for e in row] for row in self.rows]
+            self.shape, self.algebra, [[c * e for e in row] for row in self.rows]
         )
 
     def __eq__(self, other):
@@ -148,29 +134,13 @@ class SuperMatrix:
         return SuperMatrix(self.shape, alg, out)
 
     # -- parity structure ---------------------------------------------------
-    def even_component(self):
-        """Part with entry parity |i|+|j| (the GL(p|q)(A) pattern)."""
-        return SuperMatrix(
-            self.shape,
-            self.algebra,
-            [
-                [
-                    self.rows[i][j].even_part()
-                    if (self.pos_parity(i) + self.pos_parity(j)) % 2 == 0
-                    else self.rows[i][j].odd_part()
-                    for j in range(self.size)
-                ]
-                for i in range(self.size)
-            ],
-        )
-
     def _parity_pattern(self, shift):
-        """Whether every term of entry (i,j) has parity |i|+|j|+shift (mod 2);
-        a dual-number entry is read on both of its parts."""
+        """Whether every term of entry (i,j) has parity |i|+|j|+shift (mod 2)."""
         p = self.shape[0]
         for i, row in enumerate(self.rows):
             for j, e in enumerate(row):
-                if not _terms_have_parity(e, ((i < p) != (j < p)) ^ shift):
+                parity = ((i < p) != (j < p)) ^ shift
+                if any(m.bit_count() & 1 != parity for m in e.terms):
                     return False
         return True
 
@@ -195,6 +165,8 @@ class SuperMatrix:
         return [[e.augment().raw for e in row] for row in self.rows]
 
     def body_lift(self):
+        """G(sigma_A)(G(pi_A)(m)): the body, re-embedded by the unit inclusion
+        of k."""
         return SuperMatrix(
             self.shape,
             self.algebra,
@@ -219,12 +191,6 @@ class SuperMatrix:
 
     def __repr__(self):
         return "[" + "; ".join(", ".join(r) for r in self.to_strings()) + "]"
-
-
-def _terms_have_parity(e, parity):
-    if isinstance(e, DualElement):
-        return _terms_have_parity(e.a, parity) and _terms_have_parity(e.b, parity)
-    return all(m.bit_count() & 1 == parity for m in e.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -591,32 +557,18 @@ def matrix_units(shape, field):
     return units
 
 
-def dual_probe(candidate_rows, shape, algebra, odd_direction=None):
-    """Build 1 + eps*Z (even Z) or 1 + eps*eta*Z (odd Z) over A[eps].
+def dual_probe(candidate_rows, shape, eps, odd_direction=None):
+    """1 + eps Z (even Z) or 1 + eps eta Z (odd Z), over the algebra of eps.
 
-    Returns (dual_algebra, probe_matrix).  For odd candidates an odd element
-    of A must be supplied; tangent vectors along odd directions carry odd
-    coefficients (Lie(G)(A) = A_0 (x) g_0 + A_1 (x) g_1).
+    eps comes from ``coeff.dual_numbers(A)``; for odd candidates an odd
+    element eta of A (or of the dual algebra) must be supplied: tangent
+    vectors along odd directions carry odd coefficients (Lie(G)(A) =
+    A_0 (x) g_0 + A_1 (x) g_1).
     """
-    dual = DualExtension(algebra)
-    n = shape[0] + shape[1]
-    rows = [[dual.one() if i == j else dual.zero() for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            v = candidate_rows[i][j]
-            if not v:
-                continue
-            inner = algebra.from_scalar(v)
-            if odd_direction is not None:
-                inner = odd_direction * inner
-            rows[i][j] = rows[i][j] + dual.times_eps(inner)
-    return dual, SuperMatrix(shape, dual, rows)
-
-
-def matrix_bar(m: SuperMatrix) -> SuperMatrix:
-    """G(pi_A): entrywise projection to A-bar, re-embedded via the section
-    sigma_A (unit inclusion of k); only for algebras with A-bar = k."""
-    return m.body_lift()
+    dual = eps.algebra
+    c = eps if odd_direction is None else eps * dual.include(odd_direction)
+    return SuperMatrix.identity(shape, dual) + \
+        constant_matrix(shape, dual, candidate_rows).scale(c)
 
 
 def semidirect_split(group: GroupDescriptor, g: SuperMatrix):
@@ -626,9 +578,9 @@ def semidirect_split(group: GroupDescriptor, g: SuperMatrix):
     g_ker = g_bar^{-1} g lies in the kernel of G(pi).
     """
     group.require_member(g, "semidirect_split input")
-    g_bar = matrix_bar(g)
+    g_bar = g.body_lift()
     group.require_member(g_bar, "reduced point")
     g_ker = smat_inv(g_bar) * g
-    if not matrix_bar(g_ker) == SuperMatrix.identity(g.shape, g.algebra):
+    if g_ker.body_lift() != SuperMatrix.identity(g.shape, g.algebra):
         raise MembershipViolation("kernel factor does not reduce to 1")
     return g_bar, g_ker

@@ -402,7 +402,7 @@ def uniqueness_suite(seed=1, count=200, field=QQ) -> CheckReport:
             etas[which] = etas[which] + A.generator(1 + (t % A.rank))
             other = NormalForm(pair, A, etas, nf.g_plus)
         else:
-            two = pair.identity_matrix(A).scale(2)
+            two = pair.identity_matrix(A).scale(A.from_int(2))
             if not is_invertible(two):
                 continue  # char 2: scaling by 2 is not a perturbation
             other = NormalForm(pair, A, nf.etas, nf.g_plus * two)

@@ -8,36 +8,23 @@ assertion is an exact identity, so there are no tolerances to tune.
 import random
 import time
 
-import pytest
-
 from superpoints import (
     GF2,
     GF3,
     QQ,
     GrassmannAlgebra,
     InducedModule,
-    NormalForm,
     SuperNumbers,
     char2_pair,
     defining_module,
-    gl_full,
-    gl_split,
-    gp_inv,
-    gp_mul,
     normal_form,
     reorder_symbolic,
     roundtrip_phi_psi,
     roundtrip_psi_phi,
-    semidirect_split,
-    strip_matrix_factorization,
 )
-from superpoints.smat import SuperMatrix, is_odd_unipotent
-from superpoints.sampling import rand_odd
 from superpoints.verify import (
     basis_independence,
     cached_gl_pair,
-    check_module_axioms,
-    nf_semidirect_split,
     oracle_triangle,
     random_word,
     suite_gl_split,

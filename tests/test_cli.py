@@ -247,6 +247,21 @@ def test_normal_form_bad_integer_exit_2(tmp_path, capsys, part, doc):
     assert code == 2 and "schema error" in err and "Traceback" not in err
 
 
+_DUAL_L2 = {"type": "dual", "inner": {"type": "grassmann", "field": "Q", "rank": 2}}
+
+
+@pytest.mark.parametrize("doc", [_DUAL_L2, {"type": "dual", "inner": _DUAL_L2}],
+                         ids=["plain", "nested"])
+def test_normal_form_dual_coeff_exit_2(tmp_path, capsys, doc):
+    """"dual" is not a coefficient algebra type: the dual numbers over
+    Lambda_r are Lambda_{r+2} with eps = x{r+1}x{r+2}, a "grassmann" fixture."""
+    (tmp_path / "dual.json").write_text(json.dumps(doc))
+    code, _, err = run(["normal-form", "--pair", fx("gl11_pair.json"), "--coeff",
+                        str(tmp_path / "dual.json"), "--word", fx("swap_word.json")], capsys)
+    assert code == 2 and "unknown coefficient algebra type 'dual'" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command,name,edit", [
     ("check-shcp", "gl11_pair.json", lambda d: d["even_group"].update(p=400, q=400)),
     ("check-liesuper", "gl11_lie.json", lambda d: d.update(shape=[400, 400])),
@@ -471,14 +486,12 @@ def test_verify_unknown_suite(capsys):
 
 
 def test_coeff_fixture_variants():
-    from superpoints import DualExtension, GrassmannAlgebra, SuperNumbers
+    from superpoints import GrassmannAlgebra, SuperNumbers
     from superpoints.serialize import dump_coeff, load_coeff
 
     for spec, cls in (
         ({"type": "grassmann", "field": "F3", "rank": 4}, GrassmannAlgebra),
         ({"type": "super_numbers", "field": "Q"}, SuperNumbers),
-        ({"type": "dual", "inner": {"type": "grassmann", "field": "Q", "rank": 2}},
-         DualExtension),
     ):
         alg = load_coeff(spec)
         assert isinstance(alg, cls)
@@ -551,10 +564,7 @@ _FUZZ_VALUES = st.one_of(
     (["check-shcp"], [None], ["gl11_pair.json"]),
     (["normal-form", "--oracle", "both"], ["--pair", "--coeff", "--word"],
      ["gl11_pair.json", "coeff_l2.json", "swap_word.json"]),
-    (["normal-form", "--oracle", "both"], ["--pair", "--coeff", "--word"],
-     ["gl11_pair.json", "coeff_dual_l2.json", "swap_word.json"]),
-], ids=["gl11-lie", "tampered-lie", "flipped-lie", "gl11-pair", "normal-form",
-        "normal-form-dual"])
+], ids=["gl11-lie", "tampered-lie", "flipped-lie", "gl11-pair", "normal-form"])
 @settings(max_examples=75, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_fuzzed_fixture_maps_to_an_exit_code(command, flags, names, data):

@@ -1,5 +1,6 @@
 """Coefficient algebra tests: exactness, parity, augmentation, inversion."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,17 +13,18 @@ from superpoints import (
     GF3,
     GF5,
     QQ,
-    DualExtension,
     GrassmannAlgebra,
     NotInvertible,
     Scalar,
     StructuralError,
     SuperNumbers,
+    dual_numbers,
     parse_element,
 )
 from superpoints.sampling import rand_element, rand_unit_scalar
 
 from .oracles import a1n_masks_oracle, merge_sign_oracle
+from .support import rand_dual
 
 FIELDS = [QQ, GF2, GF3, GF5]
 
@@ -175,36 +177,32 @@ def test_parity_split_is_a_splitting():
 
 
 def test_reduce_bar_kills_odd_generated_monomials():
+    """The bar reduction A -> A/(A_1) = k is the augmentation."""
     L = GrassmannAlgebra(QQ, 2)
     e = L.from_int(3) + L.generator(1) + L.monomial([1, 2], 2)
-    assert e.reduce_bar() == Scalar.of(QQ, 3)
     assert e.augment() == Scalar.of(QQ, 3)
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3])
 def test_kernel_nilpotency_bound(field):
-    """(ker eps)^(N+1) = 0 on generators for each variant's declared N."""
-    for A in (GrassmannAlgebra(field, 3), SuperNumbers(field),
-              DualExtension(GrassmannAlgebra(field, 2))):
+    """(ker eps_A)^(N+1) = 0 on generators for each algebra's declared N,
+    with eps in the kernel of the dual numbers over Lambda_2."""
+    dual, eps = dual_numbers(GrassmannAlgebra(field, 2))
+    for A, extra in ((GrassmannAlgebra(field, 3), []), (SuperNumbers(field), []),
+                     (dual, [eps])):
         n = A.nilpotency_bound
-        gens = list(A.odd_generators())
-        if isinstance(A, DualExtension):
-            gens.append(A.eps())
-            gens.append(A.times_eps(A.inner.generator(1)))
+        gens = [A.generator(i) for i in range(1, A.rank + 1)]
         # every product of N+1 kernel generators (with repetition) vanishes
-        import itertools
-
-        for combo in itertools.product(gens, repeat=n + 1):
+        for combo in itertools.product(gens + extra, repeat=n + 1):
             prod = A.one()
             for g in combo:
                 prod = prod * g
             assert prod.is_zero()
         # and the bound is tight: some product of N kernel elements survives
-        if isinstance(A, GrassmannAlgebra):
-            prod = A.one()
-            for g in A.odd_generators():
-                prod = prod * g
-            assert not prod.is_zero()
+        prod = A.one()
+        for g in gens:
+            prod = prod * g
+        assert not prod.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -231,22 +229,24 @@ def test_invert_random_units(field):
         assert u * u.invert() == A.one()
 
 
-def test_dual_reduce_bar_keeps_eps():
-    D = DualExtension(GrassmannAlgebra(QQ, 2))
-    x = D.from_int(3) + D.include(D.inner.generator(1)) + \
-        D.times_eps(D.inner.from_int(2) + D.inner.generator(2))
-    assert x.reduce_bar() == D.from_int(3) + D.times_eps(D.inner.from_int(2))
-
-
 def test_dual_extension_inversion_and_eps():
-    D = DualExtension(GrassmannAlgebra(QQ, 2))
-    eps = D.eps()
+    """eps = x3 x4 in Lambda_4 is even, central and squares to zero, and
+    Lambda_2 includes with its masks unchanged."""
+    A = GrassmannAlgebra(QQ, 2)
+    D, eps = dual_numbers(A)
+    assert eps == D.monomial([3, 4])
     assert (eps * eps).is_zero()
     assert eps.parity() == 0
-    u = D.one() + D.times_eps(D.inner.generator(1) * D.inner.generator(2))
+    x1 = D.include(A.generator(1))
+    assert x1 == D.generator(1) and eps * x1 == x1 * eps
+    u = D.one() + eps * D.include(A.generator(1) * A.generator(2))
     assert u.invert() * u == D.one()
     with pytest.raises(NotInvertible):
         eps.invert()
+    with pytest.raises(StructuralError):
+        A.include(D.generator(3))
+    with pytest.raises(StructuralError):
+        D.include(GrassmannAlgebra(GF3, 2).one())
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +294,8 @@ def test_a1n_super_numbers_accepts_k_plus_eta():
     """(A[eta])_1^(1) = k + A.eta; with the base ring k this is everything."""
     SN = SuperNumbers(QQ)
     assert SN.one().a1n_member(1)
-    assert SN.eta().a1n_member(1)
-    assert (SN.one() + SN.eta()).a1n_member(1)
+    assert SN.generator(1).a1n_member(1)
+    assert (SN.one() + SN.generator(1)).a1n_member(1)
 
 
 def test_a1n_rejects_nonpositive_n():
@@ -315,9 +315,9 @@ def test_element_string_roundtrip(field):
     for _ in range(60):
         x = rand_element(A, rng, max_terms=4)
         assert parse_element(A, x.to_str()) == x
-    D = DualExtension(GrassmannAlgebra(field, 2))
+    D, eps = dual_numbers(GrassmannAlgebra(field, 2))
     for _ in range(40):
-        x = rand_element(D, rng, max_terms=3)
+        x = rand_dual(eps, rng, max_terms=3)
         assert parse_element(D, x.to_str()) == x
 
 

@@ -8,7 +8,6 @@ from superpoints import (
     GF2,
     GF3,
     QQ,
-    DualExtension,
     EvenTok,
     GroupWord,
     GrassmannAlgebra,
@@ -24,6 +23,7 @@ from superpoints import (
     SuperNumbers,
     char2_pair,
     defining_module,
+    dual_numbers,
     gl_pair,
     gp_commutator,
     gp_inv,
@@ -38,7 +38,7 @@ from superpoints import (
     strip_matrix_factorization,
 )
 from superpoints import gp, shcp, smat
-from superpoints.gp import group_law, slide_ad_matrix
+from superpoints.gp import EvenModuleData, group_law, slide_ad_matrix
 from superpoints.sampling import rand_odd
 from superpoints.verify import (
     SUITES,
@@ -51,7 +51,7 @@ from superpoints.verify import (
 )
 
 from .oracles import odd_monomial_action_oracle
-from .support import ad_unstable_pair, trivial_module
+from .support import ad_unstable_pair, negated_eo_pair, trivial_module
 from .test_shcp import count_inversions
 
 
@@ -194,7 +194,7 @@ _LAW_CASES = {
     "gl21-F3": lambda: (gl_pair(2, 1, GF3), GrassmannAlgebra(GF3, 4)),
     "char2-F2": lambda: (char2_pair(GF2), GrassmannAlgebra(GF2, 4)),
     "gl11-k[eta]": lambda: (gl_pair(1, 1, QQ), SuperNumbers(QQ)),
-    "gl21-dual-L3": lambda: (gl_pair(2, 1, QQ), DualExtension(GrassmannAlgebra(QQ, 3))),
+    "gl21-dual-L3": lambda: (gl_pair(2, 1, QQ), dual_numbers(GrassmannAlgebra(QQ, 3))[0]),
 }
 
 
@@ -386,6 +386,13 @@ def test_roundtrip_zero_odd_pair():
     assert rep.ok, rep.summary()
 
 
+def test_roundtrip_phi_psi_reports_a_wrong_even_odd_bracket():
+    """(iii): the normal form of (1 + eps E11).(1 + eta E12) carries
+    eta + eps eta at Y1, the negated table eta - eps eta."""
+    rep = roundtrip_phi_psi(negated_eo_pair(QQ), GrassmannAlgebra(QQ, 2), samples=2)
+    assert "dual probe missed [X1,Y1] at Y1" in rep.failures
+
+
 def test_generation():
     """Every sampled GL(2|1) point is reached by the word its stripping
     produces, and the module route normalizes that word back."""
@@ -550,6 +557,19 @@ def test_morphism_check_inverts_each_sample_and_image_once(monkeypatch):
     assert len(calls) == 32
 
 
+def test_morphism_check_reports_a_wrong_differential():
+    """The identity point map of gl(1|1) with omega swapping E11 and E22:
+    d(Omega_+) sends X1 to X1, omega to X2."""
+    pair = gl_pair(1, 1, QQ)
+    f = QQ
+    mor = PairMorphism(
+        pair, pair,
+        [[f.from_int(int(a != b)) for a in range(2)] for b in range(2)],
+        [[f.from_int(int(i == j)) for i in range(2)] for j in range(2)],
+        lambda g: g)
+    assert "d(Omega_+) != omega on X1" in mor.check(samples=2).failures
+
+
 def test_psi_on_morphism_identity_and_homomorphism():
     rng = random.Random(15)
     mor = corner_embedding()
@@ -583,17 +603,16 @@ def test_zero_morphism_collapses_odd_words():
 def test_module_transport_recovers_lie_action(pair11):
     """A pair module integrates to a word action whose dual-number probes
     differentiate back to the given Lie action."""
-    from superpoints import DualExtension, dual_probe
+    from superpoints import dual_probe
 
     A = GrassmannAlgebra(QQ, 2)
-    dual = DualExtension(A)
+    dual, eps = dual_numbers(A)
     # the defining module of the pair, as matrices
-    for a in range(pair11.d_plus):
-        _, probe = dual_probe(pair11.lie.rho_even[a], pair11.shape, A)
-        w = GroupWord(pair11, dual, [EvenTok(probe)])
+    for x in pair11.lie.rho_even:
+        w = GroupWord(pair11, dual, [EvenTok(dual_probe(x, pair11.shape, eps))])
         got = w.rho_matrix()
         want = pair11.identity_matrix(dual) + \
-            smat.constant_matrix(pair11.shape, dual, pair11.lie.rho_even[a]).scale(dual.eps())
+            smat.constant_matrix(pair11.shape, dual, x).scale(eps)
         assert got == want
     for i in range(pair11.d_minus):
         eta = A.generator(1)
@@ -650,6 +669,14 @@ def test_induced_odd_action_matches_oracle(field):
 
 def test_defining_module_d_compatibility(pair11):
     assert defining_module(pair11).check(pair11, samples=6).ok
+
+
+def test_module_check_reports_a_wrong_lie_action(pair11):
+    """The defining action with E11 and E22 acting by each other's matrix."""
+    v0 = defining_module(pair11)
+    wrong = EvenModuleData(v0.dim, v0.lie_mats[::-1], v0.group_action)
+    rep = wrong.check(pair11, samples=1)
+    assert "module action does not differentiate on X1" in rep.failures
 
 
 def test_induced_action_respects_group_law(pair11):

@@ -17,14 +17,17 @@ from superpoints import (
     OddTok,
     SuperMatrix,
     char2_pair,
+    dual_numbers,
     from_matrices,
     gl_block_diag,
     gl_fixture,
     gl_full,
+    gl_lie,
     gl_pair,
     gl_split,
     normal_form,
     phi_of_group,
+    scalar_torus,
     serialize,
     smat_inv,
     validate_pair,
@@ -35,7 +38,7 @@ from superpoints.shcp import AD_MEMO_SIZE
 from superpoints.smat import dual_probe
 
 from .oracles import k_matmul_oracle, supermatrix_rep_oracle
-from .support import ad_unstable_pair
+from .support import ad_unstable_pair, negated_eo_pair
 
 
 def diag(algebra, a, d):
@@ -82,6 +85,19 @@ def test_ad_unstable_pair_fails():
     rep = validate_pair(ad_unstable_pair(QQ), samples=8)
     assert not rep.ok
     assert any("Ad-stability" in m for m in rep.failures)
+
+
+def test_validate_pair_reports_an_even_basis_off_the_group():
+    """Step (1): 1 + eps E11 is not a scalar point of GL(1|1)."""
+    rep = validate_pair(HarishChandraPair(scalar_torus(1, 1), gl_lie(1, 1, QQ)), samples=2)
+    assert "1 + eps X1 is not a point of Z(1|1)[eps]" in rep.failures
+
+
+def test_validate_pair_reports_a_wrong_even_odd_bracket():
+    """Step (4): the probe Ad(1 + eps E11)(E12) = E12 + eps E12 disagrees
+    with the negated table."""
+    rep = validate_pair(negated_eo_pair(QQ), samples=2)
+    assert "d(Ad) != bracket on (X1, Y1)" in rep.failures
 
 
 @pytest.mark.parametrize("field", [GF2])
@@ -266,8 +282,9 @@ def test_ad_memo_equal_points_share_one_computation(monkeypatch):
         assert pair.ad_action_matrix(twin) == a
         assert len(calls) == before + 1
         assert a == _reference_ad(pair, g)
-    for a in range(pair.d_plus):
-        _, probe = dual_probe(pair.lie.rho_even[a], pair.shape, A)
+    _, eps = dual_numbers(A)
+    for x in pair.lie.rho_even:
+        probe = dual_probe(x, pair.shape, eps)
         assert pair.ad_action_matrix(probe) == _reference_ad(pair, probe)
 
 

@@ -10,14 +10,13 @@ from superpoints import (
     GF2,
     GF3,
     QQ,
-    DualExtension,
     GrassmannAlgebra,
     NotInvertible,
-    Scalar,
     StructuralError,
     SuperMatrix,
     SuperNumbers,
     diagonal_torus,
+    dual_numbers,
     gl_2op,
     gl_block_diag,
     gl_bracket,
@@ -31,16 +30,27 @@ from superpoints import (
     semidirect_split,
     smat_inv,
 )
-from superpoints.smat import (BUILTIN_GROUPS, ck_product, constant_matrix, dual_probe,
-                              matrix_units)
-from superpoints.sampling import rand_element, rand_k_vector, rand_odd
+from superpoints.smat import BUILTIN_GROUPS, ck_product, dual_probe, matrix_units
+from superpoints.sampling import rand_element, rand_k_vector
 from superpoints.verify import suite_tang_group
 
 from .oracles import k_matmul_oracle, supermatrix_rep_oracle
+from .support import rand_dual
 
 
 def unit(shape, algebra, i, j):
-    return SuperMatrix.unit(shape, algebra, i, j)
+    """E_{ij} (0-based) over the algebra."""
+    rows = SuperMatrix.zero(shape, algebra).mutable()
+    rows[i][j] = algebra.one()
+    return SuperMatrix(shape, algebra, rows)
+
+
+def even_component(m):
+    """The part of m with entry parity |i|+|j| (the GL(p|q)(A) pattern)."""
+    p = m.shape[0]
+    return SuperMatrix(m.shape, m.algebra,
+                       [[e.odd_part() if (i < p) != (j < p) else e.even_part()
+                         for j, e in enumerate(row)] for i, row in enumerate(m.rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -103,19 +113,9 @@ def test_twisted_associativity_pins_convention():
 
 
 def _rep(m):
-    """The supermatrix as a k-matrix on A (x) k^{p|q}, via the oracle.  An
-    entry a + b eps over Lambda_r[eps] is read in Lambda_{r+2} as
-    a + b x_{r+1} x_{r+2}: that product is even, central and squares to 0,
-    so the map is an injective map of superalgebras."""
-    alg = m.algebra
-    if isinstance(alg, DualExtension):
-        rank, top = alg.inner.rank + 2, 3 << alg.inner.rank
-        entries = [[{**e.a.terms, **{mask | top: v for mask, v in e.b.terms.items()}}
-                    for e in row] for row in m.rows]
-    else:
-        rank = alg.rank
-        entries = [[dict(e.terms) for e in row] for row in m.rows]
-    return supermatrix_rep_oracle(alg.field, rank, m.shape[0], entries)
+    """The supermatrix as a k-matrix on A (x) k^{p|q}, via the oracle."""
+    entries = [[dict(e.terms) for e in row] for row in m.rows]
+    return supermatrix_rep_oracle(m.algebra.field, m.algebra.rank, m.shape[0], entries)
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3])
@@ -138,11 +138,24 @@ def test_twisted_product_matches_regular_representation(field, shape):
 
 _CK_PAIRS = {"gl11": lambda f: gl_pair(1, 1, f), "gl21": lambda f: gl_pair(2, 1, f),
              "q2": q2_pair}
+
+
+def _drawn_by_rand_element(field):
+    A = GrassmannAlgebra(field, 4)
+    return A, lambda rng, parity=None: rand_element(A, rng, parity)
+
+
+def _drawn_with_eps():
+    """The dual numbers over Lambda_2, each entry drawn as a + b eps."""
+    A, eps = dual_numbers(GrassmannAlgebra(QQ, 2))
+    return A, lambda rng, parity=None: rand_dual(eps, rng, parity)
+
+
 _CK_ALGEBRAS = {
-    "Q": lambda: GrassmannAlgebra(QQ, 4),
-    "F2": lambda: GrassmannAlgebra(GF2, 4),
-    "F3": lambda: GrassmannAlgebra(GF3, 4),
-    "dual": lambda: DualExtension(GrassmannAlgebra(QQ, 2)),
+    "Q": lambda: _drawn_by_rand_element(QQ),
+    "F2": lambda: _drawn_by_rand_element(GF2),
+    "F3": lambda: _drawn_by_rand_element(GF3),
+    "dual": _drawn_with_eps,
 }
 
 
@@ -153,7 +166,7 @@ def test_ck_product_matches_lifted_and_regular_products(pair_name, coeffs):
     and K = rho(Z) for an even Z, equals the twisted product of the lifted
     factors and, in the regular representation, the plain k-matrix product
     (the second reference shares no code with SuperMatrix.__mul__)."""
-    A = _CK_ALGEBRAS[coeffs]()
+    A, draw = _CK_ALGEBRAS[coeffs]()
     pair = _CK_PAIRS[pair_name](A.field)
     lie, sh = pair.lie, pair.shape
     n = sh[0] + sh[1]
@@ -161,8 +174,7 @@ def test_ck_product_matches_lifted_and_regular_products(pair_name, coeffs):
     rng = random.Random(17)
 
     def rand_matrix():
-        return SuperMatrix(sh, A, [[rand_element(A, rng) for _ in range(n)]
-                                   for _ in range(n)])
+        return SuperMatrix(sh, A, [[draw(rng) for _ in range(n)] for _ in range(n)])
 
     def agree(got, *factors):
         lifted, regular = factors[0], _rep(factors[0])
@@ -171,11 +183,11 @@ def test_ck_product_matches_lifted_and_regular_products(pair_name, coeffs):
         assert got == lifted
         assert _rep(got) == regular
 
-    cases = [(rand_odd(A, rng), lie.rho_odd_nz[i], lie.rho_odd_matrix(i, A))
+    cases = [(draw(rng, 1), lie.rho_odd_nz[i], lie.rho_odd_matrix(i, A))
              for i in range(pair.d_minus)]
     for _ in range(2):
         z = rand_k_vector(A.field, rng, pair.d_plus, nonzero=True)
-        cases.append((rand_element(A, rng, parity=0), lie.rho_even_nonzeros(z),
+        cases.append((draw(rng, 0), lie.rho_even_nonzeros(z),
                       lie.rho_comb(0, z, A)))
     for c, nz, K in cases:
         m, left, right = rand_matrix(), rand_matrix(), rand_matrix()
@@ -201,7 +213,7 @@ def test_homogeneous_split_unique():
     rng = random.Random(2)
     A = GrassmannAlgebra(QQ, 3)
     m = SuperMatrix((2, 2), A, [[rand_element(A, rng) for _ in range(4)] for _ in range(4)])
-    even = m.even_component()
+    even = even_component(m)
     odd = m - even
     assert even + odd == m
     assert even.is_even_homogeneous()
@@ -216,25 +228,26 @@ def test_homogeneity_scan_matches_components(dual):
     alone must count."""
     rng = random.Random(12)
     inner = GrassmannAlgebra(QQ, 3)
-    A = DualExtension(inner) if dual else inner
+    A, eps = dual_numbers(inner) if dual else (inner, None)
     seen = set()
     for shape in [(1, 1), (2, 1)]:
         n, p = sum(shape), shape[0]
         for kind in ("even", "odd", "mixed"):
             for _ in range(8):
-                rows = [[rand_element(A, rng, parity=None if kind == "mixed"
-                                      else ((i < p) != (j < p)) ^ (kind == "odd"))
-                         for j in range(n)] for i in range(n)]
+                parts = [[[rand_element(inner, rng, parity=None if kind == "mixed"
+                                        else ((i < p) != (j < p)) ^ (kind == "odd"))
+                           for _ in range(1 + dual)] for j in range(n)] for i in range(n)]
                 if dual and kind != "mixed" and rng.random() < 0.5:
                     # flip the parity of the eps part of one entry only
                     i, j = rng.randrange(n), rng.randrange(n)
                     want = ((i < p) != (j < p)) ^ (kind == "odd")
-                    rows[i][j] = A.include(rows[i][j].a) + A.times_eps(
-                        inner.one() if want else inner.generator(1))
+                    parts[i][j][1] = inner.one() if want else inner.generator(1)
+                rows = [[A.include(e[0]) + eps * A.include(e[1]) if dual else e[0]
+                         for e in row] for row in parts]
                 m = SuperMatrix(shape, A, rows)
                 even, odd = m.is_even_homogeneous(), m.is_odd_homogeneous()
-                assert even == (m - m.even_component()).is_zero()
-                assert odd == m.even_component().is_zero()
+                assert even == (m - even_component(m)).is_zero()
+                assert odd == even_component(m).is_zero()
                 seen.add((kind, even, odd))
     assert ("even", True, False) in seen and ("odd", False, True) in seen
     assert ("mixed", False, False) in seen
@@ -312,8 +325,7 @@ def test_bracket_and_square_examples():
 def test_ad_differential_is_bracket():
     """Ad(1+eps X)(Y) = Y + eps [X,Y] over dual numbers."""
     rng = random.Random(4)
-    A = GrassmannAlgebra(QQ, 2)
-    D = DualExtension(A)
+    D, eps = dual_numbers(GrassmannAlgebra(QQ, 2))
     sh = (2, 1)
     f = QQ
     from superpoints.sampling import rand_k_vector
@@ -325,9 +337,9 @@ def test_ad_differential_is_bracket():
     for _ in range(20):
         X = lift_comb(sh, D, evens, rand_k_vector(f, rng, len(evens)))
         Y = lift_comb(sh, D, odds, rand_k_vector(f, rng, len(odds)))
-        probe = SuperMatrix.identity(sh, D) + X.scale(D.eps())
+        probe = SuperMatrix.identity(sh, D) + X.scale(eps)
         conj = probe * Y * smat_inv(probe)
-        assert conj == Y + gl_bracket(X, Y).scale(D.eps())
+        assert conj == Y + gl_bracket(X, Y).scale(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +452,9 @@ def lie_points(group, algebra):
     point of group} over matrix_units(group.shape, field); odd units are
     probed along the algebra's first generator."""
     eta = algebra.generator(1)
+    _, eps = dual_numbers(algebra)
     units = matrix_units(group.shape, algebra.field)
-    return {idx: group.member(dual_probe(rows, group.shape, algebra,
-                                         odd_direction=eta if parity else None)[1])
+    return {idx: group.member(dual_probe(rows, group.shape, eps, eta if parity else None))
             for idx, (rows, parity) in enumerate(units)}
 
 
