@@ -10,6 +10,9 @@ field, and a nilpotency bound N with (ker eps_A)^(N+1) = 0.
 * ``SuperNumbers(field)`` -- one odd generator with square zero, the rank-1
   Grassmann algebra, kept as its own subclass because it is the
   prototypical augmented central extension (odd part squares to zero).
+* ``mac(field, acc, xs, ys, twist)`` -- the one product of term dicts,
+  accumulated in place: every Grassmann product of this module and of
+  ``smat`` runs through it.
 
 Tangent probes need the dual numbers A[eps] with eps even and eps^2 = 0.
 For A = Lambda_r they are read inside Lambda_{r+2} with eps = x{r+1}x{r+2}
@@ -303,18 +306,45 @@ def _raw(field: Field, value):
 _MAX_RANK = 16
 
 
-def _merge_sign(mask_a: int, mask_b: int) -> int:
-    """Parity sign (+1/-1) from merging two disjoint sorted generator sets.
+def mac(field, acc: dict, xs: dict, ys: dict, twist: bool = False) -> dict:
+    """acc += x . y, or acc += x . twist(y), on term dicts, in place.
 
-    Counts pairs (i in a, j in b) with i > j; each is one transposition.
+    The exterior product of monomials m1, m2 is zero when they share a
+    generator and otherwise (-1)^e x^(m1|m2), e counting the pairs (i in m1,
+    j in m2) with i > j.  Bit j of ``par`` is the parity of the generators of
+    m1 above j, so e = popcount(par & m2) mod 2; twist(y) negates the odd m2,
+    which complements par.  A key whose sum is zero is dropped.  Returns acc.
     """
-    exp = 0
-    b = mask_b
-    while b:
-        low = b & -b
-        exp += (mask_a >> low.bit_length()).bit_count()
-        b ^= low
-    return -1 if exp & 1 else 1
+    add, mul, neg = field.add, field.mul, field.neg
+    for m1, c1 in xs.items():
+        par = m1 >> 1
+        par ^= par >> 1
+        par ^= par >> 2
+        par ^= par >> 4
+        par ^= par >> 8
+        if twist:
+            par = ~par
+        nc1 = None  # -c1, made on first use
+        for m2, c2 in ys.items():
+            if m1 & m2:
+                continue
+            if (par & m2).bit_count() & 1:
+                if nc1 is None:
+                    nc1 = neg(c1)
+                raw = mul(nc1, c2)
+            else:
+                raw = mul(c1, c2)
+            m = m1 | m2
+            prev = acc.get(m)
+            if prev is None:
+                acc[m] = raw
+            else:
+                raw = add(prev, raw)
+                if raw:
+                    acc[m] = raw
+                else:
+                    del acc[m]
+    return acc
 
 
 class GrassmannAlgebra:
@@ -330,14 +360,15 @@ class GrassmannAlgebra:
         self.nilpotency_bound = rank
 
     def __eq__(self, other):
+        # SuperNumbers(k) is Lambda_1 over k: equal, and their elements mix
         return (
-            type(other) is type(self)
+            isinstance(other, GrassmannAlgebra)
             and other.field == self.field
             and other.rank == self.rank
         )
 
     def __hash__(self):
-        return hash((self.variant, self.field, self.rank))
+        return hash((self.field, self.rank))
 
     def __repr__(self):
         return f"{self.variant}({self.field}, rank={self.rank})"
@@ -439,27 +470,11 @@ class GrassmannElement:
         return self + (-other)
 
     def __mul__(self, other):
-        """Exterior product: shared generators kill a term, sign by merge parity."""
+        """Exterior product (``mac``); a Scalar factor scales."""
         if isinstance(other, Scalar):
             return self.scale(other)
         self._check(other)
-        field = self.algebra.field
-        acc: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if m1 & m2:
-                    continue
-                m = m1 | m2
-                raw = field.mul(c1, c2)
-                if _merge_sign(m1, m2) < 0:
-                    raw = field.neg(raw)
-                prev = acc.get(m)
-                raw = field.add(prev, raw) if prev is not None else raw
-                if raw:
-                    acc[m] = raw
-                else:
-                    acc.pop(m, None)
-        return GrassmannElement(self.algebra, acc)
+        return GrassmannElement(self.algebra, mac(self.algebra.field, {}, self.terms, other.terms))
 
     def scale(self, s):
         """Multiply by a Scalar or a base-field value."""
@@ -526,26 +541,6 @@ class GrassmannElement:
 
     def soul(self):
         return self - self.algebra.from_scalar(self.augment())
-
-    def invert(self):
-        """Inverse when the body is a unit: geometric series on the soul.
-
-        x^-1 = body^-1 * sum_{s<=N} (-body^-1 * soul)^s, exact because
-        soul lies in ker(eps_A) and (ker eps_A)^(N+1) = 0.
-        """
-        alg = self.algebra
-        body = self.augment()
-        if body.is_zero():
-            raise NotInvertible("body is not a unit")
-        binv = alg.from_scalar(body.inv())
-        t = binv * self.soul()  # body^-1 * soul, nilpotent
-        acc = pw = alg.one()
-        for _ in range(alg.nilpotency_bound):
-            pw = -(pw * t)
-            if pw.is_zero():
-                break
-            acc = acc + pw
-        return acc * binv
 
     def a1n_member(self, n: int) -> bool:
         """Membership in A_1^(n), the unital subalgebra generated by A_1^[n].

@@ -14,7 +14,15 @@ suite: those identities are the arbiter of the convention.
 
 Products with a factor c (x) K, a coefficient element times a raw k-matrix
 (the representation matrix of a Lie superalgebra element), follow the same
-rule but visit only the nonzeros of K: ``ck_product``.
+rule but visit only the nonzeros of K: ``ck_product``.  Both products
+accumulate each output entry into one term dict with ``coeff.mac``, the
+twist a flag.
+
+``smat_inv`` inverts m = B + S, body plus soul, as (1 - t + t^2 - ...) B^-1
+with t = B^-1 S; B must be block-diagonal, as the body of every
+even-homogeneous point is, so that B^-1 is an even raw k-matrix and both of
+its products are ``ck_product``s.  With d the lowest degree of a term of S,
+t^j vanishes once j d exceeds the rank, where the series stops.
 
 Row/column parity: |i| = 0 for i < p, |i| = 1 otherwise.  A matrix is
 *even-homogeneous* when entry (i,j) is homogeneous of parity |i|+|j| (the
@@ -26,7 +34,7 @@ invertibility.
 
 from __future__ import annotations
 
-from .coeff import GrassmannAlgebra
+from .coeff import GrassmannAlgebra, GrassmannElement, mac
 from .errors import MembershipViolation, NotInvertible, StructuralError
 from .sampling import rand_element, rand_even_unit, rand_odd
 
@@ -113,24 +121,24 @@ class SuperMatrix:
 
     # -- the twisted product ----------------------------------------------
     def __mul__(self, other):
+        """Each entry accumulates sum_j m_ij . twist^{|i|+|j|}(n_jk) into one
+        term dict (``coeff.mac``)."""
         self._check(other)
-        n = self.size
-        p = self.shape[0]
-        alg = self.algebra
-        twisted = [[e.twist() for e in row] for row in other.rows]
+        p, alg = self.shape[0], self.algebra
+        field = alg.field
+        cols = [[e.terms for e in col] for col in zip(*other.rows)]
         out = []
-        for i in range(n):
-            # right-factor row j, twisted where |i| + |j| is odd
-            right = [other.rows[j] if (i < p) == (j < p) else twisted[j] for j in range(n)]
-            row = []
-            for k in range(n):
-                acc = alg.zero()
-                for j in range(n):
-                    m, e = self.rows[i][j], right[j][k]
-                    if not (m.is_zero() or e.is_zero()):
-                        acc = acc + m * e
-                row.append(acc)
-            out.append(row)
+        for i, row in enumerate(self.rows):
+            left = [(xs, (i < p) != (j < p), j) for j, e in enumerate(row) if (xs := e.terms)]
+            out_row = []
+            for col in cols:
+                acc = {}
+                for xs, twist, j in left:
+                    ys = col[j]
+                    if ys:
+                        mac(field, acc, xs, ys, twist)
+                out_row.append(GrassmannElement(alg, acc))
+            out.append(out_row)
         return SuperMatrix(self.shape, alg, out)
 
     # -- parity structure ---------------------------------------------------
@@ -205,11 +213,11 @@ def k_nonzeros(rows):
 def ck_product(left, c, nz, right, base=None):
     """base + left . (c (x) K) . right, visiting only the nonzeros of K.
 
-    c is a homogeneous coefficient element, or None for 1 when left is
-    given; K is a homogeneous raw k-matrix of parity |K|, given by its
-    nonzero entries nz (``k_nonzeros``); left and right are supermatrices,
-    or None for the identity, but not both None; base is a supermatrix, or
-    None for 0.  Raw k-values are even,
+    c is a homogeneous coefficient element, or None for 1; K is a
+    homogeneous raw k-matrix of parity |K|, given by its nonzero entries nz
+    (``k_nonzeros``); left and right are supermatrices, or None for the
+    identity, but not both None; base is a supermatrix, or None for 0.
+    Raw k-values are even,
     so the twisted product of this module gives, with |i| the parity of
     row i and twist^0 the identity,
 
@@ -220,39 +228,34 @@ def ck_product(left, c, nz, right, base=None):
     the three cases (right None, left None, c None) of
     sum_{a,b} L_ia twist^{|i|+|a|}(c) K_ab twist^{|i|+|b|}(R_bk).  So
     m (1 + cK) = ck_product(m, c, nz, None, m), and (1 + cK) m likewise.
+    Every output entry accumulates into one term dict (``coeff.mac``).
     """
     ref = left if left is not None else right
     shape, alg = ref.shape, ref.algebra
+    field = alg.field
     p, n = shape[0], shape[0] + shape[1]
-    out = base.mutable() if base is not None else [[alg.zero()] * n for _ in range(n)]
-    twisted = {}  # row b of right, twisted, made on first use
+    out = ([[dict(e.terms) for e in row] for row in base.rows] if base is not None
+           else [[{} for _ in range(n)] for _ in range(n)])
     for a, b, v in nz:
+        cv = {0: v} if c is None else {m: field.mul(x, v) for m, x in c.terms.items()}
         if left is None:
-            terms = ((a, c.scale(v)),)
-        else:
-            col = [(i, row[a]) for i, row in enumerate(left.rows) if not row[a].is_zero()]
-            if c is None:
-                terms = [(i, e.scale(v)) for i, e in col]
-            else:
-                cv = (c.scale(v), c.twist().scale(v))
-                terms = [(i, e * cv[(i < p) != (a < p)]) for i, e in col]
-        for i, x in terms:
-            if x.is_zero():
-                continue
+            terms = ((a, cv),)
+        else:  # the nonzeros L_ia of column a, each times twist^{|i|+|a|}(cv)
+            col = [(i, xs, (i < p) != (a < p)) for i, row in enumerate(left.rows)
+                   if (xs := row[a].terms)]
             if right is None:
-                out[i][b] = out[i][b] + x
+                for i, xs, twist in col:
+                    mac(field, out[i][b], xs, cv, twist)
                 continue
-            if (i < p) == (b < p):
-                row = right.rows[b]
-            else:
-                row = twisted.get(b)
-                if row is None:
-                    row = twisted[b] = [e.twist() for e in right.rows[b]]
-            dst = out[i]
-            for k, e in enumerate(row):
-                if not e.is_zero():
-                    dst[k] = dst[k] + x * e
-    return SuperMatrix(shape, alg, out)
+            terms = [(i, mac(field, {}, xs, cv, twist)) for i, xs, twist in col]
+        for i, x in terms:
+            if not x:
+                continue
+            dst, twist = out[i], (i < p) != (b < p)
+            for k, e in enumerate(right.rows[b]):
+                if e.terms:
+                    mac(field, dst[k], x, e.terms, twist)
+    return SuperMatrix(shape, alg, [[GrassmannElement(alg, t) for t in row] for row in out])
 
 
 # ---------------------------------------------------------------------------
@@ -273,28 +276,29 @@ def k_solve_matrix(field, columns):
     ops = k_matrix_inverse(field, rows) if m <= n else None
     if ops is None:
         raise StructuralError("columns are k-linearly dependent")
-    # the left inverse and the columns as sparse (index, coefficient) rows
-    left = [[(i, c) for i, c in enumerate(row) if c] for row in ops[:m]]
-    rows = [[(j, c) for j, c in enumerate(row) if c] for row in rows]
+    # the left inverse and the columns as sparse (index, coefficient) rows;
+    # each coefficient c also as the term dict {0: c} of a constant
+    left = [[(i, c, {0: c}) for i, c in enumerate(row) if c] for row in ops[:m]]
+    rows = [[(j, c, {0: c}) for j, c in enumerate(row) if c] for row in rows]
+    zero = field.from_int(0)
 
-    def raw_axpy(acc, c, x):
-        return field.add(acc, field.mul(c, x))
-
-    def element_axpy(acc, c, x):
-        return acc + x.scale(c)
+    def raw_comb(terms, xs):
+        acc = zero
+        for k, c, _ in terms:
+            if xs[k]:
+                acc = field.add(acc, field.mul(c, xs[k]))
+        return acc
 
     def solve(vector, algebra=None):
         if algebra is None:
-            zero, axpy = field.from_int(0), raw_axpy
+            comb = raw_comb
         else:
-            zero, axpy = algebra.zero(), element_axpy
-
-        def comb(terms, xs):
-            acc = zero
-            for k, c in terms:
-                if xs[k]:
-                    acc = axpy(acc, c, xs[k])
-            return acc
+            def comb(terms, xs):
+                acc = {}
+                for k, _, c in terms:
+                    if ys := xs[k].terms:
+                        mac(field, acc, ys, c)
+                return GrassmannElement(algebra, acc)
 
         coords = [comb(row, vector) for row in left]
         # exact residual check against the original columns
@@ -356,21 +360,31 @@ def is_invertible(m: SuperMatrix) -> bool:
 
 
 def smat_inv(m: SuperMatrix) -> SuperMatrix:
-    """Body-lift + Neumann series; exact, terminates by the nilpotency bound."""
-    binv_raw = k_matrix_inverse(m.algebra.field, m.body_rows())
-    if binv_raw is None:
+    """m^-1 = (1 - t + t^2 - ... +- t^N) B^-1 with t = B^-1 S and
+    N = rank // d, exact (see the module docstring); StructuralError when
+    the body B has a nonzero off-diagonal-block entry."""
+    alg, p, n = m.algebra, m.shape[0], m.size
+    body = m.body_rows()
+    if any(body[i][j] for i in range(n) for j in range(n) if (i < p) != (j < p)):
+        raise StructuralError("smat_inv needs a block-diagonal body")
+    binv = k_matrix_inverse(alg.field, body)
+    if binv is None:
         raise NotInvertible("body matrix is singular over k")
-    binv = constant_matrix(m.shape, m.algebra, binv_raw)
-    soul = m - m.body_lift()
-    t = binv * soul
-    acc = SuperMatrix.identity(m.shape, m.algebra)
-    pw = SuperMatrix.identity(m.shape, m.algebra)
-    for _ in range(m.algebra.nilpotency_bound):
-        pw = -(pw * t)
+    nz = k_nonzeros(binv)
+    soul = [[GrassmannElement(alg, {k: c for k, c in e.terms.items() if k}) for e in row]
+            for row in m.rows]
+    d = min((k.bit_count() for row in soul for e in row for k in e.terms), default=0)
+    if not d:
+        return constant_matrix(m.shape, alg, binv)
+    t = ck_product(None, None, nz, SuperMatrix(m.shape, alg, soul))
+    acc = SuperMatrix.identity(m.shape, alg) - t
+    pw = t
+    for j in range(2, alg.rank // d + 1):
+        pw = pw * t
         if pw.is_zero():
             break
-        acc = acc + pw
-    return acc * binv
+        acc = acc + pw if j % 2 == 0 else acc - pw
+    return ck_product(acc, None, nz, None)
 
 
 def gl_split(m: SuperMatrix):

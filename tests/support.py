@@ -1,8 +1,9 @@
 """Test fixtures built from the public API: pairs that must fail
-validation, the trivial inducing module and a sampler of dual numbers."""
+validation, the trivial inducing module, a sampler of dual numbers and the
+inverse of a Grassmann unit."""
 
 from superpoints import (GrassmannAlgebra, HarishChandraPair, LieSuperalgebraData,
-                         diagonal_torus, gl_block_diag, gl_lie)
+                         NotInvertible, diagonal_torus, gl_block_diag, gl_lie)
 from superpoints.gp import EvenModuleData
 from superpoints.liesuper import trivial_action
 from superpoints.sampling import rand_element
@@ -64,3 +65,25 @@ def rand_dual(eps, rng, parity=None, max_terms=2):
     a = rand_element(inner, rng, parity, max_terms)
     b = rand_element(inner, rng, parity, max_terms)
     return dual.include(a) + eps * dual.include(b)
+
+
+def invert(u):
+    """The inverse of a Grassmann element whose body is a unit: the
+    geometric series on the soul.
+
+    u^-1 = body^-1 * sum_{s<=N} (-body^-1 * soul)^s, exact because the
+    soul lies in ker(eps_A) and (ker eps_A)^(N+1) = 0.
+    """
+    alg = u.algebra
+    body = u.augment()
+    if body.is_zero():
+        raise NotInvertible("body is not a unit")
+    binv = alg.from_scalar(body.inv())
+    t = binv * u.soul()  # body^-1 * soul, nilpotent
+    acc = pw = alg.one()
+    for _ in range(alg.nilpotency_bound):
+        pw = -(pw * t)
+        if pw.is_zero():
+            break
+        acc = acc + pw
+    return acc * binv

@@ -21,10 +21,11 @@ from superpoints import (
     dual_numbers,
     parse_element,
 )
+from superpoints.coeff import GrassmannElement, mac
 from superpoints.sampling import rand_element, rand_unit_scalar
 
 from .oracles import a1n_masks_oracle, merge_sign_oracle
-from .support import rand_dual
+from .support import invert, rand_dual
 
 FIELDS = [QQ, GF2, GF3, GF5]
 
@@ -59,6 +60,56 @@ def test_product_matches_sign_oracle_exhaustive(field):
                 assert prod.is_zero()
             else:
                 assert prod == L.monomial(mask_indices(ma | mb), sign)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+@pytest.mark.parametrize("twist", [False, True])
+def test_mac_matches_sign_oracle_and_twist_exhaustive(field, twist):
+    """mac on every monomial pair of Lambda_4: the sign of the transposition
+    oracle, times (-1)^{|y|} under twist, which is GrassmannElement.twist."""
+    L = GrassmannAlgebra(field, 4)
+    for ma in range(16):
+        for mb in range(16):
+            x, y = L.monomial(mask_indices(ma), 2), L.monomial(mask_indices(mb), -3)
+            acc = mac(field, {}, x.terms, y.terms, twist)
+            assert GrassmannElement(L, acc) == x * (y.twist() if twist else y)
+            sign = merge_sign_oracle(mask_indices(ma), mask_indices(mb))
+            if twist and mb.bit_count() % 2:
+                sign = -sign
+            expect = {} if sign == 0 else {ma | mb: field.from_int(-6 * sign)}
+            assert acc == {m: c for m, c in expect.items() if c}
+
+
+def test_mac_sign_at_the_largest_rank():
+    """The parity mask spans all 16 generators: random monomial pairs of
+    Lambda_16 against the transposition oracle."""
+    rng = random.Random(16)
+    for _ in range(300):
+        ia = sorted(rng.sample(range(1, 17), rng.randint(0, 16)))
+        ib = sorted(rng.sample(range(1, 17), rng.randint(0, 4)))
+        sign = merge_sign_oracle(ia, ib)
+        acc = mac(QQ, {}, {sum(1 << (i - 1) for i in ia): 1}, {sum(1 << (i - 1) for i in ib): 1})
+        assert acc == ({} if sign == 0 else {sum(1 << (i - 1) for i in set(ia) | set(ib)): sign})
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+def test_mac_accumulates_in_place_and_drops_zeros(field):
+    """x.y + (-x).y into one dict leaves it empty, with no zero-valued key,
+    and a second product adds onto what the dict holds."""
+    rng = random.Random(3)
+    L = GrassmannAlgebra(field, 4)
+    for _ in range(50):
+        x, y, z = (rand_element(L, rng, max_terms=4) for _ in range(3))
+        for twist in (False, True):
+            acc = {}
+            mac(field, acc, x.terms, y.terms, twist)
+            assert mac(field, acc, (-x).terms, y.terms, twist) is acc
+            assert acc == {}
+            mac(field, acc, x.terms, y.terms, twist)
+            mac(field, acc, z.terms, y.terms, twist)
+            assert all(acc.values())
+            yt = y.twist() if twist else y
+            assert GrassmannElement(L, acc) == x * yt + z * yt
 
 
 def test_associativity_exhaustive_rank3():
@@ -212,10 +263,10 @@ def test_kernel_nilpotency_bound(field):
 def test_invert_examples():
     L = GrassmannAlgebra(QQ, 2)
     u = L.one() + L.monomial([1, 2])
-    assert u.invert() == L.one() - L.monomial([1, 2])
-    assert L.from_int(2).invert() == L.from_scalar(Scalar.of(QQ, "1/2"))
+    assert invert(u) == L.one() - L.monomial([1, 2])
+    assert invert(L.from_int(2)) == L.from_scalar(Scalar.of(QQ, "1/2"))
     with pytest.raises(NotInvertible):
-        L.generator(1).invert()
+        invert(L.generator(1))
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -225,8 +276,8 @@ def test_invert_random_units(field):
     for _ in range(200):
         u = A.from_scalar(rand_unit_scalar(field, rng)) + \
             rand_element(A, rng, max_terms=3, min_degree=1)
-        assert u.invert() * u == A.one()
-        assert u * u.invert() == A.one()
+        assert invert(u) * u == A.one()
+        assert u * invert(u) == A.one()
 
 
 def test_dual_extension_inversion_and_eps():
@@ -240,9 +291,9 @@ def test_dual_extension_inversion_and_eps():
     x1 = D.include(A.generator(1))
     assert x1 == D.generator(1) and eps * x1 == x1 * eps
     u = D.one() + eps * D.include(A.generator(1) * A.generator(2))
-    assert u.invert() * u == D.one()
+    assert invert(u) * u == D.one()
     with pytest.raises(NotInvertible):
-        eps.invert()
+        invert(eps)
     with pytest.raises(StructuralError):
         A.include(D.generator(3))
     with pytest.raises(StructuralError):
@@ -263,6 +314,17 @@ def test_ring_tag_mismatch_raises():
         a * c
     with pytest.raises(StructuralError):
         Scalar.of(QQ, 1) + Scalar.of(GF2, 1)
+
+
+def test_super_numbers_are_lambda_1():
+    """k[eta] and Lambda_1 over the same field are one algebra: equal, with
+    one hash, and their elements add."""
+    SN, L1 = SuperNumbers(QQ), GrassmannAlgebra(QQ, 1)
+    assert SN == L1 and L1 == SN and hash(SN) == hash(L1)
+    total = SN.one() + L1.one()
+    assert total == SN.from_int(2) and total == L1.from_int(2)
+    assert L1.one() + SN.one() == SN.from_int(2)
+    assert SN != SuperNumbers(GF3) and SN != GrassmannAlgebra(QQ, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and every name
+the benchmark's tracer wraps exists.
 
 Scans ``src/superpoints/*.py`` (except ``__init__.py``, whose imports are
 the package's exports) and ``tests/*.py`` with ``ast``: every name an
@@ -39,3 +40,17 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_traced_layer_names_exist():
+    """Every (owner, attribute) that perfbench/tracer.py wraps is still
+    defined where it looks: a rename or move under src/ would otherwise
+    break the benchmark's --trace 1 run only."""
+    path = ROOT / "perfbench" / "tracer.py"
+    tracer = {"__name__": "_traced_layers"}  # run from source: no bytecode written
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer)
+    for name, owner, attr, _ in tracer["LAYERS"]:
+        if isinstance(owner, type):
+            assert attr in vars(owner), (name, owner.__name__, attr)
+        else:
+            assert hasattr(owner, attr), (name, owner.__name__, attr)

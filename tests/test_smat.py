@@ -273,6 +273,58 @@ def test_invertibility_examples():
         smat_inv(singular)
 
 
+_INV_GROUPS = {"gl_block_diag": lambda f: gl_block_diag(2, 1),
+               "gl_full": lambda f: gl_full(2, 1),
+               "q2": lambda f: q2_pair(f).even_group}
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+@pytest.mark.parametrize("rank", [4, 6])
+@pytest.mark.parametrize("group", sorted(_INV_GROUPS))
+def test_inverse_matches_regular_representation(group, rank, field):
+    """rep(g^-1) rep(g) = I on sampled points: the series stops at
+    rank // d, and the regular representation says that was soon enough."""
+    rng = random.Random(rank)
+    A = GrassmannAlgebra(field, rank)
+    G = _INV_GROUPS[group](field)
+    ident = _rep(SuperMatrix.identity(G.shape, A))
+    for _ in range(2):
+        g = G.sample(A, rng)
+        assert k_matmul_oracle(field, _rep(smat_inv(g)), _rep(g)) == ident
+
+
+def test_inverse_of_block_diagonal_point_is_one_product(monkeypatch):
+    """Over Lambda_4 the soul of a GL2xGL1 point has degree >= 2, so the
+    series 1 - t + t^2 stops after t.t: one SuperMatrix product, the two
+    products by the body inverse being ck_products."""
+    A = GrassmannAlgebra(QQ, 4)
+    g = gl_block_diag(2, 1).sample(A, random.Random(4))
+    assert any(k for row in g.rows for e in row for k in e.terms)
+    calls = []
+    real = SuperMatrix.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(SuperMatrix, "__mul__", counted)
+    ginv = smat_inv(g)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert ginv * g == SuperMatrix.identity((2, 1), A)
+
+
+def test_inverse_refuses_an_off_diagonal_body():
+    """Constants in the off-diagonal blocks (no point of GL(1|1) has them)
+    make the body inverse an inhomogeneous k-matrix, which ck_product does
+    not take: StructuralError, although the body is invertible over k."""
+    A = GrassmannAlgebra(QQ, 2)
+    m = SuperMatrix((1, 1), A, [[A.one(), A.from_int(2)], [A.one(), A.one()]])
+    assert is_invertible(m)
+    with pytest.raises(StructuralError):
+        smat_inv(m)
+
+
 @pytest.mark.parametrize("field", [QQ, GF2, GF3])
 @pytest.mark.parametrize("shape", [(2, 2), (2, 1)])
 def test_random_inverse_and_split(field, shape):
