@@ -509,15 +509,6 @@ class GrassmannElement:
             {m: c for m, c in self.terms.items() if m.bit_count() % 2 == 1},
         )
 
-    def twist(self):
-        """even part - odd part: the sign (-1)^{|c|} from moving an odd
-        symbol past c, applied term by term."""
-        neg = self.algebra.field.neg
-        return GrassmannElement(
-            self.algebra,
-            {m: neg(c) if m.bit_count() & 1 else c for m, c in self.terms.items()},
-        )
-
     def parity(self):
         """0 or 1 for nonzero homogeneous elements, None otherwise (0 for zero)."""
         ps = {m.bit_count() % 2 for m in self.terms}

@@ -61,9 +61,9 @@ from __future__ import annotations
 
 import random
 
-from .coeff import GrassmannAlgebra, dual_numbers
+from .coeff import GrassmannAlgebra, GrassmannElement, dual_numbers, mac
 from .errors import NonTermination, SpanViolation, StructuralError
-from .liesuper import (CheckReport, StraighteningKernel, _bracket, _unit, _vcomb,
+from .liesuper import (CheckReport, StraighteningKernel, _add_row, _bracket, _unit, _vcomb,
                        trivial_action, word_action)
 from .smat import SuperMatrix, ck_product, dual_probe, gl_split, smat_inv
 
@@ -462,72 +462,79 @@ class GroupLaw:
             self.ad.append(_tails(_cells(pair.ad_action_matrix(nf.g_plus)), top))
 
     def _step(self, algebra, xi, r, with_ad):
-        """sigma, c and Ad(c) - 1 (a dict (k, l) -> entry, or None) at (xi, r)."""
-        mono = {0: algebra.one()}
+        """sigma, c and Ad(c) - 1 (a dict (k, l) -> entry, or None) at (xi, r),
+        all on term dicts but c: each sum accumulates in place by ``mac``, and
+        the cells of c are wrapped as elements once, at the end."""
+        field = algebra.field
+        mono = {0: {0: field.from_int(1)}}
         values = {}
 
         def monomial(m):
             x = mono.get(m)
             if x is None:
                 low = m & -m
-                x = mono[m] = xi[low.bit_length() - 1] * monomial(m ^ low)
+                x = mono[m] = mac(field, {}, xi[low.bit_length() - 1], monomial(m ^ low))
             return x
 
-        def at(poly, rj):
+        def at(poly):  # the caller multiplies by r_j: x^mask x_{d+1} -> xi^mask r_j
             v = values.get(poly)
             if v is None:
-                v = algebra.zero()
+                v = values[poly] = {}
                 for m, raw in poly:
-                    x = monomial(m)
-                    if not x.is_zero():
-                        v = v + x.scale(raw)
-                values[poly] = v
-            return v * rj  # x^mask x_{d+1} -> xi^mask r_j
+                    _add_row(field, v, raw, monomial(m))
+            return v
 
-        sigma = list(xi)
-        rows = SuperMatrix.identity(self.shape, algebra).mutable()
-        n = {} if with_ad else None
+        sigma = [dict(x) for x in xi]
+        size = self.shape[0] + self.shape[1]
+        rows = [[{0: field.from_int(1)} if a == b else {} for b in range(size)]
+                for a in range(size)]
+        ad = {} if with_ad else None
         for j, rj in enumerate(r):
-            if rj.is_zero():
+            if not rj:
                 continue
             for i, p in self.sigma[j]:
-                sigma[i] = sigma[i] + at(p, rj)
+                mac(field, sigma[i], at(p), rj)
             for (a, b), p in self.c[j]:
-                rows[a][b] = rows[a][b] + at(p, rj)
+                mac(field, rows[a][b], at(p), rj)
             if with_ad:
                 for kl, p in self.ad[j]:
-                    n[kl] = n[kl] + at(p, rj) if kl in n else at(p, rj)
-        return sigma, SuperMatrix(self.shape, algebra, rows), n
+                    mac(field, ad.setdefault(kl, {}), at(p), rj)
+        c = SuperMatrix(self.shape, algebra,
+                        [[GrassmannElement(algebra, t) for t in row] for row in rows])
+        return sigma, c, ad
 
     def fold(self, algebra, xi, runs):
         """P(xi) . R_1 ... R_m = P(sigma) . E for runs R = 1 + zeta sum_j w_j Y_j
         given as (zeta, w): each run folds into the odd product and leaves c;
         the later runs are carried past c by Ad(c), and E = c_m ... c_1.
-        Returns (sigma, E), with E None when no run moved anything."""
+        Returns (sigma, E), with E None when no run moved anything.  The sums
+        run on term dicts (``mac``); xi and the runs are only read."""
         if algebra.field != self.field:
             raise StructuralError("coefficient field differs from the pair's field")
+        field = algebra.field
         e = None
-        runs = list(runs)
+        sigma = [x.terms for x in xi]
+        runs = [(zeta.terms, [a.terms for a in w]) for zeta, w in runs]
         for k, (zeta, w) in enumerate(runs):
-            r = [zeta * a for a in w]
-            if all(x.is_zero() for x in r):
+            r = [mac(field, {}, zeta, a) for a in w]
+            if not any(r):
                 continue
             last = k == len(runs) - 1
-            xi, c, n = self._step(algebra, xi, r, not last)
+            sigma, c, n = self._step(algebra, sigma, r, not last)
             e = c if e is None else c * e
             if not last and n:
-                runs[k + 1:] = [(z, [x + _row_dot(n, kk, v) for kk, x in enumerate(v)])
+                runs[k + 1:] = [(z, [_row_dot(field, n, kk, v, dict(x)) for kk, x in enumerate(v)])
                                 for z, v in runs[k + 1:]]
-        return xi, e
+        return (xi if e is None else [GrassmannElement(algebra, x) for x in sigma]), e
 
 
-def _row_dot(n, k, v):
-    """Row k of the sparse matrix n applied to the vector v."""
-    acc = v[0].algebra.zero()
+def _row_dot(field, n, k, v, acc):
+    """acc += row k of the sparse matrix n applied to the vector v, on term
+    dicts, in place; returns acc."""
     for l, x in enumerate(v):
         a = n.get((k, l))
-        if a is not None and not x.is_zero():
-            acc = acc + a * x
+        if a is not None and x:
+            mac(field, acc, a, x)
     return acc
 
 
@@ -814,10 +821,11 @@ class EvenModuleData:
 
 
 def sum_mul(algebra, a, b, r, c, n):
-    acc = algebra.zero()
+    """sum_t a[r][t] b[t][c], accumulated into one term dict (``mac``)."""
+    acc = {}
     for t in range(n):
-        acc = acc + a[r][t] * b[t][c]
-    return acc
+        mac(algebra.field, acc, a[r][t].terms, b[t][c].terms)
+    return GrassmannElement(algebra, acc)
 
 
 def defining_module(pair) -> EvenModuleData:

@@ -34,12 +34,14 @@ coefficient, with the kernel's key.  straighten_action, wedge_ad_action and
 word_action take the module's straightening table (lie.odd_action, or an
 induced module's odd_act) and, for even points, its V0 action
 (trivial_action on wedge(g_1)) as arguments; an odd token 1 + eta.Y_i acts
-in word_action alone.
+in word_action alone, as one scaled straightening pass into a copy of v.
+Sums accumulate in place (coeff.mac) only into coefficients the vector made
+itself, never into an input vector's, a v0_matrix entry or an Ad memo's.
 """
 
 from __future__ import annotations
 
-from .coeff import GrassmannAlgebra
+from .coeff import GrassmannAlgebra, GrassmannElement, mac
 from .errors import ClosureViolation, StructuralError
 from .smat import (SuperMatrix, constant_matrix, gl_2op, gl_bracket, k_matmul,
                    k_nonzeros, k_solve_matrix, matrix_units)
@@ -584,27 +586,28 @@ def gl_lie(p, q, field) -> LieSuperalgebraData:
 
 # ---------------------------------------------------------------------------
 # module vectors over a coefficient algebra: dicts key -> nonzero
-# coefficient, Ybar_S (x) e_t keyed S | t << d_minus; _add_to drops zeros
+# coefficient, Ybar_S (x) e_t keyed S | t << d_minus.  Ownership rule: sums
+# accumulate in place (coeff.mac) only into elements the vector made itself,
+# never into an input vector's, a v0_matrix entry or an Ad memo element.
 
 
-def _add_to(acc, key, value):
-    """acc[key] += value for coefficient-algebra values; zeros dropped."""
-    prev = acc.get(key)
-    if prev is not None:
-        value = prev + value
-    if value.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = value
+def _mac_at(out, key, algebra, xs, ys, twist=False):
+    """out[key] += x.y, or x.twist(y), for term dicts xs and ys, into the
+    coefficient out owns at key; a new key gets a new element, and a key
+    whose sum is zero is dropped."""
+    prev = out.get(key)
+    if prev is None:
+        terms = mac(algebra.field, {}, xs, ys, twist)
+        if terms:
+            out[key] = GrassmannElement(algebra, terms)
+    elif not mac(algebra.field, prev.terms, xs, ys, twist):
+        del out[key]
 
 
 def _add_scaled(acc, a, v):
-    """acc += a.v for a coefficient a and a vector v; products that vanish
-    are skipped."""
+    """acc += a.v for a coefficient a and a vector v, in place."""
     for key, c in v.items():
-        c = a * c
-        if not c.is_zero():
-            _add_to(acc, key, c)
+        _mac_at(acc, key, a.algebra, a.terms, c.terms)
 
 
 def parity_pattern_ok(v, d_minus):
@@ -620,15 +623,20 @@ def trivial_action(g):
     return [[g.algebra.one()]]
 
 
-def straighten_action(act, index, v):
-    """Y_index acting on the vector v through the straightening table
+def straighten_action(act, index, v, scale=None, out=None):
+    """out += scale.(Y_index . v), returning out (a new vector when None;
+    scale 1 when None): Y_index acts through the straightening table
     act(index, key) (lie.odd_action, or an induced module's odd_act),
-    extended A-linearly with the super sign rule."""
-    out = {}
+    extended A-linearly with the super sign rule, so each table entry raw
+    at k2 adds (scale.raw).twist(c) into out[k2] by one mac."""
+    if out is None:
+        out = {}
     for key, c in v.items():
-        csig = c.twist()
+        algebra, ys = c.algebra, c.terms
         for k2, raw in act(index, key).items():
-            _add_to(out, k2, csig.scale(raw))
+            xs = {0: raw} if scale is None else {
+                m: algebra.field.mul(x, raw) for m, x in scale.terms.items()}
+            _mac_at(out, k2, algebra, xs, ys, True)
     return out
 
 
@@ -658,7 +666,7 @@ def wedge_ad_action(act, ad_matrix, v0_matrix, v):
                 for j in range(dm):
                     a = ad_matrix[j][i0]
                     if not a.is_zero():
-                        _add_scaled(res, a, straighten_action(act, j, rest))
+                        straighten_action(act, j, rest, a, res)
             else:
                 t = key >> dm
                 res = {r << dm: row[t] for r, row in enumerate(v0_matrix)
@@ -688,7 +696,6 @@ def word_action(word, v, odd_act, v0_action):
             v = wedge_ad_action(odd_act, pair.ad_action_matrix(tok.matrix),
                                 v0_action(tok.matrix), v)
         else:
-            out = dict(v)
-            _add_scaled(out, tok.eta, straighten_action(odd_act, tok.index, v))
-            v = out
+            out = {k: GrassmannElement(c.algebra, dict(c.terms)) for k, c in v.items()}
+            v = straighten_action(odd_act, tok.index, v, tok.eta, out)
     return v

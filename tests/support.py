@@ -1,9 +1,11 @@
 """Test fixtures built from the public API: pairs that must fail
-validation, the trivial inducing module, a sampler of dual numbers and the
-inverse of a Grassmann unit."""
+validation, the trivial inducing module, a sampler of dual numbers, the
+inverse and the sign twist of a Grassmann element, and the odd action on
+module vectors composed from element operations."""
 
 from superpoints import (GrassmannAlgebra, HarishChandraPair, LieSuperalgebraData,
                          NotInvertible, diagonal_torus, gl_block_diag, gl_lie)
+from superpoints.coeff import GrassmannElement
 from superpoints.gp import EvenModuleData
 from superpoints.liesuper import trivial_action
 from superpoints.sampling import rand_element
@@ -87,3 +89,26 @@ def invert(u):
             break
         acc = acc + pw
     return acc * binv
+
+
+def twist(c):
+    """even part - odd part: the sign (-1)^{|c|} from moving an odd symbol
+    past c, applied term by term."""
+    neg = c.algebra.field.neg
+    return GrassmannElement(
+        c.algebra, {m: neg(x) if m.bit_count() & 1 else x for m, x in c.terms.items()})
+
+
+def straighten_reference(act, index, v, scale=None, out=None):
+    """out + scale . sum twist(c) . raw over the table entries act(index,
+    key) of each (key, c) in v, built from GrassmannElement sums and
+    products into a new dict (scale 1 and out empty when None): the
+    composition straighten_action(act, index, v, scale, out) replaces."""
+    res = dict(out or {})
+    for key, c in v.items():
+        for k2, raw in act(index, key).items():
+            term = twist(c).scale(raw)
+            if scale is not None:
+                term = scale * term
+            res[k2] = res[k2] + term if k2 in res else term
+    return {k: c for k, c in res.items() if not c.is_zero()}

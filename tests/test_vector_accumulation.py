@@ -1,0 +1,185 @@
+"""Module vectors and the group law accumulate in place on term dicts.
+
+The scaled straightening pass is checked against its composition from
+element operations (``support.straighten_reference``); the actions and the
+group law are checked to write to no coefficient they do not own; and one
+product, inverse and module action are pinned to make no GrassmannElement
+product or sum from inside liesuper or the group law."""
+
+import random
+import sys
+
+import pytest
+
+from superpoints import (GF2, GF3, QQ, EvenTok, GrassmannAlgebra, GroupWord, InducedModule,
+                         NormalForm, OddTok, char2_pair, defining_module, gl_pair,
+                         normal_form, q2_pair, straighten_action, wedge_ad_action,
+                         word_action)
+from superpoints.coeff import GrassmannElement
+from superpoints.gp import group_law, gp_inv, gp_mul
+from superpoints.liesuper import trivial_action
+from superpoints.sampling import rand_element, rand_even_unit, rand_odd
+from superpoints.smat import SuperMatrix
+
+from .support import straighten_reference
+
+PAIRS = [("gl(2|1)", lambda f: gl_pair(2, 1, f)), ("q(2)", q2_pair)]
+
+
+def rand_vector(algebra, rng, dim, size=5):
+    """A vector on `size` random keys below dim, coefficients of mixed parity."""
+    v = {}
+    for key in rng.sample(range(dim), min(size, dim)):
+        c = rand_element(algebra, rng, max_terms=3)
+        if not c.is_zero():
+            v[key] = c
+    return v
+
+
+def owned_copy(v):
+    return {k: GrassmannElement(c.algebra, dict(c.terms)) for k, c in v.items()}
+
+
+def modules(pair):
+    """(table, dim, v0_action) for wedge(g_1) and the defining module's
+    induced module."""
+    induced = InducedModule(pair, defining_module(pair))
+    return [(pair.lie.odd_action, 1 << pair.d_minus, trivial_action),
+            (induced.odd_act, induced.dim, induced.v0.group_action)]
+
+
+# ---------------------------------------------------------------------------
+# the scaled straightening pass
+
+
+KERNEL_CASES = ([(name, build, f) for name, build in PAIRS for f in (QQ, GF2, GF3)]
+                + [("char2", char2_pair, GF2)])
+
+
+@pytest.mark.parametrize("name,build,field", KERNEL_CASES,
+                         ids=[f"{n}-{f}" for n, _, f in KERNEL_CASES])
+def test_scaled_pass_matches_element_composition(name, build, field):
+    """straighten_action(act, i, v, scale, out) adds scale.(Y_i.v) into out
+    and returns it; with neither it is Y_i.v; no zero is stored."""
+    pair = build(field)
+    A = GrassmannAlgebra(field, 4)
+    rng = random.Random(5)
+    for act, dim, _ in modules(pair):
+        for _ in range(12):
+            v, out = rand_vector(A, rng, dim), rand_vector(A, rng, dim)
+            i = rng.randrange(pair.d_minus)
+            scale = rand_element(A, rng, max_terms=3)
+            assert straighten_action(act, i, v) == straighten_reference(act, i, v)
+            want = straighten_reference(act, i, v, scale, out)
+            acc = owned_copy(out)
+            assert straighten_action(act, i, v, scale, acc) is acc
+            assert acc == want
+            assert all(c.terms for c in acc.values())
+
+
+def test_scaled_pass_cancels_to_an_empty_vector():
+    """Adding eta.(Y.v) into a copy of -eta.(Y.v) drops every key."""
+    pair = gl_pair(2, 1, GF3)
+    A = GrassmannAlgebra(GF3, 4)
+    rng = random.Random(2)
+    v, eta = rand_vector(A, rng, 8), rand_odd(A, rng)
+    out = {k: -c for k, c in straighten_action(pair.lie.odd_action, 1, v, eta).items()}
+    assert out
+    assert straighten_action(pair.lie.odd_action, 1, v, eta, out) == {}
+
+
+# ---------------------------------------------------------------------------
+# ownership: nothing is written that the vector does not own
+
+
+def snapshot(x):
+    """A deep copy of the coefficient data in x, for comparison."""
+    if isinstance(x, GrassmannElement):
+        return tuple(sorted(x.terms.items()))
+    if isinstance(x, SuperMatrix):
+        return snapshot(x.rows)
+    if isinstance(x, NormalForm):
+        return snapshot(x.etas), snapshot(x.g_plus)
+    if isinstance(x, dict):
+        return {k: snapshot(c) for k, c in x.items()}
+    return tuple(snapshot(c) for c in x)
+
+
+@pytest.mark.parametrize("name,build", PAIRS, ids=[n for n, _ in PAIRS])
+@pytest.mark.parametrize("field", [QQ, GF3], ids=str)
+def test_actions_and_group_law_write_only_what_they_own(name, build, field):
+    pair = build(field)
+    A = GrassmannAlgebra(field, 4)
+    rng = random.Random(11)
+    one = NormalForm.identity(pair, A)
+    g = pair.even_group.sample(A, rng)
+    word = GroupWord(pair, A, [OddTok(0, rand_odd(A, rng)), EvenTok(g),
+                               OddTok(pair.d_minus - 1, rand_odd(A, rng)),
+                               EvenTok(one.g_plus)])
+    a = normal_form(word)
+    # b and odd act on v by an odd token first
+    b = normal_form(GroupWord(pair, A, [EvenTok(g), OddTok(1, rand_odd(A, rng))]))
+    odd = NormalForm(pair, A, [rand_odd(A, rng)] + [A.zero()] * (pair.d_minus - 1),
+                     one.g_plus)
+    ad = pair.ad_action_matrix(g)
+    for act, dim, v0_action in modules(pair):
+        v0 = v0_action(g)
+        v = rand_vector(A, rng, dim, size=6)
+        scale = rand_even_unit(A, rng)
+        kept = [v, v0, one, a, b, odd, ad, g, scale]
+        memo = dict(pair._ad_memo)
+        before = snapshot(kept), snapshot(memo)
+        for w in (word, b, odd):
+            word_action(w, v, act, v0_action)
+        wedge_ad_action(act, ad, v0, v)
+        straighten_action(act, 0, v)
+        straighten_action(act, 0, v, scale, owned_copy(v))
+        gp_inv(gp_mul(a, b))
+        gp_mul(one, a)
+        if v0_action is not trivial_action:
+            module = InducedModule(pair, defining_module(pair))
+            for nf in (a, b, odd, one):
+                module.apply_normal_form(nf, v)
+        assert (snapshot(kept), snapshot(memo)) == before
+
+
+# ---------------------------------------------------------------------------
+# no GrassmannElement arithmetic inside the rewritten layers
+
+
+GROUP_LAW_CODE = {"_step", "monomial", "at", "fold", "_row_dot"}
+
+
+def count_element_ops(monkeypatch):
+    """Route GrassmannElement.__mul__ and __add__ through a counter of the
+    calls made from liesuper or from the group law (GroupLaw's methods, the
+    functions nested in them, and _row_dot), and return the list."""
+    calls = []
+    for attr in ("__mul__", "__add__"):
+        def counted(self, other, _real=getattr(GrassmannElement, attr), _attr=attr):
+            code = sys._getframe(1).f_code
+            if (code.co_filename.endswith("liesuper.py")
+                    or code.co_filename.endswith("gp.py") and code.co_name in GROUP_LAW_CODE):
+                calls.append((_attr, code.co_name))
+            return _real(self, other)
+        monkeypatch.setattr(GrassmannElement, attr, counted)
+    return calls
+
+
+def test_group_law_and_module_action_make_no_element_arithmetic(monkeypatch):
+    pair = gl_pair(2, 1, GF3)
+    A = GrassmannAlgebra(GF3, 4)
+    rng = random.Random(3)
+    module = InducedModule(pair, defining_module(pair))
+    g = pair.even_group.sample(A, rng)
+    a = normal_form(GroupWord(pair, A, [OddTok(0, rand_odd(A, rng)), EvenTok(g),
+                                        OddTok(2, rand_odd(A, rng))]))
+    b = normal_form(GroupWord(pair, A, [OddTok(1, rand_odd(A, rng)),
+                                        OddTok(3, rand_odd(A, rng)), EvenTok(g)]))
+    assert sum(not e.is_zero() for e in b.etas) >= 2
+    group_law(pair)  # compiled before counting
+    calls = count_element_ops(monkeypatch)
+    ab = gp_mul(a, b)
+    gp_inv(ab)
+    module.apply_normal_form(ab, module.vacuum_with(0, A))
+    assert calls == []
