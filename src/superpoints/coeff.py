@@ -24,6 +24,8 @@ first-class citizens).  No floating point appears anywhere.  A raw value has
 one representation: over Q an ``int`` when it is integral and a ``Fraction``
 with denominator >= 2 otherwise, so integral work (the structure constants of
 gl(p|q) are 0 and +-1) runs on machine ints; over F_p an ``int`` in [0, p).
+``RationalField`` works on numerators and denominators and fills each
+non-integral result's slots with ``_frac``: no ``Fraction`` operator runs.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import NotInvertible, StructuralError
 
@@ -43,10 +46,10 @@ class Field:
 
     Raw values are plain numbers, one per field element: over Q an ``int``
     when integral and a ``Fraction`` with denominator >= 2 otherwise, over
-    F_p an ``int`` in [0, p).  Every method returns the canonical form, and
-    ``int`` and ``Fraction`` compare and hash alike.  0 is the only falsy
-    value: ``if c:`` is the zero test.  ``Scalar`` wraps a raw value with
-    its field at the public boundary.
+    F_p an ``int`` in [0, p).  Every method takes and returns the canonical
+    form, and ``int`` and ``Fraction`` compare and hash alike.  0 is the
+    only falsy value: ``if c:`` is the zero test.  ``Scalar`` wraps a raw
+    value with its field at the public boundary.
     """
 
     name: str
@@ -85,25 +88,68 @@ def _canonical(r):
     return r if type(r) is int or r.denominator != 1 else r.numerator
 
 
+def _frac(n, d):
+    """The Fraction n/d for coprime n and d >= 2, its two slots filled
+    directly: no second gcd, no type dispatch.  A plain Fraction, equal and
+    hashing alike; without those slots the assignments raise AttributeError."""
+    r = object.__new__(Fraction)
+    r._numerator = n
+    r._denominator = d
+    return r
+
+
 class RationalField(Field):
+    """Q on the numerators and denominators of canonical inputs (an int, or
+    a reduced Fraction with denominator >= 2, as every Field method returns
+    them).  int op int comes first; the rest run Knuth's gcd-reduced
+    algorithms (TAOCP 2, 4.5.1) and build non-integral results with _frac:
+    Fraction's own operators cost more in type dispatch than in arithmetic."""
+
     name = "Q"
 
-    # add and mul inline _canonical: they are the hottest calls over Q
     def add(self, a, b):
-        r = a + b
-        return r if type(r) is int or r.denominator != 1 else r.numerator
+        if type(a) is int:
+            if type(b) is int:
+                return a + b
+            a, b = b, a
+        na, da = a._numerator, a._denominator
+        if type(b) is int:  # na + b * da is still coprime to da
+            return _frac(na + b * da, da)
+        nb, db = b._numerator, b._denominator
+        g = gcd(da, db)
+        if g == 1:
+            return _frac(na * db + nb * da, da * db)
+        s = da // g
+        n = na * (db // g) + nb * s
+        g = gcd(n, g)  # n shares with s * db only factors of g
+        d = s * (db // g)
+        return n // g if d == 1 else _frac(n // g, d)
 
     def neg(self, a):
-        return -a
+        return -a if type(a) is int else _frac(-a._numerator, a._denominator)
 
     def mul(self, a, b):
-        r = a * b
-        return r if type(r) is int or r.denominator != 1 else r.numerator
+        if type(a) is int:
+            if type(b) is int:
+                return a * b
+            a, b = b, a
+        na, da = a._numerator, a._denominator
+        if type(b) is int:
+            g = gcd(b, da)
+            n, d = na * (b // g), da // g
+        else:
+            nb, db = b._numerator, b._denominator
+            g, h = gcd(na, db), gcd(nb, da)
+            n, d = (na // g) * (nb // h), (da // h) * (db // g)
+        return n if d == 1 else _frac(n, d)
 
     def inv(self, a):
-        if a == 0:
+        n, d = (1, a) if type(a) is int else (a._denominator, a._numerator)
+        if d < 0:
+            n, d = -n, -d
+        if d == 0:
             raise NotInvertible("division by zero in Q")
-        return _canonical(Fraction(1, 1) / a)
+        return n if d == 1 else _frac(n, d)
 
     def from_int(self, n):
         return int(n)

@@ -65,7 +65,7 @@ from .coeff import GrassmannAlgebra, GrassmannElement, dual_numbers, mac
 from .errors import NonTermination, SpanViolation, StructuralError
 from .liesuper import (CheckReport, StraighteningKernel, _add_row, _bracket, _unit, _vcomb,
                        trivial_action, word_action)
-from .smat import SuperMatrix, ck_product, dual_probe, gl_split, smat_inv
+from .smat import SuperMatrix, ck_product, dual_probe, gl_split, smat_inv, wrap_grid
 
 MAX_WORD_TOKENS = 10_000
 _REWRITE_BUDGET = 1_000_000
@@ -499,9 +499,7 @@ class GroupLaw:
             if with_ad:
                 for kl, p in self.ad[j]:
                     mac(field, ad.setdefault(kl, {}), at(p), rj)
-        c = SuperMatrix(self.shape, algebra,
-                        [[GrassmannElement(algebra, t) for t in row] for row in rows])
-        return sigma, c, ad
+        return sigma, wrap_grid(self.shape, algebra, rows), ad
 
     def fold(self, algebra, xi, runs):
         """P(xi) . R_1 ... R_m = P(sigma) . E for runs R = 1 + zeta sum_j w_j Y_j

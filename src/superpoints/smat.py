@@ -16,13 +16,14 @@ Products with a factor c (x) K, a coefficient element times a raw k-matrix
 (the representation matrix of a Lie superalgebra element), follow the same
 rule but visit only the nonzeros of K: ``ck_product``.  Both products
 accumulate each output entry into one term dict with ``coeff.mac``, the
-twist a flag.
+twist a flag; ``grid_mul`` is the product of two grids of term dicts.
 
-``smat_inv`` inverts m = B + S, body plus soul, as (1 - t + t^2 - ...) B^-1
-with t = B^-1 S; B must be block-diagonal, as the body of every
-even-homogeneous point is, so that B^-1 is an even raw k-matrix and both of
-its products are ``ck_product``s.  With d the lowest degree of a term of S,
-t^j vanishes once j d exceeds the rank, where the series stops.
+``smat_inv`` inverts m = B + S, body plus soul, as (1 + u + u^2 + ...) B^-1
+with u = -B^-1 S; B must be block-diagonal, as the body of every
+even-homogeneous point is, so that B^-1 is an even raw k-matrix.  With d
+the lowest degree of a term of S, u^j vanishes once j d exceeds the rank,
+where the series stops.  Each power u^j is one ``SuperMatrix`` product, and
+u^j B^-1 accumulates into the result's term dicts in place.
 
 Row/column parity: |i| = 0 for i < p, |i| = 1 otherwise.  A matrix is
 *even-homogeneous* when entry (i,j) is homogeneous of parity |i|+|j| (the
@@ -121,25 +122,10 @@ class SuperMatrix:
 
     # -- the twisted product ----------------------------------------------
     def __mul__(self, other):
-        """Each entry accumulates sum_j m_ij . twist^{|i|+|j|}(n_jk) into one
-        term dict (``coeff.mac``)."""
+        """The twisted product, on the entries' term dicts (``grid_mul``)."""
         self._check(other)
-        p, alg = self.shape[0], self.algebra
-        field = alg.field
-        cols = [[e.terms for e in col] for col in zip(*other.rows)]
-        out = []
-        for i, row in enumerate(self.rows):
-            left = [(xs, (i < p) != (j < p), j) for j, e in enumerate(row) if (xs := e.terms)]
-            out_row = []
-            for col in cols:
-                acc = {}
-                for xs, twist, j in left:
-                    ys = col[j]
-                    if ys:
-                        mac(field, acc, xs, ys, twist)
-                out_row.append(GrassmannElement(alg, acc))
-            out.append(out_row)
-        return SuperMatrix(self.shape, alg, out)
+        grid = grid_mul(self.algebra.field, self.shape[0], term_grid(self), term_grid(other))
+        return wrap_grid(self.shape, self.algebra, grid)
 
     # -- parity structure ---------------------------------------------------
     def _parity_pattern(self, shift):
@@ -205,6 +191,32 @@ class SuperMatrix:
 # products with a factor c (x) K
 
 
+def grid_mul(field, p, xs, ys, out=None):
+    """out + xs . ys for square grids of term dicts with p even rows, in
+    place (out None is 0): out_ik gains x_ij . twist^{|i|+|j|}(y_jk) in
+    increasing j, one ``coeff.mac`` each."""
+    if out is None:
+        out = [[{} for _ in row] for row in xs]
+    for i, row in enumerate(xs):
+        for j, x in enumerate(row):
+            if x:
+                twist = (i < p) != (j < p)
+                for k, y in enumerate(ys[j]):
+                    if y:
+                        mac(field, out[i][k], x, y, twist)
+    return out
+
+
+def term_grid(m):
+    """m's entries' term dicts, shared: read them, never write them."""
+    return [[e.terms for e in row] for row in m.rows]
+
+
+def wrap_grid(shape, algebra, grid):
+    """The supermatrix whose entries own the term dicts of grid."""
+    return SuperMatrix(shape, algebra, [[GrassmannElement(algebra, t) for t in r] for r in grid])
+
+
 def k_nonzeros(rows):
     """The nonzero entries of a raw k-matrix as ((row, column, value), ...)."""
     return tuple((a, b, v) for a, row in enumerate(rows) for b, v in enumerate(row) if v)
@@ -255,7 +267,7 @@ def ck_product(left, c, nz, right, base=None):
             for k, e in enumerate(right.rows[b]):
                 if e.terms:
                     mac(field, dst[k], x, e.terms, twist)
-    return SuperMatrix(shape, alg, [[GrassmannElement(alg, t) for t in row] for row in out])
+    return wrap_grid(shape, alg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -360,31 +372,31 @@ def is_invertible(m: SuperMatrix) -> bool:
 
 
 def smat_inv(m: SuperMatrix) -> SuperMatrix:
-    """m^-1 = (1 - t + t^2 - ... +- t^N) B^-1 with t = B^-1 S and
+    """m^-1 = (1 + u + u^2 + ... + u^N) B^-1 with u = -B^-1 S and
     N = rank // d, exact (see the module docstring); StructuralError when
     the body B has a nonzero off-diagonal-block entry."""
     alg, p, n = m.algebra, m.shape[0], m.size
+    field = alg.field
     body = m.body_rows()
     if any(body[i][j] for i in range(n) for j in range(n) if (i < p) != (j < p)):
         raise StructuralError("smat_inv needs a block-diagonal body")
-    binv = k_matrix_inverse(alg.field, body)
+    binv = k_matrix_inverse(field, body)
     if binv is None:
         raise NotInvertible("body matrix is singular over k")
-    nz = k_nonzeros(binv)
-    soul = [[GrassmannElement(alg, {k: c for k, c in e.terms.items() if k}) for e in row]
-            for row in m.rows]
-    d = min((k.bit_count() for row in soul for e in row for k in e.terms), default=0)
+    soul = [[{k: c for k, c in e.terms.items() if k} for e in row] for row in m.rows]
+    d = min((k.bit_count() for row in soul for x in row for k in x), default=0)
     if not d:
         return constant_matrix(m.shape, alg, binv)
-    t = ck_product(None, None, nz, SuperMatrix(m.shape, alg, soul))
-    acc = SuperMatrix.identity(m.shape, alg) - t
-    pw = t
-    for j in range(2, alg.rank // d + 1):
-        pw = pw * t
+    right = [[{0: v} if v else {} for v in row] for row in binv]
+    ug = grid_mul(field, p, [[{0: field.neg(v)} if v else {} for v in row] for row in binv], soul)
+    out = grid_mul(field, p, ug, right, [[dict(x) for x in row] for row in right])
+    u = pw = wrap_grid(m.shape, alg, ug)
+    for _ in range(2, alg.rank // d + 1):
+        pw = pw * u
         if pw.is_zero():
             break
-        acc = acc + pw if j % 2 == 0 else acc - pw
-    return ck_product(acc, None, nz, None)
+        grid_mul(field, p, term_grid(pw), right, out)
+    return wrap_grid(m.shape, alg, out)
 
 
 def gl_split(m: SuperMatrix):

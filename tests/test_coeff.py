@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superpoints import (
@@ -19,10 +19,15 @@ from superpoints import (
     StructuralError,
     SuperNumbers,
     dual_numbers,
+    gl_pair,
+    normal_form,
     parse_element,
+    reorder_symbolic,
+    strip_matrix_factorization,
 )
-from superpoints.coeff import GrassmannElement, mac
+from superpoints.coeff import GrassmannElement, _canonical, _frac, mac
 from superpoints.sampling import rand_element, rand_unit_scalar
+from superpoints.verify import random_word
 
 from .oracles import a1n_masks_oracle, merge_sign_oracle
 from .support import invert, rand_dual, twist as twist_of
@@ -174,16 +179,31 @@ def test_odd_squares_vanish(data):
 
 
 def assert_canonical(raw, value):
-    """raw is value, held as an int exactly when value is integral."""
-    assert raw == value
-    assert type(raw) is (int if Fraction(value).denominator == 1 else Fraction)
+    """raw is value, held as an int exactly when value is integral: the
+    same type, numerator, denominator, hash and str as Fraction arithmetic
+    followed by _canonical gives."""
+    want = _canonical(Fraction(value))
+    assert type(raw) is (int if want.denominator == 1 else Fraction) is type(want)
+    assert (raw.numerator, raw.denominator) == (want.numerator, want.denominator)
+    assert hash(raw) == hash(want) and str(raw) == str(want)
 
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 6))
+# numerators up to 10^40 over denominators up to 10^12 made of shared small
+# primes, so that mul's two cross gcds and add's second gcd all fire
+wide_rationals = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.builds(lambda n, e: Fraction(n, 2 ** e[0] * 3 ** e[1] * 5 ** e[2] * 7 ** e[3]),
+              st.integers(-10**40, 10**40),
+              st.tuples(st.integers(0, 10), st.integers(0, 6), st.integers(0, 4),
+                        st.integers(0, 3))))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(rationals, rationals)
+@given(st.one_of(rationals, wide_rationals), st.one_of(rationals, wide_rationals))
+@example(Fraction(1, 6), Fraction(1, 3))  # add's second gcd: 1/2
+@example(Fraction(1, 6), Fraction(5, 6))  # an integral sum of Fractions
+@example(Fraction(6, 35), Fraction(-35, 6))  # both cross gcds: -1
 def test_q_raw_values_are_canonical(a, b):
     """Every RationalField operation agrees with Fraction arithmetic and
     returns an int for an integral value, a Fraction otherwise."""
@@ -192,10 +212,61 @@ def test_q_raw_values_are_canonical(a, b):
     assert_canonical(QQ.add(x, y), a + b)
     assert_canonical(QQ.mul(x, y), a * b)
     assert_canonical(QQ.neg(x), -a)
+    assert_canonical(QQ.add(x, QQ.neg(x)), 0)
     if a:
         assert_canonical(QQ.inv(x), 1 / a)
     assert_canonical(QQ.parse(QQ.format(x)), a)
     assert_canonical(QQ.from_int(a.numerator), a.numerator)
+
+
+@pytest.mark.parametrize("a", [1, -1, 7, -7, Fraction(1, 3), Fraction(-1, 3),
+                               Fraction(6, 35), Fraction(-6, 35), Fraction(10**40 + 1, 2**40)])
+def test_q_inv_of_ints_and_fractions_of_both_signs(a):
+    assert_canonical(QQ.inv(_canonical(a)), 1 / Fraction(a))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_inv_of_zero_is_not_invertible(field):
+    with pytest.raises(NotInvertible):
+        field.inv(field.from_int(0))
+
+
+def test_frac_builds_a_plain_fraction():
+    """_frac fills Fraction's two slots; Fraction has no __dict__, so an
+    interpreter whose Fraction lacks those slots raises AttributeError."""
+    assert {"_numerator", "_denominator"} <= set(Fraction.__slots__)
+    assert not hasattr(Fraction(1, 2), "__dict__")
+    for n, d in [(1, 2), (-3, 4), (10**40 + 1, 2**40), (-7, 10**12 + 1)]:
+        r, want = _frac(n, d), Fraction(n, d)
+        assert type(r) is Fraction
+        assert r == want and hash(r) == hash(want) and str(r) == str(want)
+        assert (r.numerator, r.denominator) == (n, d)
+
+
+FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                      "__neg__", "__truediv__", "__rtruediv__")
+
+
+def test_q_normal_form_routes_call_no_fraction_operator(monkeypatch):
+    """The three normal-form routes over Lambda_4(Q) run their rational
+    arithmetic in RationalField, on numerators and denominators: not one
+    Fraction operator is called."""
+    rng = random.Random(2026)
+    A = GrassmannAlgebra(QQ, 4)
+    pairs = [gl_pair(1, 1, QQ), gl_pair(2, 1, QQ)]
+    words = [random_word(pairs[t % 2], A, rng) for t in range(24)]
+    calls = []
+    for attr in FRACTION_OPERATORS:
+        def counted(*args, _real=getattr(Fraction, attr), _attr=attr):
+            calls.append(_attr)
+            return _real(*args)
+        monkeypatch.setattr(Fraction, attr, counted)
+    forms = [(normal_form(w), reorder_symbolic(w),
+              strip_matrix_factorization(w.pair, w.rho_matrix())) for w in words]
+    monkeypatch.undo()
+    assert calls == []
+    assert all(a == b == c for a, b, c in forms)
+    assert any(type(c) is Fraction for a, _, _ in forms for e in a.etas for c in e.terms.values())
 
 
 def test_q_integral_fraction_embeds_as_int():

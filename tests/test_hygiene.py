@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and every name
-the benchmark's tracer wraps exists.
+"""Source hygiene: no module imports a name it never uses, every name the
+benchmark's tracer wraps exists, and only coeff and sampling import
+fractions.
 
 Scans ``src/superpoints/*.py`` (except ``__init__.py``, whose imports are
 the package's exports) and ``tests/*.py`` with ``ast``: every name an
@@ -54,3 +55,21 @@ def test_traced_layer_names_exist():
             assert attr in vars(owner), (name, owner.__name__, attr)
         else:
             assert hasattr(owner, attr), (name, owner.__name__, attr)
+
+
+def importers_of(module):
+    """The names of the src/superpoints modules that import module."""
+    found = set()
+    for path in (ROOT / "src" / "superpoints").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(name == module or name.startswith(module + ".") for name in names if name):
+                found.add(path.name)
+    return found
+
+
+def test_fractions_imported_only_by_coeff_and_sampling():
+    """Rational arithmetic runs in coeff.RationalField alone: besides coeff,
+    only the sampler, which draws Fraction literals, imports fractions."""
+    assert importers_of("fractions") == {"coeff.py", "sampling.py"}

@@ -30,6 +30,7 @@ from superpoints import (
     semidirect_split,
     smat_inv,
 )
+from superpoints.coeff import GrassmannElement
 from superpoints.smat import BUILTIN_GROUPS, ck_product, dual_probe, matrix_units
 from superpoints.sampling import rand_element, rand_k_vector
 from superpoints.verify import suite_tang_group
@@ -295,8 +296,8 @@ def test_inverse_matches_regular_representation(group, rank, field):
 
 def test_inverse_of_block_diagonal_point_is_one_product(monkeypatch):
     """Over Lambda_4 the soul of a GL2xGL1 point has degree >= 2, so the
-    series 1 - t + t^2 stops after t.t: one SuperMatrix product, the two
-    products by the body inverse being ck_products."""
+    series 1 + u + u^2 stops after u.u: one SuperMatrix product, the
+    products by the body inverse running on term dicts."""
     A = GrassmannAlgebra(QQ, 4)
     g = gl_block_diag(2, 1).sample(A, random.Random(4))
     assert any(k for row in g.rows for e in row for k in e.terms)
@@ -314,10 +315,30 @@ def test_inverse_of_block_diagonal_point_is_one_product(monkeypatch):
     assert ginv * g == SuperMatrix.identity((2, 1), A)
 
 
+@pytest.mark.parametrize("field", [QQ, GF3])
+@pytest.mark.parametrize("group", [gl_block_diag, gl_full])
+def test_inverse_sums_its_series_on_term_dicts(monkeypatch, field, group):
+    """smat_inv accumulates 1 + u + u^2 + ... into term dicts in place: no
+    element or matrix sum, difference or negation runs inside it."""
+    A = GrassmannAlgebra(field, 4)
+    g = group(2, 1).sample(A, random.Random(7))
+    calls = []
+    for cls in (GrassmannElement, SuperMatrix):
+        for attr in ("__add__", "__sub__", "__neg__"):
+            def counted(*args, _real=getattr(cls, attr), _name=f"{cls.__name__}.{attr}"):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(cls, attr, counted)
+    ginv = smat_inv(g)
+    assert calls == []
+    monkeypatch.undo()
+    assert ginv * g == SuperMatrix.identity((2, 1), A) == g * ginv
+
+
 def test_inverse_refuses_an_off_diagonal_body():
     """Constants in the off-diagonal blocks (no point of GL(1|1) has them)
-    make the body inverse an inhomogeneous k-matrix, which ck_product does
-    not take: StructuralError, although the body is invertible over k."""
+    make the body inverse an inhomogeneous k-matrix, which the series
+    does not take: StructuralError, although the body is invertible over k."""
     A = GrassmannAlgebra(QQ, 2)
     m = SuperMatrix((1, 1), A, [[A.one(), A.from_int(2)], [A.one(), A.one()]])
     assert is_invertible(m)
