@@ -6,11 +6,12 @@ one-parameter factors (1 + eta.Y_i).  The canonical (LEFT) normal form is
 
     g  =  (prod_i^< (1 + eta_i Y_i)) . g+
 
-with the product over the fixed odd-basis order.  ``factor_product`` is the
+with the product over the fixed odd-basis order.  ``factor_grid`` is the
 one evaluator of such products in the representation, from the right end
-on; words, normal forms and the dividing-out step below all call it.  The
-even factor a route computes is checked once, by ``NormalForm``, through
-the even group's ``member``.  Two independent routes compute the form:
+on, on one grid of term dicts (odd factors by smat's in-place left-factor
+rule); each route wraps its result once, and the even factor it computes
+is checked once, by ``NormalForm``, through the even group's ``member``.
+Two independent routes compute the form:
 
 * ``normal_form`` -- module extraction: act by ``word_action`` on the
   vacuum ``{0: 1}`` of the exterior module ``wedge(g_1)``; the coefficients
@@ -65,7 +66,8 @@ from .coeff import GrassmannAlgebra, GrassmannElement, dual_numbers, mac
 from .errors import NonTermination, SpanViolation, StructuralError
 from .liesuper import (CheckReport, StraighteningKernel, _add_row, _bracket, _unit, _vcomb,
                        trivial_action, word_action)
-from .smat import SuperMatrix, ck_product, dual_probe, gl_split, smat_inv, wrap_grid
+from .smat import (SuperMatrix, block_split, ck_grid, copy_grid, dual_probe, gl_split, grid_inv,
+                   grid_mul, identity_grid, smat_inv, term_grid, wrap_grid)
 
 MAX_WORD_TOKENS = 10_000
 _REWRITE_BUDGET = 1_000_000
@@ -96,18 +98,25 @@ class OddTok:
 
 def factor_product(pair, algebra, tokens, m=None):
     """tokens[0] ... tokens[-1] . m in the representation over the algebra,
-    evaluated from the right end on, with m = None for the identity: an even
-    token g gives g . m (just g while m is still the identity), and
-    (1 + eta Y_i) gives m + eta rho(Y_i) . m, a ``ck_product``."""
-    nz = pair.lie.rho_odd_nz
+    with m = None for the identity (``factor_grid``), wrapped once."""
+    grid = None if m is None else copy_grid(term_grid(m))
+    return wrap_grid(pair.shape, algebra, factor_grid(pair, algebra.field, tokens, grid))
+
+
+def factor_grid(pair, field, tokens, grid=None):
+    """tokens[0] ... tokens[-1] . grid, on a grid of term dicts the caller
+    owns (None for the identity), from the right end on: an even token g
+    gives g . grid (``grid_mul``; a copy of g while grid is the identity),
+    and (1 + eta Y_i) applies in place as a left factor (``ck_grid``)."""
+    p, n, nz = pair.shape[0], sum(pair.shape), pair.lie.rho_odd_nz
     for t in reversed(tokens):
         if t.kind == "even":
-            m = t.matrix if m is None else t.matrix * m
+            g = term_grid(t.matrix)
+            grid = copy_grid(g) if grid is None else grid_mul(field, p, g, grid)
         else:
-            if m is None:
-                m = pair.identity_matrix(algebra)
-            m = ck_product(None, t.eta, nz[t.index], m, m)
-    return pair.identity_matrix(algebra) if m is None else m
+            grid = identity_grid(field, n) if grid is None else grid
+            ck_grid(field, p, None, t.eta.terms, nz[t.index], grid, grid)
+    return identity_grid(field, n) if grid is None else grid
 
 
 class GroupWord:
@@ -231,42 +240,49 @@ def normal_form(word: GroupWord) -> NormalForm:
     v = word_action(word, {0: algebra.one()}, pair.lie.odd_action, trivial_action)
     zero = algebra.zero()
     etas = [v.get(1 << i, zero) for i in range(pair.d_minus)]
-    return NormalForm(pair, algebra, etas, _divide_odd_product(pair, etas, word.rho_matrix()))
+    g_plus = factor_grid(pair, algebra.field, _division(etas) + list(word.tokens))
+    return NormalForm(pair, algebra, etas, wrap_grid(pair.shape, algebra, g_plus))
 
 
-def _divide_odd_product(pair, etas, m):
-    """(1 - eta_d Y_d)...(1 - eta_1 Y_1) . m, the odd product
-    (1 + eta_1 Y_1)...(1 + eta_d Y_d) divided out of m on the left."""
-    return factor_product(pair, m.algebra, [
-        OddTok(i, -etas[i]) for i in reversed(range(pair.d_minus)) if not etas[i].is_zero()], m)
+def _division(etas):
+    """The factors (1 - eta_d Y_d) ... (1 - eta_1 Y_1), whose product divides
+    (1 + eta_1 Y_1) ... (1 + eta_d Y_d) out on the left."""
+    return [OddTok(i, -etas[i]) for i in reversed(range(len(etas))) if not etas[i].is_zero()]
 
 
 # ---------------------------------------------------------------------------
 # route 2: symbolic rewriting
 
 
-def _conjugate_odds(odds, ad_matrix):
-    """Each odd factor (i, eta) of the list expanded through Ad: the factors
-    (j, eta a[j][i]) of (1 + eta Ad(Y_i)), which commute (all coefficients
-    share the odd factor eta)."""
+def _conjugate_odds(field, odds, ad_matrix):
+    """Each odd factor (i, eta) of the list expanded through Ad, on term
+    dicts: the factors (j, eta a[j][i]) of (1 + eta Ad(Y_i)), which commute
+    (all coefficients share the odd factor eta)."""
     out = []
     for i, eta in odds:
         for j, row in enumerate(ad_matrix):
-            if not row[i].is_zero():
-                coeff = eta * row[i]
-                if not coeff.is_zero():
-                    out.append((j, coeff))
+            if (a := row[i].terms) and (coeff := mac(field, {}, eta, a)):
+                out.append((j, coeff))
     return out
 
 
-def slide_ad_matrix(lie, z, c):
-    """Ad(1 + c.rho(Z)) for Z = sum_a z_a X_a and an even c with c^2 = 0,
-    read off the bracket table (slide relation, tang-group identity (f)):
-    Ad(1 + cZ)(Y_k) = Y_k + c[Z, Y_k], so a[j][k] = delta_jk + c sum_a z_a eo[a][k][j]."""
-    dm, algebra = lie.d_minus, c.algebra
-    cols = [lie.bracket_eo(z, _unit(lie.field, dm, k)) for k in range(dm)]
-    return [[(algebra.one() if j == k else algebra.zero()) + c.scale(cols[k][j])
-             for k in range(dm)] for j in range(dm)]
+def slide_odds(lie, z, c, odds):
+    """The odd factors (k, eta) carried right past 1 + c.rho(Z), for
+    Z = sum_a z_a X_a and an even c with c^2 = 0, on term dicts, by the
+    bracket table (slide relation, tang-group identity (f)):
+    Ad(1 + cZ)(Y_k) = Y_k + c[Z, Y_k], so (k, eta) expands into the factors
+    (j, eta (delta_jk + c sum_a z_a eo[a][k][j]))."""
+    field = lie.field
+    out = []
+    for k, eta in odds:
+        ec = mac(field, {}, eta, c)
+        for j, v in enumerate(lie.bracket_eo(z, _unit(field, lie.d_minus, k))):
+            coeff = dict(eta) if j == k else {}
+            if v:
+                _add_row(field, coeff, v, ec)
+            if coeff:
+                out.append((j, coeff))
+    return out
 
 
 def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
@@ -282,11 +298,14 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
     rewrite at position s changes only the factors from s on and steps
     back one place, so a single sweep leaves the list sorted.  Every
     coefficient these pushes create gains ideal-degree, so the sweep ends;
-    the rewrite budget trips only on a sign bug.  stats["passes"] is
-    always 1; stats["rewrites"] counts the steps of the sweep; a list in
-    stats["trace"] receives one (format string, args) pair per rewrite.
+    the rewrite budget trips only on a sign bug.  The odd list and E are
+    term dicts, wrapped once at the end.  stats["passes"] is always 1;
+    stats["rewrites"] counts the steps of the sweep; a list in stats["trace"]
+    receives one (format string, args) pair per rewrite, values as elements.
     """
     pair, algebra = word.pair, word.algebra
+    field, p, lie = algebra.field, pair.shape[0], pair.lie
+    one = {0: field.from_int(1)}
     rewrites = 0
     trace = stats.get("trace") if stats is not None else None
 
@@ -298,21 +317,20 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
 
     # consume the word right-to-left into (odds, E), E the even tokens' product
     odds: list = []
-    e_acc = factor_product(pair, algebra, [t for t in word.tokens if t.kind == "even"])
+    e_acc = factor_grid(pair, field, [t for t in word.tokens if t.kind == "even"])
     for t in reversed(word.tokens):
         if t.kind == "odd":
-            odds.insert(0, (t.index, t.eta))
+            odds.insert(0, (t.index, t.eta.terms))
         else:
-            odds = _conjugate_odds(odds, pair.ad_action_matrix(t.matrix))
+            odds = _conjugate_odds(field, odds, pair.ad_action_matrix(t.matrix))
             note("pushed even token right through {} odd factor(s) [conjugation relation]", len(odds))
 
     def emit_right(z, c, position):
         """Push the even correction 1 + c.rho(Z) from `position` through the
-        tail into E; its Ad comes from the bracket table, not conjugation,
-        and E gains c.rho(Z).E over the nonzeros of rho(Z) (``ck_product``)."""
-        nonlocal e_acc
-        odds[position:] = _conjugate_odds(odds[position:], slide_ad_matrix(pair.lie, z, c))
-        e_acc = ck_product(None, c, pair.lie.rho_even_nonzeros(z), e_acc, e_acc)
+        tail into E (``slide_odds``); E gains c.rho(Z).E in place over the
+        nonzeros of rho(Z) (``ck_grid``)."""
+        odds[position:] = slide_odds(lie, z, c, odds[position:])
+        ck_grid(field, p, None, c, lie.rho_even_nonzeros(z), e_acc, e_acc)
 
     # one sweep: odds[:s + 1] stays strictly ascending, since a rewrite at s
     # changes only odds[s:] and steps back, so the sweep ends sorted
@@ -325,25 +343,26 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
         if i < j:
             s += 1
             continue
-        c = eta2 * eta
+        c = mac(field, {}, eta2, eta)
+        shown = GrassmannElement(algebra, c) if trace is not None else None
         if i == j:
             # (1+eta Y)(1+eta2 Y) = (1 + eta2 eta Y^<2>)(1 + (eta+eta2) Y)
-            merged = eta + eta2
-            odds[s:s + 2] = [(i, merged)] if not merged.is_zero() else []
+            merged = mac(field, dict(eta), eta2, one)
+            odds[s:s + 2] = [(i, merged)] if merged else []
             note("merged repeated Y{} factors [square relation]", i + 1)
-            if not c.is_zero():
-                emit_right(pair.lie.q2[i], c, s)
+            if c:
+                emit_right(lie.q2[i], c, s)
                 note("emitted square correction (1 + {!r}.Y{}^<2>), pushed right [slide relation]",
-                     c, i + 1)
+                     shown, i + 1)
         else:
             # (1+eta Y_i)(1+eta2 Y_j) =
             #   (1 + eta2 eta [Y_i,Y_j])(1+eta2 Y_j)(1+eta Y_i),   i > j
             odds[s], odds[s + 1] = odds[s + 1], odds[s]
             note("swapped Y{} past Y{} [swap relation]", i + 1, j + 1)
-            if not c.is_zero():
-                emit_right(pair.lie.oo[i][j], c, s)
+            if c:
+                emit_right(lie.oo[i][j], c, s)
                 note("emitted bracket correction (1 + {!r}.[Y{},Y{}]), pushed right [slide relation]",
-                     c, i + 1, j + 1)
+                     shown, i + 1, j + 1)
         s = max(0, s - 1)
 
     if stats is not None:
@@ -353,8 +372,8 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
     for (i, eta) in odds:
         if not etas[i].is_zero():
             raise NonTermination("sorted word still has a repeated index")
-        etas[i] = eta
-    return NormalForm(pair, algebra, etas, e_acc)
+        etas[i] = GrassmannElement(algebra, eta)
+    return NormalForm(pair, algebra, etas, wrap_grid(pair.shape, algebra, e_acc))
 
 
 # ---------------------------------------------------------------------------
@@ -372,32 +391,24 @@ def strip_matrix_factorization(pair, m: SuperMatrix) -> NormalForm:
     ideal-degree, so the loop closes within the nilpotency bound.
     """
     algebra = m.algebra
-    p_blk = pair.shape[0]
-    size = pair.shape[0] + pair.shape[1]
+    field, p = algebra.field, pair.shape[0]
+    one = {0: field.from_int(1)}
     etas = [algebra.zero()] * pair.d_minus
-    n = algebra.nilpotency_bound
-    for _ in range(n + 2):
-        r = _divide_odd_product(pair, etas, m)
-        rows = r.mutable()
-        z = algebra.zero()
-        off = [[z] * size for _ in range(size)]
-        for a in range(size):
-            for b in range(size):
-                if (a < p_blk) != (b < p_blk):
-                    off[a][b] = rows[a][b]
-                    rows[a][b] = z
-        diag = SuperMatrix(pair.shape, algebra, rows)
-        offm = SuperMatrix(pair.shape, algebra, off)
-        if offm.is_zero():
-            nf = NormalForm(pair, algebra, etas, r)
-            if nf.rho_matrix() != m:
+    for _ in range(algebra.nilpotency_bound + 2):
+        diag, off = block_split(p, factor_grid(pair, field, _division(etas),
+                                               copy_grid(term_grid(m))))
+        if not any(x for row in off for x in row):
+            nf = NormalForm(pair, algebra, etas, wrap_grid(pair.shape, algebra, diag))
+            odds = [OddTok(i, e) for i, e in enumerate(etas) if not e.is_zero()]
+            if factor_grid(pair, field, odds, copy_grid(diag)) != term_grid(m):
                 raise NonTermination("stripping reassembly failed")
             return nf
-        delta = offm * smat_inv(diag)
-        coords = pair._odd_solver([e for row in delta.rows for e in row], algebra)
+        delta = grid_mul(field, p, off, grid_inv(field, p, algebra.rank, diag))
+        coords = pair._odd_solver([x for row in delta for x in row], terms=True)
         if coords is None:
             raise SpanViolation("odd discrepancy left the pair's odd span")
-        etas = [etas[i] + coords[i] for i in range(pair.d_minus)]
+        etas = [GrassmannElement(algebra, mac(field, x, e.terms, one)) if x else e
+                for e, x in zip(etas, coords)]
     raise NonTermination("matrix stripping did not close within the bound")
 
 
@@ -485,9 +496,7 @@ class GroupLaw:
             return v
 
         sigma = [dict(x) for x in xi]
-        size = self.shape[0] + self.shape[1]
-        rows = [[{0: field.from_int(1)} if a == b else {} for b in range(size)]
-                for a in range(size)]
+        rows = identity_grid(field, sum(self.shape))
         ad = {} if with_ad else None
         for j, rj in enumerate(r):
             if not rj:

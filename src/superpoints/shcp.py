@@ -23,19 +23,20 @@ from __future__ import annotations
 
 import random
 
-from .coeff import GrassmannAlgebra, dual_numbers
+from .coeff import GrassmannAlgebra, GrassmannElement, dual_numbers
 from .errors import SpanViolation, StructuralError
 from .liesuper import CheckReport, LieSuperalgebraData, check_axioms, from_matrices, gl_lie
 from .smat import (
     GroupDescriptor,
     SuperMatrix,
-    ck_product,
+    ck_grid,
     dual_probe,
     gl_block_diag,
     gl_full,
     k_solve_matrix,
     matrix_units,
     smat_inv,
+    term_grid,
 )
 
 AD_MEMO_SIZE = 32
@@ -78,21 +79,23 @@ class HarishChandraPair:
 
         With right = left^-1 this is column i of Ad(left); the caller passes
         both points, so nothing is inverted here.  The sandwich is one
-        ``ck_product`` over the nonzeros of rho(Y_i), never lifted.  The
+        ``ck_grid`` over the nonzeros of rho(Y_i), never lifted.  The
         solver is exact over k applied to algebra entries; a nonzero
         residual or an odd coordinate raises SpanViolation.
         """
-        algebra = left.algebra
+        algebra, field, p, n = left.algebra, self.field, self.shape[0], left.size
+        lg, rg = term_grid(left), term_grid(right)
         out = []
         for i in range(self.d_minus) if indices is None else indices:
-            conj = ck_product(left, None, self.lie.rho_odd_nz[i], right)
-            coords = self._odd_solver([e for row in conj.rows for e in row], algebra)
+            conj = ck_grid(field, p, lg, None, self.lie.rho_odd_nz[i], rg,
+                           [[{} for _ in range(n)] for _ in range(n)])
+            coords = self._odd_solver([x for row in conj for x in row], terms=True)
             if coords is None:
                 raise SpanViolation(
                     f"the conjugate of Y{i + 1} left the odd span of the pair")
-            if not all(c.is_even() or c.is_zero() for c in coords):
+            if any(m.bit_count() & 1 for c in coords for m in c):
                 raise SpanViolation(f"Ad coordinate of Y{i + 1} is not even")
-            out.append(coords)
+            out.append([GrassmannElement(algebra, c) for c in coords])
         return out
 
     def ad_coords(self, g_plus: SuperMatrix, i: int):

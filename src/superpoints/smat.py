@@ -12,18 +12,24 @@ product; when odd coefficients at odd positions meet, the twist is what
 makes the one-parameter subgroup identities hold exactly.  See the test
 suite: those identities are the arbiter of the convention.
 
-Products with a factor c (x) K, a coefficient element times a raw k-matrix
-(the representation matrix of a Lie superalgebra element), follow the same
-rule but visit only the nonzeros of K: ``ck_product``.  Both products
-accumulate each output entry into one term dict with ``coeff.mac``, the
-twist a flag; ``grid_mul`` is the product of two grids of term dicts.
+Below the ``SuperMatrix`` API every product runs on grids (rows of term
+dicts), each output entry accumulated into one term dict by ``coeff.mac``,
+the twist a flag: ``grid_mul`` for two grids, ``grid_inv`` for the inverse,
+and ``ck_grid`` for a factor c (x) K, a coefficient times a raw k-matrix
+(the representation matrix of a Lie superalgebra element), which follows
+the same rule but visits only the nonzeros of K.  ``wrap_grid`` wraps a
+grid it owns once, without re-checking its shape.  A left factor applies in
+place: ``ck_grid(field, p, None, c, nz, xs, xs)`` makes xs (1 + cK) xs, row
+a gaining c K_ab twist(row b), so a row both read and written (nonzeros at
+(a, b) and (b, a), as on q(2), or on the diagonal) is read, by a copy,
+before it is written.
 
-``smat_inv`` inverts m = B + S, body plus soul, as (1 + u + u^2 + ...) B^-1
+``grid_inv`` inverts m = B + S, body plus soul, as (1 + u + u^2 + ...) B^-1
 with u = -B^-1 S; B must be block-diagonal, as the body of every
 even-homogeneous point is, so that B^-1 is an even raw k-matrix.  With d
 the lowest degree of a term of S, u^j vanishes once j d exceeds the rank,
-where the series stops.  Each power u^j is one ``SuperMatrix`` product, and
-u^j B^-1 accumulates into the result's term dicts in place.
+where the series stops.  Each power u^j is one grid product, and u^j B^-1
+accumulates into the result in place.
 
 Row/column parity: |i| = 0 for i < p, |i| = 1 otherwise.  A matrix is
 *even-homogeneous* when entry (i,j) is homogeneous of parity |i|+|j| (the
@@ -56,14 +62,11 @@ class SuperMatrix:
     @classmethod
     def zero(cls, shape, algebra):
         n = shape[0] + shape[1]
-        z = algebra.zero()
-        return cls(shape, algebra, [[z] * n for _ in range(n)])
+        return wrap_grid((shape[0], shape[1]), algebra, [[{} for _ in range(n)] for _ in range(n)])
 
     @classmethod
     def identity(cls, shape, algebra):
-        n = shape[0] + shape[1]
-        z, o = algebra.zero(), algebra.one()
-        return cls(shape, algebra, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return wrap_grid((shape[0], shape[1]), algebra, identity_grid(algebra.field, sum(shape)))
 
     def mutable(self):
         return [list(r) for r in self.rows]
@@ -74,28 +77,17 @@ class SuperMatrix:
         return self.shape[0] + self.shape[1]
 
     def _check(self, other):
-        if (
-            not isinstance(other, SuperMatrix)
-            or other.shape != self.shape
-            or (other.algebra is not self.algebra and other.algebra != self.algebra)
-        ):
+        if (not isinstance(other, SuperMatrix) or other.shape != self.shape
+                or (other.algebra is not self.algebra and other.algebra != self.algebra)):
             raise StructuralError("shape or coefficient algebra mismatch")
 
     def __add__(self, other):
         self._check(other)
-        return SuperMatrix(
-            self.shape,
-            self.algebra,
-            [
-                [self.rows[i][j] + other.rows[i][j] for j in range(self.size)]
-                for i in range(self.size)
-            ],
-        )
+        return SuperMatrix(self.shape, self.algebra,
+                           [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
 
     def __neg__(self):
-        return SuperMatrix(
-            self.shape, self.algebra, [[-e for e in row] for row in self.rows]
-        )
+        return SuperMatrix(self.shape, self.algebra, [[-e for e in row] for row in self.rows])
 
     def __sub__(self, other):
         return self + (-other)
@@ -103,17 +95,11 @@ class SuperMatrix:
     def scale(self, c):
         """Multiply every entry on the left by a coefficient element c (even
         use only)."""
-        return SuperMatrix(
-            self.shape, self.algebra, [[c * e for e in row] for row in self.rows]
-        )
+        return SuperMatrix(self.shape, self.algebra, [[c * e for e in row] for row in self.rows])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SuperMatrix)
-            and other.shape == self.shape
-            and other.algebra == self.algebra
-            and other.rows == self.rows
-        )
+        return (isinstance(other, SuperMatrix) and other.shape == self.shape
+                and other.algebra == self.algebra and other.rows == self.rows)
 
     __hash__ = None
 
@@ -156,29 +142,20 @@ class SuperMatrix:
     def body_rows(self):
         """Entrywise augmentation: the matrix of raw values over k (off-diagonal
         blocks die for even-homogeneous input since odd elements augment to zero)."""
-        return [[e.augment().raw for e in row] for row in self.rows]
+        zero = self.algebra.field.from_int(0)
+        return [[e.terms.get(0, zero) for e in row] for row in self.rows]
 
     def body_lift(self):
         """G(sigma_A)(G(pi_A)(m)): the body, re-embedded by the unit inclusion
         of k."""
-        return SuperMatrix(
-            self.shape,
-            self.algebra,
-            [[self.algebra.from_scalar(s) for s in row] for row in self.body_rows()],
-        )
+        return constant_matrix(self.shape, self.algebra, self.body_rows())
 
     def entries_in_a1n(self, n: int) -> bool:
         """Whether every entry lies in the subalgebra A_1^(n)."""
         return all(e.a1n_member(n) for row in self.rows for e in row)
 
     def diagonal_blocks_only(self):
-        p = self.shape[0]
-        return all(
-            self.rows[i][j].is_zero()
-            for i in range(self.size)
-            for j in range(self.size)
-            if (i < p) != (j < p)
-        )
+        return not any(x for row in block_split(self.shape[0], term_grid(self))[1] for x in row)
 
     def to_strings(self):
         return [[e.to_str() for e in row] for row in self.rows]
@@ -212,9 +189,24 @@ def term_grid(m):
     return [[e.terms for e in row] for row in m.rows]
 
 
+def copy_grid(grid):
+    """A grid of fresh copies of grid's term dicts, for in-place updates."""
+    return [[dict(x) for x in row] for row in grid]
+
+
+def identity_grid(field, n):
+    """The n x n identity as a new grid of term dicts."""
+    one = field.from_int(1)
+    return [[{0: one} if i == j else {} for j in range(n)] for i in range(n)]
+
+
 def wrap_grid(shape, algebra, grid):
-    """The supermatrix whose entries own the term dicts of grid."""
-    return SuperMatrix(shape, algebra, [[GrassmannElement(algebra, t) for t in r] for r in grid])
+    """The supermatrix whose entries own the term dicts of grid, square of the
+    shape's size by construction, so not re-checked as the constructor does."""
+    m = object.__new__(SuperMatrix)
+    m.shape, m.algebra = shape, algebra
+    m.rows = tuple(tuple(GrassmannElement(algebra, t) for t in r) for r in grid)
+    return m
 
 
 def k_nonzeros(rows):
@@ -222,14 +214,14 @@ def k_nonzeros(rows):
     return tuple((a, b, v) for a, row in enumerate(rows) for b, v in enumerate(row) if v)
 
 
-def ck_product(left, c, nz, right, base=None):
-    """base + left . (c (x) K) . right, visiting only the nonzeros of K.
+def ck_grid(field, p, left, c, nz, right, out):
+    """out + left . (c (x) K) . right on grids of term dicts, in place.
 
-    c is a homogeneous coefficient element, or None for 1; K is a
-    homogeneous raw k-matrix of parity |K|, given by its nonzero entries nz
-    (``k_nonzeros``); left and right are supermatrices, or None for the
-    identity, but not both None; base is a supermatrix, or None for 0.
-    Raw k-values are even,
+    c is a homogeneous term dict, or None for 1; K is a homogeneous raw
+    k-matrix of parity |K|, given by its nonzero entries nz
+    (``k_nonzeros``); left and right are grids, or None for the identity,
+    but not both None.  out may be right itself when left is None: the
+    in-place left factor of the module docstring.  Raw k-values are even,
     so the twisted product of this module gives, with |i| the parity of
     row i and twist^0 the identity,
 
@@ -238,23 +230,17 @@ def ck_product(left, c, nz, right, base=None):
         (L . K . R)_ik = sum_{a,b} L_ia . K_ab . twist^{|i|+|b|}(R_bk)
 
     the three cases (right None, left None, c None) of
-    sum_{a,b} L_ia twist^{|i|+|a|}(c) K_ab twist^{|i|+|b|}(R_bk).  So
-    m (1 + cK) = ck_product(m, c, nz, None, m), and (1 + cK) m likewise.
-    Every output entry accumulates into one term dict (``coeff.mac``).
+    sum_{a,b} L_ia twist^{|i|+|a|}(c) K_ab twist^{|i|+|b|}(R_bk).
     """
-    ref = left if left is not None else right
-    shape, alg = ref.shape, ref.algebra
-    field = alg.field
-    p, n = shape[0], shape[0] + shape[1]
-    out = ([[dict(e.terms) for e in row] for row in base.rows] if base is not None
-           else [[{} for _ in range(n)] for _ in range(n)])
+    if left is None and out is right:  # in place: rows both read and written are read from copies
+        both = {a for a, _, _ in nz} & {b for _, b, _ in nz}
+        right = [[dict(x) for x in row] if b in both else row for b, row in enumerate(right)]
     for a, b, v in nz:
-        cv = {0: v} if c is None else {m: field.mul(x, v) for m, x in c.terms.items()}
+        cv = {0: v} if c is None else {m: field.mul(x, v) for m, x in c.items()}
         if left is None:
             terms = ((a, cv),)
         else:  # the nonzeros L_ia of column a, each times twist^{|i|+|a|}(cv)
-            col = [(i, xs, (i < p) != (a < p)) for i, row in enumerate(left.rows)
-                   if (xs := row[a].terms)]
+            col = [(i, xs, (i < p) != (a < p)) for i, row in enumerate(left) if (xs := row[a])]
             if right is None:
                 for i, xs, twist in col:
                     mac(field, out[i][b], xs, cv, twist)
@@ -264,10 +250,10 @@ def ck_product(left, c, nz, right, base=None):
             if not x:
                 continue
             dst, twist = out[i], (i < p) != (b < p)
-            for k, e in enumerate(right.rows[b]):
-                if e.terms:
-                    mac(field, dst[k], x, e.terms, twist)
-    return wrap_grid(shape, alg, out)
+            for k, y in enumerate(right[b]):
+                if y:
+                    mac(field, dst[k], x, y, twist)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +264,10 @@ def k_solve_matrix(field, columns):
     """Row-reduce the system whose columns are the m k-linearly independent
     length-n k-vectors 'columns' (raw values) once, and return a solver
     mapping a length-n vector to its exact coordinates, or None when the
-    residual is nonzero.  The vector holds elements of the coefficient
-    algebra passed to the solver, or raw k-values when none is passed.
+    residual is nonzero.  The vector holds raw k-values, or with terms=True
+    term dicts of coefficient-algebra elements, and so do the coordinates.
     """
-    m = len(columns)
-    n = len(columns[0]) if columns else 0
+    m, n = len(columns), len(columns[0]) if columns else 0
     rows = list(zip(*columns))
     # more columns than rows are dependent (and n = 0 leaves no rows to count them)
     ops = k_matrix_inverse(field, rows) if m <= n else None
@@ -301,17 +286,15 @@ def k_solve_matrix(field, columns):
                 acc = field.add(acc, field.mul(c, xs[k]))
         return acc
 
-    def solve(vector, algebra=None):
-        if algebra is None:
-            comb = raw_comb
-        else:
-            def comb(terms, xs):
-                acc = {}
-                for k, _, c in terms:
-                    if ys := xs[k].terms:
-                        mac(field, acc, ys, c)
-                return GrassmannElement(algebra, acc)
+    def terms_comb(terms, xs):
+        acc = {}
+        for k, _, c in terms:
+            if ys := xs[k]:
+                mac(field, acc, ys, c)
+        return acc
 
+    def solve(vector, terms=False):
+        comb = terms_comb if terms else raw_comb
         coords = [comb(row, vector) for row in left]
         # exact residual check against the original columns
         if any(comb(row, coords) != x for row, x in zip(rows, vector)):
@@ -325,27 +308,30 @@ def k_matrix_inverse(field, rows):
     """Gauss-Jordan over k on an n x m matrix of raw values, m <= n.
 
     Returns the n x n row operations R with R.rows = [I_m; 0] (for square
-    input, the inverse), or None when the columns are k-linearly dependent.
+    input, the inverse), or None when the columns are k-linearly dependent:
+    ``k_reduce`` on the rows with I_n appended.
     """
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
-    a = [list(r) for r in rows]
-    inv = [[field.from_int(1) if i == j else field.from_int(0) for j in range(n)] for i in range(n)]
+    n, m = len(rows), len(rows[0]) if rows else 0
+    one, zero = field.from_int(1), field.from_int(0)
+    a = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
+    return [r[m:] for r in a] if k_reduce(field, a, m) else None
+
+
+def k_reduce(field, a, m):
+    """Gauss-Jordan over k in place on the rows a (lists of raw values) in
+    their first m columns: True when those are k-linearly independent (they
+    end as [I_m; 0]), False at the first column without a pivot."""
     for col in range(m):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
+        piv = next((i for i in range(col, len(a)) if a[i][col]), None)
         if piv is None:
-            return None
+            return False
         a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
         f = field.inv(a[col][col])
         a[col] = [field.mul(f, v) for v in a[col]]
-        inv[col] = [field.mul(f, v) for v in inv[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                g = a[i][col]
-                a[i] = [field.add(x, field.neg(field.mul(g, y))) for x, y in zip(a[i], a[col])]
-                inv[i] = [field.add(x, field.neg(field.mul(g, y))) for x, y in zip(inv[i], inv[col])]
-    return inv
+        for i, row in enumerate(a):
+            if i != col and (g := row[col]):
+                a[i] = [field.add(x, field.neg(field.mul(g, y))) for x, y in zip(row, a[col])]
+    return True
 
 
 def k_matmul(field, a, b):
@@ -368,35 +354,44 @@ def k_matmul(field, a, b):
 
 
 def is_invertible(m: SuperMatrix) -> bool:
-    return k_matrix_inverse(m.algebra.field, m.body_rows()) is not None
+    """Whether the body of m is invertible over k: ``k_reduce`` on the body
+    alone, building no inverse."""
+    return k_reduce(m.algebra.field, m.body_rows(), m.size)
 
 
 def smat_inv(m: SuperMatrix) -> SuperMatrix:
-    """m^-1 = (1 + u + u^2 + ... + u^N) B^-1 with u = -B^-1 S and
-    N = rank // d, exact (see the module docstring); StructuralError when
-    the body B has a nonzero off-diagonal-block entry."""
-    alg, p, n = m.algebra, m.shape[0], m.size
-    field = alg.field
-    body = m.body_rows()
+    """m^-1 (``grid_inv``)."""
+    alg = m.algebra
+    return wrap_grid(m.shape, alg, grid_inv(alg.field, m.shape[0], alg.rank, term_grid(m)))
+
+
+def grid_inv(field, p, rank, grid):
+    """The inverse of a grid over Lambda_rank with p even rows, as a new grid:
+    (1 + u + u^2 + ... + u^N) B^-1 with u = -B^-1 S and N = rank // d, exact
+    (see the module docstring).  StructuralError when the body B has a
+    nonzero off-diagonal-block entry, NotInvertible when it is singular."""
+    n = len(grid)
+    zero = field.from_int(0)
+    body = [[x.get(0, zero) for x in row] for row in grid]
     if any(body[i][j] for i in range(n) for j in range(n) if (i < p) != (j < p)):
         raise StructuralError("smat_inv needs a block-diagonal body")
     binv = k_matrix_inverse(field, body)
     if binv is None:
         raise NotInvertible("body matrix is singular over k")
-    soul = [[{k: c for k, c in e.terms.items() if k} for e in row] for row in m.rows]
+    right = [[{0: v} if v else {} for v in row] for row in binv]
+    soul = [[{k: c for k, c in x.items() if k} for x in row] for row in grid]
     d = min((k.bit_count() for row in soul for x in row for k in x), default=0)
     if not d:
-        return constant_matrix(m.shape, alg, binv)
-    right = [[{0: v} if v else {} for v in row] for row in binv]
-    ug = grid_mul(field, p, [[{0: field.neg(v)} if v else {} for v in row] for row in binv], soul)
-    out = grid_mul(field, p, ug, right, [[dict(x) for x in row] for row in right])
-    u = pw = wrap_grid(m.shape, alg, ug)
-    for _ in range(2, alg.rank // d + 1):
-        pw = pw * u
-        if pw.is_zero():
+        return right
+    u = grid_mul(field, p, [[{0: field.neg(v)} if v else {} for v in row] for row in binv], soul)
+    out = grid_mul(field, p, u, right, copy_grid(right))
+    pw = u
+    for _ in range(2, rank // d + 1):
+        pw = grid_mul(field, p, pw, u)
+        if not any(x for row in pw for x in row):
             break
-        grid_mul(field, p, term_grid(pw), right, out)
-    return wrap_grid(m.shape, alg, out)
+        grid_mul(field, p, pw, right, out)
+    return out
 
 
 def gl_split(m: SuperMatrix):
@@ -407,32 +402,24 @@ def gl_split(m: SuperMatrix):
     """
     if not m.is_even_homogeneous():
         raise StructuralError("gl_split needs an even-homogeneous matrix")
-    p = m.shape[0]
-    rows = m.mutable()
-    z = m.algebra.zero()
-    for i in range(m.size):
-        for j in range(m.size):
-            if (i < p) != (j < p):
-                rows[i][j] = z
-    even_factor = SuperMatrix(m.shape, m.algebra, rows)
-    odd_factor = smat_inv(even_factor) * m
-    return even_factor, odd_factor
+    diag, _ = block_split(m.shape[0], copy_grid(term_grid(m)))
+    even_factor = wrap_grid(m.shape, m.algebra, diag)
+    return even_factor, smat_inv(even_factor) * m
+
+
+def block_split(p, grid):
+    """(diagonal blocks, off-diagonal blocks) of a grid with p even rows: two
+    grids that take over grid's term dicts, with new empty dicts elsewhere."""
+    rows = list(enumerate(grid))
+    return ([[x if (i < p) == (j < p) else {} for j, x in enumerate(r)] for i, r in rows],
+            [[{} if (i < p) == (j < p) else x for j, x in enumerate(r)] for i, r in rows])
 
 
 def is_odd_unipotent(m: SuperMatrix) -> bool:
     """Whether m = I + N with N supported on the off-diagonal blocks (odd
     coefficients at odd positions): the shape of gl_split's odd factor."""
-    n = m.size
-    p = m.shape[0]
-    if not m.is_even_homogeneous():
-        return False
-    ident = SuperMatrix.identity(m.shape, m.algebra)
-    return all(
-        (m.rows[i][j] - ident.rows[i][j]).is_zero()
-        for i in range(n)
-        for j in range(n)
-        if (i < p) == (j < p)
-    )
+    return (m.is_even_homogeneous() and block_split(m.shape[0], term_grid(m))[0]
+            == identity_grid(m.algebra.field, m.size))
 
 
 def gl_bracket(m: SuperMatrix, n: SuperMatrix) -> SuperMatrix:
@@ -491,8 +478,8 @@ class GroupDescriptor:
         if m.shape != self.shape or not m.is_even_homogeneous():
             return False
         rows = m.rows
-        return (all(rows[i][j].is_zero() for i, j in self._zeros)
-                and all(rows[i][j] == rows[a][b] for (i, j), (a, b) in self._ties)
+        return (all(not rows[i][j].terms for i, j in self._zeros)
+                and all(rows[i][j].terms == rows[a][b].terms for (i, j), (a, b) in self._ties)
                 and is_invertible(m))
 
     def require_member(self, m: SuperMatrix, context=""):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 
 from .coeff import GF2, GF3, QQ, GrassmannAlgebra, SuperNumbers
-from .errors import NonTermination, SpanViolation
 from .liesuper import (CheckReport, _add_scaled, lift_comb, parity_pattern_ok,
                        straighten_action, trivial_action, wedge_ad_action, word_action)
 from .gp import (
@@ -350,19 +349,21 @@ def oracle_triangle(seed=1, count=500, field=QQ, stats=None) -> CheckReport:
         pair = pairs[t % len(pairs)]
         w = random_word(pair, A, rng)
         st = {}
-        try:
+        try:  # a route that raises fails its word; the suite goes on
+            m = w.rho_matrix()
             a = normal_form(w)
             b = reorder_symbolic(w, stats=st)
-            c = strip_matrix_factorization(pair, w.rho_matrix())
-        except (NonTermination, SpanViolation) as e:
-            rep.fail(f"word {t}: {e}")
+            c = strip_matrix_factorization(pair, m)
+            evaluated = a.rho_matrix()
+        except Exception as e:
+            rep.fail(f"word {t}: {type(e).__name__}: {e}")
             continue
         max_passes = max(max_passes, st.get("passes", 0))
         if a != b:
             rep.fail(f"word {t}: module route != rewriting route")
         if a != c:
             rep.fail(f"word {t}: module route != matrix stripping")
-        if a.rho_matrix() != w.rho_matrix():
+        if evaluated != m:
             rep.fail(f"word {t}: normal form does not re-evaluate to the word")
     if max_passes > A.nilpotency_bound + 1:
         rep.fail(f"rewriting exceeded the pass bound: {max_passes}")

@@ -37,8 +37,8 @@ from superpoints import (
     smat_inv,
     strip_matrix_factorization,
 )
-from superpoints import gp, shcp, smat
-from superpoints.gp import EvenModuleData, group_law, slide_ad_matrix
+from superpoints import gp, shcp, smat, verify
+from superpoints.gp import EvenModuleData, group_law, slide_odds
 from superpoints.sampling import rand_odd
 from superpoints.verify import (
     SUITES,
@@ -50,7 +50,7 @@ from superpoints.verify import (
     uniqueness_suite,
 )
 
-from .oracles import odd_monomial_action_oracle
+from .oracles import k_matmul_oracle, odd_monomial_action_oracle, supermatrix_rep_oracle
 from .support import ad_unstable_pair, negated_eo_pair, trivial_module
 from .test_shcp import count_inversions
 
@@ -150,6 +150,20 @@ def test_oracle_triangle_short():
     rep = oracle_triangle(seed=5, count=60, stats=st)
     assert rep.ok, rep.summary()
     assert st["max_passes"] <= st["bound"]
+
+
+@pytest.mark.parametrize("route", ["normal_form", "reorder_symbolic",
+                                   "strip_matrix_factorization"])
+def test_oracle_triangle_reports_a_raising_route_per_word(monkeypatch, route):
+    """An exception from one route is a failure of its word, reported with
+    its type, and the suite goes on to the next word."""
+    def broken(*args, **kwargs):
+        raise MembershipViolation("matrix is not a point of the group")
+
+    monkeypatch.setattr(verify, route, broken)
+    rep = oracle_triangle(seed=5, count=3)
+    assert rep.failures == [f"word {t}: MembershipViolation: matrix is not a point of the group"
+                            for t in range(3)]
 
 
 @pytest.mark.parametrize("field", [GF2, GF3])
@@ -412,16 +426,17 @@ def test_stripping_equals_other_routes(pair11):
 def test_stripping_inverts_once_per_refining_round(monkeypatch):
     """Each round divides the guessed odd product out by (1 - eta Y)
     factors, so the only inversion is of the diagonal part of a round that
-    still has an odd discrepancy: one per odd solve, none in the last round."""
+    still has an odd discrepancy: one per odd solve (a grid_inv), none in
+    the last round."""
     pair = gl_pair(2, 1, QQ)
     A = GrassmannAlgebra(QQ, 4)
     rng = random.Random(49)
     mats = [random_word(pair, A, rng, 8).rho_matrix() for _ in range(6)]
     solves = []
 
-    def counted_solver(vector, algebra, _real=pair._odd_solver):
+    def counted_solver(vector, terms, _real=pair._odd_solver):
         solves.append(1)
-        return _real(vector, algebra)
+        return _real(vector, terms)
 
     monkeypatch.setattr(pair, "_odd_solver", counted_solver)
     calls = count_inversions(monkeypatch, gp, smat)
@@ -487,12 +502,39 @@ def test_factor_product_is_the_left_to_right_product(make_pair):
         assert m == dense(w.tokens)
         nf = normal_form(w)
         assert nf.rho_matrix() == dense(nf.tokens) == m
-        divide = [OddTok(i, -nf.etas[i]) for i in reversed(range(pair.d_minus))
-                  if not nf.etas[i].is_zero()]
-        assert gp._divide_odd_product(pair, nf.etas, m) == dense(divide, m) == nf.g_plus
+        divide = gp._division(nf.etas)
+        assert [(t.index, t.eta) for t in divide] == [
+            (i, -nf.etas[i]) for i in reversed(range(pair.d_minus)) if not nf.etas[i].is_zero()]
+        assert gp.factor_product(pair, A, divide, m) == dense(divide, m) == nf.g_plus
     etas = [rand_odd(A, rng) for _ in range(pair.d_minus)]
     nf = NormalForm(pair, A, etas, ident)
     assert nf.rho_matrix() == dense([OddTok(i, e) for i, e in enumerate(etas)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF3])
+@pytest.mark.parametrize("make_pair", [lambda f: gl_pair(2, 1, f), q2_pair], ids=["gl21", "q2"])
+def test_factor_product_matches_regular_representation(make_pair, field):
+    """factor_product applies each odd factor in place on one grid; in the
+    regular representation over Lambda_4 it equals the plain k-matrix
+    product, left to right, of the even points and the lifted factors
+    I + rho(Y_i).eta (q(2) has nonzeros at both (a, b) and (b, a))."""
+    pair = make_pair(field)
+    A = GrassmannAlgebra(field, 4)
+    rng = random.Random(61)
+    ident = pair.identity_matrix(A)
+
+    def rep(m):
+        return supermatrix_rep_oracle(field, A.rank, pair.shape[0],
+                                      [[dict(e.terms) for e in row] for row in m.rows])
+
+    for _ in range(3):
+        w = random_word(pair, A, rng, 5)
+        want = rep(ident)
+        for t in w.tokens:
+            f = (t.matrix if t.kind == "even"
+                 else ident + pair.lie.rho_odd_matrix(t.index, A).scale(t.eta))
+            want = k_matmul_oracle(field, want, rep(f))
+        assert rep(gp.factor_product(pair, A, w.tokens)) == want
 
 
 def test_word_token_bound():
@@ -753,7 +795,8 @@ def test_nf_semidirect_split(pair11):
 ], ids=["gl11-Q", "gl21-Q", "gl11-F3", "gl21-F3", "char2-F2"])
 def test_slide_ad_matrix_is_conjugation(pair):
     """The bracket-table Ad of a rewriting correction 1 + c.rho(Z), c = eta2 eta,
-    equals the Ad matrix built by conjugation, for every Z = Y_i^<2> and [Y_i, Y_j]."""
+    equals the Ad matrix built by conjugation, for every Z = Y_i^<2> and [Y_i, Y_j]:
+    slide_odds carries the factor (k, 1) to column k of that matrix."""
     rng = random.Random(41)
     lie = pair.lie
     A = GrassmannAlgebra(pair.field, 4)
@@ -765,5 +808,7 @@ def test_slide_ad_matrix_is_conjugation(pair):
             c = A.zero()
             while c.is_zero():
                 c = rand_odd(A, rng) * rand_odd(A, rng)
-            assert slide_ad_matrix(lie, z, c) == \
-                pair.ad_action_matrix(I + lie.rho_comb(0, z, A).scale(c))
+            ad = pair.ad_action_matrix(I + lie.rho_comb(0, z, A).scale(c))
+            for k in range(dm):
+                column = dict(slide_odds(lie, z, c.terms, [(k, {0: A.field.from_int(1)})]))
+                assert column == {j: row[k].terms for j, row in enumerate(ad) if row[k].terms}

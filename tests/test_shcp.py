@@ -46,14 +46,18 @@ def diag(algebra, a, d):
 
 
 def count_inversions(monkeypatch, *modules):
-    """Route every call of smat_inv made through the given modules' names
-    into a list, and return the list."""
+    """Route every inversion made through the given modules' names into a
+    list, and return the list: each call of smat_inv, and of grid_inv where
+    a module calls it directly (smat's own grid_inv serves smat_inv, so it
+    is not counted twice)."""
     calls = []
     for mod in modules:
-        def counted(m, _real=mod.smat_inv):
-            calls.append(m)
-            return _real(m)
-        monkeypatch.setattr(mod, "smat_inv", counted)
+        for name in ("smat_inv", "grid_inv"):
+            if hasattr(mod, name) and not (mod is smat and name == "grid_inv"):
+                def counted(*args, _real=getattr(mod, name)):
+                    calls.append(args)
+                    return _real(*args)
+                monkeypatch.setattr(mod, name, counted)
     return calls
 
 

@@ -30,9 +30,10 @@ from superpoints import (
     semidirect_split,
     smat_inv,
 )
+from superpoints import smat
 from superpoints.coeff import GrassmannElement
-from superpoints.smat import BUILTIN_GROUPS, ck_product, dual_probe, matrix_units
-from superpoints.sampling import rand_element, rand_k_vector
+from superpoints.smat import BUILTIN_GROUPS, dual_probe, matrix_units
+from superpoints.sampling import rand_element, rand_even_unit, rand_k_vector
 from superpoints.verify import suite_tang_group
 
 from .oracles import k_matmul_oracle, supermatrix_rep_oracle
@@ -163,16 +164,25 @@ _CK_ALGEBRAS = {
 @pytest.mark.parametrize("coeffs", list(_CK_ALGEBRAS))
 @pytest.mark.parametrize("pair_name", list(_CK_PAIRS))
 def test_ck_product_matches_lifted_and_regular_products(pair_name, coeffs):
-    """Every form of ck_product, with odd c and K = rho(Y_i) and with even c
-    and K = rho(Z) for an even Z, equals the twisted product of the lifted
-    factors and, in the regular representation, the plain k-matrix product
-    (the second reference shares no code with SuperMatrix.__mul__)."""
+    """Every form of the c (x) K product ck_grid, with odd c and K = rho(Y_i)
+    and with even c and K = rho(Z) for an even Z, equals the twisted product
+    of the lifted factors and, in the regular representation, the plain
+    k-matrix product (the second reference shares no code with
+    SuperMatrix.__mul__)."""
     A, draw = _CK_ALGEBRAS[coeffs]()
     pair = _CK_PAIRS[pair_name](A.field)
     lie, sh = pair.lie, pair.shape
     n = sh[0] + sh[1]
     I = SuperMatrix.identity(sh, A)
     rng = random.Random(17)
+
+    def ck_product(left, c, nz, right, base=None):
+        """base + left . (c (x) K) . right on supermatrices (None: 1 or 0)."""
+        out = (smat.copy_grid(smat.term_grid(base)) if base is not None
+               else [[{} for _ in range(n)] for _ in range(n)])
+        smat.ck_grid(A.field, sh[0], left and smat.term_grid(left), c and c.terms, nz,
+                     right and smat.term_grid(right), out)
+        return smat.wrap_grid(sh, A, out)
 
     def rand_matrix():
         return SuperMatrix(sh, A, [[draw(rng) for _ in range(n)] for _ in range(n)])
@@ -198,6 +208,44 @@ def test_ck_product_matches_lifted_and_regular_products(pair_name, coeffs):
         agree(ck_product(m, c, nz, None), m, cK)
         agree(ck_product(None, c, nz, m), cK, m)
         agree(ck_product(left, None, nz, right), left, K, right)
+
+
+@pytest.mark.parametrize("field", [QQ, GF3])
+@pytest.mark.parametrize("pair_name", list(_CK_PAIRS))
+def test_in_place_left_factor_matches_regular_representation(pair_name, field):
+    """ck_grid with out = right turns m into (1 + cK) m in place: odd c with
+    K = rho(Y_i), and even c with K = rho(Z) for every Z = Y_i^<2> and
+    [Y_i, Y_j] (nonzeros on the diagonal) and every X_a + X_b (on gl(2|1)
+    and q(2) some with nonzeros at both (a, b) and (b, a) and none on the
+    diagonal): rows that are read and written.
+    Checked in the regular representation against the plain k-matrix
+    product; c has a body, so (cK)^2 != 0 and the order of the reads
+    matters."""
+    A = GrassmannAlgebra(field, 4)
+    pair = _CK_PAIRS[pair_name](field)
+    lie, sh, p = pair.lie, pair.shape, pair.shape[0]
+    n = sh[0] + sh[1]
+    I = SuperMatrix.identity(sh, A)
+    rng = random.Random(23)
+    cases = [(rand_element(A, rng, 1), lie.rho_odd_nz[i], lie.rho_odd_matrix(i, A))
+             for i in range(pair.d_minus)]
+    zs = [lie.q2[i] for i in range(pair.d_minus)] + [
+        lie.oo[i][j] for i in range(pair.d_minus) for j in range(i + 1, pair.d_minus)]
+    unit = [[field.from_int(int(t == a)) for t in range(pair.d_plus)] for a in range(pair.d_plus)]
+    zs += [[field.add(x, y) for x, y in zip(unit[a], unit[b])]
+           for a in range(pair.d_plus) for b in range(a + 1, pair.d_plus)]
+    cases += [(rand_even_unit(A, rng), lie.rho_even_nonzeros(z), lie.rho_comb(0, z, A))
+              for z in zs if any(z)]
+    read_and_written, swapped = 0, 0
+    for c, nz, K in cases:
+        m = SuperMatrix(sh, A, [[rand_element(A, rng) for _ in range(n)] for _ in range(n)])
+        grid = smat.copy_grid(smat.term_grid(m))
+        smat.ck_grid(A.field, p, None, c.terms, nz, grid, grid)
+        got = smat.wrap_grid(sh, A, grid)
+        assert _rep(got) == k_matmul_oracle(A.field, _rep(I + K.scale(c)), _rep(m))
+        read_and_written += bool({a for a, _, _ in nz} & {b for _, b, _ in nz})
+        swapped += any(a != b and (b, a) in {(x, y) for x, y, _ in nz} for a, b, _ in nz)
+    assert read_and_written >= 1 and (swapped or pair_name == "gl11")
 
 
 def test_shape_mismatch_raises():
@@ -296,21 +344,30 @@ def test_inverse_matches_regular_representation(group, rank, field):
 
 def test_inverse_of_block_diagonal_point_is_one_product(monkeypatch):
     """Over Lambda_4 the soul of a GL2xGL1 point has degree >= 2, so the
-    series 1 + u + u^2 stops after u.u: one SuperMatrix product, the
-    products by the body inverse running on term dicts."""
+    series 1 + u + u^2 stops after u.u: four grid products (u = -B^-1 S,
+    u B^-1, u.u and u^2 B^-1), one of them the power u.u, and no
+    SuperMatrix product."""
     A = GrassmannAlgebra(QQ, 4)
     g = gl_block_diag(2, 1).sample(A, random.Random(4))
     assert any(k for row in g.rows for e in row for k in e.terms)
-    calls = []
-    real = SuperMatrix.__mul__
+    calls, products = [], []
+    real, real_grid = SuperMatrix.__mul__, smat.grid_mul
 
     def counted(self, other):
         calls.append(other)
         return real(self, other)
 
+    def counted_grid(field, p, xs, ys, out=None):
+        products.append((xs, ys))
+        return real_grid(field, p, xs, ys, out)
+
     monkeypatch.setattr(SuperMatrix, "__mul__", counted)
+    monkeypatch.setattr(smat, "grid_mul", counted_grid)
     ginv = smat_inv(g)
-    assert len(calls) == 1
+    assert calls == [] and len(products) == 4
+    u = products[1][0]  # the second product is u B^-1
+    assert [(xs is u, ys is u) for xs, ys in products] == \
+        [(False, False), (True, False), (True, True), (False, False)]
     monkeypatch.undo()
     assert ginv * g == SuperMatrix.identity((2, 1), A)
 

@@ -13,13 +13,14 @@ import pytest
 
 from superpoints import (GF2, GF3, QQ, EvenTok, GrassmannAlgebra, GroupWord, InducedModule,
                          NormalForm, OddTok, char2_pair, defining_module, gl_pair,
-                         normal_form, q2_pair, straighten_action, wedge_ad_action,
-                         word_action)
+                         normal_form, q2_pair, reorder_symbolic, straighten_action,
+                         wedge_ad_action, word_action)
 from superpoints.coeff import GrassmannElement
-from superpoints.gp import group_law, gp_inv, gp_mul
+from superpoints.gp import factor_product, group_law, gp_inv, gp_mul
 from superpoints.liesuper import trivial_action
 from superpoints.sampling import rand_element, rand_even_unit, rand_odd
 from superpoints.smat import SuperMatrix
+from superpoints.verify import random_word
 
 from .support import straighten_reference
 
@@ -183,3 +184,25 @@ def test_group_law_and_module_action_make_no_element_arithmetic(monkeypatch):
     gp_inv(ab)
     module.apply_normal_form(ab, module.vacuum_with(0, A))
     assert calls == []
+
+
+def test_factor_product_and_rewriting_make_no_element_arithmetic(monkeypatch):
+    """factor_product and reorder_symbolic run on grids of term dicts and
+    wrap each result once: on seeded triangle words (gl(1|1) and gl(2|1)
+    over Lambda_4(Q)) no GrassmannElement product or sum and no
+    SuperMatrix constructor runs inside them."""
+    A = GrassmannAlgebra(QQ, 4)
+    pairs = [gl_pair(1, 1, QQ), gl_pair(2, 1, QQ)]
+    rng = random.Random(2026)
+    words = [random_word(pairs[t % 2], A, rng) for t in range(24)]
+    calls = []
+    for cls, attrs in ((GrassmannElement, ("__mul__", "__add__")), (SuperMatrix, ("__init__",))):
+        for attr in attrs:
+            def counted(*args, _real=getattr(cls, attr), _name=f"{cls.__name__}.{attr}"):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(cls, attr, counted)
+    forms = [(factor_product(w.pair, A, w.tokens), reorder_symbolic(w)) for w in words]
+    assert calls == []
+    monkeypatch.undo()
+    assert all(m == w.rho_matrix() and nf == normal_form(w) for (m, nf), w in zip(forms, words))
