@@ -205,7 +205,7 @@ class NormalForm:
         """The factors (1 + eta_i Y_i) with eta_i != 0, then g_plus unless it
         is 1: the tokens of the word this normal form spells."""
         toks = [OddTok(i, e) for i, e in enumerate(self.etas) if not e.is_zero()]
-        if self.g_plus != self.pair.identity_matrix(self.algebra):
+        if term_grid(self.g_plus) != identity_grid(self.algebra.field, self.g_plus.size):
             toks.append(EvenTok(self.g_plus))
         return tuple(toks)
 

@@ -8,14 +8,17 @@ and 3 this refines (and replaces) the usual 1/2 [z,z] square.
 
 from_matrices reads the constants off homogeneous k-matrices over the raw
 base field: k-scalars are even, so brackets and squares are plain matrix
-products, with no SuperMatrix and no coefficient algebra.  check_axioms
-recomputes them through gl_bracket/gl_2op on supermatrices, an independent
-cross-check.  LieSuperalgebraData.relations() lists the defining relations
-(brackets and 2-operation on the basis) once; every homomorphism check
-reads that list: rho here, omega in gp.PairMorphism.check, and the one
-relation loop over action tables, broken_relations.  That loop checks the
-wedge(g_1) action in verify.check_module_axioms and the adjoint action
-here, which is graded Jacobi (c) and [z^<2>, x] = [z, [z, x]] (f).
+products, with no SuperMatrix and no coefficient algebra.  They run on the
+generators' nonzeros, as do the solves (smat.k_solve_matrix): over a
+Chevalley-type basis most constants are 0.  check_axioms recomputes them
+through gl_bracket/gl_2op on supermatrices, an independent cross-check.
+LieSuperalgebraData.relations() lists the defining relations (brackets and
+2-operation on the basis) once; every homomorphism check reads that list:
+rho here, omega in gp.PairMorphism.check, and the one relation loop over
+action tables, broken_relations, one sum per relation over every key at
+once.  That loop checks the wedge(g_1) action in verify.check_module_axioms
+and the adjoint action here, which is graded Jacobi (c) and
+[z^<2>, x] = [z, [z, x]] (f).
 
 The module also hosts the exterior module wedge(g_1) with its straightening
 action: the induced module from the trivial even representation, in the PBW
@@ -43,8 +46,8 @@ from __future__ import annotations
 
 from .coeff import GrassmannAlgebra, GrassmannElement, mac
 from .errors import ClosureViolation, StructuralError
-from .smat import (SuperMatrix, constant_matrix, gl_2op, gl_bracket, k_matmul,
-                   k_nonzeros, k_solve_matrix, matrix_units)
+from .smat import (SuperMatrix, constant_matrix, gl_2op, gl_bracket, k_nonzeros,
+                   k_solve_matrix, matrix_units)
 
 
 def _vcomb(field, n, terms):
@@ -255,33 +258,41 @@ class LieSuperalgebraData:
 
     def broken_relations(self, tables, keys):
         """The defining relations that a module's action tables break, each
-        once, as (name, left, right, key) with key the first basis key of
+        once, as (name, left, right, key) with key the least basis key of
         the module that it fails on.
 
         tables[parity][index][key] is X_index (parity 0) or Y_index (parity
         1) acting on the basis vector key, a sparse dict key -> nonzero raw
-        value.  The action respects [x,y] when that of [x,y] is
+        value; keys are all the basis keys, and every key in a table is one
+        of them.  The action respects [x,y] when that of [x,y] is
         x.y + sign.y.x, and (Y^<2>) when that of Y^<2> is the squared action
-        of Y.
+        of Y.  Each relation is one sum over the tables' nonzero rows, the
+        entry k of the key m accumulating at m << shift | k.
         """
         f = self.field
+        shift = max(keys, default=0).bit_length()
+        acc = {}
         for name, (px, x), right, sign, (parity, coords) in self.relations():
             tx = tables[px][x]
             ty = tx if right is None else tables[right[0]][right[1]]
-            minus_rhs = [(f.neg(c), tables[parity][b]) for b, c in enumerate(coords) if c]
+            # x.y + sign.y.x - (the right-hand side), on every key m at once
             for m in keys:
-                # x.y + sign.y.x - (the right-hand side), acting on the key m
-                acc = {}
                 for mid, c in ty[m].items():
-                    _add_row(f, acc, c, tx[mid])
+                    if row := tx[mid]:
+                        _add_row(f, acc, c, row, m << shift)
                 if right is not None:
                     for mid, c in tx[m].items():
-                        _add_row(f, acc, f.mul(sign, c), ty[mid])
-                for c, table in minus_rhs:
-                    _add_row(f, acc, c, table[m])
-                if acc:
-                    yield name, (px, x), right, m
-                    break
+                        if row := ty[mid]:
+                            _add_row(f, acc, f.mul(sign, c), row, m << shift)
+            for b, c in enumerate(coords):
+                if c:
+                    c, table = f.neg(c), tables[parity][b]
+                    for m in keys:
+                        if row := table[m]:
+                            _add_row(f, acc, c, row, m << shift)
+            if acc:
+                yield name, (px, x), right, min(acc) >> shift
+                acc.clear()
 
     # -- straightening kernel over k (wedge(g_1): keys are the masks S) -------
 
@@ -294,9 +305,11 @@ class LieSuperalgebraData:
         return self._kernel.even(a, mask)
 
 
-def _add_row(field, acc, c, row):
-    """acc += c * row for sparse dicts of raw field values; zeros dropped."""
+def _add_row(field, acc, c, row, base=0):
+    """acc += c * row for sparse dicts of raw field values, the row's keys
+    offset by base (or-ed in); zeros dropped."""
     for k, v in row.items():
+        k |= base
         v = field.mul(c, v)
         prev = acc.get(k)
         if prev is not None:
@@ -529,6 +542,8 @@ def from_matrices(p, q, evens, odds, field) -> LieSuperalgebraData:
     evens/odds are raw k-matrix rows.  k-scalars are even, so the
     bracket [A,B] = AB - (-1)^{|A||B|} BA and the square Y.Y of an odd Y are
     plain products of raw k-matrices: no coefficient algebra is involved.
+    Each product visits the nonzeros of its factors, the right one's by
+    row, and a bracket accumulates both products into one flat vector.
     Each span is row-reduced once by smat.k_solve_matrix; a bracket or
     square is solved against it and checked exactly against the generators,
     and one that leaves the span raises ClosureViolation naming it.
@@ -545,7 +560,7 @@ def from_matrices(p, q, evens, odds, field) -> LieSuperalgebraData:
 
     solvers = [k_solve_matrix(field, [_flat(m) for m in mats]) if mats else None
                for mats in (evens, odds)]
-    one, minus = field.from_int(1), field.from_int(-1)
+    zero = field.from_int(0)
 
     def coords(vec, what, parity):
         """k-coordinates of the flat vector vec in the even (parity 0) or
@@ -560,18 +575,30 @@ def from_matrices(p, q, evens, odds, field) -> LieSuperalgebraData:
             raise ClosureViolation(f"{what} left the {name} span")
         return tuple(c)
 
-    def bracket(a, b, sign):
-        """ab + sign.ba as a flat vector."""
-        return _vcomb(field, n * n, ((one, _flat(k_matmul(field, a, b))),
-                                     (sign, _flat(k_matmul(field, b, a)))))
+    # each generator as its rows' nonzeros, [(column, value), ...] per row
+    ev, od = ([[[(c, v) for c, v in enumerate(row) if v] for row in m] for m in mats]
+              for mats in (evens, odds))
 
-    ee = [[coords(bracket(x, x2, minus), f"[X{a + 1},X{b + 1}]", 0)
-           for b, x2 in enumerate(evens)] for a, x in enumerate(evens)]
-    eo = [[coords(bracket(x, y, minus), f"[X{a + 1},Y{i + 1}]", 1)
-           for i, y in enumerate(odds)] for a, x in enumerate(evens)]
-    oo = [[coords(bracket(y, y2, one), f"[Y{i + 1},Y{j + 1}]", 0)
-           for j, y2 in enumerate(odds)] for i, y in enumerate(odds)]
-    q2 = [coords(_flat(k_matmul(field, y, y)), f"Y{i + 1}^<2>", 0) for i, y in enumerate(odds)]
+    def product(a, b, sign=0):
+        """ab + sign.ba (sign 1 or -1, or 0 for ab alone) as one flat vector."""
+        out = [zero] * (n * n)
+        for x, y, neg in [(a, b, False)] + ([(b, a, sign < 0)] if sign else []):
+            for r, row in enumerate(x):
+                for mid, v in row:
+                    if neg:
+                        v = field.neg(v)
+                    for c, w in y[mid]:
+                        k = r * n + c
+                        out[k] = field.add(out[k], field.mul(v, w))
+        return out
+
+    ee = [[coords(product(x, x2, -1), f"[X{a + 1},X{b + 1}]", 0)
+           for b, x2 in enumerate(ev)] for a, x in enumerate(ev)]
+    eo = [[coords(product(x, y, -1), f"[X{a + 1},Y{i + 1}]", 1)
+           for i, y in enumerate(od)] for a, x in enumerate(ev)]
+    oo = [[coords(product(y, y2, 1), f"[Y{i + 1},Y{j + 1}]", 0)
+           for j, y2 in enumerate(od)] for i, y in enumerate(od)]
+    q2 = [coords(product(y, y), f"Y{i + 1}^<2>", 0) for i, y in enumerate(od)]
     return LieSuperalgebraData(field, len(evens), len(odds), ee, eo, oo, q2,
                                shape=(p, q), rho_even=list(evens), rho_odd=list(odds))
 

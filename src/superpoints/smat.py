@@ -266,40 +266,39 @@ def k_solve_matrix(field, columns):
     mapping a length-n vector to its exact coordinates, or None when the
     residual is nonzero.  The vector holds raw k-values, or with terms=True
     term dicts of coefficient-algebra elements, and so do the coordinates.
+    The left inverse is kept by columns and the columns as sparse
+    (index, value, {0: value}) lists: the coordinates visit only the
+    vector's nonzero entries, and the residual vector - sum_j coords_j col_j
+    is checked on every entry, those the left inverse never reads included.
     """
     m, n = len(columns), len(columns[0]) if columns else 0
-    rows = list(zip(*columns))
     # more columns than rows are dependent (and n = 0 leaves no rows to count them)
-    ops = k_matrix_inverse(field, rows) if m <= n else None
+    ops = k_matrix_inverse(field, list(zip(*columns))) if m <= n else None
     if ops is None:
         raise StructuralError("columns are k-linearly dependent")
-    # the left inverse and the columns as sparse (index, coefficient) rows;
-    # each coefficient c also as the term dict {0: c} of a constant
-    left = [[(i, c, {0: c}) for i, c in enumerate(row) if c] for row in ops[:m]]
-    rows = [[(j, c, {0: c}) for j, c in enumerate(row) if c] for row in rows]
+    left = [[(j, c, {0: c}) for j, c in enumerate(col) if c] for col in zip(*ops[:m])]
+    cols = [[(k, c, {0: c}) for k, c in enumerate(col) if c] for col in columns]
     zero = field.from_int(0)
 
-    def raw_comb(terms, xs):
-        acc = zero
-        for k, c, _ in terms:
-            if xs[k]:
-                acc = field.add(acc, field.mul(c, xs[k]))
-        return acc
+    def raw_mac(acc, c, _, x):
+        return field.add(acc, field.mul(c, x))
 
-    def terms_comb(terms, xs):
-        acc = {}
-        for k, _, c in terms:
-            if ys := xs[k]:
-                mac(field, acc, ys, c)
-        return acc
+    def terms_mac(acc, _, c, x):
+        return mac(field, acc, x, c)
 
     def solve(vector, terms=False):
-        comb = terms_comb if terms else raw_comb
-        coords = [comb(row, vector) for row in left]
-        # exact residual check against the original columns
-        if any(comb(row, coords) != x for row, x in zip(rows, vector)):
-            return None
-        return coords
+        axpy = terms_mac if terms else raw_mac
+        coords = [{} for _ in range(m)] if terms else [zero] * m
+        for k, x in enumerate(vector):
+            if x:
+                for j, c, ct in left[k]:
+                    coords[j] = axpy(coords[j], c, ct, x)
+        image = [{} for _ in range(n)] if terms else [zero] * n
+        for col, x in zip(cols, coords):
+            if x:
+                for k, c, ct in col:
+                    image[k] = axpy(image[k], c, ct, x)
+        return coords if image == list(vector) else None
 
     return solve
 
@@ -332,21 +331,6 @@ def k_reduce(field, a, m):
             if i != col and (g := row[col]):
                 a[i] = [field.add(x, field.neg(field.mul(g, y))) for x, y in zip(row, a[col])]
     return True
-
-
-def k_matmul(field, a, b):
-    """The product of two matrices of raw k-values, skipping zero entries."""
-    zero = field.from_int(0)
-    out = []
-    for row in a:
-        acc = [zero] * len(b[0])
-        for x, brow in zip(row, b):
-            if x:
-                for k, y in enumerate(brow):
-                    if y:
-                        acc[k] = field.add(acc[k], field.mul(x, y))
-        out.append(acc)
-    return out
 
 
 # ---------------------------------------------------------------------------

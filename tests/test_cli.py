@@ -37,8 +37,19 @@ def test_check_liesuper_pass(capsys):
 
 
 def test_check_liesuper_tampered_jacobi(capsys):
-    code, out, _ = run(["check-liesuper", fx("tampered_lie.json")], capsys)
-    assert code == 1 and "FAIL" in out
+    # the Jacobi and 2-operation lines name the least basis key each
+    # relation of the adjoint action fails on
+    code, out, _ = run(["check-liesuper", fx("tampered_lie.json"), "--json"], capsys)
+    assert code == 1
+    assert json.loads(out)["failures"] == [
+        "(a) [Y1+Y2,[Y1+Y2,Y1+Y2]] != 0",
+        "(c) Jacobi fails on (X2,Y1,Y2)",
+        "(c) Jacobi fails on (X2,Y2,Y1)",
+        "(c) Jacobi fails on (Y1,Y1,Y2)",
+        "(c) Jacobi fails on (Y1,Y2,X2)",
+        "(f) [z^<2>,x]=[z,[z,x]] fails on (z=Y1, x=Y2)",
+        "(c) Jacobi fails on (Y2,Y1,X2)",
+    ]
 
 
 def test_check_liesuper_flipped_bracket_with_rho(capsys):

@@ -737,7 +737,8 @@ def test_induced_action_respects_group_law(pair11):
 @pytest.mark.parametrize("p,q,field", [(1, 1, QQ), (2, 1, QQ), (1, 1, GF3), (2, 1, GF3)])
 def test_apply_normal_form_acts_by_its_tokens(monkeypatch, p, q, field):
     """apply_normal_form equals acting by nf.to_word(), and it does not
-    check the even factor's membership again."""
+    check the even factor's membership again, nor build an identity
+    SuperMatrix to tell whether the even factor is 1."""
     from superpoints.smat import GroupDescriptor
 
     pair = gl_pair(p, q, field)
@@ -752,6 +753,7 @@ def test_apply_normal_form_acts_by_its_tokens(monkeypatch, p, q, field):
     real = GroupDescriptor.require_member
     monkeypatch.setattr(GroupDescriptor, "require_member",
                         lambda self, m, context="": checks.append(context) or real(self, m, context))
+    monkeypatch.setattr(SuperMatrix, "identity", None)
     assert [[IM.apply_normal_form(nf, v) for v in vacs] for nf in nfs] == want
     assert checks == []
 

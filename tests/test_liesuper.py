@@ -25,6 +25,7 @@ from superpoints import (
     from_matrices,
     gl_lie,
     gl_pair,
+    q2_pair,
     word_action,
 )
 from superpoints.liesuper import parity_pattern_ok, straighten_action, trivial_action
@@ -33,7 +34,7 @@ from superpoints.serialize import load_lie, load_pair, loads
 from superpoints.verify import check_module_axioms
 
 from .oracles import (even_monomial_action_oracle, jacobi_and_square_oracle,
-                      odd_monomial_action_oracle)
+                      k_matmul_oracle, odd_monomial_action_oracle)
 from .support import trivial_module
 
 
@@ -241,6 +242,25 @@ def test_gl_lie_makes_no_supermatrix_product(monkeypatch):
     assert calls  # the rho check multiplies supermatrices
 
 
+def test_building_and_checking_gl21_count_their_multiplications(monkeypatch):
+    """Deterministic op counts of a cold gl(2|1) over Q: the QQ.mul calls
+    of gl_lie and of one check_module_axioms on the fresh algebra (which
+    fills its straightening tables) do not grow."""
+    calls = [0]
+    real = QQ.mul
+
+    def counted(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(QQ, "mul", counted)
+    lie = gl_lie(2, 1, QQ)
+    assert calls[0] <= 236
+    calls[0] = 0
+    assert check_module_axioms(lie).ok
+    assert calls[0] <= 1481
+
+
 @pytest.mark.parametrize("field", [QQ, GF2, GF3])
 def test_from_matrices_constants_pass_the_rho_oracle(field):
     """check_axioms, including the SuperMatrix-based rho check, passes on
@@ -251,6 +271,58 @@ def test_from_matrices_constants_pass_the_rho_oracle(field):
         assert rep.ok, (p, q, rep.summary())
     if field.characteristic == 2:
         assert check_axioms(char2_pair(field).lie).ok
+
+
+def _gauss_coords(field, columns, vec):
+    """The coordinates of vec in the span of the independent columns, by
+    plain Gauss-Jordan elimination on the dense rows [columns | vec]."""
+    m = len(columns)
+    rows = [list(r) + [v] for r, v in zip(zip(*columns), vec)] if m else [[v] for v in vec]
+    for col in range(m):
+        piv = next(i for i in range(col, len(rows)) if rows[i][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = field.inv(rows[col][col])
+        rows[col] = [field.mul(inv, x) for x in rows[col]]
+        for i, row in enumerate(rows):
+            if i != col and row[col]:
+                g = row[col]
+                rows[i] = [field.add(x, field.neg(field.mul(g, y)))
+                           for x, y in zip(row, rows[col])]
+    assert not any(r[m] for r in rows[m:]), "the vector left the span"
+    return tuple(r[m] for r in rows[:m])
+
+
+def _dense_constants(field, evens, odds):
+    """(ee, eo, oo, q2) of the span of the k-matrices evens and odds, from
+    dense products (k_matmul_oracle) and _gauss_coords."""
+    spans = [[[v for row in m for v in row] for m in mats] for mats in (evens, odds)]
+
+    def solve(parity, a, b, sign=None):
+        """coordinates of ab + sign.ba (of ab when sign is None)."""
+        flat = [v for row in k_matmul_oracle(field, a, b) for v in row]
+        if sign is not None:
+            ba = [v for row in k_matmul_oracle(field, b, a) for v in row]
+            flat = [field.add(x, field.mul(field.from_int(sign), y)) for x, y in zip(flat, ba)]
+        return _gauss_coords(field, spans[parity], flat)
+
+    return (tuple(tuple(solve(0, x, y, -1) for y in evens) for x in evens),
+            tuple(tuple(solve(1, x, y, -1) for y in odds) for x in evens),
+            tuple(tuple(solve(0, x, y, 1) for y in odds) for x in odds),
+            tuple(solve(0, y, y) for y in odds))
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+def test_from_matrices_matches_a_dense_reference(field):
+    """The sparse products and solver of from_matrices give the constants of
+    dense products and a dense Gauss solve, on every gl(p|q) with
+    p + q <= 4, on q(2) and, in characteristic 2, on char2_pair."""
+    lies = [gl_lie(p, q, field) for p in range(5) for q in range(5 - p) if p + q]
+    lies.append(q2_pair(field).lie)
+    if field.characteristic == 2:
+        lies.append(char2_pair(field).lie)
+    for lie in lies:
+        assert (lie.ee, lie.eo, lie.oo, lie.q2) == _dense_constants(
+            field, lie.rho_even, lie.rho_odd), lie.shape
 
 
 E11, E22, E12 = [[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [0, 0]]
@@ -368,6 +440,45 @@ def test_square_relation_is_read_by_every_check():
                                                             with_q2((one, one))),
                        ident, ident, lambda m: m)
     assert mor.check(samples=2).failures == ["omega(Y2^<2>) mismatch"]
+
+
+def _broken_per_key(lie, tables, keys):
+    """broken_relations by a separate sum for each (relation, key) pair,
+    stopping at the first key in keys order on which the sum is nonzero."""
+    f = lie.field
+    out = []
+    for name, (px, x), right, sign, (parity, coords) in lie.relations():
+        tx = tables[px][x]
+        ty = tx if right is None else tables[right[0]][right[1]]
+        for m in keys:
+            terms = [(c, tx[mid]) for mid, c in ty[m].items()]
+            if right is not None:
+                terms += [(f.mul(sign, c), ty[mid]) for mid, c in tx[m].items()]
+            terms += [(f.neg(c), tables[parity][b][m]) for b, c in enumerate(coords) if c]
+            acc = {}
+            for c, row in terms:
+                for k, v in row.items():
+                    acc[k] = f.add(acc.get(k, f.from_int(0)), f.mul(c, v))
+            if any(acc.values()):
+                out.append((name, (px, x), right, m))
+                break
+    return out
+
+
+def test_broken_relations_name_the_least_failing_key():
+    """gl(2|1)'s wedge(g_1) tables, each a copy, changed at two keys: the
+    one sum per relation reports the relations and the first failing key of
+    the per-key loop, in the same order."""
+    lie, f = gl_lie(2, 1, QQ), QQ
+    keys = range(1 << lie.d_minus)
+    tables = ([[dict(lie.even_action_basis(a, m)) for m in keys] for a in range(lie.d_plus)],
+              [[dict(lie.odd_action(i, m)) for m in keys] for i in range(lie.d_minus)])
+    assert list(lie.broken_relations(tables, keys)) == []
+    tables[0][1][5][5] = f.add(tables[0][1][5].get(5, 0), f.from_int(2))
+    tables[1][2][9][11] = f.from_int(-1)
+    got = list(lie.broken_relations(tables, keys))
+    assert got == _broken_per_key(lie, tables, keys)
+    assert {key for *_, key in got} == {1, 4, 5, 8, 9}, got
 
 
 def test_exterior_dimension():

@@ -403,6 +403,55 @@ def test_inverse_refuses_an_off_diagonal_body():
         smat_inv(m)
 
 
+# ---------------------------------------------------------------------------
+# the exact solver
+
+
+@pytest.mark.parametrize("terms", [False, True], ids=["raw", "terms"])
+def test_solver_checks_the_residual_on_every_entry(terms):
+    """k_solve_matrix on dense generators of q(2)'s odd span over F3 (a mix
+    with no zero coefficient of the flat rho(Y_i)): vectors in the span
+    return their exact coordinates, raw or as term dicts over Lambda_3, and
+    a vector that leaves the span only at entries the left inverse never
+    reads returns None."""
+    f, rng = GF3, random.Random(5)
+    A = GrassmannAlgebra(f, 3)
+    flat = [[v for row in m for v in row] for m in q2_pair(f).lie.rho_odd]
+    d, n = len(flat), len(flat[0])
+    while True:
+        mix = [[rng.randrange(1, 3) for _ in range(d)] for _ in range(d)]
+        if smat.k_matrix_inverse(f, mix) is not None:
+            break
+    columns = [[f.from_int(sum(c * v for c, v in zip(row, entry))) for entry in zip(*flat)]
+               for row in mix]
+    solve = smat.k_solve_matrix(f, columns)
+    left = smat.k_matrix_inverse(f, [list(r) for r in zip(*columns)])[:d]
+    unread = [k for k in range(n) if not any(row[k] for row in left)]
+    # some unread entries lie in the off-diagonal blocks, where the span lives
+    assert any(columns[0][k] for k in unread)
+    for _ in range(10):
+        if terms:
+            elems = [rand_element(A, rng) for _ in range(d)]
+            coords = [c.terms for c in elems]
+            vector = [sum((A.from_scalar(col[k]) * c for c, col in zip(elems, columns)),
+                          A.zero()).terms for k in range(n)]
+
+            def bump(x):
+                return (GrassmannElement(A, x) + A.generator(1)).terms
+        else:
+            coords = rand_k_vector(f, rng, d)
+            vector = [f.from_int(sum(c * col[k] for c, col in zip(coords, columns)))
+                      for k in range(n)]
+
+            def bump(x):
+                return f.add(x, f.from_int(1))
+        assert solve(vector, terms=terms) == coords
+        for k in unread:
+            off = list(vector)
+            off[k] = bump(off[k])
+            assert solve(off, terms=terms) is None, k
+
+
 @pytest.mark.parametrize("field", [QQ, GF2, GF3])
 @pytest.mark.parametrize("shape", [(2, 2), (2, 1)])
 def test_random_inverse_and_split(field, shape):
