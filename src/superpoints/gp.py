@@ -43,9 +43,12 @@ of (1 + x1 Y_1)...(1 + x_d Y_d)(1 + x_{d+1} Y_j) over Lambda_{d+1}(k)
 over k gets them by substituting x -> (xi, r_j).  ``gp_mul`` conjugates
 P(zeta) past g, g P(zeta) g^-1 = prod_i (1 + zeta_i Ad(g)Y_i), and folds these
 runs into P(xi) one at a time; each fold leaves an even correction c, the
-later runs are carried past it by Ad(c), and the even factor is c...c . g h.
-``gp_inv`` folds the descending runs (1 - xi_i Ad(g^-1)Y_i) from P(0), with g
-inverted once.  Lambda_{d+1} has rank at most 16, so the law, and with it
+later runs are carried past it by Ad(c), and the even factor is c...c . g h,
+each c applied in place to the grid of g h.  ``gp_inv`` folds the descending
+runs (1 - xi_i Ad(g^-1)Y_i) from P(0) into a copy of g^-1, which the pair's
+Ad memo keeps beside Ad(g): one inversion per even point serves both.  The
+law runs on term dicts and grids throughout; a product or inverse wraps its
+even factor once.  Lambda_{d+1} has rank at most 16, so the law, and with it
 ``gp_mul`` and ``gp_inv``, needs d_minus <= 15 (``MAX_LAW_D_MINUS``); a
 larger pair raises StructuralError.  The ``generic-point`` suite of
 ``verify`` checks the module and rewriting routes against each other on
@@ -255,13 +258,14 @@ def _division(etas):
 
 
 def _conjugate_odds(field, odds, ad_matrix):
-    """Each odd factor (i, eta) of the list expanded through Ad, on term
-    dicts: the factors (j, eta a[j][i]) of (1 + eta Ad(Y_i)), which commute
-    (all coefficients share the odd factor eta)."""
+    """Each odd factor (i, eta) of the list expanded through Ad (a grid of
+    term dicts), on term dicts: the factors (j, eta a[j][i]) of
+    (1 + eta Ad(Y_i)), which commute (all coefficients share the odd factor
+    eta)."""
     out = []
     for i, eta in odds:
         for j, row in enumerate(ad_matrix):
-            if (a := row[i].terms) and (coeff := mac(field, {}, eta, a)):
+            if (a := row[i]) and (coeff := mac(field, {}, eta, a)):
                 out.append((j, coeff))
     return out
 
@@ -271,12 +275,16 @@ def slide_odds(lie, z, c, odds):
     Z = sum_a z_a X_a and an even c with c^2 = 0, on term dicts, by the
     bracket table (slide relation, tang-group identity (f)):
     Ad(1 + cZ)(Y_k) = Y_k + c[Z, Y_k], so (k, eta) expands into the factors
-    (j, eta (delta_jk + c sum_a z_a eo[a][k][j]))."""
+    (j, eta (delta_jk + c sum_a z_a eo[a][k][j])); each column [Z, Y_k] is
+    computed once per call."""
     field = lie.field
+    cols = {}
     out = []
     for k, eta in odds:
         ec = mac(field, {}, eta, c)
-        for j, v in enumerate(lie.bracket_eo(z, _unit(field, lie.d_minus, k))):
+        if (col := cols.get(k)) is None:
+            col = cols[k] = lie.bracket_eo(z, _unit(field, lie.d_minus, k))
+        for j, v in enumerate(col):
             coeff = dict(eta) if j == k else {}
             if v:
                 _add_row(field, coeff, v, ec)
@@ -322,7 +330,7 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
         if t.kind == "odd":
             odds.insert(0, (t.index, t.eta.terms))
         else:
-            odds = _conjugate_odds(field, odds, pair.ad_action_matrix(t.matrix))
+            odds = _conjugate_odds(field, odds, pair.ad_action_matrix(t.matrix, shared=True)[0])
             note("pushed even token right through {} odd factor(s) [conjugation relation]", len(odds))
 
     def emit_right(z, c, position):
@@ -434,19 +442,19 @@ def law_words(pair):
 
 
 def _tails(entries, top):
-    """[(key, tail)] for the (key, element) pairs whose element has terms
-    with the generator bit `top` (x_{d+1}): element = (x_{d+1}-free part) +
+    """[(key, tail)] for the (key, term dict) pairs whose terms include the
+    generator bit `top` (x_{d+1}): entry = (x_{d+1}-free part) +
     sum raw x^mask x_{d+1}, and tail = ((mask, raw), ...)."""
     out = []
-    for key, e in entries:
-        tail = tuple((m ^ top, c) for m, c in e.terms.items() if m & top)
+    for key, terms in entries:
+        tail = tuple((m ^ top, c) for m, c in terms.items() if m & top)
         if tail:
             out.append((key, tail))
     return out
 
 
 def _cells(rows):
-    return (((a, b), e) for a, row in enumerate(rows) for b, e in enumerate(row))
+    return (((a, b), x) for a, row in enumerate(rows) for b, x in enumerate(row))
 
 
 class GroupLaw:
@@ -468,15 +476,14 @@ class GroupLaw:
         self.sigma, self.c, self.ad = [], [], []
         for word in law_words(pair):
             nf = normal_form(word)
-            self.sigma.append(_tails(enumerate(nf.etas), top))
-            self.c.append(_tails(_cells(nf.g_plus.rows), top))
-            self.ad.append(_tails(_cells(pair.ad_action_matrix(nf.g_plus)), top))
+            self.sigma.append(_tails(((i, e.terms) for i, e in enumerate(nf.etas)), top))
+            self.c.append(_tails(_cells(term_grid(nf.g_plus)), top))
+            self.ad.append(_tails(_cells(pair.ad_action_matrix(nf.g_plus, shared=True)[0]), top))
 
-    def _step(self, algebra, xi, r, with_ad):
-        """sigma, c and Ad(c) - 1 (a dict (k, l) -> entry, or None) at (xi, r),
-        all on term dicts but c: each sum accumulates in place by ``mac``, and
-        the cells of c are wrapped as elements once, at the end."""
-        field = algebra.field
+    def _step(self, field, xi, r, with_ad):
+        """sigma, N = c - 1 (a grid) and Ad(c) - 1 (a dict (k, l) -> entry,
+        or None) at (xi, r), all on term dicts: each sum accumulates in place
+        by ``mac``."""
         mono = {0: {0: field.from_int(1)}}
         values = {}
 
@@ -496,7 +503,8 @@ class GroupLaw:
             return v
 
         sigma = [dict(x) for x in xi]
-        rows = identity_grid(field, sum(self.shape))
+        size = sum(self.shape)
+        n = [[{} for _ in range(size)] for _ in range(size)]
         ad = {} if with_ad else None
         for j, rj in enumerate(r):
             if not rj:
@@ -504,35 +512,37 @@ class GroupLaw:
             for i, p in self.sigma[j]:
                 mac(field, sigma[i], at(p), rj)
             for (a, b), p in self.c[j]:
-                mac(field, rows[a][b], at(p), rj)
+                mac(field, n[a][b], at(p), rj)
             if with_ad:
                 for kl, p in self.ad[j]:
                     mac(field, ad.setdefault(kl, {}), at(p), rj)
-        return sigma, wrap_grid(self.shape, algebra, rows), ad
+        return sigma, n, ad
 
-    def fold(self, algebra, xi, runs):
-        """P(xi) . R_1 ... R_m = P(sigma) . E for runs R = 1 + zeta sum_j w_j Y_j
-        given as (zeta, w): each run folds into the odd product and leaves c;
-        the later runs are carried past c by Ad(c), and E = c_m ... c_1.
-        Returns (sigma, E), with E None when no run moved anything.  The sums
-        run on term dicts (``mac``); xi and the runs are only read."""
+    def fold(self, algebra, xi, runs, grid):
+        """P(xi) . R_1 ... R_m . G = P(sigma) . c_m ... c_1 G for runs
+        R = 1 + zeta sum_j w_j Y_j given as (zeta, w) on term dicts: each run
+        folds into the odd product and leaves c = 1 + N, which applies to
+        the grid G in place, G <- G + N G over N's nonzero cells
+        (``grid_mul``); the later runs are carried past c by Ad(c).  The
+        caller owns G; xi (elements) and the runs are only read.  Returns
+        sigma, xi itself when no run moved anything."""
         if algebra.field != self.field:
             raise StructuralError("coefficient field differs from the pair's field")
-        field = algebra.field
-        e = None
-        sigma = [x.terms for x in xi]
-        runs = [(zeta.terms, [a.terms for a in w]) for zeta, w in runs]
+        field, p = algebra.field, self.shape[0]
+        sigma, moved = [x.terms for x in xi], False
+        runs = list(runs)
         for k, (zeta, w) in enumerate(runs):
-            r = [mac(field, {}, zeta, a) for a in w]
+            r = [mac(field, {}, zeta, a) if a else {} for a in w]
             if not any(r):
                 continue
             last = k == len(runs) - 1
-            sigma, c, n = self._step(algebra, sigma, r, not last)
-            e = c if e is None else c * e
-            if not last and n:
-                runs[k + 1:] = [(z, [_row_dot(field, n, kk, v, dict(x)) for kk, x in enumerate(v)])
+            sigma, n, ad = self._step(field, sigma, r, not last)
+            grid_mul(field, p, n, grid, grid)
+            moved = True
+            if not last and ad:
+                runs[k + 1:] = [(z, [_row_dot(field, ad, kk, v, dict(x)) for kk, x in enumerate(v)])
                                 for z, v in runs[k + 1:]]
-        return (xi if e is None else [GrassmannElement(algebra, x) for x in sigma]), e
+        return [GrassmannElement(algebra, x) for x in sigma] if moved else xi
 
 
 def _row_dot(field, n, k, v, acc):
@@ -554,30 +564,36 @@ def group_law(pair) -> GroupLaw:
 
 def gp_mul(nf1: NormalForm, nf2: NormalForm) -> NormalForm:
     """(P(xi) g)(P(zeta) h) = P(xi) . prod_i (1 + zeta_i Ad(g)Y_i) . g h: the
-    runs fold into P(xi) through the pair's law, and E g h is the even factor."""
+    runs, read off the Ad memo's grid of g, fold into P(xi) through the
+    pair's law, and each fold step's even correction applies in place to
+    the grid of g h, wrapped once as the even factor."""
     if nf1.pair is not nf2.pair or nf1.algebra != nf2.algebra:
         raise StructuralError("normal forms over different groups")
     pair, algebra = nf1.pair, nf1.algebra
-    runs = [(i, z) for i, z in enumerate(nf2.etas) if not z.is_zero()]
+    runs = [(i, z.terms) for i, z in enumerate(nf2.etas) if z.terms]
     if runs:
-        ad = pair.ad_action_matrix(nf1.g_plus)
+        ad = pair.ad_action_matrix(nf1.g_plus, shared=True)[0]
         runs = [(z, [row[i] for row in ad]) for i, z in runs]
-    etas, e = group_law(pair).fold(algebra, nf1.etas, runs)
-    g = nf1.g_plus * nf2.g_plus
-    return NormalForm(pair, algebra, etas, g if e is None else e * g)
+    grid = grid_mul(algebra.field, pair.shape[0], term_grid(nf1.g_plus), term_grid(nf2.g_plus))
+    etas = group_law(pair).fold(algebra, nf1.etas, runs, grid)
+    return NormalForm(pair, algebra, etas, wrap_grid(pair.shape, algebra, grid))
 
 
 def gp_inv(nf: NormalForm) -> NormalForm:
     """(P(xi) g)^-1 = (1 - xi_d Ad(g^-1)Y_d)...(1 - xi_1 Ad(g^-1)Y_1) . g^-1:
-    g is inverted once, Ad(g^-1)Y_i is read off g^-1 rho(Y_i) g for the i
-    with xi_i != 0 only, and the descending runs fold through the pair's
-    law from P(0)."""
+    g^-1 is the one kept beside Ad(g) in the pair's Ad memo (one inversion
+    on a cold memo, none on a warm one), Ad(g^-1)Y_i is read off
+    g^-1 rho(Y_i) g for the i with xi_i != 0 only, and the descending runs
+    fold through the pair's law from P(0) into a copy of g^-1."""
     pair, algebra = nf.pair, nf.algebra
-    g, ginv = nf.g_plus, smat_inv(nf.g_plus)
-    live = [i for i in reversed(range(pair.d_minus)) if not nf.etas[i].is_zero()]
-    runs = [(-nf.etas[i], col) for i, col in zip(live, pair.conj_coords(ginv, g, live))]
-    etas, e = group_law(pair).fold(algebra, [algebra.zero()] * pair.d_minus, runs)
-    return NormalForm(pair, algebra, etas, ginv if e is None else e * ginv)
+    neg = algebra.field.neg
+    ginv = pair.ad_action_matrix(nf.g_plus, shared=True)[1]
+    live = [i for i in reversed(range(pair.d_minus)) if nf.etas[i].terms]
+    runs = [({m: neg(x) for m, x in nf.etas[i].terms.items()}, col)
+            for i, col in zip(live, pair.conj_grid(ginv, term_grid(nf.g_plus), live))]
+    grid = copy_grid(ginv)
+    etas = group_law(pair).fold(algebra, [algebra.zero()] * pair.d_minus, runs, grid)
+    return NormalForm(pair, algebra, etas, wrap_grid(pair.shape, algebra, grid))
 
 
 def gp_commutator(nf1: NormalForm, nf2: NormalForm) -> NormalForm:

@@ -33,13 +33,17 @@ through the A-linear extension with the sign rule
     (eta (x) Y).(c (x) w) = (-1)^{|Y||c|} eta c (x) Y.w .
 
 A vector over a coefficient algebra A is a plain dict, key -> nonzero
-coefficient, with the kernel's key.  straighten_action, wedge_ad_action and
-word_action take the module's straightening table (lie.odd_action, or an
-induced module's odd_act) and, for even points, its V0 action
-(trivial_action on wedge(g_1)) as arguments; an odd token 1 + eta.Y_i acts
-in word_action alone, as one scaled straightening pass into a copy of v.
-Sums accumulate in place (coeff.mac) only into coefficients the vector made
-itself, never into an input vector's, a v0_matrix entry or an Ad memo's.
+coefficient, with the kernel's key.  word_action takes and returns vectors
+of elements; below it vectors are term dicts.  The two kernels,
+straighten_action and wedge_ad_action, take the base field and the module's
+straightening table (lie.odd_action, or an induced module's odd_act), and
+wedge_ad_action an even point's Ad matrix (the pair's shared memo grid) and
+V0 matrix as grids.  word_action reads V0 matrices through its v0_action
+argument (trivial_action on wedge(g_1)); an odd token 1 + eta.Y_i acts in
+word_action alone, as one scaled straightening pass into a copy of v.  Sums
+accumulate in place (coeff.mac) only into term dicts the vector made
+itself, never into an input vector's, a V0 matrix entry or an Ad memo
+grid's.
 """
 
 from __future__ import annotations
@@ -128,7 +132,7 @@ class LieSuperalgebraData:
     """
 
     def __init__(self, field, d_plus, d_minus, ee, eo, oo, q2,
-                 shape=None, rho_even=None, rho_odd=None):
+                 shape=None, rho_even=None, rho_odd=None, odd_solver=None):
         self.field = field
         self.d_plus = d_plus
         self.d_minus = d_minus
@@ -149,6 +153,7 @@ class LieSuperalgebraData:
             [k_nonzeros(m) for m in self.rho_odd] if rho_odd is not None else None
         )
         self._rho_nz = {}
+        self._odd_solver = odd_solver
         self._kernel = StraighteningKernel(self, [((field.from_int(0),),)] * d_plus)
 
     def _validate_shapes(self):
@@ -221,6 +226,15 @@ class LieSuperalgebraData:
         """rho of the element with k-coordinates coords in the even (parity
         0) or odd (parity 1) basis, over the algebra."""
         return lift_comb(self.shape, algebra, (self.rho_even, self.rho_odd)[parity], coords)
+
+    @property
+    def odd_solver(self):
+        """The exact solver (``k_solve_matrix``) for coordinates in the span
+        of the flattened rho(Y_i), row-reduced once: from_matrices hands
+        over the one it made, any other rho is reduced on first use."""
+        if self._odd_solver is None:
+            self._odd_solver = k_solve_matrix(self.field, [_flat(m) for m in self.rho_odd])
+        return self._odd_solver
 
     def rho_even_nonzeros(self, coords):
         """The nonzero entries (``k_nonzeros``) of rho of the even element
@@ -546,7 +560,8 @@ def from_matrices(p, q, evens, odds, field) -> LieSuperalgebraData:
     row, and a bracket accumulates both products into one flat vector.
     Each span is row-reduced once by smat.k_solve_matrix; a bracket or
     square is solved against it and checked exactly against the generators,
-    and one that leaves the span raises ClosureViolation naming it.
+    and one that leaves the span raises ClosureViolation naming it.  The
+    odd solver stays on the result as its ``odd_solver``.
     """
     n = p + q
     for parity, mats in ((0, evens), (1, odds)):
@@ -599,8 +614,8 @@ def from_matrices(p, q, evens, odds, field) -> LieSuperalgebraData:
     oo = [[coords(product(y, y2, 1), f"[Y{i + 1},Y{j + 1}]", 0)
            for j, y2 in enumerate(od)] for i, y in enumerate(od)]
     q2 = [coords(product(y, y), f"Y{i + 1}^<2>", 0) for i, y in enumerate(od)]
-    return LieSuperalgebraData(field, len(evens), len(odds), ee, eo, oo, q2,
-                               shape=(p, q), rho_even=list(evens), rho_odd=list(odds))
+    return LieSuperalgebraData(field, len(evens), len(odds), ee, eo, oo, q2, shape=(p, q),
+                               rho_even=list(evens), rho_odd=list(odds), odd_solver=solvers[1])
 
 
 def gl_lie(p, q, field) -> LieSuperalgebraData:
@@ -613,28 +628,21 @@ def gl_lie(p, q, field) -> LieSuperalgebraData:
 
 # ---------------------------------------------------------------------------
 # module vectors over a coefficient algebra: dicts key -> nonzero
-# coefficient, Ybar_S (x) e_t keyed S | t << d_minus.  Ownership rule: sums
-# accumulate in place (coeff.mac) only into elements the vector made itself,
-# never into an input vector's, a v0_matrix entry or an Ad memo element.
+# coefficient, Ybar_S (x) e_t keyed S | t << d_minus, coefficients as
+# elements in word_action's arguments and result and as term dicts below it
+# (ownership rule in the module docstring).
 
 
-def _mac_at(out, key, algebra, xs, ys, twist=False):
+def _mac_into(field, out, key, xs, ys, twist=False):
     """out[key] += x.y, or x.twist(y), for term dicts xs and ys, into the
-    coefficient out owns at key; a new key gets a new element, and a key
-    whose sum is zero is dropped."""
+    term dict out owns at key; a new key gets a new dict, and a key whose
+    sum is zero is dropped."""
     prev = out.get(key)
     if prev is None:
-        terms = mac(algebra.field, {}, xs, ys, twist)
-        if terms:
-            out[key] = GrassmannElement(algebra, terms)
-    elif not mac(algebra.field, prev.terms, xs, ys, twist):
+        if terms := mac(field, {}, xs, ys, twist):
+            out[key] = terms
+    elif not mac(field, prev, xs, ys, twist):
         del out[key]
-
-
-def _add_scaled(acc, a, v):
-    """acc += a.v for a coefficient a and a vector v, in place."""
-    for key, c in v.items():
-        _mac_at(acc, key, a.algebra, a.terms, c.terms)
 
 
 def parity_pattern_ok(v, d_minus):
@@ -650,60 +658,62 @@ def trivial_action(g):
     return [[g.algebra.one()]]
 
 
-def straighten_action(act, index, v, scale=None, out=None):
-    """out += scale.(Y_index . v), returning out (a new vector when None;
-    scale 1 when None): Y_index acts through the straightening table
-    act(index, key) (lie.odd_action, or an induced module's odd_act),
-    extended A-linearly with the super sign rule, so each table entry raw
-    at k2 adds (scale.raw).twist(c) into out[k2] by one mac."""
+def straighten_action(field, act, index, v, scale=None, out=None):
+    """out += scale.(Y_index . v) on vectors of term dicts over the field,
+    returning out (a new vector when None; scale 1 when None): Y_index acts
+    through the straightening table act(index, key) (lie.odd_action, or an
+    induced module's odd_act), extended A-linearly with the super sign
+    rule, so each table entry raw at k2 adds (scale.raw).twist(c) into
+    out[k2] by one mac; an entry raw = 1 uses the scale's dict itself."""
     if out is None:
         out = {}
+    one = field.from_int(1)
+    if scale is None:
+        scale = {0: one}
     for key, c in v.items():
-        algebra, ys = c.algebra, c.terms
         for k2, raw in act(index, key).items():
-            xs = {0: raw} if scale is None else {
-                m: algebra.field.mul(x, raw) for m, x in scale.terms.items()}
-            _mac_at(out, k2, algebra, xs, ys, True)
+            xs = scale if raw == one else {m: field.mul(x, raw) for m, x in scale.items()}
+            _mac_into(field, out, k2, xs, c, True)
     return out
 
 
-def wedge_ad_action(act, ad_matrix, v0_matrix, v):
-    """An even group element g acting on the vector v of
-    U(g) (x)_{U(g_0)} V0, whose straightening table is act(j, key).
+def wedge_ad_action(field, act, ad_matrix, v0_matrix, v):
+    """An even group element g acting on the vector v of term dicts over the
+    field, in U(g) (x)_{U(g_0)} V0, whose straightening table is act(j, key);
+    returns a new vector.
 
-    ad_matrix[j][i] are even coefficient-algebra elements with
-    Ad(g)(Y_i) = sum_j a[j][i] Y_j, and v0_matrix is g on V0:
-    g.e_t = sum_r v0_matrix[r][t] e_r (for wedge(g_1), V0 is the trivial
-    line and v0_matrix is [[1]]).  With i0 = min S and rest the key without
-    it, g.(Ybar_S (x) e_t) = (Ad(g)Y_{i0}).(g.rest), and each Y_j acts by
-    straighten_action, so the [Y_j,Y_k] and Y_j^<2> terms of the product in
-    U(g) act on what stands to their right.
+    ad_matrix[j][i] are the term dicts of even coefficients with
+    Ad(g)(Y_i) = sum_j a[j][i] Y_j, and v0_matrix is g on V0 as a grid of
+    term dicts: g.e_t = sum_r v0_matrix[r][t] e_r (for wedge(g_1), V0 is the
+    trivial line and v0_matrix is [[1]]).  With i0 = min S and rest the key
+    without it, g.(Ybar_S (x) e_t) = (Ad(g)Y_{i0}).(g.rest), and each Y_j
+    acts by straighten_action, so the [Y_j,Y_k] and Y_j^<2> terms of the
+    product in U(g) act on what stands to their right.
     """
     dm = len(ad_matrix)
     memo = {}
 
     def image(key):
-        """g . key, memoized for this call."""
+        """g . key, memoized for this call; read only."""
         res = memo.get(key)
         if res is None:
             if key & ((1 << dm) - 1):
                 i0 = (key & -key).bit_length() - 1
                 rest = image(key & (key - 1))
                 res = {}
-                for j in range(dm):
-                    a = ad_matrix[j][i0]
-                    if not a.is_zero():
-                        straighten_action(act, j, rest, a, res)
+                for j, row in enumerate(ad_matrix):
+                    if a := row[i0]:
+                        straighten_action(field, act, j, rest, a, res)
             else:
                 t = key >> dm
-                res = {r << dm: row[t] for r, row in enumerate(v0_matrix)
-                       if not row[t].is_zero()}
+                res = {r << dm: row[t] for r, row in enumerate(v0_matrix) if row[t]}
             memo[key] = res
         return res
 
     out = {}
     for key, c in v.items():
-        _add_scaled(out, c, image(key))
+        for k2, x in image(key).items():
+            _mac_into(field, out, k2, c, x)
     return out
 
 
@@ -715,14 +725,22 @@ def word_action(word, v, odd_act, v0_action):
     wedge(g_1), InducedModule.odd_act on an induced module) and
     v0_action(g) the matrix of an even point g on V0.  Even tokens act by
     wedge_ad_action through the word's pair (duck-typed: the pair supplies
-    ad_action_matrix); an odd token acts as 1 + eta.Y_i.
+    ad_action_matrix and its shared memo grids); an odd token acts as
+    1 + eta.Y_i.  v and the result hold elements; in between the vector runs
+    on term dicts, wrapped once at the end.
     """
-    pair = word.pair
-    for tok in reversed(word.tokens):
+    tokens = word.tokens
+    if not tokens:
+        return v
+    pair, algebra = word.pair, word.algebra
+    field = algebra.field
+    vec = {key: c.terms for key, c in v.items()}
+    for tok in reversed(tokens):
         if tok.kind == "even":
-            v = wedge_ad_action(odd_act, pair.ad_action_matrix(tok.matrix),
-                                v0_action(tok.matrix), v)
+            ad, _ = pair.ad_action_matrix(tok.matrix, shared=True)
+            v0 = [[e.terms for e in row] for row in v0_action(tok.matrix)]
+            vec = wedge_ad_action(field, odd_act, ad, v0, vec)
         else:
-            out = {k: GrassmannElement(c.algebra, dict(c.terms)) for k, c in v.items()}
-            v = straighten_action(odd_act, tok.index, v, tok.eta, out)
-    return v
+            out = {key: dict(c) for key, c in vec.items()}
+            vec = straighten_action(field, odd_act, tok.index, vec, tok.eta.terms, out)
+    return {key: GrassmannElement(algebra, c) for key, c in vec.items()}

@@ -12,11 +12,14 @@ and the differential are read off dual-number probes 1 + eps X, points over
 ``ad_action_matrix`` keeps a small memo per pair, because the group law and
 the induced-module action ask for the Ad matrix of the same few even points
 again and again.  The key is the exact value of the point: its shape, its
-algebra and every entry's sorted ``(mask, value)`` terms.  The memo holds at
-most ``AD_MEMO_SIZE`` points and drops the oldest first; a point whose
-conjugates leave the odd span is never stored, so it raises
-``SpanViolation`` on every request.  Each call returns a fresh list-of-lists
-copy of the stored matrix.
+algebra and every entry's sorted ``(mask, value)`` terms.  An entry holds
+Ad(g) and g^-1 as grids of term dicts, from the one inversion that Ad(g)
+takes; both are shared with every caller that asks for the entry
+(``shared=True``: the group law, the module action, rewriting) and are
+read only.  The memo holds at most ``AD_MEMO_SIZE`` points and drops the
+oldest first; a point whose conjugates leave the odd span is never stored,
+so it raises ``SpanViolation`` on every request.  Without ``shared`` a call
+returns a fresh list-of-lists copy of Ad(g), entries as elements.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .smat import (
     dual_probe,
     gl_block_diag,
     gl_full,
-    k_solve_matrix,
+    grid_inv,
     matrix_units,
     smat_inv,
     term_grid,
@@ -55,13 +58,8 @@ class HarishChandraPair:
         self.lie = lie
         self.shape = lie.shape
         self.field = lie.field
-        n = self.shape[0] + self.shape[1]
-        if lie.d_minus:
-            cols = [[m[i][j] for i in range(n) for j in range(n)] for m in lie.rho_odd]
-            self._odd_solver = k_solve_matrix(self.field, cols)
-        else:
-            self._odd_solver = None
-        self._ad_memo = {}  # point key -> Ad matrix (tuple rows), oldest first
+        self._odd_solver = lie.odd_solver if lie.d_minus else None
+        self._ad_memo = {}  # point key -> (Ad(g), g^-1) as grids, oldest first
         self.group_law = None  # gp.GroupLaw, compiled by the first product
 
     @property
@@ -75,19 +73,24 @@ class HarishChandraPair:
     # -- conjugation ------------------------------------------------------
     def conj_coords(self, left: SuperMatrix, right: SuperMatrix, indices=None):
         """For each i in indices (all by default), the odd-basis coordinates
-        (c_j)_j with left rho(Y_i) right = sum c_j rho(Y_j).
+        (c_j)_j with left rho(Y_i) right = sum c_j rho(Y_j), as elements
+        (``conj_grid`` on the points' grids).
 
         With right = left^-1 this is column i of Ad(left); the caller passes
-        both points, so nothing is inverted here.  The sandwich is one
-        ``ck_grid`` over the nonzeros of rho(Y_i), never lifted.  The
-        solver is exact over k applied to algebra entries; a nonzero
-        residual or an odd coordinate raises SpanViolation.
-        """
-        algebra, field, p, n = left.algebra, self.field, self.shape[0], left.size
-        lg, rg = term_grid(left), term_grid(right)
+        both points, so nothing is inverted here."""
+        algebra = left.algebra
+        return [[GrassmannElement(algebra, c) for c in col]
+                for col in self.conj_grid(term_grid(left), term_grid(right), indices)]
+
+    def conj_grid(self, left, right, indices=None):
+        """conj_coords on grids of term dicts: the coordinates as term dicts.
+        The sandwich is one ``ck_grid`` over the nonzeros of rho(Y_i), never
+        lifted.  The solver is exact over k applied to algebra entries; a
+        nonzero residual or an odd coordinate raises SpanViolation."""
+        field, p, n = self.field, self.shape[0], len(left)
         out = []
         for i in range(self.d_minus) if indices is None else indices:
-            conj = ck_grid(field, p, lg, None, self.lie.rho_odd_nz[i], rg,
+            conj = ck_grid(field, p, left, None, self.lie.rho_odd_nz[i], right,
                            [[{} for _ in range(n)] for _ in range(n)])
             coords = self._odd_solver([x for row in conj for x in row], terms=True)
             if coords is None:
@@ -95,7 +98,7 @@ class HarishChandraPair:
                     f"the conjugate of Y{i + 1} left the odd span of the pair")
             if any(m.bit_count() & 1 for c in coords for m in c):
                 raise SpanViolation(f"Ad coordinate of Y{i + 1} is not even")
-            out.append([GrassmannElement(algebra, c) for c in coords])
+            out.append(coords)
         return out
 
     def ad_coords(self, g_plus: SuperMatrix, i: int):
@@ -103,19 +106,26 @@ class HarishChandraPair:
         column i of Ad(g^-1), the single-column entry point of conj_coords."""
         return self.conj_coords(smat_inv(g_plus), g_plus, [i])[0]
 
-    def ad_action_matrix(self, g_plus: SuperMatrix):
+    def ad_action_matrix(self, g_plus: SuperMatrix, shared=False):
         """a[j][i] with Ad(g)(Y_i) = sum_j a[j][i] Y_j (note: Ad(g), not
         Ad(g^-1)); column i solves g rho(Y_i) g^-1, with g inverted once.
-        Memoized by the exact value of g (see the module docstring)."""
+        Memoized by the exact value of g (see the module docstring): a fresh
+        copy with elements as entries, or with shared=True the memo's entry
+        itself, (Ad(g), g^-1) as grids of term dicts, read only."""
         key = (g_plus.shape, g_plus.algebra,
                tuple(tuple(sorted(e.terms.items())) for row in g_plus.rows for e in row))
-        a = self._ad_memo.get(key)
-        if a is None:
-            a = tuple(zip(*self.conj_coords(g_plus, smat_inv(g_plus))))
+        entry = self._ad_memo.get(key)
+        if entry is None:
+            g = term_grid(g_plus)
+            ginv = grid_inv(self.field, self.shape[0], g_plus.algebra.rank, g)
+            entry = tuple(zip(*self.conj_grid(g, ginv))), ginv
             if len(self._ad_memo) >= AD_MEMO_SIZE:
                 del self._ad_memo[next(iter(self._ad_memo))]
-            self._ad_memo[key] = a
-        return [list(row) for row in a]
+            self._ad_memo[key] = entry
+        if shared:
+            return entry
+        algebra = g_plus.algebra
+        return [[GrassmannElement(algebra, dict(x)) for x in row] for row in entry[0]]
 
     # -- word representation -------------------------------------------------
     def identity_matrix(self, algebra):

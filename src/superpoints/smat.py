@@ -22,7 +22,8 @@ grid it owns once, without re-checking its shape.  A left factor applies in
 place: ``ck_grid(field, p, None, c, nz, xs, xs)`` makes xs (1 + cK) xs, row
 a gaining c K_ab twist(row b), so a row both read and written (nonzeros at
 (a, b) and (b, a), as on q(2), or on the diagonal) is read, by a copy,
-before it is written.
+before it is written; ``grid_mul(field, p, n, xs, xs)`` does the same for
+a factor 1 + n with n a grid.
 
 ``grid_inv`` inverts m = B + S, body plus soul, as (1 + u + u^2 + ...) B^-1
 with u = -B^-1 S; B must be block-diagonal, as the body of every
@@ -171,9 +172,15 @@ class SuperMatrix:
 def grid_mul(field, p, xs, ys, out=None):
     """out + xs . ys for square grids of term dicts with p even rows, in
     place (out None is 0): out_ik gains x_ij . twist^{|i|+|j|}(y_jk) in
-    increasing j, one ``coeff.mac`` each."""
+    increasing j, one ``coeff.mac`` each.  out may be ys itself, which turns
+    ys into (1 + xs) ys: a row of ys both read and written is read from a
+    copy."""
     if out is None:
         out = [[{} for _ in row] for row in xs]
+    elif out is ys:
+        written = {i for i, row in enumerate(xs) if any(row)}
+        read = {j for i in written for j, x in enumerate(xs[i]) if x}
+        ys = [[dict(y) for y in row] if j in read & written else row for j, row in enumerate(ys)]
     for i, row in enumerate(xs):
         for j, x in enumerate(row):
             if x:
@@ -319,17 +326,24 @@ def k_matrix_inverse(field, rows):
 def k_reduce(field, a, m):
     """Gauss-Jordan over k in place on the rows a (lists of raw values) in
     their first m columns: True when those are k-linearly independent (they
-    end as [I_m; 0]), False at the first column without a pivot."""
+    end as [I_m; 0]), False at the first column without a pivot.  A pivot
+    of 1 leaves its row as it is, and a row update visits only the pivot
+    row's nonzero entries."""
+    one = field.from_int(1)
     for col in range(m):
         piv = next((i for i in range(col, len(a)) if a[i][col]), None)
         if piv is None:
             return False
         a[col], a[piv] = a[piv], a[col]
-        f = field.inv(a[col][col])
-        a[col] = [field.mul(f, v) for v in a[col]]
+        if (x := a[col][col]) != one:
+            f = field.inv(x)
+            a[col] = [field.mul(f, v) if v else v for v in a[col]]
+        nz = [(k, v) for k, v in enumerate(a[col]) if v]
         for i, row in enumerate(a):
             if i != col and (g := row[col]):
-                a[i] = [field.add(x, field.neg(field.mul(g, y))) for x, y in zip(row, a[col])]
+                g = field.neg(g)
+                for k, v in nz:
+                    row[k] = field.add(row[k], field.mul(g, v))
     return True
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from .coeff import GF2, GF3, QQ, GrassmannAlgebra, SuperNumbers
-from .liesuper import (CheckReport, _add_scaled, lift_comb, parity_pattern_ok,
+from .liesuper import (CheckReport, _mac_into, lift_comb, parity_pattern_ok,
                        straighten_action, trivial_action, wedge_ad_action, word_action)
 from .gp import (
     EvenTok,
@@ -271,20 +271,22 @@ def check_ad_compatibility(pair, rng) -> CheckReport:
     is how wedge_ad_action acts).  The failure names the number of broken
     (sample, key, i) cases and the first one."""
     rep = CheckReport()
-    lie, dm = pair.lie, pair.d_minus
-    algebra = GrassmannAlgebra(pair.field, 2)
-    act, trivial = lie.odd_action, [[algebra.one()]]
+    lie, dm, field = pair.lie, pair.d_minus, pair.field
+    algebra = GrassmannAlgebra(field, 2)
+    one = {0: field.from_int(1)}
+    act, trivial = lie.odd_action, [[one]]
     bad = []
     for s in range(4):
-        ad = pair.ad_action_matrix(pair.even_group.sample(algebra, rng))
+        ad, _ = pair.ad_action_matrix(pair.even_group.sample(algebra, rng), shared=True)
         for m in range(1, 1 << dm):
-            vm = {m: algebra.one()}
-            gm = wedge_ad_action(act, ad, trivial, vm)
+            vm = {m: one}
+            gm = wedge_ad_action(field, act, ad, trivial, vm)
             for i in range((m & -m).bit_length() - 1, dm):
-                lhs = wedge_ad_action(act, ad, trivial, straighten_action(act, i, vm))
+                lhs = wedge_ad_action(field, act, ad, trivial, straighten_action(field, act, i, vm))
                 rhs = {}
                 for j in range(dm):
-                    _add_scaled(rhs, ad[j][i], straighten_action(act, j, gm))
+                    for k2, x in straighten_action(field, act, j, gm).items():
+                        _mac_into(field, rhs, k2, ad[j][i], x)
                 if lhs != rhs:
                     bad.append(f"sample {s}, key {m}, Y{i + 1}")
     if bad:

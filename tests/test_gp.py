@@ -229,18 +229,36 @@ def test_group_law_matches_word_concatenation(case):
 
 
 def test_gp_inv_inverts_once(monkeypatch):
-    """gp_inv inverts g_plus and reads Ad(g^-1) off g^-1 rho(Y_i) g: one
-    smat_inv in all, none of them undoing another."""
+    """gp_inv takes g^-1 from the Ad memo entry of g_plus and reads
+    Ad(g^-1) off g^-1 rho(Y_i) g: exactly one inversion for a point the
+    memo does not hold (the one that Ad(g) takes too), and none for a point
+    it holds, whether gp_inv or gp_mul put it there."""
     pair = gl_pair(2, 1, GF3)
     A = GrassmannAlgebra(GF3, 4)
     rng = random.Random(48)
-    nfs = [normal_form(random_word(pair, A, rng, 6)) for _ in range(5)]
+    nfs = [normal_form(random_word(pair, A, rng, 6)) for _ in range(6)]
+    assert all(any(not e.is_zero() for e in nf.etas) for nf in nfs)
     want = [_concat_inv(nf) for nf in nfs]
     group_law(pair)  # compiling the law takes Ad matrices, which invert
+    pair._ad_memo.clear()
     calls = count_inversions(monkeypatch, gp, shcp, smat)
-    for k, nf in enumerate(nfs):
-        assert gp_inv(nf) == want[k]
-        assert len(calls) == k + 1
+    seen = []
+    for nf, inv in zip(nfs, want):
+        cold = nf.g_plus not in seen
+        seen.append(nf.g_plus)
+        before = len(calls)
+        assert gp_inv(nf) == inv
+        assert len(calls) == before + cold
+    assert len(calls) < len(nfs)  # two of the points are equal
+    for nf, inv in zip(nfs, want):
+        assert gp_inv(nf) == inv
+    assert len(calls) == len({repr(g) for g in seen})
+    pair._ad_memo.clear()
+    before = len(calls)
+    gp_mul(nfs[0], nfs[1])
+    assert len(calls) == before + 1
+    assert gp_inv(nfs[0]) == want[0]
+    assert len(calls) == before + 1
 
 
 def test_group_law_on_ad_unstable_pair_raises_span_violation():

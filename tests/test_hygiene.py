@@ -1,6 +1,6 @@
 """Source hygiene: no module imports a name it never uses, every name the
-benchmark's tracer wraps exists, and only coeff and sampling import
-fractions.
+benchmark's tracer wraps exists and is reached by the workloads' ops, and
+only coeff and sampling import fractions.
 
 Scans ``src/superpoints/*.py`` (except ``__init__.py``, whose imports are
 the package's exports) and ``tests/*.py`` with ``ast``: every name an
@@ -8,9 +8,12 @@ import statement binds must be read somewhere in the same file.
 """
 
 import ast
+import random
 from pathlib import Path
 
 import pytest
+
+from superpoints import normal_form
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for p in (ROOT / "src" / "superpoints").glob("*.py")
@@ -55,6 +58,48 @@ def test_traced_layer_names_exist():
             assert attr in vars(owner), (name, owner.__name__, attr)
         else:
             assert hasattr(owner, attr), (name, owner.__name__, attr)
+
+
+def _from_source(name):
+    """The namespace of perfbench/<name>.py, run from source: no bytecode
+    is written."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    ns = {"__name__": f"_perfbench_{name}", "__file__": str(path)}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), ns)
+    return ns
+
+
+TRACED_SPANS = {
+    "triangle-q": ["shcp.ad_action_matrix", "liesuper.straighten_action",
+                   "liesuper.wedge_ad_action", "liesuper.word_action", "liesuper.kernel",
+                   "gp.normal_form", "gp.reorder_symbolic", "gp.strip"],
+    "group-f3": ["shcp.ad_action_matrix", "liesuper.straighten_action",
+                 "liesuper.wedge_ad_action", "liesuper.word_action", "gp.induced"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_SPANS))
+def test_traced_spans_are_reached(name):
+    """A few seeded ops of the workload, run under perfbench's Tracer, call
+    each span they reached when the spans were named: a route that stops
+    going through a traced function would otherwise read as a layer whose
+    work went away.  Each op runs as the benchmark runs it, and passes."""
+    workloads, tracer = _from_source("workloads"), _from_source("tracer")
+    workload = workloads["WORKLOADS"][name]
+    state = workload.build()
+    rng = random.Random(2026)
+    if name == "triangle-q":
+        items = [workloads["random_word"](pair, state["algebra"], rng, 6)
+                 for pair in state["pairs"] for _ in range(2)]
+    else:
+        pair, algebra = state["pair"], state["algebra"]
+        nfs = [normal_form(workloads["random_word"](pair, algebra, rng, 4)) for _ in range(3)]
+        items = [tuple(nfs), tuple(reversed(nfs))]
+    with tracer["Tracer"]() as spans:
+        for k, item in enumerate(items):
+            spans.run_op(k, workload.op, state, item, {})
+    assert spans.calls["op"] == len(items)
+    assert [s for s in TRACED_SPANS[name] if not spans.calls[s]] == []
 
 
 def importers_of(module):

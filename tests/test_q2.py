@@ -28,6 +28,7 @@ from superpoints import (
     strip_matrix_factorization,
 )
 from superpoints import verify
+from superpoints.coeff import GrassmannElement
 from superpoints.verify import check_ad_compatibility, check_module_axioms, random_word
 
 
@@ -91,10 +92,16 @@ def test_q2_axioms_and_module_axioms(field):
     assert rep.ok, rep.failures
 
 
-def exterior_ad_action(act, ad_matrix, v0_matrix, v):
+def exterior_ad_action(field, act, ad_matrix, v0_matrix, v):
     """g acting on each key Ybar_S (x) e_t as the exterior product of the
     Ad(g)Y_i, i in S (the expansion that drops the [Y_j,Y_k] and Y_j^<2>
-    terms of the product in U(g)); exact on gl(p|q) only."""
+    terms of the product in U(g)); exact on gl(p|q) only.  It takes and
+    returns term dicts, as wedge_ad_action does, and expands on elements
+    of Lambda_16 over the field."""
+    A = GrassmannAlgebra(field, 16)
+    ad_matrix = [[GrassmannElement(A, x) for x in row] for row in ad_matrix]
+    v0_matrix = [[GrassmannElement(A, x) for x in row] for row in v0_matrix]
+    v = {key: GrassmannElement(A, c) for key, c in v.items()}
     dm = len(ad_matrix)
     out = {}
 
@@ -115,7 +122,7 @@ def exterior_ad_action(act, ad_matrix, v0_matrix, v):
         for s, cs in expanded.items():
             for r, row in enumerate(v0_matrix):
                 add(out, s | r << dm, cs * row[key >> dm])
-    return {k: x for k, x in out.items() if not x.is_zero()}
+    return {k: x.terms for k, x in out.items() if not x.is_zero()}
 
 
 def test_suite_pbw_sees_the_exterior_expansion(monkeypatch):

@@ -11,6 +11,7 @@ from superpoints import (
     QQ,
     GrassmannAlgebra,
     HarishChandraPair,
+    LieSuperalgebraData,
     SpanViolation,
     EvenTok,
     GroupWord,
@@ -131,6 +132,34 @@ def test_zero_odd_pair_validates_trivially():
                         [], f)
     pair = HarishChandraPair(gl_block_diag(1, 1), lie)
     assert validate_pair(pair, samples=4).ok
+
+
+def test_pair_row_reduces_its_odd_span_once(monkeypatch):
+    """gl_pair(2, 1, QQ) runs k_reduce twice, on the even and the odd span
+    in from_matrices: the pair solves with the odd solver kept on its Lie
+    superalgebra.  A Lie superalgebra given by its tables alone reduces its
+    odd span once, when the first pair over it is made, and solves alike."""
+    calls = []
+
+    def counted(*args, _real=smat.k_reduce):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(smat, "k_reduce", counted)
+    pair = gl_pair(2, 1, QQ)
+    assert len(calls) == 2
+    assert pair._odd_solver is pair.lie.odd_solver
+    lie = pair.lie
+    bare = LieSuperalgebraData(QQ, lie.d_plus, lie.d_minus, lie.ee, lie.eo, lie.oo, lie.q2,
+                               shape=lie.shape, rho_even=lie.rho_even, rho_odd=lie.rho_odd)
+    twin = HarishChandraPair(pair.even_group, bare)
+    assert len(calls) == 3
+    HarishChandraPair(pair.even_group, bare)
+    assert len(calls) == 3
+    monkeypatch.undo()
+    A = GrassmannAlgebra(QQ, 3)
+    g = pair.even_group.sample(A, random.Random(5))
+    assert twin.ad_action_matrix(g) == pair.ad_action_matrix(g)
 
 
 # ---------------------------------------------------------------------------

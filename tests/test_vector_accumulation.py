@@ -1,13 +1,15 @@
 """Module vectors and the group law accumulate in place on term dicts.
 
-The scaled straightening pass is checked against its composition from
-element operations (``support.straighten_reference``); the actions and the
-group law are checked to write to no coefficient they do not own; and one
-product, inverse and module action are pinned to make no GrassmannElement
-product or sum from inside liesuper or the group law."""
+The scaled straightening pass, on term dicts, is checked against its
+composition from element operations (``support.straighten_reference``); the
+actions and the group law are checked to write to no coefficient they do
+not own, the Ad memo's grids included; and one product, inverse and module
+action are pinned to make no GrassmannElement product or sum from inside
+liesuper or the group law, and no SuperMatrix product or constructor."""
 
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -37,8 +39,14 @@ def rand_vector(algebra, rng, dim, size=5):
     return v
 
 
-def owned_copy(v):
-    return {k: GrassmannElement(c.algebra, dict(c.terms)) for k, c in v.items()}
+def terms_of(v):
+    """The vector v with its elements' term dicts as coefficients, shared."""
+    return {k: c.terms for k, c in v.items()}
+
+
+def owned_terms(v):
+    """The vector v with fresh copies of its elements' term dicts."""
+    return {k: dict(c.terms) for k, c in v.items()}
 
 
 def modules(pair):
@@ -60,8 +68,9 @@ KERNEL_CASES = ([(name, build, f) for name, build in PAIRS for f in (QQ, GF2, GF
 @pytest.mark.parametrize("name,build,field", KERNEL_CASES,
                          ids=[f"{n}-{f}" for n, _, f in KERNEL_CASES])
 def test_scaled_pass_matches_element_composition(name, build, field):
-    """straighten_action(act, i, v, scale, out) adds scale.(Y_i.v) into out
-    and returns it; with neither it is Y_i.v; no zero is stored."""
+    """straighten_action(field, act, i, v, scale, out) adds scale.(Y_i.v)
+    into out and returns it; with neither it is Y_i.v; no zero is stored.
+    The element vectors of the reference are compared by their term dicts."""
     pair = build(field)
     A = GrassmannAlgebra(field, 4)
     rng = random.Random(5)
@@ -70,12 +79,13 @@ def test_scaled_pass_matches_element_composition(name, build, field):
             v, out = rand_vector(A, rng, dim), rand_vector(A, rng, dim)
             i = rng.randrange(pair.d_minus)
             scale = rand_element(A, rng, max_terms=3)
-            assert straighten_action(act, i, v) == straighten_reference(act, i, v)
+            assert (straighten_action(field, act, i, terms_of(v))
+                    == terms_of(straighten_reference(act, i, v)))
             want = straighten_reference(act, i, v, scale, out)
-            acc = owned_copy(out)
-            assert straighten_action(act, i, v, scale, acc) is acc
-            assert acc == want
-            assert all(c.terms for c in acc.values())
+            acc = owned_terms(out)
+            assert straighten_action(field, act, i, terms_of(v), scale.terms, acc) is acc
+            assert acc == terms_of(want)
+            assert all(acc.values())
 
 
 def test_scaled_pass_cancels_to_an_empty_vector():
@@ -83,10 +93,12 @@ def test_scaled_pass_cancels_to_an_empty_vector():
     pair = gl_pair(2, 1, GF3)
     A = GrassmannAlgebra(GF3, 4)
     rng = random.Random(2)
-    v, eta = rand_vector(A, rng, 8), rand_odd(A, rng)
-    out = {k: -c for k, c in straighten_action(pair.lie.odd_action, 1, v, eta).items()}
+    v, eta = terms_of(rand_vector(A, rng, 8)), rand_odd(A, rng).terms
+    act = pair.lie.odd_action
+    out = {k: {m: GF3.neg(x) for m, x in c.items()}
+           for k, c in straighten_action(GF3, act, 1, v, eta).items()}
     assert out
-    assert straighten_action(pair.lie.odd_action, 1, v, eta, out) == {}
+    assert straighten_action(GF3, act, 1, v, eta, out) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +107,8 @@ def test_scaled_pass_cancels_to_an_empty_vector():
 
 def snapshot(x):
     """A deep copy of the coefficient data in x, for comparison."""
+    if isinstance(x, (int, Fraction)):
+        return x
     if isinstance(x, GrassmannElement):
         return tuple(sorted(x.terms.items()))
     if isinstance(x, SuperMatrix):
@@ -109,6 +123,9 @@ def snapshot(x):
 @pytest.mark.parametrize("name,build", PAIRS, ids=[n for n, _ in PAIRS])
 @pytest.mark.parametrize("field", [QQ, GF3], ids=str)
 def test_actions_and_group_law_write_only_what_they_own(name, build, field):
+    """The module action, both kernels, products and inverses leave their
+    inputs as they were, and the Ad memo's grids too: each entry's Ad(g) and
+    g^-1, which gp_mul, gp_inv, rewriting and the module action share."""
     pair = build(field)
     A = GrassmannAlgebra(field, 4)
     rng = random.Random(11)
@@ -122,21 +139,29 @@ def test_actions_and_group_law_write_only_what_they_own(name, build, field):
     b = normal_form(GroupWord(pair, A, [EvenTok(g), OddTok(1, rand_odd(A, rng))]))
     odd = NormalForm(pair, A, [rand_odd(A, rng)] + [A.zero()] * (pair.d_minus - 1),
                      one.g_plus)
-    ad = pair.ad_action_matrix(g)
+    ab = gp_mul(a, b)
+    assert any(not e.is_zero() for e in ab.etas)
+    for nf in (a, b, ab):
+        gp_inv(nf)  # the memo now holds Ad(g) and g^-1 of each even factor
+    ad = pair.ad_action_matrix(g, shared=True)[0]
     for act, dim, v0_action in modules(pair):
-        v0 = v0_action(g)
+        v0 = [[e.terms for e in row] for row in v0_action(g)]
         v = rand_vector(A, rng, dim, size=6)
         scale = rand_even_unit(A, rng)
-        kept = [v, v0, one, a, b, odd, ad, g, scale]
+        kept = [v, v0, one, a, b, ab, odd, g, scale]
         memo = dict(pair._ad_memo)
+        assert len(memo) > 3
         before = snapshot(kept), snapshot(memo)
         for w in (word, b, odd):
             word_action(w, v, act, v0_action)
-        wedge_ad_action(act, ad, v0, v)
-        straighten_action(act, 0, v)
-        straighten_action(act, 0, v, scale, owned_copy(v))
-        gp_inv(gp_mul(a, b))
+        wedge_ad_action(field, act, ad, v0, terms_of(v))
+        straighten_action(field, act, 0, terms_of(v))
+        straighten_action(field, act, 0, terms_of(v), scale.terms, owned_terms(v))
+        for nf in (a, b, ab):
+            gp_inv(nf)
+        gp_mul(a, b)
         gp_mul(one, a)
+        reorder_symbolic(word)
         if v0_action is not trivial_action:
             module = InducedModule(pair, defining_module(pair))
             for nf in (a, b, odd, one):
@@ -168,6 +193,10 @@ def count_element_ops(monkeypatch):
 
 
 def test_group_law_and_module_action_make_no_element_arithmetic(monkeypatch):
+    """One product, inverse and module action over Lambda_4(F_3): no
+    GrassmannElement product or sum from inside liesuper or the group law,
+    and no SuperMatrix product or constructor inside gp_mul and gp_inv
+    (even factors are grids, wrapped once)."""
     pair = gl_pair(2, 1, GF3)
     A = GrassmannAlgebra(GF3, 4)
     rng = random.Random(3)
@@ -180,10 +209,20 @@ def test_group_law_and_module_action_make_no_element_arithmetic(monkeypatch):
     assert sum(not e.is_zero() for e in b.etas) >= 2
     group_law(pair)  # compiled before counting
     calls = count_element_ops(monkeypatch)
+    matrix_calls = []
+    for attr in ("__mul__", "__init__"):
+        def counted(*args, _real=getattr(SuperMatrix, attr), _attr=attr):
+            matrix_calls.append(_attr)
+            return _real(*args)
+        monkeypatch.setattr(SuperMatrix, attr, counted)
     ab = gp_mul(a, b)
-    gp_inv(ab)
+    inv = gp_inv(ab)
+    assert matrix_calls == []
     module.apply_normal_form(ab, module.vacuum_with(0, A))
     assert calls == []
+    monkeypatch.undo()
+    assert ab == normal_form(GroupWord(pair, A, a.tokens + b.tokens))
+    assert inv == normal_form(ab.to_word().inverse())
 
 
 def test_factor_product_and_rewriting_make_no_element_arithmetic(monkeypatch):
