@@ -15,7 +15,6 @@ from .coeff import (
     GrassmannAlgebra,
     PrimeField,
     RationalField,
-    Scalar,
     SuperNumbers,
     dual_numbers,
     field_by_name,

@@ -48,8 +48,7 @@ class Field:
     when integral and a ``Fraction`` with denominator >= 2 otherwise, over
     F_p an ``int`` in [0, p).  Every method takes and returns the canonical
     form, and ``int`` and ``Fraction`` compare and hash alike.  0 is the
-    only falsy value: ``if c:`` is the zero test.  ``Scalar`` wraps a raw
-    value with its field at the public boundary.
+    only falsy value: ``if c:`` is the zero test.
     """
 
     name: str
@@ -276,67 +275,8 @@ def field_by_name(name: str) -> Field:
     raise StructuralError(f"unknown field {name!r}")
 
 
-class Scalar:
-    """An exact element of a base field, tagged with its field."""
-
-    __slots__ = ("field", "raw")
-
-    def __init__(self, field: Field, raw):
-        self.field = field
-        self.raw = raw
-
-    @classmethod
-    def of(cls, field: Field, value) -> "Scalar":
-        raw = _raw(field, value)  # checks the ring tag of a Scalar
-        return value if isinstance(value, Scalar) else cls(field, raw)
-
-    def _check(self, other: "Scalar"):
-        if not isinstance(other, Scalar) or other.field != self.field:
-            raise StructuralError("ring tag mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.field.add(self.raw, other.raw))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.field.add(self.raw, self.field.neg(other.raw)))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.raw))
-
-    def __mul__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.field.mul(self.raw, other.raw))
-
-    def inv(self) -> "Scalar":
-        return Scalar(self.field, self.field.inv(self.raw))
-
-    def is_zero(self) -> bool:
-        return self.raw == 0
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self == Scalar.of(self.field, other)
-        return (
-            isinstance(other, Scalar)
-            and other.field == self.field
-            and other.raw == self.raw
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.raw))
-
-    def __repr__(self):
-        return self.field.format(self.raw)
-
-
 def _raw(field: Field, value):
-    """The raw value of a Scalar, int, Fraction (over Q) or literal in field."""
-    if isinstance(value, Scalar):
-        if value.field != field:
-            raise StructuralError("ring tag mismatch")
-        return value.raw
+    """The raw value of an int, a Fraction (over Q) or a literal in field."""
     if isinstance(value, int):
         return field.from_int(value)
     if isinstance(value, Fraction) and field == QQ:
@@ -426,7 +366,7 @@ class GrassmannAlgebra:
         return self.from_scalar(1)
 
     def from_scalar(self, s):
-        """Embed a Scalar or a base-field value (int, Fraction, literal)."""
+        """Embed a base-field value: an int, a Fraction over Q, or a literal."""
         s = _raw(self.field, s)
         return GrassmannElement(self, {0: s} if s else {})
 
@@ -516,14 +456,12 @@ class GrassmannElement:
         return self + (-other)
 
     def __mul__(self, other):
-        """Exterior product (``mac``); a Scalar factor scales."""
-        if isinstance(other, Scalar):
-            return self.scale(other)
+        """Exterior product (``mac``)."""
         self._check(other)
         return GrassmannElement(self.algebra, mac(self.algebra.field, {}, self.terms, other.terms))
 
     def scale(self, s):
-        """Multiply by a Scalar or a base-field value."""
+        """Multiply by a base-field value (anything ``from_scalar`` takes)."""
         field = self.algebra.field
         s = _raw(field, s)
         if not s:
@@ -571,29 +509,18 @@ class GrassmannElement:
         return self.parity() == 1
 
     # -- augmentation and friends -----------------------------------------
-    def augment(self) -> Scalar:
-        """eps_A: kill every generator; the constant term."""
-        field = self.algebra.field
-        return Scalar(field, self.terms.get(0, field.from_int(0)))
+    def augment(self):
+        """eps_A: kill every generator; the constant term, a raw value."""
+        return self.terms.get(0, self.algebra.field.from_int(0))
 
     def soul(self):
-        return self - self.algebra.from_scalar(self.augment())
+        """The element less its constant term."""
+        return GrassmannElement(self.algebra, {m: c for m, c in self.terms.items() if m})
 
     def a1n_member(self, n: int) -> bool:
-        """Membership in A_1^(n), the unital subalgebra generated by A_1^[n].
-
-        Monomial criterion: a nonconstant monomial of degree d belongs iff
-        d >= t*n and d = t*n (mod 2) for some t >= 1; constants always belong.
-        """
-        if n <= 0:
-            raise StructuralError("n must be positive")
-        for m in self.terms:
-            d = m.bit_count()
-            if d == 0:
-                continue
-            if not any(d >= t * n and (d - t * n) % 2 == 0 for t in range(1, d // n + 1)):
-                return False
-        return True
+        """Membership in A_1^(n), the unital subalgebra generated by A_1^[n]
+        (``in_a1n`` on the element's masks)."""
+        return in_a1n(self.terms, n)
 
     # -- serialization ----------------------------------------------------
     def to_str(self) -> str:
@@ -611,6 +538,21 @@ class GrassmannElement:
 
     def __repr__(self):
         return self.to_str()
+
+
+def in_a1n(masks, n: int) -> bool:
+    """Whether the monomials of the given masks all lie in A_1^(n).
+
+    Monomial criterion: a nonconstant monomial of degree d belongs iff
+    d >= t*n and d = t*n (mod 2) for some t >= 1; constants always belong.
+    """
+    if n <= 0:
+        raise StructuralError("n must be positive")
+    for m in masks:
+        d = m.bit_count()
+        if d and not any((d - t * n) % 2 == 0 for t in range(1, d // n + 1)):
+            return False
+    return True
 
 
 def dual_numbers(algebra: GrassmannAlgebra):

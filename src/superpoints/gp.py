@@ -70,7 +70,7 @@ from .errors import NonTermination, SpanViolation, StructuralError
 from .liesuper import (CheckReport, StraighteningKernel, _add_row, _bracket, _unit, _vcomb,
                        trivial_action, word_action)
 from .smat import (SuperMatrix, block_split, ck_grid, copy_grid, dual_probe, gl_split, grid_inv,
-                   grid_mul, identity_grid, smat_inv, term_grid, wrap_grid)
+                   grid_mul, identity_grid, smat_inv, wrap_grid)
 
 MAX_WORD_TOKENS = 10_000
 _REWRITE_BUDGET = 1_000_000
@@ -102,7 +102,7 @@ class OddTok:
 def factor_product(pair, algebra, tokens, m=None):
     """tokens[0] ... tokens[-1] . m in the representation over the algebra,
     with m = None for the identity (``factor_grid``), wrapped once."""
-    grid = None if m is None else copy_grid(term_grid(m))
+    grid = None if m is None else copy_grid(m.grid)
     return wrap_grid(pair.shape, algebra, factor_grid(pair, algebra.field, tokens, grid))
 
 
@@ -114,7 +114,7 @@ def factor_grid(pair, field, tokens, grid=None):
     p, n, nz = pair.shape[0], sum(pair.shape), pair.lie.rho_odd_nz
     for t in reversed(tokens):
         if t.kind == "even":
-            g = term_grid(t.matrix)
+            g = t.matrix.grid
             grid = copy_grid(g) if grid is None else grid_mul(field, p, g, grid)
         else:
             grid = identity_grid(field, n) if grid is None else grid
@@ -176,11 +176,18 @@ class NormalForm:
     orientation = "LEFT"
 
     def __init__(self, pair, algebra, etas, g_plus: SuperMatrix):
+        if algebra.field != pair.field:
+            raise StructuralError(f"coefficient field {algebra.field} is not "
+                                  f"the pair's field {pair.field}")
         if len(etas) != pair.d_minus:
             raise StructuralError("eta tuple has wrong length")
         for e in etas:
+            if e.algebra is not algebra and e.algebra != algebra:
+                raise StructuralError("eta over the wrong algebra")
             if not (e.is_zero() or e.is_odd()):
                 raise StructuralError("etas must be odd or zero")
+        if g_plus.algebra is not algebra and g_plus.algebra != algebra:
+            raise StructuralError("even factor over the wrong algebra")
         pair.even_group.require_member(g_plus, "normal form even factor")
         self.pair = pair
         self.algebra = algebra
@@ -208,7 +215,7 @@ class NormalForm:
         """The factors (1 + eta_i Y_i) with eta_i != 0, then g_plus unless it
         is 1: the tokens of the word this normal form spells."""
         toks = [OddTok(i, e) for i, e in enumerate(self.etas) if not e.is_zero()]
-        if term_grid(self.g_plus) != identity_grid(self.algebra.field, self.g_plus.size):
+        if self.g_plus.grid != identity_grid(self.algebra.field, self.g_plus.size):
             toks.append(EvenTok(self.g_plus))
         return tuple(toks)
 
@@ -404,11 +411,11 @@ def strip_matrix_factorization(pair, m: SuperMatrix) -> NormalForm:
     etas = [algebra.zero()] * pair.d_minus
     for _ in range(algebra.nilpotency_bound + 2):
         diag, off = block_split(p, factor_grid(pair, field, _division(etas),
-                                               copy_grid(term_grid(m))))
+                                               copy_grid(m.grid)))
         if not any(x for row in off for x in row):
             nf = NormalForm(pair, algebra, etas, wrap_grid(pair.shape, algebra, diag))
             odds = [OddTok(i, e) for i, e in enumerate(etas) if not e.is_zero()]
-            if factor_grid(pair, field, odds, copy_grid(diag)) != term_grid(m):
+            if factor_grid(pair, field, odds, copy_grid(diag)) != m.grid:
                 raise NonTermination("stripping reassembly failed")
             return nf
         delta = grid_mul(field, p, off, grid_inv(field, p, algebra.rank, diag))
@@ -477,7 +484,7 @@ class GroupLaw:
         for word in law_words(pair):
             nf = normal_form(word)
             self.sigma.append(_tails(((i, e.terms) for i, e in enumerate(nf.etas)), top))
-            self.c.append(_tails(_cells(term_grid(nf.g_plus)), top))
+            self.c.append(_tails(_cells(nf.g_plus.grid), top))
             self.ad.append(_tails(_cells(pair.ad_action_matrix(nf.g_plus, shared=True)[0]), top))
 
     def _step(self, field, xi, r, with_ad):
@@ -574,7 +581,7 @@ def gp_mul(nf1: NormalForm, nf2: NormalForm) -> NormalForm:
     if runs:
         ad = pair.ad_action_matrix(nf1.g_plus, shared=True)[0]
         runs = [(z, [row[i] for row in ad]) for i, z in runs]
-    grid = grid_mul(algebra.field, pair.shape[0], term_grid(nf1.g_plus), term_grid(nf2.g_plus))
+    grid = grid_mul(algebra.field, pair.shape[0], nf1.g_plus.grid, nf2.g_plus.grid)
     etas = group_law(pair).fold(algebra, nf1.etas, runs, grid)
     return NormalForm(pair, algebra, etas, wrap_grid(pair.shape, algebra, grid))
 
@@ -590,7 +597,7 @@ def gp_inv(nf: NormalForm) -> NormalForm:
     ginv = pair.ad_action_matrix(nf.g_plus, shared=True)[1]
     live = [i for i in reversed(range(pair.d_minus)) if nf.etas[i].terms]
     runs = [({m: neg(x) for m, x in nf.etas[i].terms.items()}, col)
-            for i, col in zip(live, pair.conj_grid(ginv, term_grid(nf.g_plus), live))]
+            for i, col in zip(live, pair.conj_grid(ginv, nf.g_plus.grid, live))]
     grid = copy_grid(ginv)
     etas = group_law(pair).fold(algebra, [algebra.zero()] * pair.d_minus, runs, grid)
     return NormalForm(pair, algebra, etas, wrap_grid(pair.shape, algebra, grid))
@@ -807,8 +814,8 @@ def roundtrip_psi_phi(pair, algebra, samples=32, seed=0) -> CheckReport:
 class EvenModuleData:
     """A G+-module: dimension, matrices for even Lie basis elements, and a
     group action callable (matrix over A_0 -> module matrix over the same
-    algebra).  d-compatibility (group action differentiates to the Lie
-    action) is sampled by `check`."""
+    algebra, a grid of term dicts, read only).  d-compatibility (group
+    action differentiates to the Lie action) is sampled by `check`."""
 
     def __init__(self, dim, lie_mats, group_action):
         self.dim = dim
@@ -829,33 +836,35 @@ class EvenModuleData:
                 for c in range(n):
                     want = dual.from_scalar(1 if r == c else 0) + \
                         eps.scale(self.lie_mats[a][r][c])
-                    if img[r][c] != want:
+                    if img[r][c] != want.terms:
                         rep.fail(f"module action does not differentiate on X{a+1}")
         for s in range(samples):
             g = pair.even_group.sample(A, rng)
             h = pair.even_group.sample(A, rng)
             gh = self.group_action(g * h)
             g_, h_ = self.group_action(g), self.group_action(h)
-            prod = [[sum_mul(A, g_, h_, r, c, self.dim) for c in range(self.dim)]
+            prod = [[sum_mul(A.field, g_, h_, r, c, self.dim) for c in range(self.dim)]
                     for r in range(self.dim)]
             if gh != prod:
                 rep.fail(f"sample {s}: module action is not multiplicative")
         return rep
 
 
-def sum_mul(algebra, a, b, r, c, n):
-    """sum_t a[r][t] b[t][c], accumulated into one term dict (``mac``)."""
+def sum_mul(field, a, b, r, c, n):
+    """sum_t a[r][t] b[t][c] for grids a and b, accumulated into one new
+    term dict (``mac``)."""
     acc = {}
     for t in range(n):
-        mac(algebra.field, acc, a[r][t].terms, b[t][c].terms)
-    return GrassmannElement(algebra, acc)
+        mac(field, acc, a[r][t], b[t][c])
+    return acc
 
 
 def defining_module(pair) -> EvenModuleData:
-    """The restriction of the defining representation to the even group."""
+    """The restriction of the defining representation to the even group,
+    acting on V0 by the point's own grid (read only)."""
 
     def act(g):
-        return [list(row) for row in g.rows]
+        return g.grid
 
     return EvenModuleData(pair.shape[0] + pair.shape[1],
                           [m for m in pair.lie.rho_even], act)

@@ -654,8 +654,8 @@ def parity_pattern_ok(v, d_minus):
 
 
 def trivial_action(g):
-    """An even point g on the trivial line V0 = k: the 1x1 matrix [[1]]."""
-    return [[g.algebra.one()]]
+    """An even point g on the trivial line V0 = k: the 1x1 grid [[1]]."""
+    return [[{0: g.algebra.field.from_int(1)}]]
 
 
 def straighten_action(field, act, index, v, scale=None, out=None):
@@ -723,10 +723,11 @@ def word_action(word, v, odd_act, v0_action):
 
     odd_act(j, key) is the module's straightening table (lie.odd_action on
     wedge(g_1), InducedModule.odd_act on an induced module) and
-    v0_action(g) the matrix of an even point g on V0.  Even tokens act by
-    wedge_ad_action through the word's pair (duck-typed: the pair supplies
-    ad_action_matrix and its shared memo grids); an odd token acts as
-    1 + eta.Y_i.  v and the result hold elements; in between the vector runs
+    v0_action(g) the matrix of an even point g on V0, a grid of term dicts
+    read only (trivial_action, or EvenModuleData.group_action).  Even
+    tokens act by wedge_ad_action through the word's pair (duck-typed: the
+    pair supplies ad_action_matrix and its shared memo grids); an odd token
+    acts as 1 + eta.Y_i.  v and the result hold elements; in between the vector runs
     on term dicts, wrapped once at the end.
     """
     tokens = word.tokens
@@ -738,8 +739,7 @@ def word_action(word, v, odd_act, v0_action):
     for tok in reversed(tokens):
         if tok.kind == "even":
             ad, _ = pair.ad_action_matrix(tok.matrix, shared=True)
-            v0 = [[e.terms for e in row] for row in v0_action(tok.matrix)]
-            vec = wedge_ad_action(field, odd_act, ad, v0, vec)
+            vec = wedge_ad_action(field, odd_act, ad, v0_action(tok.matrix), vec)
         else:
             out = {key: dict(c) for key, c in vec.items()}
             vec = straighten_action(field, odd_act, tok.index, vec, tok.eta.terms, out)

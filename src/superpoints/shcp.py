@@ -39,7 +39,6 @@ from .smat import (
     grid_inv,
     matrix_units,
     smat_inv,
-    term_grid,
 )
 
 AD_MEMO_SIZE = 32
@@ -80,7 +79,7 @@ class HarishChandraPair:
         both points, so nothing is inverted here."""
         algebra = left.algebra
         return [[GrassmannElement(algebra, c) for c in col]
-                for col in self.conj_grid(term_grid(left), term_grid(right), indices)]
+                for col in self.conj_grid(left.grid, right.grid, indices)]
 
     def conj_grid(self, left, right, indices=None):
         """conj_coords on grids of term dicts: the coordinates as term dicts.
@@ -112,11 +111,11 @@ class HarishChandraPair:
         Memoized by the exact value of g (see the module docstring): a fresh
         copy with elements as entries, or with shared=True the memo's entry
         itself, (Ad(g), g^-1) as grids of term dicts, read only."""
+        g = g_plus.grid
         key = (g_plus.shape, g_plus.algebra,
-               tuple(tuple(sorted(e.terms.items())) for row in g_plus.rows for e in row))
+               tuple(tuple(sorted(x.items())) for row in g for x in row))
         entry = self._ad_memo.get(key)
         if entry is None:
-            g = term_grid(g_plus)
             ginv = grid_inv(self.field, self.shape[0], g_plus.algebra.rank, g)
             entry = tuple(zip(*self.conj_grid(g, ginv))), ginv
             if len(self._ad_memo) >= AD_MEMO_SIZE:

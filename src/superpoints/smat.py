@@ -12,13 +12,16 @@ product; when odd coefficients at odd positions meet, the twist is what
 makes the one-parameter subgroup identities hold exactly.  See the test
 suite: those identities are the arbiter of the convention.
 
-Below the ``SuperMatrix`` API every product runs on grids (rows of term
-dicts), each output entry accumulated into one term dict by ``coeff.mac``,
-the twist a flag: ``grid_mul`` for two grids, ``grid_inv`` for the inverse,
-and ``ck_grid`` for a factor c (x) K, a coefficient times a raw k-matrix
-(the representation matrix of a Lie superalgebra element), which follows
-the same rule but visits only the nonzeros of K.  ``wrap_grid`` wraps a
-grid it owns once, without re-checking its shape.  A left factor applies in
+A ``SuperMatrix`` is stored as its grid (rows of term dicts), and every
+product runs on grids, each output entry accumulated into one term dict by
+``coeff.mac``, the twist a flag: ``grid_mul`` for two grids, ``grid_inv``
+for the inverse, and ``ck_grid`` for a factor c (x) K, a coefficient times
+a raw k-matrix (the representation matrix of a Lie superalgebra element),
+which follows the same rule but visits only the nonzeros of K.  A matrix's
+grid is read only; ``wrap_grid`` makes the matrix of a new grid, unchecked
+and uncopied, and the constructor takes rows of elements, whose algebra it
+checks.  GrassmannElements appear only at the API: the constructor, the
+``rows`` view, ``scale`` and ``to_strings``.  A left factor applies in
 place: ``ck_grid(field, p, None, c, nz, xs, xs)`` makes xs (1 + cK) xs, row
 a gaining c K_ab twist(row b), so a row both read and written (nonzeros at
 (a, b) and (b, a), as on q(2), or on the diagonal) is read, by a copy,
@@ -42,22 +45,26 @@ invertibility.
 
 from __future__ import annotations
 
-from .coeff import GrassmannAlgebra, GrassmannElement, mac
+from .coeff import GrassmannAlgebra, GrassmannElement, _raw, in_a1n, mac
 from .errors import MembershipViolation, NotInvertible, StructuralError
 from .sampling import rand_element, rand_even_unit, rand_odd
 
 
 class SuperMatrix:
-    __slots__ = ("shape", "algebra", "rows")
+    """A supermatrix stored as its grid: rows of term dicts, one per entry,
+    read only once the matrix is made.  The constructor takes rows of
+    GrassmannElements over the algebra; ``rows`` gives them back."""
+
+    __slots__ = ("shape", "algebra", "grid")
 
     def __init__(self, shape, algebra: GrassmannAlgebra, rows):
-        p, q = shape
-        n = p + q
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise StructuralError("entry grid does not match block shape")
-        self.shape = (p, q)
+        _check_square(shape, rows)
+        if any(not isinstance(e, GrassmannElement)
+               or (e.algebra is not algebra and e.algebra != algebra) for r in rows for e in r):
+            raise StructuralError(f"an entry is not an element of {algebra!r}")
+        self.shape = (shape[0], shape[1])
         self.algebra = algebra
-        self.rows = tuple(tuple(r) for r in rows)
+        self.grid = [[e.terms for e in r] for r in rows]
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -69,10 +76,14 @@ class SuperMatrix:
     def identity(cls, shape, algebra):
         return wrap_grid((shape[0], shape[1]), algebra, identity_grid(algebra.field, sum(shape)))
 
-    def mutable(self):
-        return [list(r) for r in self.rows]
-
     # -- basic structure ---------------------------------------------------
+    @property
+    def rows(self):
+        """The entries as elements, made on each read and sharing the grid's
+        term dicts: for the public boundary, never read by a kernel."""
+        alg = self.algebra
+        return tuple(tuple(GrassmannElement(alg, x) for x in row) for row in self.grid)
+
     @property
     def size(self):
         return self.shape[0] + self.shape[1]
@@ -82,13 +93,20 @@ class SuperMatrix:
                 or (other.algebra is not self.algebra and other.algebra != self.algebra)):
             raise StructuralError("shape or coefficient algebra mismatch")
 
+    def _like(self, grid):
+        """The matrix of this shape and algebra stored as grid."""
+        return wrap_grid(self.shape, self.algebra, grid)
+
     def __add__(self, other):
         self._check(other)
-        return SuperMatrix(self.shape, self.algebra,
-                           [[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        field = self.algebra.field
+        one = {0: field.from_int(1)}
+        return self._like([[mac(field, dict(x), one, y) for x, y in zip(r, s)]
+                           for r, s in zip(self.grid, other.grid)])
 
     def __neg__(self):
-        return SuperMatrix(self.shape, self.algebra, [[-e for e in row] for row in self.rows])
+        neg = self.algebra.field.neg
+        return self._like([[{m: neg(c) for m, c in x.items()} for x in row] for row in self.grid])
 
     def __sub__(self, other):
         return self + (-other)
@@ -96,32 +114,34 @@ class SuperMatrix:
     def scale(self, c):
         """Multiply every entry on the left by a coefficient element c (even
         use only)."""
-        return SuperMatrix(self.shape, self.algebra, [[c * e for e in row] for row in self.rows])
+        if c.algebra != self.algebra:
+            raise StructuralError("shape or coefficient algebra mismatch")
+        field = self.algebra.field
+        return self._like([[mac(field, {}, c.terms, x) for x in row] for row in self.grid])
 
     def __eq__(self, other):
         return (isinstance(other, SuperMatrix) and other.shape == self.shape
-                and other.algebra == self.algebra and other.rows == self.rows)
+                and other.algebra == self.algebra and other.grid == self.grid)
 
     __hash__ = None
 
     def is_zero(self):
-        return all(e.is_zero() for row in self.rows for e in row)
+        return not any(x for row in self.grid for x in row)
 
     # -- the twisted product ----------------------------------------------
     def __mul__(self, other):
-        """The twisted product, on the entries' term dicts (``grid_mul``)."""
+        """The twisted product, on the grids (``grid_mul``)."""
         self._check(other)
-        grid = grid_mul(self.algebra.field, self.shape[0], term_grid(self), term_grid(other))
-        return wrap_grid(self.shape, self.algebra, grid)
+        return self._like(grid_mul(self.algebra.field, self.shape[0], self.grid, other.grid))
 
     # -- parity structure ---------------------------------------------------
     def _parity_pattern(self, shift):
         """Whether every term of entry (i,j) has parity |i|+|j|+shift (mod 2)."""
         p = self.shape[0]
-        for i, row in enumerate(self.rows):
-            for j, e in enumerate(row):
+        for i, row in enumerate(self.grid):
+            for j, x in enumerate(row):
                 parity = ((i < p) != (j < p)) ^ shift
-                if any(m.bit_count() & 1 != parity for m in e.terms):
+                if any(m.bit_count() & 1 != parity for m in x):
                     return False
         return True
 
@@ -144,7 +164,7 @@ class SuperMatrix:
         """Entrywise augmentation: the matrix of raw values over k (off-diagonal
         blocks die for even-homogeneous input since odd elements augment to zero)."""
         zero = self.algebra.field.from_int(0)
-        return [[e.terms.get(0, zero) for e in row] for row in self.rows]
+        return [[x.get(0, zero) for x in row] for row in self.grid]
 
     def body_lift(self):
         """G(sigma_A)(G(pi_A)(m)): the body, re-embedded by the unit inclusion
@@ -153,16 +173,32 @@ class SuperMatrix:
 
     def entries_in_a1n(self, n: int) -> bool:
         """Whether every entry lies in the subalgebra A_1^(n)."""
-        return all(e.a1n_member(n) for row in self.rows for e in row)
+        return in_a1n((m for row in self.grid for x in row for m in x), n)
 
     def diagonal_blocks_only(self):
-        return not any(x for row in block_split(self.shape[0], term_grid(self))[1] for x in row)
+        return not any(x for row in block_split(self.shape[0], self.grid)[1] for x in row)
 
     def to_strings(self):
         return [[e.to_str() for e in row] for row in self.rows]
 
     def __repr__(self):
         return "[" + "; ".join(", ".join(r) for r in self.to_strings()) + "]"
+
+
+def _check_square(shape, rows):
+    p, q = shape
+    n = p + q
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise StructuralError("entry grid does not match block shape")
+
+
+def wrap_grid(shape, algebra, grid):
+    """The supermatrix stored as grid, a list of lists of term dicts that it
+    takes over: square of the shape's size by construction, so nothing is
+    checked or copied."""
+    m = object.__new__(SuperMatrix)
+    m.shape, m.algebra, m.grid = shape, algebra, grid
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +227,6 @@ def grid_mul(field, p, xs, ys, out=None):
     return out
 
 
-def term_grid(m):
-    """m's entries' term dicts, shared: read them, never write them."""
-    return [[e.terms for e in row] for row in m.rows]
-
-
 def copy_grid(grid):
     """A grid of fresh copies of grid's term dicts, for in-place updates."""
     return [[dict(x) for x in row] for row in grid]
@@ -205,15 +236,6 @@ def identity_grid(field, n):
     """The n x n identity as a new grid of term dicts."""
     one = field.from_int(1)
     return [[{0: one} if i == j else {} for j in range(n)] for i in range(n)]
-
-
-def wrap_grid(shape, algebra, grid):
-    """The supermatrix whose entries own the term dicts of grid, square of the
-    shape's size by construction, so not re-checked as the constructor does."""
-    m = object.__new__(SuperMatrix)
-    m.shape, m.algebra = shape, algebra
-    m.rows = tuple(tuple(GrassmannElement(algebra, t) for t in r) for r in grid)
-    return m
 
 
 def k_nonzeros(rows):
@@ -360,7 +382,7 @@ def is_invertible(m: SuperMatrix) -> bool:
 def smat_inv(m: SuperMatrix) -> SuperMatrix:
     """m^-1 (``grid_inv``)."""
     alg = m.algebra
-    return wrap_grid(m.shape, alg, grid_inv(alg.field, m.shape[0], alg.rank, term_grid(m)))
+    return wrap_grid(m.shape, alg, grid_inv(alg.field, m.shape[0], alg.rank, m.grid))
 
 
 def grid_inv(field, p, rank, grid):
@@ -400,7 +422,7 @@ def gl_split(m: SuperMatrix):
     """
     if not m.is_even_homogeneous():
         raise StructuralError("gl_split needs an even-homogeneous matrix")
-    diag, _ = block_split(m.shape[0], copy_grid(term_grid(m)))
+    diag, _ = block_split(m.shape[0], copy_grid(m.grid))
     even_factor = wrap_grid(m.shape, m.algebra, diag)
     return even_factor, smat_inv(even_factor) * m
 
@@ -416,7 +438,7 @@ def block_split(p, grid):
 def is_odd_unipotent(m: SuperMatrix) -> bool:
     """Whether m = I + N with N supported on the off-diagonal blocks (odd
     coefficients at odd positions): the shape of gl_split's odd factor."""
-    return (m.is_even_homogeneous() and block_split(m.shape[0], term_grid(m))[0]
+    return (m.is_even_homogeneous() and block_split(m.shape[0], m.grid)[0]
             == identity_grid(m.algebra.field, m.size))
 
 
@@ -475,9 +497,9 @@ class GroupDescriptor:
     def member(self, m: SuperMatrix) -> bool:
         if m.shape != self.shape or not m.is_even_homogeneous():
             return False
-        rows = m.rows
-        return (all(not rows[i][j].terms for i, j in self._zeros)
-                and all(rows[i][j].terms == rows[a][b].terms for (i, j), (a, b) in self._ties)
+        grid = m.grid
+        return (all(not grid[i][j] for i, j in self._zeros)
+                and all(grid[i][j] == grid[a][b] for (i, j), (a, b) in self._ties)
                 and is_invertible(m))
 
     def require_member(self, m: SuperMatrix, context=""):
@@ -547,10 +569,12 @@ BUILTIN_GROUPS = {
 
 
 def constant_matrix(shape, algebra, scalar_rows):
-    """Lift a matrix of raw k-values into a matrix over the algebra."""
-    return SuperMatrix(
-        shape, algebra, [[algebra.from_scalar(v) for v in row] for row in scalar_rows]
-    )
+    """Lift a matrix of k-values (anything ``from_scalar`` takes) into a
+    matrix over the algebra."""
+    _check_square(shape, scalar_rows)
+    field = algebra.field
+    return wrap_grid((shape[0], shape[1]), algebra, [[{0: r} if (r := _raw(field, v)) else {}
+                                                      for v in row] for row in scalar_rows])
 
 
 def matrix_units(shape, field):

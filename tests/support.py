@@ -78,9 +78,9 @@ def invert(u):
     """
     alg = u.algebra
     body = u.augment()
-    if body.is_zero():
+    if not body:
         raise NotInvertible("body is not a unit")
-    binv = alg.from_scalar(body.inv())
+    binv = alg.from_scalar(alg.field.inv(body))
     t = binv * u.soul()  # body^-1 * soul, nilpotent
     acc = pw = alg.one()
     for _ in range(alg.nilpotency_bound):

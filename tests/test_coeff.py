@@ -15,7 +15,6 @@ from superpoints import (
     QQ,
     GrassmannAlgebra,
     NotInvertible,
-    Scalar,
     StructuralError,
     SuperNumbers,
     dual_numbers,
@@ -146,7 +145,7 @@ def grassmann_elements(draw, algebra):
         max_size=5))
     out = algebra.zero()
     for mask, c in terms:
-        out = out + algebra.monomial(mask_indices(mask), Scalar.of(algebra.field, c))
+        out = out + algebra.monomial(mask_indices(mask), c)
     return out
 
 
@@ -207,7 +206,7 @@ wide_rationals = st.one_of(
 def test_q_raw_values_are_canonical(a, b):
     """Every RationalField operation agrees with Fraction arithmetic and
     returns an int for an integral value, a Fraction otherwise."""
-    x, y = Scalar.of(QQ, a).raw, Scalar.of(QQ, b).raw
+    x, y = _canonical(a), _canonical(b)
     assert_canonical(x, a)
     assert_canonical(QQ.add(x, y), a + b)
     assert_canonical(QQ.mul(x, y), a * b)
@@ -302,7 +301,7 @@ def test_reduce_bar_kills_odd_generated_monomials():
     """The bar reduction A -> A/(A_1) = k is the augmentation."""
     L = GrassmannAlgebra(QQ, 2)
     e = L.from_int(3) + L.generator(1) + L.monomial([1, 2], 2)
-    assert e.augment() == Scalar.of(QQ, 3)
+    assert e.augment() == 3
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3])
@@ -335,7 +334,7 @@ def test_invert_examples():
     L = GrassmannAlgebra(QQ, 2)
     u = L.one() + L.monomial([1, 2])
     assert invert(u) == L.one() - L.monomial([1, 2])
-    assert invert(L.from_int(2)) == L.from_scalar(Scalar.of(QQ, "1/2"))
+    assert invert(L.from_int(2)) == L.from_scalar("1/2")
     with pytest.raises(NotInvertible):
         invert(L.generator(1))
 
@@ -383,8 +382,6 @@ def test_ring_tag_mismatch_raises():
         a + b
     with pytest.raises(StructuralError):
         a * c
-    with pytest.raises(StructuralError):
-        Scalar.of(QQ, 1) + Scalar.of(GF2, 1)
 
 
 def test_super_numbers_are_lambda_1():
@@ -456,8 +453,8 @@ def test_element_string_roundtrip(field):
 
 def test_literal_formats():
     L = GrassmannAlgebra(QQ, 2)
-    assert parse_element(L, "3/2 * x{1,2}") == L.monomial([1, 2], Scalar.of(QQ, "3/2"))
+    assert parse_element(L, "3/2 * x{1,2}") == L.monomial([1, 2], "3/2")
     F = GrassmannAlgebra(GF5, 1)
-    assert parse_element(F, "7 mod 5 * x{1}") == F.generator(1).scale(Scalar.of(GF5, 2))
+    assert parse_element(F, "7 mod 5 * x{1}") == F.generator(1).scale(2)
     with pytest.raises(StructuralError):
         parse_element(L, "nonsense * x{1}")

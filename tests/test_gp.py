@@ -16,7 +16,6 @@ from superpoints import (
     NormalForm,
     OddTok,
     PairMorphism,
-    Scalar,
     SpanViolation,
     StructuralError,
     SuperMatrix,
@@ -78,6 +77,41 @@ def test_word_drops_zero_and_validates(pair11, L2):
         bad = SuperMatrix((1, 1), L2, [[L2.one(), L2.generator(1)],
                                        [L2.zero(), L2.one()]])
         GroupWord(pair11, L2, [EvenTok(bad)])
+
+
+def _foreign_entry_matrix():
+    """An entry of Lambda_4 in a 1x1 matrix over Lambda_1: accepted, its
+    inverse's series would stop at rank 1 and miss x{1,2,3,4}."""
+    L4 = GrassmannAlgebra(QQ, 4)
+    e = L4.one() + L4.monomial([1, 2]) + L4.monomial([3, 4])
+    return SuperMatrix((1, 0), GrassmannAlgebra(QQ, 1), [[e]])
+
+
+def _foreign_normal_form(etas_rank, g_rank, field=QQ):
+    """A normal form of the gl(1|1) pair over Q, over Lambda_2(field), with
+    etas x1, x2 from Lambda_etas_rank and the identity of Lambda_g_rank as
+    even factor."""
+    A = GrassmannAlgebra(field, etas_rank)
+    return NormalForm(gl_pair(1, 1, QQ), GrassmannAlgebra(field, 2),
+                      [A.generator(1), A.generator(2)],
+                      SuperMatrix.identity((1, 1), GrassmannAlgebra(field, g_rank)))
+
+
+@pytest.mark.parametrize("make", [
+    _foreign_entry_matrix,
+    lambda: SuperMatrix((1, 0), GrassmannAlgebra(QQ, 1), [[GrassmannAlgebra(GF3, 1).one()]]),
+    lambda: SuperMatrix((1, 0), GrassmannAlgebra(QQ, 1), [[1]]),
+    lambda: _foreign_normal_form(4, 4),
+    lambda: _foreign_normal_form(4, 2),
+    lambda: _foreign_normal_form(2, 4),
+    lambda: _foreign_normal_form(2, 2, GF3),
+], ids=["matrix-rank", "matrix-field", "matrix-int", "nf-both", "nf-etas", "nf-even-factor",
+        "nf-field"])
+def test_entries_over_another_algebra_raise(make):
+    """The public SuperMatrix constructor and NormalForm take only elements
+    of their own algebra, as GroupWord takes only tokens over its own."""
+    with pytest.raises(StructuralError):
+        make()
 
 
 def test_word_inverse_is_token_reversal(pair11, L2):
@@ -375,9 +409,9 @@ def test_tang_group_identities_at_normal_form_level():
                 br = pair.lie.eo[t_e][i]
                 for t_o in range(pair.d_minus):
                     comb[t_o] = f.add(comb[t_o], f.neg(f.mul(c_e, br[t_o])))
-            odd_corr = [OddTok(t_o, (eta * a).scale(Scalar(f, c)))
+            odd_corr = [OddTok(t_o, (eta * a).scale(c))
                         for t_o, c in enumerate(comb)
-                        if not (eta * a).scale(Scalar(f, c)).is_zero()]
+                        if not (eta * a).scale(c).is_zero()]
             rhs = nf_of([EvenTok(even_f)] + odd_corr + [OddTok(i, eta)])
             assert lhs == rhs
             # (g): the commutator identity on normal forms

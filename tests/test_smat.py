@@ -42,7 +42,7 @@ from .support import rand_dual
 
 def unit(shape, algebra, i, j):
     """E_{ij} (0-based) over the algebra."""
-    rows = SuperMatrix.zero(shape, algebra).mutable()
+    rows = [list(r) for r in SuperMatrix.zero(shape, algebra).rows]
     rows[i][j] = algebra.one()
     return SuperMatrix(shape, algebra, rows)
 
@@ -178,10 +178,10 @@ def test_ck_product_matches_lifted_and_regular_products(pair_name, coeffs):
 
     def ck_product(left, c, nz, right, base=None):
         """base + left . (c (x) K) . right on supermatrices (None: 1 or 0)."""
-        out = (smat.copy_grid(smat.term_grid(base)) if base is not None
+        out = (smat.copy_grid(base.grid) if base is not None
                else [[{} for _ in range(n)] for _ in range(n)])
-        smat.ck_grid(A.field, sh[0], left and smat.term_grid(left), c and c.terms, nz,
-                     right and smat.term_grid(right), out)
+        smat.ck_grid(A.field, sh[0], left and left.grid, c and c.terms, nz,
+                     right and right.grid, out)
         return smat.wrap_grid(sh, A, out)
 
     def rand_matrix():
@@ -239,7 +239,7 @@ def test_in_place_left_factor_matches_regular_representation(pair_name, field):
     read_and_written, swapped = 0, 0
     for c, nz, K in cases:
         m = SuperMatrix(sh, A, [[rand_element(A, rng) for _ in range(n)] for _ in range(n)])
-        grid = smat.copy_grid(smat.term_grid(m))
+        grid = smat.copy_grid(m.grid)
         smat.ck_grid(A.field, p, None, c.terms, nz, grid, grid)
         got = smat.wrap_grid(sh, A, grid)
         assert _rep(got) == k_matmul_oracle(A.field, _rep(I + K.scale(c)), _rep(m))
@@ -571,15 +571,15 @@ def test_member_checks_zero_and_tied_cells():
     for _ in range(5):
         g = G.sample(A, rng)
         assert G.member(g)
-        rows = g.mutable()
+        rows = [list(r) for r in g.rows]
         rows[0][2] = A.generator(1)  # an odd entry in an off-diagonal block
         assert not G.member(SuperMatrix(G.shape, A, rows))
-        rows = g.mutable()
+        rows = [list(r) for r in g.rows]
         rows[3][3] = rows[3][3] + A.monomial([1, 2], 1)  # g != g' in diag(g, g')
         broken = SuperMatrix(G.shape, A, rows)
         assert broken.is_even_homogeneous() and is_invertible(broken)
         assert not G.member(broken)
-    rows = SuperMatrix.identity((2, 1), A).mutable()
+    rows = [list(r) for r in SuperMatrix.identity((2, 1), A).rows]
     rows[0][1] = A.from_int(1)  # an even entry off the torus' diagonal
     off = SuperMatrix((2, 1), A, rows)
     assert gl_block_diag(2, 1).member(off) and not diagonal_torus(2, 1).member(off)

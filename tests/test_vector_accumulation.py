@@ -3,9 +3,10 @@
 The scaled straightening pass, on term dicts, is checked against its
 composition from element operations (``support.straighten_reference``); the
 actions and the group law are checked to write to no coefficient they do
-not own, the Ad memo's grids included; and one product, inverse and module
-action are pinned to make no GrassmannElement product or sum from inside
-liesuper or the group law, and no SuperMatrix product or constructor."""
+not own, the Ad memo's grids included, and return grids they own; and one
+product, inverse and module action are pinned to make no GrassmannElement
+product or sum from inside liesuper or the group law, no SuperMatrix
+product or constructor, and no read of the element view SuperMatrix.rows."""
 
 import random
 import sys
@@ -14,9 +15,9 @@ from fractions import Fraction
 import pytest
 
 from superpoints import (GF2, GF3, QQ, EvenTok, GrassmannAlgebra, GroupWord, InducedModule,
-                         NormalForm, OddTok, char2_pair, defining_module, gl_pair,
-                         normal_form, q2_pair, reorder_symbolic, straighten_action,
-                         wedge_ad_action, word_action)
+                         NormalForm, OddTok, char2_pair, defining_module, gl_pair, gl_split,
+                         normal_form, q2_pair, reorder_symbolic, smat_inv, straighten_action,
+                         strip_matrix_factorization, wedge_ad_action, word_action)
 from superpoints.coeff import GrassmannElement
 from superpoints.gp import factor_product, group_law, gp_inv, gp_mul
 from superpoints.liesuper import trivial_action
@@ -112,7 +113,7 @@ def snapshot(x):
     if isinstance(x, GrassmannElement):
         return tuple(sorted(x.terms.items()))
     if isinstance(x, SuperMatrix):
-        return snapshot(x.rows)
+        return snapshot(x.grid)
     if isinstance(x, NormalForm):
         return snapshot(x.etas), snapshot(x.g_plus)
     if isinstance(x, dict):
@@ -125,7 +126,10 @@ def snapshot(x):
 def test_actions_and_group_law_write_only_what_they_own(name, build, field):
     """The module action, both kernels, products and inverses leave their
     inputs as they were, and the Ad memo's grids too: each entry's Ad(g) and
-    g^-1, which gp_mul, gp_inv, rewriting and the module action share."""
+    g^-1, which gp_mul, gp_inv, rewriting and the module action share.  A
+    matrix that *, +, smat_inv, gl_split, factor_product, the three routes,
+    gp_mul or gp_inv returns shares no term dict with its arguments or the
+    memo."""
     pair = build(field)
     A = GrassmannAlgebra(field, 4)
     rng = random.Random(11)
@@ -145,7 +149,7 @@ def test_actions_and_group_law_write_only_what_they_own(name, build, field):
         gp_inv(nf)  # the memo now holds Ad(g) and g^-1 of each even factor
     ad = pair.ad_action_matrix(g, shared=True)[0]
     for act, dim, v0_action in modules(pair):
-        v0 = [[e.terms for e in row] for row in v0_action(g)]
+        v0 = v0_action(g)
         v = rand_vector(A, rng, dim, size=6)
         scale = rand_even_unit(A, rng)
         kept = [v, v0, one, a, b, ab, odd, g, scale]
@@ -167,6 +171,22 @@ def test_actions_and_group_law_write_only_what_they_own(name, build, field):
             for nf in (a, b, odd, one):
                 module.apply_normal_form(nf, v)
         assert (snapshot(kept), snapshot(memo)) == before
+    # a matrix the API returns owns its grid: no term dict of it is one of
+    # an argument's (grids and etas) or of the Ad memo; everything compared
+    # is held alive until the ids are compared
+    m = word.rho_matrix()
+    results = [g * m, g + m, smat_inv(g), *gl_split(m), factor_product(pair, A, word.tokens),
+               factor_product(pair, A, odd.tokens, g), a.rho_matrix(), odd.rho_matrix()]
+    results += [nf.g_plus for nf in (
+        normal_form(word), reorder_symbolic(word), strip_matrix_factorization(pair, m),
+        gp_mul(a, b), gp_mul(one, a), gp_mul(odd, b), gp_inv(a), gp_inv(ab), gp_inv(odd))]
+    args = [g, m, one.g_plus, a.g_plus, b.g_plus, ab.g_plus, odd.g_plus]
+    grids = ([x.grid for x in args] + [grid for e in (*memo.values(), *pair._ad_memo.values())
+                                        for grid in e])
+    owned = {id(x) for grid in grids for row in grid for x in row}
+    owned |= {id(e.terms) for nf in (a, b, ab, odd) for e in nf.etas}
+    owned |= {id(t.eta.terms) for t in word.tokens if t.kind == "odd"}
+    assert not [k for k, r in enumerate(results) for row in r.grid for x in row if id(x) in owned]
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +212,20 @@ def count_element_ops(monkeypatch):
     return calls
 
 
+def forbid_rows(monkeypatch):
+    """Make every read of SuperMatrix.rows, the element view of a matrix,
+    raise: below the API a matrix is read through its grid."""
+    def rows(self):
+        raise AssertionError("SuperMatrix.rows read below the API")
+    monkeypatch.setattr(SuperMatrix, "rows", property(rows))
+
+
 def test_group_law_and_module_action_make_no_element_arithmetic(monkeypatch):
     """One product, inverse and module action over Lambda_4(F_3): no
     GrassmannElement product or sum from inside liesuper or the group law,
-    and no SuperMatrix product or constructor inside gp_mul and gp_inv
-    (even factors are grids, wrapped once)."""
+    no SuperMatrix product or constructor inside gp_mul and gp_inv (even
+    factors are grids, wrapped once), and no read of SuperMatrix.rows in
+    them, in the module action, smat_inv or GroupDescriptor.member."""
     pair = gl_pair(2, 1, GF3)
     A = GrassmannAlgebra(GF3, 4)
     rng = random.Random(3)
@@ -215,11 +244,13 @@ def test_group_law_and_module_action_make_no_element_arithmetic(monkeypatch):
             matrix_calls.append(_attr)
             return _real(*args)
         monkeypatch.setattr(SuperMatrix, attr, counted)
+    forbid_rows(monkeypatch)
     ab = gp_mul(a, b)
     inv = gp_inv(ab)
     assert matrix_calls == []
     module.apply_normal_form(ab, module.vacuum_with(0, A))
     assert calls == []
+    assert pair.even_group.member(smat_inv(g))
     monkeypatch.undo()
     assert ab == normal_form(GroupWord(pair, A, a.tokens + b.tokens))
     assert inv == normal_form(ab.to_word().inverse())
@@ -229,7 +260,8 @@ def test_factor_product_and_rewriting_make_no_element_arithmetic(monkeypatch):
     """factor_product and reorder_symbolic run on grids of term dicts and
     wrap each result once: on seeded triangle words (gl(1|1) and gl(2|1)
     over Lambda_4(Q)) no GrassmannElement product or sum and no
-    SuperMatrix constructor runs inside them."""
+    SuperMatrix constructor runs inside them, and none of them, normal_form
+    or strip_matrix_factorization reads SuperMatrix.rows."""
     A = GrassmannAlgebra(QQ, 4)
     pairs = [gl_pair(1, 1, QQ), gl_pair(2, 1, QQ)]
     rng = random.Random(2026)
@@ -241,7 +273,11 @@ def test_factor_product_and_rewriting_make_no_element_arithmetic(monkeypatch):
                 calls.append(_name)
                 return _real(*args)
             monkeypatch.setattr(cls, attr, counted)
+    forbid_rows(monkeypatch)
     forms = [(factor_product(w.pair, A, w.tokens), reorder_symbolic(w)) for w in words]
     assert calls == []
+    others = [(normal_form(w), strip_matrix_factorization(w.pair, m))
+              for (m, _), w in zip(forms, words)]
     monkeypatch.undo()
-    assert all(m == w.rho_matrix() and nf == normal_form(w) for (m, nf), w in zip(forms, words))
+    assert all(m == w.rho_matrix() and nf == a == c
+               for (m, nf), (a, c), w in zip(forms, others, words))
