@@ -45,12 +45,16 @@ P(zeta) past g, g P(zeta) g^-1 = prod_i (1 + zeta_i Ad(g)Y_i), and folds these
 runs into P(xi) one at a time; each fold leaves an even correction c, the
 later runs are carried past it by Ad(c), and the even factor is c...c . g h,
 each c applied in place to the grid of g h.  ``gp_inv`` folds the descending
-runs (1 - xi_i Ad(g^-1)Y_i) from P(0) into a copy of g^-1, which the pair's
-Ad memo keeps beside Ad(g): one inversion per even point serves both.  The
-law runs on term dicts and grids throughout; a product or inverse wraps its
-even factor once.  Lambda_{d+1} has rank at most 16, so the law, and with it
-``gp_mul`` and ``gp_inv``, needs d_minus <= 15 (``MAX_LAW_D_MINUS``); a
-larger pair raises StructuralError.  The ``generic-point`` suite of
+runs (1 - xi_i Ad(g^-1)Y_i) from P(0) into a copy of g^-1.  A normal form
+carries Ad(g_plus) and g_plus^-1: a form made outside the law fills both
+from one memo entry (one inversion per even point serves both), and a law
+result composes its Ad, Ad(c)...Ad(c) Ad(g) Ad(h), from the factors' and
+the fold steps' Ad when first read, so a product inverts nothing and
+solves nothing for its Ad.  The law runs on term dicts and grids
+throughout; a product or inverse wraps its even factor once.
+Lambda_{d+1} has rank at most 16, so the law, and with it ``gp_mul`` and
+``gp_inv``, needs d_minus <= 15 (``MAX_LAW_D_MINUS``); a larger pair
+raises StructuralError.  The ``generic-point`` suite of
 ``verify`` checks the module and rewriting routes against each other on
 every law word.
 
@@ -83,8 +87,27 @@ class EvenTok:
     def __init__(self, matrix: SuperMatrix):
         self.matrix = matrix
 
+    def ad(self, pair):
+        """Ad of the point over the pair, a grid of term dicts read only: a
+        bare point carries none, so it is the pair's memo entry."""
+        return pair.ad_action_matrix(self.matrix, shared=True)[0]
+
     def __repr__(self):
         return f"Even({self.matrix!r})"
+
+
+class FormTok(EvenTok):
+    """The even factor of a normal form as a token (``NormalForm.tokens``):
+    over the form's own pair its Ad is the one the form carries."""
+
+    __slots__ = ("form",)
+
+    def __init__(self, form):
+        super().__init__(form.g_plus)
+        self.form = form
+
+    def ad(self, pair):
+        return self.form.ad() if pair is self.form.pair else super().ad(pair)
 
 
 class OddTok:
@@ -170,9 +193,16 @@ class GroupWord:
 
 
 class NormalForm:
-    """etas plus the even factor; LEFT orientation (odd product, then even)."""
+    """etas plus the even factor; LEFT orientation (odd product, then even).
 
-    __slots__ = ("pair", "algebra", "etas", "g_plus")
+    A form also carries Ad(g_plus) and g_plus^-1, grids of term dicts read
+    only, each filled when first read (``ad``, ``g_inv``); ``==`` and
+    ``repr`` ignore them.  A form made outside the group law fills both from
+    one cold computation, the pair's Ad memo entry of g_plus.  A product or
+    inverse made by the law composes its Ad when first read (``gp_mul``,
+    ``gp_inv``) and inverts its own g_plus at most once."""
+
+    __slots__ = ("pair", "algebra", "etas", "g_plus", "_ad", "_g_inv")
     orientation = "LEFT"
 
     def __init__(self, pair, algebra, etas, g_plus: SuperMatrix):
@@ -193,6 +223,7 @@ class NormalForm:
         self.algebra = algebra
         self.etas = tuple(etas)
         self.g_plus = g_plus
+        self._ad = self._g_inv = None  # _ad: a grid, or a law result's _Pending
 
     @classmethod
     def identity(cls, pair, algebra):
@@ -210,13 +241,35 @@ class NormalForm:
 
     __hash__ = None
 
+    def ad(self):
+        """Ad(g_plus), a[j][i] with Ad(g)(Y_i) = sum_j a[j][i] Y_j, as a grid
+        of term dicts, read only."""
+        ad = self._ad
+        if ad is None:
+            self._ad, self._g_inv = self.pair.ad_action_matrix(self.g_plus, shared=True)
+        elif isinstance(ad, _Pending):
+            self._ad = compose_ad(self.algebra.field, ad.base(), ad.steps)
+        return self._ad
+
+    def g_inv(self):
+        """g_plus^-1 as a grid of term dicts, read only: with Ad from the
+        memo entry of a form made outside the law, else by one inversion."""
+        if self._g_inv is None:
+            if self._ad is None:
+                self.ad()
+            else:
+                self._g_inv = grid_inv(self.algebra.field, self.pair.shape[0],
+                                       self.algebra.rank, self.g_plus.grid)
+        return self._g_inv
+
     @property
     def tokens(self):
         """The factors (1 + eta_i Y_i) with eta_i != 0, then g_plus unless it
-        is 1: the tokens of the word this normal form spells."""
+        is 1 (a ``FormTok``, which hands on the Ad the form carries): the
+        tokens of the word this normal form spells."""
         toks = [OddTok(i, e) for i, e in enumerate(self.etas) if not e.is_zero()]
         if self.g_plus.grid != identity_grid(self.algebra.field, self.g_plus.size):
-            toks.append(EvenTok(self.g_plus))
+            toks.append(FormTok(self))
         return tuple(toks)
 
     def to_word(self) -> GroupWord:
@@ -337,7 +390,7 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
         if t.kind == "odd":
             odds.insert(0, (t.index, t.eta.terms))
         else:
-            odds = _conjugate_odds(field, odds, pair.ad_action_matrix(t.matrix, shared=True)[0])
+            odds = _conjugate_odds(field, odds, t.ad(pair))
             note("pushed even token right through {} odd factor(s) [conjugation relation]", len(odds))
 
     def emit_right(z, c, position):
@@ -487,10 +540,9 @@ class GroupLaw:
             self.c.append(_tails(_cells(nf.g_plus.grid), top))
             self.ad.append(_tails(_cells(pair.ad_action_matrix(nf.g_plus, shared=True)[0]), top))
 
-    def _step(self, field, xi, r, with_ad):
-        """sigma, N = c - 1 (a grid) and Ad(c) - 1 (a dict (k, l) -> entry,
-        or None) at (xi, r), all on term dicts: each sum accumulates in place
-        by ``mac``."""
+    def _step(self, field, xi, r):
+        """sigma, N = c - 1 and D = Ad(c) - 1 (both grids) at (xi, r), all
+        on term dicts: each sum accumulates in place by ``mac``."""
         mono = {0: {0: field.from_int(1)}}
         values = {}
 
@@ -510,9 +562,9 @@ class GroupLaw:
             return v
 
         sigma = [dict(x) for x in xi]
-        size = sum(self.shape)
+        size, d = sum(self.shape), len(xi)
         n = [[{} for _ in range(size)] for _ in range(size)]
-        ad = {} if with_ad else None
+        ad = [[{} for _ in range(d)] for _ in range(d)]
         for j, rj in enumerate(r):
             if not rj:
                 continue
@@ -520,9 +572,8 @@ class GroupLaw:
                 mac(field, sigma[i], at(p), rj)
             for (a, b), p in self.c[j]:
                 mac(field, n[a][b], at(p), rj)
-            if with_ad:
-                for kl, p in self.ad[j]:
-                    mac(field, ad.setdefault(kl, {}), at(p), rj)
+            for (k, l), p in self.ad[j]:
+                mac(field, ad[k][l], at(p), rj)
         return sigma, n, ad
 
     def fold(self, algebra, xi, runs, grid):
@@ -530,36 +581,43 @@ class GroupLaw:
         R = 1 + zeta sum_j w_j Y_j given as (zeta, w) on term dicts: each run
         folds into the odd product and leaves c = 1 + N, which applies to
         the grid G in place, G <- G + N G over N's nonzero cells
-        (``grid_mul``); the later runs are carried past c by Ad(c).  The
-        caller owns G; xi (elements) and the runs are only read.  Returns
-        sigma, xi itself when no run moved anything."""
+        (``grid_mul``), and Ad(c) = 1 + D, which carries the later runs past
+        c.  The caller owns G; xi (elements) and the runs are only read.
+        Returns sigma (xi itself when no run moved anything) and the steps'
+        D in order, from which ``compose_ad`` forms Ad(c_m ... c_1)."""
         if algebra.field != self.field:
             raise StructuralError("coefficient field differs from the pair's field")
         field, p = algebra.field, self.shape[0]
-        sigma, moved = [x.terms for x in xi], False
+        sigma, steps = [x.terms for x in xi], []
         runs = list(runs)
         for k, (zeta, w) in enumerate(runs):
             r = [mac(field, {}, zeta, a) if a else {} for a in w]
             if not any(r):
                 continue
-            last = k == len(runs) - 1
-            sigma, n, ad = self._step(field, sigma, r, not last)
+            sigma, n, ad = self._step(field, sigma, r)
             grid_mul(field, p, n, grid, grid)
-            moved = True
-            if not last and ad:
-                runs[k + 1:] = [(z, [_row_dot(field, ad, kk, v, dict(x)) for kk, x in enumerate(v)])
-                                for z, v in runs[k + 1:]]
-        return [GrassmannElement(algebra, x) for x in sigma] if moved else xi
+            steps.append(ad)
+            runs[k + 1:] = [(z, [_row_dot(field, ad[kk], v, dict(x)) for kk, x in enumerate(v)])
+                            for z, v in runs[k + 1:]]
+        return ([GrassmannElement(algebra, x) for x in sigma] if steps else xi), steps
 
 
-def _row_dot(field, n, k, v, acc):
-    """acc += row k of the sparse matrix n applied to the vector v, on term
-    dicts, in place; returns acc."""
-    for l, x in enumerate(v):
-        a = n.get((k, l))
-        if a is not None and x:
+def _row_dot(field, row, v, acc):
+    """acc += the row (term dicts) applied to the vector v, in place;
+    returns acc."""
+    for a, x in zip(row, v):
+        if a and x:
             mac(field, acc, a, x)
     return acc
+
+
+def compose_ad(field, base, steps):
+    """(1 + D_m) ... (1 + D_1) . base for the steps D of ``GroupLaw.fold``:
+    Ad(c_m ... c_1) Ad(g) for base = Ad(g), in place on the grid base, which
+    the caller owns (``grid_mul``; Ad entries are even, so nothing twists)."""
+    for d in steps:
+        grid_mul(field, len(base), d, base, base)
+    return base
 
 
 def group_law(pair) -> GroupLaw:
@@ -569,38 +627,76 @@ def group_law(pair) -> GroupLaw:
     return pair.group_law
 
 
+_PENDING_DEPTH = 8
+
+
+class _Pending:
+    """The Ad of a law result before its first read: ``compose_ad`` of
+    base() (a new grid) and the fold steps.  depth is the length of the
+    longest chain of pending forms it reads, itself included."""
+
+    __slots__ = ("base", "steps", "depth")
+
+    def __init__(self, base, steps, depth):
+        self.base, self.steps, self.depth = base, steps, depth
+
+
+def _held(nf):
+    """The depth of nf's pending Ad, 0 once composed or for a form made
+    outside the law; at _PENDING_DEPTH it is composed now, so that a law
+    result holds a bounded chain of pending forms."""
+    ad = nf._ad
+    if not isinstance(ad, _Pending):
+        return 0
+    if ad.depth < _PENDING_DEPTH:
+        return ad.depth
+    nf.ad()
+    return 0
+
+
 def gp_mul(nf1: NormalForm, nf2: NormalForm) -> NormalForm:
     """(P(xi) g)(P(zeta) h) = P(xi) . prod_i (1 + zeta_i Ad(g)Y_i) . g h: the
-    runs, read off the Ad memo's grid of g, fold into P(xi) through the
-    pair's law, and each fold step's even correction applies in place to
-    the grid of g h, wrapped once as the even factor."""
+    runs, read off the Ad that nf1 carries, fold into P(xi) through the
+    pair's law, and each fold step's even correction c applies in place to
+    the grid of g h, wrapped once as the even factor.  Ad is a group
+    homomorphism, so the result's Ad is Ad(c_m)...Ad(c_1) Ad(g) Ad(h),
+    composed from the factors' carried Ad and the steps' Ad(c) when first
+    read (``compose_ad``): no inversion and no odd solve."""
     if nf1.pair is not nf2.pair or nf1.algebra != nf2.algebra:
         raise StructuralError("normal forms over different groups")
     pair, algebra = nf1.pair, nf1.algebra
+    field = algebra.field
     runs = [(i, z.terms) for i, z in enumerate(nf2.etas) if z.terms]
     if runs:
-        ad = pair.ad_action_matrix(nf1.g_plus, shared=True)[0]
+        ad = nf1.ad()
         runs = [(z, [row[i] for row in ad]) for i, z in runs]
-    grid = grid_mul(algebra.field, pair.shape[0], nf1.g_plus.grid, nf2.g_plus.grid)
-    etas = group_law(pair).fold(algebra, nf1.etas, runs, grid)
-    return NormalForm(pair, algebra, etas, wrap_grid(pair.shape, algebra, grid))
+    grid = grid_mul(field, pair.shape[0], nf1.g_plus.grid, nf2.g_plus.grid)
+    etas, steps = group_law(pair).fold(algebra, nf1.etas, runs, grid)
+    out = NormalForm(pair, algebra, etas, wrap_grid(pair.shape, algebra, grid))
+    depth = 1 + max(_held(nf1), _held(nf2))
+    out._ad = _Pending(lambda: grid_mul(field, pair.d_minus, nf1.ad(), nf2.ad()), steps, depth)
+    return out
 
 
 def gp_inv(nf: NormalForm) -> NormalForm:
     """(P(xi) g)^-1 = (1 - xi_d Ad(g^-1)Y_d)...(1 - xi_1 Ad(g^-1)Y_1) . g^-1:
-    g^-1 is the one kept beside Ad(g) in the pair's Ad memo (one inversion
-    on a cold memo, none on a warm one), Ad(g^-1)Y_i is read off
-    g^-1 rho(Y_i) g for the i with xi_i != 0 only, and the descending runs
-    fold through the pair's law from P(0) into a copy of g^-1."""
+    g^-1 is the one nf carries (``NormalForm.g_inv``: at most one inversion
+    per form), Ad(g^-1)Y_i is read off g^-1 rho(Y_i) g for the i with
+    xi_i != 0 only, and the descending runs fold through the pair's law
+    from P(0) into a copy of g^-1.  The result's Ad, Ad(c_m)...Ad(c_1)
+    Ad(g^-1), is composed when first read, every column of Ad(g^-1) read
+    off the same conjugates (odd solves, no inversion)."""
     pair, algebra = nf.pair, nf.algebra
-    neg = algebra.field.neg
-    ginv = pair.ad_action_matrix(nf.g_plus, shared=True)[1]
+    field = algebra.field
+    ginv, g = nf.g_inv(), nf.g_plus.grid
     live = [i for i in reversed(range(pair.d_minus)) if nf.etas[i].terms]
-    runs = [({m: neg(x) for m, x in nf.etas[i].terms.items()}, col)
-            for i, col in zip(live, pair.conj_grid(ginv, nf.g_plus.grid, live))]
+    runs = [({m: field.neg(x) for m, x in nf.etas[i].terms.items()}, col)
+            for i, col in zip(live, pair.conj_grid(ginv, g, live))]
     grid = copy_grid(ginv)
-    etas = group_law(pair).fold(algebra, [algebra.zero()] * pair.d_minus, runs, grid)
-    return NormalForm(pair, algebra, etas, wrap_grid(pair.shape, algebra, grid))
+    etas, steps = group_law(pair).fold(algebra, [algebra.zero()] * pair.d_minus, runs, grid)
+    out = NormalForm(pair, algebra, etas, wrap_grid(pair.shape, algebra, grid))
+    out._ad = _Pending(lambda: [list(r) for r in zip(*pair.conj_grid(ginv, g))], steps, 1)
+    return out
 
 
 def gp_commutator(nf1: NormalForm, nf2: NormalForm) -> NormalForm:

@@ -724,11 +724,12 @@ def word_action(word, v, odd_act, v0_action):
     odd_act(j, key) is the module's straightening table (lie.odd_action on
     wedge(g_1), InducedModule.odd_act on an induced module) and
     v0_action(g) the matrix of an even point g on V0, a grid of term dicts
-    read only (trivial_action, or EvenModuleData.group_action).  Even
-    tokens act by wedge_ad_action through the word's pair (duck-typed: the
-    pair supplies ad_action_matrix and its shared memo grids); an odd token
-    acts as 1 + eta.Y_i.  v and the result hold elements; in between the vector runs
-    on term dicts, wrapped once at the end.
+    read only (trivial_action, or EvenModuleData.group_action).  An even
+    token acts by wedge_ad_action with the Ad its ``ad(pair)`` hands over, a
+    grid read only: the Ad a normal form carries for its own even factor
+    (``NormalForm.tokens``), the pair's memo entry for a bare point; an odd
+    token acts as 1 + eta.Y_i.  v and the result hold elements; in between
+    the vector runs on term dicts, wrapped once at the end.
     """
     tokens = word.tokens
     if not tokens:
@@ -738,8 +739,7 @@ def word_action(word, v, odd_act, v0_action):
     vec = {key: c.terms for key, c in v.items()}
     for tok in reversed(tokens):
         if tok.kind == "even":
-            ad, _ = pair.ad_action_matrix(tok.matrix, shared=True)
-            vec = wedge_ad_action(field, odd_act, ad, v0_action(tok.matrix), vec)
+            vec = wedge_ad_action(field, odd_act, tok.ad(pair), v0_action(tok.matrix), vec)
         else:
             out = {key: dict(c) for key, c in vec.items()}
             vec = straighten_action(field, odd_act, tok.index, vec, tok.eta.terms, out)

@@ -9,17 +9,25 @@ the differential of that conjugation must be the stored bracket.  Tangency
 and the differential are read off dual-number probes 1 + eps X, points over
 ``coeff.dual_numbers(A)``: Lambda_{r+2} with eps = x{r+1}x{r+2}.
 
-``ad_action_matrix`` keeps a small memo per pair, because the group law and
-the induced-module action ask for the Ad matrix of the same few even points
-again and again.  The key is the exact value of the point: its shape, its
+``ad_action_matrix`` keeps a small memo per pair for bare points: the even
+tokens of words, sampled points, and the group law's compile.  A normal
+form does not rely on it: it carries its own Ad(g) and g^-1
+(``gp.NormalForm``), filled once from this memo when the form is made
+outside the group law, and composed by the law, Ad being a homomorphism,
+when the law makes it.  The memo stays because a word's even token is read
+by more than one route (the module route and rewriting each ask for its
+Ad), and it stays per pair and bounded rather than becoming a cache on each
+token, which would keep an Ad alive for every even token of every word a
+caller holds.  The key is the exact value of the point: its shape, its
 algebra and every entry's sorted ``(mask, value)`` terms.  An entry holds
 Ad(g) and g^-1 as grids of term dicts, from the one inversion that Ad(g)
 takes; both are shared with every caller that asks for the entry
-(``shared=True``: the group law, the module action, rewriting) and are
-read only.  The memo holds at most ``AD_MEMO_SIZE`` points and drops the
-oldest first; a point whose conjugates leave the odd span is never stored,
-so it raises ``SpanViolation`` on every request.  Without ``shared`` a call
-returns a fresh list-of-lists copy of Ad(g), entries as elements.
+(``shared=True``: rewriting, the module action, a normal form's first
+read, the law's compile) and are read only.  The memo holds at most
+``AD_MEMO_SIZE`` points and drops the oldest first; a point whose
+conjugates leave the odd span is never stored, so it raises
+``SpanViolation`` on every request.  Without ``shared`` a call returns a
+fresh list-of-lists copy of Ad(g), entries as elements.
 """
 
 from __future__ import annotations

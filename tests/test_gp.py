@@ -263,10 +263,12 @@ def test_group_law_matches_word_concatenation(case):
 
 
 def test_gp_inv_inverts_once(monkeypatch):
-    """gp_inv takes g^-1 from the Ad memo entry of g_plus and reads
-    Ad(g^-1) off g^-1 rho(Y_i) g: exactly one inversion for a point the
-    memo does not hold (the one that Ad(g) takes too), and none for a point
-    it holds, whether gp_inv or gp_mul put it there."""
+    """A normal form inverts its even factor at most once over any sequence
+    of gp_mul and gp_inv: a form made outside the law takes g^-1 and Ad(g)
+    from one memo entry (equal points share it), a law result inverts its
+    own g_plus when gp_inv first asks.  A product of forms that carry
+    their Ad makes no inversion and no odd solve, and neither does reading
+    its Ad."""
     pair = gl_pair(2, 1, GF3)
     A = GrassmannAlgebra(GF3, 4)
     rng = random.Random(48)
@@ -276,23 +278,120 @@ def test_gp_inv_inverts_once(monkeypatch):
     group_law(pair)  # compiling the law takes Ad matrices, which invert
     pair._ad_memo.clear()
     calls = count_inversions(monkeypatch, gp, shcp, smat)
-    seen = []
-    for nf, inv in zip(nfs, want):
-        cold = nf.g_plus not in seen
-        seen.append(nf.g_plus)
-        before = len(calls)
-        assert gp_inv(nf) == inv
-        assert len(calls) == before + cold
-    assert len(calls) < len(nfs)  # two of the points are equal
+    solves = []
+    real = shcp.HarishChandraPair.conj_grid
+    monkeypatch.setattr(shcp.HarishChandraPair, "conj_grid",
+                        lambda self, *args: solves.append(args) or real(self, *args))
     for nf, inv in zip(nfs, want):
         assert gp_inv(nf) == inv
-    assert len(calls) == len({repr(g) for g in seen})
+    assert len(calls) == len({repr(nf.g_plus) for nf in nfs}) < len(nfs)  # two points are equal
+    before = len(calls), len(solves)
+    products = [gp_mul(a, b) for a in nfs for b in nfs]
+    assert [len(p.ad()) for p in products] == [pair.d_minus] * len(products)
+    assert (len(calls), len(solves)) == before
+    forms = nfs + products[::5]
+    forms += [gp_inv(x) for x in forms]
+    for _ in range(2):
+        for x in forms:
+            assert gp_mul(x, gp_inv(x)) == NormalForm.identity(pair, A)
+            gp_mul(gp_mul(x, nfs[0]), gp_inv(nfs[1]))
+    inverted = [id(args[-1]) for args in calls]
+    assert len(inverted) == len(set(inverted))
+    assert set(inverted) <= {id(x.g_plus.grid) for x in forms}
+
+
+def _cold_ad(nf):
+    """Ad of the even factor computed from scratch: an empty memo, and a
+    fresh copy of g_plus."""
+    nf.pair._ad_memo.clear()
+    copy = SuperMatrix(nf.g_plus.shape, nf.algebra, [[x + nf.algebra.zero() for x in row]
+                                                     for row in nf.g_plus.rows])
+    return [[x.terms for x in row] for row in nf.pair.ad_action_matrix(copy)]
+
+
+_HOM_CASES = {f"{name}-{field}": (make, field)
+              for name, make in (("gl11", lambda f: gl_pair(1, 1, f)),
+                                 ("gl21", lambda f: gl_pair(2, 1, f)),
+                                 ("gl12", lambda f: gl_pair(1, 2, f)), ("q2", q2_pair))
+              for field in (QQ, GF3)}
+
+
+@pytest.mark.parametrize("case", list(_HOM_CASES))
+def test_law_results_carry_the_ad_of_their_even_factor(case):
+    """Ad is a group homomorphism: the Ad that a product or inverse composes
+    from its factors' Ad and the law's Ad(c) equals Ad of its even factor
+    computed cold, on products, nested products, a . b^-1 and
+    a^-1 . (b . c) over Lambda_5.  The carried grids take no part in ==
+    or repr."""
+    make, field = _HOM_CASES[case]
+    pair = make(field)
+    A = GrassmannAlgebra(field, 5)
+    rng = random.Random(53)
+    nfs = [normal_form(random_word(pair, A, rng, 5)) for _ in range(6)]
+    checked = 0
+    for a, b, c in zip(nfs, nfs[1:] + nfs[:1], nfs[2:] + nfs[:2]):
+        for nf in (gp_mul(a, b), gp_mul(gp_mul(a, b), c), gp_mul(a, gp_mul(b, c)),
+                   gp_mul(a, gp_inv(b)), gp_mul(gp_inv(a), gp_mul(b, c)), gp_inv(a)):
+            twin = NormalForm(pair, A, nf.etas, nf.g_plus)
+            shown = repr(nf)
+            assert [list(row) for row in nf.ad()] == _cold_ad(nf)
+            assert nf == twin and repr(nf) == repr(twin) == shown
+            checked += 1
+    assert checked == 36
+
+
+def test_pending_ad_chains_are_bounded():
+    """A product whose Ad is never read holds its factors until it is: a
+    right-nested chain of products keeps at most _PENDING_DEPTH of them
+    pending, and the Ad at its end is still the cold one."""
+    pair = gl_pair(2, 1, GF3)
+    A = GrassmannAlgebra(GF3, 4)
+    rng = random.Random(54)
+    nfs = [normal_form(random_word(pair, A, rng, 4)) for _ in range(5)]
+    x = nfs[0]
+    for k in range(3 * gp._PENDING_DEPTH):
+        x = gp_mul(nfs[k % 5], x)
+        assert 1 <= x._ad.depth <= gp._PENDING_DEPTH
+    assert [list(row) for row in x.ad()] == _cold_ad(x)
+
+
+def test_second_pass_of_group_triples_inverts_nothing(monkeypatch):
+    """Group-law triples as the group-f3 benchmark runs them, over
+    Lambda_4(F_3) on gl(2|1): associativity, a . a^-1 = 1 and the induced
+    defining module.  The first pass fills each pool form's Ad and g^-1
+    once; a second pass over the same triples makes no inversion and asks
+    the Ad memo for nothing, since every Ad it reads is carried by a pool
+    form or composed by the law."""
+    pair = gl_pair(2, 1, GF3)
+    A = GrassmannAlgebra(GF3, 4)
+    rng = random.Random(2026)
+    module = InducedModule(pair, defining_module(pair))
+    one = NormalForm.identity(pair, A)
+    pool = [normal_form(random_word(pair, A, rng, 1 + t % 5)) for t in range(15)]
+    triples = list(zip(*(rng.sample(pool, len(pool)) for _ in range(3))))
+    group_law(pair)
     pair._ad_memo.clear()
-    before = len(calls)
-    gp_mul(nfs[0], nfs[1])
-    assert len(calls) == before + 1
-    assert gp_inv(nfs[0]) == want[0]
-    assert len(calls) == before + 1
+    calls = count_inversions(monkeypatch, gp, shcp, smat)
+    asked = []
+    real = shcp.HarishChandraPair.ad_action_matrix
+    monkeypatch.setattr(shcp.HarishChandraPair, "ad_action_matrix",
+                        lambda self, *args, **kw: asked.append(args) or real(self, *args, **kw))
+
+    def run_pass():
+        for a, b, c in triples:
+            ab = gp_mul(a, b)
+            assert gp_mul(ab, c) == gp_mul(a, gp_mul(b, c))
+            assert gp_mul(a, gp_inv(a)) == one
+            for t in range(module.v0.dim):
+                vac = module.vacuum_with(t, A)
+                assert (module.apply_normal_form(ab, vac)
+                        == module.apply_normal_form(a, module.apply_normal_form(b, vac)))
+
+    run_pass()
+    assert 0 < len(calls) <= len(pool)
+    del calls[:], asked[:]
+    run_pass()
+    assert calls == [] and asked == []
 
 
 def test_group_law_on_ad_unstable_pair_raises_span_violation():

@@ -3,10 +3,11 @@
 The scaled straightening pass, on term dicts, is checked against its
 composition from element operations (``support.straighten_reference``); the
 actions and the group law are checked to write to no coefficient they do
-not own, the Ad memo's grids included, and return grids they own; and one
-product, inverse and module action are pinned to make no GrassmannElement
-product or sum from inside liesuper or the group law, no SuperMatrix
-product or constructor, and no read of the element view SuperMatrix.rows."""
+not own, the Ad memo's grids and the Ad and g^-1 a normal form carries
+included, and return grids they own; and one product, inverse and module
+action are pinned to make no GrassmannElement product or sum from inside
+liesuper or the group law, no SuperMatrix product or constructor, and no
+read of the element view SuperMatrix.rows."""
 
 import random
 import sys
@@ -124,12 +125,15 @@ def snapshot(x):
 @pytest.mark.parametrize("name,build", PAIRS, ids=[n for n, _ in PAIRS])
 @pytest.mark.parametrize("field", [QQ, GF3], ids=str)
 def test_actions_and_group_law_write_only_what_they_own(name, build, field):
-    """The module action, both kernels, products and inverses leave their
-    inputs as they were, and the Ad memo's grids too: each entry's Ad(g) and
-    g^-1, which gp_mul, gp_inv, rewriting and the module action share.  A
-    matrix that *, +, smat_inv, gl_split, factor_product, the three routes,
-    gp_mul or gp_inv returns shares no term dict with its arguments or the
-    memo."""
+    """The module action, both kernels, the routes, products and inverses
+    leave their inputs as they were, and the Ad memo's grids too: each
+    entry's Ad(g) and g^-1, which rewriting and the module action read for
+    bare points.  So are the Ad and g^-1 that each normal form carries,
+    which gp_mul, gp_inv, the module action and the routes on its tokens
+    read, and from which later products compose theirs.  A matrix that *,
+    +, smat_inv, gl_split, factor_product, the three routes, gp_mul or
+    gp_inv returns, and the Ad a product or inverse composes, share no term
+    dict with their arguments, the memo or the carried grids."""
     pair = build(field)
     A = GrassmannAlgebra(field, 4)
     rng = random.Random(11)
@@ -147,6 +151,7 @@ def test_actions_and_group_law_write_only_what_they_own(name, build, field):
     assert any(not e.is_zero() for e in ab.etas)
     for nf in (a, b, ab):
         gp_inv(nf)  # the memo now holds Ad(g) and g^-1 of each even factor
+    carried = [(nf.ad(), nf.g_inv()) for nf in (one, a, b, ab, odd)]
     ad = pair.ad_action_matrix(g, shared=True)[0]
     for act, dim, v0_action in modules(pair):
         v0 = v0_action(g)
@@ -155,38 +160,43 @@ def test_actions_and_group_law_write_only_what_they_own(name, build, field):
         kept = [v, v0, one, a, b, ab, odd, g, scale]
         memo = dict(pair._ad_memo)
         assert len(memo) > 3
-        before = snapshot(kept), snapshot(memo)
+        before = snapshot(kept), snapshot(memo), snapshot(carried)
         for w in (word, b, odd):
             word_action(w, v, act, v0_action)
         wedge_ad_action(field, act, ad, v0, terms_of(v))
         straighten_action(field, act, 0, terms_of(v))
         straighten_action(field, act, 0, terms_of(v), scale.terms, owned_terms(v))
         for nf in (a, b, ab):
-            gp_inv(nf)
-        gp_mul(a, b)
-        gp_mul(one, a)
+            gp_inv(gp_inv(nf)).ad()
+        for x, y in ((a, b), (one, a), (ab, odd), (b, ab)):
+            gp_mul(gp_mul(x, y), gp_inv(x)).ad()
         reorder_symbolic(word)
+        for nf in (a, ab):
+            normal_form(nf.to_word())
+            reorder_symbolic(nf.to_word())
         if v0_action is not trivial_action:
             module = InducedModule(pair, defining_module(pair))
-            for nf in (a, b, odd, one):
+            for nf in (a, b, ab, odd, one):
                 module.apply_normal_form(nf, v)
-        assert (snapshot(kept), snapshot(memo)) == before
+        assert (snapshot(kept), snapshot(memo), snapshot(carried)) == before
     # a matrix the API returns owns its grid: no term dict of it is one of
-    # an argument's (grids and etas) or of the Ad memo; everything compared
-    # is held alive until the ids are compared
+    # an argument's (grids and etas), of the Ad memo or of a carried grid;
+    # everything compared is held alive until the ids are compared
     m = word.rho_matrix()
     results = [g * m, g + m, smat_inv(g), *gl_split(m), factor_product(pair, A, word.tokens),
                factor_product(pair, A, odd.tokens, g), a.rho_matrix(), odd.rho_matrix()]
-    results += [nf.g_plus for nf in (
-        normal_form(word), reorder_symbolic(word), strip_matrix_factorization(pair, m),
-        gp_mul(a, b), gp_mul(one, a), gp_mul(odd, b), gp_inv(a), gp_inv(ab), gp_inv(odd))]
+    made = [gp_mul(a, b), gp_mul(one, a), gp_mul(odd, b), gp_inv(a), gp_inv(ab), gp_inv(odd)]
+    results += [nf.g_plus for nf in [
+        normal_form(word), reorder_symbolic(word), strip_matrix_factorization(pair, m)] + made]
+    composed = [nf.ad() for nf in made]
     args = [g, m, one.g_plus, a.g_plus, b.g_plus, ab.g_plus, odd.g_plus]
-    grids = ([x.grid for x in args] + [grid for e in (*memo.values(), *pair._ad_memo.values())
-                                        for grid in e])
+    grids = ([x.grid for x in args] + [grid for e in (*memo.values(), *pair._ad_memo.values(),
+                                                      *carried) for grid in e])
     owned = {id(x) for grid in grids for row in grid for x in row}
     owned |= {id(e.terms) for nf in (a, b, ab, odd) for e in nf.etas}
     owned |= {id(t.eta.terms) for t in word.tokens if t.kind == "odd"}
     assert not [k for k, r in enumerate(results) for row in r.grid for x in row if id(x) in owned]
+    assert not [k for k, ad in enumerate(composed) for row in ad for x in row if id(x) in owned]
 
 
 # ---------------------------------------------------------------------------
