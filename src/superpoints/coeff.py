@@ -13,6 +13,9 @@ field, and a nilpotency bound N with (ker eps_A)^(N+1) = 0.
 * ``mac(field, acc, xs, ys, twist)`` -- the one product of term dicts,
   accumulated in place: every Grassmann product of this module and of
   ``smat`` runs through it.
+* ``add_into(field, acc, c, row, base)`` -- the one scaled sum of sparse
+  dicts, accumulated in place: term dicts and the straightening tables'
+  vectors alike.
 
 Tangent probes need the dual numbers A[eps] with eps even and eps^2 = 0.
 For A = Lambda_r they are read inside Lambda_{r+2} with eps = x{r+1}x{r+2}
@@ -333,6 +336,23 @@ def mac(field, acc: dict, xs: dict, ys: dict, twist: bool = False) -> dict:
     return acc
 
 
+def add_into(field, acc: dict, c, row: dict, base: int = 0) -> dict:
+    """acc += c . row for sparse dicts key -> nonzero raw value and a raw
+    value c, in place, the row's keys offset by base (or-ed in).  A key
+    whose sum is zero is dropped.  Returns acc."""
+    for k, v in row.items():
+        k |= base
+        v = field.mul(c, v)
+        prev = acc.get(k)
+        if prev is not None:
+            v = field.add(prev, v)
+        if v:
+            acc[k] = v
+        else:
+            acc.pop(k, None)
+    return acc
+
+
 class GrassmannAlgebra:
     """Lambda_n = k[x{1}..x{n}], sparse bitmask representation."""
 
@@ -433,20 +453,11 @@ class GrassmannElement:
             raise StructuralError("rank/ring mismatch")
 
     def __add__(self, other):
+        """Sum (``add_into``)."""
         self._check(other)
-        add = self.algebra.field.add
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m)
-            if s is None:
-                terms[m] = c
-            else:
-                s = add(s, c)
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
-        return GrassmannElement(self.algebra, terms)
+        field = self.algebra.field
+        return GrassmannElement(self.algebra,
+                                add_into(field, dict(self.terms), field.from_int(1), other.terms))
 
     def __neg__(self):
         neg = self.algebra.field.neg
@@ -501,9 +512,6 @@ class GrassmannElement:
         if len(ps) == 1:
             return ps.pop()
         return None
-
-    def is_even(self):
-        return self.parity() == 0
 
     def is_odd(self):
         return self.parity() == 1

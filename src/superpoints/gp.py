@@ -69,10 +69,10 @@ from __future__ import annotations
 
 import random
 
-from .coeff import GrassmannAlgebra, GrassmannElement, dual_numbers, mac
+from .coeff import GrassmannAlgebra, GrassmannElement, add_into, dual_numbers, mac
 from .errors import NonTermination, SpanViolation, StructuralError
-from .liesuper import (CheckReport, StraighteningKernel, _add_row, _bracket, _unit, _vcomb,
-                       trivial_action, word_action)
+from .liesuper import (CheckReport, StraighteningKernel, _bracket, _unit, _vcomb, trivial_action,
+                       word_action)
 from .smat import (SuperMatrix, block_split, ck_grid, copy_grid, dual_probe, gl_split, grid_inv,
                    grid_mul, identity_grid, smat_inv, wrap_grid)
 
@@ -90,7 +90,7 @@ class EvenTok:
     def ad(self, pair):
         """Ad of the point over the pair, a grid of term dicts read only: a
         bare point carries none, so it is the pair's memo entry."""
-        return pair.ad_action_matrix(self.matrix, shared=True)[0]
+        return pair.ad_action_matrix(self.matrix)[0]
 
     def __repr__(self):
         return f"Even({self.matrix!r})"
@@ -246,7 +246,7 @@ class NormalForm:
         of term dicts, read only."""
         ad = self._ad
         if ad is None:
-            self._ad, self._g_inv = self.pair.ad_action_matrix(self.g_plus, shared=True)
+            self._ad, self._g_inv = self.pair.ad_action_matrix(self.g_plus)
         elif isinstance(ad, _Pending):
             self._ad = compose_ad(self.algebra.field, ad.base(), ad.steps)
         return self._ad
@@ -347,7 +347,7 @@ def slide_odds(lie, z, c, odds):
         for j, v in enumerate(col):
             coeff = dict(eta) if j == k else {}
             if v:
-                _add_row(field, coeff, v, ec)
+                add_into(field, coeff, v, ec)
             if coeff:
                 out.append((j, coeff))
     return out
@@ -373,7 +373,7 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
     """
     pair, algebra = word.pair, word.algebra
     field, p, lie = algebra.field, pair.shape[0], pair.lie
-    one = {0: field.from_int(1)}
+    one = field.from_int(1)
     rewrites = 0
     trace = stats.get("trace") if stats is not None else None
 
@@ -415,7 +415,7 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
         shown = GrassmannElement(algebra, c) if trace is not None else None
         if i == j:
             # (1+eta Y)(1+eta2 Y) = (1 + eta2 eta Y^<2>)(1 + (eta+eta2) Y)
-            merged = mac(field, dict(eta), eta2, one)
+            merged = add_into(field, dict(eta), one, eta2)
             odds[s:s + 2] = [(i, merged)] if merged else []
             note("merged repeated Y{} factors [square relation]", i + 1)
             if c:
@@ -460,7 +460,7 @@ def strip_matrix_factorization(pair, m: SuperMatrix) -> NormalForm:
     """
     algebra = m.algebra
     field, p = algebra.field, pair.shape[0]
-    one = {0: field.from_int(1)}
+    one = field.from_int(1)
     etas = [algebra.zero()] * pair.d_minus
     for _ in range(algebra.nilpotency_bound + 2):
         diag, off = block_split(p, factor_grid(pair, field, _division(etas),
@@ -475,7 +475,7 @@ def strip_matrix_factorization(pair, m: SuperMatrix) -> NormalForm:
         coords = pair._odd_solver([x for row in delta for x in row], terms=True)
         if coords is None:
             raise SpanViolation("odd discrepancy left the pair's odd span")
-        etas = [GrassmannElement(algebra, mac(field, x, e.terms, one)) if x else e
+        etas = [GrassmannElement(algebra, add_into(field, x, one, e.terms)) if x else e
                 for e, x in zip(etas, coords)]
     raise NonTermination("matrix stripping did not close within the bound")
 
@@ -538,7 +538,7 @@ class GroupLaw:
             nf = normal_form(word)
             self.sigma.append(_tails(((i, e.terms) for i, e in enumerate(nf.etas)), top))
             self.c.append(_tails(_cells(nf.g_plus.grid), top))
-            self.ad.append(_tails(_cells(pair.ad_action_matrix(nf.g_plus, shared=True)[0]), top))
+            self.ad.append(_tails(_cells(pair.ad_action_matrix(nf.g_plus)[0]), top))
 
     def _step(self, field, xi, r):
         """sigma, N = c - 1 and D = Ad(c) - 1 (both grids) at (xi, r), all
@@ -558,7 +558,7 @@ class GroupLaw:
             if v is None:
                 v = values[poly] = {}
                 for m, raw in poly:
-                    _add_row(field, v, raw, monomial(m))
+                    add_into(field, v, raw, monomial(m))
             return v
 
         sigma = [dict(x) for x in xi]
@@ -582,7 +582,9 @@ class GroupLaw:
         folds into the odd product and leaves c = 1 + N, which applies to
         the grid G in place, G <- G + N G over N's nonzero cells
         (``grid_mul``), and Ad(c) = 1 + D, which carries the later runs past
-        c.  The caller owns G; xi (elements) and the runs are only read.
+        c.  N and D square to zero: each of their entries is a sum of terms
+        that each carry one r_j of the run, and r_j r_k = 0 in a run.  The
+        caller owns G; xi (elements) and the runs are only read.
         Returns sigma (xi itself when no run moved anything) and the steps'
         D in order, from which ``compose_ad`` forms Ad(c_m ... c_1)."""
         if algebra.field != self.field:
@@ -939,20 +941,9 @@ class EvenModuleData:
             h = pair.even_group.sample(A, rng)
             gh = self.group_action(g * h)
             g_, h_ = self.group_action(g), self.group_action(h)
-            prod = [[sum_mul(A.field, g_, h_, r, c, self.dim) for c in range(self.dim)]
-                    for r in range(self.dim)]
-            if gh != prod:
+            if gh != grid_mul(A.field, self.dim, g_, h_):  # p = dim: no row is odd, nothing twists
                 rep.fail(f"sample {s}: module action is not multiplicative")
         return rep
-
-
-def sum_mul(field, a, b, r, c, n):
-    """sum_t a[r][t] b[t][c] for grids a and b, accumulated into one new
-    term dict (``mac``)."""
-    acc = {}
-    for t in range(n):
-        mac(field, acc, a[r][t], b[t][c])
-    return acc
 
 
 def defining_module(pair) -> EvenModuleData:

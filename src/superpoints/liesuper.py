@@ -48,7 +48,7 @@ grid's.
 
 from __future__ import annotations
 
-from .coeff import GrassmannAlgebra, GrassmannElement, mac
+from .coeff import GrassmannAlgebra, GrassmannElement, add_into, mac
 from .errors import ClosureViolation, StructuralError
 from .smat import (SuperMatrix, constant_matrix, gl_2op, gl_bracket, k_nonzeros,
                    k_solve_matrix, matrix_units)
@@ -293,17 +293,17 @@ class LieSuperalgebraData:
             for m in keys:
                 for mid, c in ty[m].items():
                     if row := tx[mid]:
-                        _add_row(f, acc, c, row, m << shift)
+                        add_into(f, acc, c, row, m << shift)
                 if right is not None:
                     for mid, c in tx[m].items():
                         if row := ty[mid]:
-                            _add_row(f, acc, f.mul(sign, c), row, m << shift)
+                            add_into(f, acc, f.mul(sign, c), row, m << shift)
             for b, c in enumerate(coords):
                 if c:
                     c, table = f.neg(c), tables[parity][b]
                     for m in keys:
                         if row := table[m]:
-                            _add_row(f, acc, c, row, m << shift)
+                            add_into(f, acc, c, row, m << shift)
             if acc:
                 yield name, (px, x), right, min(acc) >> shift
                 acc.clear()
@@ -317,21 +317,6 @@ class LieSuperalgebraData:
     def even_action_basis(self, a, mask):
         """X_a . Ybar_S: the derivation action, with X_a killing b."""
         return self._kernel.even(a, mask)
-
-
-def _add_row(field, acc, c, row, base=0):
-    """acc += c * row for sparse dicts of raw field values, the row's keys
-    offset by base (or-ed in); zeros dropped."""
-    for k, v in row.items():
-        k |= base
-        v = field.mul(c, v)
-        prev = acc.get(k)
-        if prev is not None:
-            v = field.add(prev, v)
-        if v:
-            acc[k] = v
-        else:
-            acc.pop(k, None)
 
 
 class StraighteningKernel:
@@ -374,7 +359,7 @@ class StraighteningKernel:
                 # Y_j Y_{i0} = -Y_{i0} Y_j + [Y_j, Y_{i0}]
                 res = self._even_comb(self.oo[j][i0], rest)
                 for k, c in self.odd(j, rest).items():
-                    _add_row(f, res, f.neg(c), self.odd(i0, k))
+                    add_into(f, res, f.neg(c), self.odd(i0, k))
         self._odd_memo[(j, key)] = res
         return res
 
@@ -398,10 +383,10 @@ class StraighteningKernel:
             # [X_a, Y_{i0}] . rest
             for m, wm in enumerate(self.eo[a][i0]):
                 if wm:
-                    _add_row(f, res, wm, self.odd(m, rest))
+                    add_into(f, res, wm, self.odd(m, rest))
             # Y_{i0} . (X_a . rest)
             for k, c in self.even(a, rest).items():
-                _add_row(f, res, c, self.odd(i0, k))
+                add_into(f, res, c, self.odd(i0, k))
         self._even_memo[(a, key)] = res
         return res
 
@@ -411,7 +396,7 @@ class StraighteningKernel:
         res = {}
         for a, c in enumerate(coords):
             if c:
-                _add_row(f, res, c, self.even(a, key))
+                add_into(f, res, c, self.even(a, key))
         return res
 
 

@@ -263,7 +263,11 @@ def dump_normal_form(nf: NormalForm) -> dict:
 
 
 def loads(text, where="fixture"):
+    """The JSON value of text; SchemaError for invalid JSON and for nesting
+    deeper than the decoder's recursion limit (about 1,000 levels)."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"{where}: invalid JSON ({e})") from None
+    except RecursionError:
+        raise SchemaError(f"{where}: JSON nested too deeply") from None

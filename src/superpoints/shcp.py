@@ -21,13 +21,12 @@ token, which would keep an Ad alive for every even token of every word a
 caller holds.  The key is the exact value of the point: its shape, its
 algebra and every entry's sorted ``(mask, value)`` terms.  An entry holds
 Ad(g) and g^-1 as grids of term dicts, from the one inversion that Ad(g)
-takes; both are shared with every caller that asks for the entry
-(``shared=True``: rewriting, the module action, a normal form's first
-read, the law's compile) and are read only.  The memo holds at most
+takes; every call returns the entry itself, shared by every caller that
+asks for it (rewriting, the module action, a normal form's first read,
+the law's compile), so both grids are read only.  The memo holds at most
 ``AD_MEMO_SIZE`` points and drops the oldest first; a point whose
 conjugates leave the odd span is never stored, so it raises
-``SpanViolation`` on every request.  Without ``shared`` a call returns a
-fresh list-of-lists copy of Ad(g), entries as elements.
+``SpanViolation`` on every request.
 """
 
 from __future__ import annotations
@@ -113,12 +112,11 @@ class HarishChandraPair:
         column i of Ad(g^-1), the single-column entry point of conj_coords."""
         return self.conj_coords(smat_inv(g_plus), g_plus, [i])[0]
 
-    def ad_action_matrix(self, g_plus: SuperMatrix, shared=False):
-        """a[j][i] with Ad(g)(Y_i) = sum_j a[j][i] Y_j (note: Ad(g), not
-        Ad(g^-1)); column i solves g rho(Y_i) g^-1, with g inverted once.
-        Memoized by the exact value of g (see the module docstring): a fresh
-        copy with elements as entries, or with shared=True the memo's entry
-        itself, (Ad(g), g^-1) as grids of term dicts, read only."""
+    def ad_action_matrix(self, g_plus: SuperMatrix):
+        """(Ad(g), g^-1) as grids of term dicts, read only: a[j][i] with
+        Ad(g)(Y_i) = sum_j a[j][i] Y_j (note: Ad(g), not Ad(g^-1)); column i
+        solves g rho(Y_i) g^-1, with g inverted once.  Memoized by the exact
+        value of g: the memo's entry itself (see the module docstring)."""
         g = g_plus.grid
         key = (g_plus.shape, g_plus.algebra,
                tuple(tuple(sorted(x.items())) for row in g for x in row))
@@ -129,10 +127,7 @@ class HarishChandraPair:
             if len(self._ad_memo) >= AD_MEMO_SIZE:
                 del self._ad_memo[next(iter(self._ad_memo))]
             self._ad_memo[key] = entry
-        if shared:
-            return entry
-        algebra = g_plus.algebra
-        return [[GrassmannElement(algebra, dict(x)) for x in row] for row in entry[0]]
+        return entry
 
     # -- word representation -------------------------------------------------
     def identity_matrix(self, algebra):

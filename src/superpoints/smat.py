@@ -45,7 +45,9 @@ invertibility.
 
 from __future__ import annotations
 
-from .coeff import GrassmannAlgebra, GrassmannElement, _raw, in_a1n, mac
+from functools import partial
+
+from .coeff import GrassmannAlgebra, GrassmannElement, _raw, add_into, in_a1n, mac
 from .errors import MembershipViolation, NotInvertible, StructuralError
 from .sampling import rand_element, rand_even_unit, rand_odd
 
@@ -100,8 +102,8 @@ class SuperMatrix:
     def __add__(self, other):
         self._check(other)
         field = self.algebra.field
-        one = {0: field.from_int(1)}
-        return self._like([[mac(field, dict(x), one, y) for x, y in zip(r, s)]
+        one = field.from_int(1)
+        return self._like([[add_into(field, dict(x), one, y) for x, y in zip(r, s)]
                            for r, s in zip(self.grid, other.grid)])
 
     def __neg__(self):
@@ -248,17 +250,16 @@ def ck_grid(field, p, left, c, nz, right, out):
 
     c is a homogeneous term dict, or None for 1; K is a homogeneous raw
     k-matrix of parity |K|, given by its nonzero entries nz
-    (``k_nonzeros``); left and right are grids, or None for the identity,
-    but not both None.  out may be right itself when left is None: the
-    in-place left factor of the module docstring.  Raw k-values are even,
-    so the twisted product of this module gives, with |i| the parity of
-    row i and twist^0 the identity,
+    (``k_nonzeros``); right is a grid and left a grid, or None for the
+    identity.  out may be right itself when left is None: the in-place
+    left factor of the module docstring.  Raw k-values are even, so the
+    twisted product of this module gives, with |i| the parity of row i and
+    twist^0 the identity,
 
-        (m . cK)_ik    = sum_j m_ij . twist^{|i|+|j|}(c) . K_jk
         (cK . m)_ik    = sum_j c . K_ij . twist^{|K|}(m_jk)
         (L . K . R)_ik = sum_{a,b} L_ia . K_ab . twist^{|i|+|b|}(R_bk)
 
-    the three cases (right None, left None, c None) of
+    the two cases (left None, c None) of
     sum_{a,b} L_ia twist^{|i|+|a|}(c) K_ab twist^{|i|+|b|}(R_bk).
     """
     if left is None and out is right:  # in place: rows both read and written are read from copies
@@ -269,12 +270,8 @@ def ck_grid(field, p, left, c, nz, right, out):
         if left is None:
             terms = ((a, cv),)
         else:  # the nonzeros L_ia of column a, each times twist^{|i|+|a|}(cv)
-            col = [(i, xs, (i < p) != (a < p)) for i, row in enumerate(left) if (xs := row[a])]
-            if right is None:
-                for i, xs, twist in col:
-                    mac(field, out[i][b], xs, cv, twist)
-                continue
-            terms = [(i, mac(field, {}, xs, cv, twist)) for i, xs, twist in col]
+            terms = [(i, mac(field, {}, xs, cv, (i < p) != (a < p)))
+                     for i, row in enumerate(left) if (xs := row[a])]
         for i, x in terms:
             if not x:
                 continue
@@ -294,39 +291,38 @@ def k_solve_matrix(field, columns):
     length-n k-vectors 'columns' (raw values) once, and return a solver
     mapping a length-n vector to its exact coordinates, or None when the
     residual is nonzero.  The vector holds raw k-values, or with terms=True
-    term dicts of coefficient-algebra elements, and so do the coordinates.
-    The left inverse is kept by columns and the columns as sparse
-    (index, value, {0: value}) lists: the coordinates visit only the
-    vector's nonzero entries, and the residual vector - sum_j coords_j col_j
-    is checked on every entry, those the left inverse never reads included.
+    term dicts of coefficient-algebra elements (each sum by
+    ``coeff.add_into``), and so do the coordinates.  The left inverse is
+    kept by columns and the columns as sparse (index, value) lists: the
+    coordinates visit only the vector's nonzero entries, and the residual
+    vector - sum_j coords_j col_j is checked on every entry, those the left
+    inverse never reads included.
     """
     m, n = len(columns), len(columns[0]) if columns else 0
     # more columns than rows are dependent (and n = 0 leaves no rows to count them)
     ops = k_matrix_inverse(field, list(zip(*columns))) if m <= n else None
     if ops is None:
         raise StructuralError("columns are k-linearly dependent")
-    left = [[(j, c, {0: c}) for j, c in enumerate(col) if c] for col in zip(*ops[:m])]
-    cols = [[(k, c, {0: c}) for k, c in enumerate(col) if c] for col in columns]
+    left = [[(j, c) for j, c in enumerate(col) if c] for col in zip(*ops[:m])]
+    cols = [[(k, c) for k, c in enumerate(col) if c] for col in columns]
     zero = field.from_int(0)
+    terms_axpy = partial(add_into, field)
 
-    def raw_mac(acc, c, _, x):
+    def raw_axpy(acc, c, x):
         return field.add(acc, field.mul(c, x))
 
-    def terms_mac(acc, _, c, x):
-        return mac(field, acc, x, c)
-
     def solve(vector, terms=False):
-        axpy = terms_mac if terms else raw_mac
+        axpy = terms_axpy if terms else raw_axpy
         coords = [{} for _ in range(m)] if terms else [zero] * m
         for k, x in enumerate(vector):
             if x:
-                for j, c, ct in left[k]:
-                    coords[j] = axpy(coords[j], c, ct, x)
+                for j, c in left[k]:
+                    coords[j] = axpy(coords[j], c, x)
         image = [{} for _ in range(n)] if terms else [zero] * n
         for col, x in zip(cols, coords):
             if x:
-                for k, c, ct in col:
-                    image[k] = axpy(image[k], c, ct, x)
+                for k, c in col:
+                    image[k] = axpy(image[k], c, x)
         return coords if image == list(vector) else None
 
     return solve

@@ -277,7 +277,7 @@ def check_ad_compatibility(pair, rng) -> CheckReport:
     act, trivial = lie.odd_action, [[one]]
     bad = []
     for s in range(4):
-        ad, _ = pair.ad_action_matrix(pair.even_group.sample(algebra, rng), shared=True)
+        ad, _ = pair.ad_action_matrix(pair.even_group.sample(algebra, rng))
         for m in range(1, 1 << dm):
             vm = {m: one}
             gm = wedge_ad_action(field, act, ad, trivial, vm)

@@ -1,7 +1,8 @@
 """Test fixtures built from the public API: pairs that must fail
 validation, the trivial inducing module, a sampler of dual numbers, the
-inverse and the sign twist of a Grassmann element, and the odd action on
-module vectors composed from element operations."""
+inverse and the sign twist of a Grassmann element, Ad(g) with elements as
+entries, and the odd action on module vectors composed from element
+operations."""
 
 from superpoints import (GrassmannAlgebra, HarishChandraPair, LieSuperalgebraData,
                          NotInvertible, diagonal_torus, gl_block_diag, gl_lie)
@@ -89,6 +90,12 @@ def invert(u):
             break
         acc = acc + pw
     return acc * binv
+
+
+def ad_elements(pair, g):
+    """Ad(g) as rows of elements: the grid of the pair's memo entry, each
+    entry wrapped (sharing its term dict, which is read only)."""
+    return [[GrassmannElement(g.algebra, x) for x in row] for row in pair.ad_action_matrix(g)[0]]
 
 
 def twist(c):

@@ -289,6 +289,20 @@ def test_block_size_above_cap_exit_2(tmp_path, capsys, command, name, edit):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check-liesuper", "check-shcp", "normal-form"])
+def test_deeply_nested_fixture_exit_2(tmp_path, capsys, command):
+    """A fixture nested 5,000 arrays deep, past the JSON decoder's
+    recursion limit, is a schema error, not a RecursionError traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    argv = ([command, str(deep)] if command != "normal-form" else
+            [command, "--pair", fx("gl11_pair.json"), "--coeff", fx("coeff_l2.json"),
+             "--word", str(deep)])
+    code, _, err = run(argv, capsys)
+    assert code == 2 and "schema error" in err and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", [["gl_full"], {"gl_full": 1}], ids=["list", "object"])
 def test_normal_form_unhashable_group_name_exit_2(tmp_path, capsys, name):
     doc = _edited("gl11_pair.json", lambda d: d["even_group"].update(name=name))

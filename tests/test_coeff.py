@@ -24,8 +24,8 @@ from superpoints import (
     reorder_symbolic,
     strip_matrix_factorization,
 )
-from superpoints.coeff import GrassmannElement, _canonical, _frac, mac
-from superpoints.sampling import rand_element, rand_unit_scalar
+from superpoints.coeff import GrassmannElement, _canonical, _frac, add_into, mac
+from superpoints.sampling import rand_element, rand_scalar, rand_unit_scalar
 from superpoints.verify import random_word
 
 from .oracles import a1n_masks_oracle, merge_sign_oracle
@@ -114,6 +114,46 @@ def test_mac_accumulates_in_place_and_drops_zeros(field):
             assert all(acc.values())
             yt = twist_of(y) if twist else y
             assert GrassmannElement(L, acc) == x * yt + z * yt
+
+
+def _reference_sum(field, acc, c, row, base):
+    """acc + c.row, the row's keys or-ed with base, in Fraction arithmetic
+    reduced mod p at the end, zero sums dropped: no Field method."""
+    out = {k: Fraction(v) for k, v in acc.items()}
+    for k, v in row.items():
+        out[k | base] = out.get(k | base, 0) + Fraction(c) * Fraction(v)
+    if p := field.characteristic:
+        out = {k: v % p for k, v in out.items()}
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+def test_add_into_matches_reference_sum(field):
+    """add_into(field, acc, c, row, base) is acc + c.row with the row's keys
+    offset by base, in place: it returns acc itself, drops every key whose
+    sum is zero, and leaves canonical raw values (over Q an int when
+    integral)."""
+    rng = random.Random(29)
+    L = GrassmannAlgebra(field, 4)
+    cancelled = 0
+    for t in range(200):
+        acc = dict(rand_element(L, rng, max_terms=6).terms)
+        c = rand_scalar(field, rng, nonzero=True)
+        base = (0, 1 << 4, 0b1010)[t % 3]
+        row = dict(rand_element(L, rng, max_terms=4).terms)
+        if t % 2 and acc:
+            # c.row cancels acc at some keys that base leaves unchanged
+            cinv = field.inv(c)
+            for k in rng.sample(sorted(acc), rng.randint(1, len(acc))):
+                if k | base == k:
+                    row[k] = field.neg(field.mul(cinv, acc[k]))
+        want = _reference_sum(field, acc, c, row, base)
+        before = dict(acc)
+        got = add_into(field, acc, c, row, base)
+        assert got is acc and acc == want
+        assert all(v and type(v) is type(_canonical(v)) for v in acc.values())
+        cancelled += bool(set(before) - set(acc))
+    assert cancelled >= 20
 
 
 def test_associativity_exhaustive_rank3():

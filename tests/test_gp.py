@@ -38,7 +38,7 @@ from superpoints import (
 )
 from superpoints import gp, shcp, smat, verify
 from superpoints.gp import EvenModuleData, group_law, slide_odds
-from superpoints.sampling import rand_odd
+from superpoints.sampling import rand_even_unit, rand_odd
 from superpoints.verify import (
     SUITES,
     basis_independence,
@@ -50,7 +50,7 @@ from superpoints.verify import (
 )
 
 from .oracles import k_matmul_oracle, odd_monomial_action_oracle, supermatrix_rep_oracle
-from .support import ad_unstable_pair, negated_eo_pair, trivial_module
+from .support import ad_elements, ad_unstable_pair, negated_eo_pair, trivial_module
 from .test_shcp import count_inversions
 
 
@@ -306,7 +306,7 @@ def _cold_ad(nf):
     nf.pair._ad_memo.clear()
     copy = SuperMatrix(nf.g_plus.shape, nf.algebra, [[x + nf.algebra.zero() for x in row]
                                                      for row in nf.g_plus.rows])
-    return [[x.terms for x in row] for row in nf.pair.ad_action_matrix(copy)]
+    return [list(row) for row in nf.pair.ad_action_matrix(copy)[0]]
 
 
 _HOM_CASES = {f"{name}-{field}": (make, field)
@@ -410,6 +410,35 @@ def test_group_law_on_ad_unstable_pair_raises_span_violation():
     for fn in (_concat_inv, gp_inv):
         with pytest.raises(SpanViolation):
             fn(NormalForm(pair, A, [A.generator(1)], g))
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda f: gl_pair(1, 1, f), QQ), (lambda f: gl_pair(1, 1, f), GF3),
+    (lambda f: gl_pair(2, 1, f), QQ), (lambda f: gl_pair(2, 1, f), GF3), (q2_pair, QQ),
+], ids=["gl11-Q", "gl11-F3", "gl21-Q", "gl21-F3", "q2-Q"])
+def test_fold_step_corrections_square_to_zero(make, field):
+    """Each fold step's N = c - 1 and D = Ad(c) - 1 square to zero in the
+    twisted product: every entry carries one r_j of the run, and
+    r_j r_k = 0.  Runs 1 + zeta sum_j w_j Y_j over Lambda_10 at sampled xi;
+    some N must be nonzero on every pair."""
+    pair = make(field)
+    A = GrassmannAlgebra(field, 10)
+    law, p, d = group_law(pair), pair.shape[0], pair.d_minus
+    I = pair.identity_matrix(A)
+    rng = random.Random(5)
+    nonzero = 0
+    for _ in range(40):
+        xi = [rand_odd(A, rng) for _ in range(d)]
+        zeta = rand_odd(A, rng)
+        w = [rand_even_unit(A, rng).terms for _ in range(d)]
+        grid = smat.identity_grid(field, sum(pair.shape))
+        _, steps = law.fold(A, xi, [(zeta.terms, w)], grid)
+        n = (smat.wrap_grid(pair.shape, A, grid) - I).grid
+        assert not any(x for row in smat.grid_mul(field, p, n, n) for x in row)
+        for D in steps:
+            assert not any(x for row in smat.grid_mul(field, d, D, D) for x in row)
+        nonzero += any(x for row in n for x in row)
+    assert nonzero
 
 
 def test_group_law_rejects_d_minus_above_15():
@@ -961,7 +990,7 @@ def test_slide_ad_matrix_is_conjugation(pair):
             c = A.zero()
             while c.is_zero():
                 c = rand_odd(A, rng) * rand_odd(A, rng)
-            ad = pair.ad_action_matrix(I + lie.rho_comb(0, z, A).scale(c))
+            ad = ad_elements(pair, I + lie.rho_comb(0, z, A).scale(c))
             for k in range(dm):
                 column = dict(slide_odds(lie, z, c.terms, [(k, {0: A.field.from_int(1)})]))
                 assert column == {j: row[k].terms for j, row in enumerate(ad) if row[k].terms}

@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses, every name the
+"""Source hygiene: no module imports a name it never uses, no function or
+class of the package goes unnamed outside its definition, every name the
 benchmark's tracer wraps exists and is reached by the workloads' ops, and
 only coeff and sampling import fractions.
 
@@ -9,6 +10,8 @@ import statement binds must be read somewhere in the same file.
 
 import ast
 import random
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,6 +47,50 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_definitions(root):
+    """(file, qualified name) for each function or class defined in
+    root/src/superpoints/*.py, dunders excepted, whose name occurs as a word
+    in no .py file under root/src, root/tests or root/perfbench other than
+    at its definitions: a call, a reference, an attribute or a mention."""
+    words = Counter(word for top in ("src", "tests", "perfbench")
+                    for path in (root / top).rglob("*.py")
+                    for word in re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    defs = []
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = child.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    defs.append((path.name, prefix + name, name))
+                visit(child, path, prefix + name + ".")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted((root / "src" / "superpoints").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "")
+    defined = Counter(name for _, _, name in defs)
+    return [(file, qual) for file, qual, name in defs if words[name] <= defined[name]]
+
+
+def test_dead_definition_scan_finds_unnamed_definitions(tmp_path):
+    pkg = tmp_path / "src" / "superpoints"
+    pkg.mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "perfbench").mkdir()
+    (pkg / "m.py").write_text("class K:\n    def __init__(self):\n        pass\n\n"
+                              "    def meth(self):\n        def inner():\n            pass\n\n"
+                              "def used():\n    pass\n\nused()\n")
+    (tmp_path / "tests" / "t.py").write_text("K().meth\n")
+    assert dead_definitions(tmp_path) == [("m.py", "K.meth.inner")]
+
+
+def test_no_dead_definitions():
+    """Every function and class of the package is named somewhere besides
+    its definition: in the package, its tests or the benchmark."""
+    assert dead_definitions(ROOT) == []
 
 
 def test_traced_layer_names_exist():

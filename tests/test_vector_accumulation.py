@@ -152,7 +152,7 @@ def test_actions_and_group_law_write_only_what_they_own(name, build, field):
     for nf in (a, b, ab):
         gp_inv(nf)  # the memo now holds Ad(g) and g^-1 of each even factor
     carried = [(nf.ad(), nf.g_inv()) for nf in (one, a, b, ab, odd)]
-    ad = pair.ad_action_matrix(g, shared=True)[0]
+    ad = pair.ad_action_matrix(g)[0]
     for act, dim, v0_action in modules(pair):
         v0 = v0_action(g)
         v = rand_vector(A, rng, dim, size=6)
