@@ -57,22 +57,15 @@ def _read(path):
         raise SchemaError(f"cannot read {path}: {e}") from None
 
 
-def _emit(payload, as_json):
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        if isinstance(payload, dict):
-            for k, v in payload.items():
-                print(f"{k}: {v}")
-        else:
-            print(payload)
+def _emit(payload):
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def cmd_check_liesuper(args):
     lie = load_lie(loads(_read(args.path), args.path))
     rep = check_axioms(lie)
     if args.json:
-        _emit({"ok": rep.ok, "failures": rep.failures, "notes": rep.notes}, True)
+        _emit({"ok": rep.ok, "failures": rep.failures, "notes": rep.notes})
     else:
         print(rep.summary())
     return EXIT_PASS if rep.ok else EXIT_FAIL
@@ -84,7 +77,7 @@ def cmd_check_shcp(args):
     pair = load_pair(loads(_read(args.path), args.path))
     rep = validate_pair(pair, samples=args.samples, seed=args.seed)
     if args.json:
-        _emit({"ok": rep.ok, "failures": rep.failures, "notes": rep.notes}, True)
+        _emit({"ok": rep.ok, "failures": rep.failures, "notes": rep.notes})
     else:
         print(rep.summary())
     return EXIT_PASS if rep.ok else EXIT_FAIL
@@ -154,7 +147,7 @@ def cmd_verify(args):
     rep = SUITES[args.suite](seed=args.seed)
     if args.json:
         _emit({"suite": args.suite, "ok": rep.ok,
-               "failures": rep.failures, "notes": rep.notes}, True)
+               "failures": rep.failures, "notes": rep.notes})
     else:
         print(f"suite {args.suite}: {rep.summary()}")
     return EXIT_PASS if rep.ok else EXIT_FAIL

@@ -38,13 +38,16 @@ P(xi) . (1 + sum_j r_j Y_j) = P(sigma) . c is one universal formula.  For a
 *run*, r_j = zeta w_j with one odd zeta and even w_j, any two r's multiply
 to 0, so only terms linear in r survive, and the r_j part is the normal form
 of (1 + x1 Y_1)...(1 + x_d Y_d)(1 + x_{d+1} Y_j) over Lambda_{d+1}(k)
-(``law_words``, one word per j).  The law keeps sigma, c and Ad(c) (by
-``ad_action_matrix``) as polynomials in x_1..x_d; every coefficient algebra
-over k gets them by substituting x -> (xi, r_j).  ``gp_mul`` conjugates
-P(zeta) past g, g P(zeta) g^-1 = prod_i (1 + zeta_i Ad(g)Y_i), and folds these
-runs into P(xi) one at a time; each fold leaves an even correction c, the
-later runs are carried past it by Ad(c), and the even factor is c...c . g h,
-each c applied in place to the grid of g h.  ``gp_inv`` folds the descending
+(``law_words``, one word per j).  The law keeps sigma and the
+g_0-coordinates z of c - 1 as polynomials in x_1..x_d, z solved once in
+span rho(g_0); every coefficient algebra over k gets them by substituting
+x -> (xi, r_j), and Ad(c) = 1 + ad(c - 1) is read off the bracket table, so
+compiling the law inverts nothing and asks the Ad memo for nothing.
+``gp_mul`` conjugates P(zeta) past g, g P(zeta) g^-1 =
+prod_i (1 + zeta_i Ad(g)Y_i), and folds these runs into P(xi) one at a
+time; each fold leaves an even correction c, the later runs are carried
+past it by Ad(c), and the even factor is c...c . g h, each c applied in
+place to the grid of g h.  ``gp_inv`` folds the descending
 runs (1 - xi_i Ad(g^-1)Y_i) from P(0) into a copy of g^-1.  A normal form
 carries Ad(g_plus) and g_plus^-1: a form made outside the law fills both
 from one memo entry (one inversion per even point serves both), and a law
@@ -71,10 +74,10 @@ import random
 
 from .coeff import GrassmannAlgebra, GrassmannElement, add_into, dual_numbers, mac
 from .errors import NonTermination, SpanViolation, StructuralError
-from .liesuper import (CheckReport, StraighteningKernel, _bracket, _unit, _vcomb, trivial_action,
-                       word_action)
+from .liesuper import (CheckReport, StraighteningKernel, _bracket, _flat, _unit, _vcomb,
+                       trivial_action, word_action)
 from .smat import (SuperMatrix, block_split, ck_grid, copy_grid, dual_probe, gl_split, grid_inv,
-                   grid_mul, identity_grid, smat_inv, wrap_grid)
+                   grid_mul, identity_grid, k_solve_matrix, smat_inv, wrap_grid)
 
 MAX_WORD_TOKENS = 10_000
 _REWRITE_BUDGET = 1_000_000
@@ -395,10 +398,15 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
 
     def emit_right(z, c, position):
         """Push the even correction 1 + c.rho(Z) from `position` through the
-        tail into E (``slide_odds``); E gains c.rho(Z).E in place over the
-        nonzeros of rho(Z) (``ck_grid``)."""
+        tail into E (``slide_odds``); E gains c.z_a rho(X_a).E in place for
+        one basis element X_a at a time, over the nonzeros of rho(X_a)
+        (``ck_grid``): exact, since c^2 = 0 makes 1 + c.rho(Z) the product
+        of the factors 1 + c.z_a rho(X_a)."""
         odds[position:] = slide_odds(lie, z, c, odds[position:])
-        ck_grid(field, p, None, c, lie.rho_even_nonzeros(z), e_acc, e_acc)
+        for za, nz in zip(z, lie.rho_even_nz):
+            if za:
+                ck_grid(field, p, None, {m: field.mul(x, za) for m, x in c.items()}, nz,
+                        e_acc, e_acc)
 
     # one sweep: odds[:s + 1] stays strictly ascending, since a rewrite at s
     # changes only odds[s:] and steps back, so the sweep ends sorted
@@ -472,7 +480,7 @@ def strip_matrix_factorization(pair, m: SuperMatrix) -> NormalForm:
                 raise NonTermination("stripping reassembly failed")
             return nf
         delta = grid_mul(field, p, off, grid_inv(field, p, algebra.rank, diag))
-        coords = pair._odd_solver([x for row in delta for x in row], terms=True)
+        coords = pair.lie.odd_solver([x for row in delta for x in row], terms=True)
         if coords is None:
             raise SpanViolation("odd discrepancy left the pair's odd span")
         etas = [GrassmannElement(algebra, add_into(field, x, one, e.terms)) if x else e
@@ -501,48 +509,47 @@ def law_words(pair):
     return [GroupWord(pair, B, head + [OddTok(j, B.generator(d + 1))]) for j in range(d)]
 
 
-def _tails(entries, top):
-    """[(key, tail)] for the (key, term dict) pairs whose terms include the
-    generator bit `top` (x_{d+1}): entry = (x_{d+1}-free part) +
-    sum raw x^mask x_{d+1}, and tail = ((mask, raw), ...)."""
-    out = []
-    for key, terms in entries:
-        tail = tuple((m ^ top, c) for m, c in terms.items() if m & top)
-        if tail:
-            out.append((key, tail))
-    return out
-
-
-def _cells(rows):
-    return (((a, b), x) for a, row in enumerate(rows) for b, x in enumerate(row))
+def _tail(terms, top):
+    """The x_{d+1} part of a term dict over Lambda_{d+1}, top the bit of
+    x_{d+1}: terms = (x_{d+1}-free part) + sum raw x^mask x_{d+1}, and the
+    tail is the term dict mask -> raw."""
+    return {m ^ top: c for m, c in terms.items() if m & top}
 
 
 class GroupLaw:
-    """P(xi) . (1 + sum_j r_j Y_j) = P(sigma) . c, with Ad(c), as polynomials
-    in the etas xi over the pair's field (P(xi) = prod^< (1 + xi_i Y_i)).
+    """P(xi) . (1 + sum_j r_j Y_j) = P(sigma) . c as polynomials in the etas
+    xi over the pair's field (P(xi) = prod^< (1 + xi_i Y_i)).
 
     Exact for any odd r_j with r_j r_k = 0 (a run: r_j = zeta w_j with one odd
     zeta and even w_j): the universal law over Lambda_{2d} then keeps only
     its terms linear in the second block, and its x_{d+j} part is the law of
-    ``law_words(pair)[j]``.  So sigma_i = xi_i + sum_j S_ji(xi) r_j,
-    c = 1 + sum_j C_j(xi) r_j and Ad(c) = 1 + sum_j D_j(xi) r_j, each
-    polynomial stored as (mask, raw) pairs over x_1..x_d.
+    ``law_words(pair)[j]``.  So sigma_i = xi_i + sum_j S_ji(xi) r_j and
+    c = 1 + sum_a u_a rho(X_a) with u_a = sum_j z_ja(xi) r_j.  The law keeps
+    sigma and z, each polynomial as (mask, raw) pairs over x_1..x_d; z is
+    the x_{d+1}-tail of each law word's even factor, solved in span
+    rho(g_0) at compile by one exact solve per word (a nonzero residual
+    would be an internal breach, NonTermination).  Any two u's multiply to
+    0, so Ad(c) = 1 + sum_a u_a ad(X_a) on g_1 is read off the bracket
+    table (tang-group identities (a) and (f)): the law inverts nothing.
     """
 
     def __init__(self, pair):
-        self.field = pair.field
-        self.shape = pair.shape
+        self.lie = pair.lie
         top = 1 << pair.d_minus
-        self.sigma, self.c, self.ad = [], [], []
+        solve = k_solve_matrix(pair.field, [_flat(m) for m in pair.lie.rho_even])
+        self.sigma, self.z = [], []
         for word in law_words(pair):
             nf = normal_form(word)
-            self.sigma.append(_tails(((i, e.terms) for i, e in enumerate(nf.etas)), top))
-            self.c.append(_tails(_cells(nf.g_plus.grid), top))
-            self.ad.append(_tails(_cells(pair.ad_action_matrix(nf.g_plus)[0]), top))
+            z = solve([_tail(x, top) for row in nf.g_plus.grid for x in row], terms=True)
+            if z is None:
+                raise NonTermination("a law word's even correction left span rho(g_0)")
+            self.sigma.append([(i, tuple(t.items())) for i, e in enumerate(nf.etas)
+                               if (t := _tail(e.terms, top))])
+            self.z.append([(a, tuple(t.items())) for a, t in enumerate(z) if t])
 
     def _step(self, field, xi, r):
-        """sigma, N = c - 1 and D = Ad(c) - 1 (both grids) at (xi, r), all
-        on term dicts: each sum accumulates in place by ``mac``."""
+        """sigma and u (c = 1 + sum_a u_a rho(X_a)) at (xi, r), on term
+        dicts: each sum accumulates in place by ``mac``."""
         mono = {0: {0: field.from_int(1)}}
         values = {}
 
@@ -562,42 +569,48 @@ class GroupLaw:
             return v
 
         sigma = [dict(x) for x in xi]
-        size, d = sum(self.shape), len(xi)
-        n = [[{} for _ in range(size)] for _ in range(size)]
-        ad = [[{} for _ in range(d)] for _ in range(d)]
+        u = [{} for _ in range(self.lie.d_plus)]
         for j, rj in enumerate(r):
             if not rj:
                 continue
             for i, p in self.sigma[j]:
                 mac(field, sigma[i], at(p), rj)
-            for (a, b), p in self.c[j]:
-                mac(field, n[a][b], at(p), rj)
-            for (k, l), p in self.ad[j]:
-                mac(field, ad[k][l], at(p), rj)
-        return sigma, n, ad
+            for a, p in self.z[j]:
+                mac(field, u[a], at(p), rj)
+        return sigma, u
 
     def fold(self, algebra, xi, runs, grid):
         """P(xi) . R_1 ... R_m . G = P(sigma) . c_m ... c_1 G for runs
         R = 1 + zeta sum_j w_j Y_j given as (zeta, w) on term dicts: each run
-        folds into the odd product and leaves c = 1 + N, which applies to
-        the grid G in place, G <- G + N G over N's nonzero cells
-        (``grid_mul``), and Ad(c) = 1 + D, which carries the later runs past
-        c.  N and D square to zero: each of their entries is a sum of terms
+        folds into the odd product and leaves c = 1 + sum_a u_a rho(X_a).
+        c applies to the grid G in place one basis element at a time, G <-
+        G + u_a rho(X_a) G over the nonzeros of rho(X_a) (``ck_grid``), and
+        Ad(c) = 1 + D, D[l][i] = sum_a eo[a][i][l] u_a from the bracket
+        table, carries the later runs past c.  Both are exact, and c - 1 and
+        D square to zero, because u_a u_b = 0: each u_a is a sum of terms
         that each carry one r_j of the run, and r_j r_k = 0 in a run.  The
         caller owns G; xi (elements) and the runs are only read.
         Returns sigma (xi itself when no run moved anything) and the steps'
         D in order, from which ``compose_ad`` forms Ad(c_m ... c_1)."""
-        if algebra.field != self.field:
+        lie = self.lie
+        if algebra.field != lie.field:
             raise StructuralError("coefficient field differs from the pair's field")
-        field, p = algebra.field, self.shape[0]
+        field, p = algebra.field, lie.shape[0]
         sigma, steps = [x.terms for x in xi], []
         runs = list(runs)
         for k, (zeta, w) in enumerate(runs):
             r = [mac(field, {}, zeta, a) if a else {} for a in w]
             if not any(r):
                 continue
-            sigma, n, ad = self._step(field, sigma, r)
-            grid_mul(field, p, n, grid, grid)
+            sigma, u = self._step(field, sigma, r)
+            ad = [[{} for _ in xi] for _ in xi]
+            for ua, nz, eo in zip(u, lie.rho_even_nz, lie.eo):
+                if ua:
+                    ck_grid(field, p, None, ua, nz, grid, grid)
+                    for i, col in enumerate(eo):
+                        for l, v in enumerate(col):
+                            if v:
+                                add_into(field, ad[l][i], v, ua)
             steps.append(ad)
             runs[k + 1:] = [(z, [_row_dot(field, ad[kk], v, dict(x)) for kk, x in enumerate(v)])
                             for z, v in runs[k + 1:]]

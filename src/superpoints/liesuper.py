@@ -75,18 +75,12 @@ def _flat(m):
     return [v for row in m for v in row]
 
 
-def _k_comb(field, n, mats, coords):
-    """sum_i coords[i] mats[i] for n x n raw k-matrices and raw k-values,
-    as a raw k-matrix."""
-    v = _vcomb(field, n * n, ((c, _flat(m)) for c, m in zip(coords, mats) if c))
-    return [v[r * n:(r + 1) * n] for r in range(n)]
-
-
 def lift_comb(shape, algebra, mats, coords) -> SuperMatrix:
     """sum_i coords[i] mats[i] for raw k-matrices and raw k-values: summed
     over k, then lifted into a SuperMatrix over the algebra once."""
-    return constant_matrix(shape, algebra,
-                           _k_comb(algebra.field, shape[0] + shape[1], mats, coords))
+    n = shape[0] + shape[1]
+    v = _vcomb(algebra.field, n * n, ((c, _flat(m)) for c, m in zip(coords, mats) if c))
+    return constant_matrix(shape, algebra, [v[r * n:(r + 1) * n] for r in range(n)])
 
 
 class CheckReport:
@@ -128,7 +122,9 @@ class LieSuperalgebraData:
       q2[i]    : Y_i^<2>    in the even basis
 
     Optional representation: shape (p,q) plus raw k-matrices rho_even[a],
-    rho_odd[i]; rho is checked to be a homomorphism by check_axioms.
+    rho_odd[i], with their nonzeros rho_even_nz[a] and rho_odd_nz[i] (the
+    one table of each rho(X_a) and rho(Y_i) that the products read); rho
+    is checked to be a homomorphism by check_axioms.
     """
 
     def __init__(self, field, d_plus, d_minus, ee, eo, oo, q2,
@@ -148,11 +144,10 @@ class LieSuperalgebraData:
             [tuple(tuple(r) for r in m) for m in rho_odd] if rho_odd is not None else None
         )
         self._validate_shapes()
-        # the nonzeros of each rho(Y_i), and rho_even_nonzeros' memo
-        self.rho_odd_nz = (
-            [k_nonzeros(m) for m in self.rho_odd] if rho_odd is not None else None
-        )
-        self._rho_nz = {}
+        # the nonzeros (k_nonzeros) of each rho(X_a) and each rho(Y_i)
+        self.rho_even_nz, self.rho_odd_nz = (
+            ([k_nonzeros(m) for m in mats] for mats in (self.rho_even, self.rho_odd))
+            if rho_even is not None else (None, None))
         self._odd_solver = odd_solver
         self._kernel = StraighteningKernel(self, [((field.from_int(0),),)] * d_plus)
 
@@ -235,17 +230,6 @@ class LieSuperalgebraData:
         if self._odd_solver is None:
             self._odd_solver = k_solve_matrix(self.field, [_flat(m) for m in self.rho_odd])
         return self._odd_solver
-
-    def rho_even_nonzeros(self, coords):
-        """The nonzero entries (``k_nonzeros``) of rho of the even element
-        with k-coordinates coords, summed over k and never lifted; made once
-        per coords."""
-        key = tuple(coords)
-        nz = self._rho_nz.get(key)
-        if nz is None:
-            nz = self._rho_nz[key] = k_nonzeros(
-                _k_comb(self.field, self.shape[0] + self.shape[1], self.rho_even, coords))
-        return nz
 
     # -- the defining relations ---------------------------------------------
     def relations(self):
@@ -558,21 +542,16 @@ def from_matrices(p, q, evens, odds, field) -> LieSuperalgebraData:
                    for i, r in enumerate(m) for j, v in enumerate(r)):
                 raise StructuralError(f"an {name} generator is not {name}-homogeneous")
 
-    solvers = [k_solve_matrix(field, [_flat(m) for m in mats]) if mats else None
-               for mats in (evens, odds)]
+    solvers = [k_solve_matrix(field, [_flat(m) for m in mats]) for mats in (evens, odds)]
     zero = field.from_int(0)
 
     def coords(vec, what, parity):
         """k-coordinates of the flat vector vec in the even (parity 0) or
         odd (parity 1) span."""
-        name = ("even", "odd")[parity]
-        if solvers[parity] is None:
-            if any(vec):
-                raise ClosureViolation(f"{what} is nonzero with empty {name} span")
-            return ()
         c = solvers[parity](vec)
         if c is None:
-            raise ClosureViolation(f"{what} left the {name} span")
+            left = "left the" if (evens, odds)[parity] else "is nonzero with empty"
+            raise ClosureViolation(f"{what} {left} {('even', 'odd')[parity]} span")
         return tuple(c)
 
     # each generator as its rows' nonzeros, [(column, value), ...] per row

@@ -46,13 +46,13 @@ def rand_element(algebra, rng, parity=None, max_terms=2, min_degree=0):
     return out
 
 
-def rand_odd(algebra, rng, max_terms=2):
-    return rand_element(algebra, rng, parity=1, max_terms=max_terms)
+def rand_odd(algebra, rng):
+    return rand_element(algebra, rng, parity=1)
 
 
-def rand_even_soul(algebra, rng, max_terms=2):
+def rand_even_soul(algebra, rng):
     """Even element with zero body (degree >= 2 monomials only)."""
-    return rand_element(algebra, rng, 0, max_terms, min_degree=2)
+    return rand_element(algebra, rng, 0, min_degree=2)
 
 
 def rand_square_zero_even(algebra, rng):
@@ -65,10 +65,10 @@ def rand_square_zero_even(algebra, rng):
     return algebra.monomial(idx, rand_scalar(algebra.field, rng, nonzero=True))
 
 
-def rand_even_unit(algebra, rng, max_terms=2):
+def rand_even_unit(algebra, rng):
     """Unit lying in A_0: nonzero body plus an even soul."""
     u = algebra.from_scalar(rand_unit_scalar(algebra.field, rng))
-    return u + rand_even_soul(algebra, rng, max_terms)
+    return u + rand_even_soul(algebra, rng)
 
 
 def rand_k_vector(field, rng, n, nonzero=False):

@@ -10,8 +10,10 @@ and the differential are read off dual-number probes 1 + eps X, points over
 ``coeff.dual_numbers(A)``: Lambda_{r+2} with eps = x{r+1}x{r+2}.
 
 ``ad_action_matrix`` keeps a small memo per pair for bare points: the even
-tokens of words, sampled points, and the group law's compile.  A normal
-form does not rely on it: it carries its own Ad(g) and g^-1
+tokens of words and sampled points.  The group law's compile does not ask
+it: the law keeps sigma and the g_0-coordinates z of its even correction c,
+and reads Ad(c) off the bracket table (``gp.GroupLaw``).  A normal form
+does not rely on the memo either: it carries its own Ad(g) and g^-1
 (``gp.NormalForm``), filled once from this memo when the form is made
 outside the group law, and composed by the law, Ad being a homomorphism,
 when the law makes it.  The memo stays because a word's even token is read
@@ -22,8 +24,8 @@ caller holds.  The key is the exact value of the point: its shape, its
 algebra and every entry's sorted ``(mask, value)`` terms.  An entry holds
 Ad(g) and g^-1 as grids of term dicts, from the one inversion that Ad(g)
 takes; every call returns the entry itself, shared by every caller that
-asks for it (rewriting, the module action, a normal form's first read,
-the law's compile), so both grids are read only.  The memo holds at most
+asks for it (rewriting, the module action, a normal form's first read),
+so both grids are read only.  The memo holds at most
 ``AD_MEMO_SIZE`` points and drops the oldest first; a point whose
 conjugates leave the odd span is never stored, so it raises
 ``SpanViolation`` on every request.
@@ -52,8 +54,9 @@ AD_MEMO_SIZE = 32
 
 
 class HarishChandraPair:
-    """(G+, g) with g linearized: rho matrices over k, plus an exact solver
-    for expressing conjugates of odd basis vectors back in the odd basis."""
+    """(G+, g) with g linearized: rho matrices over k; conjugates of odd
+    basis vectors are solved back into the odd basis by g's exact
+    ``odd_solver``."""
 
     def __init__(self, even_group: GroupDescriptor, lie: LieSuperalgebraData):
         if lie.rho_odd is None:
@@ -64,7 +67,7 @@ class HarishChandraPair:
         self.lie = lie
         self.shape = lie.shape
         self.field = lie.field
-        self._odd_solver = lie.odd_solver if lie.d_minus else None
+        lie.odd_solver  # row-reduced here, once per g: dependent rho(Y_i) raise now
         self._ad_memo = {}  # point key -> (Ad(g), g^-1) as grids, oldest first
         self.group_law = None  # gp.GroupLaw, compiled by the first product
 
@@ -93,12 +96,12 @@ class HarishChandraPair:
         The sandwich is one ``ck_grid`` over the nonzeros of rho(Y_i), never
         lifted.  The solver is exact over k applied to algebra entries; a
         nonzero residual or an odd coordinate raises SpanViolation."""
-        field, p, n = self.field, self.shape[0], len(left)
+        field, p, n, lie = self.field, self.shape[0], len(left), self.lie
         out = []
         for i in range(self.d_minus) if indices is None else indices:
-            conj = ck_grid(field, p, left, None, self.lie.rho_odd_nz[i], right,
+            conj = ck_grid(field, p, left, None, lie.rho_odd_nz[i], right,
                            [[{} for _ in range(n)] for _ in range(n)])
-            coords = self._odd_solver([x for row in conj for x in row], terms=True)
+            coords = lie.odd_solver([x for row in conj for x in row], terms=True)
             if coords is None:
                 raise SpanViolation(
                     f"the conjugate of Y{i + 1} left the odd span of the pair")

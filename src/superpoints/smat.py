@@ -296,7 +296,8 @@ def k_solve_matrix(field, columns):
     kept by columns and the columns as sparse (index, value) lists: the
     coordinates visit only the vector's nonzero entries, and the residual
     vector - sum_j coords_j col_j is checked on every entry, those the left
-    inverse never reads included.
+    inverse never reads included.  With no columns the solver answers []
+    for a zero vector, of any length, and None for any other.
     """
     m, n = len(columns), len(columns[0]) if columns else 0
     # more columns than rows are dependent (and n = 0 leaves no rows to count them)
@@ -314,11 +315,12 @@ def k_solve_matrix(field, columns):
     def solve(vector, terms=False):
         axpy = terms_axpy if terms else raw_axpy
         coords = [{} for _ in range(m)] if terms else [zero] * m
-        for k, x in enumerate(vector):
+        for x, row in zip(vector, left):  # no columns: left is [], coords stay []
             if x:
-                for j, c in left[k]:
+                for j, c in row:
                     coords[j] = axpy(coords[j], c, x)
-        image = [{} for _ in range(n)] if terms else [zero] * n
+        size = max(n, len(vector))
+        image = [{} for _ in range(size)] if terms else [zero] * size
         for col, x in zip(cols, coords):
             if x:
                 for k, c in col:

@@ -12,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superpoints import (EvenTok, GroupWord, GrassmannAlgebra, OddTok, QQ, SuperMatrix,
+                         normal_form, serialize)
 from superpoints.cli import main
+from superpoints.verify import SUITES
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -161,6 +164,13 @@ def test_check_shcp_samples_below_one_exit_2(capsys, samples):
     least 1, and the error names the flag."""
     code, out, err = run(["check-shcp", fx("gl11_pair.json"), "--samples", samples], capsys)
     assert code == 2 and "--samples" in err and "PASS" not in out
+
+
+def test_check_shcp_json(capsys):
+    code, out, _ = run(["check-shcp", fx("gl11_pair.json"), "--samples", "8", "--json"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["ok"] is True and doc["failures"] == []
+    assert any("certified" in note for note in doc["notes"])
 
 
 def test_check_shcp_zero_odd(tmp_path, capsys):
@@ -389,6 +399,49 @@ def test_normal_form_swap_word_oracles_agree(capsys):
     assert doc["g_plus"][0][0] == "1 + -1 * x{1,2}"
 
 
+def _word_file(tmp_path, tokens):
+    p = tmp_path / "word.json"
+    p.write_text(json.dumps({"schema": 1, "tokens": tokens}))
+    return str(p)
+
+
+def _normal_form_both(word_path, capsys):
+    return run(["normal-form", "--pair", fx("gl11_pair.json"), "--field", "Q",
+                "--grassmann-rank", "3", "--word", word_path, "--oracle", "both"], capsys)
+
+
+def test_normal_form_even_token_matches_python(tmp_path, capsys):
+    """A word odd . even . odd read from JSON (an even token goes through
+    load_matrix) normalizes by both oracles to the normal form of the same
+    word built in Python."""
+    tokens = [{"odd": [2, "1 * x{1}"]},
+              {"even": [["2 + 1 * x{1,2}", "0"], ["0", "-1"]]},
+              {"odd": [1, "3 * x{2} + 1 * x{3}"]}]
+    code, out, err = _normal_form_both(_word_file(tmp_path, tokens), capsys)
+    assert code == 0, err
+    with open(fx("gl11_pair.json")) as fh:
+        pair = serialize.load_pair(json.load(fh))
+    A = GrassmannAlgebra(QQ, 3)
+    x1, x2, x3 = (A.generator(i) for i in (1, 2, 3))
+    g = SuperMatrix((1, 1), A, [[A.from_scalar(2) + x1 * x2, A.zero()],
+                                [A.zero(), A.from_scalar(-1)]])
+    word = GroupWord(pair, A, [OddTok(1, x1), EvenTok(g), OddTok(0, x2.scale(3) + x3)])
+    nf = normal_form(word)
+    assert not nf.g_plus.is_zero() and any(not e.is_zero() for e in nf.etas)
+    assert json.loads(out) == serialize.dump_normal_form(nf)
+
+
+@pytest.mark.parametrize("even,code,message", [
+    ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], 2, "expected 2x2 entries"),
+    ([["1 + 1 * x{1}", "0"], ["0", "1"]], 1, "not a point of GL1xGL1"),
+], ids=["3x3", "odd-entry-on-diagonal"])
+def test_normal_form_bad_even_token(tmp_path, capsys, even, code, message):
+    tokens = [{"odd": [1, "1 * x{1}"]}, {"even": even}]
+    got, out, err = _normal_form_both(_word_file(tmp_path, tokens), capsys)
+    assert got == code and message in err and out == ""
+    assert "Traceback" not in err
+
+
 def test_normal_form_integral_literal_is_its_integer(tmp_path, capsys):
     """A literal 2/2 is the value 1: traced normal-form output is the same
     bytes as for the literal 1."""
@@ -499,6 +552,13 @@ def test_verify_deterministic_with_seed(capsys):
     code1, out1, _ = run(["verify", "pbw", "--seed", "3", "--json"], capsys)
     code2, out2, _ = run(["verify", "pbw", "--seed", "3", "--json"], capsys)
     assert code1 == code2 == 0 and out1 == out2
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_verify_suite_passes_as_json(capsys, name):
+    code, out, _ = run(["verify", name, "--seed", "1", "--json"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["ok"] is True and doc["suite"] == name
 
 
 def test_verify_unknown_suite(capsys):

@@ -1,6 +1,7 @@
 """Normal forms: the oracle triangle, group law, functoriality, induction."""
 
 import random
+import sys
 
 import pytest
 
@@ -275,7 +276,7 @@ def test_gp_inv_inverts_once(monkeypatch):
     nfs = [normal_form(random_word(pair, A, rng, 6)) for _ in range(6)]
     assert all(any(not e.is_zero() for e in nf.etas) for nf in nfs)
     want = [_concat_inv(nf) for nf in nfs]
-    group_law(pair)  # compiling the law takes Ad matrices, which invert
+    group_law(pair)  # compiled before counting
     pair._ad_memo.clear()
     calls = count_inversions(monkeypatch, gp, shcp, smat)
     solves = []
@@ -441,6 +442,32 @@ def test_fold_step_corrections_square_to_zero(make, field):
     assert nonzero
 
 
+@pytest.mark.parametrize("make,field", [
+    (lambda f: gl_pair(1, 1, f), QQ), (lambda f: gl_pair(1, 1, f), GF3),
+    (lambda f: gl_pair(2, 1, f), QQ), (lambda f: gl_pair(2, 1, f), GF3), (q2_pair, QQ),
+    (char2_pair, GF2),
+], ids=["gl11-Q", "gl11-F3", "gl21-Q", "gl21-F3", "q2-Q", "char2-F2"])
+def test_group_law_compiles_without_ad_or_inversion(monkeypatch, make, field):
+    """The law keeps sigma and the g_0-coordinates z of its even correction
+    and reads Ad(c) off the bracket table, so compiling it asks for no Ad
+    matrix and inverts nothing: it compiles with ad_action_matrix and every
+    binding of grid_inv and smat_inv made to raise, and some correction is
+    nonzero."""
+    pair = make(field)
+
+    def refuse(*args, **kw):
+        raise AssertionError("the law's compile asked for an Ad or an inverse")
+
+    monkeypatch.setattr(shcp.HarishChandraPair, "ad_action_matrix", refuse)
+    for name, mod in list(sys.modules.items()):
+        if name == "superpoints" or name.startswith("superpoints."):
+            for attr in ("grid_inv", "smat_inv"):
+                if hasattr(mod, attr):
+                    monkeypatch.setattr(mod, attr, refuse)
+    law = group_law(pair)
+    assert len(law.z) == pair.d_minus and any(law.z)
+
+
 def test_group_law_rejects_d_minus_above_15():
     """gl(4|2) has d_minus = 16: Lambda_17 is past the rank cap, so the law
     refuses before any work, and there is no other product."""
@@ -580,6 +607,27 @@ def test_roundtrip_zero_odd_pair():
     assert rep.ok, rep.summary()
 
 
+def test_zero_odd_pair_strips_a_point_outside_g_plus_to_span_violation():
+    """With d_minus = 0 the odd span is {0}: a GL(1|1) point with a nonzero
+    odd entry is no point of the pair's group, so stripping it raises
+    SpanViolation, and roundtrip_psi_phi reports the failure instead of
+    crashing.  A point of G+ strips to itself."""
+    from superpoints import HarishChandraPair, from_matrices, gl_block_diag
+
+    f = QQ
+    one, zero = f.from_int(1), f.from_int(0)
+    lie = from_matrices(1, 1, [[[one, zero], [zero, zero]], [[zero, zero], [zero, one]]], [], f)
+    pair = HarishChandraPair(gl_block_diag(1, 1), lie)
+    A = GrassmannAlgebra(f, 2)
+    m = SuperMatrix((1, 1), A, [[A.one(), A.generator(1)], [A.zero(), A.from_scalar(2)]])
+    with pytest.raises(SpanViolation):
+        strip_matrix_factorization(pair, m)
+    g = SuperMatrix((1, 1), A, [[A.from_scalar(3), A.zero()], [A.zero(), A.one()]])
+    assert strip_matrix_factorization(pair, g) == NormalForm(pair, A, [], g)
+    rep = roundtrip_psi_phi(pair, A, samples=2)
+    assert rep.failures and all("stripping failed" in x for x in rep.failures)
+
+
 def test_roundtrip_phi_psi_reports_a_wrong_even_odd_bracket():
     """(iii): the normal form of (1 + eps E11).(1 + eta E12) carries
     eta + eps eta at Y1, the negated table eta - eps eta."""
@@ -614,11 +662,11 @@ def test_stripping_inverts_once_per_refining_round(monkeypatch):
     mats = [random_word(pair, A, rng, 8).rho_matrix() for _ in range(6)]
     solves = []
 
-    def counted_solver(vector, terms, _real=pair._odd_solver):
+    def counted_solver(vector, terms, _real=pair.lie.odd_solver):
         solves.append(1)
         return _real(vector, terms)
 
-    monkeypatch.setattr(pair, "_odd_solver", counted_solver)
+    monkeypatch.setattr(pair.lie, "_odd_solver", counted_solver)
     calls = count_inversions(monkeypatch, gp, smat)
     for m in mats:
         del solves[:], calls[:]

@@ -148,7 +148,6 @@ def test_pair_row_reduces_its_odd_span_once(monkeypatch):
     monkeypatch.setattr(smat, "k_reduce", counted)
     pair = gl_pair(2, 1, QQ)
     assert len(calls) == 2
-    assert pair._odd_solver is pair.lie.odd_solver
     lie = pair.lie
     bare = LieSuperalgebraData(QQ, lie.d_plus, lie.d_minus, lie.ee, lie.eo, lie.oo, lie.q2,
                                shape=lie.shape, rho_even=lie.rho_even, rho_odd=lie.rho_odd)

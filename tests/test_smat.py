@@ -197,8 +197,8 @@ def test_ck_product_matches_lifted_and_regular_products(pair_name, coeffs):
              for i in range(pair.d_minus)]
     for _ in range(2):
         z = rand_k_vector(A.field, rng, pair.d_plus, nonzero=True)
-        cases.append((draw(rng, 0), lie.rho_even_nonzeros(z),
-                      lie.rho_comb(0, z, A)))
+        K = lie.rho_comb(0, z, A)
+        cases.append((draw(rng, 0), smat.k_nonzeros(K.body_rows()), K))
     for c, nz, K in cases:
         m, left, right = rand_matrix(), rand_matrix(), rand_matrix()
         cK = K.scale(c)
@@ -231,8 +231,8 @@ def test_in_place_left_factor_matches_regular_representation(pair_name, field):
     unit = [[field.from_int(int(t == a)) for t in range(pair.d_plus)] for a in range(pair.d_plus)]
     zs += [[field.add(x, y) for x, y in zip(unit[a], unit[b])]
            for a in range(pair.d_plus) for b in range(a + 1, pair.d_plus)]
-    cases += [(rand_even_unit(A, rng), lie.rho_even_nonzeros(z), lie.rho_comb(0, z, A))
-              for z in zs if any(z)]
+    cases += [(rand_even_unit(A, rng), smat.k_nonzeros(K.body_rows()), K)
+              for K in (lie.rho_comb(0, z, A) for z in zs if any(z))]
     read_and_written, swapped = 0, 0
     for c, nz, K in cases:
         m = SuperMatrix(sh, A, [[rand_element(A, rng) for _ in range(n)] for _ in range(n)])
@@ -402,6 +402,17 @@ def test_inverse_refuses_an_off_diagonal_body():
 
 # ---------------------------------------------------------------------------
 # the exact solver
+
+
+def test_solver_without_columns_answers_only_the_zero_vector():
+    """An empty span (a pair with d_minus = 0): the zero vector of any
+    length has the empty coordinate list, any other vector is outside the
+    span, raw or as term dicts."""
+    solve = smat.k_solve_matrix(QQ, [])
+    assert solve([]) == [] and solve([0, 0, 0, 0]) == []
+    assert solve([0, 1, 0, 0]) is None
+    assert solve([{}, {}], terms=True) == []
+    assert solve([{}, {0b11: 2}], terms=True) is None
 
 
 @pytest.mark.parametrize("terms", [False, True], ids=["raw", "terms"])

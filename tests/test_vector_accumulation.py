@@ -151,6 +151,8 @@ def test_actions_and_group_law_write_only_what_they_own(name, build, field):
     assert any(not e.is_zero() for e in ab.etas)
     for nf in (a, b, ab):
         gp_inv(nf)  # the memo now holds Ad(g) and g^-1 of each even factor
+    for h in (g * g, smat_inv(g)):  # and of two more bare points
+        pair.ad_action_matrix(h)
     carried = [(nf.ad(), nf.g_inv()) for nf in (one, a, b, ab, odd)]
     ad = pair.ad_action_matrix(g)[0]
     for act, dim, v0_action in modules(pair):
