@@ -22,6 +22,7 @@ from .coeff import (
 )
 from .errors import (
     ClosureViolation,
+    InvariantBreach,
     MembershipViolation,
     NonTermination,
     NotInvertible,

@@ -3,7 +3,9 @@
 Subcommands load JSON fixtures, run the checkers and verification suites,
 and emit machine-readable results.  Exit codes: 0 pass, 1 mathematical
 failure, 2 usage or schema error, 3 internal invariant breach (oracle
-disagreement or a tripped termination guard).
+disagreement, or an ``InvariantBreach``: a tripped termination guard, a
+failed reassembly in matrix stripping, a law correction outside span
+rho(g_0)).
 
 Sampling is driven by seeded Mersenne-Twister generators (random.Random),
 so a failing run is reproducible from its seed.  Golden files are compared
@@ -22,8 +24,8 @@ import sys
 from .coeff import GrassmannAlgebra
 from .errors import (
     ClosureViolation,
+    InvariantBreach,
     MembershipViolation,
-    NonTermination,
     NotInvertible,
     SchemaError,
     SpanViolation,
@@ -204,7 +206,7 @@ def main(argv=None):
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (NonTermination,) as e:
+    except InvariantBreach as e:
         print(f"internal invariant breach: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ClosureViolation, MembershipViolation, SpanViolation, NotInvertible,

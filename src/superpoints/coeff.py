@@ -105,7 +105,11 @@ class RationalField(Field):
     a reduced Fraction with denominator >= 2, as every Field method returns
     them).  int op int comes first; the rest run Knuth's gcd-reduced
     algorithms (TAOCP 2, 4.5.1) and build non-integral results with _frac:
-    Fraction's own operators cost more in type dispatch than in arithmetic."""
+    Fraction's own operators cost more in type dispatch than in arithmetic.
+    A product by the int 1 is the other operand itself, with no gcd: the
+    sparse kernels scale by unit coefficients (``add_into`` over sums,
+    ``ck_grid`` over the unit entries of rho, ``mac`` over unit body
+    entries) about as often as by any other value."""
 
     name = "Q"
 
@@ -134,9 +138,13 @@ class RationalField(Field):
         if type(a) is int:
             if type(b) is int:
                 return a * b
+            if a == 1:
+                return b
             a, b = b, a
         na, da = a._numerator, a._denominator
         if type(b) is int:
+            if b == 1:
+                return a
             g = gcd(b, da)
             n, d = na * (b // g), da // g
         else:

@@ -25,7 +25,12 @@ class MembershipViolation(ValueError):
     """A matrix failed a group membership predicate it was required to pass."""
 
 
-class NonTermination(RuntimeError):
+class InvariantBreach(RuntimeError):
+    """An internal invariant of the program failed: a bug, not bad input.
+    The CLI maps it, and every subclass, to exit 3."""
+
+
+class NonTermination(InvariantBreach):
     """Internal rewriting guard tripped; indicates a sign bug, not bad input."""
 
 

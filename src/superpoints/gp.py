@@ -22,10 +22,17 @@ Two independent routes compute the form:
 * ``reorder_symbolic`` -- a rewriting engine using only the one-parameter
   relations: push even tokens right through Ad, remove inversions and
   repeats by the swap/merge relations, slide the even corrections right by
-  the bracket table.
+  the bracket table, passing each odd factor that the correction does not
+  move (eta.c = 0) through as it is.
   One sweep that steps back after each rewrite leaves the odd factors
   sorted.  It ends because the ideal generated by the word's odd
   coefficients is nilpotent; the rewrite budget trips only on a sign bug.
+
+Both routes read an even token's Ad only when an odd factor has to cross
+the token, as ``gp_mul`` does: in the module route when the vector to its
+right has a key with odd part S != 0, in rewriting when odd factors stand
+to its right.  A trailing even token, ``NormalForm.tokens``' last one
+included, costs no Ad, and its memo entry is never made.
 
 A third route, ``strip_matrix_factorization``, peels the etas off the
 representing matrix by iterated refinement (each round's odd discrepancy in
@@ -73,7 +80,7 @@ from __future__ import annotations
 import random
 
 from .coeff import GrassmannAlgebra, GrassmannElement, add_into, dual_numbers, mac
-from .errors import NonTermination, SpanViolation, StructuralError
+from .errors import InvariantBreach, NonTermination, SpanViolation, StructuralError
 from .liesuper import (CheckReport, StraighteningKernel, _bracket, _flat, _unit, _vcomb,
                        trivial_action, word_action)
 from .smat import (SuperMatrix, block_split, ck_grid, copy_grid, dual_probe, gl_split, grid_inv,
@@ -339,12 +346,17 @@ def slide_odds(lie, z, c, odds):
     bracket table (slide relation, tang-group identity (f)):
     Ad(1 + cZ)(Y_k) = Y_k + c[Z, Y_k], so (k, eta) expands into the factors
     (j, eta (delta_jk + c sum_a z_a eo[a][k][j])); each column [Z, Y_k] is
-    computed once per call."""
+    computed once per call, and only for a factor with eta.c != 0.  A factor
+    with eta.c = 0 passes through as it is, its own dict: odd lists share
+    their dicts and never write into them."""
     field = lie.field
     cols = {}
     out = []
     for k, eta in odds:
         ec = mac(field, {}, eta, c)
+        if not ec:
+            out.append((k, eta))
+            continue
         if (col := cols.get(k)) is None:
             col = cols[k] = lie.bracket_eo(z, _unit(field, lie.d_minus, k))
         for j, v in enumerate(col):
@@ -361,8 +373,10 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
 
     The engine keeps the invariant  word = (odd token list) . E  and fixes
     the leftmost violation at each step: even tokens are pushed right
-    through Ad, adjacent out-of-order odd pairs are swapped by the
-    commutation relation, repeated indices merged by the square relation;
+    through Ad, which a token reads only when odd factors stand to its
+    right (a trailing even token reads none), adjacent out-of-order odd
+    pairs are swapped by the commutation relation, repeated indices merged
+    by the square relation;
     the even correction factors 1 + c.Z these emit (c^2 = 0) are pushed
     right immediately, sliding through the tail by the bracket table
     (Ad(1 + cZ)(Y) = Y + c[Z, Y]) with no inversion or odd solve.  A
@@ -393,7 +407,8 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
         if t.kind == "odd":
             odds.insert(0, (t.index, t.eta.terms))
         else:
-            odds = _conjugate_odds(field, odds, t.ad(pair))
+            if odds:
+                odds = _conjugate_odds(field, odds, t.ad(pair))
             note("pushed even token right through {} odd factor(s) [conjugation relation]", len(odds))
 
     def emit_right(z, c, position):
@@ -477,7 +492,7 @@ def strip_matrix_factorization(pair, m: SuperMatrix) -> NormalForm:
             nf = NormalForm(pair, algebra, etas, wrap_grid(pair.shape, algebra, diag))
             odds = [OddTok(i, e) for i, e in enumerate(etas) if not e.is_zero()]
             if factor_grid(pair, field, odds, copy_grid(diag)) != m.grid:
-                raise NonTermination("stripping reassembly failed")
+                raise InvariantBreach("stripping reassembly failed")
             return nf
         delta = grid_mul(field, p, off, grid_inv(field, p, algebra.rank, diag))
         coords = pair.lie.odd_solver([x for row in delta for x in row], terms=True)
@@ -528,7 +543,7 @@ class GroupLaw:
     sigma and z, each polynomial as (mask, raw) pairs over x_1..x_d; z is
     the x_{d+1}-tail of each law word's even factor, solved in span
     rho(g_0) at compile by one exact solve per word (a nonzero residual
-    would be an internal breach, NonTermination).  Any two u's multiply to
+    would be an internal breach, InvariantBreach).  Any two u's multiply to
     0, so Ad(c) = 1 + sum_a u_a ad(X_a) on g_1 is read off the bracket
     table (tang-group identities (a) and (f)): the law inverts nothing.
     """
@@ -542,7 +557,7 @@ class GroupLaw:
             nf = normal_form(word)
             z = solve([_tail(x, top) for row in nf.g_plus.grid for x in row], terms=True)
             if z is None:
-                raise NonTermination("a law word's even correction left span rho(g_0)")
+                raise InvariantBreach("a law word's even correction left span rho(g_0)")
             self.sigma.append([(i, tuple(t.items())) for i, e in enumerate(nf.etas)
                                if (t := _tail(e.terms, top))])
             self.z.append([(a, tuple(t.items())) for a, t in enumerate(z) if t])
@@ -895,7 +910,9 @@ def roundtrip_psi_phi(pair, algebra, samples=32, seed=0) -> CheckReport:
     """Psi(Phi(GL)) = GL on points: every sampled point of the full linear
     supergroup is reached by a word (stripping factors it, and the module
     route normalizes that word back to the same factorization); the
-    factorization is compatible with the global gl_split."""
+    factorization is compatible with the global gl_split.  A stripping that
+    leaves the odd span or runs past its bound fails its sample; a failed
+    reassembly is an InvariantBreach and propagates."""
     from .smat import gl_full, is_odd_unipotent
 
     rep = CheckReport()

@@ -37,16 +37,20 @@ coefficient, with the kernel's key.  word_action takes and returns vectors
 of elements; below it vectors are term dicts.  The two kernels,
 straighten_action and wedge_ad_action, take the base field and the module's
 straightening table (lie.odd_action, or an induced module's odd_act), and
-wedge_ad_action an even point's Ad matrix (the pair's shared memo grid) and
-V0 matrix as grids.  word_action reads V0 matrices through its v0_action
-argument (trivial_action on wedge(g_1)); an odd token 1 + eta.Y_i acts in
-word_action alone, as one scaled straightening pass into a copy of v.  Sums
-accumulate in place (coeff.mac) only into term dicts the vector made
-itself, never into an input vector's, a V0 matrix entry or an Ad memo
-grid's.
+wedge_ad_action d_minus, an even point's V0 matrix as a grid and a callable
+returning its Ad matrix as a grid (the pair's shared memo grid, or the Ad a
+normal form carries), called only when some key of the vector has odd
+part S != 0: a vacuum crosses no odd factor past the point.  word_action
+reads V0 matrices through its v0_action argument (trivial_action on
+wedge(g_1)); an odd token 1 + eta.Y_i acts in word_action alone, as one
+scaled straightening pass into a copy of v.  Sums accumulate in place
+(coeff.mac) only into term dicts the vector made itself, never into an
+input vector's, a V0 matrix entry or an Ad memo grid's.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .coeff import GrassmannAlgebra, GrassmannElement, add_into, mac
 from .errors import ClosureViolation, StructuralError
@@ -641,27 +645,31 @@ def straighten_action(field, act, index, v, scale=None, out=None):
     return out
 
 
-def wedge_ad_action(field, act, ad_matrix, v0_matrix, v):
+def wedge_ad_action(field, act, d_minus, ad, v0_matrix, v):
     """An even group element g acting on the vector v of term dicts over the
     field, in U(g) (x)_{U(g_0)} V0, whose straightening table is act(j, key);
     returns a new vector.
 
-    ad_matrix[j][i] are the term dicts of even coefficients with
+    ad() returns the term dicts of even coefficients a[j][i] with
     Ad(g)(Y_i) = sum_j a[j][i] Y_j, and v0_matrix is g on V0 as a grid of
     term dicts: g.e_t = sum_r v0_matrix[r][t] e_r (for wedge(g_1), V0 is the
     trivial line and v0_matrix is [[1]]).  With i0 = min S and rest the key
     without it, g.(Ybar_S (x) e_t) = (Ad(g)Y_{i0}).(g.rest), and each Y_j
     acts by straighten_action, so the [Y_j,Y_k] and Y_j^<2> terms of the
-    product in U(g) act on what stands to their right.
+    product in U(g) act on what stands to their right.  A key with S = 0
+    (d_minus low bits) needs only v0_matrix, so ad is called once when some
+    key of v has S != 0 and not at all otherwise: on a vacuum no odd factor
+    crosses g.
     """
-    dm = len(ad_matrix)
+    low = (1 << d_minus) - 1
+    ad_matrix = ad() if any(key & low for key in v) else ()
     memo = {}
 
     def image(key):
         """g . key, memoized for this call; read only."""
         res = memo.get(key)
         if res is None:
-            if key & ((1 << dm) - 1):
+            if key & low:
                 i0 = (key & -key).bit_length() - 1
                 rest = image(key & (key - 1))
                 res = {}
@@ -669,8 +677,8 @@ def wedge_ad_action(field, act, ad_matrix, v0_matrix, v):
                     if a := row[i0]:
                         straighten_action(field, act, j, rest, a, res)
             else:
-                t = key >> dm
-                res = {r << dm: row[t] for r, row in enumerate(v0_matrix) if row[t]}
+                t = key >> d_minus
+                res = {r << d_minus: row[t] for r, row in enumerate(v0_matrix) if row[t]}
             memo[key] = res
         return res
 
@@ -691,9 +699,12 @@ def word_action(word, v, odd_act, v0_action):
     read only (trivial_action, or EvenModuleData.group_action).  An even
     token acts by wedge_ad_action with the Ad its ``ad(pair)`` hands over, a
     grid read only: the Ad a normal form carries for its own even factor
-    (``NormalForm.tokens``), the pair's memo entry for a bare point; an odd
-    token acts as 1 + eta.Y_i.  v and the result hold elements; in between
-    the vector runs on term dicts, wrapped once at the end.
+    (``NormalForm.tokens``), the pair's memo entry for a bare point.  It is
+    asked for only when an odd factor has to cross the token, that is when
+    the vector to its right has a key with S != 0: an even token acting on
+    a vacuum reads no Ad.  An odd token acts as 1 + eta.Y_i.  v and the
+    result hold elements; in between the vector runs on term dicts, wrapped
+    once at the end.
     """
     tokens = word.tokens
     if not tokens:
@@ -703,7 +714,8 @@ def word_action(word, v, odd_act, v0_action):
     vec = {key: c.terms for key, c in v.items()}
     for tok in reversed(tokens):
         if tok.kind == "even":
-            vec = wedge_ad_action(field, odd_act, tok.ad(pair), v0_action(tok.matrix), vec)
+            vec = wedge_ad_action(field, odd_act, pair.d_minus, partial(tok.ad, pair),
+                                  v0_action(tok.matrix), vec)
         else:
             out = {key: dict(c) for key, c in vec.items()}
             vec = straighten_action(field, odd_act, tok.index, vec, tok.eta.terms, out)

@@ -289,23 +289,25 @@ def ck_grid(field, p, left, c, nz, right, out):
 def k_solve_matrix(field, columns):
     """Row-reduce the system whose columns are the m k-linearly independent
     length-n k-vectors 'columns' (raw values) once, and return a solver
-    mapping a length-n vector to its exact coordinates, or None when the
-    residual is nonzero.  The vector holds raw k-values, or with terms=True
+    mapping a length-n vector to its exact coordinates, or None when it is
+    outside their span.  The vector holds raw k-values, or with terms=True
     term dicts of coefficient-algebra elements (each sum by
-    ``coeff.add_into``), and so do the coordinates.  The left inverse is
-    kept by columns and the columns as sparse (index, value) lists: the
-    coordinates visit only the vector's nonzero entries, and the residual
-    vector - sum_j coords_j col_j is checked on every entry, those the left
-    inverse never reads included.  With no columns the solver answers []
-    for a zero vector, of any length, and None for any other.
+    ``coeff.add_into``), and so do the coordinates.  The solver keeps the
+    row operations R of ``k_matrix_inverse``, R.C = [I_m; 0], by columns
+    and sparse, and applies all of R to the vector's nonzero entries: R is
+    invertible, so v lies in span C exactly when rows m..n-1 of Rv vanish,
+    and then rows 0..m-1 are its coordinates (v = R^-1 [x; 0] = C x).  No
+    image is rebuilt.  A shorter vector answers None, and a longer one as
+    its first n entries when the rest are zero, None otherwise; with no
+    columns the solver answers [] for a zero vector, of any length, and
+    None for any other.
     """
     m, n = len(columns), len(columns[0]) if columns else 0
     # more columns than rows are dependent (and n = 0 leaves no rows to count them)
     ops = k_matrix_inverse(field, list(zip(*columns))) if m <= n else None
     if ops is None:
         raise StructuralError("columns are k-linearly dependent")
-    left = [[(j, c) for j, c in enumerate(col) if c] for col in zip(*ops[:m])]
-    cols = [[(k, c) for k, c in enumerate(col) if c] for col in columns]
+    cols = [[(j, c) for j, c in enumerate(col) if c] for col in zip(*ops)]
     zero = field.from_int(0)
     terms_axpy = partial(add_into, field)
 
@@ -313,19 +315,15 @@ def k_solve_matrix(field, columns):
         return field.add(acc, field.mul(c, x))
 
     def solve(vector, terms=False):
+        if len(vector) < n or any(vector[n:]):
+            return None
         axpy = terms_axpy if terms else raw_axpy
-        coords = [{} for _ in range(m)] if terms else [zero] * m
-        for x, row in zip(vector, left):  # no columns: left is [], coords stay []
+        rv = [{} for _ in range(n)] if terms else [zero] * n
+        for x, col in zip(vector, cols):
             if x:
-                for j, c in row:
-                    coords[j] = axpy(coords[j], c, x)
-        size = max(n, len(vector))
-        image = [{} for _ in range(size)] if terms else [zero] * size
-        for col, x in zip(cols, coords):
-            if x:
-                for k, c in col:
-                    image[k] = axpy(image[k], c, x)
-        return coords if image == list(vector) else None
+                for j, c in col:
+                    rv[j] = axpy(rv[j], c, x)
+        return None if any(rv[m:]) else rv[:m]
 
     return solve
 

@@ -280,9 +280,10 @@ def check_ad_compatibility(pair, rng) -> CheckReport:
         ad, _ = pair.ad_action_matrix(pair.even_group.sample(algebra, rng))
         for m in range(1, 1 << dm):
             vm = {m: one}
-            gm = wedge_ad_action(field, act, ad, trivial, vm)
+            gm = wedge_ad_action(field, act, dm, lambda: ad, trivial, vm)
             for i in range((m & -m).bit_length() - 1, dm):
-                lhs = wedge_ad_action(field, act, ad, trivial, straighten_action(field, act, i, vm))
+                lhs = wedge_ad_action(field, act, dm, lambda: ad, trivial,
+                                      straighten_action(field, act, i, vm))
                 rhs = {}
                 for j in range(dm):
                     for k2, x in straighten_action(field, act, j, gm).items():

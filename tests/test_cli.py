@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from superpoints import (EvenTok, GroupWord, GrassmannAlgebra, OddTok, QQ, SuperMatrix,
                          normal_form, serialize)
+from superpoints import gp, smat, verify
 from superpoints.cli import main
 from superpoints.verify import SUITES
 
@@ -530,6 +531,34 @@ def test_normal_form_oracle_disagreement_exits_3(capsys, monkeypatch):
                         "--coeff", fx("coeff_l2.json"),
                         "--word", fx("swap_word.json"), "--oracle", "both"], capsys)
     assert code == 3 and "DISAGREEMENT" in err
+
+
+def _zero_off_diagonal(p, grid):
+    """block_split that reports no odd part: stripping stops at once with
+    the diagonal blocks, whose reassembly misses the point's odd blocks."""
+    diag, off = smat.block_split(p, grid)
+    return diag, [[{} for _ in row] for row in off]
+
+
+def test_stripping_reassembly_breach_exits_3(capsys, monkeypatch):
+    """A stripping whose factorization does not reassemble to its point is
+    an internal invariant breach: verify roundtrip exits 3, no traceback."""
+    monkeypatch.setattr(gp, "block_split", _zero_off_diagonal)
+    code, _, err = run(["verify", "roundtrip", "--seed", "1"], capsys)
+    assert code == 3 and "internal invariant breach: stripping reassembly failed" in err
+    assert "Traceback" not in err
+
+
+def test_group_law_compile_breach_exits_3(capsys, monkeypatch):
+    """A law word's even correction outside span rho(g_0) is an internal
+    invariant breach (forced here by a solver that finds no coordinates):
+    verify semidirect, whose splittings multiply by the law, exits 3, no
+    traceback."""
+    monkeypatch.setattr(gp, "k_solve_matrix", lambda field, columns: lambda v, terms=False: None)
+    monkeypatch.setattr(verify.cached_gl_pair(1, 1, QQ), "group_law", None)
+    code, _, err = run(["verify", "semidirect", "--seed", "1"], capsys)
+    assert code == 3 and "internal invariant breach: a law word's even correction" in err
+    assert "Traceback" not in err
 
 
 def test_normal_form_matches_committed_golden(capsys, monkeypatch):

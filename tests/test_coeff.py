@@ -264,6 +264,15 @@ def test_q_inv_of_ints_and_fractions_of_both_signs(a):
     assert_canonical(QQ.inv(_canonical(a)), 1 / Fraction(a))
 
 
+@pytest.mark.parametrize("a", [Fraction(1, 3), Fraction(-6, 35), Fraction(10**40 + 1, 2**40)])
+def test_q_product_by_one_is_the_other_operand(a):
+    """A Fraction times the int 1, on either side, is that Fraction itself:
+    no gcd runs and no Fraction is built."""
+    x = _canonical(a)
+    assert QQ.mul(1, x) is x and QQ.mul(x, 1) is x
+    assert QQ.mul(1, 7) == QQ.mul(7, 1) == 7 and QQ.mul(1, 1) == 1
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_inv_of_zero_is_not_invertible(field):
     with pytest.raises(NotInvertible):

@@ -395,6 +395,51 @@ def test_second_pass_of_group_triples_inverts_nothing(monkeypatch):
     assert calls == [] and asked == []
 
 
+def test_triangle_computes_ad_only_where_an_odd_factor_crosses(monkeypatch):
+    """The three routes on seeded triangle words over Lambda_4(Q), gl(1|1)
+    and gl(2|1), each word on an empty Ad memo: the cold Ad computations
+    (inversions made through shcp) are exactly the distinct even tokens
+    with an odd factor to their right.  A trailing even token, which no odd
+    factor crosses, costs none."""
+    rng = random.Random(2026)
+    A = GrassmannAlgebra(QQ, 4)
+    pairs = [gl_pair(1, 1, QQ), gl_pair(2, 1, QQ)]
+    calls = count_inversions(monkeypatch, shcp)
+    crossed = trailing = 0
+    for t in range(60):
+        word = random_word(pairs[t % 2], A, rng)
+        word.pair._ad_memo.clear()
+        del calls[:]
+        crossing = []
+        for k, tok in enumerate(word.tokens):
+            if tok.kind == "even":
+                if any(u.kind == "odd" for u in word.tokens[k + 1:]):
+                    if all(tok.matrix != x for x in crossing):
+                        crossing.append(tok.matrix)
+                else:
+                    trailing += 1
+        nf = normal_form(word)
+        assert reorder_symbolic(word) == nf
+        assert strip_matrix_factorization(word.pair, word.rho_matrix()) == nf
+        assert len(calls) == len(crossing)
+        crossed += len(crossing)
+    assert crossed and trailing
+
+
+def test_slide_passes_a_vanishing_factor_through():
+    """A factor with eta.c = 0 leaves slide_odds as its own dict, unmoved
+    and uncopied, even where [Z, Y_k] != 0, beside a factor that the
+    correction does move.  On gl(2|1), Z = [Y_1, Y_4] has [Z, Y_2] = Y_1
+    and [Z, Y_3] = -Y_4."""
+    lie, A = gl_pair(2, 1, QQ).lie, GrassmannAlgebra(QQ, 4)
+    x1, x2, x3 = (A.generator(i).terms for i in (1, 2, 3))
+    c = (A.generator(1) * A.generator(2)).terms
+    out = slide_odds(lie, lie.oo[0][3], c, [(0, x1), (1, x3), (2, x2)])
+    x3c = (A.generator(3) * A.generator(1) * A.generator(2)).terms
+    assert out == [(0, x1), (0, x3c), (1, x3), (2, x2)]
+    assert out[0][1] is x1 and out[3][1] is x2 and out[2][1] is not x3
+
+
 def test_group_law_on_ad_unstable_pair_raises_span_violation():
     """diag(2, 1, 1) moves E13 + E32 off its line: a product or inverse that
     carries an odd factor past it raises SpanViolation, as word

@@ -92,17 +92,17 @@ def test_q2_axioms_and_module_axioms(field):
     assert rep.ok, rep.failures
 
 
-def exterior_ad_action(field, act, ad_matrix, v0_matrix, v):
+def exterior_ad_action(field, act, d_minus, ad, v0_matrix, v):
     """g acting on each key Ybar_S (x) e_t as the exterior product of the
     Ad(g)Y_i, i in S (the expansion that drops the [Y_j,Y_k] and Y_j^<2>
     terms of the product in U(g)); exact on gl(p|q) only.  It takes and
     returns term dicts, as wedge_ad_action does, and expands on elements
     of Lambda_16 over the field."""
     A = GrassmannAlgebra(field, 16)
-    ad_matrix = [[GrassmannElement(A, x) for x in row] for row in ad_matrix]
+    ad_matrix = [[GrassmannElement(A, x) for x in row] for row in ad()]
     v0_matrix = [[GrassmannElement(A, x) for x in row] for row in v0_matrix]
     v = {key: GrassmannElement(A, c) for key, c in v.items()}
-    dm = len(ad_matrix)
+    dm = d_minus
     out = {}
 
     def add(acc, key, x):

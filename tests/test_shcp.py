@@ -352,19 +352,28 @@ def test_ad_memo_is_bounded(monkeypatch):
 
 def test_normal_form_of_odd_word_inverts_nothing(monkeypatch):
     """The odd product is divided out factor by factor, (1 + eta Y)^-1 =
-    (1 - eta Y); only even tokens (through their Ad matrix) invert."""
+    (1 - eta Y), and rewriting moves odd factors by the relations; only an
+    even token that an odd factor has to cross inverts (through its Ad
+    matrix), once: a trailing even token inverts nothing, in either route."""
     rng = random.Random(43)
     pair = gl_pair(2, 1, GF3)
     A = GrassmannAlgebra(GF3, 4)
     calls = count_inversions(monkeypatch, gp, shcp, smat)
-    for length in range(1, 7):
-        toks = [OddTok(rng.randrange(pair.d_minus), rand_odd(A, rng)) for _ in range(length)]
-        nf = normal_form(GroupWord(pair, A, toks))
-        assert nf.rho_matrix() == GroupWord(pair, A, toks).rho_matrix()
-    assert not calls
-    g = pair.even_group.sample(A, rng)
-    normal_form(GroupWord(pair, A, [OddTok(0, rand_odd(A, rng)), EvenTok(g)]))
-    assert len(calls) == 1
+    for route in (normal_form, gp.reorder_symbolic):
+        for length in range(1, 7):
+            toks = [OddTok(rng.randrange(pair.d_minus), rand_odd(A, rng)) for _ in range(length)]
+            nf = route(GroupWord(pair, A, toks))
+            assert nf.rho_matrix() == GroupWord(pair, A, toks).rho_matrix()
+        assert not calls
+        g = pair.even_group.sample(A, rng)
+        word = GroupWord(pair, A, [OddTok(0, rand_odd(A, rng)), EvenTok(g)])
+        assert route(word).rho_matrix() == word.rho_matrix()
+        assert not calls
+        g = pair.even_group.sample(A, rng)
+        word = GroupWord(pair, A, [EvenTok(g), OddTok(0, rand_odd(A, rng))])
+        assert route(word).rho_matrix() == word.rho_matrix()
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_relation_b_with_ad_coords():

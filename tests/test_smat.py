@@ -5,6 +5,8 @@ twisted product and double as its regression net."""
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from superpoints import (
     GF2,
@@ -31,7 +33,7 @@ from superpoints import (
     smat_inv,
 )
 from superpoints import smat
-from superpoints.coeff import GrassmannElement
+from superpoints.coeff import GrassmannElement, add_into
 from superpoints.smat import BUILTIN_GROUPS, dual_probe, matrix_units
 from superpoints.sampling import rand_element, rand_even_unit, rand_k_vector
 from superpoints.verify import suite_tang_group
@@ -458,6 +460,90 @@ def test_solver_checks_the_residual_on_every_entry(terms):
             off = list(vector)
             off[k] = bump(off[k])
             assert solve(off, terms=terms) is None, k
+
+
+def reference_solver(field, columns):
+    """k_solve_matrix as it was before it tested the residual rows of R: the
+    coordinates from rows 0..m-1 of R, then the image sum_j coords_j col_j
+    rebuilt and compared with the vector by ==."""
+    m, n = len(columns), len(columns[0]) if columns else 0
+    ops = smat.k_matrix_inverse(field, list(zip(*columns))) if m <= n else None
+    assert ops is not None
+    left = [[(j, c) for j, c in enumerate(col) if c] for col in zip(*ops[:m])]
+    cols = [[(k, c) for k, c in enumerate(col) if c] for col in columns]
+    zero = field.from_int(0)
+
+    def solve(vector, terms=False):
+        def axpy(acc, c, x):
+            return add_into(field, acc, c, x) if terms else field.add(acc, field.mul(c, x))
+
+        coords = [{} for _ in range(m)] if terms else [zero] * m
+        for x, row in zip(vector, left):
+            if x:
+                for j, c in row:
+                    coords[j] = axpy(coords[j], c, x)
+        size = max(n, len(vector))
+        image = [{} for _ in range(size)] if terms else [zero] * size
+        for col, x in zip(cols, coords):
+            if x:
+                for k, c in col:
+                    image[k] = axpy(image[k], c, x)
+        return coords if image == list(vector) else None
+
+    return solve
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_solver_matches_the_image_rebuild(data):
+    """The residual-row test of k_solve_matrix answers as the image rebuild
+    did: the same coordinates, or None, over Q and F_3, raw and as term dicts
+    over Lambda_2, for vectors in the span, vectors moved at one entry,
+    m = 0 and m = n, and vectors shorter or longer than n."""
+    field = data.draw(st.sampled_from([QQ, GF3]))
+
+    def scalar():
+        num, den = data.draw(st.integers(-3, 3)), data.draw(st.sampled_from([1, 2]))
+        return field.mul(field.from_int(num), field.inv(field.from_int(den)))
+
+    def entry():  # a random entry of a raw or term-dict vector
+        return {data.draw(st.integers(0, 3)): scalar()} if terms else scalar()
+
+    n = data.draw(st.integers(0, 5))
+    m = data.draw(st.integers(0, n))
+    columns = [[scalar() for _ in range(n)] for _ in range(m)]
+    assume(not columns or smat.k_matrix_inverse(field, list(zip(*columns))) is not None)
+    n = n if columns else 0
+    solve, reference = smat.k_solve_matrix(field, columns), reference_solver(field, columns)
+    terms = data.draw(st.booleans())
+    zero = {} if terms else field.from_int(0)
+    if terms:  # coordinates over Lambda_2, one raw vector per mask
+        coords = [{mask: c for mask in range(4) if (c := scalar())} for _ in range(m)]
+        vector = [{} for _ in range(n)]
+        for x, col in zip(coords, columns):
+            for k, c in enumerate(col):
+                if c:
+                    add_into(field, vector[k], c, x)
+    else:
+        coords = [scalar() for _ in range(m)]
+        vector = [zero] * n
+        for x, col in zip(coords, columns):
+            for k, c in enumerate(col):
+                vector[k] = field.add(vector[k], field.mul(c, x))
+    if vector and data.draw(st.booleans(), label="moved"):
+        k = data.draw(st.integers(0, n - 1))
+        vector[k] = (add_into(field, dict(vector[k]), field.from_int(1), entry()) if terms
+                     else field.add(vector[k], entry()))
+    else:
+        assert solve(vector, terms=terms) == coords
+    cut = data.draw(st.integers(-2, 2), label="length change")
+    if cut < 0:
+        vector = vector[:max(0, len(vector) + cut)]
+    else:
+        vector += [entry() if data.draw(st.booleans()) else zero for _ in range(cut)]
+    if terms:  # term dicts hold no zero value
+        vector = [{mask: c for mask, c in x.items() if c} for x in vector]
+    assert solve(vector, terms=terms) == reference(vector, terms=terms)
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3])

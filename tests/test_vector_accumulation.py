@@ -165,7 +165,7 @@ def test_actions_and_group_law_write_only_what_they_own(name, build, field):
         before = snapshot(kept), snapshot(memo), snapshot(carried)
         for w in (word, b, odd):
             word_action(w, v, act, v0_action)
-        wedge_ad_action(field, act, ad, v0, terms_of(v))
+        wedge_ad_action(field, act, pair.d_minus, lambda: ad, v0, terms_of(v))
         straighten_action(field, act, 0, terms_of(v))
         straighten_action(field, act, 0, terms_of(v), scale.terms, owned_terms(v))
         for nf in (a, b, ab):
