@@ -4,8 +4,8 @@ Subcommands load JSON fixtures, run the checkers and verification suites,
 and emit machine-readable results.  Exit codes: 0 pass, 1 mathematical
 failure, 2 usage or schema error, 3 internal invariant breach (oracle
 disagreement, or an ``InvariantBreach``: a tripped termination guard, a
-failed reassembly in matrix stripping, a law correction outside span
-rho(g_0)).
+repeated index after the rewriting sweep, a failed reassembly in matrix
+stripping, a law correction outside span rho(g_0)).
 
 Sampling is driven by seeded Mersenne-Twister generators (random.Random),
 so a failing run is reproducible from its seed.  Golden files are compared

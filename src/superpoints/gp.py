@@ -150,8 +150,8 @@ def factor_grid(pair, field, tokens, grid=None):
             g = t.matrix.grid
             grid = copy_grid(g) if grid is None else grid_mul(field, p, g, grid)
         else:
-            grid = identity_grid(field, n) if grid is None else grid
-            ck_grid(field, p, None, t.eta.terms, nz[t.index], grid, grid)
+            grid = ck_grid(field, p, t.eta.terms, nz[t.index],
+                           identity_grid(field, n) if grid is None else grid)
     return identity_grid(field, n) if grid is None else grid
 
 
@@ -420,8 +420,7 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
         odds[position:] = slide_odds(lie, z, c, odds[position:])
         for za, nz in zip(z, lie.rho_even_nz):
             if za:
-                ck_grid(field, p, None, {m: field.mul(x, za) for m, x in c.items()}, nz,
-                        e_acc, e_acc)
+                ck_grid(field, p, {m: field.mul(x, za) for m, x in c.items()}, nz, e_acc)
 
     # one sweep: odds[:s + 1] stays strictly ascending, since a rewrite at s
     # changes only odds[s:] and steps back, so the sweep ends sorted
@@ -462,7 +461,7 @@ def reorder_symbolic(word: GroupWord, stats=None) -> NormalForm:
     etas = [algebra.zero()] * pair.d_minus
     for (i, eta) in odds:
         if not etas[i].is_zero():
-            raise NonTermination("sorted word still has a repeated index")
+            raise InvariantBreach("sorted word still has a repeated index")
         etas[i] = GrassmannElement(algebra, eta)
     return NormalForm(pair, algebra, etas, wrap_grid(pair.shape, algebra, e_acc))
 
@@ -621,7 +620,7 @@ class GroupLaw:
             ad = [[{} for _ in xi] for _ in xi]
             for ua, nz, eo in zip(u, lie.rho_even_nz, lie.eo):
                 if ua:
-                    ck_grid(field, p, None, ua, nz, grid, grid)
+                    ck_grid(field, p, ua, nz, grid)
                     for i, col in enumerate(eo):
                         for l, v in enumerate(col):
                             if v:
@@ -643,10 +642,10 @@ def _row_dot(field, row, v, acc):
 
 def compose_ad(field, base, steps):
     """(1 + D_m) ... (1 + D_1) . base for the steps D of ``GroupLaw.fold``:
-    Ad(c_m ... c_1) Ad(g) for base = Ad(g), in place on the grid base, which
-    the caller owns (``grid_mul``; Ad entries are even, so nothing twists)."""
+    Ad(c_m ... c_1) Ad(g) for base = Ad(g), read only, each step A + D.A
+    into a copy of A (``grid_mul``; Ad entries are even, so nothing twists)."""
     for d in steps:
-        grid_mul(field, len(base), d, base, base)
+        base = grid_mul(field, len(base), d, base, copy_grid(base))
     return base
 
 
@@ -911,8 +910,9 @@ def roundtrip_psi_phi(pair, algebra, samples=32, seed=0) -> CheckReport:
     supergroup is reached by a word (stripping factors it, and the module
     route normalizes that word back to the same factorization); the
     factorization is compatible with the global gl_split.  A stripping that
-    leaves the odd span or runs past its bound fails its sample; a failed
-    reassembly is an InvariantBreach and propagates."""
+    leaves the odd span fails its sample; one that runs past its bound
+    (NonTermination) or fails its reassembly is an InvariantBreach and
+    propagates."""
     from .smat import gl_full, is_odd_unipotent
 
     rep = CheckReport()
@@ -922,7 +922,7 @@ def roundtrip_psi_phi(pair, algebra, samples=32, seed=0) -> CheckReport:
         m = full.sample(algebra, rng)
         try:
             nf = strip_matrix_factorization(pair, m)
-        except (SpanViolation, NonTermination) as e:
+        except SpanViolation as e:
             rep.fail(f"sample {s}: stripping failed: {e}")
             continue
         if nf.rho_matrix() != m:

@@ -35,17 +35,17 @@ from __future__ import annotations
 
 import random
 
-from .coeff import GrassmannAlgebra, GrassmannElement, dual_numbers
+from .coeff import GrassmannAlgebra, GrassmannElement, add_into, dual_numbers
 from .errors import SpanViolation, StructuralError
 from .liesuper import CheckReport, LieSuperalgebraData, check_axioms, from_matrices, gl_lie
 from .smat import (
     GroupDescriptor,
     SuperMatrix,
-    ck_grid,
     dual_probe,
     gl_block_diag,
     gl_full,
     grid_inv,
+    grid_mul,
     matrix_units,
     smat_inv,
 )
@@ -93,14 +93,19 @@ class HarishChandraPair:
 
     def conj_grid(self, left, right, indices=None):
         """conj_coords on grids of term dicts: the coordinates as term dicts.
-        The sandwich is one ``ck_grid`` over the nonzeros of rho(Y_i), never
-        lifted.  The solver is exact over k applied to algebra entries; a
-        nonzero residual or an odd coordinate raises SpanViolation."""
+        left . rho(Y_i) is summed over the nonzeros of rho(Y_i), never lifted
+        (``coeff.add_into``; raw k-values are even, so nothing twists), then
+        times right (``grid_mul``).  The solver is exact over k applied to
+        algebra entries; a nonzero residual or an odd coordinate raises
+        SpanViolation."""
         field, p, n, lie = self.field, self.shape[0], len(left), self.lie
         out = []
         for i in range(self.d_minus) if indices is None else indices:
-            conj = ck_grid(field, p, left, None, lie.rho_odd_nz[i], right,
-                           [[{} for _ in range(n)] for _ in range(n)])
+            lk = [[{} for _ in range(n)] for _ in range(n)]
+            for a, b, v in lie.rho_odd_nz[i]:
+                for dst, row in zip(lk, left):
+                    add_into(field, dst[b], v, row[a])
+            conj = grid_mul(field, p, lk, right)
             coords = lie.odd_solver([x for row in conj for x in row], terms=True)
             if coords is None:
                 raise SpanViolation(

@@ -15,18 +15,17 @@ suite: those identities are the arbiter of the convention.
 A ``SuperMatrix`` is stored as its grid (rows of term dicts), and every
 product runs on grids, each output entry accumulated into one term dict by
 ``coeff.mac``, the twist a flag: ``grid_mul`` for two grids, ``grid_inv``
-for the inverse, and ``ck_grid`` for a factor c (x) K, a coefficient times
-a raw k-matrix (the representation matrix of a Lie superalgebra element),
-which follows the same rule but visits only the nonzeros of K.  A matrix's
-grid is read only; ``wrap_grid`` makes the matrix of a new grid, unchecked
-and uncopied, and the constructor takes rows of elements, whose algebra it
-checks.  GrassmannElements appear only at the API: the constructor, the
-``rows`` view, ``scale`` and ``to_strings``.  A left factor applies in
-place: ``ck_grid(field, p, None, c, nz, xs, xs)`` makes xs (1 + cK) xs, row
-a gaining c K_ab twist(row b), so a row both read and written (nonzeros at
+for the inverse, and ``ck_grid`` for a left factor 1 + c (x) K, a
+coefficient times a raw k-matrix (the representation matrix of a Lie
+superalgebra element), which follows the same rule but visits only the
+nonzeros of K.  A matrix's grid is read only; ``wrap_grid`` makes the
+matrix of a new grid, unchecked and uncopied, and the constructor takes
+rows of elements, whose algebra it checks.  GrassmannElements appear only
+at the API: the constructor, the ``rows`` view, ``scale`` and
+``to_strings``.  Only ``ck_grid`` writes into a grid it multiplies: row
+a gains c K_ab twist(row b), so a row both read and written (nonzeros at
 (a, b) and (b, a), as on q(2), or on the diagonal) is read, by a copy,
-before it is written; ``grid_mul(field, p, n, xs, xs)`` does the same for
-a factor 1 + n with n a grid.
+before it is written.  ``grid_mul`` never writes into its right factor.
 
 ``grid_inv`` inverts m = B + S, body plus soul, as (1 + u + u^2 + ...) B^-1
 with u = -B^-1 S; B must be block-diagonal, as the body of every
@@ -209,16 +208,14 @@ def wrap_grid(shape, algebra, grid):
 
 def grid_mul(field, p, xs, ys, out=None):
     """out + xs . ys for square grids of term dicts with p even rows, in
-    place (out None is 0): out_ik gains x_ij . twist^{|i|+|j|}(y_jk) in
-    increasing j, one ``coeff.mac`` each.  out may be ys itself, which turns
-    ys into (1 + xs) ys: a row of ys both read and written is read from a
-    copy."""
+    place in out (None is 0), which it returns: out_ik gains
+    x_ij . twist^{|i|+|j|}(y_jk) in increasing j, one ``coeff.mac`` each.
+    out must not be ys, whose rows would be read after they were written
+    (StructuralError)."""
     if out is None:
         out = [[{} for _ in row] for row in xs]
     elif out is ys:
-        written = {i for i, row in enumerate(xs) if any(row)}
-        read = {j for i in written for j, x in enumerate(xs[i]) if x}
-        ys = [[dict(y) for y in row] if j in read & written else row for j, row in enumerate(ys)]
+        raise StructuralError("grid_mul cannot accumulate into its right factor")
     for i, row in enumerate(xs):
         for j, x in enumerate(row):
             if x:
@@ -245,41 +242,27 @@ def k_nonzeros(rows):
     return tuple((a, b, v) for a, row in enumerate(rows) for b, v in enumerate(row) if v)
 
 
-def ck_grid(field, p, left, c, nz, right, out):
-    """out + left . (c (x) K) . right on grids of term dicts, in place.
+def ck_grid(field, p, c, nz, xs):
+    """xs <- (1 + c (x) K) . xs on a grid of term dicts, in place; returns xs.
 
-    c is a homogeneous term dict, or None for 1; K is a homogeneous raw
-    k-matrix of parity |K|, given by its nonzero entries nz
-    (``k_nonzeros``); right is a grid and left a grid, or None for the
-    identity.  out may be right itself when left is None: the in-place
-    left factor of the module docstring.  Raw k-values are even, so the
-    twisted product of this module gives, with |i| the parity of row i and
-    twist^0 the identity,
+    c is a homogeneous term dict and K a homogeneous raw k-matrix of parity
+    |K|, given by its nonzero entries nz (``k_nonzeros``).  Raw k-values are
+    even, so the twisted product of this module gives row a the gain
 
-        (cK . m)_ik    = sum_j c . K_ij . twist^{|K|}(m_jk)
-        (L . K . R)_ik = sum_{a,b} L_ia . K_ab . twist^{|i|+|b|}(R_bk)
+        sum_b c . K_ab . twist^{|K|}(xs_b)
 
-    the two cases (left None, c None) of
-    sum_{a,b} L_ia twist^{|i|+|a|}(c) K_ab twist^{|i|+|b|}(R_bk).
+    with twist^0 the identity; the rows both read and written are read
+    from copies (the module docstring).
     """
-    if left is None and out is right:  # in place: rows both read and written are read from copies
-        both = {a for a, _, _ in nz} & {b for _, b, _ in nz}
-        right = [[dict(x) for x in row] if b in both else row for b, row in enumerate(right)]
+    both = {a for a, _, _ in nz} & {b for _, b, _ in nz}
+    rows = [[dict(x) for x in row] if b in both else row for b, row in enumerate(xs)]
     for a, b, v in nz:
-        cv = {0: v} if c is None else {m: field.mul(x, v) for m, x in c.items()}
-        if left is None:
-            terms = ((a, cv),)
-        else:  # the nonzeros L_ia of column a, each times twist^{|i|+|a|}(cv)
-            terms = [(i, mac(field, {}, xs, cv, (i < p) != (a < p)))
-                     for i, row in enumerate(left) if (xs := row[a])]
-        for i, x in terms:
-            if not x:
-                continue
-            dst, twist = out[i], (i < p) != (b < p)
-            for k, y in enumerate(right[b]):
-                if y:
-                    mac(field, dst[k], x, y, twist)
-    return out
+        cv = {m: field.mul(x, v) for m, x in c.items()}
+        dst, twist = xs[a], (a < p) != (b < p)
+        for k, y in enumerate(rows[b]):
+            if y:
+                mac(field, dst[k], cv, y, twist)
+    return xs
 
 
 # ---------------------------------------------------------------------------

@@ -549,6 +549,24 @@ def test_stripping_reassembly_breach_exits_3(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_stripping_past_its_bound_exits_3(capsys, monkeypatch):
+    """A stripping that does not close within its bound is an internal
+    invariant breach, not a failed sample: verify roundtrip exits 3, no
+    traceback.  The bound is forced to one round, whose odd discrepancy the
+    solver writes in the odd span (a discrepancy outside it would fail its
+    sample with SpanViolation instead)."""
+    def one_round_algebra(field, rank):
+        algebra = GrassmannAlgebra(field, rank)
+        algebra.nilpotency_bound = -1  # stripping runs nilpotency_bound + 2 rounds
+        return algebra
+
+    monkeypatch.setattr(verify, "GrassmannAlgebra", one_round_algebra)
+    code, _, err = run(["verify", "roundtrip", "--seed", "1"], capsys)
+    assert code == 3
+    assert "internal invariant breach: matrix stripping did not close within the bound" in err
+    assert "Traceback" not in err
+
+
 def test_group_law_compile_breach_exits_3(capsys, monkeypatch):
     """A law word's even correction outside span rho(g_0) is an internal
     invariant breach (forced here by a solver that finds no coordinates):

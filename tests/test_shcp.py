@@ -28,6 +28,7 @@ from superpoints import (
     gl_split,
     normal_form,
     phi_of_group,
+    q2_pair,
     scalar_torus,
     serialize,
     smat_inv,
@@ -253,23 +254,36 @@ def _ad_sides(pair, g, a, i):
             k_matmul_oracle(f, supermatrix_rep_oracle(f, rank, p, comb), rep_g))
 
 
-@pytest.mark.parametrize("pair", [
-    gl_pair(1, 1, QQ), gl_pair(2, 1, QQ), gl_pair(1, 1, GF2), gl_pair(2, 1, GF2),
-    gl_pair(1, 1, GF3), gl_pair(2, 1, GF3), char2_pair(GF2),
-], ids=["gl11-Q", "gl21-Q", "gl11-F2", "gl21-F2", "gl11-F3", "gl21-F3", "char2-F2"])
-def test_ad_action_matrix_single_inversion(pair):
+@pytest.mark.parametrize("pair, full_samples", [
+    pytest.param(gl_pair(1, 1, QQ), True, id="gl11-Q"),
+    pytest.param(gl_pair(2, 1, QQ), True, id="gl21-Q"),
+    pytest.param(gl_pair(1, 1, GF2), True, id="gl11-F2"),
+    pytest.param(gl_pair(2, 1, GF2), True, id="gl21-F2"),
+    pytest.param(gl_pair(1, 1, GF3), True, id="gl11-F3"),
+    pytest.param(gl_pair(2, 1, GF3), True, id="gl21-F3"),
+    pytest.param(char2_pair(GF2), True, id="char2-F2"),
+    pytest.param(q2_pair(QQ), False, id="q2-Q"),
+    pytest.param(q2_pair(GF3), False, id="q2-F3"),
+])
+def test_ad_action_matrix_single_inversion(pair, full_samples):
     """Column i of ad_action_matrix(g) is ad_coords(g^-1, i), and it satisfies
     g Y_i = (sum_j a[j][i] Y_j) g in the regular representation.  Points come
     from gl_full, from its even factors and from the even group; a full
     sample whose odd part moves Y_i out of the odd span must be rejected by
-    both definitions."""
+    both definitions.  On q(2), where each rho(Y_i) has two nonzeros, so
+    that conj_grid sums over them, the points are the even group's: a
+    block-diagonal point off diag(g, g) moves the odd span."""
     rng = random.Random(31)
     A = GrassmannAlgebra(pair.field, 3)
     full = gl_full(*pair.shape)
     rejected = 0
     for _ in range(3):
-        g = full.sample(A, rng)
-        for point in (g, gl_split(g)[0], pair.even_group.sample(A, rng)):
+        if full_samples:
+            g = full.sample(A, rng)
+            points = (g, gl_split(g)[0], pair.even_group.sample(A, rng))
+        else:
+            g, points = None, [pair.even_group.sample(A, rng) for _ in range(3)]
+        for point in points:
             try:
                 a = ad_elements(pair, point)
             except SpanViolation:
@@ -283,7 +297,7 @@ def test_ad_action_matrix_single_inversion(pair):
                 assert [a[j][i] for j in range(pair.d_minus)] == pair.ad_coords(smat_inv(point), i)
                 lhs, rhs = _ad_sides(pair, point, a, i)
                 assert lhs == rhs
-    assert rejected
+    assert rejected or not full_samples
 
 
 # ---------------------------------------------------------------------------

@@ -166,11 +166,11 @@ _CK_ALGEBRAS = {
 @pytest.mark.parametrize("coeffs", list(_CK_ALGEBRAS))
 @pytest.mark.parametrize("pair_name", list(_CK_PAIRS))
 def test_ck_product_matches_lifted_and_regular_products(pair_name, coeffs):
-    """Every form of the c (x) K product ck_grid, with odd c and K = rho(Y_i)
-    and with even c and K = rho(Z) for an even Z, equals the twisted product
-    of the lifted factors and, in the regular representation, the plain
-    k-matrix product (the second reference shares no code with
-    SuperMatrix.__mul__)."""
+    """The left factor of ck_grid, (1 + c (x) K) . m, with odd c and
+    K = rho(Y_i) and with even c and K = rho(Z) for an even Z, equals the
+    twisted product of the lifted factors and, in the regular
+    representation, the plain k-matrix product (the second reference shares
+    no code with SuperMatrix.__mul__)."""
     A, draw = _CK_ALGEBRAS[coeffs]()
     pair = _CK_PAIRS[pair_name](A.field)
     lie, sh = pair.lie, pair.shape
@@ -178,22 +178,8 @@ def test_ck_product_matches_lifted_and_regular_products(pair_name, coeffs):
     I = SuperMatrix.identity(sh, A)
     rng = random.Random(17)
 
-    def ck_product(left, c, nz, right, base=None):
-        """base + left . (c (x) K) . right on supermatrices (None: 1 or 0)."""
-        out = (smat.copy_grid(base.grid) if base is not None
-               else [[{} for _ in range(n)] for _ in range(n)])
-        smat.ck_grid(A.field, sh[0], left and left.grid, c and c.terms, nz, right.grid, out)
-        return smat.wrap_grid(sh, A, out)
-
     def rand_matrix():
         return SuperMatrix(sh, A, [[draw(rng) for _ in range(n)] for _ in range(n)])
-
-    def agree(got, *factors):
-        lifted, regular = factors[0], _rep(factors[0])
-        for f in factors[1:]:
-            lifted, regular = lifted * f, k_matmul_oracle(A.field, regular, _rep(f))
-        assert got == lifted
-        assert _rep(got) == regular
 
     cases = [(draw(rng, 1), lie.rho_odd_nz[i], lie.rho_odd_matrix(i, A))
              for i in range(pair.d_minus)]
@@ -202,17 +188,18 @@ def test_ck_product_matches_lifted_and_regular_products(pair_name, coeffs):
         K = lie.rho_comb(0, z, A)
         cases.append((draw(rng, 0), smat.k_nonzeros(K.body_rows()), K))
     for c, nz, K in cases:
-        m, left, right = rand_matrix(), rand_matrix(), rand_matrix()
-        cK = K.scale(c)
-        agree(ck_product(None, c, nz, m, m), I + cK, m)
-        agree(ck_product(None, c, nz, m), cK, m)
-        agree(ck_product(left, None, nz, right), left, K, right)
+        m = rand_matrix()
+        got = smat.wrap_grid(sh, A, smat.ck_grid(A.field, sh[0], c.terms, nz,
+                                                 smat.copy_grid(m.grid)))
+        lifted = I + K.scale(c)
+        assert got == lifted * m
+        assert _rep(got) == k_matmul_oracle(A.field, _rep(lifted), _rep(m))
 
 
 @pytest.mark.parametrize("field", [QQ, GF3])
 @pytest.mark.parametrize("pair_name", list(_CK_PAIRS))
 def test_in_place_left_factor_matches_regular_representation(pair_name, field):
-    """ck_grid with out = right turns m into (1 + cK) m in place: odd c with
+    """ck_grid turns the grid of m into that of (1 + cK) m in place: odd c with
     K = rho(Y_i), and even c with K = rho(Z) for every Z = Y_i^<2> and
     [Y_i, Y_j] (nonzeros on the diagonal) and every X_a + X_b (on gl(2|1)
     and q(2) some with nonzeros at both (a, b) and (b, a) and none on the
@@ -239,12 +226,29 @@ def test_in_place_left_factor_matches_regular_representation(pair_name, field):
     for c, nz, K in cases:
         m = SuperMatrix(sh, A, [[rand_element(A, rng) for _ in range(n)] for _ in range(n)])
         grid = smat.copy_grid(m.grid)
-        smat.ck_grid(A.field, p, None, c.terms, nz, grid, grid)
+        assert smat.ck_grid(A.field, p, c.terms, nz, grid) is grid
         got = smat.wrap_grid(sh, A, grid)
         assert _rep(got) == k_matmul_oracle(A.field, _rep(I + K.scale(c)), _rep(m))
         read_and_written += bool({a for a, _, _ in nz} & {b for _, b, _ in nz})
         swapped += any(a != b and (b, a) in {(x, y) for x, y, _ in nz} for a, b, _ in nz)
     assert read_and_written >= 1 and (swapped or pair_name == "gl11")
+
+
+@pytest.mark.parametrize("field", [QQ, GF3])
+def test_grid_mul_rejects_accumulating_into_its_right_factor(field):
+    """grid_mul(xs, ys, out) reads the rows of ys while it writes out, so
+    out = ys would read rows already written: it raises StructuralError and
+    leaves ys as it was.  Into a copy of ys it gives ys + xs.ys."""
+    A = GrassmannAlgebra(field, 3)
+    rng = random.Random(29)
+    G = gl_full(2, 1)
+    x, y = G.sample(A, rng), G.sample(A, rng)
+    ys = smat.copy_grid(y.grid)
+    with pytest.raises(StructuralError):
+        smat.grid_mul(field, 2, x.grid, ys, ys)
+    assert ys == y.grid
+    got = smat.grid_mul(field, 2, x.grid, ys, smat.copy_grid(ys))
+    assert smat.wrap_grid(y.shape, A, got) == y + x * y
 
 
 def test_shape_mismatch_raises():
