@@ -15,10 +15,11 @@ through gl_bracket/gl_2op on supermatrices, an independent cross-check.
 LieSuperalgebraData.relations() lists the defining relations (brackets and
 2-operation on the basis) once; every homomorphism check reads that list:
 rho here, omega in gp.PairMorphism.check, and the one relation loop over
-action tables, broken_relations, one sum per relation over every key at
-once.  That loop checks the wedge(g_1) action in verify.check_module_axioms
-and the adjoint action here, which is graded Jacobi (c) and
-[z^<2>, x] = [z, [z, x]] (f).
+action tables, broken_relations, which builds each ordered product of two
+tables once and checks each relation as one sum of those products and the
+flattened tables.  That loop checks the wedge(g_1) action in
+verify.check_module_axioms and the adjoint action here, which is graded
+Jacobi (c) and [z^<2>, x] = [z, [z, x]] (f).
 
 The module also hosts the exterior module wedge(g_1) with its straightening
 action: the induced module from the trivial even representation, in the PBW
@@ -246,6 +247,9 @@ class LieSuperalgebraData:
         has right and sign None.  The right-hand side is the element with
         k-coordinates coords in the basis of that parity.  Order: [X_a,X_b]
         and [X_a,Y_i] for each a, then [Y_i,Y_j] and (Y_i^<2>) for each i.
+        Each ordered pair appears once, so [X_a,X_b] and [X_b,X_a] (and
+        [Y_i,Y_j] and [Y_j,Y_i]) are both listed and share their two
+        products xy and yx.
         """
         minus, one = self.field.from_int(-1), self.field.from_int(1)
         for a in range(self.d_plus):
@@ -268,33 +272,38 @@ class LieSuperalgebraData:
         value; keys are all the basis keys, and every key in a table is one
         of them.  The action respects [x,y] when that of [x,y] is
         x.y + sign.y.x, and (Y^<2>) when that of Y^<2> is the squared action
-        of Y.  Each relation is one sum over the tables' nonzero rows, the
-        entry k of the key m accumulating at m << shift | k.
+        of Y.  Each table is flattened once, its entry k on the key m at
+        m << shift | k, and each ordered product P_xy = x.y is built once,
+        on first use, over the nonzero entries of y's table.  A relation is
+        then one sum into a copy of P_xy (P_xx for a square): sign.P_yx for
+        a bracket, then -c_b times the flat table of each b on the right.
         """
         f = self.field
         shift = max(keys, default=0).bit_length()
-        acc = {}
-        for name, (px, x), right, sign, (parity, coords) in self.relations():
-            tx = tables[px][x]
-            ty = tx if right is None else tables[right[0]][right[1]]
-            # x.y + sign.y.x - (the right-hand side), on every key m at once
-            for m in keys:
-                for mid, c in ty[m].items():
-                    if row := tx[mid]:
-                        add_into(f, acc, c, row, m << shift)
-                if right is not None:
-                    for mid, c in tx[m].items():
-                        if row := ty[mid]:
-                            add_into(f, acc, f.mul(sign, c), row, m << shift)
+        mask = (1 << shift) - 1
+        flat = [[{m << shift | k: v for m in keys for k, v in t[m].items()} for t in ts]
+                for ts in tables]
+        products = {}
+
+        def product(x, y):
+            """P_xy: x.(y.m) at m << shift | k, shared by both orders' relations."""
+            if (p := products.get((x, y))) is None:
+                p = products[x, y] = {}
+                tx = tables[x[0]][x[1]]
+                for key, c in flat[y[0]][y[1]].items():
+                    if row := tx[key & mask]:
+                        add_into(f, p, c, row, key & ~mask)
+            return p
+
+        for name, x, right, sign, (parity, coords) in self.relations():
+            acc = dict(product(x, right or x))
+            if right is not None:
+                add_into(f, acc, sign, product(right, x))
             for b, c in enumerate(coords):
                 if c:
-                    c, table = f.neg(c), tables[parity][b]
-                    for m in keys:
-                        if row := table[m]:
-                            add_into(f, acc, c, row, m << shift)
+                    add_into(f, acc, f.neg(c), flat[parity][b])
             if acc:
-                yield name, (px, x), right, min(acc) >> shift
-                acc.clear()
+                yield name, x, right, min(acc) >> shift
 
     # -- straightening kernel over k (wedge(g_1): keys are the masks S) -------
 

@@ -17,7 +17,11 @@ of the compiled group law (gl(1|7)); past 8, 2pq >= 2(p + q - 1) >= 16.  The
 largest pair the tests use is gl(4|2) (p + q = 6), the fixtures use gl(1|1)
 and gl(2|1), and the planned catalogue stays within 8: osp(1|2) has
 p + q = 3, q(n) and p(n) have p + q = 2n with d_minus = n^2 (law up to
-n = 3), and sl(m|n) is bounded as gl(m|n) is.
+n = 3), and sl(m|n) is bounded as gl(m|n) is.  A constants-kind lie
+fixture has no shape to bound, so its basis is capped instead:
+d_plus + d_minus <= MAX_BLOCK_SIZE ** 2 = 64, the largest basis of a
+matrices-kind fixture (gl(p|q) has (p + q)^2 elements), checked before any
+table is read.  check_axioms grows about as the cube of that dimension.
 """
 
 from __future__ import annotations
@@ -166,6 +170,8 @@ def load_lie(obj, where="lie") -> LieSuperalgebraData:
                             "ee", "eo", "oo", "q2"], ["rho", "shape"], where)
         if not all(_is_int(obj[k]) and obj[k] >= 0 for k in ("d_plus", "d_minus")):
             raise SchemaError(f"{where}: d_plus and d_minus must be non-negative integers")
+        if (d := obj["d_plus"] + obj["d_minus"]) > MAX_BLOCK_SIZE ** 2:
+            raise SchemaError(f"{where}: d_plus + d_minus = {d} exceeds {MAX_BLOCK_SIZE ** 2}")
         shape = _shape(obj["shape"], where) if "shape" in obj else None
 
         def table(key):

@@ -98,6 +98,29 @@ def test_check_liesuper_malformed_constants_exit_2(tmp_path, capsys, key, value)
     assert code == 2 and "schema error" in err and "Traceback" not in err
 
 
+def test_check_liesuper_constants_past_64_exit_2(tmp_path, capsys):
+    """A constants-kind basis is capped at MAX_BLOCK_SIZE ** 2 = 64, the
+    largest basis of a matrices-kind fixture, before any table is read:
+    the tables of this 33 + 32 fixture are the 2 + 2 ones of tampered_lie."""
+    with open(fx("tampered_lie.json")) as fh:
+        doc = json.load(fh)
+    doc.update(d_plus=33, d_minus=32)
+    p = tmp_path / "large.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(["check-liesuper", str(p)], capsys)
+    assert code == 2 and "d_plus + d_minus = 65 exceeds 64" in err
+    assert "Traceback" not in err
+
+
+def test_load_lie_reads_constants_at_64():
+    """The cap admits a basis of exactly 64: 32 + 32, all constants 0."""
+    table = [[["0"] * 32] * 32] * 32
+    lie = serialize.load_lie({"schema": 1, "field": "Q", "kind": "constants", "d_plus": 32,
+                              "d_minus": 32, "ee": table, "eo": table, "oo": table,
+                              "q2": table[0]})
+    assert (lie.d_plus, lie.d_minus) == (32, 32)
+
+
 @pytest.mark.parametrize("key,index", [("even", 0), ("odd", 1)])
 def test_check_liesuper_generator_size_mismatch_exit_2(tmp_path, capsys, key, index):
     """A generator that is not (p+q)x(p+q) is a schema error, caught before

@@ -28,7 +28,9 @@ from superpoints import (
     q2_pair,
     word_action,
 )
-from superpoints.liesuper import parity_pattern_ok, straighten_action, trivial_action
+from superpoints import liesuper
+from superpoints.liesuper import (_basis_elements, _bracket, parity_pattern_ok,
+                                   straighten_action, trivial_action)
 from superpoints.sampling import rand_odd
 from superpoints.serialize import load_lie, load_pair, loads
 from superpoints.verify import check_module_axioms
@@ -259,7 +261,31 @@ def test_building_and_checking_gl21_count_their_multiplications(monkeypatch):
     assert calls[0] <= 114
     calls[0] = 0
     assert check_module_axioms(lie).ok
-    assert calls[0] <= 1481
+    assert calls[0] <= 1265
+
+
+def test_relation_checks_count_their_sparse_sums(monkeypatch):
+    """Deterministic add_into counts on gl(2|1) over Q: one cold
+    check_module_axioms (the straightening tables it fills, then
+    broken_relations) and check_axioms, whose only sparse sums in liesuper
+    are its adjoint relation pass.  broken_relations builds each of the
+    (d_plus + d_minus)^2 ordered products of two tables once, over the
+    nonzero entries of the right factor, and adds each right-hand-side
+    table once per relation, not once per key."""
+    calls = [0]
+    real = liesuper.add_into
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(liesuper, "add_into", counted)
+    lie = gl_lie(2, 1, QQ)
+    assert check_module_axioms(lie).ok
+    assert calls[0] <= 653
+    calls[0] = 0
+    assert check_axioms(lie).ok
+    assert calls[0] <= 325
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3])
@@ -480,6 +506,82 @@ def test_broken_relations_name_the_least_failing_key():
     got = list(lie.broken_relations(tables, keys))
     assert got == _broken_per_key(lie, tables, keys)
     assert {key for *_, key in got} == {1, 4, 5, 8, 9}, got
+
+
+def _wedge_tables(lie):
+    """The wedge(g_1) action tables of lie, each row a copy, and their keys."""
+    keys = range(1 << lie.d_minus)
+    return keys, ([[dict(lie.even_action_basis(a, m)) for m in keys] for a in range(lie.d_plus)],
+                  [[dict(lie.odd_action(i, m)) for m in keys] for i in range(lie.d_minus)])
+
+
+def _adjoint_tables(lie):
+    """check_axioms' adjoint tables: the key of X_a is a, of Y_i d_plus + i."""
+    basis = [(p, v) for p, v, _ in _basis_elements(lie)]
+
+    def ad(x):
+        rows = [_bracket(lie, x, y) for y in basis]
+        return [{pb * lie.d_plus + t: c for t, c in enumerate(b) if c} for pb, b in rows]
+
+    return range(len(basis)), tuple([ad(x) for x in basis if x[0] == p] for p in (0, 1))
+
+
+@pytest.mark.parametrize("tables_of,lie_of", [
+    (_wedge_tables, lambda: gl_lie(1, 1, QQ)),
+    (_wedge_tables, lambda: gl_lie(2, 1, QQ)),
+    (_wedge_tables, lambda: q2_pair(QQ).lie),
+    (_wedge_tables, lambda: q2_pair(GF3).lie),
+    (_wedge_tables, lambda: char2_pair(GF2).lie),
+    (_adjoint_tables, lambda: gl_lie(2, 1, QQ)),
+    (_adjoint_tables, lambda: q2_pair(GF3).lie),
+    (_adjoint_tables, lambda: char2_pair(GF2).lie),
+], ids=["wedge-gl11", "wedge-gl21", "wedge-q2-Q", "wedge-q2-F3", "wedge-char2",
+        "ad-gl21", "ad-q2-F3", "ad-char2"])
+def test_broken_relations_match_the_per_key_loop(tables_of, lie_of):
+    """On sound tables nothing is broken; after each seeded single-entry
+    corruption (an added key, a removed key, an added key on the basis key
+    0 and, off F_2, a changed value) broken_relations reports what the
+    per-key loop reports, in the same order.  A corruption may leave a
+    module (on char2_pair's adjoint tables, dropping [Y1,X1] does), but
+    some corruption of each set breaks a relation."""
+    lie = lie_of()
+    f = lie.field
+    keys, tables = tables_of(lie)
+    assert list(lie.broken_relations(tables, keys)) == []
+    rng = random.Random(2026)
+    cells = [(p, i, m, k) for p, ts in enumerate(tables) for i, t in enumerate(ts)
+             for m in keys for k in keys]
+    entries = [c for c in cells if c[3] in tables[c[0]][c[1]][c[2]]]
+    holes = [c for c in cells if c not in entries]
+    nonzero = sorted({f.from_int(s) for s in range(1, 5)} - {f.from_int(0)})
+    edits = [("added", rng.choice(holes)), ("removed", rng.choice(entries)),
+             ("added", rng.choice([c for c in holes if c[2] == 0]))]
+    if len(nonzero) > 1:  # over F_2 every entry is 1: no value can change
+        edits.append(("changed", rng.choice(entries)))
+    broken = []
+    for kind, (p, i, m, k) in edits:
+        row = tables[p][i][m]
+        old = dict(row)
+        if kind == "removed":
+            del row[k]
+        else:
+            row[k] = rng.choice([v for v in nonzero if v != row.get(k)])
+        got = list(lie.broken_relations(tables, keys))
+        assert got == _broken_per_key(lie, tables, keys), (kind, p, i, m, k)
+        broken += got
+        row.clear()
+        row.update(old)
+    assert broken
+
+
+def test_broken_relations_see_a_corruption_only_the_square_breaks():
+    """Over F_2 with one odd direction, [Y1,Y1] is twice the square product,
+    so an extra vacuum term in Y1.Ybar_1 breaks (Y1^<2>) alone, at key 0."""
+    lie = char2_pair(GF2).lie
+    keys, tables = _wedge_tables(lie)
+    tables[1][0][1][0] = GF2.from_int(1)
+    got = list(lie.broken_relations(tables, keys))
+    assert got == _broken_per_key(lie, tables, keys) == [("(Y1^<2>)", (1, 0), None, 0)]
 
 
 def test_exterior_dimension():
