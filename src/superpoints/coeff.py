@@ -260,7 +260,7 @@ class PrimeField(Field):
         return self.p
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return other is self or (isinstance(other, PrimeField) and other.p == self.p)
 
     def __hash__(self):
         return hash(("F", self.p))
@@ -375,7 +375,7 @@ class GrassmannAlgebra:
 
     def __eq__(self, other):
         # SuperNumbers(k) is Lambda_1 over k: equal, and their elements mix
-        return (
+        return other is self or (
             isinstance(other, GrassmannAlgebra)
             and other.field == self.field
             and other.rank == self.rank

@@ -224,8 +224,9 @@ class NormalForm:
         for e in etas:
             if e.algebra is not algebra and e.algebra != algebra:
                 raise StructuralError("eta over the wrong algebra")
-            if not (e.is_zero() or e.is_odd()):
-                raise StructuralError("etas must be odd or zero")
+            for m in e.terms:
+                if not m.bit_count() & 1:
+                    raise StructuralError("etas must be odd or zero")
         if g_plus.algebra is not algebra and g_plus.algebra != algebra:
             raise StructuralError("even factor over the wrong algebra")
         pair.even_group.require_member(g_plus, "normal form even factor")
@@ -276,9 +277,12 @@ class NormalForm:
     def tokens(self):
         """The factors (1 + eta_i Y_i) with eta_i != 0, then g_plus unless it
         is 1 (a ``FormTok``, which hands on the Ad the form carries): the
-        tokens of the word this normal form spells."""
-        toks = [OddTok(i, e) for i, e in enumerate(self.etas) if not e.is_zero()]
-        if self.g_plus.grid != identity_grid(self.algebra.field, self.g_plus.size):
+        tokens of the word this normal form spells; g_plus = 1 is tested
+        entry by entry, with no grid built."""
+        toks = [OddTok(i, e) for i, e in enumerate(self.etas) if e.terms]
+        one = {0: self.algebra.field.from_int(1)}
+        if any(x != one if i == j else x
+               for i, row in enumerate(self.g_plus.grid) for j, x in enumerate(row)):
             toks.append(FormTok(self))
         return tuple(toks)
 
@@ -539,33 +543,39 @@ class GroupLaw:
     its terms linear in the second block, and its x_{d+j} part is the law of
     ``law_words(pair)[j]``.  So sigma_i = xi_i + sum_j S_ji(xi) r_j and
     c = 1 + sum_a u_a rho(X_a) with u_a = sum_j z_ja(xi) r_j.  The law keeps
-    sigma and z, each polynomial as (mask, raw) pairs over x_1..x_d; z is
-    the x_{d+1}-tail of each law word's even factor, solved in span
-    rho(g_0) at compile by one exact solve per word (a nonzero residual
-    would be an internal breach, InvariantBreach).  Any two u's multiply to
-    0, so Ad(c) = 1 + sum_a u_a ad(X_a) on g_1 is read off the bracket
-    table (tang-group identities (a) and (f)): the law inverts nothing.
+    sigma and z; z is the x_{d+1}-tail of each law word's even factor,
+    solved in span rho(g_0) at compile by one exact solve per word (a
+    nonzero residual would be an internal breach, InvariantBreach).  Each
+    distinct polynomial, as (mask, raw) pairs over x_1..x_d, is kept once
+    in the list ``polys`` (5 behind 12 uses on gl(2|1), 9 behind 15 on
+    q(2)), and sigma[j] and z[j] hold (target, index): a step evaluates
+    each polynomial once, into a list slot.  Any two u's multiply to 0, so
+    Ad(c) = 1 + sum_a u_a ad(X_a) on g_1 is read off the bracket table
+    (tang-group identities (a) and (f)): the law inverts nothing.
     """
 
     def __init__(self, pair):
         self.lie = pair.lie
         top = 1 << pair.d_minus
         solve = k_solve_matrix(pair.field, [_flat(m) for m in pair.lie.rho_even])
-        self.sigma, self.z = [], []
+        self.sigma, self.z, index = [], [], {}  # index: polynomial -> its place in polys
         for word in law_words(pair):
             nf = normal_form(word)
             z = solve([_tail(x, top) for row in nf.g_plus.grid for x in row], terms=True)
             if z is None:
                 raise InvariantBreach("a law word's even correction left span rho(g_0)")
-            self.sigma.append([(i, tuple(t.items())) for i, e in enumerate(nf.etas)
-                               if (t := _tail(e.terms, top))])
-            self.z.append([(a, tuple(t.items())) for a, t in enumerate(z) if t])
+            self.sigma.append([(i, index.setdefault(tuple(t.items()), len(index)))
+                               for i, e in enumerate(nf.etas) if (t := _tail(e.terms, top))])
+            self.z.append([(a, index.setdefault(tuple(t.items()), len(index)))
+                           for a, t in enumerate(z) if t])
+        self.polys = list(index)
 
     def _step(self, field, xi, r):
         """sigma and u (c = 1 + sum_a u_a rho(X_a)) at (xi, r), on term
         dicts: each sum accumulates in place by ``mac``."""
         mono = {0: {0: field.from_int(1)}}
-        values = {}
+        polys = self.polys
+        values = [None] * len(polys)
 
         def monomial(m):
             x = mono.get(m)
@@ -574,11 +584,11 @@ class GroupLaw:
                 x = mono[m] = mac(field, {}, xi[low.bit_length() - 1], monomial(m ^ low))
             return x
 
-        def at(poly):  # the caller multiplies by r_j: x^mask x_{d+1} -> xi^mask r_j
-            v = values.get(poly)
+        def at(k):  # the caller multiplies by r_j: x^mask x_{d+1} -> xi^mask r_j
+            v = values[k]
             if v is None:
-                v = values[poly] = {}
-                for m, raw in poly:
+                v = values[k] = {}
+                for m, raw in polys[k]:
                     add_into(field, v, raw, monomial(m))
             return v
 
@@ -587,10 +597,10 @@ class GroupLaw:
         for j, rj in enumerate(r):
             if not rj:
                 continue
-            for i, p in self.sigma[j]:
-                mac(field, sigma[i], at(p), rj)
-            for a, p in self.z[j]:
-                mac(field, u[a], at(p), rj)
+            for i, k in self.sigma[j]:
+                mac(field, sigma[i], at(k), rj)
+            for a, k in self.z[j]:
+                mac(field, u[a], at(k), rj)
         return sigma, u
 
     def fold(self, algebra, xi, runs, grid):

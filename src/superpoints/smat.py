@@ -38,8 +38,10 @@ Row/column parity: |i| = 0 for i < p, |i| = 1 otherwise.  A matrix is
 *even-homogeneous* when entry (i,j) is homogeneous of parity |i|+|j| (the
 membership pattern of GL(p|q)(A) points), *odd-homogeneous* when parities
 are flipped.  ``GroupDescriptor.member`` is the one membership test of a
-group point: the shape, this pattern, then the group's cell pattern and
-invertibility.
+group point: the shape, this pattern, the group's cell pattern, then the
+body's diagonal blocks; the pattern leaves the off-diagonal blocks odd, so
+the body is block-diagonal, and invertible exactly when each diagonal block
+is.
 """
 
 from __future__ import annotations
@@ -142,8 +144,9 @@ class SuperMatrix:
         for i, row in enumerate(self.grid):
             for j, x in enumerate(row):
                 parity = ((i < p) != (j < p)) ^ shift
-                if any(m.bit_count() & 1 != parity for m in x):
-                    return False
+                for m in x:
+                    if m.bit_count() & 1 != parity:
+                        return False
         return True
 
     def is_even_homogeneous(self):
@@ -450,7 +453,10 @@ class GroupDescriptor:
 
     ``member`` is the one membership test of the package: the block shape,
     the even entry-parity pattern of GL(p|q) points (``is_even_homogeneous``),
-    the zero cells, the tied cells, then invertibility.
+    the zero cells, the tied cells, then ``k_reduce`` on the body of each
+    nonempty diagonal block.  The parity pattern leaves only odd terms off
+    the diagonal blocks, so the body is block-diagonal, and invertible
+    exactly when each of those blocks is.
     membership(identity) must hold; closure under product/inverse is checked
     by the test-suite on samples, never assumed.
     """
@@ -472,14 +478,21 @@ class GroupDescriptor:
         self._even = [(i, j) for i, j in first.values() if (i < p) == (j < p)]
         self._odd = [(i, j) for i, j in first.values() if (i < p) != (j < p)]
         self.tangent_dim = len(first)
+        self._blocks = [range(a, b) for a, b in ((0, p), (p, n)) if a < b]
 
     def member(self, m: SuperMatrix) -> bool:
         if m.shape != self.shape or not m.is_even_homogeneous():
             return False
         grid = m.grid
-        return (all(not grid[i][j] for i, j in self._zeros)
-                and all(grid[i][j] == grid[a][b] for (i, j), (a, b) in self._ties)
-                and is_invertible(m))
+        if any(grid[i][j] for i, j in self._zeros) or \
+                any(grid[i][j] != grid[a][b] for (i, j), (a, b) in self._ties):
+            return False
+        field = m.algebra.field
+        zero = field.from_int(0)
+        for b in self._blocks:
+            if not k_reduce(field, [[grid[i][j].get(0, zero) for j in b] for i in b], len(b)):
+                return False
+        return True
 
     def require_member(self, m: SuperMatrix, context=""):
         if not self.member(m):

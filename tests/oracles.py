@@ -6,12 +6,16 @@ the sign oracle counts transpositions on explicit index lists, the
 subalgebra oracle enumerates spanning monomials, the regular
 representation turns supermatrices into plain k-matrices, and the axiom
 oracle runs graded Jacobi and [z^<2>,x] = [z,[z,x]] as explicit loops over
-basis triples and probes.
+basis triples and probes.  The membership oracle is the one exception: it
+is ``GroupDescriptor.member`` as first written, with the whole body reduced
+at once, the reference for the test that reduces it by blocks.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from superpoints.smat import is_invertible
 
 
 # -- exterior product sign, by explicit sorted-merge ---------------------------
@@ -317,3 +321,19 @@ def jacobi_and_square_oracle(lie):
         return False
 
     return jacobi_fails(), square_fails()
+
+
+# -- group membership, every check over the whole matrix ---------------------------
+
+
+def member_oracle(group, m):
+    """Whether m is a point of the group descriptor, by its first
+    definition: the shape, the even entry-parity pattern on every cell
+    (``is_even_homogeneous``), the zero cells, the tied cells, then
+    ``is_invertible`` on the whole body."""
+    if m.shape != group.shape or not m.is_even_homogeneous():
+        return False
+    grid = m.grid
+    return (all(not grid[i][j] for i, j in group._zeros)
+            and all(grid[i][j] == grid[a][b] for (i, j), (a, b) in group._ties)
+            and is_invertible(m))

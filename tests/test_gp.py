@@ -1031,6 +1031,63 @@ def test_apply_normal_form_acts_by_its_tokens(monkeypatch, p, q, field):
     assert checks == []
 
 
+def _fresh_tokens(nf):
+    """The tokens of nf computed from scratch: (1 + eta_i Y_i) for each
+    nonzero eta_i, then g_plus unless it equals the identity matrix."""
+    toks = [("odd", i, e) for i, e in enumerate(nf.etas) if not e.is_zero()]
+    if nf.g_plus != SuperMatrix.identity(nf.g_plus.shape, nf.algebra):
+        toks.append(("even", nf.g_plus))
+    return toks
+
+
+def _described(tokens):
+    return [(t.kind, t.index, t.eta) if t.kind == "odd" else (t.kind, t.matrix) for t in tokens]
+
+
+@pytest.mark.parametrize("field", [QQ, GF3])
+def test_tokens_match_a_fresh_computation(monkeypatch, field):
+    """Every read of a form's tokens returns the same tokens, equal to a
+    fresh computation (kinds, indices, etas, matrix), with the even factor
+    a FormTok of the form exactly when g_plus is not 1, on forms made
+    outside the law, on 1 + one soul term, and on law results; reading
+    them builds no identity grid."""
+    pair = gl_pair(2, 1, field)
+    A = GrassmannAlgebra(field, 4)
+    rng = random.Random(56)
+    nfs = [normal_form(random_word(pair, A, rng, 5)) for _ in range(4)]
+    one = NormalForm.identity(pair, A)
+    rows = [list(r) for r in pair.identity_matrix(A).rows]
+    rows[0][0] = A.one() + A.monomial([1, 2], 1)
+    soul = NormalForm(pair, A, [A.zero()] * pair.d_minus, SuperMatrix(pair.shape, A, rows))
+    forms = [one, soul] + nfs + [gp_mul(a, b) for a in nfs for b in nfs] + \
+        [gp_inv(a) for a in nfs] + [gp_mul(a, gp_inv(a)) for a in nfs]
+    built, real = [], smat.identity_grid
+
+    def read_tokens(nf):
+        with monkeypatch.context() as m:
+            for mod in (smat, gp):
+                m.setattr(mod, "identity_grid", lambda *args: built.append(args) or real(*args))
+            return nf.tokens
+
+    for nf in forms:
+        toks = read_tokens(nf)
+        assert _described(toks) == _described(read_tokens(nf)) == _fresh_tokens(nf)
+        assert _described(nf.to_word().tokens) == _fresh_tokens(nf) and built == []
+        assert all(type(t) is gp.FormTok and t.form is nf for t in toks if t.kind == "even")
+    assert [len(f.tokens) for f in forms[:2]] == [0, 1]
+    assert [f.tokens for f in forms[-len(nfs):]] == [()] * len(nfs)
+
+
+@pytest.mark.parametrize("pair,count", [(gl_pair(2, 1, GF3), 5), (q2_pair(QQ), 9)],
+                         ids=["gl21", "q2"])
+def test_group_law_keeps_each_polynomial_once(pair, count):
+    """The compiled law keeps each distinct polynomial of sigma and z once,
+    and sigma and z refer to them by index."""
+    law = group_law(pair)
+    assert len(law.polys) == len(set(law.polys)) == count
+    assert {k for uses in law.sigma + law.z for _, k in uses} == set(range(count))
+
+
 def test_induced_faithful_on_samples(pair11):
     rng = random.Random(18)
     A = GrassmannAlgebra(QQ, 3)

@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, no function or
 class of the package goes unnamed outside its definition, every name the
-benchmark's tracer wraps exists and is reached by the workloads' ops, and
-only coeff and sampling import fractions.
+benchmark's tracer wraps exists and is reached by the workloads' ops, only
+coeff and sampling import fractions, and every slot of a normal form or a
+supermatrix is bound on every path that makes one.
 
 Scans ``src/superpoints/*.py`` (except ``__init__.py``, whose imports are
 the package's exports) and ``tests/*.py`` with ``ast``: every name an
@@ -16,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from superpoints import normal_form
+from superpoints import (GF3, GrassmannAlgebra, NormalForm, SuperMatrix, gl_pair, gp_inv, gp_mul,
+                         normal_form, smat)
+from superpoints.verify import random_word
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for p in (ROOT / "src" / "superpoints").glob("*.py")
@@ -165,3 +168,24 @@ def test_fractions_imported_only_by_coeff_and_sampling():
     """Rational arithmetic runs in coeff.RationalField alone: besides coeff,
     only the sampler, which draws Fraction literals, imports fractions."""
     assert importers_of("fractions") == {"coeff.py", "sampling.py"}
+
+
+def test_every_slot_is_bound_on_every_construction_path():
+    """Each __slots__ name of NormalForm and SuperMatrix holds a value on
+    every path that makes one: NormalForm(...), NormalForm.identity, the
+    law's products and inverses, SuperMatrix(...) and smat.wrap_grid.  A
+    slot filled on first read (_ad, _g_inv) that a path forgot
+    would otherwise raise AttributeError only at that read."""
+    pair = gl_pair(2, 1, GF3)
+    A = GrassmannAlgebra(GF3, 3)
+    rng = random.Random(7)
+    a, b = (normal_form(random_word(pair, A, rng, 4)) for _ in range(2))
+    made = {
+        SuperMatrix: [SuperMatrix(pair.shape, A, a.g_plus.rows),
+                      smat.wrap_grid(pair.shape, A, smat.identity_grid(GF3, 3))],
+        NormalForm: [NormalForm(pair, A, a.etas, a.g_plus), NormalForm.identity(pair, A),
+                     gp_mul(a, b), gp_inv(a)],
+    }
+    for cls, objs in made.items():
+        for obj in objs:
+            assert [name for name in cls.__slots__ if not hasattr(obj, name)] == [], cls

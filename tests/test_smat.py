@@ -38,7 +38,7 @@ from superpoints.smat import BUILTIN_GROUPS, dual_probe, matrix_units
 from superpoints.sampling import rand_element, rand_even_unit, rand_k_vector
 from superpoints.verify import suite_tang_group
 
-from .oracles import k_matmul_oracle, supermatrix_rep_oracle
+from .oracles import k_matmul_oracle, member_oracle, supermatrix_rep_oracle
 from .support import rand_dual
 
 
@@ -681,6 +681,88 @@ def test_member_checks_zero_and_tied_cells():
     rows[0][1] = A.from_int(1)  # an even entry off the torus' diagonal
     off = SuperMatrix((2, 1), A, rows)
     assert gl_block_diag(2, 1).member(off) and not diagonal_torus(2, 1).member(off)
+
+
+_ORACLE_GROUPS = [make(*shape) for make in BUILTIN_GROUPS.values()
+                  for shape in [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2)]] + [_GROUPS["q2"]]
+
+
+def _tied(G, cell):
+    """The cell and every cell tied to it: the cells of one label."""
+    first = dict(G._ties).get(cell, cell)
+    return [first] + [c for c, f in G._ties if f == first]
+
+
+def _corruptions(G, g):
+    """(kind, matrix, whether it is a point) for one change of each kind
+    that applies to G: each keeps the other checks passing, so only the
+    check it names can reject it."""
+    A, field, (p, _) = g.algebra, g.algebra.field, g.shape
+    one, n = field.from_int(1), sum(g.shape)
+    odd, even_soul = {1: one}, {0b11: one}  # x1 and x1 x2
+
+    def edit(cells, change):
+        grid = smat.copy_grid(g.grid)
+        for i, j in cells:
+            grid[i][j] = change(grid[i][j])
+        return smat.wrap_grid(g.shape, A, grid)
+
+    def plus(extra):
+        return lambda x: add_into(field, dict(x), one, extra)
+
+    def no_body(x):
+        return {m: c for m, c in x.items() if m}
+
+    def singular(blocks):  # the first row of each block loses its body
+        return edit({c for b in blocks for j in b for c in _tied(G, (b.start, j))}, no_body)
+
+    out = [("sample", g, True),
+           ("odd term in an even cell", edit(_tied(G, (n - 1, n - 1)), plus(odd)), False),
+           ("soul-only change", edit(_tied(G, (n - 1, n - 1)), plus(even_soul)), True),
+           ("body singular in every block", singular(G._blocks), False)]
+    if G.name.startswith("GL(") and 0 < p < n:
+        out.append(("even term in an odd cell", edit([(0, p)], plus(even_soul)), False))
+    if G._zeros:
+        i, j = G._zeros[0]
+        out.append(("filled zero cell",
+                    edit([(i, j)], plus(odd if (i < p) != (j < p) else even_soul)), False))
+    if G._ties:
+        out.append(("broken tie", edit([G._ties[0][0]], plus(even_soul)), False))
+    elif len(G._blocks) == 2:
+        out += [("body singular in one block", singular([b]), False) for b in G._blocks]
+    return out
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=str)
+def test_member_matches_the_whole_body_oracle(field, rank):
+    """member, which reduces the body block by block, gives
+    member_oracle's verdict (parity on every cell, the whole body reduced
+    at once) on samples of the four builtin groups at five shapes and of
+    q(2)'s diag(g, g), and on one corruption of each kind."""
+    rng = random.Random(rank)
+    A = GrassmannAlgebra(field, rank)
+    seen = set()
+    for G in _ORACLE_GROUPS:
+        for _ in range(2):
+            for kind, m, point in _corruptions(G, G.sample(A, rng)):
+                assert G.member(m) == member_oracle(G, m) == point, (G, kind)
+                seen.add(kind)
+    assert len(seen) == 8
+
+
+@pytest.mark.parametrize("pair,sizes", [(gl_pair(1, 1, GF3), [1, 1]),
+                                        (gl_pair(2, 1, GF3), [2, 1]), (q2_pair(QQ), [2, 2])],
+                         ids=["gl11", "gl21", "q2"])
+def test_member_reduces_each_diagonal_block_once(monkeypatch, pair, sizes):
+    """One membership test runs k_reduce once per nonempty diagonal block
+    of the body, on that block alone."""
+    G = pair.even_group
+    g = G.sample(GrassmannAlgebra(pair.field, 3), random.Random(9))
+    calls, real = [], smat.k_reduce
+    monkeypatch.setattr(smat, "k_reduce", lambda field, a, m: calls.append(m) or real(field, a, m))
+    assert G.member(g)
+    assert calls == sizes
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 2), (3, 2)])
