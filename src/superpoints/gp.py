@@ -785,7 +785,7 @@ class PairMorphism:
             return p, omega((we, wo)[p], (xs, ys)[p][k])
 
         # Lie superalgebra morphism on the defining relations
-        for name, x, y, _, (parity, coords) in src.lie.relations():
+        for name, x, y, _, (parity, coords), _ in src.lie.relations():
             got = (tgt.lie.two_op(image(x)[1]) if y is None
                    else _bracket(tgt.lie, image(x), image(y))[1])
             if omega((we, wo)[parity], coords) != got:

@@ -10,13 +10,17 @@ from_matrices reads the constants off homogeneous k-matrices over the raw
 base field: k-scalars are even, so brackets and squares are plain matrix
 products, with no SuperMatrix and no coefficient algebra.  They run on the
 generators' nonzeros, as do the solves (smat.k_solve_matrix): over a
-Chevalley-type basis most constants are 0.  check_axioms recomputes them
-through gl_bracket/gl_2op on supermatrices, an independent cross-check.
-LieSuperalgebraData.relations() lists the defining relations (brackets and
-2-operation on the basis) once; every homomorphism check reads that list:
-rho here, omega in gp.PairMorphism.check, and the one relation loop over
-action tables, broken_relations, which builds each ordered product of two
-tables once and checks each relation as one sum of those products and the
+Chevalley-type basis most constants are 0.  Graded antisymmetry,
+[x,y] = -(-1)^{|x||y|} [y,x], is exact for matrix (anti)commutators, so
+each bracket is computed once per unordered pair.  check_axioms recomputes
+them through gl_bracket/gl_2op on supermatrices, an independent
+cross-check.  LieSuperalgebraData.relations() lists the defining relations
+(brackets and 2-operation on the basis) once, each [y,x] that holds or
+breaks with [x,y] by graded antisymmetry marked as its twin; every
+homomorphism check reads that list: rho here, omega in
+gp.PairMorphism.check, and the one relation loop over action tables,
+broken_relations, which builds each ordered product of two tables once and
+checks each relation without a twin as one sum of those products and the
 flattened tables.  That loop checks the wedge(g_1) action in
 verify.check_module_axioms and the adjoint action here, which is graded
 Jacobi (c) and [z^<2>, x] = [z, [z, x]] (f).
@@ -239,7 +243,7 @@ class LieSuperalgebraData:
     # -- the defining relations ---------------------------------------------
     def relations(self):
         """Each defining relation of g on the basis, once, as
-        (name, left, right, sign, (parity, coords)).
+        (name, left, right, sign, (parity, coords), twin).
 
         left and right are basis elements (parity, index), X_a = (0, a) and
         Y_i = (1, i).  A bracket [x,y] = xy + sign.yx has the raw k-value
@@ -248,19 +252,39 @@ class LieSuperalgebraData:
         k-coordinates coords in the basis of that parity.  Order: [X_a,X_b]
         and [X_a,Y_i] for each a, then [Y_i,Y_j] and (Y_i^<2>) for each i.
         Each ordered pair appears once, so [X_a,X_b] and [X_b,X_a] (and
-        [Y_i,Y_j] and [Y_j,Y_i]) are both listed and share their two
-        products xy and yx.
+        [Y_i,Y_j] and [Y_j,Y_i]) are both listed.
+
+        twin applies graded antisymmetry, for every reader.  The left side
+        of [y,x] is sign times that of [x,y]; when its constants are sign
+        times theirs too, the two hold or break together, on the same keys
+        of any module, and twin of [y,x] is the name of the earlier [x,y].
+        [X_a,X_a] is its own twin: its products cancel, so it holds when
+        ee[a][a] acts as 0.  Otherwise twin is None, also on both sides of
+        a pair whose constants break antisymmetry.
         """
-        minus, one = self.field.from_int(-1), self.field.from_int(1)
+        f = self.field
+        minus, one = f.from_int(-1), f.from_int(1)
+
+        def bracket(p, table, a, b):
+            """[X_a,X_b] (p = 0, table ee) or [Y_a,Y_b] (p = 1, table oo)."""
+            x = "XY"[p]
+            name = f"[{x}{a + 1},{x}{b + 1}]"
+            twin = None
+            if a == b and not p:
+                twin = name
+            elif a > b and table[a][b] == (table[b][a] if p else tuple(map(f.neg, table[b][a]))):
+                twin = f"[{x}{b + 1},{x}{a + 1}]"
+            return name, (p, a), (p, b), (one if p else minus), (0, table[a][b]), twin
+
         for a in range(self.d_plus):
             for b in range(self.d_plus):
-                yield f"[X{a + 1},X{b + 1}]", (0, a), (0, b), minus, (0, self.ee[a][b])
+                yield bracket(0, self.ee, a, b)
             for i in range(self.d_minus):
-                yield f"[X{a + 1},Y{i + 1}]", (0, a), (1, i), minus, (1, self.eo[a][i])
+                yield f"[X{a + 1},Y{i + 1}]", (0, a), (1, i), minus, (1, self.eo[a][i]), None
         for i in range(self.d_minus):
             for j in range(self.d_minus):
-                yield f"[Y{i + 1},Y{j + 1}]", (1, i), (1, j), one, (0, self.oo[i][j])
-            yield f"(Y{i + 1}^<2>)", (1, i), None, None, (0, self.q2[i])
+                yield bracket(1, self.oo, i, j)
+            yield f"(Y{i + 1}^<2>)", (1, i), None, None, (0, self.q2[i]), None
 
     def broken_relations(self, tables, keys):
         """The defining relations that a module's action tables break, each
@@ -277,13 +301,16 @@ class LieSuperalgebraData:
         on first use, over the nonzero entries of y's table.  A relation is
         then one sum into a copy of P_xy (P_xx for a square): sign.P_yx for
         a bracket, then -c_b times the flat table of each b on the right.
+        A relation with a twin (``relations()``) sums nothing: it has its
+        twin's least key, or none.  [X_a,X_a], its own twin, builds no
+        product, since P_aa - P_aa = 0: its sum is the right side's alone.
         """
         f = self.field
         shift = max(keys, default=0).bit_length()
         mask = (1 << shift) - 1
         flat = [[{m << shift | k: v for m in keys for k, v in t[m].items()} for t in ts]
                 for ts in tables]
-        products = {}
+        products, least = {}, {}
 
         def product(x, y):
             """P_xy: x.(y.m) at m << shift | k, shared by both orders' relations."""
@@ -295,15 +322,21 @@ class LieSuperalgebraData:
                         add_into(f, p, c, row, key & ~mask)
             return p
 
-        for name, x, right, sign, (parity, coords) in self.relations():
-            acc = dict(product(x, right or x))
-            if right is not None:
-                add_into(f, acc, sign, product(right, x))
-            for b, c in enumerate(coords):
-                if c:
-                    add_into(f, acc, f.neg(c), flat[parity][b])
-            if acc:
-                yield name, x, right, min(acc) >> shift
+        for name, x, right, sign, (parity, coords), twin in self.relations():
+            if twin in least:
+                key = least[twin]
+            else:
+                acc = {}
+                if twin is None:
+                    acc.update(product(x, right or x))
+                    if right is not None:
+                        add_into(f, acc, sign, product(right, x))
+                for b, c in enumerate(coords):
+                    if c:
+                        add_into(f, acc, f.neg(c), flat[parity][b])
+                key = least[name] = min(acc) >> shift if acc else None
+            if key is not None:
+                yield name, x, right, key
 
     # -- straightening kernel over k (wedge(g_1): keys are the masks S) -------
 
@@ -521,10 +554,18 @@ def _check_rho(lie, rep):
             rep.fail(f"rho(Y{i + 1}) is not odd-homogeneous")
     if len(rep.failures) > before:
         return
-    for name, (px, x), right, _, (parity, coords) in lie.relations():
-        got = (gl_2op(rho[px][x]) if right is None
-               else gl_bracket(rho[px][x], rho[right[0]][right[1]]))
-        if got != lie.rho_comb(parity, coords, k0):
+    # a twin (relations()) holds when its twin does; [X_a,X_a] compares the
+    # lift of ee[a][a] with 0, as a constants fixture's rho need not be faithful
+    held = {}
+    for name, (px, x), right, _, (parity, coords), twin in lie.relations():
+        if twin in held:
+            ok = held[twin]
+        else:
+            want = lie.rho_comb(parity, coords, k0)
+            ok = held[name] = (want.is_zero() if twin else want == (
+                gl_2op(rho[px][x]) if right is None
+                else gl_bracket(rho[px][x], rho[right[0]][right[1]])))
+        if not ok:
             rep.fail(f"rho{name} mismatch")
 
 
@@ -538,22 +579,30 @@ def from_matrices(p, q, evens, odds, field) -> LieSuperalgebraData:
     evens/odds are raw k-matrix rows.  k-scalars are even, so the
     bracket [A,B] = AB - (-1)^{|A||B|} BA and the square Y.Y of an odd Y are
     plain products of raw k-matrices: no coefficient algebra is involved.
-    Each product visits the nonzeros of its factors, the right one's by
-    row, and a bracket accumulates both products into one flat vector.
-    Each span is row-reduced once by smat.k_solve_matrix; a bracket or
-    square is solved against it and checked exactly against the generators,
-    and one that leaves the span raises ClosureViolation naming it.  The
-    odd solver stays on the result as its ``odd_solver``.
+    Each generator is read once, as its rows' nonzeros, and the homogeneity
+    check and every product visit those alone (the right factor's by row);
+    a bracket accumulates both products into one flat vector.  Graded
+    antisymmetry is exact for matrix (anti)commutators, so only [X_a,X_b]
+    for a < b and [Y_i,Y_j] for i <= j are computed: ee[b][a] = -ee[a][b],
+    ee[a][a] = 0 and oo[j][i] = oo[i][j].  Each span is row-reduced once by
+    smat.k_solve_matrix; a bracket or square is solved against it and
+    checked exactly against the generators, and the first that leaves the
+    span (ee, eo, oo, q2, row by row) raises ClosureViolation naming it:
+    [x_b,x_a] fails with [x_a,x_b], so that is the first of all ordered
+    pairs.  The odd solver stays on the result as its ``odd_solver``.
     """
     n = p + q
-    for parity, mats in ((0, evens), (1, odds)):
+    # each generator as its rows' nonzeros, [(column, value), ...] per row
+    ev, od = [], []
+    for parity, mats, out in ((0, evens, ev), (1, odds, od)):
         name = ("even", "odd")[parity]
         for m in mats:
             if len(m) != n or any(len(r) != n for r in m):
                 raise StructuralError("entry grid does not match block shape")
-            if any(v and ((i < p) != (j < p)) != parity
-                   for i, r in enumerate(m) for j, v in enumerate(r)):
+            rows = [[(c, v) for c, v in enumerate(row) if v] for row in m]
+            if any(((r < p) != (c < p)) != parity for r, row in enumerate(rows) for c, _ in row):
                 raise StructuralError(f"an {name} generator is not {name}-homogeneous")
+            out.append(rows)
 
     solvers = [k_solve_matrix(field, [_flat(m) for m in mats]) for mats in (evens, odds)]
     zero = field.from_int(0)
@@ -566,10 +615,6 @@ def from_matrices(p, q, evens, odds, field) -> LieSuperalgebraData:
             left = "left the" if (evens, odds)[parity] else "is nonzero with empty"
             raise ClosureViolation(f"{what} {left} {('even', 'odd')[parity]} span")
         return tuple(c)
-
-    # each generator as its rows' nonzeros, [(column, value), ...] per row
-    ev, od = ([[[(c, v) for c, v in enumerate(row) if v] for row in m] for m in mats]
-              for mats in (evens, odds))
 
     def product(a, b, sign=0):
         """ab + sign.ba (sign 1 or -1, or 0 for ab alone) as one flat vector."""
@@ -584,12 +629,22 @@ def from_matrices(p, q, evens, odds, field) -> LieSuperalgebraData:
                         out[k] = field.add(out[k], field.mul(v, w))
         return out
 
-    ee = [[coords(product(x, x2, -1), f"[X{a + 1},X{b + 1}]", 0)
-           for b, x2 in enumerate(ev)] for a, x in enumerate(ev)]
+    def brackets(gens, sign, letter):
+        """The table [g_a,g_b] = g_a g_b + sign.g_b g_a in the even span,
+        computed for a <= b: [g_b,g_a] = sign.[g_a,g_b], and [X_a,X_a] = 0."""
+        table = [[None] * len(gens) for _ in gens]
+        for a, x in enumerate(gens):
+            for b in range(a, len(gens)):
+                c = ((zero,) * len(ev) if a == b and sign < 0 else
+                     coords(product(x, gens[b], sign), f"[{letter}{a + 1},{letter}{b + 1}]", 0))
+                table[b][a] = c if sign > 0 else tuple(map(field.neg, c))
+                table[a][b] = c
+        return table
+
+    ee = brackets(ev, -1, "X")
     eo = [[coords(product(x, y, -1), f"[X{a + 1},Y{i + 1}]", 1)
            for i, y in enumerate(od)] for a, x in enumerate(ev)]
-    oo = [[coords(product(y, y2, 1), f"[Y{i + 1},Y{j + 1}]", 0)
-           for j, y2 in enumerate(od)] for i, y in enumerate(od)]
+    oo = brackets(od, 1, "Y")
     q2 = [coords(product(y, y), f"Y{i + 1}^<2>", 0) for i, y in enumerate(od)]
     return LieSuperalgebraData(field, len(evens), len(odds), ee, eo, oo, q2, shape=(p, q),
                                rho_even=list(evens), rho_odd=list(odds), odd_solver=solvers[1])

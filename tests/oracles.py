@@ -4,11 +4,13 @@ These deliberately share no code with the production kernels: the
 straightening oracle rewrites words in the free algebra symbol by symbol,
 the sign oracle counts transpositions on explicit index lists, the
 subalgebra oracle enumerates spanning monomials, the regular
-representation turns supermatrices into plain k-matrices, and the axiom
-oracle runs graded Jacobi and [z^<2>,x] = [z,[z,x]] as explicit loops over
-basis triples and probes.  The membership oracle is the one exception: it
-is ``GroupDescriptor.member`` as first written, with the whole body reduced
-at once, the reference for the test that reduces it by blocks.
+representation turns supermatrices into plain k-matrices, the
+structure-constant oracle brackets every ordered pair of raw k-matrices by
+dense products and a dense solve, and the axiom oracle runs graded Jacobi
+and [z^<2>,x] = [z,[z,x]] as explicit loops over basis triples and probes.
+The membership oracle is the one exception: it is ``GroupDescriptor.member``
+as first written, with the whole body reduced at once, the reference for
+the test that reduces it by blocks.
 """
 
 from __future__ import annotations
@@ -236,6 +238,46 @@ def k_matmul_oracle(field, x, y):
                         acc[k] = field.add(acc[k], field.mul(c, w))
         out.append(acc)
     return out
+
+
+def _gauss_coords_oracle(field, columns, vec):
+    """The coordinates of vec in the span of the independent columns, by
+    plain Gauss-Jordan elimination on the dense rows [columns | vec]."""
+    m = len(columns)
+    rows = [list(r) + [v] for r, v in zip(zip(*columns), vec)] if m else [[v] for v in vec]
+    for col in range(m):
+        piv = next(i for i in range(col, len(rows)) if rows[i][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = field.inv(rows[col][col])
+        rows[col] = [field.mul(inv, x) for x in rows[col]]
+        for i, row in enumerate(rows):
+            if i != col and row[col]:
+                g = row[col]
+                rows[i] = [field.add(x, field.neg(field.mul(g, y)))
+                           for x, y in zip(row, rows[col])]
+    assert not any(r[m] for r in rows[m:]), "the vector left the span"
+    return tuple(r[m] for r in rows[:m])
+
+
+def structure_constants_oracle(field, evens, odds):
+    """(ee, eo, oo, q2) of the span of the raw k-matrices evens and odds:
+    every ordered pair bracketed on its own, ab + sign.ba from two dense
+    products (k_matmul_oracle), with no use of graded antisymmetry, and
+    solved by _gauss_coords_oracle."""
+    spans = [[[v for row in m for v in row] for m in mats] for mats in (evens, odds)]
+
+    def solve(parity, a, b, sign=None):
+        """coordinates of ab + sign.ba (of ab when sign is None)."""
+        flat = [v for row in k_matmul_oracle(field, a, b) for v in row]
+        if sign is not None:
+            ba = [v for row in k_matmul_oracle(field, b, a) for v in row]
+            flat = [field.add(x, field.mul(field.from_int(sign), y)) for x, y in zip(flat, ba)]
+        return _gauss_coords_oracle(field, spans[parity], flat)
+
+    return (tuple(tuple(solve(0, x, y, -1) for y in evens) for x in evens),
+            tuple(tuple(solve(1, x, y, -1) for y in odds) for x in evens),
+            tuple(tuple(solve(0, x, y, 1) for y in odds) for x in odds),
+            tuple(solve(0, y, y) for y in odds))
 
 
 # -- axioms (c) and (f) by explicit loops ----------------------------------------

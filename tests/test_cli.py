@@ -613,6 +613,17 @@ def test_normal_form_matches_committed_golden(capsys, monkeypatch):
     assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize("name,code", [("gl11_lie", 0), ("tampered_lie", 1),
+                                       ("flipped_bracket_lie", 1)])
+def test_check_liesuper_matches_committed_golden(name, code, capsys):
+    """check-liesuper --json on each lie fixture is byte for byte the
+    committed golden, with its exit code: a relation check that drops or
+    adds a failure cannot pass."""
+    got, out, _ = run(["check-liesuper", fx(f"{name}.json"), "--json"], capsys)
+    with open(os.path.join(FIXTURES, "golden", f"check_liesuper_{name}.json")) as fh:
+        assert (got, out) == (code, fh.read())
+
+
 def test_verify_suite_pass(capsys):
     code, out, _ = run(["verify", "pbw", "--seed", "1"], capsys)
     assert code == 0 and "PASS" in out

@@ -33,10 +33,11 @@ from superpoints.liesuper import (_basis_elements, _bracket, parity_pattern_ok,
                                    straighten_action, trivial_action)
 from superpoints.sampling import rand_odd
 from superpoints.serialize import load_lie, load_pair, loads
+from superpoints.smat import matrix_units
 from superpoints.verify import check_module_axioms
 
 from .oracles import (even_monomial_action_oracle, jacobi_and_square_oracle,
-                      k_matmul_oracle, odd_monomial_action_oracle)
+                      odd_monomial_action_oracle, structure_constants_oracle)
 from .support import trivial_module
 
 
@@ -226,6 +227,29 @@ def test_from_matrices_closure_violation():
                       [kmat(f, [[0, 1], [1, 0]])], f)
 
 
+def test_from_matrices_names_the_first_bracket_leaving_the_span():
+    """gl(2|1) over Q with one generator dropped: from_matrices computes
+    [x_b,x_a] from [x_a,x_b] (a < b), and a failing pair fails on both
+    sides, so the bracket it names is the first failing one of all ordered
+    pairs, in the order ee, eo, oo, q2."""
+    units = matrix_units((2, 1), QQ)
+    evens = [rows for rows, parity in units if not parity]
+    odds = [rows for rows, parity in units if parity]
+    got = []
+    for parity, gens in enumerate((evens, odds)):
+        for k in range(len(gens)):
+            kept = [m for t, m in enumerate(gens) if t != k]
+            with pytest.raises(ClosureViolation) as exc:
+                from_matrices(2, 1, *((kept, odds) if parity == 0 else (evens, kept)), QQ)
+            got.append(str(exc.value))
+    assert got == [
+        "[X1,X2] left the even span", "[Y1,Y4] left the even span",
+        "[Y2,Y3] left the even span", "[X2,X3] left the even span",
+        "[Y1,Y3] left the even span", "[X2,Y1] left the odd span",
+        "[X3,Y1] left the odd span", "[X3,Y3] left the odd span",
+        "[X2,Y3] left the odd span"]
+
+
 def test_gl_lie_makes_no_supermatrix_product(monkeypatch):
     """The structure constants are computed over raw k: no SuperMatrix
     product, so check_axioms' rho check (gl_bracket and gl_2op, which do
@@ -245,33 +269,47 @@ def test_gl_lie_makes_no_supermatrix_product(monkeypatch):
 
 
 def test_building_and_checking_gl21_count_their_multiplications(monkeypatch):
-    """Deterministic op counts of a cold gl(2|1) over Q: the QQ.mul calls
-    of gl_lie (its two row reductions scale no pivot row by 1 and update
-    only at the pivot row's nonzeros) and of one check_module_axioms on the
-    fresh algebra (which fills its straightening tables) do not grow."""
-    calls = [0]
-    real = QQ.mul
+    """Deterministic op counts of a cold gl(2|1) over Q: gl_lie brackets
+    each pair once up to graded antisymmetry, 10 [X_a,X_b] (a < b), 20
+    [X_a,Y_i], 10 [Y_i,Y_j] (i <= j) and 4 squares, each solved once; its
+    QQ.mul calls (its two row reductions scale no pivot row by 1 and update
+    only at the pivot row's nonzeros) and those of one check_module_axioms
+    on the fresh algebra (which fills its straightening tables) do not
+    grow."""
+    calls, solves = [0], [0]
+    real, real_solver = QQ.mul, liesuper.k_solve_matrix
 
     def counted(a, b):
         calls[0] += 1
         return real(a, b)
 
+    def counted_solver(*args):
+        solve = real_solver(*args)
+
+        def counted_solve(*vector):
+            solves[0] += 1
+            return solve(*vector)
+        return counted_solve
+
     monkeypatch.setattr(QQ, "mul", counted)
+    monkeypatch.setattr(liesuper, "k_solve_matrix", counted_solver)
     lie = gl_lie(2, 1, QQ)
-    assert calls[0] <= 114
+    assert solves[0] == 44
+    assert calls[0] <= 48
     calls[0] = 0
     assert check_module_axioms(lie).ok
-    assert calls[0] <= 1265
+    assert calls[0] <= 1010
 
 
 def test_relation_checks_count_their_sparse_sums(monkeypatch):
     """Deterministic add_into counts on gl(2|1) over Q: one cold
     check_module_axioms (the straightening tables it fills, then
     broken_relations) and check_axioms, whose only sparse sums in liesuper
-    are its adjoint relation pass.  broken_relations builds each of the
-    (d_plus + d_minus)^2 ordered products of two tables once, over the
-    nonzero entries of the right factor, and adds each right-hand-side
-    table once per relation, not once per key."""
+    are its adjoint relation pass.  broken_relations builds each ordered
+    product of two tables that a relation without a twin reads once, over
+    the nonzero entries of the right factor, adds each right-hand-side
+    table once per such relation, not once per key, and sums nothing for
+    a twin."""
     calls = [0]
     real = liesuper.add_into
 
@@ -282,10 +320,10 @@ def test_relation_checks_count_their_sparse_sums(monkeypatch):
     monkeypatch.setattr(liesuper, "add_into", counted)
     lie = gl_lie(2, 1, QQ)
     assert check_module_axioms(lie).ok
-    assert calls[0] <= 653
+    assert calls[0] <= 590
     calls[0] = 0
     assert check_axioms(lie).ok
-    assert calls[0] <= 325
+    assert calls[0] <= 276
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3])
@@ -300,55 +338,19 @@ def test_from_matrices_constants_pass_the_rho_oracle(field):
         assert check_axioms(char2_pair(field).lie).ok
 
 
-def _gauss_coords(field, columns, vec):
-    """The coordinates of vec in the span of the independent columns, by
-    plain Gauss-Jordan elimination on the dense rows [columns | vec]."""
-    m = len(columns)
-    rows = [list(r) + [v] for r, v in zip(zip(*columns), vec)] if m else [[v] for v in vec]
-    for col in range(m):
-        piv = next(i for i in range(col, len(rows)) if rows[i][col])
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = field.inv(rows[col][col])
-        rows[col] = [field.mul(inv, x) for x in rows[col]]
-        for i, row in enumerate(rows):
-            if i != col and row[col]:
-                g = row[col]
-                rows[i] = [field.add(x, field.neg(field.mul(g, y)))
-                           for x, y in zip(row, rows[col])]
-    assert not any(r[m] for r in rows[m:]), "the vector left the span"
-    return tuple(r[m] for r in rows[:m])
-
-
-def _dense_constants(field, evens, odds):
-    """(ee, eo, oo, q2) of the span of the k-matrices evens and odds, from
-    dense products (k_matmul_oracle) and _gauss_coords."""
-    spans = [[[v for row in m for v in row] for m in mats] for mats in (evens, odds)]
-
-    def solve(parity, a, b, sign=None):
-        """coordinates of ab + sign.ba (of ab when sign is None)."""
-        flat = [v for row in k_matmul_oracle(field, a, b) for v in row]
-        if sign is not None:
-            ba = [v for row in k_matmul_oracle(field, b, a) for v in row]
-            flat = [field.add(x, field.mul(field.from_int(sign), y)) for x, y in zip(flat, ba)]
-        return _gauss_coords(field, spans[parity], flat)
-
-    return (tuple(tuple(solve(0, x, y, -1) for y in evens) for x in evens),
-            tuple(tuple(solve(1, x, y, -1) for y in odds) for x in evens),
-            tuple(tuple(solve(0, x, y, 1) for y in odds) for x in odds),
-            tuple(solve(0, y, y) for y in odds))
-
-
 @pytest.mark.parametrize("field", [QQ, GF2, GF3])
 def test_from_matrices_matches_a_dense_reference(field):
-    """The sparse products and solver of from_matrices give the constants of
-    dense products and a dense Gauss solve, on every gl(p|q) with
-    p + q <= 4, on q(2) and, in characteristic 2, on char2_pair."""
+    """The sparse products and solver of from_matrices, which bracket each
+    pair once up to graded antisymmetry, give the constants of the
+    all-pairs oracle (dense products of every ordered pair and a dense
+    Gauss solve), on every gl(p|q) with p + q <= 4, on q(2) and, in
+    characteristic 2, on char2_pair."""
     lies = [gl_lie(p, q, field) for p in range(5) for q in range(5 - p) if p + q]
     lies.append(q2_pair(field).lie)
     if field.characteristic == 2:
         lies.append(char2_pair(field).lie)
     for lie in lies:
-        assert (lie.ee, lie.eo, lie.oo, lie.q2) == _dense_constants(
+        assert (lie.ee, lie.eo, lie.oo, lie.q2) == structure_constants_oracle(
             field, lie.rho_even, lie.rho_odd), lie.shape
 
 
@@ -474,7 +476,7 @@ def _broken_per_key(lie, tables, keys):
     stopping at the first key in keys order on which the sum is nonzero."""
     f = lie.field
     out = []
-    for name, (px, x), right, sign, (parity, coords) in lie.relations():
+    for name, (px, x), right, sign, (parity, coords), _ in lie.relations():
         tx = tables[px][x]
         ty = tx if right is None else tables[right[0]][right[1]]
         for m in keys:
@@ -582,6 +584,55 @@ def test_broken_relations_see_a_corruption_only_the_square_breaks():
     tables[1][0][1][0] = GF2.from_int(1)
     got = list(lie.broken_relations(tables, keys))
     assert got == _broken_per_key(lie, tables, keys) == [("(Y1^<2>)", (1, 0), None, 0)]
+
+
+def _with_constant_changed(lie, table, a, b, coordinate):
+    """lie with one more unit at coordinate of ee[a][b] (table "ee") or of
+    oo[a][b] (table "oo"), and the same rho."""
+    tables = {"ee": [list(row) for row in lie.ee], "oo": [list(row) for row in lie.oo]}
+    v = list(tables[table][a][b])
+    v[coordinate] = lie.field.add(v[coordinate], lie.field.from_int(1))
+    tables[table][a][b] = tuple(v)
+    return LieSuperalgebraData(lie.field, lie.d_plus, lie.d_minus, tables["ee"], lie.eo,
+                               tables["oo"], lie.q2, shape=lie.shape,
+                               rho_even=lie.rho_even, rho_odd=lie.rho_odd)
+
+
+@pytest.mark.parametrize("table,a,b,name", [
+    ("ee", 2, 1, "[X3,X2]"),
+    ("oo", 2, 0, "[Y3,Y1]"),
+    ("ee", 1, 1, "[X2,X2]"),
+], ids=["ee", "oo", "ee-diagonal"])
+def test_twins_are_reused_only_when_the_constants_agree(table, a, b, name):
+    """gl(2|1)'s constants with one side of a transposed pair changed
+    (ee[2][1] = -ee[1][2] + X5, oo[2][0] = oo[0][2] + X2) break graded
+    antisymmetry on that pair: on gl(2|1)'s own wedge(g_1) and adjoint
+    tables the changed side alone is broken, as the per-key loop finds, and
+    rho names it alone.  So is [X2,X2] with ee[1][1] = X5, whose products
+    cancel: rho(X5) != 0 is compared, not skipped."""
+    sound = gl_lie(2, 1, QQ)
+    bad = _with_constant_changed(sound, table, a, b, 4 if table == "ee" else 1)
+    for keys, tables in (_wedge_tables(sound), _adjoint_tables(sound)):
+        got = list(bad.broken_relations(tables, keys))
+        assert got == _broken_per_key(bad, tables, keys)
+        assert [n for n, *_ in got] == [name]
+    failures = check_axioms(bad).failures
+    assert [m for m in failures if m.startswith("rho")] == [f"rho{name} mismatch"]
+
+
+def test_a_broken_twin_pair_is_named_twice_with_one_key():
+    """An extra term in X1.Ybar_1 of gl(2|1) breaks [X1,X2], [X1,X3] and
+    [Y1,Y3] and their twins: each twin is named at its own place in the
+    relation order, with the least key of its pair, as the per-key loop
+    finds."""
+    lie = gl_lie(2, 1, QQ)
+    keys, tables = _wedge_tables(lie)
+    tables[0][0][1][1] = QQ.from_int(2)
+    got = list(lie.broken_relations(tables, keys))
+    assert got == _broken_per_key(lie, tables, keys)
+    least = {name: key for name, *_, key in got}
+    for pair in (("[X1,X2]", "[X2,X1]"), ("[X1,X3]", "[X3,X1]"), ("[Y1,Y3]", "[Y3,Y1]")):
+        assert pair[0] in least and pair[1] in least and least[pair[0]] == least[pair[1]], pair
 
 
 def test_exterior_dimension():
