@@ -50,6 +50,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
+# check-shcp draws this many group points at most, checked before the
+# fixture is read: 10,000 samples of the gl(1|1) fixture take about 4 s on a
+# 2-core host with Python 3.11
+MAX_SAMPLES = 10_000
+
 
 def _read(path):
     try:
@@ -76,6 +81,8 @@ def cmd_check_liesuper(args):
 def cmd_check_shcp(args):
     if args.samples < 1:  # a run that samples no point verifies nothing
         raise SchemaError(f"--samples: must be at least 1, not {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise SchemaError(f"--samples: {args.samples} exceeds {MAX_SAMPLES}")
     pair = load_pair(loads(_read(args.path), args.path))
     rep = validate_pair(pair, samples=args.samples, seed=args.seed)
     if args.json:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 
-from .coeff import GrassmannAlgebra, GrassmannElement, add_into, dual_numbers
+from .coeff import GrassmannAlgebra, GrassmannElement, dual_numbers, mac
 from .errors import SpanViolation, StructuralError
 from .liesuper import CheckReport, LieSuperalgebraData, check_axioms, from_matrices, gl_lie
 from .smat import (
@@ -45,7 +45,6 @@ from .smat import (
     gl_block_diag,
     gl_full,
     grid_inv,
-    grid_mul,
     matrix_units,
     smat_inv,
 )
@@ -93,20 +92,29 @@ class HarishChandraPair:
 
     def conj_grid(self, left, right, indices=None):
         """conj_coords on grids of term dicts: the coordinates as term dicts.
-        left . rho(Y_i) is summed over the nonzeros of rho(Y_i), never lifted
-        (``coeff.add_into``; raw k-values are even, so nothing twists), then
-        times right (``grid_mul``).  The solver is exact over k applied to
-        algebra entries; a nonzero residual or an odd coordinate raises
-        SpanViolation."""
+        left . rho(Y_i) . right is summed straight into the flat vector the
+        odd solver reads, over the nonzeros (a, b, v) of rho(Y_i), never
+        lifted: entry (r, k) gains (left_ra v) . twist^{|r|+|b|}(right_bk),
+        one ``coeff.mac`` per nonzero left_ra and right_bk.  That is the
+        twisted product by bilinearity, since raw k-values are even, so
+        nothing twists between left and rho(Y_i); no grid of left . rho(Y_i)
+        is built.  The solver is exact over k applied to algebra entries; a
+        nonzero residual or an odd coordinate raises SpanViolation."""
         field, p, n, lie = self.field, self.shape[0], len(left), self.lie
+        one, mul = field.from_int(1), field.mul
         out = []
         for i in range(self.d_minus) if indices is None else indices:
-            lk = [[{} for _ in range(n)] for _ in range(n)]
+            flat = [{} for _ in range(n * n)]
             for a, b, v in lie.rho_odd_nz[i]:
-                for dst, row in zip(lk, left):
-                    add_into(field, dst[b], v, row[a])
-            conj = grid_mul(field, p, lk, right)
-            coords = lie.odd_solver([x for row in conj for x in row], terms=True)
+                rb = [(k, y) for k, y in enumerate(right[b]) if y]
+                for r, row in enumerate(left):
+                    if x := row[a]:
+                        if v != one:
+                            x = {m: mul(c, v) for m, c in x.items()}
+                        twist, base = (r < p) != (b < p), r * n
+                        for k, y in rb:
+                            mac(field, flat[base + k], x, y, twist)
+            coords = lie.odd_solver(flat, terms=True)
             if coords is None:
                 raise SpanViolation(
                     f"the conjugate of Y{i + 1} left the odd span of the pair")

@@ -41,7 +41,10 @@ are flipped.  ``GroupDescriptor.member`` is the one membership test of a
 group point: the shape, this pattern, the group's cell pattern, then the
 body's diagonal blocks; the pattern leaves the off-diagonal blocks odd, so
 the body is block-diagonal, and invertible exactly when each diagonal block
-is.
+is.  Each block is decided by ``k_invertible``, fraction-free elimination
+that builds no inverse; ``k_reduce``, the Gauss-Jordan elimination that
+does, stays under ``k_matrix_inverse``, ``k_solve_matrix`` and
+``is_invertible``.
 """
 
 from __future__ import annotations
@@ -351,6 +354,32 @@ def k_reduce(field, a, m):
     return True
 
 
+def k_invertible(field, a):
+    """Whether the square matrix a (rows of raw k-values) is invertible over
+    k, by elimination below each pivot, in place and fraction-free (Bareiss,
+    Math. Comp. 22, 1968, without the exact division, which only bounds the
+    growth of entries): a row below the pivot row t becomes
+    t_col . row - row_col . t, so no row is normalised, no identity block is
+    appended and nothing is inverted.  False at the first column without a
+    pivot."""
+    n = len(a)
+    for col in range(n):
+        for piv in range(col, n):
+            if a[piv][col]:
+                break
+        else:
+            return False
+        a[col], a[piv] = a[piv], a[col]
+        top = a[col]
+        x = top[col]
+        for row in a[col + 1:]:
+            if g := row[col]:
+                g = field.neg(g)
+                for k in range(col + 1, n):
+                    row[k] = field.add(field.mul(x, row[k]), field.mul(g, top[k]))
+    return True
+
+
 # ---------------------------------------------------------------------------
 # GL(p|q) operations
 
@@ -453,10 +482,11 @@ class GroupDescriptor:
 
     ``member`` is the one membership test of the package: the block shape,
     the even entry-parity pattern of GL(p|q) points (``is_even_homogeneous``),
-    the zero cells, the tied cells, then ``k_reduce`` on the body of each
-    nonempty diagonal block.  The parity pattern leaves only odd terms off
-    the diagonal blocks, so the body is block-diagonal, and invertible
-    exactly when each of those blocks is.
+    the zero cells, the tied cells, then ``k_invertible`` on the body of
+    each nonempty diagonal block, one routine for every block size, which
+    normalises no row and inverts nothing.  The parity pattern leaves only
+    odd terms off the diagonal blocks, so the body is block-diagonal, and
+    invertible exactly when each of those blocks is.
     membership(identity) must hold; closure under product/inverse is checked
     by the test-suite on samples, never assumed.
     """
@@ -490,7 +520,7 @@ class GroupDescriptor:
         field = m.algebra.field
         zero = field.from_int(0)
         for b in self._blocks:
-            if not k_reduce(field, [[grid[i][j].get(0, zero) for j in b] for i in b], len(b)):
+            if not k_invertible(field, [[grid[i][j].get(0, zero) for j in b] for i in b]):
                 return False
         return True
 

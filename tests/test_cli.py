@@ -190,6 +190,24 @@ def test_check_shcp_samples_below_one_exit_2(capsys, samples):
     assert code == 2 and "--samples" in err and "PASS" not in out
 
 
+def test_check_shcp_samples_cap(monkeypatch, capsys):
+    """--samples may be as large as MAX_SAMPLES; one more is a schema error
+    (exit 2), raised before the fixture is read, so the pair is never
+    validated."""
+    from superpoints import cli
+    from superpoints.liesuper import CheckReport
+    asked = []
+    monkeypatch.setattr(cli, "validate_pair",
+                        lambda pair, samples, seed: asked.append(samples) or CheckReport())
+    code, out, _ = run(["check-shcp", fx("gl11_pair.json"), "--samples", str(cli.MAX_SAMPLES)],
+                       capsys)
+    assert code == 0 and out.startswith("PASS") and asked == [cli.MAX_SAMPLES]
+    code, out, err = run(["check-shcp", "no-such-fixture.json",
+                          "--samples", str(cli.MAX_SAMPLES + 1)], capsys)
+    assert code == 2 and out == "" and asked == [cli.MAX_SAMPLES]
+    assert err == f"schema error: --samples: {cli.MAX_SAMPLES + 1} exceeds {cli.MAX_SAMPLES}\n"
+
+
 def test_check_shcp_json(capsys):
     code, out, _ = run(["check-shcp", fx("gl11_pair.json"), "--samples", "8", "--json"], capsys)
     doc = json.loads(out)

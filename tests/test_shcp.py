@@ -2,6 +2,8 @@
 
 import os
 import random
+import re
+import sys
 
 import pytest
 
@@ -34,10 +36,10 @@ from superpoints import (
     smat_inv,
     validate_pair,
 )
-from superpoints import gp, shcp, smat
+from superpoints import coeff, gp, liesuper, shcp, smat
 from superpoints.sampling import rand_even_unit, rand_odd
 from superpoints.shcp import AD_MEMO_SIZE
-from superpoints.smat import dual_probe
+from superpoints.smat import dual_probe, matrix_units
 
 from .oracles import k_matmul_oracle, supermatrix_rep_oracle
 from .support import ad_elements, ad_unstable_pair, invert, negated_eo_pair
@@ -232,6 +234,95 @@ def test_conj_coords_columns_match_ad_matrices():
         assert pair.conj_coords(g, ginv) == [[row[i] for row in a] for i in range(pair.d_minus)]
         assert pair.conj_coords(ginv, g, [3, 1]) == [pair.ad_coords(g, 3), pair.ad_coords(g, 1)]
         assert pair.conj_coords(ginv, g, []) == []
+
+
+def _conj_reference(pair, left, right):
+    """conj_grid's answer from the dense sandwich left * rho(Y_i) * right
+    (``SuperMatrix.__mul__``) solved by the odd solver: the columns, or the
+    text of the SpanViolation met at the first failing column."""
+    lie = pair.lie
+    out = []
+    for i in range(pair.d_minus):
+        m = left * lie.rho_odd_matrix(i, left.algebra) * right
+        coords = lie.odd_solver([x for row in m.grid for x in row], terms=True)
+        if coords is None:
+            return f"the conjugate of Y{i + 1} left the odd span of the pair"
+        if any(mask.bit_count() & 1 for c in coords for mask in c):
+            return f"Ad coordinate of Y{i + 1} is not even"
+        out.append(coords)
+    return out
+
+
+def _gl21_doubled_odds(field):
+    """gl(2|1) with each odd basis matrix E_ij doubled: a pair whose
+    rho(Y_i) has a nonzero other than 1."""
+    units = matrix_units((2, 1), field)
+    two = field.from_int(2)
+    odds = [[[field.mul(two, v) for v in row] for row in rows] for rows, parity in units if parity]
+    lie = from_matrices(2, 1, [rows for rows, parity in units if not parity], odds, field)
+    return HarishChandraPair(gl_block_diag(2, 1), lie)
+
+
+@pytest.mark.parametrize("field", [QQ, GF3], ids=str)
+@pytest.mark.parametrize("make", [lambda f: gl_pair(1, 1, f), lambda f: gl_pair(2, 1, f), q2_pair,
+                                  _gl21_doubled_odds],
+                         ids=["gl11", "gl21", "q2", "gl21-doubled"])
+def test_conj_grid_matches_the_dense_sandwich(field, make):
+    """conj_grid, which sums left . rho(Y_i) . right over the nonzeros of
+    rho(Y_i) straight into the solver's vector, gives the columns of the
+    dense product left * rho(Y_i) * right solved by the odd solver, for
+    unrelated points of the even group (each rho(Y_i) of q(2) has two
+    nonzeros, and of the doubled gl(2|1) a nonzero 2) and for (g, g^-1).  A gl_full left point with odd
+    off-diagonal entries takes a conjugate out of the odd span, and a left
+    point scaled by 1 + x1 gives an odd coordinate: conj_grid raises each
+    SpanViolation where the reference meets it.  So does the odd point
+    u = 1 + x1 rho(Y_1) against u^-1 = 1 - x1 rho(Y_1): on q(2), where
+    rho(Y_1)^2 != 0, u rho(Y_1) u^-1 = rho(Y_1) + 2 x1 rho(Y_1)^2 leaves
+    the span only because of the twist."""
+    pair = make(field)
+    A = GrassmannAlgebra(field, 3)
+    rng = random.Random(61)
+    group, full = pair.even_group, gl_full(*pair.shape)
+    odd_scale = A.one() + A.generator(1)
+    step = pair.lie.rho_odd_matrix(0, A).scale(A.generator(1))
+    one = SuperMatrix.identity(pair.shape, A)
+    cases = [(one + step, one - step)]
+    for _ in range(3):
+        g, h = group.sample(A, rng), group.sample(A, rng)
+        cases += [(g, h), (g, smat_inv(g)), (full.sample(A, rng), h), (g.scale(odd_scale), h)]
+    seen = set()
+    for left, right in cases:
+        expect = _conj_reference(pair, left, right)
+        if isinstance(expect, list):
+            assert pair.conj_grid(left.grid, right.grid) == expect
+            seen.add("columns")
+        else:
+            with pytest.raises(SpanViolation, match=re.escape(expect)):
+                pair.conj_grid(left.grid, right.grid)
+            seen.add("residual" if "odd span" in expect else "odd coordinate")
+    assert seen == {"columns", "residual", "odd coordinate"}
+
+
+def test_cold_ad_sums_no_grid_in_conj_grid(monkeypatch):
+    """One cold ad_action_matrix on a seeded gl(2|1) point over Q: conj_grid
+    itself calls no grid_mul and no add_into, and makes one coeff.mac per
+    nonzero rho(Y_i)_ab, nonzero g_ra and nonzero (g^-1)_bk (counted by
+    the caller's code object, so the inversion's and the solver's own
+    calls are not counted)."""
+    pair = gl_pair(2, 1, QQ)
+    g = pair.even_group.sample(GrassmannAlgebra(QQ, 4), random.Random(12))
+    code = shcp.HarishChandraPair.conj_grid.__code__
+    calls = dict.fromkeys(("grid_mul", "add_into", "mac"), 0)
+    for mod in (coeff, liesuper, smat, shcp, gp):
+        for name in calls:
+            if hasattr(mod, name):
+                def counted(*args, _real=getattr(mod, name), _name=name):
+                    if sys._getframe(1).f_code is code:
+                        calls[_name] += 1
+                    return _real(*args)
+                monkeypatch.setattr(mod, name, counted)
+    pair.ad_action_matrix(g)
+    assert calls == {"grid_mul": 0, "add_into": 0, "mac": 8}
 
 
 def _ad_sides(pair, g, a, i):

@@ -25,8 +25,10 @@ from superpoints import (
     gl_full,
     gl_pair,
     gl_split,
+    gp_mul,
     is_invertible,
     is_odd_unipotent,
+    normal_form,
     q2_pair,
     scalar_torus,
     semidirect_split,
@@ -36,7 +38,7 @@ from superpoints import smat
 from superpoints.coeff import GrassmannElement, add_into
 from superpoints.smat import BUILTIN_GROUPS, dual_probe, matrix_units
 from superpoints.sampling import rand_element, rand_even_unit, rand_k_vector
-from superpoints.verify import suite_tang_group
+from superpoints.verify import random_word, suite_tang_group
 
 from .oracles import k_matmul_oracle, member_oracle, supermatrix_rep_oracle
 from .support import rand_dual
@@ -716,10 +718,21 @@ def _corruptions(G, g):
     def singular(blocks):  # the first row of each block loses its body
         return edit({c for b in blocks for j in b for c in _tied(G, (b.start, j))}, no_body)
 
+    def dependent(b):  # body row b+1 := -(body row b), souls kept: no zero row
+        grid, minus = smat.copy_grid(g.grid), field.neg(one)
+        for j in b:
+            body = field.mul(minus, g.grid[b.start][j].get(0, field.from_int(0)))
+            for i, k in _tied(G, (b.start + 1, j)):
+                grid[i][k] = {**no_body(g.grid[i][k]), **({0: body} if body else {})}
+        return smat.wrap_grid(g.shape, A, grid)
+
     out = [("sample", g, True),
            ("odd term in an even cell", edit(_tied(G, (n - 1, n - 1)), plus(odd)), False),
            ("soul-only change", edit(_tied(G, (n - 1, n - 1)), plus(even_soul)), True),
            ("body singular in every block", singular(G._blocks), False)]
+    wide = [b for b in G._blocks if len(b) > 1 and not any((i, j) in G._zeros for i in b for j in b)]
+    if wide:
+        out.append(("body rank-deficient with no zero row", dependent(wide[0]), False))
     if G.name.startswith("GL(") and 0 < p < n:
         out.append(("even term in an odd cell", edit([(0, p)], plus(even_soul)), False))
     if G._zeros:
@@ -748,21 +761,92 @@ def test_member_matches_the_whole_body_oracle(field, rank):
             for kind, m, point in _corruptions(G, G.sample(A, rng)):
                 assert G.member(m) == member_oracle(G, m) == point, (G, kind)
                 seen.add(kind)
-    assert len(seen) == 8
+    assert len(seen) == 9
+
+
+def _count_block_checks(monkeypatch, field):
+    """Route k_invertible, k_reduce and field.inv through counters: the
+    sizes of the blocks k_invertible is given, and the calls of the other
+    two."""
+    calls = {"k_invertible": [], "k_reduce": 0, "inv": 0}
+    real_check, real_reduce, real_inv = smat.k_invertible, smat.k_reduce, type(field).inv
+
+    def check(field, a):
+        calls["k_invertible"].append(len(a))
+        return real_check(field, a)
+
+    def reduce(*args):
+        calls["k_reduce"] += 1
+        return real_reduce(*args)
+
+    def inv(self, x):
+        calls["inv"] += 1
+        return real_inv(self, x)
+
+    monkeypatch.setattr(smat, "k_invertible", check)
+    monkeypatch.setattr(smat, "k_reduce", reduce)
+    monkeypatch.setattr(type(field), "inv", inv)
+    return calls
 
 
 @pytest.mark.parametrize("pair,sizes", [(gl_pair(1, 1, GF3), [1, 1]),
                                         (gl_pair(2, 1, GF3), [2, 1]), (q2_pair(QQ), [2, 2])],
                          ids=["gl11", "gl21", "q2"])
-def test_member_reduces_each_diagonal_block_once(monkeypatch, pair, sizes):
-    """One membership test runs k_reduce once per nonempty diagonal block
-    of the body, on that block alone."""
+def test_member_checks_each_diagonal_block_once(monkeypatch, pair, sizes):
+    """One membership test runs k_invertible once per nonempty diagonal
+    block of the body, on that block alone, and no k_reduce."""
     G = pair.even_group
     g = G.sample(GrassmannAlgebra(pair.field, 3), random.Random(9))
-    calls, real = [], smat.k_reduce
-    monkeypatch.setattr(smat, "k_reduce", lambda field, a, m: calls.append(m) or real(field, a, m))
+    calls = _count_block_checks(monkeypatch, pair.field)
     assert G.member(g)
-    assert calls == sizes
+    assert calls == {"k_invertible": sizes, "k_reduce": 0, "inv": 0}
+
+
+def test_member_of_a_law_result_inverts_nothing(monkeypatch):
+    """Membership of a seeded gl(2|1) group-law result over Lambda_4(F_3)
+    makes no k_reduce and no field.inv call: each body block is decided
+    by fraction-free elimination."""
+    pair = gl_pair(2, 1, GF3)
+    A, rng = GrassmannAlgebra(GF3, 4), random.Random(2026)
+    a, b = (normal_form(random_word(pair, A, rng, 5)) for _ in range(2))
+    g = gp_mul(a, b).g_plus
+    calls = _count_block_checks(monkeypatch, GF3)
+    assert pair.even_group.member(g)
+    assert calls == {"k_invertible": [2, 1], "k_reduce": 0, "inv": 0}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_k_invertible_agrees_with_k_reduce(data):
+    """k_invertible gives k_reduce's verdict on square k-matrices of size
+    1..5 over Q, F_2 and F_3, with small entries so that singular matrices
+    are common, and on products with a factor whose row is a combination of
+    the others (a zero row at size 1), which are singular."""
+    field = data.draw(st.sampled_from([QQ, GF2, GF3]), label="field")
+    n = data.draw(st.integers(1, 5), label="size")
+    dens = {0: [1, 2, 3], 2: [1], 3: [1, 2]}[field.characteristic]
+
+    def scalar():
+        num, den = data.draw(st.integers(-2, 2)), data.draw(st.sampled_from(dens))
+        return field.mul(field.from_int(num), field.inv(field.from_int(den)))
+
+    def matrix():
+        return [[scalar() for _ in range(n)] for _ in range(n)]
+
+    m = matrix()
+    singular = data.draw(st.booleans(), label="singular factor")
+    if singular:
+        s, r = matrix(), data.draw(st.integers(0, n - 1))
+        zero = field.from_int(0)
+        s[r] = [zero] * n
+        for t in range(n):
+            if t != r:
+                c = scalar()
+                s[r] = [field.add(x, field.mul(c, y)) for x, y in zip(s[r], s[t])]
+        m = k_matmul_oracle(field, *((m, s) if data.draw(st.booleans()) else (s, m)))
+    expect = smat.k_reduce(field, [list(row) for row in m], n)
+    assert smat.k_invertible(field, [list(row) for row in m]) == expect
+    assert not (singular and expect)
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 2), (3, 2)])
