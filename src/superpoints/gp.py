@@ -253,8 +253,8 @@ class NormalForm:
     __hash__ = None
 
     def ad(self):
-        """Ad(g_plus), a[j][i] with Ad(g)(Y_i) = sum_j a[j][i] Y_j, as a grid
-        of term dicts, read only."""
+        """Ad(g_plus) as a grid of term dicts, read only: row i holds the odd
+        coordinates of Ad(g)(Y_i) = sum_j a[i][j] Y_j."""
         ad = self._ad
         if ad is None:
             self._ad, self._g_inv = self.pair.ad_action_matrix(self.g_plus)
@@ -333,15 +333,11 @@ def _division(etas):
 
 def _conjugate_odds(field, odds, ad_matrix):
     """Each odd factor (i, eta) of the list expanded through Ad (a grid of
-    term dicts), on term dicts: the factors (j, eta a[j][i]) of
-    (1 + eta Ad(Y_i)), which commute (all coefficients share the odd factor
-    eta)."""
-    out = []
-    for i, eta in odds:
-        for j, row in enumerate(ad_matrix):
-            if (a := row[i]) and (coeff := mac(field, {}, eta, a)):
-                out.append((j, coeff))
-    return out
+    term dicts, row i the image of Y_i), on term dicts: the factors
+    (j, eta a[i][j]) of (1 + eta Ad(Y_i)), which commute (all coefficients
+    share the odd factor eta)."""
+    return [(j, coeff) for i, eta in odds for j, a in enumerate(ad_matrix[i])
+            if a and (coeff := mac(field, {}, eta, a))]
 
 
 def slide_odds(lie, z, c, odds):
@@ -349,21 +345,22 @@ def slide_odds(lie, z, c, odds):
     Z = sum_a z_a X_a and an even c with c^2 = 0, on term dicts, by the
     bracket table (slide relation, tang-group identity (f)):
     Ad(1 + cZ)(Y_k) = Y_k + c[Z, Y_k], so (k, eta) expands into the factors
-    (j, eta (delta_jk + c sum_a z_a eo[a][k][j])); each column [Z, Y_k] is
-    computed once per call, and only for a factor with eta.c != 0.  A factor
-    with eta.c = 0 passes through as it is, its own dict: odd lists share
-    their dicts and never write into them."""
+    (j, eta (delta_jk + c sum_a z_a eo[a][k][j])); each row [Z, Y_k], the
+    rows eo[a][k] summed, is computed once per call, and only for a factor
+    with eta.c != 0.  A factor with eta.c = 0 passes through as it is, its
+    own dict: odd lists share their dicts and never write into them."""
     field = lie.field
-    cols = {}
+    rows = {}
     out = []
     for k, eta in odds:
         ec = mac(field, {}, eta, c)
         if not ec:
             out.append((k, eta))
             continue
-        if (col := cols.get(k)) is None:
-            col = cols[k] = lie.bracket_eo(z, _unit(field, lie.d_minus, k))
-        for j, v in enumerate(col):
+        if (row := rows.get(k)) is None:
+            row = rows[k] = _vcomb(field, lie.d_minus,
+                                   ((za, lie.eo[a][k]) for a, za in enumerate(z) if za))
+        for j, v in enumerate(row):
             coeff = dict(eta) if j == k else {}
             if v:
                 add_into(field, coeff, v, ec)
@@ -609,21 +606,23 @@ class GroupLaw:
         folds into the odd product and leaves c = 1 + sum_a u_a rho(X_a).
         c applies to the grid G in place one basis element at a time, G <-
         G + u_a rho(X_a) G over the nonzeros of rho(X_a) (``ck_grid``), and
-        Ad(c) = 1 + D, D[l][i] = sum_a eo[a][i][l] u_a from the bracket
-        table, carries the later runs past c.  Both are exact, and c - 1 and
-        D square to zero, because u_a u_b = 0: each u_a is a sum of terms
-        that each carry one r_j of the run, and r_j r_k = 0 in a run.  The
-        caller owns G; xi (elements) and the runs are only read.
-        Returns sigma (xi itself when no run moved anything) and the steps'
-        D in order, from which ``compose_ad`` forms Ad(c_m ... c_1)."""
+        Ad(c) = 1 + D, D[i][l] = sum_a eo[a][i][l] u_a in the bracket
+        table's layout, carries the later runs past c: their rows w, a grid
+        W, become W + W.D (``grid_mul``).  Both are exact, and c - 1 and D
+        square to zero, because u_a u_b = 0: each u_a is a sum of terms that
+        each carry one r_j of the run, and r_j r_k = 0 in a run.  The caller
+        owns G; xi (elements) and the runs are only read.  Returns sigma (xi
+        itself when no run moved anything) and the steps' D in order, from
+        which ``compose_ad`` forms Ad(c_m ... c_1)."""
         lie = self.lie
         if algebra.field != lie.field:
             raise StructuralError("coefficient field differs from the pair's field")
-        field, p = algebra.field, lie.shape[0]
+        field, p, d = algebra.field, lie.shape[0], lie.d_minus
         sigma, steps = [x.terms for x in xi], []
         runs = list(runs)
-        for k, (zeta, w) in enumerate(runs):
-            r = [mac(field, {}, zeta, a) if a else {} for a in w]
+        ws = [w for _, w in runs]  # the rows w, carried past each c so far
+        for k, (zeta, _) in enumerate(runs):
+            r = [mac(field, {}, zeta, a) if a else {} for a in ws[k]]
             if not any(r):
                 continue
             sigma, u = self._step(field, sigma, r)
@@ -631,31 +630,21 @@ class GroupLaw:
             for ua, nz, eo in zip(u, lie.rho_even_nz, lie.eo):
                 if ua:
                     ck_grid(field, p, ua, nz, grid)
-                    for i, col in enumerate(eo):
-                        for l, v in enumerate(col):
+                    for i, row in enumerate(eo):
+                        for l, v in enumerate(row):
                             if v:
-                                add_into(field, ad[l][i], v, ua)
+                                add_into(field, ad[i][l], v, ua)
             steps.append(ad)
-            runs[k + 1:] = [(z, [_row_dot(field, ad[kk], v, dict(x)) for kk, x in enumerate(v)])
-                            for z, v in runs[k + 1:]]
+            ws[k + 1:] = grid_mul(field, d, ws[k + 1:], ad, copy_grid(ws[k + 1:]))
         return ([GrassmannElement(algebra, x) for x in sigma] if steps else xi), steps
 
 
-def _row_dot(field, row, v, acc):
-    """acc += the row (term dicts) applied to the vector v, in place;
-    returns acc."""
-    for a, x in zip(row, v):
-        if a and x:
-            mac(field, acc, a, x)
-    return acc
-
-
 def compose_ad(field, base, steps):
-    """(1 + D_m) ... (1 + D_1) . base for the steps D of ``GroupLaw.fold``:
-    Ad(c_m ... c_1) Ad(g) for base = Ad(g), read only, each step A + D.A
+    """base . (1 + D_1) ... (1 + D_m) for the steps D of ``GroupLaw.fold``:
+    Ad(c_m ... c_1) Ad(g) for base = Ad(g), read only, each step A + A.D
     into a copy of A (``grid_mul``; Ad entries are even, so nothing twists)."""
     for d in steps:
-        base = grid_mul(field, len(base), d, base, copy_grid(base))
+        base = grid_mul(field, len(base), base, d, copy_grid(base))
     return base
 
 
@@ -700,20 +689,18 @@ def gp_mul(nf1: NormalForm, nf2: NormalForm) -> NormalForm:
     the grid of g h, wrapped once as the even factor.  Ad is a group
     homomorphism, so the result's Ad is Ad(c_m)...Ad(c_1) Ad(g) Ad(h),
     composed from the factors' carried Ad and the steps' Ad(c) when first
-    read (``compose_ad``): no inversion and no odd solve."""
+    read (``compose_ad``; as rows, Ad(g) Ad(h) is the grid Ad(h) . Ad(g)):
+    no inversion and no odd solve."""
     if nf1.pair is not nf2.pair or nf1.algebra != nf2.algebra:
         raise StructuralError("normal forms over different groups")
     pair, algebra = nf1.pair, nf1.algebra
     field = algebra.field
-    runs = [(i, z.terms) for i, z in enumerate(nf2.etas) if z.terms]
-    if runs:
-        ad = nf1.ad()
-        runs = [(z, [row[i] for row in ad]) for i, z in runs]
+    runs = [(z.terms, nf1.ad()[i]) for i, z in enumerate(nf2.etas) if z.terms]
     grid = grid_mul(field, pair.shape[0], nf1.g_plus.grid, nf2.g_plus.grid)
     etas, steps = group_law(pair).fold(algebra, nf1.etas, runs, grid)
     out = NormalForm(pair, algebra, etas, wrap_grid(pair.shape, algebra, grid))
     depth = 1 + max(_held(nf1), _held(nf2))
-    out._ad = _Pending(lambda: grid_mul(field, pair.d_minus, nf1.ad(), nf2.ad()), steps, depth)
+    out._ad = _Pending(lambda: grid_mul(field, pair.d_minus, nf2.ad(), nf1.ad()), steps, depth)
     return out
 
 
@@ -723,8 +710,8 @@ def gp_inv(nf: NormalForm) -> NormalForm:
     per form), Ad(g^-1)Y_i is read off g^-1 rho(Y_i) g for the i with
     xi_i != 0 only, and the descending runs fold through the pair's law
     from P(0) into a copy of g^-1.  The result's Ad, Ad(c_m)...Ad(c_1)
-    Ad(g^-1), is composed when first read, every column of Ad(g^-1) read
-    off the same conjugates (odd solves, no inversion)."""
+    Ad(g^-1), is composed when first read, every row of Ad(g^-1) read off
+    the same conjugates (odd solves, no inversion)."""
     pair, algebra = nf.pair, nf.algebra
     field = algebra.field
     ginv, g = nf.g_inv(), nf.g_plus.grid
@@ -734,7 +721,7 @@ def gp_inv(nf: NormalForm) -> NormalForm:
     grid = copy_grid(ginv)
     etas, steps = group_law(pair).fold(algebra, [algebra.zero()] * pair.d_minus, runs, grid)
     out = NormalForm(pair, algebra, etas, wrap_grid(pair.shape, algebra, grid))
-    out._ad = _Pending(lambda: [list(r) for r in zip(*pair.conj_grid(ginv, g))], steps, 1)
+    out._ad = _Pending(lambda: pair.conj_grid(ginv, g), steps, 1)
     return out
 
 

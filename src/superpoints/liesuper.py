@@ -462,8 +462,7 @@ def check_axioms(lie: LieSuperalgebraData) -> CheckReport:
     f = lie.field
     one, minus = f.from_int(1), f.from_int(-1)
     basis = _basis_elements(lie)
-    evens = [b for b in basis if b[0] == 0]
-    odds = [b for b in basis if b[0] == 1]
+    odds = basis[lie.d_plus:]
 
     def total(*terms):
         """sum c.v over (c, v) pairs of vectors of one length."""
@@ -472,11 +471,8 @@ def check_axioms(lie: LieSuperalgebraData) -> CheckReport:
     def odd_sum(*idx):
         return total(*((one, odds[i][1]) for i in idx))
 
-    def sign(pa, pb):
-        return minus if pa * pb else one
-
     # (a) alternating even brackets; [z,[z,z]] = 0 for odd z incl. polarized
-    for p, v, name in evens:
+    for _, v, name in basis[:lie.d_plus]:
         if any(lie.bracket_ee(v, v)):
             rep.fail(f"(a) [{name},{name}] != 0")
     odd_probes = [(v, n) for _, v, n in odds]
@@ -493,30 +489,29 @@ def check_axioms(lie: LieSuperalgebraData) -> CheckReport:
         if any(res):
             rep.fail(f"(a) [{name},[{name},{name}]] != 0")
 
-    # (b) graded antisymmetry on homogeneous basis pairs
-    for x in basis:
-        for y in basis:
-            px, vx, nx = x
-            py, vy, ny = y
-            pb, b1 = _bracket(lie, (px, vx), (py, vy))
-            pb2, b2 = _bracket(lie, (py, vy), (px, vx))
-            if any(total((one, b1), (sign(px, py), b2))):
+    # the adjoint rows: rows[x][y] is [x,y] on the basis keys, the key of X_a
+    # a and of Y_i d_plus + i; _bracket keeps the rule [Y,X] = -[X,Y]
+    def ad(p, v):
+        """The action table of a basis element on the basis keys."""
+        brackets = [_bracket(lie, (p, v), (q, w)) for q, w, _ in basis]
+        return [{pb * lie.d_plus + t: c for t, c in enumerate(b) if c} for pb, b in brackets]
+
+    rows = [ad(p, v) for p, v, _ in basis]
+
+    # (b) graded antisymmetry on homogeneous basis pairs, read off the rows
+    for x, (px, _, nx) in enumerate(basis):
+        for y, (py, _, ny) in enumerate(basis):
+            if add_into(f, dict(rows[x][y]), minus if px * py else one, rows[y][x]):
                 rep.fail(f"(b) antisymmetry fails on ({nx},{ny})")
 
     # (c) and (f): ad is a g-module.  Given (b) and the quadratic two_op of
     # (d), ad respects every [x,y] exactly when graded Jacobi holds on the
     # basis triples (x,y,z), and every (Y_i^<2>) and [Y_i,Y_j] exactly when
-    # [z^<2>,x] = [z,[z,x]] for every odd z.  The key of X_a is a, of Y_i
-    # d_plus + i; _bracket keeps the rule [Y,X] = -[X,Y].
-    def ad(p, v):
-        """The action table of a basis element on the basis keys."""
-        rows = [_bracket(lie, (p, v), (q, w)) for q, w, _ in basis]
-        return [{pb * lie.d_plus + t: c for t, c in enumerate(b) if c} for pb, b in rows]
-
+    # [z^<2>,x] = [z,[z,x]] for every odd z.
     def name(p, i):
         return basis[p * lie.d_plus + i][2]
 
-    tables = ([ad(p, v) for p, v, _ in evens], [ad(p, v) for p, v, _ in odds])
+    tables = (rows[:lie.d_plus], rows[lie.d_plus:])
     for _, x, y, key in lie.broken_relations(tables, range(len(basis))):
         if y is None:
             rep.fail(f"(f) [z^<2>,x]=[z,[z,x]] fails on (z={name(*x)}, x={basis[key][2]})")
@@ -714,13 +709,14 @@ def wedge_ad_action(field, act, d_minus, ad, v0_matrix, v):
     field, in U(g) (x)_{U(g_0)} V0, whose straightening table is act(j, key);
     returns a new vector.
 
-    ad() returns the term dicts of even coefficients a[j][i] with
-    Ad(g)(Y_i) = sum_j a[j][i] Y_j, and v0_matrix is g on V0 as a grid of
-    term dicts: g.e_t = sum_r v0_matrix[r][t] e_r (for wedge(g_1), V0 is the
-    trivial line and v0_matrix is [[1]]).  With i0 = min S and rest the key
-    without it, g.(Ybar_S (x) e_t) = (Ad(g)Y_{i0}).(g.rest), and each Y_j
-    acts by straighten_action, so the [Y_j,Y_k] and Y_j^<2> terms of the
-    product in U(g) act on what stands to their right.  A key with S = 0
+    ad() returns the term dicts of even coefficients a[i][j] with
+    Ad(g)(Y_i) = sum_j a[i][j] Y_j (row i the image of Y_i), and v0_matrix
+    is g on V0 as a grid of term dicts: g.e_t = sum_r v0_matrix[r][t] e_r
+    (for wedge(g_1), V0 is the trivial line and v0_matrix is [[1]]).  With
+    i0 = min S and rest the key without it, g.(Ybar_S (x) e_t) =
+    (Ad(g)Y_{i0}).(g.rest), and each Y_j acts by straighten_action, so the
+    [Y_j,Y_k] and Y_j^<2> terms of the product in U(g) act on what stands
+    to their right.  A key with S = 0
     (d_minus low bits) needs only v0_matrix, so ad is called once when some
     key of v has S != 0 and not at all otherwise: on a vacuum no odd factor
     crosses g.
@@ -737,8 +733,8 @@ def wedge_ad_action(field, act, d_minus, ad, v0_matrix, v):
                 i0 = (key & -key).bit_length() - 1
                 rest = image(key & (key - 1))
                 res = {}
-                for j, row in enumerate(ad_matrix):
-                    if a := row[i0]:
+                for j, a in enumerate(ad_matrix[i0]):
+                    if a:
                         straighten_action(field, act, j, rest, a, res)
             else:
                 t = key >> d_minus

@@ -84,14 +84,15 @@ class HarishChandraPair:
         (c_j)_j with left rho(Y_i) right = sum c_j rho(Y_j), as elements
         (``conj_grid`` on the points' grids).
 
-        With right = left^-1 this is column i of Ad(left); the caller passes
+        With right = left^-1 this is row i of Ad(left); the caller passes
         both points, so nothing is inverted here."""
         algebra = left.algebra
         return [[GrassmannElement(algebra, c) for c in col]
                 for col in self.conj_grid(left.grid, right.grid, indices)]
 
     def conj_grid(self, left, right, indices=None):
-        """conj_coords on grids of term dicts: the coordinates as term dicts.
+        """conj_coords on grids of term dicts: the coordinates as term dicts,
+        one row per index.
         left . rho(Y_i) . right is summed straight into the flat vector the
         odd solver reads, over the nonzeros (a, b, v) of rho(Y_i), never
         lifted: entry (r, k) gains (left_ra v) . twist^{|r|+|b|}(right_bk),
@@ -125,21 +126,23 @@ class HarishChandraPair:
 
     def ad_coords(self, g_plus: SuperMatrix, i: int):
         """Coordinates (c_j)_j with rho(g)^-1 rho(Y_i) rho(g) = sum c_j rho(Y_j):
-        column i of Ad(g^-1), the single-column entry point of conj_coords."""
+        row i of Ad(g^-1), the single-row entry point of conj_coords."""
         return self.conj_coords(smat_inv(g_plus), g_plus, [i])[0]
 
     def ad_action_matrix(self, g_plus: SuperMatrix):
-        """(Ad(g), g^-1) as grids of term dicts, read only: a[j][i] with
-        Ad(g)(Y_i) = sum_j a[j][i] Y_j (note: Ad(g), not Ad(g^-1)); column i
-        solves g rho(Y_i) g^-1, with g inverted once.  Memoized by the exact
-        value of g: the memo's entry itself (see the module docstring)."""
+        """(Ad(g), g^-1) as grids of term dicts, read only: row i holds the
+        odd coordinates of Ad(g)(Y_i) = sum_j a[i][j] Y_j (note: Ad(g), not
+        Ad(g^-1)), solved from g rho(Y_i) g^-1 with g inverted once: the
+        layout of ``conj_grid`` and of the bracket table eo[a][i].  Memoized
+        by the exact value of g: the memo's entry itself (see the module
+        docstring)."""
         g = g_plus.grid
         key = (g_plus.shape, g_plus.algebra,
                tuple(tuple(sorted(x.items())) for row in g for x in row))
         entry = self._ad_memo.get(key)
         if entry is None:
             ginv = grid_inv(self.field, self.shape[0], g_plus.algebra.rank, g)
-            entry = tuple(zip(*self.conj_grid(g, ginv))), ginv
+            entry = self.conj_grid(g, ginv), ginv
             if len(self._ad_memo) >= AD_MEMO_SIZE:
                 del self._ad_memo[next(iter(self._ad_memo))]
             self._ad_memo[key] = entry

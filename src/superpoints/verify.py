@@ -287,7 +287,7 @@ def check_ad_compatibility(pair, rng) -> CheckReport:
                 rhs = {}
                 for j in range(dm):
                     for k2, x in straighten_action(field, act, j, gm).items():
-                        _mac_into(field, rhs, k2, ad[j][i], x)
+                        _mac_into(field, rhs, k2, ad[i][j], x)
                 if lhs != rhs:
                     bad.append(f"sample {s}, key {m}, Y{i + 1}")
     if bad:
@@ -378,24 +378,31 @@ def oracle_triangle(seed=1, count=500, field=QQ, stats=None) -> CheckReport:
 
 
 def uniqueness_suite(seed=1, count=200, field=QQ) -> CheckReport:
-    """Group axioms on normal forms over Lambda_3 plus distinguishability of
-    perturbed forms on the induced (defining) module."""
+    """Group axioms on normal forms of gl(1|1) over Lambda_3 plus
+    distinguishability of perturbed forms on the induced (defining) module;
+    then the group axioms of gl(2|1) over Lambda_4, whose Ad and fold steps
+    are not diagonal, on a generator of their own seeded alike."""
     rep = CheckReport()
+
+    def group_axioms(pair, A, rng, tag=""):
+        """Associativity on `count` random triples and the inverse law on
+        `count` samples of the normal forms of random words; the forms."""
+        ident = NormalForm.identity(pair, A)
+        nfs = [normal_form(random_word(pair, A, rng, 5)) for _ in range(max(12, count // 16))]
+        for t in range(count):
+            a, b, c = (nfs[rng.randrange(len(nfs))] for _ in range(3))
+            if gp_mul(gp_mul(a, b), c) != gp_mul(a, gp_mul(b, c)):
+                rep.fail(f"{tag}associativity fails on triple {t}")
+        for t in range(count):
+            nf = nfs[t % len(nfs)]
+            if gp_mul(nf, gp_inv(nf)) != ident or gp_mul(gp_inv(nf), nf) != ident:
+                rep.fail(f"{tag}inverse law fails on sample {t}")
+        return nfs
+
     rng = random.Random(seed)
     pair = cached_gl_pair(1, 1, field)
     A = GrassmannAlgebra(field, 3)
-    ident = NormalForm.identity(pair, A)
-    nfs = [normal_form(random_word(pair, A, rng, 5)) for _ in range(max(12, count // 16))]
-    for t in range(count):
-        a = nfs[rng.randrange(len(nfs))]
-        b = nfs[rng.randrange(len(nfs))]
-        c = nfs[rng.randrange(len(nfs))]
-        if gp_mul(gp_mul(a, b), c) != gp_mul(a, gp_mul(b, c)):
-            rep.fail(f"associativity fails on triple {t}")
-    for t in range(count):
-        nf = nfs[t % len(nfs)]
-        if gp_mul(nf, gp_inv(nf)) != ident or gp_mul(gp_inv(nf), nf) != ident:
-            rep.fail(f"inverse law fails on sample {t}")
+    nfs = group_axioms(pair, A, rng)
     # perturbed normal forms act distinctly on the induced module
     module = InducedModule(pair, defining_module(pair))
     for t in range(min(count, 48)):
@@ -419,6 +426,8 @@ def uniqueness_suite(seed=1, count=200, field=QQ) -> CheckReport:
         )
         if not distinct:
             rep.fail(f"perturbed normal form {t} acts identically")
+    group_axioms(cached_gl_pair(2, 1, field), GrassmannAlgebra(field, 4), random.Random(seed),
+                 "gl(2|1): ")
     return rep
 
 
@@ -470,8 +479,9 @@ def basis_independence(seed=1, count=40) -> CheckReport:
 
 def suite_charfree(seed=1) -> CheckReport:
     """Criteria 1, 3, 4, 6 re-run over F2 and F3 (60 tang-group instances
-    per identity, 60 triangle words, 48 uniqueness samples, 30 PBW tuples),
-    and 60 words of the nonzero 2-operation fixture in characteristic 2."""
+    per identity, 60 triangle words, 48 uniqueness samples on gl(1|1) and
+    on gl(2|1), 30 PBW tuples), and 60 words of the nonzero 2-operation
+    fixture in characteristic 2."""
     rep = CheckReport()
     for field in (GF2, GF3):
         sub = suite_tang_group(seed, count=60, fields=(field,))

@@ -4,7 +4,8 @@ These deliberately share no code with the production kernels: the
 straightening oracle rewrites words in the free algebra symbol by symbol,
 the sign oracle counts transpositions on explicit index lists, the
 subalgebra oracle enumerates spanning monomials, the regular
-representation turns supermatrices into plain k-matrices, the
+representation turns supermatrices into plain k-matrices (and solves
+g Y_i g^-1 for the rows of Ad(g) there, inverting nothing), the
 structure-constant oracle brackets every ordered pair of raw k-matrices by
 dense products and a dense solve, and the axiom oracle runs graded Jacobi
 and [z^<2>,x] = [z,[z,x]] as explicit loops over basis triples and probes.
@@ -278,6 +279,38 @@ def structure_constants_oracle(field, evens, odds):
             tuple(tuple(solve(1, x, y, -1) for y in odds) for x in evens),
             tuple(tuple(solve(0, x, y, 1) for y in odds) for x in odds),
             tuple(solve(0, y, y) for y in odds))
+
+
+def ad_rows_oracle(field, rank, shape, odd_mats, g):
+    """Ad(g) by rows in the regular representation: row i holds, for each
+    j, the coefficient of Y_j in g Y_i g^-1 = sum_j c_ij Y_j as a
+    {mask: value} dict.  g is a grid of {mask: value} dicts over
+    Lambda_rank and odd_mats are the raw k-matrices of the Y_j.  Nothing is
+    inverted: c_i solves rep(g) rep(Y_i) = sum_{j,m} c_ij[m] rep(x^m Y_j)
+    rep(g) by _gauss_coords_oracle, with a column for every mask m, odd
+    ones included."""
+    p = shape[0]
+    rep_g = supermatrix_rep_oracle(field, rank, p, g)
+
+    def rep(mat, mask=0):
+        """rep of the supermatrix x^mask . mat for a raw k-matrix mat."""
+        return supermatrix_rep_oracle(field, rank, p,
+                                      [[{mask: v} if v else {} for v in row] for row in mat])
+
+    def flat(m):
+        return [v for row in m for v in row]
+
+    index = [(j, m) for j in range(len(odd_mats)) for m in range(1 << rank)]
+    columns = [flat(k_matmul_oracle(field, rep(odd_mats[j], m), rep_g)) for j, m in index]
+    rows = []
+    for y in odd_mats:
+        coords = _gauss_coords_oracle(field, columns, flat(k_matmul_oracle(field, rep_g, rep(y))))
+        row = [{} for _ in odd_mats]
+        for (j, m), c in zip(index, coords):
+            if c:
+                row[j][m] = c
+        rows.append(row)
+    return rows
 
 
 # -- axioms (c) and (f) by explicit loops ----------------------------------------

@@ -93,8 +93,9 @@ def invert(u):
 
 
 def ad_elements(pair, g):
-    """Ad(g) as rows of elements: the grid of the pair's memo entry, each
-    entry wrapped (sharing its term dict, which is read only)."""
+    """Ad(g) as rows of elements, row i the odd coordinates of Ad(g)(Y_i):
+    the grid of the pair's memo entry, each entry wrapped (sharing its term
+    dict, which is read only)."""
     return [[GrassmannElement(g.algebra, x) for x in row] for row in pair.ad_action_matrix(g)[0]]
 
 

@@ -50,7 +50,8 @@ from superpoints.verify import (
     uniqueness_suite,
 )
 
-from .oracles import k_matmul_oracle, odd_monomial_action_oracle, supermatrix_rep_oracle
+from .oracles import (ad_rows_oracle, k_matmul_oracle, odd_monomial_action_oracle,
+                      supermatrix_rep_oracle)
 from .support import ad_elements, ad_unstable_pair, negated_eo_pair, trivial_module
 from .test_shcp import count_inversions
 
@@ -339,6 +340,32 @@ def test_law_results_carry_the_ad_of_their_even_factor(case):
             assert nf == twin and repr(nf) == repr(twin) == shown
             checked += 1
     assert checked == 36
+
+
+@pytest.mark.parametrize("field", [QQ, GF3], ids=str)
+@pytest.mark.parametrize("make", [lambda f: gl_pair(2, 1, f), q2_pair], ids=["gl21", "q2"])
+def test_every_ad_handed_out_holds_the_image_of_y_i_in_row_i(make, field):
+    """One layout for every Ad the program hands out: row i holds the odd
+    coordinates of g Y_i g^-1, as the regular-representation oracle solves
+    them (no mac, nothing inverted).  Checked over Lambda_3 on a memo
+    entry, on conj_coords(g, g^-1), on the Ad of a form made outside the
+    law, and on the Ad that a gp_mul and a gp_inv result compose from
+    their fold steps."""
+    pair = make(field)
+    A = GrassmannAlgebra(field, 3)
+    rng = random.Random(55)
+    law = []
+    while not (law and all(nf._ad.steps for nf in law)):  # the fold steps compose Ad
+        a, b = (normal_form(random_word(pair, A, rng, 6)) for _ in range(2))
+        law = [gp_mul(a, b), gp_inv(a)]
+    g = pair.even_group.sample(A, rng)
+    handed = [(g, pair.ad_action_matrix(g)[0]),
+              (g, [[x.terms for x in row] for row in pair.conj_coords(g, smat_inv(g))]),
+              (a.g_plus, a.ad())] + [(nf.g_plus, nf.ad()) for nf in law]
+    for point, ad in handed:
+        want = ad_rows_oracle(field, A.rank, pair.shape, pair.lie.rho_odd,
+                              [[dict(x) for x in row] for row in point.grid])
+        assert [list(row) for row in ad] == want
 
 
 def test_pending_ad_chains_are_bounded():
@@ -1128,7 +1155,7 @@ def test_nf_semidirect_split(pair11):
 def test_slide_ad_matrix_is_conjugation(pair):
     """The bracket-table Ad of a rewriting correction 1 + c.rho(Z), c = eta2 eta,
     equals the Ad matrix built by conjugation, for every Z = Y_i^<2> and [Y_i, Y_j]:
-    slide_odds carries the factor (k, 1) to column k of that matrix."""
+    slide_odds carries the factor (k, 1) to row k of that matrix."""
     rng = random.Random(41)
     lie = pair.lie
     A = GrassmannAlgebra(pair.field, 4)
@@ -1142,5 +1169,5 @@ def test_slide_ad_matrix_is_conjugation(pair):
                 c = rand_odd(A, rng) * rand_odd(A, rng)
             ad = ad_elements(pair, I + lie.rho_comb(0, z, A).scale(c))
             for k in range(dm):
-                column = dict(slide_odds(lie, z, c.terms, [(k, {0: A.field.from_int(1)})]))
-                assert column == {j: row[k].terms for j, row in enumerate(ad) if row[k].terms}
+                row = dict(slide_odds(lie, z, c.terms, [(k, {0: A.field.from_int(1)})]))
+                assert row == {j: x.terms for j, x in enumerate(ad[k]) if x.terms}

@@ -165,6 +165,42 @@ def test_ad_relation_check_matches_the_jacobi_and_square_loops():
     assert {(False, True), (True, True)} <= seen
 
 
+def _antisymmetry_reference(lie):
+    """(b) as check_axioms first ran it: both orders of every basis pair
+    bracketed anew by _bracket, [x,y] + (-1)^{|x||y|} [y,x] compared with 0."""
+    f = lie.field
+    basis = _basis_elements(lie)
+    out = []
+    for px, vx, nx in basis:
+        for py, vy, ny in basis:
+            (_, b1), (_, b2) = _bracket(lie, (px, vx), (py, vy)), _bracket(lie, (py, vy), (px, vx))
+            s = f.from_int(-1 if px * py else 1)
+            if any(f.add(u, f.mul(s, w)) for u, w in zip(b1, b2)):
+                out.append(f"(b) antisymmetry fails on ({nx},{ny})")
+    return out
+
+
+def test_antisymmetry_read_off_the_adjoint_rows_matches_the_bracket_loop():
+    """On the tables with one entry changed that the Jacobi test draws, the
+    whole failure list of check_axioms is the (a) lines, then the (b) lines
+    of the loop that brackets both orders anew, then the rest: (b) read off
+    the adjoint rows names the same pairs in the same order and place."""
+    rng = random.Random(2026)
+    bases = [(f, gl_lie(p, q, f)) for f in (QQ, GF2, GF3) for p, q in ((1, 1), (2, 1))]
+    bases.append((GF2, char2_pair(GF2).lie))
+    broken = 0
+    for case in range(240):
+        field, lie = bases[case % len(bases)]
+        bad = _tampered(rng, field, lie)
+        failures = check_axioms(bad).failures
+        reference = _antisymmetry_reference(bad)
+        head = [m for m in failures if m.startswith("(a)")]
+        rest = [m for m in failures if not m.startswith(("(a)", "(b)"))]
+        assert failures == head + reference + rest, case
+        broken += bool(reference)
+    assert 20 < broken < 240
+
+
 def test_polarization_checks_the_diagonal():
     """(e) includes [Y_i,Y_i] = 2 Y_i^<2>: gl(1|1) with Y2^<2> moved to the
     central X1+X2 breaks it outside characteristic 2, and nothing else."""
@@ -305,7 +341,8 @@ def test_relation_checks_count_their_sparse_sums(monkeypatch):
     """Deterministic add_into counts on gl(2|1) over Q: one cold
     check_module_axioms (the straightening tables it fills, then
     broken_relations) and check_axioms, whose only sparse sums in liesuper
-    are its adjoint relation pass.  broken_relations builds each ordered
+    are (b), one per ordered basis pair (81), and its adjoint relation pass
+    (276).  broken_relations builds each ordered
     product of two tables that a relation without a twin reads once, over
     the nonzero entries of the right factor, adds each right-hand-side
     table once per such relation, not once per key, and sums nothing for
@@ -323,7 +360,7 @@ def test_relation_checks_count_their_sparse_sums(monkeypatch):
     assert calls[0] <= 590
     calls[0] = 0
     assert check_axioms(lie).ok
-    assert calls[0] <= 276
+    assert calls[0] <= 81 + 276
 
 
 @pytest.mark.parametrize("field", [QQ, GF2, GF3])

@@ -115,7 +115,7 @@ def exterior_ad_action(field, act, d_minus, ad, v0_matrix, v):
             for s, cs in expanded.items():
                 for j in range(dm):
                     if not s >> j & 1:
-                        x = cs * ad_matrix[j][i]
+                        x = cs * ad_matrix[i][j]
                         # Ybar_j moves left past the factors of s above j
                         add(nxt, s | 1 << j, -x if (s >> (j + 1)).bit_count() % 2 else x)
             expanded = nxt

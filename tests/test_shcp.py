@@ -222,7 +222,7 @@ def test_ad_is_group_action():
 
 
 def test_conj_coords_columns_match_ad_matrices():
-    """conj_coords(g, g^-1) are the columns of ad_action_matrix(g), and
+    """conj_coords(g, g^-1) are the rows of ad_action_matrix(g), and
     conj_coords(g^-1, g, indices) the ad_coords(g, i) in the order asked."""
     rng = random.Random(51)
     pair = gl_pair(2, 1, GF3)
@@ -231,7 +231,7 @@ def test_conj_coords_columns_match_ad_matrices():
         g = pair.even_group.sample(A, rng)
         ginv = smat_inv(g)
         a = ad_elements(pair, g)
-        assert pair.conj_coords(g, ginv) == [[row[i] for row in a] for i in range(pair.d_minus)]
+        assert pair.conj_coords(g, ginv) == a
         assert pair.conj_coords(ginv, g, [3, 1]) == [pair.ad_coords(g, 3), pair.ad_coords(g, 1)]
         assert pair.conj_coords(ginv, g, []) == []
 
@@ -326,7 +326,7 @@ def test_cold_ad_sums_no_grid_in_conj_grid(monkeypatch):
 
 
 def _ad_sides(pair, g, a, i):
-    """rep(g) rep(Y_i) and rep(sum_j a[j][i] Y_j) rep(g) on A (x) k^{p|q},
+    """rep(g) rep(Y_i) and rep(sum_j a[i][j] Y_j) rep(g) on A (x) k^{p|q},
     built by the oracle from raw entries: no inversion, no SuperMatrix product."""
     f, rank, p = pair.field, g.algebra.rank, pair.shape[0]
     n = sum(pair.shape)
@@ -337,7 +337,7 @@ def _ad_sides(pair, g, a, i):
                 k = pair.lie.rho_odd[j][r][s]
                 if not k:
                     continue
-                for mask, v in a[j][i].terms.items():
+                for mask, v in a[i][j].terms.items():
                     comb[r][s][mask] = f.add(comb[r][s].get(mask, f.from_int(0)), f.mul(v, k))
     y = [[{0: k} if k else {} for k in row] for row in pair.lie.rho_odd[i]]
     rep_g = supermatrix_rep_oracle(f, rank, p, [[dict(e.terms) for e in row] for row in g.rows])
@@ -357,8 +357,8 @@ def _ad_sides(pair, g, a, i):
     pytest.param(q2_pair(GF3), False, id="q2-F3"),
 ])
 def test_ad_action_matrix_single_inversion(pair, full_samples):
-    """Column i of ad_action_matrix(g) is ad_coords(g^-1, i), and it satisfies
-    g Y_i = (sum_j a[j][i] Y_j) g in the regular representation.  Points come
+    """Row i of ad_action_matrix(g) is ad_coords(g^-1, i), and it satisfies
+    g Y_i = (sum_j a[i][j] Y_j) g in the regular representation.  Points come
     from gl_full, from its even factors and from the even group; a full
     sample whose odd part moves Y_i out of the odd span must be rejected by
     both definitions.  On q(2), where each rho(Y_i) has two nonzeros, so
@@ -385,7 +385,7 @@ def test_ad_action_matrix_single_inversion(pair, full_samples):
                         pair.ad_coords(smat_inv(point), i)
                 continue
             for i in range(pair.d_minus):
-                assert [a[j][i] for j in range(pair.d_minus)] == pair.ad_coords(smat_inv(point), i)
+                assert a[i] == pair.ad_coords(smat_inv(point), i)
                 lhs, rhs = _ad_sides(pair, point, a, i)
                 assert lhs == rhs
     assert rejected or not full_samples
@@ -396,9 +396,8 @@ def test_ad_action_matrix_single_inversion(pair, full_samples):
 
 
 def _reference_ad(pair, g):
-    """ad_action_matrix(g) computed without the memo, column by column."""
-    cols = [pair.ad_coords(smat_inv(g), i) for i in range(pair.d_minus)]
-    return [[cols[i][j] for i in range(pair.d_minus)] for j in range(pair.d_minus)]
+    """ad_action_matrix(g) computed without the memo, row by row."""
+    return [pair.ad_coords(smat_inv(g), i) for i in range(pair.d_minus)]
 
 
 def test_ad_memo_equal_points_share_one_computation(monkeypatch):

@@ -205,13 +205,13 @@ def test_actions_and_group_law_write_only_what_they_own(name, build, field):
 # no GrassmannElement arithmetic inside the rewritten layers
 
 
-GROUP_LAW_CODE = {"_step", "monomial", "at", "fold", "_row_dot"}
+GROUP_LAW_CODE = {"_step", "monomial", "at", "fold", "compose_ad"}
 
 
 def count_element_ops(monkeypatch):
     """Route GrassmannElement.__mul__ and __add__ through a counter of the
     calls made from liesuper or from the group law (GroupLaw's methods, the
-    functions nested in them, and _row_dot), and return the list."""
+    functions nested in them, and compose_ad), and return the list."""
     calls = []
     for attr in ("__mul__", "__add__"):
         def counted(self, other, _real=getattr(GrassmannElement, attr), _attr=attr):
